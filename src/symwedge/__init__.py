@@ -6,7 +6,6 @@ from .approx_antisym import (
     MODE_PROJECTED,
     MODE_RANK,
     AntisymTabulator,
-    EquivariantValues,
     build_antisym,
     choose_direction,
     direction_is_valid,
@@ -131,7 +130,7 @@ __all__ = [
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
     "eval_antisym", "vandermonde_product", "slot_rank_product",
-    "EquivariantValues", "equivariant_sort_map", "choose_direction",
+    "equivariant_sort_map", "choose_direction",
     "direction_is_valid",
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",

@@ -16,26 +16,22 @@ cross-check of the canonicalized path.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import Configuration, Symmetry, TargetFunction
-from .errors import BuildError, CapacityError, DomainError
+from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
     WedgeKey,
     cell_of,
-    center_configuration,
     corner_configuration,
     enumerate_wedge,
     locate,
     repetition_constant,
     site_weight_support,
-    wedge_size,
 )
 
 __all__ = [
@@ -73,7 +69,6 @@ class BuildStats:
     evaluations: int
     wedge_count: int
     coarse_lattice: bool
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,6 @@ class SymmetricTabulator:
     smooth_width: float | None
     table: dict[WedgeKey, float]
     stats: BuildStats
-
-    def corner_value(self, zs: WedgeKey) -> float:
-        """f(Z) as the evaluator reproduces it: stored coefficient times C_Z."""
-        return self.table[zs] * repetition_constant(zs)
 
 
 def _validate_mode(spec: LatticeSpec, mode: str, smooth_width: float | None) -> None:
@@ -107,44 +98,11 @@ def _validate_mode(spec: LatticeSpec, mode: str, smooth_width: float | None) -> 
 
 
 def corner_values(
-    f: Callable[[Configuration], float],
-    spec: LatticeSpec,
-    N: int,
-    cap: int = DEFAULT_WEDGE_CAP,
-    threads: int = 1,
-    keys: list[WedgeKey] | None = None,
-    center: bool = False,
-) -> Iterable[tuple[WedgeKey, float]]:
-    """Evaluate f at every wedge entry's corner configuration, in wedge order.
-
-    With threads > 1 the wedge is split into contiguous chunks evaluated
-    concurrently and merged back in order, so the result is identical to the
-    sequential walk. ``keys`` restricts the walk to a pre-filtered list of
-    entries (the capacity cap is still checked against the full wedge).
-    ``center`` samples box centers instead of corners.
-    """
-    if keys is None:
-        entries = list(enumerate_wedge(spec, N, cap=cap))
-    else:
-        size = wedge_size(spec, N)
-        if size > cap:
-            raise CapacityError(
-                f"wedge has {size} entries, above the cap of {cap}; rerun with cap >= {size}"
-            )
-        entries = keys
-    at = center_configuration if center else corner_configuration
-
-    def chunk_values(chunk: list[WedgeKey]) -> list[float]:
-        return [f(at(spec, zs)) for zs in chunk]
-
-    if threads <= 1 or len(entries) < 2 * threads:
-        values = chunk_values(entries)
-    else:
-        step = (len(entries) + threads - 1) // threads
-        chunks = [entries[i : i + step] for i in range(0, len(entries), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = [v for part in pool.map(chunk_values, chunks) for v in part]
-    for zs, value in zip(entries, values):
+    f: Callable[[Configuration], float], spec: LatticeSpec, entries: Iterable[WedgeKey]
+) -> Iterator[tuple[WedgeKey, float]]:
+    """Yield (Z, f at Z's cell corners) per entry, in order; a non-finite value raises."""
+    for zs in entries:
+        value = f(corner_configuration(spec, zs))
         if not math.isfinite(value):
             raise BuildError(f"target returned non-finite value {value!r} at Z = {zs}")
         yield zs, value
@@ -157,30 +115,20 @@ def build_sym(
     mode: str = MODE_INDICATOR,
     smooth_width: float | None = None,
     cap: int = DEFAULT_WEDGE_CAP,
-    threads: int = 1,
-    center: bool = False,
 ) -> SymmetricTabulator:
-    """Tabulate a symmetric target over the wedge.
-
-    ``center`` switches the sampling site from the cell corner (the default,
-    which makes eval exact at the corner itself) to the cell center, which
-    roughly halves the worst-case constant at the cost of corner exactness.
-    """
+    """Tabulate a symmetric target over the wedge, sampling each entry at its cell corners."""
     if f.declared_symmetry is not Symmetry.SYMMETRIC:
         raise ValueError(
             f"build_sym needs a symmetric target, got {f.declared_symmetry.value!r}"
         )
     _validate_mode(spec, mode, smooth_width)
-    start = time.perf_counter()
     table: dict[WedgeKey, float] = {}
-    for zs, value in corner_values(f, spec, N, cap=cap, threads=threads, center=center):
+    for zs, value in corner_values(f, spec, enumerate_wedge(spec, N, cap=cap)):
         table[zs] = value / repetition_constant(zs)
-    elapsed = time.perf_counter() - start
     stats = BuildStats(
         evaluations=len(table),
         wedge_count=len(table),
         coarse_lattice=spec.delta > N ** (-1.0 / spec.d),
-        wall_time_s=elapsed,
     )
     return SymmetricTabulator(spec, N, mode, smooth_width, table, stats)
 
@@ -204,11 +152,9 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[WedgeK
     supports = [site_weight_support(spec, p, w) for p in pts]
     weights: dict[WedgeKey, float] = {}
     for combo in product(*supports):
-        weight = 1.0
-        for _, p in combo:
-            weight *= p
-        key = tuple(sorted(site for site, _ in combo))
-        weights[key] = weights.get(key, 0.0) + weight
+        sites, masses = zip(*combo)
+        key = tuple(sorted(sites))
+        weights[key] = weights.get(key, 0.0) + math.prod(masses)
     return weights
 
 

@@ -48,7 +48,15 @@ from .harness import (
     sample_configurations,
 )
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
-from .persistence import load_model, save_model, write_text_atomic
+from .persistence import (
+    KIND_PROJECTED,
+    KIND_RANK,
+    KIND_SYM,
+    KINDS,
+    load_model,
+    save_model,
+    write_text_atomic,
+)
 
 __all__ = ["main", "ExperimentConfig", "parse_config"]
 
@@ -56,11 +64,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
-
-KIND_SYM = "sym"
-KIND_RANK = "antisym-c1"
-KIND_PROJECTED = "antisym-c2"
-_KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 SWEEP_COLUMNS = "delta,sup_error,bound,wedge_count,M,wall_time_s"
 
@@ -142,8 +145,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
 
     kind = raw.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError(f"config key 'kind' must be one of {_KINDS}, got {kind!r}")
+    if kind not in KINDS:
+        raise ConfigError(f"config key 'kind' must be one of {KINDS}, got {kind!r}")
     d = _require_int(raw, "d", 0, 1) if "d" in raw else _missing("d")
     N = _require_int(raw, "N", 0, 1) if "N" in raw else _missing("N")
 
@@ -313,19 +316,17 @@ def _resolve_delta(cfg: ExperimentConfig) -> tuple[float, float | None]:
     return delta_for_epsilon(cfg.epsilon, cfg.N, cfg.d, L_hat), L_hat
 
 
-def _build_tabulator(cfg: ExperimentConfig, delta: float, threads: int):
+def _build_tabulator(cfg: ExperimentConfig, delta: float):
     f = cfg.target()
     spec = LatticeSpec.from_domain(cfg.domain(), delta)
     if cfg.kind == KIND_SYM:
         mode = MODE_SMOOTH if cfg.smooth_width is not None else MODE_INDICATOR
         return build_sym(
-            f, spec, cfg.N, mode=mode, smooth_width=cfg.smooth_width,
-            cap=cfg.cap, threads=threads,
+            f, spec, cfg.N, mode=mode, smooth_width=cfg.smooth_width, cap=cfg.cap
         )
     mode = MODE_RANK if cfg.kind == KIND_RANK else MODE_PROJECTED
     return build_antisym(
-        f, spec, cfg.N, mode=mode, tau=cfg.tau, smooth_width=cfg.smooth_width,
-        cap=cfg.cap, threads=threads,
+        f, spec, cfg.N, mode=mode, tau=cfg.tau, smooth_width=cfg.smooth_width, cap=cfg.cap
     )
 
 
@@ -333,7 +334,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     start = time.perf_counter()
     delta, L_hat = _resolve_delta(cfg)
-    tab = _build_tabulator(cfg, delta, args.threads)
+    tab = _build_tabulator(cfg, delta)
     os.makedirs(cfg.out, exist_ok=True)
     model_path = os.path.join(cfg.out, cfg.model)
     save_model(model_path, tab)
@@ -467,7 +468,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_perms=cfg.n_perms,
         min_gap=cfg.min_gap,
         cap=cfg.cap,
-        threads=args.threads,
     )
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(
@@ -494,7 +494,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     f = cfg.target()
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
-    result = convergence_sweep(f, cfg.domain(), cfg.deltas, S, cap=cfg.cap, threads=args.threads)
+    result = convergence_sweep(f, cfg.domain(), cfg.deltas, S, cap=cfg.cap)
     elapsed = time.perf_counter() - start
     lines = [SWEEP_COLUMNS]
     for row in result.rows:
@@ -524,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the config output directory")
-    common.add_argument("--threads", type=int, default=1, help="build thread count")
     common.add_argument("--cap", type=int, help="override the wedge capacity cap")
     common.add_argument(
         "--timings",
@@ -548,9 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.handler(args)
     except (CapacityError, DirectionSearchError) as exc:

@@ -30,20 +30,18 @@ from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
 from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
-    SymmetricTabulator,
     build_sym,
     delta_for_epsilon,
     error_budget,
     eval_sym,
 )
 from .approx_antisym import (
-    MODE_PROJECTED,
     MODE_RANK,
-    AntisymTabulator,
     build_antisym,
     eval_antisym,
     vandermonde_product,
 )
+from .persistence import kind_of
 
 __all__ = [
     "SampleSet",
@@ -197,7 +195,6 @@ def convergence_sweep(
     deltas: Sequence[float],
     S: SampleSet,
     cap: int = DEFAULT_WEDGE_CAP,
-    threads: int = 1,
 ) -> SweepResult:
     """Build one indicator tabulator per spacing and fit the log-log slope
     of the sampled sup error against the spacing.
@@ -217,10 +214,10 @@ def convergence_sweep(
         start = time.perf_counter()
         spec = LatticeSpec.from_domain(domain, delta)
         if f.declared_symmetry is Symmetry.SYMMETRIC:
-            tab = build_sym(f, spec, domain.N, cap=cap, threads=threads)
+            tab = build_sym(f, spec, domain.N, cap=cap)
             approx = lambda X, tab=tab: eval_sym(tab, X)
         elif f.declared_symmetry is Symmetry.ANTISYMMETRIC:
-            tab = build_antisym(f, spec, domain.N, mode=MODE_RANK, cap=cap, threads=threads)
+            tab = build_antisym(f, spec, domain.N, mode=MODE_RANK, cap=cap)
             approx = lambda X, tab=tab: eval_antisym(tab, X)
         else:
             raise ValueError("sweep needs a target with a declared symmetry")
@@ -333,7 +330,6 @@ def run_verification(
     min_gap: float = 0.05,
     fd_step: float | None = None,
     cap: int = DEFAULT_WEDGE_CAP,
-    threads: int = 1,
 ):
     """Build one tabulator and run the full measurement suite against it.
 
@@ -359,16 +355,13 @@ def run_verification(
 
     if f.declared_symmetry is Symmetry.SYMMETRIC:
         mode = MODE_SMOOTH if smooth_width is not None else MODE_INDICATOR
-        tab = build_sym(f, spec, domain.N, mode=mode, smooth_width=smooth_width,
-                        cap=cap, threads=threads)
+        tab = build_sym(f, spec, domain.N, mode=mode, smooth_width=smooth_width, cap=cap)
         approx = lambda X: eval_sym(tab, X)
-        kind = "sym"
         indicator = mode == MODE_INDICATOR
     elif f.declared_symmetry is Symmetry.ANTISYMMETRIC:
         tab = build_antisym(f, spec, domain.N, mode=construction, tau=tau,
-                            smooth_width=smooth_width, cap=cap, threads=threads)
+                            smooth_width=smooth_width, cap=cap)
         approx = lambda X: eval_antisym(tab, X)
-        kind = "antisym-c1" if construction == MODE_RANK else "antisym-c2"
         indicator = smooth_width is None
     else:
         raise ValueError("verification needs a target with a declared symmetry")
@@ -395,7 +388,7 @@ def run_verification(
 
     report = VerificationReport(
         target=f.name,
-        kind=kind,
+        kind=kind_of(tab),
         d=domain.d,
         N=domain.N,
         delta=delta,

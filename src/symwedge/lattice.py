@@ -23,7 +23,6 @@ __all__ = [
     "WedgeKey",
     "CellAssignment",
     "DEFAULT_WEDGE_CAP",
-    "lex_compare",
     "lattice_sites",
     "cell_of",
     "wedge_size",
@@ -31,7 +30,6 @@ __all__ = [
     "repetition_constant",
     "locate",
     "corner_configuration",
-    "center_configuration",
     "smooth_cutoff",
     "axis_weight_support",
     "site_weight_support",
@@ -106,18 +104,6 @@ class LatticeSpec:
     def position(self, site: LatticeIndex) -> tuple[float, ...]:
         """Real coordinates of a site's cell corner (the lower corner)."""
         return tuple(self.origin + i * self.delta for i in site)
-
-
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """-1, 0, or +1 for a < b, a == b, a > b in lexicographic order."""
-    ta, tb = tuple(a), tuple(b)
-    if len(ta) != len(tb):
-        raise ValueError("cannot compare indices of different lengths")
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
 
 
 def lattice_sites(spec: LatticeSpec) -> Iterator[LatticeIndex]:
@@ -214,19 +200,6 @@ def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
 def corner_configuration(spec: LatticeSpec, zs: WedgeKey) -> Configuration:
     """The configuration sitting at the cell corners of a wedge entry."""
     return Configuration(tuple(Point(spec.position(z)) for z in zs))
-
-
-def center_configuration(spec: LatticeSpec, zs: WedgeKey) -> Configuration:
-    """The configuration at the cell centers of a wedge entry. Top cells can
-    be partial when delta does not divide the span; centers are clamped to
-    the domain so the target is never asked to leave it."""
-    half = spec.delta / 2.0
-    return Configuration(
-        tuple(
-            Point(tuple(min(spec.axis_position(i) + half, spec.top) for i in z))
-            for z in zs
-        )
-    )
 
 
 def _smoothstep(t: float) -> float:

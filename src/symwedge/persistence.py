@@ -7,7 +7,7 @@ after reload. Files are written atomically (temp file + rename).
 
 Layout (text, one field per line, records after the ``entries`` line):
 
-    SYMWEDGE-MODEL 1
+    SYMWEDGE-MODEL 2
     kind sym|antisym-c1|antisym-c2
     d / N / cells          integers
     delta / lo / hi        hex floats
@@ -16,29 +16,52 @@ Layout (text, one field per line, records after the ``entries`` line):
     tau hex float or -
     entries K
     <N*d site indices> <coefficient hex> [<d direction components hex>]
+
+Records hold every wedge entry (sym) or every distinct-cell entry (antisym)
+exactly once, in lexicographic key order, with finite coefficients; the
+loader rejects anything else.
+
+Version 1 files still load: their antisym-c1 coefficients were stored as
+f(Z)/slot_rank_product(N) and are multiplied back on load, which reproduces
+the version-1 evaluator's sign * coefficient * slot_rank_product(N) bit for
+bit (multiplying by the sign is exact).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from itertools import combinations, combinations_with_replacement
 from typing import Union
 
-from .approx_antisym import MODE_PROJECTED, MODE_RANK, AntisymTabulator
+from .approx_antisym import MODE_PROJECTED, MODE_RANK, AntisymTabulator, slot_rank_product
 from .approx_sym import MODE_INDICATOR, MODE_SMOOTH, BuildStats, SymmetricTabulator
 from .errors import ConfigError
-from .lattice import LatticeSpec, WedgeKey, wedge_size
+from .lattice import LatticeSpec, WedgeKey, lattice_sites, wedge_size
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_model", "load_model", "write_text_atomic"]
+__all__ = [
+    "MAGIC",
+    "FORMAT_VERSION",
+    "KIND_SYM",
+    "KIND_RANK",
+    "KIND_PROJECTED",
+    "KINDS",
+    "kind_of",
+    "save_model",
+    "load_model",
+    "write_text_atomic",
+]
 
 MAGIC = "SYMWEDGE-MODEL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 Tabulator = Union[SymmetricTabulator, AntisymTabulator]
 
-_KIND_SYM = "sym"
-_KIND_RANK = "antisym-c1"
-_KIND_PROJECTED = "antisym-c2"
+KIND_SYM = "sym"
+KIND_RANK = "antisym-c1"
+KIND_PROJECTED = "antisym-c2"
+KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -57,10 +80,11 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _kind_of(tab: Tabulator) -> str:
+def kind_of(tab: Tabulator) -> str:
+    """The model kind name of a tabulator: sym, antisym-c1 or antisym-c2."""
     if isinstance(tab, SymmetricTabulator):
-        return _KIND_SYM
-    return _KIND_RANK if tab.mode == MODE_RANK else _KIND_PROJECTED
+        return KIND_SYM
+    return KIND_RANK if tab.mode == MODE_RANK else KIND_PROJECTED
 
 
 def save_model(path: str, tab: Tabulator) -> None:
@@ -69,7 +93,7 @@ def save_model(path: str, tab: Tabulator) -> None:
     tau = getattr(tab, "tau", None)
     lines = [
         f"{MAGIC} {FORMAT_VERSION}",
-        f"kind {_kind_of(tab)}",
+        f"kind {kind_of(tab)}",
         f"d {spec.d}",
         f"N {tab.N}",
         f"cells {spec.cells_per_dim}",
@@ -103,10 +127,13 @@ def _field(lines: list[str], idx: int, key: str) -> str:
 def load_model(path: str) -> Tabulator:
     with open(path, "r") as handle:
         lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
-        raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
+    version = {f"{MAGIC} 1": 1, f"{MAGIC} {FORMAT_VERSION}": FORMAT_VERSION}.get(
+        lines[0] if lines else None
+    )
+    if version is None:
+        raise ConfigError(f"{path}: not a {MAGIC} version-1 or version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")
-    if kind not in (_KIND_SYM, _KIND_RANK, _KIND_PROJECTED):
+    if kind not in KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     d = int(_field(lines, 2, "d"))
     N = int(_field(lines, 3, "N"))
@@ -127,35 +154,53 @@ def load_model(path: str) -> Tabulator:
         raise ConfigError(f"expected {entries} records, found {len(records)}")
 
     spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
-    want_direction = kind == _KIND_PROJECTED
+    full_size = wedge_size(spec, N)
+    # The records must hold exactly these keys, in this (lexicographic) order.
+    if kind == KIND_SYM:
+        keys = combinations_with_replacement(lattice_sites(spec), N)
+        want_size = full_size
+    else:
+        keys = combinations(lattice_sites(spec), N)
+        want_size = math.comb(spec.site_count, N)
+    if entries != want_size:
+        raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
+    want_direction = kind == KIND_PROJECTED
     table: dict[WedgeKey, float] = {}
     directions: dict[WedgeKey, tuple[float, ...]] = {}
     n_index = N * d
-    for line in records:
+    expected = n_index + 1 + (d if want_direction else 0)
+    for line, zs in zip(records, keys):
         fields = line.split(" ")
-        expected = n_index + 1 + (d if want_direction else 0)
         if len(fields) != expected:
             raise ConfigError(f"bad record ({len(fields)} fields, expected {expected}): {line!r}")
-        flat = [int(v) for v in fields[:n_index]]
-        zs = tuple(tuple(flat[k * d : (k + 1) * d]) for k in range(N))
-        table[zs] = float.fromhex(fields[n_index])
+        indices = map(int, fields[:n_index])
+        if tuple(zip(*[indices] * d)) != zs:
+            raise ConfigError(
+                f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
+                f"entry once, in lexicographic order, with indices in [0, {cells})"
+            )
+        coeff = float.fromhex(fields[n_index])
+        if not math.isfinite(coeff):
+            raise ConfigError(f"non-finite coefficient in record {line!r}")
+        table[zs] = coeff
         if want_direction:
             directions[zs] = tuple(float.fromhex(v) for v in fields[n_index + 1 :])
+    if kind == KIND_RANK and version == 1:
+        # Version 1 stored f(Z)/slot_rank_product(N) and multiplied back at eval.
+        denom = slot_rank_product(N)
+        table = {zs: coeff * denom for zs, coeff in table.items()}
 
     stats = BuildStats(
         evaluations=0,
-        wedge_count=wedge_size(spec, N),
+        wedge_count=full_size,
         coarse_lattice=delta > N ** (-1.0 / d),
-        wall_time_s=0.0,
     )
-    if kind == _KIND_SYM:
-        return SymmetricTabulator(
-            spec, N, mode, smooth, table, stats
-        )
+    if kind == KIND_SYM:
+        return SymmetricTabulator(spec, N, mode, smooth, table, stats)
     return AntisymTabulator(
         spec,
         N,
-        MODE_RANK if kind == _KIND_RANK else MODE_PROJECTED,
+        MODE_RANK if kind == KIND_RANK else MODE_PROJECTED,
         tau,
         smooth,
         table,

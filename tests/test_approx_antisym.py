@@ -63,21 +63,21 @@ def test_slot_rank_product_matches_vandermonde_of_ranks():
 
 def test_equivariant_sort_map_identity_assignment():
     got = equivariant_sort_map(SPEC_HALF, ((0,), (1,)), cfg([0.2], [0.7]))
-    assert got.ys == (1.0, 2.0)
+    assert got == (1.0, 2.0)
 
 
 def test_equivariant_sort_map_swapped_slots():
     got = equivariant_sort_map(SPEC_HALF, ((0,), (1,)), cfg([0.7], [0.2]))
-    assert got.ys == (2.0, 1.0)
+    assert got == (2.0, 1.0)
 
 
 def test_equivariant_sort_map_is_equivariant():
     spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
     X = cfg([0.8], [0.1], [0.4])
     zs = ((0,), (1,), (3,))
-    base = equivariant_sort_map(spec, zs, X).ys
+    base = equivariant_sort_map(spec, zs, X)
     sigma = Permutation((2, 0, 1))
-    got = equivariant_sort_map(spec, zs, permute(X, sigma)).ys
+    got = equivariant_sort_map(spec, zs, permute(X, sigma))
     assert got == tuple(base[sigma.images[i]] for i in range(3))
 
 
@@ -92,7 +92,7 @@ def test_equivariant_sort_map_vandermonde_parity_relation():
         asg = locate(spec, X)
         if asg.repetition != 1:
             continue
-        ys = equivariant_sort_map(spec, asg.wedge, X).ys
+        ys = equivariant_sort_map(spec, asg.wedge, X)
         assert vandermonde_product(ys) == asg.sign * slot_rank_product(3)
         checked += 1
 
@@ -161,10 +161,24 @@ def test_build_drops_repeated_cell_entries():
 
 
 def test_build_rank_coefficient_example():
-    # N = 2: slot-rank product is (1 - 2) = -1, so the coefficient is -f(Z)
+    # rank mode stores f(Z) itself: psi(X)/psi(Z) is just the sort sign
     tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_RANK)
     Z = ((0,), (1,))
-    assert tab.table[Z] == -VG_12(corner_configuration(SPEC_HALF, Z))
+    assert tab.table[Z] == VG_12(corner_configuration(SPEC_HALF, Z))
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_rank_mode_is_exact_at_every_corner(N):
+    # sign * f(Z) exactly, also where slot_rank_product(N) is not a power of 2
+    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": N})
+    spec = LatticeSpec.from_domain(unit_domain(1, N), 1 / 16)
+    tab = build_antisym(f, spec, N, mode=MODE_RANK)
+    assert len(tab.table) == math.comb(16, N)
+    sigma = Permutation(tuple(range(1, N)) + (0,))
+    for Z in tab.table:
+        X = corner_configuration(spec, Z)
+        assert eval_antisym(tab, X) == f(X)
+        assert eval_antisym(tab, permute(X, sigma)) == parity(sigma) * f(X)
 
 
 def test_build_projected_divides_by_corner_product():

@@ -105,21 +105,6 @@ def test_build_sym_coarse_flag():
     assert build_sym(SUM_12, coarse, 2).stats.coarse_lattice
 
 
-def test_build_sym_threads_match_sequential():
-    f = builtin_target("gaussian-pair-sym", {"d": 2, "N": 3})
-    spec = LatticeSpec.from_domain(unit_domain(2, 3), 0.25)
-    assert build_sym(f, spec, 3).table == build_sym(f, spec, 3, threads=4).table
-
-
-def test_build_sym_center_flag():
-    tab = build_sym(SUM_12, SPEC_HALF, 2, center=True)
-    assert tab.table == {
-        ((0,), (0,)): 0.25,  # f(0.25, 0.25)/2
-        ((0,), (1,)): 1.0,  # f(0.25, 0.75)
-        ((1,), (1,)): 0.75,  # f(0.75, 0.75)/2
-    }
-
-
 # ---------------------------------------------------------------- indicator eval
 
 

@@ -191,6 +191,19 @@ def test_eval_missing_model_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_eval_edited_model_key_exits_2(tmp_path, capsys):
+    model_path, _ = build_model(tmp_path, capsys)
+    with open(model_path) as handle:
+        text = handle.read()
+    with open(model_path, "w") as handle:
+        handle.write(text.replace("\n0 1 ", "\n1 0 "))
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2], [0.7]]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_eval_bad_json_exits_2(tmp_path, capsys):
     model_path, _ = build_model(tmp_path, capsys)
     code, _, err = run(capsys, "eval", model_path, "--x", "[[0.2], 0.3]")

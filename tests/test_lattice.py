@@ -26,8 +26,6 @@ from symwedge import (
 )
 from symwedge.lattice import (
     axis_weight_support,
-    center_configuration,
-    lex_compare,
     site_weight_support,
 )
 
@@ -80,18 +78,6 @@ def test_from_counts():
 
 
 # ---------------------------------------------------------------- ordering
-
-
-def test_lex_compare_examples():
-    assert lex_compare((0, 1), (0, 1)) == 0
-    assert lex_compare((0, 2), (1, 0)) == -1
-    assert lex_compare((1, 0), (1, 1)) == -1
-    assert lex_compare((2, 0), (1, 9)) == 1
-
-
-def test_lex_compare_dimension_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare((0,), (0, 1))
 
 
 def test_lattice_sites_order():
@@ -264,13 +250,6 @@ def test_locate_round_trips_corner(coords, n):
 def test_corner_configuration_positions():
     spec = spec_1d(0.5)
     assert corner_configuration(spec, ((0,), (1,))).rows() == ((0.0,), (0.5,))
-
-
-def test_center_configuration_clamps_partial_top_cell():
-    spec = spec_1d(0.3)  # 4 cells, top cell [0.9, 1.0] is partial
-    got = center_configuration(spec, ((0,), (3,))).rows()
-    assert got[0] == (0.15,)
-    assert got[1] == (1.0,)  # 1.05 clamped to the domain top
 
 
 # ---------------------------------------------------------------- cutoffs

@@ -19,7 +19,10 @@ from symwedge import (
     eval_antisym,
     eval_sym,
     load_model,
+    locate,
+    parity,
     save_model,
+    slot_rank_product,
 )
 from symwedge.persistence import write_text_atomic
 
@@ -168,5 +171,70 @@ def test_model_file_is_text_with_hex_floats(tmp_path):
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
     text = path.read_text()
-    assert text.startswith("SYMWEDGE-MODEL 1\n")
+    assert text.startswith("SYMWEDGE-MODEL 2\n")
     assert "0x1.0000000000000p-1" in text  # 0.5 as a hex literal
+
+
+def test_version_1_rank_model_evaluates_as_before(tmp_path):
+    # version 1 stored f(Z)/slot_rank_product(N); at N = 4 that is f(Z)/12
+    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 4})
+    spec = LatticeSpec.from_domain(unit_domain(1, 4), 0.125)
+    tab = build_antisym(f, spec, 4, mode=MODE_RANK)
+    denom = slot_rank_product(4)
+    old = {zs: value / denom for zs, value in tab.table.items()}
+    path = tmp_path / "v1.swm"
+    save_model(str(path), tab)
+    lines = path.read_text().splitlines()
+    lines[0] = "SYMWEDGE-MODEL 1"
+    for k, zs in enumerate(tab.table, start=12):
+        fields = lines[k].split(" ")
+        fields[-1] = old[zs].hex()
+        lines[k] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+    loaded = load_model(str(path))
+    rng = np.random.Generator(np.random.Philox(85))
+    for _ in range(200):
+        X = cfg(*random_rows(rng, 4, 1))
+        asg = locate(spec, X)
+        # the version-1 evaluator: sign * stored * slot_rank_product(N)
+        want = 0.0 if asg.repetition > 1 else parity(asg.sigma) * old[asg.wedge] * denom
+        assert eval_antisym(loaded, X) == want
+
+
+def _saved_lines(tmp_path, kind):
+    if kind == "sym":
+        f = builtin_target("sum-coords", {"d": 1, "N": 2})
+        tab = build_sym(f, LatticeSpec.from_domain(unit_domain(1, 2), 0.25), 2)
+    else:
+        f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+        tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(1, 2), 0.25), 2)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    return path, path.read_text().splitlines()
+
+
+def _with_key(line, key):
+    return " ".join([str(i) for i in key] + line.split(" ")[2:])
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("sym", lambda r: [_with_key(r[0], (0, 4))] + r[1:]),  # index past the last cell
+        ("sym", lambda r: [_with_key(r[0], (0, -1))] + r[1:]),  # negative index
+        ("sym", lambda r: [r[0], _with_key(r[1], (1, 0))] + r[2:]),  # key not sorted
+        ("sym", lambda r: [r[1], r[0]] + r[2:]),  # records out of order
+        ("sym", lambda r: [r[0], r[0]] + r[2:]),  # repeated record
+        ("antisym", lambda r: [_with_key(r[0], (0, 0))] + r[1:]),  # shared cell
+        ("sym", lambda r: r[:-1]),  # an entry missing, header count matching
+        ("sym", lambda r: [r[0].rsplit(" ", 1)[0] + " nan"] + r[1:]),  # non-finite value
+    ],
+)
+def test_load_rejects_malformed_records(tmp_path, kind, edit):
+    path, lines = _saved_lines(tmp_path, kind)
+    records = edit(lines[12:])
+    lines[11] = f"entries {len(records)}"
+    path.write_text("\n".join(lines[:12] + records) + "\n")
+    with pytest.raises(ConfigError):
+        load_model(str(path))
