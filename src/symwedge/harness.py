@@ -39,6 +39,7 @@ from .approx_antisym import (
     MODE_RANK,
     build_antisym,
     eval_antisym,
+    reset_philox,
     vandermonde_product,
 )
 from .persistence import kind_of
@@ -137,8 +138,12 @@ def sup_error(
     return best, arg
 
 
-def _random_permutations(N: int, count: int, seed: int) -> list[Permutation]:
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _random_permutations(
+    rng: np.random.Generator, N: int, count: int, seed: int
+) -> list[Permutation]:
+    """``count`` permutations drawn as from ``Generator(Philox(key=seed))``,
+    reusing ``rng`` (a Philox generator) instead of building one."""
+    reset_philox(rng.bit_generator, seed)
     return [Permutation(tuple(int(i) for i in rng.permutation(N))) for _ in range(count)]
 
 
@@ -159,10 +164,11 @@ def invariance_suite(
     if seed is None:
         seed = S.seed ^ _PERM_SEED_SALT
     N = S.domain.N
+    rng = np.random.Generator(np.random.Philox(key=0))
     worst = 0.0
     for k, X in enumerate(S.configurations):
         base = evaluator(X)
-        for sigma in _random_permutations(N, n_perms, seed + k):
+        for sigma in _random_permutations(rng, N, n_perms, seed + k):
             permuted = evaluator(permute(X, sigma))
             if symmetry is Symmetry.SYMMETRIC:
                 residual = abs(permuted - base)

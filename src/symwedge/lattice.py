@@ -63,6 +63,8 @@ class LatticeSpec:
             raise ValueError("dimension must be at least 1")
         if self.cells_per_dim < 1:
             raise ValueError("need at least one cell per axis")
+        if not (math.isfinite(self.origin) and math.isfinite(self.top)):
+            raise ValueError(f"box bounds must be finite, got [{self.origin}, {self.top}]")
         if not self.origin < self.top:
             raise ValueError(f"need origin < top, got [{self.origin}, {self.top}]")
         if self.cells_per_dim ** self.d > _INT64_MAX:

@@ -18,8 +18,13 @@ Layout (text, one field per line, records after the ``entries`` line):
     <N*d site indices> <coefficient hex> [<d direction components hex>]
 
 Records hold every wedge entry (sym) or every distinct-cell entry (antisym)
-exactly once, in lexicographic key order, with finite coefficients; the
-loader rejects anything else.
+exactly once, in lexicographic key order, with finite coefficients. An
+antisym-c2 file stores a finite positive tau, and each record's direction
+is a finite unit vector (within 1e-12) that passes the build's validity
+test (``approx_antisym.directions_valid``) at that tau; the other kinds
+store ``tau -``. The loader raises ConfigError, naming the line or record,
+for anything else: a malformed header field, a header that describes no
+lattice, a non-numeric record field or a violated rule above.
 
 Version 1 files still load: their antisym-c1 coefficients were stored as
 f(Z)/slot_rank_product(N) and are multiplied back on load, which reproduces
@@ -32,12 +37,20 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from itertools import combinations, combinations_with_replacement
-from typing import Union
+from itertools import chain, combinations, combinations_with_replacement
+from typing import Callable, TypeVar, Union
 
-from .approx_antisym import MODE_PROJECTED, MODE_RANK, AntisymTabulator, slot_rank_product
+import numpy as np
+
+from .approx_antisym import (
+    MODE_PROJECTED,
+    MODE_RANK,
+    AntisymTabulator,
+    directions_valid,
+    slot_rank_product,
+)
 from .approx_sym import MODE_INDICATOR, MODE_SMOOTH, BuildStats, SymmetricTabulator
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .lattice import LatticeSpec, WedgeKey, lattice_sites, wedge_size
 
 __all__ = [
@@ -62,6 +75,8 @@ KIND_SYM = "sym"
 KIND_RANK = "antisym-c1"
 KIND_PROJECTED = "antisym-c2"
 KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
+
+_T = TypeVar("_T")
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -115,13 +130,52 @@ def save_model(path: str, tab: Tabulator) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _field(lines: list[str], idx: int, key: str) -> str:
+def _field(lines: list[str], idx: int, key: str, parse: Callable[[str], _T] = str) -> _T:
     if idx >= len(lines):
         raise ConfigError(f"model file truncated before {key!r}")
     name, _, value = lines[idx].partition(" ")
     if name != key:
         raise ConfigError(f"expected field {key!r} on line {idx + 1}, found {name!r}")
-    return value
+    try:
+        return parse(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"bad {key!r} value {value!r} on line {idx + 1}") from None
+
+
+def _optional_hex(value: str) -> float | None:
+    return None if value == "-" else float.fromhex(value)
+
+
+def _check_directions(
+    spec: LatticeSpec,
+    N: int,
+    records: list[str],
+    directions: dict[WedgeKey, tuple[float, ...]],
+    tau: float,
+) -> None:
+    """Each direction is a finite unit vector passing the build's validity test at tau."""
+    K, d = len(directions), spec.d
+    A = np.fromiter(chain.from_iterable(directions.values()), dtype=float, count=K * d)
+    A = A.reshape(K, d)
+    # The keys are combinations(lattice_sites(spec), N), in order; building
+    # their index array from site numbers is cheaper than from the tuples.
+    sites = np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(-1, d)
+    linear = chain.from_iterable(combinations(range(spec.site_count), N))
+    idx = sites[np.fromiter(linear, dtype=np.int64, count=K * N)].reshape(K, N, d)
+    with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
+        finite = np.isfinite(A).all(axis=1)
+        unit = np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
+        valid = directions_valid(A, idx, tau)
+    bad = np.flatnonzero(~(finite & unit & valid))
+    if len(bad):
+        k = int(bad[0])
+        if not finite[k]:
+            problem = "is not finite"
+        elif not unit[k]:
+            problem = "is not a unit vector"
+        else:
+            problem = f"fails the projection test at tau = {tau!r}"
+        raise ConfigError(f"record {records[k]!r}: direction {A[k].tolist()} {problem}")
 
 
 def load_model(path: str) -> Tabulator:
@@ -135,26 +189,37 @@ def load_model(path: str) -> Tabulator:
     kind = _field(lines, 1, "kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    d = int(_field(lines, 2, "d"))
-    N = int(_field(lines, 3, "N"))
-    cells = int(_field(lines, 4, "cells"))
-    delta = float.fromhex(_field(lines, 5, "delta"))
-    lo = float.fromhex(_field(lines, 6, "lo"))
-    hi = float.fromhex(_field(lines, 7, "hi"))
+    d = _field(lines, 2, "d", int)
+    N = _field(lines, 3, "N", int)
+    cells = _field(lines, 4, "cells", int)
+    delta = _field(lines, 5, "delta", float.fromhex)
+    lo = _field(lines, 6, "lo", float.fromhex)
+    hi = _field(lines, 7, "hi", float.fromhex)
     mode = _field(lines, 8, "mode")
     if mode not in (MODE_INDICATOR, MODE_SMOOTH):
         raise ConfigError(f"unknown mode {mode!r}")
-    w_raw = _field(lines, 9, "w")
-    smooth = None if w_raw == "-" else float.fromhex(w_raw)
-    tau_raw = _field(lines, 10, "tau")
-    tau = None if tau_raw == "-" else float.fromhex(tau_raw)
-    entries = int(_field(lines, 11, "entries"))
+    smooth = _field(lines, 9, "w", _optional_hex)
+    tau = _field(lines, 10, "tau", _optional_hex)
+    want_direction = kind == KIND_PROJECTED
+    if want_direction and not (tau is not None and math.isfinite(tau) and tau > 0.0):
+        raise ConfigError(f"an {kind} model needs a finite positive 'tau' on line 11, not {tau}")
+    if not want_direction and tau is not None:
+        raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
+    entries = _field(lines, 11, "entries", int)
     records = [line for line in lines[12:] if line]
     if len(records) != entries:
         raise ConfigError(f"expected {entries} records, found {len(records)}")
 
-    spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
-    full_size = wedge_size(spec, N)
+    try:
+        spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
+    except (ValueError, CapacityError) as exc:
+        raise ConfigError(
+            f"lines 3 and 5-8 (d, cells, delta, lo, hi) describe no lattice: {exc}"
+        ) from None
+    try:
+        full_size = wedge_size(spec, N)
+    except (ValueError, CapacityError) as exc:
+        raise ConfigError(f"lines 3-5 (d, N, cells) describe no wedge: {exc}") from None
     # The records must hold exactly these keys, in this (lexicographic) order.
     if kind == KIND_SYM:
         keys = combinations_with_replacement(lattice_sites(spec), N)
@@ -164,7 +229,6 @@ def load_model(path: str) -> Tabulator:
         want_size = math.comb(spec.site_count, N)
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
-    want_direction = kind == KIND_PROJECTED
     table: dict[WedgeKey, float] = {}
     directions: dict[WedgeKey, tuple[float, ...]] = {}
     n_index = N * d
@@ -173,18 +237,23 @@ def load_model(path: str) -> Tabulator:
         fields = line.split(" ")
         if len(fields) != expected:
             raise ConfigError(f"bad record ({len(fields)} fields, expected {expected}): {line!r}")
-        indices = map(int, fields[:n_index])
-        if tuple(zip(*[indices] * d)) != zs:
+        try:
+            key = tuple(zip(*[map(int, fields[:n_index])] * d))
+            coeff = float.fromhex(fields[n_index])
+            if want_direction:
+                directions[zs] = tuple(map(float.fromhex, fields[n_index + 1 :]))
+        except (ValueError, OverflowError):
+            raise ConfigError(f"record {line!r} has a field that is not a number") from None
+        if key != zs:
             raise ConfigError(
                 f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
                 f"entry once, in lexicographic order, with indices in [0, {cells})"
             )
-        coeff = float.fromhex(fields[n_index])
         if not math.isfinite(coeff):
             raise ConfigError(f"non-finite coefficient in record {line!r}")
         table[zs] = coeff
-        if want_direction:
-            directions[zs] = tuple(float.fromhex(v) for v in fields[n_index + 1 :])
+    if want_direction:
+        _check_directions(spec, N, records, directions, tau)
     if kind == KIND_RANK and version == 1:
         # Version 1 stored f(Z)/slot_rank_product(N) and multiplied back at eval.
         denom = slot_rank_product(N)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from symwedge import approx_antisym
 from symwedge import (
     MODE_PROJECTED,
     MODE_RANK,
@@ -26,7 +28,18 @@ from symwedge import (
     slot_rank_product,
     vandermonde_product,
 )
-from symwedge.approx_antisym import entry_seed, fnv1a64
+from symwedge.approx_antisym import (
+    _choose_directions,
+    _entry_seeds,
+    _key_array,
+    _projected_pair_product,
+    _projected_pair_products,
+    _row_sums,
+    entry_seed,
+    fnv1a64,
+    reset_philox,
+)
+from symwedge.lattice import lattice_sites
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -148,6 +161,131 @@ def test_choose_direction_validation():
         choose_direction(((0,), (1,)), tau=0.0, seed=1)
     with pytest.raises(ValueError):
         choose_direction(((0,), (0,)), tau=1e-3, seed=1)
+
+
+# ---------------------------------------------------------------- batched search
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_batch_matches_scalar(spec, keys, tau):
+    """Batched seeds, directions and corner products equal the scalar ones bit for bit."""
+    idx = _key_array(keys, len(keys[0]), spec.d)
+    assert _entry_seeds(idx).tolist() == [entry_seed(zs) for zs in keys]
+    A = _choose_directions(keys, idx, tau)
+    scalar = [choose_direction(zs, tau, entry_seed(zs)) for zs in keys]
+    assert [bits(row) for row in A.tolist()] == [bits(a) for a in scalar]
+    psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
+    want = [
+        _projected_pair_product(a, [spec.position(z) for z in zs]) for zs, a in zip(keys, scalar)
+    ]
+    assert bits(psi.tolist()) == bits(want)
+
+
+def distinct_keys(spec, N):
+    return list(itertools.combinations(lattice_sites(spec), N))
+
+
+@pytest.mark.parametrize("d, cells", [(1, 12), (2, 4), (3, 2)])
+@pytest.mark.parametrize("N", [2, 4, 5])
+def test_batched_search_matches_scalar_on_every_key(N, d, cells):
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    assert_batch_matches_scalar(spec, distinct_keys(spec, N), 1e-3)
+
+
+def test_batched_search_matches_scalar_at_d9():
+    # nine components: numpy sums a row in pairwise blocks rather than in order
+    spec = LatticeSpec.from_counts(2, 9, -1.0, 1.0)
+    keys = distinct_keys(spec, 2)
+    rng = np.random.Generator(np.random.Philox(66))
+    subset = [keys[i] for i in sorted(rng.choice(len(keys), size=300, replace=False))]
+    assert_batch_matches_scalar(spec, subset, 1e-3)
+
+
+def test_row_sums_match_numpy_sum_per_row():
+    rng = np.random.Generator(np.random.Philox(67))
+    for d in range(1, 20):
+        x = rng.standard_normal((50, d)) ** 2
+        assert bits(_row_sums(x).tolist()) == bits(np.sum(row) for row in x)
+
+
+@pytest.mark.parametrize("top, floor", [(1000, 256), (200_000, 65_536)])
+def test_batched_search_matches_scalar_on_multibyte_indices(top, floor):
+    # indices past 255 and past 65,535 feed more than one nonzero byte to FNV-1a
+    spec = LatticeSpec.from_counts(top, 2, 0.0, 1.0)
+    rng = np.random.Generator(np.random.Philox(68))
+    keys = []
+    while len(keys) < 200:
+        sites = {tuple(int(i) for i in rng.integers(0, top, size=2)) for _ in range(3)}
+        if len(sites) == 3:
+            keys.append(tuple(sorted(sites)))
+    assert max(i for zs in keys for site in zs for i in site) >= floor
+    assert_batch_matches_scalar(spec, keys, 1e-3)
+
+
+def test_batched_search_falls_back_when_first_draws_are_rejected(monkeypatch):
+    spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
+    keys = distinct_keys(spec, 3)
+    calls = []
+    scalar = approx_antisym.choose_direction
+
+    def counting(zs, tau, seed):
+        calls.append(zs)
+        return scalar(zs, tau, seed)
+
+    monkeypatch.setattr(approx_antisym, "choose_direction", counting)
+    assert_batch_matches_scalar(spec, keys, 0.5)
+    assert 0 < len(calls) < len(keys)  # only the batched search sees the patch
+
+
+def test_batched_search_d1_tau_above_one_raises_like_scalar():
+    spec = LatticeSpec.from_counts(4, 1, 0.0, 1.0)
+    keys = distinct_keys(spec, 2)
+    with pytest.raises(DirectionSearchError) as scalar:
+        choose_direction(keys[0], 1.5, entry_seed(keys[0]))
+    with pytest.raises(DirectionSearchError) as batched:
+        _choose_directions(keys, _key_array(keys, 2, 1), 1.5)
+    assert str(batched.value) == str(scalar.value)
+    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    with pytest.raises(DirectionSearchError) as built:
+        build_antisym(f, spec, 2, mode=MODE_PROJECTED, tau=1.5)
+    assert str(built.value) == str(scalar.value)
+
+
+def test_batched_search_exhausted_budget_raises_like_scalar():
+    spec = LatticeSpec.from_counts(2, 2, 0.0, 1.0)
+    keys = distinct_keys(spec, 3)
+    with pytest.raises(DirectionSearchError) as scalar:
+        choose_direction(keys[0], 0.9, entry_seed(keys[0]))
+    with pytest.raises(DirectionSearchError) as batched:
+        _choose_directions(keys, _key_array(keys, 3, 2), 0.9)
+    assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+def test_reset_philox_equals_a_fresh_generator(key):
+    fresh = np.random.Philox(key=key)
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    rng.standard_normal(7)  # leave the generator mid-buffer
+    reset_philox(rng.bit_generator, key)
+    got, want = rng.bit_generator.state, fresh.state
+    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+    assert got["buffer"].tolist() == want["buffer"].tolist()
+    assert {k: got[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")} == {
+        k: want[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")
+    }
+    assert bits(rng.standard_normal(16)) == bits(np.random.Generator(fresh).standard_normal(16))
+
+
+@pytest.mark.parametrize("key", [-1, 2**128])
+def test_reset_philox_rejects_what_philox_rejects(key):
+    with pytest.raises(ValueError):
+        np.random.Philox(key=key)
+    with pytest.raises(ValueError):
+        reset_philox(np.random.Philox(key=0), key)
 
 
 # ---------------------------------------------------------------- build

@@ -204,6 +204,56 @@ def test_eval_edited_model_key_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def edit_model(path, old, new):
+    with open(path) as handle:
+        text = handle.read()
+    assert old in text
+    with open(path, "w") as handle:
+        handle.write(text.replace(old, new, 1))
+
+
+def assert_one_line_config_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def projected_model(tmp_path, capsys):
+    return build_model(
+        tmp_path, capsys, kind="antisym-c2", d=2, target="vandermonde-gauss-antisym"
+    )[0]
+
+
+def test_eval_zeroed_projected_direction_exits_2(tmp_path, capsys):
+    model_path = projected_model(tmp_path, capsys)
+    code, out, _ = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
+    assert code == 0 and float(out) != 0.0
+    with open(model_path) as handle:
+        (record,) = [line for line in handle if line.startswith("0 0 1 1 ")]
+    fields = record.split(" ")
+    edit_model(model_path, record, " ".join(fields[:5] + ["0x0.0p+0", "0x0.0p+0\n"]))
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "0 0 1 1" in err and "unit vector" in err
+
+
+def test_eval_model_with_oversized_cells_exits_2(tmp_path, capsys):
+    model_path = projected_model(tmp_path, capsys)
+    edit_model(model_path, "\ncells 2\n", "\ncells 4000000000\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "cells" in err and "64-bit" in err
+
+
+def test_eval_model_with_non_integer_d_exits_2(tmp_path, capsys):
+    model_path = projected_model(tmp_path, capsys)
+    edit_model(model_path, "\nd 2\n", "\nd two\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "'d'" in err and "line 3" in err
+
+
 def test_eval_bad_json_exits_2(tmp_path, capsys):
     model_path, _ = build_model(tmp_path, capsys)
     code, _, err = run(capsys, "eval", model_path, "--x", "[[0.2], 0.3]")

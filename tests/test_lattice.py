@@ -65,6 +65,12 @@ def test_lattice_spec_validation():
         LatticeSpec(delta=0.5, d=1, cells_per_dim=2, origin=1.0, top=0.0)
 
 
+@pytest.mark.parametrize("origin, top", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_lattice_spec_rejects_non_finite_bounds(origin, top):
+    with pytest.raises(ValueError):
+        LatticeSpec(delta=0.5, d=1, cells_per_dim=2, origin=origin, top=top)
+
+
 def test_lattice_spec_64bit_guard():
     with pytest.raises(CapacityError):
         LatticeSpec(delta=0.1, d=20, cells_per_dim=10, origin=0.0, top=1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -237,4 +238,116 @@ def test_load_rejects_malformed_records(tmp_path, kind, edit):
     lines[11] = f"entries {len(records)}"
     path.write_text("\n".join(lines[:12] + records) + "\n")
     with pytest.raises(ConfigError):
+        load_model(str(path))
+
+
+# Digests of models written before the batched direction search: any drift in
+# the direction stream, the seeds or the stored quotients changes the bytes.
+PINNED_PROJECTED_SHA256 = {
+    None: "ddcbd9f7c654362b03f922ecb99a9cf29d723913144eab414dc6f314971493f5",
+    0.125: "dc48ebd888ca9dfa8d8182ca88d47abf1fdd38369e5b7c7a6aa0d73d569a6824",
+}
+
+
+@pytest.mark.parametrize("smooth_width", [None, 0.125])
+def test_projected_model_bytes_are_pinned(tmp_path, smooth_width):
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    spec = LatticeSpec.from_domain(unit_domain(2, 3), 0.25)
+    tab = build_antisym(f, spec, 3, mode=MODE_PROJECTED, smooth_width=smooth_width)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_PROJECTED_SHA256[smooth_width]
+
+
+def _projected_lines(tmp_path):
+    f = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
+    tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(2, 2), 0.5), 2, mode=MODE_PROJECTED)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    return path, path.read_text().splitlines()
+
+
+def _with_direction(line, components):
+    return " ".join(line.split(" ")[:5] + components)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: _with_direction(r, ["0x0.0p+0", "0x0.0p+0"]), "not a unit vector"),
+        (lambda r: _with_direction(r, ["0x1.0p+0", "0x1.0p+0"]), "not a unit vector"),
+        (lambda r: _with_direction(r, ["nan", "0x1.0p+0"]), "not finite"),
+        (lambda r: _with_direction(r, ["inf", "0x0.0p+0"]), "not finite"),
+        (lambda r: _with_direction(r, ["0x1.0p+1000", "0x1.0p+1000"]), "not a unit vector"),
+        # (0,0) -> (0,1) is orthogonal to (1, 0)
+        (lambda r: _with_direction(r, ["0x1.0p+0", "0x0.0p+0"]), "projection test"),
+        (lambda r: _with_direction(r, ["0x1.0p+0", "zz"]), "not a number"),
+    ],
+)
+def test_load_rejects_bad_projected_directions(tmp_path, edit, message):
+    path, lines = _projected_lines(tmp_path)
+    assert lines[12].startswith("0 0 0 1 ")
+    lines[12] = edit(lines[12])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("tau", ["-", "0x0.0p+0", "-0x1.0p-10", "inf", "nan"])
+def test_load_rejects_projected_model_without_positive_tau(tmp_path, tau):
+    path, lines = _projected_lines(tmp_path)
+    lines[10] = f"tau {tau}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="tau"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", ["sym", "antisym"])
+def test_load_rejects_tau_on_other_kinds(tmp_path, kind):
+    path, lines = _saved_lines(tmp_path, kind)
+    assert lines[10] == "tau -"
+    lines[10] = "tau 0x1.0p-10"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="tau"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "line, value, message",
+    [
+        (2, "d two", "'d' value 'two' on line 3"),
+        (3, "N 0", "describe no wedge"),
+        (3, "N 4000000", "describe no wedge"),  # the wedge outgrows 64 bits
+        (3, "N x", "'N' value 'x' on line 4"),
+        (4, "cells 4000000000", "describe no lattice"),
+        (4, "cells 0", "describe no lattice"),
+        (5, "delta 0x1p99999", "'delta' value '0x1p99999' on line 6"),
+        (5, "delta -0x1.0p-1", "describe no lattice"),
+        (6, "lo -inf", "describe no lattice"),
+        (7, "hi inf", "describe no lattice"),
+        (7, "hi -0x1.0p+0", "describe no lattice"),
+        (9, "w x", "'w' value 'x' on line 10"),
+        (11, "entries many", "'entries' value 'many' on line 12"),
+    ],
+)
+def test_load_rejects_malformed_header(tmp_path, line, value, message):
+    path, lines = _projected_lines(tmp_path)
+    assert lines[line].split(" ")[0] == value.split(" ")[0]
+    lines[line] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "position, field", [(0, "x"), (0, "1.5"), (1, "1e3"), (2, "x"), (2, "0x1p99999")]
+)
+def test_load_rejects_non_numeric_record_fields(tmp_path, position, field):
+    path, lines = _saved_lines(tmp_path, "sym")
+    fields = lines[12].split(" ")
+    fields[position] = field
+    lines[12] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="not a number"):
         load_model(str(path))
