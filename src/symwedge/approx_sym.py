@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .core import Configuration, Symmetry, TargetFunction
+from .core import Configuration, Point, Symmetry, TargetFunction
 from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
+    LatticeIndex,
     LatticeSpec,
     WedgeKey,
     cell_of,
-    corner_configuration,
+    corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,
     locate,
     repetition_constant,
@@ -100,9 +101,22 @@ def _validate_mode(spec: LatticeSpec, mode: str, smooth_width: float | None) -> 
 def corner_values(
     f: Callable[[Configuration], float], spec: LatticeSpec, entries: Iterable[WedgeKey]
 ) -> Iterator[tuple[WedgeKey, float]]:
-    """Yield (Z, f at Z's cell corners) per entry, in order; a non-finite value raises."""
+    """Yield (Z, f at Z's cell corners) per entry, in order; a non-finite value raises.
+
+    Each configuration equals ``corner_configuration(spec, zs)``, but its
+    Points are built once per lattice site and shared across entries: the
+    wedge has C(n^d + N - 1, N) entries over only n^d sites. The target is
+    still called once per entry.
+    """
+    corners: dict[LatticeIndex, Point] = {}
     for zs in entries:
-        value = f(corner_configuration(spec, zs))
+        points = []
+        for z in zs:
+            p = corners.get(z)
+            if p is None:
+                p = corners[z] = Point(spec.position(z))
+            points.append(p)
+        value = f(Configuration(tuple(points)))
         if not math.isfinite(value):
             raise BuildError(f"target returned non-finite value {value!r} at Z = {zs}")
         yield zs, value

@@ -380,9 +380,15 @@ def _parse_configuration(text: str) -> Configuration:
         raise ConfigError(f"configuration literal is not valid JSON: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ConfigError("configuration must be a list of coordinate rows")
+    for row in rows:
+        for c in row:
+            if not isinstance(c, (int, float)) or isinstance(c, bool):
+                raise ConfigError(
+                    f"configuration coordinates must be JSON numbers, got {json.dumps(c)}"
+                )
     try:
         return Configuration.from_rows(rows)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 
 

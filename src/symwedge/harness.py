@@ -20,6 +20,7 @@ from .core import (
     Configuration,
     DomainSpec,
     Permutation,
+    Point,
     Symmetry,
     TargetFunction,
     parity,
@@ -91,7 +92,11 @@ def gradient_bound_estimate(
 ) -> float:
     """Max over samples of the Euclidean norm of the central-difference
     gradient (all N*d slots), with samples clipped to the interior so the
-    stencil stays inside the domain."""
+    stencil stays inside the domain.
+
+    Each sample's N clipped Points are built once; a stencil evaluation
+    swaps in a new Point for the one perturbed row only.
+    """
     domain = S.domain
     if h is None:
         h = DEFAULT_FD_STEP_FRACTION * domain.span
@@ -101,23 +106,24 @@ def gradient_bound_estimate(
     two_h = 2.0 * h
     best = 0.0
     for X in S.configurations:
-        rows = [list(p.coords) for p in X.points]
-        for i, row in enumerate(rows):
-            for a, c in enumerate(row):
-                rows[i][a] = min(max(c, lo), hi)
+        rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
+        points = [Point(tuple(row)) for row in rows]
         norm2 = 0.0
-        for i in range(len(rows)):
-            for a in range(len(rows[i])):
-                c = rows[i][a]
-                rows[i][a] = c + h
-                up = f(Configuration.from_rows(rows))
-                rows[i][a] = c - h
-                down = f(Configuration.from_rows(rows))
-                rows[i][a] = c
+        for i, row in enumerate(rows):
+            clipped = points[i]
+            for a, c in enumerate(row):
+                row[a] = c + h
+                points[i] = Point(tuple(row))
+                up = f(Configuration(tuple(points)))
+                row[a] = c - h
+                points[i] = Point(tuple(row))
+                down = f(Configuration(tuple(points)))
+                row[a] = c
                 g = (up - down) / two_h
                 if not math.isfinite(g):
                     raise ValueError(f"non-finite derivative at slot ({i}, {a})")
                 norm2 += g * g
+            points[i] = clipped
         best = max(best, math.sqrt(norm2))
     return best
 
@@ -140,11 +146,12 @@ def sup_error(
 
 def _random_permutations(
     rng: np.random.Generator, N: int, count: int, seed: int
-) -> list[Permutation]:
-    """``count`` permutations drawn as from ``Generator(Philox(key=seed))``,
-    reusing ``rng`` (a Philox generator) instead of building one."""
+) -> list[tuple[int, ...]]:
+    """Image tuples of ``count`` permutations drawn as from
+    ``Generator(Philox(key=seed))``, reusing ``rng`` (a Philox generator)
+    instead of building one."""
     reset_philox(rng.bit_generator, seed)
-    return [Permutation(tuple(int(i) for i in rng.permutation(N))) for _ in range(count)]
+    return [tuple(rng.permutation(N).tolist()) for _ in range(count)]
 
 
 def invariance_suite(
@@ -156,7 +163,10 @@ def invariance_suite(
 ) -> float:
     """Max residual of the declared permutation law over seeded random
     permutations: |e(sigma X) - e(X)| for symmetric evaluators,
-    |e(sigma X) - sign(sigma) e(X)| for anti-symmetric ones."""
+    |e(sigma X) - sign(sigma) e(X)| for anti-symmetric ones.
+
+    One Permutation and its sign are built per distinct draw (at most N!).
+    """
     if n_perms < 1:
         raise ValueError("need at least one permutation per sample")
     if symmetry is Symmetry.NONE:
@@ -165,15 +175,20 @@ def invariance_suite(
         seed = S.seed ^ _PERM_SEED_SALT
     N = S.domain.N
     rng = np.random.Generator(np.random.Philox(key=0))
+    signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
     worst = 0.0
     for k, X in enumerate(S.configurations):
         base = evaluator(X)
-        for sigma in _random_permutations(rng, N, n_perms, seed + k):
+        for images in _random_permutations(rng, N, n_perms, seed + k):
+            if images not in signed:
+                sigma = Permutation(images)
+                signed[images] = sigma, parity(sigma)
+            sigma, sign = signed[images]
             permuted = evaluator(permute(X, sigma))
             if symmetry is Symmetry.SYMMETRIC:
                 residual = abs(permuted - base)
             else:
-                residual = abs(permuted - parity(sigma) * base)
+                residual = abs(permuted - sign * base)
             worst = max(worst, residual)
     return worst
 

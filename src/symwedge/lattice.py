@@ -46,9 +46,29 @@ _INT64_MAX = 2**63 - 1
 _CELL_COUNT_SNAP = 1e-9
 
 
+def _cells_to_cover(span: float, delta: float) -> int:
+    """ceil(span/delta), the cells per axis that cover a span.
+
+    Quotients within 1e-9 (relative) of an integer snap to it, so a spacing
+    written as span/n yields exactly n cells despite float dust.
+    """
+    q = span / delta
+    if not math.isfinite(q):
+        raise ValueError(f"span {span} at spacing {delta} needs no finite cell count")
+    nearest = round(q)
+    if nearest >= 1 and abs(q - nearest) <= _CELL_COUNT_SNAP * max(1.0, abs(q)):
+        return int(nearest)
+    return int(math.ceil(q))
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Geometry of one lattice: spacing, dimension, cells per axis, box bounds."""
+    """Geometry of one lattice: spacing, dimension, cells per axis, box bounds.
+
+    ``cells_per_dim`` must be the count that covers [origin, top] at
+    ``delta`` (see ``_cells_to_cover``); ``from_domain`` and ``from_counts``
+    meet this by construction.
+    """
 
     delta: float
     d: int
@@ -71,22 +91,20 @@ class LatticeSpec:
             raise CapacityError(
                 f"{self.cells_per_dim}^{self.d} lattice sites exceed 64-bit range"
             )
+        cover = _cells_to_cover(self.top - self.origin, self.delta)
+        if self.cells_per_dim != cover:
+            raise ValueError(
+                f"{self.cells_per_dim} cells per axis do not match [{self.origin}, {self.top}] "
+                f"at spacing {self.delta}, which takes {cover}"
+            )
 
     @classmethod
     def from_domain(cls, domain: DomainSpec, delta: float) -> "LatticeSpec":
-        """Cover a domain with ceil(span/delta) cells per axis.
-
-        Quotients within 1e-9 (relative) of an integer snap to it, so a
-        spacing written as span/n yields exactly n cells despite float dust.
-        """
+        """Cover a domain with ceil(span/delta) cells per axis (snapped as in
+        ``_cells_to_cover``)."""
         if delta <= 0.0 or not math.isfinite(delta):
             raise ValueError(f"spacing must be positive and finite, got {delta}")
-        q = domain.span / delta
-        nearest = round(q)
-        if nearest >= 1 and abs(q - nearest) <= _CELL_COUNT_SNAP * max(1.0, abs(q)):
-            n = int(nearest)
-        else:
-            n = int(math.ceil(q))
+        n = _cells_to_cover(domain.span, delta)
         return cls(delta=delta, d=domain.d, cells_per_dim=n, origin=domain.lo, top=domain.hi)
 
     @classmethod

@@ -17,6 +17,10 @@ Layout (text, one field per line, records after the ``entries`` line):
     entries K
     <N*d site indices> <coefficient hex> [<d direction components hex>]
 
+The header's ``cells`` is the count that covers [lo, hi] at ``delta``
+(``LatticeSpec``'s rule). ``mode indicator`` stores ``w -``; ``mode smooth``
+stores a finite w in (0, delta/2] and is not an antisym-c1 mode.
+
 Records hold every wedge entry (sym) or every distinct-cell entry (antisym)
 exactly once, in lexicographic key order, with finite coefficients. An
 antisym-c2 file stores a finite positive tau, and each record's direction
@@ -216,6 +220,16 @@ def load_model(path: str) -> Tabulator:
         raise ConfigError(
             f"lines 3 and 5-8 (d, cells, delta, lo, hi) describe no lattice: {exc}"
         ) from None
+    if mode == MODE_INDICATOR and smooth is not None:
+        raise ConfigError(f"an indicator-mode model stores 'w -' on line 10, not {smooth}")
+    if mode == MODE_SMOOTH:
+        if kind == KIND_RANK:
+            raise ConfigError(f"an {kind} model has indicator mode only, not {mode!r} on line 9")
+        if smooth is None or not 0.0 < smooth <= delta / 2.0:
+            raise ConfigError(
+                f"a smooth-mode model needs 0 < 'w' <= delta/2 = {delta / 2.0} "
+                f"on line 10, not {smooth}"
+            )
     try:
         full_size = wedge_size(spec, N)
     except (ValueError, CapacityError) as exc:

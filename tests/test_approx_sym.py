@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from symwedge import (
     MODE_INDICATOR,
+    MODE_PROJECTED,
+    MODE_RANK,
     MODE_SMOOTH,
     BuildError,
     CapacityError,
@@ -15,10 +18,12 @@ from symwedge import (
     Permutation,
     Symmetry,
     TargetFunction,
+    build_antisym,
     build_sym,
     builtin_target,
     corner_configuration,
     delta_for_epsilon,
+    enumerate_wedge,
     epsilon_density_limit,
     error_budget,
     eval_sym,
@@ -28,7 +33,7 @@ from symwedge import (
     permute,
     sample_configurations,
 )
-from symwedge.approx_sym import smooth_weights
+from symwedge.approx_sym import corner_values, smooth_weights
 
 FEATURE_TOL = 1e-9
 PARTITION_TOL = 1e-12
@@ -91,6 +96,82 @@ def test_build_sym_non_finite_value_names_entry():
     )
     with pytest.raises(BuildError, match=r"\(\(0,\), \(0,\)\)"):
         build_sym(bad, SPEC_HALF, 2)
+
+
+# Shapes where the wedge is much larger than the site set (and N = 1, where
+# they coincide); the lattice does not start at 0, so positions are not
+# plain multiples of delta.
+CORNER_SHAPES = [(1, 2, 4), (2, 3, 2), (4, 2, 4), (5, 1, 8)]
+
+
+def ordered_probe(X):
+    # Depends on every coordinate and on the slot order, so a wrong or
+    # misplaced corner point changes the value.
+    total = 0.0
+    for i, p in enumerate(X.points):
+        for a, c in enumerate(p.coords):
+            total += math.sin((i + 1.5) * c + 0.25 * a)
+    return total
+
+
+@pytest.mark.parametrize("N, d, n", CORNER_SHAPES)
+def test_corner_values_match_one_off_corner_configurations(N, d, n):
+    spec = LatticeSpec.from_counts(n, d, -0.3, 1.1)
+    seen = []
+
+    def f(X):
+        seen.append(X)
+        return ordered_probe(X)
+
+    entries = list(enumerate_wedge(spec, N))
+    got = list(corner_values(f, spec, entries))
+    assert len(seen) == len(entries)  # one target call per entry
+    want = [(zs, ordered_probe(corner_configuration(spec, zs))) for zs in entries]
+    assert got == want
+    assert seen == [corner_configuration(spec, zs) for zs in entries]
+    # every corner Point is built once per lattice site and then shared
+    assert len({id(p) for X in seen for p in X.points}) == spec.site_count
+
+
+@pytest.mark.parametrize("N, d, n", CORNER_SHAPES)
+def test_builders_call_the_target_once_per_entry(N, d, n):
+    spec = LatticeSpec.from_counts(n, d, -0.3, 1.1)
+    calls = []
+
+    def counted(value):
+        def ev(X):
+            calls.append(X)
+            return value(X)
+
+        return ev
+
+    sym = TargetFunction(counted(ordered_probe), Symmetry.SYMMETRIC, name="probe")
+    tab = build_sym(sym, spec, N)
+    assert len(calls) == len(tab.table) == math.comb(spec.site_count + N - 1, N)
+    anti = TargetFunction(
+        counted(builtin_target("vandermonde-gauss-antisym", {})), Symmetry.ANTISYMMETRIC
+    )
+    for mode in (MODE_RANK, MODE_PROJECTED):
+        calls.clear()
+        tab = build_antisym(anti, spec, N, mode=mode)
+        assert len(calls) == len(tab.table) == math.comb(spec.site_count, N)
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
+def test_corner_values_non_finite_message_is_unchanged(bad_value):
+    spec = LatticeSpec.from_counts(4, 2, -0.3, 1.1)
+    entries = list(enumerate_wedge(spec, 2))
+    bad_entry = entries[37]
+    bad_point = corner_configuration(spec, bad_entry)
+
+    def f(X):
+        return bad_value if X == bad_point else ordered_probe(X)
+
+    message = f"target returned non-finite value {bad_value!r} at Z = {bad_entry}"
+    values = corner_values(f, spec, entries)
+    assert [zs for zs, _ in zip(entries[:37], values)] == entries[:37]
+    with pytest.raises(BuildError, match=re.escape(message)):
+        next(values)
 
 
 def test_build_sym_cap():

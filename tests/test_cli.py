@@ -98,6 +98,14 @@ def test_build_unknown_config_key_exits_2(tmp_path, capsys):
     assert "granularity" in err
 
 
+def test_build_span_too_wide_for_a_cell_count_exits_2(tmp_path, capsys):
+    # (hi - lo)/delta overflows to inf; this was an OverflowError traceback
+    config = write_config(tmp_path, lo=0.0, hi=1e308)
+    code, out, err = run(capsys, "build", "--config", config)
+    assert code == 2
+    assert err.startswith("error:") and "no finite cell count" in err
+
+
 def test_build_without_config_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "build")
     assert code == 2
@@ -252,6 +260,50 @@ def test_eval_model_with_non_integer_d_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
     assert_one_line_config_error(code, out, err)
     assert "'d'" in err and "line 3" in err
+
+
+def test_eval_smooth_mode_without_width_exits_2(tmp_path, capsys):
+    model_path, _ = build_model(tmp_path, capsys)
+    edit_model(model_path, "\nmode indicator\n", "\nmode smooth\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2], [0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "line 10" in err
+
+
+def test_eval_model_with_edited_delta_exits_2(tmp_path, capsys):
+    # with delta 1/4, two cells no longer cover [0, 1]; the model evaluated
+    # to half its true value instead of failing
+    model_path = projected_model(tmp_path, capsys)
+    edit_model(model_path, "\ndelta 0x1.0000000000000p-1\n", "\ndelta 0x1.0p-2\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "2 cells per axis" in err
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "[[true], [0.7]]",
+        "[[0.2], [false]]",
+        '[["0.2"], [0.7]]',
+        "[[null], [0.7]]",
+        "[[[0.2]], [0.7]]",
+        "[[1" + "0" * 400 + "], [0.7]]",  # an integer too large for a float
+    ],
+    ids=["true", "false", "string", "null", "nested", "huge-int"],
+)
+def test_eval_coordinates_must_be_json_numbers(tmp_path, capsys, literal):
+    model_path, _ = build_model(tmp_path, capsys)
+    code, out, err = run(capsys, "eval", model_path, "--x", literal)
+    assert_one_line_config_error(code, out, err)
+    assert "configuration" in err
+
+
+def test_eval_accepts_integer_coordinates(tmp_path, capsys):
+    model_path, _ = build_model(tmp_path, capsys)
+    _, as_float, _ = run(capsys, "eval", model_path, "--x", "[[0.0], [1.0]]")
+    code, as_int, _ = run(capsys, "eval", model_path, "--x", "[[0], [1]]")
+    assert code == 0 and as_int == as_float
 
 
 def test_eval_bad_json_exits_2(tmp_path, capsys):

@@ -24,7 +24,8 @@ from symwedge import (
     sup_error,
     vandermonde_product,
 )
-from symwedge.harness import VerificationReport
+import symwedge.harness as harness
+from symwedge.harness import VerificationReport, _random_permutations
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)
@@ -122,6 +123,57 @@ def test_gradient_bound_rejects_non_finite_target():
         gradient_bound_estimate(bad, S)
 
 
+def reference_gradient_bound(f, S, h):
+    # Reference stencil: every evaluation rebuilds all N rows through
+    # Configuration.from_rows.
+    lo, hi = S.domain.lo + h, S.domain.hi - h
+    best = 0.0
+    for X in S.configurations:
+        rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
+        norm2 = 0.0
+        for i in range(len(rows)):
+            for a in range(len(rows[i])):
+                c = rows[i][a]
+                rows[i][a] = c + h
+                up = f(Configuration.from_rows(rows))
+                rows[i][a] = c - h
+                down = f(Configuration.from_rows(rows))
+                rows[i][a] = c
+                g = (up - down) / (2.0 * h)
+                norm2 += g * g
+        best = max(best, math.sqrt(norm2))
+    return best
+
+
+def slot_weighted(X):
+    # Not symmetric: a perturbation applied to the wrong row or axis shows.
+    total = 0.0
+    for i, p in enumerate(X.points):
+        for a, c in enumerate(p.coords):
+            total += (i + 1) * (a + 2) * c * c + math.sin(3.0 * c * (i + a + 1))
+    return total
+
+
+@pytest.mark.parametrize("N", [1, 3, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gradient_bound_matches_reference_stencil(N, d):
+    domain = DomainSpec(d=d, N=N, lo=-0.5, hi=1.5)
+    S = sample_configurations(domain, 60, 100 + 10 * N + d)
+    targets = [
+        slot_weighted,
+        builtin_target("gaussian-pair-sym", {}),
+        builtin_target("vandermonde-gauss-antisym", {}),
+    ]
+    # the default step, and one wide enough that many samples get clipped
+    for h in (1e-4 * domain.span, 0.2):
+        for f in targets:
+            got = gradient_bound_estimate(f, S, h=h)
+            assert got.hex() == reference_gradient_bound(f, S, h).hex()
+    assert gradient_bound_estimate(slot_weighted, S) == gradient_bound_estimate(
+        slot_weighted, S, h=1e-4 * domain.span
+    )
+
+
 # ---------------------------------------------------------------- sup error
 
 
@@ -189,7 +241,84 @@ def test_invariance_suite_is_seed_deterministic():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_random_permutations_are_fresh_philox_draws(N):
+    rng = np.random.Generator(np.random.Philox(key=0))
+    for seed in (0, 7, 2**64 + 3):
+        got = _random_permutations(rng, N, 5, seed)
+        fresh = np.random.Generator(np.random.Philox(key=seed))
+        assert got == [tuple(fresh.permutation(N).tolist()) for _ in range(5)]
+        assert all(type(i) is int for images in got for i in images)
+
+
+def test_invariance_suite_builds_one_sign_per_distinct_draw(monkeypatch):
+    signs, permuted = [], []
+    parity, permute = harness.parity, harness.permute
+    monkeypatch.setattr(harness, "parity", lambda s: signs.append(s) or parity(s))
+    monkeypatch.setattr(harness, "permute", lambda X, s: permuted.append(s) or permute(X, s))
+    S = sample_configurations(UNIT_13, 300, 45)
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    assert invariance_suite(f, S, 8, Symmetry.ANTISYMMETRIC) <= 1e-15
+    assert len(signs) == len(set(signs)) == 6
+    assert len(permuted) == 300 * 8  # one permute per draw, as before
+
+
+# Hex outputs recorded on an earlier commit: a change that moves any bit of
+# the gradient bound or the invariance residual fails here, not only a
+# change that makes two runs disagree.
+PINNED_HARNESS_HEX = {
+    "gradient gaussian-pair-sym": "0x1.44ec3adb91c1dp+1",
+    "gradient vandermonde-gauss-antisym": "0x1.f23986c2ddb70p-3",
+    "invariance gaussian-pair-sym": "0x1.0000000000000p-51",
+    "invariance vandermonde-gauss-antisym": "0x1.0000000000000p-56",
+}
+
+
+def test_harness_outputs_are_pinned():
+    S = sample_configurations(DomainSpec(d=2, N=3, lo=0.0, hi=1.0), 200, 7)
+    got = {}
+    for name, symmetry in (
+        ("gaussian-pair-sym", Symmetry.SYMMETRIC),
+        ("vandermonde-gauss-antisym", Symmetry.ANTISYMMETRIC),
+    ):
+        f = builtin_target(name, {})
+        got[f"gradient {name}"] = gradient_bound_estimate(f, S).hex()
+        got[f"invariance {name}"] = invariance_suite(f, S, 8, symmetry).hex()
+    assert got == PINNED_HARNESS_HEX
+
+
 # ---------------------------------------------------------------- sweeps
+
+
+# (delta, sup_error, bound, wedge_count, M) per row, then (L_hat, slope).
+PINNED_SWEEP_HEX = {
+    "product-smooth-sym": (
+        [
+            ("0x1.0000000000000p-1", "0x1.40d7b83191c47p+0", "0x1.987ec11e8b828p+0", 4, 32),
+            ("0x1.0000000000000p-2", "0x1.5f1b0fa4c0976p-1", "0x1.987ec11e8b828p-1", 20, 160),
+            ("0x1.0000000000000p-3", "0x1.673b2118c5604p-2", "0x1.987ec11e8b828p-2", 120, 960),
+        ],
+        ("0x1.d7b08671d7cf3p+0", "0x1.d642a17af4316p-1"),
+    ),
+    "vandermonde-sum-antisym": (
+        [
+            ("0x1.0000000000000p-1", "0x1.d4894391c75dfp-3", "0x1.0f8de4ba9fde9p+1", 4, 32),
+            ("0x1.0000000000000p-2", "0x1.c31ab9af02442p-3", "0x1.0f8de4ba9fde9p+0", 20, 160),
+            ("0x1.0000000000000p-3", "0x1.e701c2eb077e3p-4", "0x1.0f8de4ba9fde9p-1", 120, 960),
+        ],
+        ("0x1.399059595dda3p+1", "0x1.e3709586fdc6fp-2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEP_HEX))
+def test_convergence_sweep_rows_are_pinned(name):
+    S = sample_configurations(UNIT_13, 200, 5)
+    res = convergence_sweep(builtin_target(name, {}), UNIT_13, [0.5, 0.25, 0.125], S)
+    rows = [
+        (r.delta.hex(), r.sup_error.hex(), r.bound.hex(), r.wedge_count, r.M) for r in res.rows
+    ]
+    assert (rows, (res.gradient_bound.hex(), res.slope.hex())) == PINNED_SWEEP_HEX[name]
 
 
 def test_sweep_slope_first_order():

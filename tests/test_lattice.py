@@ -76,6 +76,36 @@ def test_lattice_spec_64bit_guard():
         LatticeSpec(delta=0.1, d=20, cells_per_dim=10, origin=0.0, top=1.0)
 
 
+@pytest.mark.parametrize(
+    "delta, cells, origin, top",
+    [(0.25, 2, 0.0, 1.0), (0.5, 1, 0.0, 1.0), (0.5, 3, 0.0, 1.0), (0.3, 3, 0.0, 1.0)],
+)
+def test_lattice_spec_requires_the_covering_cell_count(delta, cells, origin, top):
+    with pytest.raises(ValueError, match="cells per axis do not match"):
+        LatticeSpec(delta=delta, d=2, cells_per_dim=cells, origin=origin, top=top)
+
+
+def test_lattice_spec_accepts_a_partial_top_cell():
+    # ceil(1/0.3) = 4 cells; the last one reaches past top
+    assert LatticeSpec(delta=0.3, d=1, cells_per_dim=4, origin=0.0, top=1.0).site_count == 4
+
+
+def test_lattice_spec_span_without_a_finite_cell_count():
+    with pytest.raises(ValueError, match="no finite cell count"):
+        LatticeSpec(delta=1.0, d=1, cells_per_dim=2, origin=-1e308, top=1e308)
+    with pytest.raises(ValueError, match="no finite cell count"):
+        LatticeSpec.from_domain(DomainSpec(d=1, N=2, lo=-1e308, hi=1e308), 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.3, 1.1), (-7.0, -2.5), (1e-3, 1e3)])
+def test_constructors_meet_the_cell_count_rule(lo, hi):
+    for n in range(1, 200):
+        assert LatticeSpec.from_counts(n, 2, lo, hi).cells_per_dim == n
+        delta = (hi - lo) / n
+        assert LatticeSpec.from_domain(DomainSpec(d=1, N=1, lo=lo, hi=hi), delta).cells_per_dim == n
+        LatticeSpec.from_domain(DomainSpec(d=1, N=1, lo=lo, hi=hi), delta * 1.37)
+
+
 def test_from_counts():
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
     assert spec.delta == 0.25

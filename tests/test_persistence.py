@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symwedge import (
+    MODE_INDICATOR,
     MODE_PROJECTED,
     MODE_RANK,
     MODE_SMOOTH,
@@ -241,23 +242,37 @@ def test_load_rejects_malformed_records(tmp_path, kind, edit):
         load_model(str(path))
 
 
-# Digests of models written before the batched direction search: any drift in
-# the direction stream, the seeds or the stored quotients changes the bytes.
-PINNED_PROJECTED_SHA256 = {
-    None: "ddcbd9f7c654362b03f922ecb99a9cf29d723913144eab414dc6f314971493f5",
-    0.125: "dc48ebd888ca9dfa8d8182ca88d47abf1fdd38369e5b7c7a6aa0d73d569a6824",
+# Digests of N=3, d=2, delta=1/4 models: the antisym-c2 ones written before
+# the batched direction search, the others before the build shared corner
+# Points across entries. Any drift in the direction stream, the seeds, the
+# corner values or the stored quotients changes the bytes.
+PINNED_MODEL_SHA256 = {
+    (MODE_PROJECTED, None): "ddcbd9f7c654362b03f922ecb99a9cf29d723913144eab414dc6f314971493f5",
+    (MODE_PROJECTED, 0.125): "dc48ebd888ca9dfa8d8182ca88d47abf1fdd38369e5b7c7a6aa0d73d569a6824",
+    ("sym", None): "ae6b91daffdad3eef4f70f98dedc2095d252b8d6198b6c5eb33bc3d36724139e",
+    ("sym", 0.125): "fdde5e09c6e863df59b5950329f1f0c3d85e96f1600f9a2ddc798beeb1b402f6",
+    (MODE_RANK, None): "bb984bf5ee82c75720404e827df1f4fa947ee85d4fccec468c96d8ea953923bc",
 }
 
 
-@pytest.mark.parametrize("smooth_width", [None, 0.125])
-def test_projected_model_bytes_are_pinned(tmp_path, smooth_width):
-    f = builtin_target("vandermonde-gauss-antisym", {})
+@pytest.mark.parametrize(
+    "kind, smooth_width",
+    list(PINNED_MODEL_SHA256),
+    ids=["None", "0.125", "sym-None", "sym-0.125", "antisym-c1-None"],
+)
+def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width):
     spec = LatticeSpec.from_domain(unit_domain(2, 3), 0.25)
-    tab = build_antisym(f, spec, 3, mode=MODE_PROJECTED, smooth_width=smooth_width)
+    if kind == "sym":
+        f = builtin_target("gaussian-pair-sym", {})
+        mode = MODE_SMOOTH if smooth_width is not None else MODE_INDICATOR
+        tab = build_sym(f, spec, 3, mode=mode, smooth_width=smooth_width)
+    else:
+        f = builtin_target("vandermonde-gauss-antisym", {})
+        tab = build_antisym(f, spec, 3, mode=kind, smooth_width=smooth_width)
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == PINNED_PROJECTED_SHA256[smooth_width]
+    assert digest == PINNED_MODEL_SHA256[kind, smooth_width]
 
 
 def _projected_lines(tmp_path):
@@ -328,6 +343,11 @@ def test_load_rejects_tau_on_other_kinds(tmp_path, kind):
         (7, "hi inf", "describe no lattice"),
         (7, "hi -0x1.0p+0", "describe no lattice"),
         (9, "w x", "'w' value 'x' on line 10"),
+        (4, "cells 3", "describe no lattice: 3 cells per axis"),
+        (5, "delta 0x1.0p-2", "describe no lattice: 2 cells per axis"),
+        (6, "lo -0x1.0p+0", "describe no lattice: 2 cells per axis"),
+        (8, "mode smooth", "line 10"),  # smooth mode with 'w -'
+        (9, "w 0x1.0p-3", "line 10"),  # indicator mode with a width
         (11, "entries many", "'entries' value 'many' on line 12"),
     ],
 )
@@ -351,3 +371,34 @@ def test_load_rejects_non_numeric_record_fields(tmp_path, position, field):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="not a number"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, mode, w, message",
+    [
+        ("sym", "smooth", "-", "line 10"),
+        ("sym", "smooth", "0x0.0p+0", "line 10"),
+        ("sym", "smooth", "-0x1.0p-4", "line 10"),
+        ("sym", "smooth", "0x1.0000000000001p-3", "line 10"),  # just above delta/2
+        ("sym", "smooth", "inf", "line 10"),
+        ("sym", "smooth", "nan", "line 10"),
+        ("sym", "indicator", "0x1.0p-4", "line 10"),
+        ("antisym", "smooth", "0x1.0p-3", "line 9"),
+        ("antisym", "indicator", "0x1.0p-3", "line 10"),
+    ],
+)
+def test_load_rejects_mode_width_mismatch(tmp_path, kind, mode, w, message):
+    path, lines = _saved_lines(tmp_path, kind)  # indicator models at delta = 1/4
+    assert lines[8:10] == ["mode indicator", "w -"]
+    lines[8:10] = [f"mode {mode}", f"w {w}"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_model(str(path))
+
+
+def test_load_accepts_smooth_width_up_to_half_delta(tmp_path):
+    path, lines = _saved_lines(tmp_path, "sym")
+    lines[8:10] = ["mode smooth", "w 0x1.0p-3"]
+    path.write_text("\n".join(lines) + "\n")
+    tab = load_model(str(path))
+    assert (tab.mode, tab.smooth_width) == (MODE_SMOOTH, 0.125)
