@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Configuration, Symmetry, TargetFunction, parity
+from .core import Configuration, Symmetry, TargetFunction, _inversion_sign
 from .errors import DirectionSearchError, DomainError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
@@ -380,12 +380,7 @@ def build_antisym(
 def _sorted_with_sign(X: Configuration) -> tuple[list[tuple[float, ...]], int]:
     rows = [p.coords for p in X.points]
     order = sorted(range(len(rows)), key=rows.__getitem__)
-    inv = 0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inv += 1
-    return [rows[i] for i in order], (-1 if inv & 1 else 1)
+    return [rows[i] for i in order], _inversion_sign(order)
 
 
 def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
@@ -395,7 +390,8 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     exact 0; otherwise the stored value is multiplied by the sort sign (rank
     mode) or by the sort sign and the reference factor recomputed at the
     entry's corners (projected mode), which makes sign equivariance
-    bit-exact.
+    bit-exact. The sort sign is the assignment's ``sign``, the inversion
+    parity of its sort order, so no permutation is built.
 
     Smooth path (projected mode): blend stored quotients over neighboring
     distinct entries with the symmetric tabulator's normalized weights
@@ -410,7 +406,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         assignment = locate(T.spec, X)
         if assignment.repetition > 1:
             return 0.0
-        sign = parity(assignment.sigma)
+        sign = assignment.sign
         zs = assignment.wedge
         if T.mode == MODE_RANK:
             return sign * T.table[zs]

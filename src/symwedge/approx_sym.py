@@ -175,11 +175,12 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[WedgeK
 def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     """Evaluate the tabulator.
 
-    Indicator mode locates X, so the result is a function of the wedge entry
-    alone and permutation invariance holds bit-for-bit. Smooth mode blends
-    the corner values of nearby entries with normalized cutoff weights; the
-    blend is computed on the canonically sorted configuration, so it is
-    equally order-blind.
+    Indicator mode locates X and reads only the assignment's ``wedge`` and
+    ``repetition`` (its permutation is never built), so the result is a
+    function of the wedge entry alone and permutation invariance holds
+    bit-for-bit. Smooth mode blends the corner values of nearby entries
+    with normalized cutoff weights; the blend is computed on the canonically
+    sorted configuration, so it is equally order-blind.
     """
     _check_eval_input(T, X)
     if T.mode == MODE_INDICATOR:

@@ -150,16 +150,25 @@ def permute(X: Configuration, sigma: Permutation) -> Configuration:
     return Configuration(tuple(X.points[j] for j in sigma.images))
 
 
-def parity(sigma: Permutation) -> int:
-    """Sign (-1)^inversions of a permutation; +1 for even, -1 for odd."""
+def _inversion_sign(seq: Sequence[int]) -> int:
+    """(-1)^inversions of a sequence of distinct integers.
+
+    A permutation and its inverse have the same sign, so this is the parity
+    of a permutation given by its images or by its sort order alike.
+    """
     inv = 0
-    images = sigma.images
-    n = len(images)
+    n = len(seq)
     for i in range(n):
+        si = seq[i]
         for j in range(i + 1, n):
-            if images[i] > images[j]:
+            if si > seq[j]:
                 inv += 1
     return -1 if inv & 1 else 1
+
+
+def parity(sigma: Permutation) -> int:
+    """Sign (-1)^inversions of a permutation; +1 for even, -1 for odd."""
+    return _inversion_sign(sigma.images)
 
 
 def compose(tau: Permutation, sigma: Permutation) -> Permutation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .core import Configuration, DomainSpec, Permutation, Point, parity
+from .core import Configuration, DomainSpec, Permutation, Point, _inversion_sign
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -61,6 +61,30 @@ def _cells_to_cover(span: float, delta: float) -> int:
     return int(math.ceil(q))
 
 
+def _sites_fit_int64(n: int, d: int) -> bool:
+    """n^d <= 2^63 - 1, decided without computing a large power.
+
+    n >= 2^b with b = bit_length - 1, so b*d >= 63 already overflows; below
+    that n^d < 2^(63 + d) and the exact power is cheap.
+    """
+    if n == 1:
+        return True
+    if (n.bit_length() - 1) * d >= 63:
+        return False
+    return n**d <= _INT64_MAX
+
+
+def _compact(n: int) -> str:
+    """An integer as written, or in scientific notation past six digits.
+
+    Decimal formats integers of any size; it is imported here because only
+    error messages need it.
+    """
+    from decimal import Decimal
+
+    return str(n) if n < 10**6 else f"{Decimal(n):.3e}"
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Geometry of one lattice: spacing, dimension, cells per axis, box bounds.
@@ -87,9 +111,10 @@ class LatticeSpec:
             raise ValueError(f"box bounds must be finite, got [{self.origin}, {self.top}]")
         if not self.origin < self.top:
             raise ValueError(f"need origin < top, got [{self.origin}, {self.top}]")
-        if self.cells_per_dim ** self.d > _INT64_MAX:
+        if not _sites_fit_int64(self.cells_per_dim, self.d):
             raise CapacityError(
-                f"{self.cells_per_dim}^{self.d} lattice sites exceed 64-bit range"
+                f"{_compact(self.cells_per_dim)} cells per axis in d = {self.d} "
+                "exceed the 64-bit site range"
             )
         cover = _cells_to_cover(self.top - self.origin, self.delta)
         if self.cells_per_dim != cover:
@@ -105,7 +130,10 @@ class LatticeSpec:
         if delta <= 0.0 or not math.isfinite(delta):
             raise ValueError(f"spacing must be positive and finite, got {delta}")
         n = _cells_to_cover(domain.span, delta)
-        return cls(delta=delta, d=domain.d, cells_per_dim=n, origin=domain.lo, top=domain.hi)
+        try:
+            return cls(delta=delta, d=domain.d, cells_per_dim=n, origin=domain.lo, top=domain.hi)
+        except CapacityError as exc:
+            raise CapacityError(f"{exc}; use a larger delta or a smaller d") from None
 
     @classmethod
     def from_counts(cls, n: int, d: int, lo: float, hi: float) -> "LatticeSpec":
@@ -154,9 +182,18 @@ def wedge_size(spec: LatticeSpec, N: int) -> int:
     """C(n^d + N - 1, N); raises CapacityError past the 64-bit range."""
     if N < 1:
         raise ValueError("need at least one slot")
-    size = math.comb(spec.site_count + N - 1, N)
-    if size > _INT64_MAX:
-        raise CapacityError(f"wedge size {size} exceeds 64-bit range")
+    sites = spec.site_count
+    # C(sites - 1 + N, N) == C(sites - 1 + N, sites - 1), built up over the
+    # shorter side. Each factor (longer + k)/k is at least 2, so an overflow
+    # shows within 63 steps and the exact (possibly huge) binomial is never formed.
+    shorter, longer = sorted((N, sites - 1))
+    size = 1
+    for k in range(1, shorter + 1):
+        size = size * (longer + k) // k
+        if size > _INT64_MAX:
+            raise CapacityError(
+                f"wedge of {N} slots over {sites} lattice sites exceeds 64-bit range"
+            )
     return size
 
 
@@ -187,34 +224,64 @@ def repetition_constant(zs: WedgeKey) -> int:
     return const
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellAssignment:
-    """Result of locating a configuration: its wedge entry, the slot
-    permutation into wedge order, and the entry's repetition constant."""
+    """Result of locating a configuration: its wedge entry, the sort order
+    of the input slots, and the entry's repetition constant.
+
+    ``order`` lists the input slots in wedge order:
+    wedge[k] == cell_of(X.points[order[k]]). The slot permutation ``sigma``
+    and its sign are derived from it when read.
+    """
 
     wedge: WedgeKey
-    sigma: Permutation
+    order: tuple[int, ...]
     repetition: int
 
     @property
+    def sigma(self) -> Permutation:
+        """The permutation taking input slots to wedge slots, built on each
+        read: cell_of(X.points[i]) == wedge[sigma.images[i]]."""
+        images = [0] * len(self.order)
+        for slot, i in enumerate(self.order):
+            images[i] = slot
+        return Permutation(tuple(images))
+
+    @property
     def sign(self) -> int:
-        return parity(self.sigma)
+        """parity(sigma), taken from ``order``: a permutation and its inverse
+        have the same parity."""
+        return _inversion_sign(self.order)
 
 
 def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
     """Canonicalize a configuration onto the wedge.
 
-    The returned permutation maps input slots to wedge slots:
-    cell_of(X.points[i]) == wedge[sigma.images[i]]. Ties (repeated cells)
-    are broken stably by input slot, so the permutation is deterministic.
+    Each point's cell is ``cell_of``'s, computed inline with the same floor,
+    top-cell clamp and DomainError messages. Ties (repeated cells) are broken
+    stably by input slot, so ``order`` (and the ``sigma`` built from it) is
+    deterministic.
     """
-    cells = [cell_of(spec, p) for p in X.points]
+    origin = spec.origin
+    top = spec.top
+    delta = spec.delta
+    d = spec.d
+    last = spec.cells_per_dim - 1
+    cells = []
+    for p in X.points:
+        coords = p.coords
+        if len(coords) != d:
+            cell_of(spec, p)  # raises the dimension error
+        cell = []
+        for c in coords:
+            if not origin <= c <= top:
+                cell_of(spec, p)  # raises the coordinate error
+            i = int((c - origin) / delta)
+            cell.append(i if i <= last else last)
+        cells.append(tuple(cell))
     order = sorted(range(len(cells)), key=cells.__getitem__)
-    images = [0] * len(cells)
-    for slot, i in enumerate(order):
-        images[i] = slot
-    wedge = tuple(cells[i] for i in order)
-    return CellAssignment(wedge, Permutation(tuple(images)), repetition_constant(wedge))
+    wedge = tuple([cells[i] for i in order])
+    return CellAssignment(wedge, tuple(order), repetition_constant(wedge))
 
 
 def corner_configuration(spec: LatticeSpec, zs: WedgeKey) -> Configuration:

@@ -217,8 +217,9 @@ def load_model(path: str) -> Tabulator:
     try:
         spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
     except (ValueError, CapacityError) as exc:
+        advice = "; lower 'cells' or 'd'" if isinstance(exc, CapacityError) else ""
         raise ConfigError(
-            f"lines 3 and 5-8 (d, cells, delta, lo, hi) describe no lattice: {exc}"
+            f"lines 3 and 5-8 (d, cells, delta, lo, hi) describe no lattice: {exc}{advice}"
         ) from None
     if mode == MODE_INDICATOR and smooth is not None:
         raise ConfigError(f"an indicator-mode model stores 'w -' on line 10, not {smooth}")

@@ -91,6 +91,26 @@ def test_build_tiny_cap_exits_3(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # about 1e300 cells: the count prints in scientific notation, not as 300 digits
+        ({"delta": 1e-300}, "1.000e+300 cells per axis in d = 1 exceed the 64-bit site "
+                            "range; use a larger delta or a smaller d"),
+        # a wedge of about 1e4000 entries, named by its slots and sites
+        ({"delta": 1e-6, "N": 1000}, "wedge of 1000 slots over 1000000 lattice sites "
+                                     "exceeds 64-bit range"),
+    ],
+    ids=["cells", "wedge"],
+)
+def test_build_beyond_64_bits_exits_3_with_a_short_message(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "build", "--config", config)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+    assert len(err) < 200
+
+
 def test_build_unknown_config_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, granularity=0.5)
     code, _, err = run(capsys, "build", "--config", config)

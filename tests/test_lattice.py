@@ -1,5 +1,6 @@
 import math
-from itertools import combinations_with_replacement, product
+import time
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -74,6 +75,36 @@ def test_lattice_spec_rejects_non_finite_bounds(origin, top):
 def test_lattice_spec_64bit_guard():
     with pytest.raises(CapacityError):
         LatticeSpec(delta=0.1, d=20, cells_per_dim=10, origin=0.0, top=1.0)
+
+
+@pytest.mark.parametrize(
+    "n, d, fits", [(2, 62, True), (2, 63, False), (3037000499, 2, True), (3037000500, 2, False)]
+)
+def test_lattice_spec_64bit_boundary(n, d, fits):
+    # 2^62 and 3037000499^2 sites fit in a signed 64-bit integer, 2^63 and 3037000500^2 do not
+    def make():
+        return LatticeSpec(delta=1.0, d=d, cells_per_dim=n, origin=0.0, top=float(n))
+
+    if fits:
+        assert make().site_count == n**d <= 2**63 - 1
+    else:
+        with pytest.raises(CapacityError, match=f"cells per axis in d = {d} exceed"):
+            make()
+
+
+def test_lattice_spec_64bit_guard_skips_the_large_power():
+    # computing 3^(10^7) exactly takes seconds; the check must not need it
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="3 cells per axis in d = 10000000 exceed"):
+        LatticeSpec(delta=0.5, d=10**7, cells_per_dim=3, origin=0.0, top=1.5)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_capacity_message_prints_large_counts_compactly():
+    with pytest.raises(CapacityError, match=r"^3\.037e\+9 cells per axis in d = 2 exceed"):
+        LatticeSpec(delta=1.0, d=2, cells_per_dim=3037000500, origin=0.0, top=3037000500.0)
+    with pytest.raises(CapacityError, match="^1000 cells per axis in d = 7 exceed"):
+        LatticeSpec(delta=1.0, d=7, cells_per_dim=1000, origin=0.0, top=1000.0)
 
 
 @pytest.mark.parametrize(
@@ -190,6 +221,31 @@ def test_wedge_size_overflow_guard():
         wedge_size(spec, 10)
 
 
+@pytest.mark.parametrize("n, d, N", [(10**6, 1, 50), (64, 3, 10**6), (2, 1, 2**63 - 1)])
+def test_wedge_size_overflow_is_decided_without_the_binomial(n, d, N):
+    # C(64^3 + 10^6 - 1, 10^6) has 280,037 digits and took seconds to form
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=f"^wedge of {N} slots over {n**d} lattice sites exceeds"):
+        wedge_size(spec, N)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_wedge_size_equals_the_binomial_up_to_the_64bit_limit():
+    for n, d in [(1, 1), (2, 1), (3, 2), (5, 3), (2, 20), (1000, 2)]:
+        spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+        for N in [1, 2, 3, 7, 20, 63, 64, 100, 10**4]:
+            size = math.comb(n**d + N - 1, N)
+            if size <= 2**63 - 1:
+                assert wedge_size(spec, N) == size
+            else:
+                with pytest.raises(CapacityError):
+                    wedge_size(spec, N)
+    # two sites: C(N + 1, N) = N + 1 reaches 2^63 - 1 at N = 2^63 - 2
+    assert wedge_size(LatticeSpec.from_counts(2, 1, 0.0, 1.0), 2**63 - 2) == 2**63 - 1
+    assert wedge_size(LatticeSpec.from_counts(2, 62, 0.0, 1.0), 1) == 2**62
+
+
 # ---------------------------------------------------------------- repetition
 
 
@@ -231,6 +287,25 @@ def test_locate_out_of_domain():
         locate(spec, cfg([0.2], [1.2]))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0.2, 0.3], [1.2, 0.3]], "coordinate 1.2 outside [0.0, 1.0]"),
+        ([[0.2, 0.3], [0.4, -0.25]], "coordinate -0.25 outside [0.0, 1.0]"),
+        ([[1.5, 0.3], [0.4, -0.25]], "coordinate 1.5 outside [0.0, 1.0]"),  # first in slot order
+        ([[0.2, 1.0000000000000002], [0.4, 0.3]], "coordinate 1.0000000000000002 outside [0.0, 1.0]"),
+        ([[0.2], [0.4]], "point has dimension 1, lattice is 2-dimensional"),
+        ([[0.2, 0.3, 0.1], [9.0, 0.3, 0.1]], "point has dimension 3, lattice is 2-dimensional"),
+    ],
+)
+def test_locate_domain_error_messages(rows, message):
+    spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
+    X = cfg(*rows)
+    with pytest.raises(DomainError) as info:
+        locate(spec, X)
+    assert str(info.value) == message
+
+
 def test_locate_slot_consistency():
     # cell_of(points[i]) must equal wedge[sigma.images[i]]
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
@@ -254,6 +329,38 @@ def test_locate_wedge_is_permutation_invariant():
         assert a.wedge == b.wedge
         if a.repetition == 1:
             assert b.sign * parity(sigma) == a.sign
+
+
+def _old_locate(spec, X):
+    # reference: cell_of per point, a stable sort, images built from the order
+    cells = [cell_of(spec, p) for p in X.points]
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    images = [0] * len(cells)
+    for slot, i in enumerate(order):
+        images[i] = slot
+    wedge = tuple(cells[i] for i in order)
+    return wedge, tuple(images), repetition_constant(wedge)
+
+
+@pytest.mark.parametrize(
+    "N, repeated", [(N, False) for N in range(1, 6)] + [(N, True) for N in range(2, 6)]
+)
+def test_locate_matches_the_old_construction_under_every_permutation(N, repeated):
+    spec = LatticeSpec.from_counts(6, 2, 0.0, 1.0)
+    # distinct cells, one on a cell face and one at hi; or the last slot
+    # sharing slot 0's cell
+    rows = [[0.05, 0.9], [0.5, 0.5], [1.0, 1.0], [0.7, 0.05], [0.3, 0.95]][:N]
+    if repeated:
+        rows[-1] = [0.06, 0.91]
+    X = cfg(*rows)
+    for images in permutations(range(N)):
+        Y = permute(X, Permutation(images))
+        asg = locate(spec, Y)
+        wedge, old_images, repetition = _old_locate(spec, Y)
+        assert (asg.wedge, asg.repetition) == (wedge, repetition)
+        assert asg.sigma.images == old_images
+        assert asg.sign == parity(asg.sigma)
+        assert [asg.sigma.images[i] for i in asg.order] == list(range(N))
 
 
 def test_partition_exactly_one_wedge_entry_covers():

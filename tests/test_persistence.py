@@ -275,6 +275,58 @@ def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width):
     assert digest == PINNED_MODEL_SHA256[kind, smooth_width]
 
 
+# Digests of eval outputs on seeded streams, recorded before locate stopped
+# building the permutation. The streams mix uniform points with points on
+# cell faces (hi included) and configurations whose points share a cell.
+PINNED_EVAL_SHA256 = {
+    ("sym", 3, 1): "f6899f84737cb0928b3bcf51cf60c54f3df0015e5a5818a6bb0ddc51004de907",
+    ("sym", 3, 2): "7bf745adbde389c1051c7a4ec8ed47b45724248a7eb2010b29ffdfebc9ef764d",
+    ("sym", 4, 1): "58012891dcc37a6b06713581a74f13c4b3520de1e9f288931392cd7f715cddad",
+    ("sym", 4, 2): "52d99485cba00642e5c0d1e29b8ade2e91ea9439092e700fc7d8acfb579fa5f7",
+    (MODE_RANK, 3, 1): "27b71005d5a78870a2c3276c2312b0a3d8ea2689529ffcfa66f2115a2323f590",
+    (MODE_RANK, 3, 2): "e940f1e5c06a3beebcd5ce50cf38820d07b775a7d0202b43b6026141ac63ed40",
+    (MODE_RANK, 4, 1): "a75878984d73c53d4acd42b539d6c61678b5ce8a67c7e9c0c3a0ecffe1cb31b2",
+    (MODE_RANK, 4, 2): "eb639ddcce83e7efb968a7c3688fdee9a6161a569b640c773037b700f470f40f",
+    (MODE_PROJECTED, 3, 1): "27b71005d5a78870a2c3276c2312b0a3d8ea2689529ffcfa66f2115a2323f590",
+    (MODE_PROJECTED, 3, 2): "69a221406d51794b1d884e4ca64eb5ef12f0e5ec9d71c2b21c4a239b763ede0d",
+    (MODE_PROJECTED, 4, 1): "a75878984d73c53d4acd42b539d6c61678b5ce8a67c7e9c0c3a0ecffe1cb31b2",
+    (MODE_PROJECTED, 4, 2): "983ad8ff6a563ca790ed039017285b85d55ba3173123eaf53aa0a2019073843d",
+}
+
+
+def _pinned_stream(N, d, n, count, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    stream = []
+    for k in range(count):
+        rows = rng.random((N, d))
+        if k % 8 in (1, 2):  # every coordinate on a cell face, hi included
+            rows = rng.integers(0, n + 1, size=(N, d)) / n
+        elif k % 8 in (3, 4):  # some coordinates on faces
+            faces = rng.random((N, d)) < 0.5
+            rows[faces] = rng.integers(0, n + 1, size=int(faces.sum())) / n
+        elif k % 8 == 5:  # slot 1 shares slot 0's cell
+            rows[1] = np.minimum((np.floor(rows[0] * n) + rng.random(d)) / n, 1.0)
+        elif k % 8 == 6:  # slot 2 repeats slot 0
+            rows[2] = rows[0]
+        stream.append(Configuration.from_rows(rows.tolist()))
+    return stream
+
+
+@pytest.mark.parametrize("kind, N, d", list(PINNED_EVAL_SHA256))
+def test_eval_outputs_are_pinned(kind, N, d):
+    n = 16 if d == 1 else 4
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    if kind == "sym":
+        tab = build_sym(builtin_target("gaussian-pair-sym", {}), spec, N)
+        evaluate = eval_sym
+    else:
+        tab = build_antisym(builtin_target("vandermonde-gauss-antisym", {}), spec, N, mode=kind)
+        evaluate = eval_antisym
+    values = [evaluate(tab, X) for X in _pinned_stream(N, d, n, 1000, 1000 * N + d)]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == PINNED_EVAL_SHA256[kind, N, d]
+
+
 def _projected_lines(tmp_path):
     f = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
     tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(2, 2), 0.5), 2, mode=MODE_PROJECTED)
@@ -336,6 +388,8 @@ def test_load_rejects_tau_on_other_kinds(tmp_path, kind):
         (3, "N 4000000", "describe no wedge"),  # the wedge outgrows 64 bits
         (3, "N x", "'N' value 'x' on line 4"),
         (4, "cells 4000000000", "describe no lattice"),
+        (4, "cells 4000000000", "no lattice: 4.000e[+]9 cells .* lower 'cells' or 'd'"),
+        (2, "d 100000000", "in d = 100000000 exceed .* lower 'cells' or 'd'"),
         (4, "cells 0", "describe no lattice"),
         (5, "delta 0x1p99999", "'delta' value '0x1p99999' on line 6"),
         (5, "delta -0x1.0p-1", "describe no lattice"),
