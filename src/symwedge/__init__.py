@@ -22,6 +22,7 @@ from .approx_sym import (
     FeatureCountReport,
     SymmetricTabulator,
     build_sym,
+    delta_for_epsilon,
     epsilon_density_limit,
     error_budget,
     eval_sym,
@@ -61,7 +62,6 @@ from .harness import (
     VerificationReport,
     cauchy_factor_check,
     convergence_sweep,
-    delta_for_epsilon,
     gradient_bound_estimate,
     invariance_suite,
     run_verification,
@@ -126,7 +126,7 @@ __all__ = [
     "MODE_INDICATOR", "MODE_SMOOTH", "BuildStats", "SymmetricTabulator",
     "build_sym", "eval_sym", "eval_sym_feature_form", "feature_count",
     "FeatureCountReport", "error_budget", "ErrorBudget",
-    "epsilon_density_limit", "feature_budget_bound",
+    "delta_for_epsilon", "epsilon_density_limit", "feature_budget_bound",
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
     "eval_antisym", "vandermonde_product", "slot_rank_product",
@@ -136,7 +136,7 @@ __all__ = [
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",
     "SweepResult", "cauchy_factor_check", "CheckResult", "VerificationReport",
-    "run_verification", "delta_for_epsilon",
+    "run_verification",
     # persistence
     "save_model", "load_model",
 ]

@@ -13,12 +13,12 @@ go to stdout, which carries no byte-identity promise).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .approx_antisym import MODE_PROJECTED, MODE_RANK, AntisymTabulator, build_antisym, eval_antisym
@@ -27,11 +27,12 @@ from .approx_sym import (
     MODE_SMOOTH,
     SymmetricTabulator,
     build_sym,
+    delta_for_epsilon,
     epsilon_density_limit,
     feature_budget_bound,
     eval_sym,
 )
-from .core import Configuration, DomainSpec, TargetFunction, builtin_target
+from .core import Configuration, DomainSpec, Symmetry, TargetFunction, builtin_target
 from .errors import (
     CapacityError,
     ConfigError,
@@ -40,16 +41,15 @@ from .errors import (
     SymwedgeError,
 )
 from .harness import (
+    SampleSet,
     VerificationReport,
     convergence_sweep,
-    delta_for_epsilon,
     gradient_bound_estimate,
     run_verification,
     sample_configurations,
 )
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
 from .persistence import (
-    KIND_PROJECTED,
     KIND_RANK,
     KIND_SYM,
     KINDS,
@@ -68,7 +68,7 @@ EXIT_CAPACITY = 3
 SWEEP_COLUMNS = "delta,sup_error,bound,wedge_count,M,wall_time_s"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, as read from a config file."""
 
@@ -96,18 +96,25 @@ class ExperimentConfig:
         return DomainSpec(d=self.d, N=self.N, lo=self.lo, hi=self.hi)
 
     def target(self) -> TargetFunction:
+        """The named target; its declared symmetry must be the one ``kind`` tabulates."""
         params = dict(self.target_params)
         params.setdefault("d", self.d)
         params.setdefault("N", self.N)
-        return builtin_target(self.target_name, params)
+        f = builtin_target(self.target_name, params)
+        want = Symmetry.SYMMETRIC if self.kind == KIND_SYM else Symmetry.ANTISYMMETRIC
+        if f.declared_symmetry is not want:
+            raise ConfigError(
+                f"kind {self.kind!r} tabulates {want.value} targets; "
+                f"{self.target_name!r} is {f.declared_symmetry.value}"
+            )
+        return f
 
 
+# A config file's keys are the ExperimentConfig fields, with the target's
+# name and params under one 'target' key.
 _CONFIG_KEYS = frozenset(
-    {
-        "kind", "d", "N", "lo", "hi", "target", "delta", "epsilon", "deltas",
-        "smooth_width", "tau", "seed", "samples", "n_perms", "min_gap",
-        "out", "model", "cap",
-    }
+    "target" if field.name.startswith("target_") else field.name
+    for field in dataclasses.fields(ExperimentConfig)
 )
 
 
@@ -252,26 +259,9 @@ def _num(x: float) -> dict[str, Any]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
-    return {
-        "kind": cfg.kind,
-        "d": cfg.d,
-        "N": cfg.N,
-        "lo": cfg.lo,
-        "hi": cfg.hi,
-        "target": {"name": cfg.target_name, "params": cfg.target_params},
-        "delta": cfg.delta,
-        "epsilon": cfg.epsilon,
-        "deltas": list(cfg.deltas) if cfg.deltas is not None else None,
-        "smooth_width": cfg.smooth_width,
-        "tau": cfg.tau,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "n_perms": cfg.n_perms,
-        "min_gap": cfg.min_gap,
-        "out": cfg.out,
-        "model": cfg.model,
-        "cap": cfg.cap,
-    }
+    echo = dataclasses.asdict(cfg)
+    echo["target"] = {"name": echo.pop("target_name"), "params": echo.pop("target_params")}
+    return echo
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -284,9 +274,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         updates["cap"] = args.cap
     if not updates:
         return cfg
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
+    return dataclasses.replace(cfg, **updates)
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -295,9 +283,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return _apply_overrides(parse_config(args.config), args)
 
 
-def _resolve_delta(cfg: ExperimentConfig) -> tuple[float, float | None]:
-    """Spacing for a single-lattice command; accuracy targets are converted
-    through the measured gradient bound and must sit below the density limit."""
+def _resolve_delta(
+    cfg: ExperimentConfig, f: TargetFunction, S: SampleSet | None = None
+) -> tuple[float, float | None]:
+    """Spacing for a single-lattice command, and the gradient bound measured
+    to get it (None for an explicit delta).
+
+    An accuracy target must sit below the density limit; it is converted
+    through the gradient bound measured on ``S``, or on the config's samples
+    when ``S`` is not given.
+    """
     if cfg.delta is not None:
         return cfg.delta, None
     if cfg.epsilon is None:
@@ -308,16 +303,15 @@ def _resolve_delta(cfg: ExperimentConfig) -> tuple[float, float | None]:
             f"epsilon = {cfg.epsilon} is not below the density limit {limit} "
             f"for N = {cfg.N}, d = {cfg.d}"
         )
-    f = cfg.target()
-    S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
+    if S is None:
+        S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     L_hat = gradient_bound_estimate(f, S)
     if L_hat <= 0.0:
         raise ConfigError("measured gradient bound is zero; give 'delta' explicitly")
     return delta_for_epsilon(cfg.epsilon, cfg.N, cfg.d, L_hat), L_hat
 
 
-def _build_tabulator(cfg: ExperimentConfig, delta: float):
-    f = cfg.target()
+def _build_tabulator(cfg: ExperimentConfig, f: TargetFunction, delta: float):
     spec = LatticeSpec.from_domain(cfg.domain(), delta)
     if cfg.kind == KIND_SYM:
         mode = MODE_SMOOTH if cfg.smooth_width is not None else MODE_INDICATOR
@@ -333,8 +327,9 @@ def _build_tabulator(cfg: ExperimentConfig, delta: float):
 def cmd_build(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     start = time.perf_counter()
-    delta, L_hat = _resolve_delta(cfg)
-    tab = _build_tabulator(cfg, delta)
+    f = cfg.target()
+    delta, L_hat = _resolve_delta(cfg, f)
+    tab = _build_tabulator(cfg, f, delta)
     os.makedirs(cfg.out, exist_ok=True)
     model_path = os.path.join(cfg.out, cfg.model)
     save_model(model_path, tab)
@@ -413,7 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_json_text(report: VerificationReport, cfg: ExperimentConfig, timings: bool) -> str:
+def _report_json_text(report: VerificationReport, cfg: ExperimentConfig, wall_time_s: float) -> str:
     data = {
         "schema": "symwedge-report/1",
         "config": _config_echo(cfg),
@@ -436,7 +431,7 @@ def _report_json_text(report: VerificationReport, cfg: ExperimentConfig, timings
         if report.cauchy_residual is not None
         else None,
         "slope": _num(report.slope) if report.slope is not None else None,
-        "wall_time_s": _num(report.wall_time_s if timings else 0.0),
+        "wall_time_s": _num(wall_time_s),
         "passed": report.passed,
         "checks": [
             {
@@ -460,25 +455,19 @@ def _report_csv_text(report: VerificationReport) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    construction = MODE_RANK if cfg.kind != KIND_PROJECTED else MODE_PROJECTED
-    report, _tab = run_verification(
-        cfg.target(),
-        cfg.domain(),
-        delta=cfg.delta,
-        epsilon=cfg.epsilon,
-        construction=construction,
-        smooth_width=cfg.smooth_width,
-        tau=cfg.tau,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        n_perms=cfg.n_perms,
-        min_gap=cfg.min_gap,
-        cap=cfg.cap,
-    )
+    start = time.perf_counter()
+    f = cfg.target()
+    S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
+    delta, L_hat = _resolve_delta(cfg, f, S)
+    if L_hat is None:
+        L_hat = gradient_bound_estimate(f, S)
+    tab = _build_tabulator(cfg, f, delta)
+    report = run_verification(f, tab, S, L_hat, n_perms=cfg.n_perms, min_gap=cfg.min_gap)
+    elapsed = time.perf_counter() - start
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(
         os.path.join(cfg.out, "report.json"),
-        _report_json_text(report, cfg, args.timings),
+        _report_json_text(report, cfg, elapsed if args.timings else 0.0),
     )
     write_text_atomic(os.path.join(cfg.out, "report.csv"), _report_csv_text(report))
     for c in report.checks:
@@ -487,7 +476,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"sup_error={report.sup_error!r} bound={report.bound!r} delta={report.delta!r}")
     print(f"RESULT {'PASS' if report.passed else 'FAIL'}")
     print(f"reports written to {cfg.out}")
-    print(f"wall_time_s={report.wall_time_s:.3f}")
+    print(f"wall_time_s={elapsed:.3f}")
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
@@ -497,6 +486,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs a 'deltas' list in the config")
     if cfg.kind != KIND_SYM and cfg.kind != KIND_RANK:
         raise ConfigError("sweep supports kinds 'sym' and 'antisym-c1'")
+    if cfg.smooth_width is not None:
+        raise ConfigError("sweep builds indicator tables only; remove 'smooth_width'")
     f = cfg.target()
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
@@ -538,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build = sub.add_parser("build", parents=[common], help="build a tabulator and save it")
     p_build.set_defaults(handler=cmd_build)
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a saved model")
+    p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("model", help="path to a saved model")
     p_eval.add_argument("--x", help="configuration literal, JSON rows")
     p_eval.add_argument("--x-file", dest="x_file", help="file with a JSON configuration")

@@ -28,16 +28,10 @@ from .core import (
 )
 from .errors import DomainError
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
-from .approx_sym import (
-    MODE_INDICATOR,
-    MODE_SMOOTH,
-    build_sym,
-    delta_for_epsilon,
-    error_budget,
-    eval_sym,
-)
+from .approx_sym import SymmetricTabulator, build_sym, error_budget, eval_sym
 from .approx_antisym import (
     MODE_RANK,
+    AntisymTabulator,
     build_antisym,
     eval_antisym,
     reset_philox,
@@ -324,7 +318,6 @@ class VerificationReport:
     invariance_max_residual: float
     cauchy_residual: float | None
     slope: float | None
-    wall_time_s: float
     checks: tuple[CheckResult, ...]
 
     def __post_init__(self) -> None:
@@ -339,83 +332,67 @@ class VerificationReport:
 
 def run_verification(
     f: TargetFunction,
-    domain: DomainSpec,
-    delta: float | None = None,
-    epsilon: float | None = None,
-    construction: str = MODE_RANK,
-    smooth_width: float | None = None,
-    tau: float = 1e-3,
-    samples: int = 10000,
-    seed: int = 0,
+    tab: SymmetricTabulator | AntisymTabulator,
+    S: SampleSet,
+    gradient_bound: float,
     n_perms: int = 8,
     min_gap: float = 0.05,
-    fd_step: float | None = None,
-    cap: int = DEFAULT_WEDGE_CAP,
-):
-    """Build one tabulator and run the full measurement suite against it.
+) -> VerificationReport:
+    """Run the full measurement suite on a built tabulator of ``f`` over ``S``.
 
-    Exactly one of ``delta``/``epsilon`` must be given; an accuracy target
-    is converted to a spacing through the measured gradient bound. Returns
-    (report, tabulator).
+    ``gradient_bound`` is the bound measured on ``S``; the error budget is
+    tab.spec.delta * sqrt(N d) * gradient_bound. The invariance threshold is
+    0 for an indicator tabulator and 1e-12 for a smooth one. The Cauchy
+    check runs for anti-symmetric tabulators in d = 1. Raises ValueError
+    when the tabulator's symmetry differs from ``f.declared_symmetry``.
     """
-    if (delta is None) == (epsilon is None):
-        raise ValueError("give exactly one of delta and epsilon")
-    start = time.perf_counter()
-    S = sample_configurations(domain, samples, seed)
-    L_hat = gradient_bound_estimate(f, S, h=fd_step)
-    if delta is None:
-        if L_hat <= 0.0:
-            raise ValueError("measured gradient bound is zero; cannot size the lattice")
-        delta = delta_for_epsilon(epsilon, domain.N, domain.d, L_hat)
-    spec = LatticeSpec.from_domain(domain, delta)
+    if isinstance(tab, SymmetricTabulator):
+        symmetry, evaluate = Symmetry.SYMMETRIC, eval_sym
+    else:
+        symmetry, evaluate = Symmetry.ANTISYMMETRIC, eval_antisym
+    if f.declared_symmetry is not symmetry:
+        raise ValueError(
+            f"cannot verify a {kind_of(tab)} tabulator against target {f.name!r}, "
+            f"which is {f.declared_symmetry.value}"
+        )
+    N, d, delta = tab.N, tab.spec.d, tab.spec.delta
 
     scale = 1.0
     for X in S.configurations:
         scale = max(scale, abs(f(X)))
-    target_residual = invariance_suite(f, S, n_perms, f.declared_symmetry) / scale
+    target_residual = invariance_suite(f, S, n_perms, symmetry) / scale
 
-    if f.declared_symmetry is Symmetry.SYMMETRIC:
-        mode = MODE_SMOOTH if smooth_width is not None else MODE_INDICATOR
-        tab = build_sym(f, spec, domain.N, mode=mode, smooth_width=smooth_width, cap=cap)
-        approx = lambda X: eval_sym(tab, X)
-        indicator = mode == MODE_INDICATOR
-    elif f.declared_symmetry is Symmetry.ANTISYMMETRIC:
-        tab = build_antisym(f, spec, domain.N, mode=construction, tau=tau,
-                            smooth_width=smooth_width, cap=cap)
-        approx = lambda X: eval_antisym(tab, X)
-        indicator = smooth_width is None
-    else:
-        raise ValueError("verification needs a target with a declared symmetry")
-
+    approx = lambda X: evaluate(tab, X)
     sup, arg = sup_error(f, approx, S)
-    budget = error_budget(delta, domain.N, domain.d, L_hat).bound if L_hat > 0 else 0.0
-    invariance = invariance_suite(approx, S, n_perms, f.declared_symmetry)
+    budget = error_budget(delta, N, d, gradient_bound).bound if gradient_bound > 0 else 0.0
+    invariance = invariance_suite(approx, S, n_perms, symmetry)
     cauchy = None
-    if f.declared_symmetry is Symmetry.ANTISYMMETRIC and domain.d == 1:
+    if symmetry is Symmetry.ANTISYMMETRIC and d == 1:
         cauchy = cauchy_factor_check(f, S, min_gap)
 
+    invariance_threshold = 0.0 if tab.smooth_width is None else 1e-12
     checks = [
         CheckResult("target_symmetry_residual", target_residual, 1e-12, target_residual <= 1e-12),
         CheckResult("sup_error_within_budget", sup, budget + BOUND_SLACK, sup <= budget + BOUND_SLACK),
         CheckResult(
             "invariance_residual",
             invariance,
-            0.0 if indicator else 1e-12,
-            invariance <= (0.0 if indicator else 1e-12),
+            invariance_threshold,
+            invariance <= invariance_threshold,
         ),
     ]
     if cauchy is not None:
         checks.append(CheckResult("cauchy_factor_residual", cauchy, 1e-9, cauchy <= 1e-9))
 
-    report = VerificationReport(
+    return VerificationReport(
         target=f.name,
         kind=kind_of(tab),
-        d=domain.d,
-        N=domain.N,
+        d=d,
+        N=N,
         delta=delta,
-        samples=samples,
-        seed=seed,
-        gradient_bound=L_hat,
+        samples=S.count,
+        seed=S.seed,
+        gradient_bound=gradient_bound,
         sup_error=sup,
         argmax_configuration=arg,
         bound=budget,
@@ -423,7 +400,5 @@ def run_verification(
         invariance_max_residual=invariance,
         cauchy_residual=cauchy,
         slope=None,
-        wall_time_s=time.perf_counter() - start,
         checks=tuple(checks),
     )
-    return report, tab

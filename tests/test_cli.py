@@ -8,6 +8,7 @@ import pytest
 import symwedge.cli as cli
 from symwedge import (
     Configuration,
+    epsilon_density_limit,
     eval_antisym,
     eval_sym,
     load_model,
@@ -378,11 +379,11 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     real = cli.run_verification
 
     def sabotaged(*args, **kwargs):
-        report, tab = real(*args, **kwargs)
+        report = real(*args, **kwargs)
         bad = dataclasses.replace(
             report.checks[0], passed=False, threshold=-1.0
         )
-        return dataclasses.replace(report, checks=(bad,) + report.checks[1:]), tab
+        return dataclasses.replace(report, checks=(bad,) + report.checks[1:])
 
     monkeypatch.setattr(cli, "run_verification", sabotaged)
     config = write_config(tmp_path, samples=300)
@@ -391,6 +392,61 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
+
+
+def test_verify_epsilon_route(tmp_path, capsys):
+    config = write_config(tmp_path, delta=None, epsilon=0.5, samples=2000, seed=73)
+    code, _, _ = run(capsys, "verify", "--config", config)
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    # delta = eps / (sqrt(Nd) * L_hat) with L_hat almost exactly sqrt(2)
+    assert report["delta"]["dec"] == pytest.approx(0.25, rel=1e-9)
+    assert report["bound"]["dec"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_verify_needs_exactly_one_accuracy_knob(tmp_path, capsys):
+    config = write_config(tmp_path, delta=None)
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert (code, out) == (2, "")
+    assert err == "error: config needs 'delta' or 'epsilon' for this command\n"
+    config = write_config(tmp_path, epsilon=0.3)
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert (code, out) == (2, "")
+    assert err == "error: give exactly one of delta and epsilon, not both\n"
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("epsilon", [epsilon_density_limit(2, 1), 0.9], ids=["at", "above"])
+def test_epsilon_not_below_density_limit_exits_2(tmp_path, capsys, command, epsilon):
+    config = write_config(tmp_path, delta=None, epsilon=epsilon)
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out) == (2, "")
+    limit = epsilon_density_limit(2, 1)
+    assert err == (
+        f"error: epsilon = {epsilon} is not below the density limit {limit} "
+        "for N = 2, d = 1\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "sweep"])
+@pytest.mark.parametrize(
+    "kind, target, message",
+    [
+        ("sym", "vandermonde-sum-antisym",
+         "kind 'sym' tabulates symmetric targets; 'vandermonde-sum-antisym' is antisymmetric"),
+        ("antisym-c1", "gaussian-pair-sym",
+         "kind 'antisym-c1' tabulates antisymmetric targets; 'gaussian-pair-sym' is symmetric"),
+    ],
+    ids=["sym-kind", "antisym-kind"],
+)
+def test_kind_and_target_symmetry_must_agree(tmp_path, capsys, command, kind, target, message):
+    config = write_config(
+        tmp_path, kind=kind, target=target, deltas=[0.5, 0.25, 0.125], samples=50
+    )
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_csv_shape(tmp_path, capsys):
@@ -436,6 +492,29 @@ def test_sweep_rejects_projected_kind(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", config)
     assert code == 2
     assert "sweep supports kinds" in err
+
+
+def test_sweep_rejects_smooth_width(tmp_path, capsys):
+    config = write_config(
+        tmp_path, delta=None, deltas=[0.5, 0.25, 0.125], smooth_width=0.05
+    )
+    code, out, err = run(capsys, "sweep", "--config", config)
+    assert (code, out) == (2, "")
+    assert err == "error: sweep builds indicator tables only; remove 'smooth_width'\n"
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--config", "missing.json"], ["--seed", "1"], ["--out", "elsewhere"], ["--cap", "1"],
+     ["--timings"]],
+    ids=["config", "seed", "out", "cap", "timings"],
+)
+def test_eval_takes_no_config_flags(tmp_path, capsys, flag):
+    model_path, _ = build_model(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", model_path, "--x", "[[0.2], [0.7]]", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_and_out_overrides(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from symwedge import (
     MODE_PROJECTED,
+    MODE_SMOOTH,
     Configuration,
     DomainSpec,
     LatticeSpec,
@@ -412,9 +413,16 @@ def test_cauchy_validation():
 # ---------------------------------------------------------------- reports
 
 
+def verify(f, domain, delta, samples, seed, build=build_sym, **build_options):
+    S = sample_configurations(domain, samples, seed)
+    tab = build(f, LatticeSpec.from_domain(domain, delta), domain.N, **build_options)
+    return run_verification(f, tab, S, gradient_bound_estimate(f, S))
+
+
 def test_run_verification_sym_passes():
-    report, tab = run_verification(SUM_12, UNIT_12, delta=0.25, samples=2000, seed=71)
+    report = verify(SUM_12, UNIT_12, 0.25, 2000, 71)
     assert report.kind == "sym"
+    assert (report.N, report.d, report.delta, report.samples, report.seed) == (2, 1, 0.25, 2000, 71)
     assert report.passed
     assert report.bound_satisfied
     assert report.sup_error <= report.bound + 1e-12
@@ -429,30 +437,25 @@ def test_run_verification_sym_passes():
 
 def test_run_verification_antisym_includes_cauchy():
     f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
-    report, tab = run_verification(
-        f, UNIT_12, delta=0.25, construction=MODE_PROJECTED, samples=2000, seed=72
-    )
+    report = verify(f, UNIT_12, 0.25, 2000, 72, build=build_antisym, mode=MODE_PROJECTED)
     assert report.kind == "antisym-c2"
     assert report.cauchy_residual is not None
     assert report.passed
 
 
-def test_run_verification_epsilon_route():
-    report, _ = run_verification(SUM_12, UNIT_12, epsilon=0.5, samples=2000, seed=73)
-    # delta = eps / (sqrt(Nd) * L_hat) with L_hat almost exactly sqrt(2)
-    assert report.delta == pytest.approx(0.25, rel=1e-9)
-    assert report.bound == pytest.approx(0.5, rel=1e-9)
-
-
-def test_run_verification_needs_exactly_one_accuracy_knob():
-    with pytest.raises(ValueError):
-        run_verification(SUM_12, UNIT_12, samples=10, seed=1)
-    with pytest.raises(ValueError):
-        run_verification(SUM_12, UNIT_12, delta=0.25, epsilon=0.5, samples=10, seed=1)
+def test_run_verification_rejects_a_tabulator_of_the_other_symmetry():
+    antisym = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    S = sample_configurations(UNIT_12, 10, 1)
+    spec = LatticeSpec.from_domain(UNIT_12, 0.5)
+    message = "antisym-c1 tabulator against target 'sum-coords', which is symmetric"
+    with pytest.raises(ValueError, match=message):
+        run_verification(SUM_12, build_antisym(antisym, spec, 2), S, 1.0)
+    with pytest.raises(ValueError, match="a sym tabulator .* which is antisymmetric"):
+        run_verification(antisym, build_sym(SUM_12, spec, 2), S, 1.0)
 
 
 def test_verification_report_consistency_enforced():
-    report, _ = run_verification(SUM_12, UNIT_12, delta=0.5, samples=200, seed=74)
+    report = verify(SUM_12, UNIT_12, 0.5, 200, 74)
     from dataclasses import replace
 
     with pytest.raises(ValueError):
@@ -461,9 +464,7 @@ def test_verification_report_consistency_enforced():
 
 def test_run_verification_smooth_mode():
     f = builtin_target("gaussian-pair-sym", {"d": 1, "N": 2})
-    report, _ = run_verification(
-        f, UNIT_12, delta=0.25, smooth_width=0.06, samples=1000, seed=75
-    )
+    report = verify(f, UNIT_12, 0.25, 1000, 75, mode=MODE_SMOOTH, smooth_width=0.06)
     assert report.passed
     smooth_check = {c.name: c for c in report.checks}["invariance_residual"]
     assert smooth_check.threshold == 1e-12
