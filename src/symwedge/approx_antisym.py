@@ -47,15 +47,17 @@ from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
     WedgeKey,
+    _check_smooth_width,
     enumerate_wedge,
     locate,
     repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
-    wedge_size,
 )
-from .approx_sym import BuildStats, corner_values, smooth_weights
+from .approx_sym import BuildStats, _wedge_stats, corner_values, smooth_weights
 
 __all__ = [
+    "KIND_RANK",
+    "KIND_PROJECTED",
     "MODE_RANK",
     "MODE_PROJECTED",
     "AntisymTabulator",
@@ -70,6 +72,8 @@ __all__ = [
     "entry_seed",
 ]
 
+KIND_RANK = "antisym-c1"
+KIND_PROJECTED = "antisym-c2"
 MODE_RANK = "rank"
 MODE_PROJECTED = "projected"
 MAX_DIRECTION_DRAWS = 1000
@@ -312,16 +316,28 @@ def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntisymTabulator:
-    """A built table for one anti-symmetric target on one lattice."""
+    """A built table for one anti-symmetric target on one lattice.
+
+    ``directions`` None is the rank construction (``tau`` None too);
+    otherwise it holds each entry's projected direction, chosen at ``tau``.
+    ``smooth_width`` None selects indicator evaluation; a width (projected
+    construction only) selects the smooth blend.
+    """
 
     spec: LatticeSpec
     N: int
-    mode: str
     tau: float | None
     smooth_width: float | None
     table: dict[WedgeKey, float]
     directions: dict[WedgeKey, tuple[float, ...]] | None
-    stats: BuildStats
+
+    @property
+    def kind(self) -> str:
+        return KIND_RANK if self.directions is None else KIND_PROJECTED
+
+    @property
+    def stats(self) -> BuildStats:
+        return _wedge_stats(self.spec, self.N)
 
 
 def build_antisym(
@@ -343,38 +359,26 @@ def build_antisym(
     if smooth_width is not None:
         if mode != MODE_PROJECTED:
             raise ValueError("smoothing is only available in projected mode")
-        if not 0.0 < smooth_width <= spec.delta / 2.0:
-            raise ValueError(
-                f"need 0 < smooth_width <= delta/2 = {spec.delta / 2.0}, got {smooth_width}"
-            )
+        _check_smooth_width(spec, smooth_width)
     distinct = [zs for zs in enumerate_wedge(spec, N, cap=cap) if repetition_constant(zs) == 1]
-    table: dict[WedgeKey, float] = {}
-    directions: dict[WedgeKey, tuple[float, ...]] | None = None
     if mode == MODE_RANK:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
-        table = dict(corner_values(f, spec, distinct))
-    else:
-        directions = {}
-        # All target calls run before the direction search, so a non-finite
-        # target value is reported before any direction failure.
-        entries = list(corner_values(f, spec, distinct))
-        for start in range(0, len(entries), _DIRECTION_CHUNK):
-            chunk = entries[start : start + _DIRECTION_CHUNK]
-            keys = [zs for zs, _ in chunk]
-            idx = _key_array(keys, N, spec.d)
-            A = _choose_directions(keys, idx, tau)
-            psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
-            for (zs, value), a, p in zip(chunk, A.tolist(), psi.tolist()):
-                directions[zs] = tuple(a)
-                table[zs] = value / p
-    stats = BuildStats(
-        evaluations=len(distinct),
-        wedge_count=wedge_size(spec, N),
-        coarse_lattice=spec.delta > N ** (-1.0 / spec.d),
-    )
-    return AntisymTabulator(
-        spec, N, mode, tau if mode == MODE_PROJECTED else None, smooth_width, table, directions, stats
-    )
+        return AntisymTabulator(spec, N, None, None, dict(corner_values(f, spec, distinct)), None)
+    table: dict[WedgeKey, float] = {}
+    directions: dict[WedgeKey, tuple[float, ...]] = {}
+    # All target calls run before the direction search, so a non-finite
+    # target value is reported before any direction failure.
+    entries = list(corner_values(f, spec, distinct))
+    for start in range(0, len(entries), _DIRECTION_CHUNK):
+        chunk = entries[start : start + _DIRECTION_CHUNK]
+        keys = [zs for zs, _ in chunk]
+        idx = _key_array(keys, N, spec.d)
+        A = _choose_directions(keys, idx, tau)
+        psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
+        for (zs, value), a, p in zip(chunk, A.tolist(), psi.tolist()):
+            directions[zs] = tuple(a)
+            table[zs] = value / p
+    return AntisymTabulator(spec, N, tau, smooth_width, table, directions)
 
 
 def _sorted_with_sign(X: Configuration) -> tuple[list[tuple[float, ...]], int]:
@@ -408,7 +412,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
             return 0.0
         sign = assignment.sign
         zs = assignment.wedge
-        if T.mode == MODE_RANK:
+        if T.directions is None:
             return sign * T.table[zs]
         psi = _projected_pair_product(T.directions[zs], [T.spec.position(z) for z in zs])
         return sign * T.table[zs] * psi

@@ -27,15 +27,18 @@ from .lattice import (
     LatticeIndex,
     LatticeSpec,
     WedgeKey,
+    _check_smooth_width,
     cell_of,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,
     locate,
     repetition_constant,
     site_weight_support,
+    wedge_size,
 )
 
 __all__ = [
+    "KIND_SYM",
     "MODE_INDICATOR",
     "MODE_SMOOTH",
     "BuildStats",
@@ -54,6 +57,7 @@ __all__ = [
     "delta_for_epsilon",
 ]
 
+KIND_SYM = "sym"
 MODE_INDICATOR = "indicator"
 MODE_SMOOTH = "smooth"
 DEFAULT_FEATURE_CAP = 10**6
@@ -61,41 +65,41 @@ DEFAULT_FEATURE_CAP = 10**6
 
 @dataclass(frozen=True)
 class BuildStats:
-    """Build metadata: work done and the lattice regime the table lives in.
+    """The size and regime of a tabulator's lattice wedge.
 
     ``coarse_lattice`` flags spacings above N^(-1/d), where cells hold more
     than one point on average and the wedge no longer resolves the targets.
     """
 
-    evaluations: int
     wedge_count: int
     coarse_lattice: bool
 
 
+def _wedge_stats(spec: LatticeSpec, N: int) -> BuildStats:
+    """BuildStats of the N-slot wedge over ``spec``."""
+    return BuildStats(wedge_size(spec, N), spec.delta > N ** (-1.0 / spec.d))
+
+
 @dataclass(frozen=True)
 class SymmetricTabulator:
-    """A built table for one symmetric target on one lattice."""
+    """A built table for one symmetric target on one lattice.
+
+    ``smooth_width`` None selects indicator evaluation; a width selects the
+    smooth blend.
+    """
 
     spec: LatticeSpec
     N: int
-    mode: str
     smooth_width: float | None
     table: dict[WedgeKey, float]
-    stats: BuildStats
 
+    @property
+    def kind(self) -> str:
+        return KIND_SYM
 
-def _validate_mode(spec: LatticeSpec, mode: str, smooth_width: float | None) -> None:
-    if mode not in (MODE_INDICATOR, MODE_SMOOTH):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_SMOOTH:
-        if smooth_width is None:
-            raise ValueError("smooth mode needs a width")
-        if not 0.0 < smooth_width <= spec.delta / 2.0:
-            raise ValueError(
-                f"need 0 < smooth_width <= delta/2 = {spec.delta / 2.0}, got {smooth_width}"
-            )
-    elif smooth_width is not None:
-        raise ValueError("smooth_width only applies to smooth mode")
+    @property
+    def stats(self) -> BuildStats:
+        return _wedge_stats(self.spec, self.N)
 
 
 def corner_values(
@@ -135,16 +139,16 @@ def build_sym(
         raise ValueError(
             f"build_sym needs a symmetric target, got {f.declared_symmetry.value!r}"
         )
-    _validate_mode(spec, mode, smooth_width)
+    if mode == MODE_SMOOTH:
+        _check_smooth_width(spec, smooth_width)
+    elif mode != MODE_INDICATOR:
+        raise ValueError(f"unknown mode {mode!r}")
+    elif smooth_width is not None:
+        raise ValueError("smooth_width only applies to smooth mode")
     table: dict[WedgeKey, float] = {}
     for zs, value in corner_values(f, spec, enumerate_wedge(spec, N, cap=cap)):
         table[zs] = value / repetition_constant(zs)
-    stats = BuildStats(
-        evaluations=len(table),
-        wedge_count=len(table),
-        coarse_lattice=spec.delta > N ** (-1.0 / spec.d),
-    )
-    return SymmetricTabulator(spec, N, mode, smooth_width, table, stats)
+    return SymmetricTabulator(spec, N, smooth_width, table)
 
 
 def _check_eval_input(T, X: Configuration) -> None:
@@ -183,7 +187,7 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     sorted configuration, so it is equally order-blind.
     """
     _check_eval_input(T, X)
-    if T.mode == MODE_INDICATOR:
+    if T.smooth_width is None:
         assignment = locate(T.spec, X)
         return T.table[assignment.wedge] * assignment.repetition
     total = 0.0
@@ -205,7 +209,7 @@ def eval_sym_feature_form(
     exp(-inf) sentinel and are skipped as written.
     """
     _check_eval_input(T, X)
-    if T.mode != MODE_INDICATOR:
+    if T.smooth_width is not None:
         raise ValueError("feature-form evaluation is defined for indicator mode only")
     N = T.N
     m = len(T.table) * (1 << N)

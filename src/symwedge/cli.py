@@ -283,18 +283,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return _apply_overrides(parse_config(args.config), args)
 
 
-def _resolve_delta(
-    cfg: ExperimentConfig, f: TargetFunction, S: SampleSet | None = None
-) -> tuple[float, float | None]:
-    """Spacing for a single-lattice command, and the gradient bound measured
-    to get it (None for an explicit delta).
-
-    An accuracy target must sit below the density limit; it is converted
-    through the gradient bound measured on ``S``, or on the config's samples
-    when ``S`` is not given.
-    """
+def _check_single_lattice(cfg: ExperimentConfig) -> None:
+    """A single-lattice command (build, verify) takes 'delta', or an accuracy
+    'epsilon' below the density limit, and no 'deltas'."""
+    if cfg.deltas is not None:
+        raise ConfigError("'deltas' is for sweep; this command takes 'delta' or 'epsilon'")
     if cfg.delta is not None:
-        return cfg.delta, None
+        return
     if cfg.epsilon is None:
         raise ConfigError("config needs 'delta' or 'epsilon' for this command")
     limit = epsilon_density_limit(cfg.N, cfg.d)
@@ -303,6 +298,19 @@ def _resolve_delta(
             f"epsilon = {cfg.epsilon} is not below the density limit {limit} "
             f"for N = {cfg.N}, d = {cfg.d}"
         )
+
+
+def _resolve_delta(
+    cfg: ExperimentConfig, f: TargetFunction, S: SampleSet | None = None
+) -> tuple[float, float | None]:
+    """Spacing for a config that passed ``_check_single_lattice``, and the
+    gradient bound measured to get it (None for an explicit delta).
+
+    An accuracy target is converted through the gradient bound measured on
+    ``S``, or on the config's samples when ``S`` is not given.
+    """
+    if cfg.delta is not None:
+        return cfg.delta, None
     if S is None:
         S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     L_hat = gradient_bound_estimate(f, S)
@@ -328,6 +336,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
+    _check_single_lattice(cfg)
     delta, L_hat = _resolve_delta(cfg, f)
     tab = _build_tabulator(cfg, f, delta)
     os.makedirs(cfg.out, exist_ok=True)
@@ -457,6 +466,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
+    _check_single_lattice(cfg)
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     delta, L_hat = _resolve_delta(cfg, f, S)
     if L_hat is None:
@@ -489,6 +499,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.smooth_width is not None:
         raise ConfigError("sweep builds indicator tables only; remove 'smooth_width'")
     f = cfg.target()
+    for key in ("delta", "epsilon"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"sweep takes its spacings from 'deltas'; remove {key!r}")
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
     result = convergence_sweep(f, cfg.domain(), cfg.deltas, S, cap=cfg.cap)

@@ -37,7 +37,6 @@ from .approx_antisym import (
     reset_philox,
     vandermonde_product,
 )
-from .persistence import kind_of
 
 __all__ = [
     "SampleSet",
@@ -153,10 +152,9 @@ def invariance_suite(
     S: SampleSet,
     n_perms: int,
     symmetry: Symmetry,
-    seed: int | None = None,
 ) -> float:
-    """Max residual of the declared permutation law over seeded random
-    permutations: |e(sigma X) - e(X)| for symmetric evaluators,
+    """Max residual of the declared permutation law over random permutations
+    seeded from ``S.seed``: |e(sigma X) - e(X)| for symmetric evaluators,
     |e(sigma X) - sign(sigma) e(X)| for anti-symmetric ones.
 
     One Permutation and its sign are built per distinct draw (at most N!).
@@ -165,8 +163,7 @@ def invariance_suite(
         raise ValueError("need at least one permutation per sample")
     if symmetry is Symmetry.NONE:
         raise ValueError("no invariance law to test for an asymmetric evaluator")
-    if seed is None:
-        seed = S.seed ^ _PERM_SEED_SALT
+    seed = S.seed ^ _PERM_SEED_SALT
     N = S.domain.N
     rng = np.random.Generator(np.random.Philox(key=0))
     signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
@@ -352,7 +349,7 @@ def run_verification(
         symmetry, evaluate = Symmetry.ANTISYMMETRIC, eval_antisym
     if f.declared_symmetry is not symmetry:
         raise ValueError(
-            f"cannot verify a {kind_of(tab)} tabulator against target {f.name!r}, "
+            f"cannot verify a {tab.kind} tabulator against target {f.name!r}, "
             f"which is {f.declared_symmetry.value}"
         )
     N, d, delta = tab.N, tab.spec.d, tab.spec.delta
@@ -386,7 +383,7 @@ def run_verification(
 
     return VerificationReport(
         target=f.name,
-        kind=kind_of(tab),
+        kind=tab.kind,
         d=d,
         N=N,
         delta=delta,

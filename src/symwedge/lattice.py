@@ -313,6 +313,12 @@ def _axis_profile(spec: LatticeSpec, index: int, c: float, w: float) -> float:
     return _smoothstep((fall_to - c) / (2.0 * w))
 
 
+def _check_smooth_width(spec: LatticeSpec, w: float | None) -> None:
+    """Smoothing needs a width 0 < w <= delta/2, so only adjacent cells overlap."""
+    if w is None or not 0.0 < w <= spec.delta / 2.0:
+        raise ValueError(f"need 0 < smooth width w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
+
+
 def smooth_cutoff(spec: LatticeSpec, z: LatticeIndex, x: Point | Sequence[float], w: float) -> float:
     """Tensor-product quintic cutoff for cell z: 1 on the inner plateau
     [corner + w, corner + delta - w], 0 outside [corner - w, corner + delta + w].
@@ -320,8 +326,7 @@ def smooth_cutoff(spec: LatticeSpec, z: LatticeIndex, x: Point | Sequence[float]
     On a shared cell face each crossing coordinate contributes exactly 1/2.
     Requires 0 < w <= delta/2 so only adjacent cells overlap.
     """
-    if not 0.0 < w <= spec.delta / 2.0:
-        raise ValueError(f"need 0 < w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
+    _check_smooth_width(spec, w)
     coords = x.coords if isinstance(x, Point) else tuple(x)
     if len(coords) != spec.d or len(z) != spec.d:
         raise DomainError("dimension mismatch in smooth_cutoff")
@@ -366,8 +371,7 @@ def site_weight_support(
 ) -> tuple[tuple[LatticeIndex, float], ...]:
     """Tensor product of the per-axis supports: the sites a single point
     spreads its unit mass over. Weights sum to one."""
-    if not 0.0 < w <= spec.delta / 2.0:
-        raise ValueError(f"need 0 < w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
+    _check_smooth_width(spec, w)
     coords = x.coords if isinstance(x, Point) else tuple(x)
     if len(coords) != spec.d:
         raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")

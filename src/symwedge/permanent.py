@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, SizeLimitError
 
@@ -82,15 +82,22 @@ def permanent_bruteforce(A) -> float:
     return total
 
 
-def permanent_ryser(A) -> float:
-    """Inclusion-exclusion permanent over a Gray-code subset walk, O(2^n * n)."""
+def _checked(A) -> SquareMatrix:
     m = _coerce(A)
-    n = m.n
-    if n > INCLUSION_EXCLUSION_MAX_N:
+    if m.n > INCLUSION_EXCLUSION_MAX_N:
         raise SizeLimitError(
-            f"inclusion-exclusion permanent capped at n <= {INCLUSION_EXCLUSION_MAX_N}, got {n}"
+            f"inclusion-exclusion permanent capped at n <= {INCLUSION_EXCLUSION_MAX_N}, got {m.n}"
         )
-    rows = m.entries
+    return m
+
+
+def _gray_code_sum(
+    rows: tuple[tuple[float, ...], ...],
+    subset_product: Callable[[list[float]], float | None],
+) -> float:
+    """(-1)^n sum_S (-1)^|S| subset_product(row sums over S), walking the
+    nonempty column subsets S in Gray-code order; a None product is skipped."""
+    n = len(rows)
     row_sums = [0.0] * n
     total = 0.0
     comp = 0.0  # Kahan compensation for the alternating outer sum
@@ -106,15 +113,29 @@ def permanent_ryser(A) -> float:
             for i in range(n):
                 row_sums[i] -= rows[i][j]
         prev_gray = gray
-        prod = 1.0
-        for s in row_sums:
-            prod *= s
+        prod = subset_product(row_sums)
+        if prod is None:
+            continue
         term = -prod if gray.bit_count() & 1 else prod
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
     return -total if n & 1 else total
+
+
+def permanent_ryser(A) -> float:
+    """Inclusion-exclusion permanent over a Gray-code subset walk, O(2^n * n)."""
+    return _gray_code_sum(_checked(A).entries, math.prod)
+
+
+def _exp_sum_log(row_sums: list[float]) -> float | None:
+    log_prod = 0.0
+    for s in row_sums:
+        if s <= 0.0:
+            return None
+        log_prod += math.log(s)
+    return math.exp(log_prod)
 
 
 def permanent_ryser_logdomain(A) -> float:
@@ -124,43 +145,7 @@ def permanent_ryser_logdomain(A) -> float:
     tiny negative by cancellation in the Gray-code updates) contribute an
     exact zero term, the exp(-inf) convention.
     """
-    m = _coerce(A)
-    n = m.n
-    if n > INCLUSION_EXCLUSION_MAX_N:
-        raise SizeLimitError(
-            f"inclusion-exclusion permanent capped at n <= {INCLUSION_EXCLUSION_MAX_N}, got {n}"
-        )
-    rows = m.entries
+    rows = _checked(A).entries
     if any(v < 0.0 for row in rows for v in row):
         raise DomainError("log-domain permanent requires nonnegative entries")
-    row_sums = [0.0] * n
-    total = 0.0
-    comp = 0.0
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ prev_gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            for i in range(n):
-                row_sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                row_sums[i] -= rows[i][j]
-        prev_gray = gray
-        log_prod = 0.0
-        vanished = False
-        for s in row_sums:
-            if s <= 0.0:
-                vanished = True
-                break
-            log_prod += math.log(s)
-        if vanished:
-            continue
-        prod = math.exp(log_prod)
-        term = -prod if gray.bit_count() & 1 else prod
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return -total if n & 1 else total
+    return _gray_code_sum(rows, _exp_sum_log)

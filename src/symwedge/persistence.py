@@ -47,15 +47,15 @@ from typing import Callable, TypeVar, Union
 import numpy as np
 
 from .approx_antisym import (
-    MODE_PROJECTED,
-    MODE_RANK,
+    KIND_PROJECTED,
+    KIND_RANK,
     AntisymTabulator,
     directions_valid,
     slot_rank_product,
 )
-from .approx_sym import MODE_INDICATOR, MODE_SMOOTH, BuildStats, SymmetricTabulator
+from .approx_sym import KIND_SYM, MODE_INDICATOR, MODE_SMOOTH, SymmetricTabulator
 from .errors import CapacityError, ConfigError
-from .lattice import LatticeSpec, WedgeKey, lattice_sites, wedge_size
+from .lattice import LatticeSpec, WedgeKey, _check_smooth_width, lattice_sites, wedge_size
 
 __all__ = [
     "MAGIC",
@@ -64,7 +64,6 @@ __all__ = [
     "KIND_RANK",
     "KIND_PROJECTED",
     "KINDS",
-    "kind_of",
     "save_model",
     "load_model",
     "write_text_atomic",
@@ -75,9 +74,6 @@ FORMAT_VERSION = 2
 
 Tabulator = Union[SymmetricTabulator, AntisymTabulator]
 
-KIND_SYM = "sym"
-KIND_RANK = "antisym-c1"
-KIND_PROJECTED = "antisym-c2"
 KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 _T = TypeVar("_T")
@@ -99,20 +95,13 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def kind_of(tab: Tabulator) -> str:
-    """The model kind name of a tabulator: sym, antisym-c1 or antisym-c2."""
-    if isinstance(tab, SymmetricTabulator):
-        return KIND_SYM
-    return KIND_RANK if tab.mode == MODE_RANK else KIND_PROJECTED
-
-
 def save_model(path: str, tab: Tabulator) -> None:
     spec = tab.spec
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
     lines = [
         f"{MAGIC} {FORMAT_VERSION}",
-        f"kind {kind_of(tab)}",
+        f"kind {tab.kind}",
         f"d {spec.d}",
         f"N {tab.N}",
         f"cells {spec.cells_per_dim}",
@@ -226,11 +215,10 @@ def load_model(path: str) -> Tabulator:
     if mode == MODE_SMOOTH:
         if kind == KIND_RANK:
             raise ConfigError(f"an {kind} model has indicator mode only, not {mode!r} on line 9")
-        if smooth is None or not 0.0 < smooth <= delta / 2.0:
-            raise ConfigError(
-                f"a smooth-mode model needs 0 < 'w' <= delta/2 = {delta / 2.0} "
-                f"on line 10, not {smooth}"
-            )
+        try:
+            _check_smooth_width(spec, smooth)
+        except ValueError as exc:
+            raise ConfigError(f"a smooth-mode model's 'w' on line 10 is invalid: {exc}") from None
     try:
         full_size = wedge_size(spec, N)
     except (ValueError, CapacityError) as exc:
@@ -273,21 +261,6 @@ def load_model(path: str) -> Tabulator:
         # Version 1 stored f(Z)/slot_rank_product(N) and multiplied back at eval.
         denom = slot_rank_product(N)
         table = {zs: coeff * denom for zs, coeff in table.items()}
-
-    stats = BuildStats(
-        evaluations=0,
-        wedge_count=full_size,
-        coarse_lattice=delta > N ** (-1.0 / d),
-    )
     if kind == KIND_SYM:
-        return SymmetricTabulator(spec, N, mode, smooth, table, stats)
-    return AntisymTabulator(
-        spec,
-        N,
-        MODE_RANK if kind == KIND_RANK else MODE_PROJECTED,
-        tau,
-        smooth,
-        table,
-        directions if want_direction else None,
-        stats,
-    )
+        return SymmetricTabulator(spec, N, smooth, table)
+    return AntisymTabulator(spec, N, tau, smooth, table, directions if want_direction else None)

@@ -295,7 +295,7 @@ def test_build_drops_repeated_cell_entries():
     tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_RANK)
     assert set(tab.table) == {((0,), (1,))}
     assert tab.stats.wedge_count == 3  # full wedge size, for M accounting
-    assert tab.stats.evaluations == 1
+    assert tab.kind == "antisym-c1"
 
 
 def test_build_rank_coefficient_example():

@@ -71,7 +71,8 @@ def test_build_sym_table_example():
         ((1,), (1,)): 0.5,  # f = 1.0 over C_Z = 2
     }
     assert tab.stats.wedge_count == 3
-    assert tab.stats.evaluations == 3
+    assert tab.stats.coarse_lattice is False  # delta = N^(-1/d) exactly
+    assert tab.kind == "sym"
 
 
 def test_build_sym_constant_entries():

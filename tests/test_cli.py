@@ -428,6 +428,49 @@ def test_epsilon_not_below_density_limit_exits_2(tmp_path, capsys, command, epsi
     )
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(delta=None), "config needs 'delta' or 'epsilon' for this command"),
+        (dict(delta=None, epsilon=0.9),
+         f"epsilon = 0.9 is not below the density limit {epsilon_density_limit(2, 1)} "
+         "for N = 2, d = 1"),
+    ],
+    ids=["no-accuracy", "above-limit"],
+)
+def test_verify_checks_accuracy_before_sampling(tmp_path, capsys, monkeypatch, overrides, message):
+    def no_sampling(*_args):
+        raise AssertionError("verify sampled before checking its accuracy setting")
+
+    monkeypatch.setattr(cli, "sample_configurations", no_sampling)
+    config = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+DELTAS = [0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("build", dict(deltas=DELTAS),
+         "'deltas' is for sweep; this command takes 'delta' or 'epsilon'"),
+        ("verify", dict(delta=None, epsilon=0.3, deltas=DELTAS),
+         "'deltas' is for sweep; this command takes 'delta' or 'epsilon'"),
+        ("sweep", dict(deltas=DELTAS), "sweep takes its spacings from 'deltas'; remove 'delta'"),
+        ("sweep", dict(delta=None, epsilon=5.0, deltas=DELTAS),
+         "sweep takes its spacings from 'deltas'; remove 'epsilon'"),
+    ],
+    ids=["build-deltas", "verify-deltas", "sweep-delta", "sweep-epsilon"],
+)
+def test_keys_a_command_ignores_are_config_errors(tmp_path, capsys, command, overrides, message):
+    config = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["build", "verify", "sweep"])
 @pytest.mark.parametrize(
     "kind, target, message",

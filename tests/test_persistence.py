@@ -52,7 +52,7 @@ def test_round_trip_sym_indicator(tmp_path):
     assert isinstance(loaded, SymmetricTabulator)
     assert loaded.spec == tab.spec
     assert loaded.table == tab.table  # equality of floats here is bitwise
-    assert loaded.mode == tab.mode
+    assert loaded.smooth_width is None
     rng = np.random.Generator(np.random.Philox(81))
     for _ in range(100):
         X = cfg(*random_rows(rng, 2, 2))
@@ -67,7 +67,6 @@ def test_round_trip_sym_smooth(tmp_path):
     save_model(path, tab)
 
     loaded = load_model(path)
-    assert loaded.mode == MODE_SMOOTH
     assert loaded.smooth_width == 0.0625
     rng = np.random.Generator(np.random.Philox(82))
     for _ in range(100):
@@ -84,7 +83,7 @@ def test_round_trip_antisym_rank(tmp_path):
 
     loaded = load_model(path)
     assert isinstance(loaded, AntisymTabulator)
-    assert loaded.mode == MODE_RANK
+    assert loaded.kind == "antisym-c1"
     assert loaded.table == tab.table
     assert loaded.directions is None
     rng = np.random.Generator(np.random.Philox(83))
@@ -101,13 +100,38 @@ def test_round_trip_antisym_projected_keeps_directions(tmp_path):
     save_model(path, tab)
 
     loaded = load_model(path)
-    assert loaded.mode == MODE_PROJECTED
+    assert loaded.kind == "antisym-c2"
     assert loaded.tau == tab.tau
     assert loaded.directions == tab.directions
     rng = np.random.Generator(np.random.Philox(84))
     for _ in range(100):
         X = cfg(*random_rows(rng, 2, 2))
         assert eval_antisym(loaded, X) == eval_antisym(tab, X)
+
+
+@pytest.mark.parametrize(
+    "kind, smooth_width",
+    [("sym", None), ("sym", 1 / 16), (MODE_RANK, None), (MODE_PROJECTED, None),
+     (MODE_PROJECTED, 1 / 16)],
+)
+def test_load_returns_the_saved_tabulator(tmp_path, kind, smooth_width):
+    spec = LatticeSpec.from_counts(8, 1, 0.0, 1.0)
+    if kind == "sym":
+        mode = MODE_SMOOTH if smooth_width is not None else MODE_INDICATOR
+        tab = build_sym(builtin_target("gaussian-pair-sym", {}), spec, 4, mode=mode,
+                        smooth_width=smooth_width)
+        evaluate = eval_sym
+    else:
+        tab = build_antisym(builtin_target("vandermonde-gauss-antisym", {}), spec, 4,
+                            mode=kind, smooth_width=smooth_width)
+        evaluate = eval_antisym
+    path = str(tmp_path / "m.swm")
+    save_model(path, tab)
+    loaded = load_model(path)
+    assert loaded == tab
+    assert (loaded.kind, loaded.stats) == (tab.kind, tab.stats)
+    for X in _pinned_stream(4, 1, 8, 200, 77):
+        assert evaluate(loaded, X).hex() == evaluate(tab, X).hex()
 
 
 def test_loaded_lattice_keeps_cell_count(tmp_path):
@@ -455,4 +479,4 @@ def test_load_accepts_smooth_width_up_to_half_delta(tmp_path):
     lines[8:10] = ["mode smooth", "w 0x1.0p-3"]
     path.write_text("\n".join(lines) + "\n")
     tab = load_model(str(path))
-    assert (tab.mode, tab.smooth_width) == (MODE_SMOOTH, 0.125)
+    assert (tab.kind, tab.smooth_width) == ("sym", 0.125)
