@@ -8,8 +8,6 @@ from .approx_antisym import (
     AntisymTabulator,
     build_antisym,
     choose_direction,
-    direction_is_valid,
-    equivariant_sort_map,
     eval_antisym,
     slot_rank_product,
     vandermonde_product,
@@ -18,7 +16,6 @@ from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
     BuildStats,
-    ErrorBudget,
     FeatureCountReport,
     SymmetricTabulator,
     build_sym,
@@ -39,8 +36,6 @@ from .core import (
     Symmetry,
     TargetFunction,
     builtin_target,
-    compose,
-    inverse,
     parity,
     permute,
 )
@@ -77,7 +72,6 @@ from .lattice import (
     lattice_sites,
     locate,
     repetition_constant,
-    smooth_cutoff,
     wedge_size,
 )
 from .permanent import (
@@ -107,7 +101,7 @@ __all__ = [
     # core
     "Symmetry", "Point", "Configuration", "DomainSpec", "Permutation",
     "TargetFunction", "builtin_target", "BUILTIN_TARGET_NAMES",
-    "permute", "parity", "compose", "inverse",
+    "permute", "parity",
     # errors
     "SymwedgeError", "DomainError", "SizeLimitError", "CapacityError",
     "BuildError", "DirectionSearchError", "InversionError", "ConfigError",
@@ -121,17 +115,15 @@ __all__ = [
     # lattice
     "LatticeSpec", "lattice_sites", "cell_of", "wedge_size", "enumerate_wedge",
     "repetition_constant", "CellAssignment", "locate", "corner_configuration",
-    "smooth_cutoff",
     # symmetric tabulator
     "MODE_INDICATOR", "MODE_SMOOTH", "BuildStats", "SymmetricTabulator",
     "build_sym", "eval_sym", "eval_sym_feature_form", "feature_count",
-    "FeatureCountReport", "error_budget", "ErrorBudget",
+    "FeatureCountReport", "error_budget",
     "delta_for_epsilon", "epsilon_density_limit", "feature_budget_bound",
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
     "eval_antisym", "vandermonde_product", "slot_rank_product",
-    "equivariant_sort_map", "choose_direction",
-    "direction_is_valid",
+    "choose_direction",
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",

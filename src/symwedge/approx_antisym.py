@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Configuration, Symmetry, TargetFunction, _inversion_sign
-from .errors import DirectionSearchError, DomainError
+from .errors import DirectionSearchError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
@@ -53,7 +53,7 @@ from .lattice import (
     repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
 )
-from .approx_sym import BuildStats, _wedge_stats, corner_values, smooth_weights
+from .approx_sym import BuildStats, _check_eval_input, _wedge_stats, corner_values, smooth_weights
 
 __all__ = [
     "KIND_RANK",
@@ -63,11 +63,10 @@ __all__ = [
     "AntisymTabulator",
     "vandermonde_product",
     "slot_rank_product",
-    "equivariant_sort_map",
     "build_antisym",
     "eval_antisym",
     "choose_direction",
-    "direction_is_valid",
+    "directions_valid",
     "fnv1a64",
     "entry_seed",
 ]
@@ -104,21 +103,6 @@ def slot_rank_product(N: int) -> float:
         for j in range(i + 1, N + 1):
             prod *= i - j
     return float(prod)
-
-
-def equivariant_sort_map(spec: LatticeSpec, zs: WedgeKey, X: Configuration) -> tuple[float, ...]:
-    """1-based rank of each input slot within the wedge entry zs containing X.
-
-    A configuration already sorted to match zs gets (1, ..., N); a swap of
-    two slots swaps the corresponding ranks. The input must lie inside the
-    box of zs and zs must have distinct cells.
-    """
-    assignment = locate(spec, X)
-    if assignment.repetition > 1:
-        raise ValueError("rank map needs a wedge entry with distinct cells")
-    if assignment.wedge != zs:
-        raise DomainError(f"configuration lies in {assignment.wedge}, not in {zs}")
-    return tuple(float(i + 1) for i in assignment.sigma.images)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -191,10 +175,13 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
-    """direction_is_valid for each row of directions A (K, d) and keys idx (K, N, d).
+    """Whether each row of directions A (K, d) is valid for its key in idx
+    (K, N, d): every pair difference of the key projects onto the direction
+    with relative magnitude >= tau.
 
-    Accumulates each pair's dot product and squared length component by
-    component, as the scalar rule always has.
+    The criterion is scale-free, so integer index differences stand in for
+    the real corner differences. Each pair's dot product and squared length
+    accumulate component by component, as the scalar rule always has.
     """
     K, N, d = idx.shape
     valid = np.ones(K, dtype=bool)
@@ -210,16 +197,6 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     return valid
 
 
-def direction_is_valid(a: Sequence[float], zs: WedgeKey, tau: float) -> bool:
-    """All pair differences of zs project onto a with relative magnitude >= tau.
-
-    The criterion is scale-free, so integer index differences stand in for
-    the real corner differences.
-    """
-    idx = np.array([zs], dtype=np.int64)
-    return bool(directions_valid(np.array([a], dtype=float), idx, tau)[0])
-
-
 def _choose_direction_with_attempts(
     zs: WedgeKey, tau: float, seed: int
 ) -> tuple[tuple[float, ...], int]:
@@ -231,15 +208,14 @@ def _choose_direction_with_attempts(
             if zs[i] == zs[j]:
                 raise ValueError("direction choice needs distinct cells")
     d = len(zs[0])
+    idx = np.array([zs], dtype=np.int64)
     if d == 1:
-        a = (1.0,)
-        if direction_is_valid(a, zs, tau):
-            return a, 0
+        if directions_valid(np.ones((1, 1)), idx, tau)[0]:
+            return (1.0,), 0
         raise DirectionSearchError(
             f"no unit direction satisfies tau = {tau} for Z = {zs} (tau > 1 is unsatisfiable)"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = np.array([zs], dtype=np.int64)
     for attempt in range(1, MAX_DIRECTION_DRAWS + 1):
         v = rng.standard_normal(d)
         norm = float(np.sqrt(np.sum(v * v)))
@@ -402,10 +378,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     times the projected pair product of the actual (canonically sorted)
     coordinates.
     """
-    if X.N != T.N or X.d != T.spec.d:
-        raise ValueError(
-            f"tabulator is for N = {T.N}, d = {T.spec.d}; got N = {X.N}, d = {X.d}"
-        )
+    _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
         if assignment.repetition > 1:

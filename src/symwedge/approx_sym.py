@@ -44,7 +44,6 @@ __all__ = [
     "BuildStats",
     "SymmetricTabulator",
     "FeatureCountReport",
-    "ErrorBudget",
     "build_sym",
     "eval_sym",
     "eval_sym_feature_form",
@@ -154,7 +153,7 @@ def build_sym(
 def _check_eval_input(T, X: Configuration) -> None:
     if X.N != T.N or X.d != T.spec.d:
         raise ValueError(
-            f"tabulator is for N = {T.N}, d = {T.spec.d}; got N = {X.N}, d = {X.d}"
+            f"tabulator expects N = {T.N}, d = {T.spec.d}; got N = {X.N}, d = {X.d}"
         )
 
 
@@ -309,24 +308,14 @@ def feature_count(T: SymmetricTabulator, epsilon: float, L: float) -> FeatureCou
     )
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+def error_budget(delta: float, N: int, d: int, L: float) -> float:
     """Worst-case tabulation error delta * sqrt(N*d) * L for spacing delta,
     slot count N, dimension d, and gradient bound L."""
-
-    delta: float
-    N: int
-    d: int
-    L: float
-    bound: float
-
-
-def error_budget(delta: float, N: int, d: int, L: float) -> ErrorBudget:
     if delta <= 0.0 or L < 0.0:
         raise ValueError("need delta > 0 and L >= 0")
     if N < 1 or d < 1:
         raise ValueError("N and d must be at least 1")
-    return ErrorBudget(delta=delta, N=N, d=d, L=L, bound=delta * math.sqrt(N * d) * L)
+    return delta * math.sqrt(N * d) * L
 
 
 def delta_for_epsilon(epsilon: float, N: int, d: int, L: float) -> float:

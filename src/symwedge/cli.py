@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
 2 usage or configuration error, 3 capacity error (enumeration caps,
-direction-search budgets).
+direction-search budgets, memory).
 
 Outputs are deterministic for a fixed seed: JSON/CSV files are written with
 stable key order and shortest-round-trip float formatting, and wall-clock
@@ -50,6 +50,7 @@ from .harness import (
 )
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
 from .persistence import (
+    KIND_PROJECTED,
     KIND_RANK,
     KIND_SYM,
     KINDS,
@@ -136,8 +137,7 @@ def _optional_number(raw: Mapping[str, Any], key: str) -> float | None:
     return float(value)
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file; unknown keys are a hard error."""
+def _read_config(path: str) -> dict[str, Any]:
     try:
         with open(path, "r") as handle:
             raw = json.load(handle)
@@ -147,6 +147,15 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    """Read and validate a JSON config file; unknown keys are a hard error."""
+    return _config_from(_read_config(path))
+
+
+def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -211,6 +220,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError("smoothing is not available for kind antisym-c1")
 
     tau = _optional_number(raw, "tau")
+    if tau is not None and kind != KIND_PROJECTED:
+        raise ConfigError(f"'tau' is for kind {KIND_PROJECTED}; remove it")
     tau = 1e-3 if tau is None else tau
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
@@ -280,7 +291,13 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("this command needs --config PATH")
-    return _apply_overrides(parse_config(args.config), args)
+    raw = _read_config(args.config)
+    cfg = _apply_overrides(_config_from(raw), args)
+    if args.command == "build":
+        for key in ("n_perms", "min_gap"):
+            if key in raw:
+                raise ConfigError(f"{key!r} is for verify; remove it from a build config")
+    return cfg
 
 
 def _check_single_lattice(cfg: ExperimentConfig) -> None:
@@ -405,10 +422,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         with open(args.x_file, "r") as handle:
             X = _parse_configuration(handle.read())
-    if X.N != tab.N or X.d != tab.spec.d:
-        raise ConfigError(
-            f"model expects N = {tab.N}, d = {tab.spec.d}; got N = {X.N}, d = {X.d}"
-        )
     if isinstance(tab, SymmetricTabulator):
         value = eval_sym(tab, X)
     else:
@@ -439,7 +452,7 @@ def _report_json_text(report: VerificationReport, cfg: ExperimentConfig, wall_ti
         "cauchy_residual": _num(report.cauchy_residual)
         if report.cauchy_residual is not None
         else None,
-        "slope": _num(report.slope) if report.slope is not None else None,
+        "slope": None,  # one spacing fits no slope; the key keeps symwedge-report/1
         "wall_time_s": _num(wall_time_s),
         "passed": report.passed,
         "checks": [
@@ -559,8 +572,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (CapacityError, DirectionSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, DirectionSearchError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (SymwedgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

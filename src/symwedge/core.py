@@ -26,8 +26,6 @@ __all__ = [
     "TargetFunction",
     "permute",
     "parity",
-    "compose",
-    "inverse",
     "builtin_target",
     "BUILTIN_TARGET_NAMES",
 ]
@@ -116,11 +114,6 @@ class DomainSpec:
     def span(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, X: Configuration) -> bool:
-        if X.N != self.N or X.d != self.d:
-            return False
-        return all(self.lo <= c <= self.hi for p in X.points for c in p.coords)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -133,10 +126,6 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         object.__setattr__(self, "images", images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @property
     def size(self) -> int:
@@ -169,20 +158,6 @@ def _inversion_sign(seq: Sequence[int]) -> int:
 def parity(sigma: Permutation) -> int:
     """Sign (-1)^inversions of a permutation; +1 for even, -1 for odd."""
     return _inversion_sign(sigma.images)
-
-
-def compose(tau: Permutation, sigma: Permutation) -> Permutation:
-    """Composition such that permute(permute(X, sigma), tau) == permute(X, compose(tau, sigma))."""
-    if tau.size != sigma.size:
-        raise ValueError("cannot compose permutations of different sizes")
-    return Permutation(tuple(sigma.images[t] for t in tau.images))
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    inv = [0] * sigma.size
-    for i, j in enumerate(sigma.images):
-        inv[j] = i
-    return Permutation(tuple(inv))
 
 
 @dataclass(frozen=True)

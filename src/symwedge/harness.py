@@ -239,7 +239,7 @@ def convergence_sweep(
             SweepRow(
                 delta=delta,
                 sup_error=err,
-                bound=error_budget(delta, domain.N, domain.d, L_hat).bound if L_hat > 0 else 0.0,
+                bound=error_budget(delta, domain.N, domain.d, L_hat),
                 wedge_count=tab.stats.wedge_count,
                 M=tab.stats.wedge_count * (1 << domain.N),
                 wall_time_s=elapsed,
@@ -293,12 +293,15 @@ class CheckResult:
     name: str
     value: float
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.threshold
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything one verification run measured, plus pass/fail bookkeeping."""
+    """Everything one verification run measured; the verdicts are derived."""
 
     target: str
     kind: str
@@ -311,16 +314,13 @@ class VerificationReport:
     sup_error: float
     argmax_configuration: Configuration
     bound: float
-    bound_satisfied: bool
     invariance_max_residual: float
     cauchy_residual: float | None
-    slope: float | None
     checks: tuple[CheckResult, ...]
 
-    def __post_init__(self) -> None:
-        expected = self.sup_error <= self.bound + BOUND_SLACK
-        if self.bound_satisfied != expected:
-            raise ValueError("bound_satisfied is inconsistent with sup_error and bound")
+    @property
+    def bound_satisfied(self) -> bool:
+        return self.sup_error <= self.bound + BOUND_SLACK
 
     @property
     def passed(self) -> bool:
@@ -361,7 +361,7 @@ def run_verification(
 
     approx = lambda X: evaluate(tab, X)
     sup, arg = sup_error(f, approx, S)
-    budget = error_budget(delta, N, d, gradient_bound).bound if gradient_bound > 0 else 0.0
+    budget = error_budget(delta, N, d, gradient_bound)
     invariance = invariance_suite(approx, S, n_perms, symmetry)
     cauchy = None
     if symmetry is Symmetry.ANTISYMMETRIC and d == 1:
@@ -369,17 +369,12 @@ def run_verification(
 
     invariance_threshold = 0.0 if tab.smooth_width is None else 1e-12
     checks = [
-        CheckResult("target_symmetry_residual", target_residual, 1e-12, target_residual <= 1e-12),
-        CheckResult("sup_error_within_budget", sup, budget + BOUND_SLACK, sup <= budget + BOUND_SLACK),
-        CheckResult(
-            "invariance_residual",
-            invariance,
-            invariance_threshold,
-            invariance <= invariance_threshold,
-        ),
+        CheckResult("target_symmetry_residual", target_residual, 1e-12),
+        CheckResult("sup_error_within_budget", sup, budget + BOUND_SLACK),
+        CheckResult("invariance_residual", invariance, invariance_threshold),
     ]
     if cauchy is not None:
-        checks.append(CheckResult("cauchy_factor_residual", cauchy, 1e-9, cauchy <= 1e-9))
+        checks.append(CheckResult("cauchy_factor_residual", cauchy, 1e-9))
 
     return VerificationReport(
         target=f.name,
@@ -393,9 +388,7 @@ def run_verification(
         sup_error=sup,
         argmax_configuration=arg,
         bound=budget,
-        bound_satisfied=sup <= budget + BOUND_SLACK,
         invariance_max_residual=invariance,
         cauchy_residual=cauchy,
-        slope=None,
         checks=tuple(checks),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .core import Configuration, DomainSpec, Permutation, Point, _inversion_sign
+from .core import Configuration, DomainSpec, Point, _inversion_sign
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "repetition_constant",
     "locate",
     "corner_configuration",
-    "smooth_cutoff",
     "axis_weight_support",
     "site_weight_support",
 ]
@@ -230,8 +229,8 @@ class CellAssignment:
     of the input slots, and the entry's repetition constant.
 
     ``order`` lists the input slots in wedge order:
-    wedge[k] == cell_of(X.points[order[k]]). The slot permutation ``sigma``
-    and its sign are derived from it when read.
+    wedge[k] == cell_of(X.points[order[k]]). Its sign is derived from it
+    when read.
     """
 
     wedge: WedgeKey
@@ -239,18 +238,10 @@ class CellAssignment:
     repetition: int
 
     @property
-    def sigma(self) -> Permutation:
-        """The permutation taking input slots to wedge slots, built on each
-        read: cell_of(X.points[i]) == wedge[sigma.images[i]]."""
-        images = [0] * len(self.order)
-        for slot, i in enumerate(self.order):
-            images[i] = slot
-        return Permutation(tuple(images))
-
-    @property
     def sign(self) -> int:
-        """parity(sigma), taken from ``order``: a permutation and its inverse
-        have the same parity."""
+        """The parity of the sort order, which is the parity of the
+        permutation taking input slots to wedge slots: a permutation and its
+        inverse have the same parity."""
         return _inversion_sign(self.order)
 
 
@@ -259,8 +250,7 @@ def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
 
     Each point's cell is ``cell_of``'s, computed inline with the same floor,
     top-cell clamp and DomainError messages. Ties (repeated cells) are broken
-    stably by input slot, so ``order`` (and the ``sigma`` built from it) is
-    deterministic.
+    stably by input slot, so ``order`` is deterministic.
     """
     origin = spec.origin
     top = spec.top
@@ -299,6 +289,9 @@ def _smoothstep(t: float) -> float:
 
 
 def _axis_profile(spec: LatticeSpec, index: int, c: float, w: float) -> float:
+    """Raw quintic cutoff of cell ``index`` at coordinate c: 1 on the plateau
+    [corner + w, corner + delta - w], 0 outside [corner - w, corner + delta + w],
+    and exactly 1/2 on a cell face."""
     a = spec.axis_position(index)
     rise_from = a - w
     rise_to = a + w
@@ -317,25 +310,6 @@ def _check_smooth_width(spec: LatticeSpec, w: float | None) -> None:
     """Smoothing needs a width 0 < w <= delta/2, so only adjacent cells overlap."""
     if w is None or not 0.0 < w <= spec.delta / 2.0:
         raise ValueError(f"need 0 < smooth width w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
-
-
-def smooth_cutoff(spec: LatticeSpec, z: LatticeIndex, x: Point | Sequence[float], w: float) -> float:
-    """Tensor-product quintic cutoff for cell z: 1 on the inner plateau
-    [corner + w, corner + delta - w], 0 outside [corner - w, corner + delta + w].
-
-    On a shared cell face each crossing coordinate contributes exactly 1/2.
-    Requires 0 < w <= delta/2 so only adjacent cells overlap.
-    """
-    _check_smooth_width(spec, w)
-    coords = x.coords if isinstance(x, Point) else tuple(x)
-    if len(coords) != spec.d or len(z) != spec.d:
-        raise DomainError("dimension mismatch in smooth_cutoff")
-    prod = 1.0
-    for index, c in zip(z, coords):
-        prod *= _axis_profile(spec, index, c, w)
-        if prod == 0.0:
-            return 0.0
-    return prod
 
 
 def axis_weight_support(spec: LatticeSpec, c: float, w: float) -> tuple[tuple[int, float], ...]:

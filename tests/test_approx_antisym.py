@@ -20,8 +20,6 @@ from symwedge import (
     builtin_target,
     choose_direction,
     corner_configuration,
-    direction_is_valid,
-    equivariant_sort_map,
     eval_antisym,
     parity,
     permute,
@@ -35,6 +33,7 @@ from symwedge.approx_antisym import (
     _projected_pair_product,
     _projected_pair_products,
     _row_sums,
+    directions_valid,
     entry_seed,
     fnv1a64,
     reset_philox,
@@ -71,52 +70,6 @@ def test_slot_rank_product_matches_vandermonde_of_ranks():
         assert slot_rank_product(N) == vandermonde_product(ranks)
 
 
-# ---------------------------------------------------------------- sort map
-
-
-def test_equivariant_sort_map_identity_assignment():
-    got = equivariant_sort_map(SPEC_HALF, ((0,), (1,)), cfg([0.2], [0.7]))
-    assert got == (1.0, 2.0)
-
-
-def test_equivariant_sort_map_swapped_slots():
-    got = equivariant_sort_map(SPEC_HALF, ((0,), (1,)), cfg([0.7], [0.2]))
-    assert got == (2.0, 1.0)
-
-
-def test_equivariant_sort_map_is_equivariant():
-    spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
-    X = cfg([0.8], [0.1], [0.4])
-    zs = ((0,), (1,), (3,))
-    base = equivariant_sort_map(spec, zs, X)
-    sigma = Permutation((2, 0, 1))
-    got = equivariant_sort_map(spec, zs, permute(X, sigma))
-    assert got == tuple(base[sigma.images[i]] for i in range(3))
-
-
-def test_equivariant_sort_map_vandermonde_parity_relation():
-    spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
-    rng = np.random.Generator(np.random.Philox(61))
-    from symwedge import locate
-
-    checked = 0
-    while checked < 50:
-        X = cfg(*rng.random((3, 1)).tolist())
-        asg = locate(spec, X)
-        if asg.repetition != 1:
-            continue
-        ys = equivariant_sort_map(spec, asg.wedge, X)
-        assert vandermonde_product(ys) == asg.sign * slot_rank_product(3)
-        checked += 1
-
-
-def test_equivariant_sort_map_membership_errors():
-    with pytest.raises(DomainError):
-        equivariant_sort_map(SPEC_HALF, ((0,), (0,)), cfg([0.6], [0.2]))
-    with pytest.raises(ValueError):
-        equivariant_sort_map(SPEC_HALF, ((0,), (0,)), cfg([0.1], [0.2]))
-
-
 # ---------------------------------------------------------------- directions
 
 
@@ -140,13 +93,13 @@ def test_choose_direction_deterministic_and_valid():
     assert a1 == a2
     assert len(a1) == 2
     assert math.hypot(*a1) == pytest.approx(1.0, abs=1e-12)
-    assert direction_is_valid(a1, zs, 1e-3)
+    assert directions_valid(np.array([a1]), np.array([zs]), 1e-3)[0]
 
 
 def test_direction_is_valid_rejects_orthogonal():
     zs = ((0, 0), (1, 0), (2, 0))  # differences span the first axis only
-    assert not direction_is_valid((0.0, 1.0), zs, 1e-3)
-    assert direction_is_valid((1.0, 0.0), zs, 1e-3)
+    A = np.array([(0.0, 1.0), (1.0, 0.0)])
+    assert directions_valid(A, np.array([zs, zs]), 1e-3).tolist() == [False, True]
 
 
 def test_choose_direction_exhausts_budget_on_impossible_tau():

@@ -314,16 +314,14 @@ def test_feature_budget_bound_value():
 
 
 def test_error_budget_values():
-    assert error_budget(0.1, 3, 2, 1.0).bound == pytest.approx(
-        0.2449489742783178, rel=1e-15
-    )
-    assert error_budget(0.1, 3, 2, 0.0).bound == 0.0
+    assert error_budget(0.1, 3, 2, 1.0) == pytest.approx(0.2449489742783178, rel=1e-15)
+    assert error_budget(0.1, 3, 2, 0.0) == 0.0
 
 
 def test_delta_for_epsilon_round_trip():
     eps, N, d, L = 0.37, 3, 2, 1.7
     delta = delta_for_epsilon(eps, N, d, L)
-    assert error_budget(delta, N, d, L).bound == pytest.approx(eps, rel=1e-12)
+    assert error_budget(delta, N, d, L) == pytest.approx(eps, rel=1e-12)
 
 
 def test_delta_for_epsilon_validation():

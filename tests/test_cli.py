@@ -380,9 +380,7 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
 
     def sabotaged(*args, **kwargs):
         report = real(*args, **kwargs)
-        bad = dataclasses.replace(
-            report.checks[0], passed=False, threshold=-1.0
-        )
+        bad = dataclasses.replace(report.checks[0], threshold=-1.0)
         return dataclasses.replace(report, checks=(bad,) + report.checks[1:])
 
     monkeypatch.setattr(cli, "run_verification", sabotaged)
@@ -392,6 +390,23 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "FAIL" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [(MemoryError("Unable to allocate 21.8 TiB for an array with shape (1000000000000, 3, 1)"),
+      "Unable to allocate 21.8 TiB for an array with shape (1000000000000, 3, 1)"),
+     (MemoryError(), "out of memory")],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, raised, message):
+    def exhausted(*_args):
+        raise raised
+
+    monkeypatch.setattr(cli, "sample_configurations", exhausted)
+    config = write_config(tmp_path, d=1, N=3, samples=10**12)
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_verify_epsilon_route(tmp_path, capsys):
@@ -461,8 +476,18 @@ DELTAS = [0.5, 0.25, 0.125]
         ("sweep", dict(deltas=DELTAS), "sweep takes its spacings from 'deltas'; remove 'delta'"),
         ("sweep", dict(delta=None, epsilon=5.0, deltas=DELTAS),
          "sweep takes its spacings from 'deltas'; remove 'epsilon'"),
+        ("build", dict(tau=0.7), "'tau' is for kind antisym-c2; remove it"),
+        ("verify", dict(kind="antisym-c1", target="vandermonde-gauss-antisym", tau=1e-3),
+         "'tau' is for kind antisym-c2; remove it"),
+        ("sweep", dict(kind="antisym-c1", target="vandermonde-gauss-antisym", delta=None,
+                       deltas=DELTAS, tau=0.7),
+         "'tau' is for kind antisym-c2; remove it"),
+        ("build", dict(n_perms=5), "'n_perms' is for verify; remove it from a build config"),
+        ("build", dict(kind="antisym-c2", target="vandermonde-gauss-antisym", min_gap=0.05),
+         "'min_gap' is for verify; remove it from a build config"),
     ],
-    ids=["build-deltas", "verify-deltas", "sweep-delta", "sweep-epsilon"],
+    ids=["build-deltas", "verify-deltas", "sweep-delta", "sweep-epsilon", "build-sym-tau",
+         "verify-c1-tau", "sweep-c1-tau", "build-n_perms", "build-min_gap"],
 )
 def test_keys_a_command_ignores_are_config_errors(tmp_path, capsys, command, overrides, message):
     config = write_config(tmp_path, **overrides)

@@ -14,8 +14,6 @@ from symwedge import (
     Point,
     Symmetry,
     builtin_target,
-    compose,
-    inverse,
     parity,
     permute,
 )
@@ -60,8 +58,6 @@ def test_domain_spec_validation():
         DomainSpec(d=0, N=2, lo=0.0, hi=1.0)
     dom = DomainSpec(d=2, N=2, lo=0.0, hi=1.0)
     assert dom.span == 1.0
-    assert dom.contains(cfg([0.0, 1.0], [0.5, 0.5]))
-    assert not dom.contains(cfg([0.0, 1.0], [0.5, 1.5]))
 
 
 def test_permutation_rejects_non_bijection():
@@ -76,7 +72,7 @@ def test_permutation_rejects_non_bijection():
 
 def test_permute_identity():
     X = cfg([0.1], [0.2])
-    assert permute(X, Permutation.identity(2)) == X
+    assert permute(X, Permutation((0, 1))) == X
 
 
 def test_permute_swap():
@@ -98,7 +94,7 @@ def test_permute_size_mismatch():
 def test_permute_then_inverse_restores():
     X = cfg([0.3, 0.7], [0.1, 0.9], [0.5, 0.5])
     sigma = Permutation((2, 0, 1))
-    assert permute(permute(X, sigma), inverse(sigma)) == X
+    assert permute(permute(X, sigma), Permutation((1, 2, 0))) == X
 
 
 @given(st.integers(2, 8).flatmap(
@@ -111,14 +107,15 @@ def test_permute_then_inverse_restores():
 def test_permute_is_group_action(data):
     coords, sigma, tau = data
     X = cfg(*[[c] for c in coords])
-    assert permute(permute(X, sigma), tau) == permute(X, compose(tau, sigma))
+    sigma_then_tau = Permutation(tuple(sigma.images[t] for t in tau.images))
+    assert permute(permute(X, sigma), tau) == permute(X, sigma_then_tau)
 
 
 # ---------------------------------------------------------------- parity
 
 
 def test_parity_examples():
-    assert parity(Permutation.identity(3)) == 1
+    assert parity(Permutation((0, 1, 2))) == 1
     assert parity(Permutation((1, 0))) == -1
     assert parity(Permutation((1, 2, 0))) == 1
 
@@ -129,12 +126,13 @@ def test_parity_is_homomorphism():
         n = int(rng.integers(2, 7))
         sigma = Permutation(tuple(int(i) for i in rng.permutation(n)))
         tau = Permutation(tuple(int(i) for i in rng.permutation(n)))
-        assert parity(compose(sigma, tau)) == parity(sigma) * parity(tau)
+        tau_then_sigma = Permutation(tuple(tau.images[s] for s in sigma.images))
+        assert parity(tau_then_sigma) == parity(sigma) * parity(tau)
 
 
 def test_parity_of_inverse():
     sigma = Permutation((3, 0, 2, 1))
-    assert parity(inverse(sigma)) == parity(sigma)
+    assert parity(Permutation((1, 3, 2, 0))) == parity(sigma)
 
 
 # ---------------------------------------------------------------- builtins

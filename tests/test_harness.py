@@ -81,7 +81,8 @@ def test_samples_stay_in_domain():
     dom = DomainSpec(d=1, N=3, lo=-2.0, hi=3.0)
     S = sample_configurations(dom, 500, 9)
     for X in S.configurations:
-        assert dom.contains(X)
+        assert (X.N, X.d) == (3, 1)
+        assert all(dom.lo <= p.coords[0] <= dom.hi for p in X.points)
 
 
 # ---------------------------------------------------------------- gradients
@@ -455,11 +456,17 @@ def test_run_verification_rejects_a_tabulator_of_the_other_symmetry():
 
 
 def test_verification_report_consistency_enforced():
+    # the verdicts are derived from the measured values, so they cannot disagree
     report = verify(SUM_12, UNIT_12, 0.5, 200, 74)
     from dataclasses import replace
 
-    with pytest.raises(ValueError):
-        replace(report, bound_satisfied=not report.bound_satisfied)
+    assert report.bound_satisfied and report.passed
+    assert not replace(report, sup_error=2.0 * report.bound + 1.0).bound_satisfied
+    check = report.checks[0]
+    assert replace(check, value=check.threshold).passed
+    assert not replace(check, value=math.nextafter(check.threshold, math.inf)).passed
+    failed = replace(report, checks=(replace(check, threshold=-1.0),) + report.checks[1:])
+    assert not failed.passed
 
 
 def test_run_verification_smooth_mode():

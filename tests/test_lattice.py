@@ -22,10 +22,10 @@ from symwedge import (
     parity,
     permute,
     repetition_constant,
-    smooth_cutoff,
     wedge_size,
 )
 from symwedge.lattice import (
+    _axis_profile,
     axis_weight_support,
     site_weight_support,
 )
@@ -262,7 +262,7 @@ def test_locate_swapped_points():
     spec = spec_1d(0.5)
     asg = locate(spec, cfg([0.7], [0.2]))
     assert asg.wedge == ((0,), (1,))
-    assert asg.sigma.images == (1, 0)
+    assert asg.order == (1, 0)
     assert asg.sign == -1
     assert asg.repetition == 1
 
@@ -270,7 +270,7 @@ def test_locate_swapped_points():
 def test_locate_sorted_points_is_identity():
     spec = spec_1d(0.5)
     asg = locate(spec, cfg([0.2], [0.7]))
-    assert asg.sigma.images == (0, 1)
+    assert asg.order == (0, 1)
     assert asg.sign == 1
 
 
@@ -307,7 +307,7 @@ def test_locate_domain_error_messages(rows, message):
 
 
 def test_locate_slot_consistency():
-    # cell_of(points[i]) must equal wedge[sigma.images[i]]
+    # cell_of(points[order[k]]) must equal wedge[k]
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(31))
     from symwedge import Point
@@ -315,8 +315,8 @@ def test_locate_slot_consistency():
     for _ in range(200):
         X = cfg(*rng.random((3, 2)).tolist())
         asg = locate(spec, X)
-        for i, p in enumerate(X.points):
-            assert cell_of(spec, p) == asg.wedge[asg.sigma.images[i]]
+        for k, i in enumerate(asg.order):
+            assert cell_of(spec, X.points[i]) == asg.wedge[k]
 
 
 def test_locate_wedge_is_permutation_invariant():
@@ -339,7 +339,7 @@ def _old_locate(spec, X):
     for slot, i in enumerate(order):
         images[i] = slot
     wedge = tuple(cells[i] for i in order)
-    return wedge, tuple(images), repetition_constant(wedge)
+    return wedge, tuple(order), tuple(images), repetition_constant(wedge)
 
 
 @pytest.mark.parametrize(
@@ -356,11 +356,9 @@ def test_locate_matches_the_old_construction_under_every_permutation(N, repeated
     for images in permutations(range(N)):
         Y = permute(X, Permutation(images))
         asg = locate(spec, Y)
-        wedge, old_images, repetition = _old_locate(spec, Y)
-        assert (asg.wedge, asg.repetition) == (wedge, repetition)
-        assert asg.sigma.images == old_images
-        assert asg.sign == parity(asg.sigma)
-        assert [asg.sigma.images[i] for i in asg.order] == list(range(N))
+        wedge, order, old_images, repetition = _old_locate(spec, Y)
+        assert (asg.wedge, asg.order, asg.repetition) == (wedge, order, repetition)
+        assert asg.sign == parity(Permutation(old_images))
 
 
 def test_partition_exactly_one_wedge_entry_covers():
@@ -401,34 +399,32 @@ def test_corner_configuration_positions():
 def test_smooth_cutoff_plateau_face_outside():
     spec = spec_1d(0.5)
     w = 0.125
-    assert smooth_cutoff(spec, (0,), (0.25,), w) == 1.0
-    assert smooth_cutoff(spec, (0,), (0.5,), w) == 0.5
-    assert smooth_cutoff(spec, (1,), (0.5,), w) == 0.5
-    assert smooth_cutoff(spec, (0,), (0.7,), w) == 0.0
+    assert site_weight_support(spec, (0.25,), w) == (((0,), 1.0),)
+    assert site_weight_support(spec, (0.5,), w) == (((0,), 0.5), ((1,), 0.5))
+    assert site_weight_support(spec, (0.7,), w) == (((1,), 1.0),)
 
 
 def test_smooth_cutoff_2d_is_a_product():
     spec = LatticeSpec.from_counts(2, 2, 0.0, 1.0)
     w = 0.1
-    v = smooth_cutoff(spec, (0, 0), (0.5, 0.25), w)
-    assert v == pytest.approx(0.5 * 1.0, abs=1e-15)
+    support = dict(site_weight_support(spec, (0.5, 0.25), w))
+    assert support == {(0, 0): 0.5 * 1.0, (1, 0): 0.5 * 1.0}
 
 
 def test_smooth_cutoff_width_range():
     spec = spec_1d(0.5)
     with pytest.raises(ValueError):
-        smooth_cutoff(spec, (0,), (0.25,), 0.0)
+        site_weight_support(spec, (0.25,), 0.0)
     with pytest.raises(ValueError):
-        smooth_cutoff(spec, (0,), (0.25,), 0.26)  # above delta/2
+        site_weight_support(spec, (0.25,), 0.26)  # above delta/2
 
 
 def test_adjacent_cutoffs_sum_to_one_on_transition_band():
+    # the raw profiles, before axis_weight_support normalizes them
     spec = spec_1d(0.5)
     w = 0.125
     for x in np.linspace(0.5 - w, 0.5 + w, 33):
-        total = smooth_cutoff(spec, (0,), (float(x),), w) + smooth_cutoff(
-            spec, (1,), (float(x),), w
-        )
+        total = _axis_profile(spec, 0, float(x), w) + _axis_profile(spec, 1, float(x), w)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -22,7 +22,6 @@ from symwedge import (
     eval_sym,
     load_model,
     locate,
-    parity,
     save_model,
     slot_rank_product,
 )
@@ -224,7 +223,7 @@ def test_version_1_rank_model_evaluates_as_before(tmp_path):
         X = cfg(*random_rows(rng, 4, 1))
         asg = locate(spec, X)
         # the version-1 evaluator: sign * stored * slot_rank_product(N)
-        want = 0.0 if asg.repetition > 1 else parity(asg.sigma) * old[asg.wedge] * denom
+        want = 0.0 if asg.repetition > 1 else asg.sign * old[asg.wedge] * denom
         assert eval_antisym(loaded, X) == want
 
 

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ call the builder API; run each at tiny sizes."""
+"""The scripts under scripts/ and the benchmark's smoke test call the
+public API; run each at tiny sizes."""
 
 import os
 import re
@@ -8,10 +9,10 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def run_script(name, *args):
+def run_script(name, *args, folder="scripts"):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        [sys.executable, os.path.join(ROOT, folder, name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -40,3 +41,11 @@ def test_convergence_study_writes_csvs(tmp_path):
         assert lines[0] == "delta,sup_error,bound,wedge_count,M,wall_time_s"
         assert len(lines) == 5
         assert lines[-1].startswith("# slope=")
+
+
+def test_benchmark_smoke_passes():
+    # exercises build modes, the MODE_* constants, tab.table, tab.stats and
+    # locate(...).wedge as benches/ uses them; writes only under .bench_out/
+    result = run_script("smoke.py", folder="benches")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "smoke: all checks passed" in result.stdout
