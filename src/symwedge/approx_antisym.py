@@ -66,7 +66,6 @@ __all__ = [
     "build_antisym",
     "eval_antisym",
     "choose_direction",
-    "directions_valid",
     "fnv1a64",
     "entry_seed",
 ]

@@ -59,7 +59,7 @@ from .persistence import (
     write_text_atomic,
 )
 
-__all__ = ["main", "ExperimentConfig", "parse_config"]
+__all__ = ["main", "ExperimentConfig"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -137,25 +137,8 @@ def _optional_number(raw: Mapping[str, Any], key: str) -> float | None:
     return float(value)
 
 
-def _read_config(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return raw
-
-
-def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file; unknown keys are a hard error."""
-    return _config_from(_read_config(path))
-
-
 def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
+    """Validate a config file's JSON object; unknown keys are a hard error."""
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -288,16 +271,22 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     return dataclasses.replace(cfg, **updates)
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if not args.config:
+def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[str]]:
+    """The config with the command-line overrides applied, and the keys the
+    file gave (a key left out takes its default, so only the file shows it)."""
+    path = args.config
+    if not path:
         raise ConfigError("this command needs --config PATH")
-    raw = _read_config(args.config)
-    cfg = _apply_overrides(_config_from(raw), args)
-    if args.command == "build":
-        for key in ("n_perms", "min_gap"):
-            if key in raw:
-                raise ConfigError(f"{key!r} is for verify; remove it from a build config")
-    return cfg
+    try:
+        with open(path, "r") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return _apply_overrides(_config_from(raw), args), frozenset(raw)
 
 
 def _check_single_lattice(cfg: ExperimentConfig) -> None:
@@ -350,10 +339,13 @@ def _build_tabulator(cfg: ExperimentConfig, f: TargetFunction, delta: float):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, given = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
     _check_single_lattice(cfg)
+    for key in ("n_perms", "min_gap"):
+        if key in given:
+            raise ConfigError(f"{key!r} is for verify; remove it from a build config")
     delta, L_hat = _resolve_delta(cfg, f)
     tab = _build_tabulator(cfg, f, delta)
     os.makedirs(cfg.out, exist_ok=True)
@@ -476,7 +468,7 @@ def _report_csv_text(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
     _check_single_lattice(cfg)
@@ -504,7 +496,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if cfg.deltas is None:
         raise ConfigError("sweep needs a 'deltas' list in the config")
     if cfg.kind != KIND_SYM and cfg.kind != KIND_RANK:
