@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 from typing import Any, Mapping, Sequence
 
-from .approx_antisym import MODE_PROJECTED, MODE_RANK, AntisymTabulator, build_antisym, eval_antisym
+from .approx_antisym import MODE_PROJECTED, MODE_RANK, build_antisym, eval_antisym
 from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
@@ -37,7 +36,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     DirectionSearchError,
-    DomainError,
     SymwedgeError,
 )
 from .harness import (
