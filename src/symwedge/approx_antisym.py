@@ -199,7 +199,7 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
 def _choose_direction_with_attempts(
     zs: WedgeKey, tau: float, seed: int
 ) -> tuple[tuple[float, ...], int]:
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     n = len(zs)
     for i in range(n):
@@ -256,7 +256,7 @@ def _choose_directions(keys: Sequence[WedgeKey], idx: np.ndarray, tau: float) ->
     Every entry's first draw is taken and tested in bulk; an entry whose
     first draw is degenerate or rejected falls back to the scalar search.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     K, _, d = idx.shape
     if d == 1:
@@ -331,6 +331,8 @@ def build_antisym(
         )
     if mode not in (MODE_RANK, MODE_PROJECTED):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == MODE_PROJECTED and not tau > 0.0:
+        raise ValueError("tau must be positive")
     if smooth_width is not None:
         if mode != MODE_PROJECTED:
             raise ValueError("smoothing is only available in projected mode")

@@ -10,7 +10,9 @@ faces while keeping constants exact to rounding.
 The same table can be evaluated through an explicit feature expansion
 (log-sum features over slot subsets, recombined with alternating signs);
 that route is the literal sum-of-2^N-features form and is kept as a slow
-cross-check of the canonicalized path.
+cross-check of the canonicalized path. Each entry's share of it is a
+log-domain Ryser permanent of the cell-indicator matrix A_Z (rows are
+points, columns are slots), walked over slot subsets in Gray-code order.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .lattice import (
     site_weight_support,
     wedge_size,
 )
+from .permanent import permanent_ryser_logdomain
 
 __all__ = [
     "KIND_SYM",
@@ -200,51 +203,31 @@ def eval_sym_feature_form(
 ) -> float:
     """Evaluate through the explicit feature expansion (indicator mode only).
 
-    For each wedge entry Z and nonempty slot subset S the feature is
-    y = sum_i log(#{j in S : x_i lies in cell Z_j}), pooled over input slots
-    in input order; entries recombine as
-    (-1)^N * sum_Z (f(Z)/C_Z) * sum_S (-1)^|S| exp(y).  Entries for which
-    some point lies in none of Z's cells contribute exactly zero through the
-    exp(-inf) sentinel and are skipped as written.
+    This is sum_Z (f(Z)/C_Z) * perm(A_Z), A_Z[i][j] = 1[x_i in cell Z_j] (rows
+    are points, columns are slots), by ``permanent_ryser_logdomain``: for each
+    slot subset S, in Gray-code order, the feature
+    y = sum_i log(#{j in S : x_i lies in cell Z_j}) is pooled over the points,
+    and the terms recombine as (-1)^N * sum_S (-1)^|S| exp(y). Entries for
+    which some point lies in none of Z's cells are exact zeros and skipped.
     """
     _check_eval_input(T, X)
     if T.smooth_width is not None:
         raise ValueError("feature-form evaluation is defined for indicator mode only")
-    N = T.N
-    m = len(T.table) * (1 << N)
+    m = len(T.table) * (1 << T.N)
     if m > feature_cap:
         raise CapacityError(
             f"feature expansion has {m} features, above the cap of {feature_cap}; "
             f"rerun with feature_cap >= {m}"
         )
     cells = [cell_of(T.spec, p) for p in X.points]
-    log_count = [0.0] * (N + 1)
-    for c in range(1, N + 1):
-        log_count[c] = math.log(c)
     total = 0.0
     for zs, coeff in T.table.items():
         site_set = set(zs)
         if any(c not in site_set for c in cells):
             continue  # every subset term is an exact zero for this entry
-        acc = 0.0
-        for mask in range(1, 1 << N):
-            y = 0.0
-            dead = False
-            for c in cells:
-                count = 0
-                for j in range(N):
-                    if mask >> j & 1 and zs[j] == c:
-                        count += 1
-                if count == 0:
-                    dead = True
-                    break
-                y += log_count[count]
-            if dead:
-                continue
-            term = math.exp(y)
-            acc += -term if mask.bit_count() & 1 else term
-        total += coeff * acc
-    return -total if N & 1 else total
+        A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
+        total += coeff * permanent_ryser_logdomain(A)
+    return total
 
 
 def epsilon_density_limit(N: int, d: int) -> float:

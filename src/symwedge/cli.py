@@ -31,7 +31,14 @@ from .approx_sym import (
     feature_budget_bound,
     eval_sym,
 )
-from .core import Configuration, DomainSpec, Symmetry, TargetFunction, builtin_target
+from .core import (
+    Configuration,
+    DomainSpec,
+    Symmetry,
+    TargetFunction,
+    _finite_number,
+    builtin_target,
+)
 from .errors import (
     CapacityError,
     ConfigError,
@@ -130,9 +137,10 @@ def _optional_number(raw: Mapping[str, Any], key: str) -> float | None:
     if key not in raw:
         return None
     value = raw[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    number = _finite_number(value)
+    if number is None:
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
@@ -182,11 +190,11 @@ def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
     deltas = None
     if "deltas" in raw:
         seq = raw["deltas"]
-        if not isinstance(seq, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq
-        ):
-            raise ConfigError("config key 'deltas' must be a list of numbers")
-        deltas = tuple(float(v) for v in seq)
+        if not isinstance(seq, list):
+            raise ConfigError("config key 'deltas' must be a list of finite numbers")
+        deltas = tuple(_finite_number(v) for v in seq)
+        if None in deltas:
+            raise ConfigError("config key 'deltas' must be a list of finite numbers")
         if len(deltas) < 3:
             raise ConfigError("'deltas' needs at least three spacings")
         if any(v <= 0.0 for v in deltas):
@@ -263,6 +271,8 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     if args.out is not None:
         updates["out"] = args.out
     if args.cap is not None:
+        if args.cap < 1:
+            raise ConfigError(f"--cap must be >= 1, got {args.cap}")
         updates["cap"] = args.cap
     if not updates:
         return cfg
@@ -282,6 +292,8 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return _apply_overrides(_config_from(raw), args), frozenset(raw)
@@ -389,6 +401,8 @@ def _parse_configuration(text: str) -> Configuration:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration literal is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("configuration literal is nested too deeply") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ConfigError("configuration must be a list of coordinate rows")
     for row in rows:

@@ -177,28 +177,37 @@ class TargetFunction:
         return float(self.evaluator(X))
 
 
+def _finite_number(value: object) -> float | None:
+    """``value`` as a float if it is a finite JSON number (not a bool), else None."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def _param(params: Mapping[str, object], key: str, default: float) -> float:
     value = params.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"target parameter {key!r} must be a number, got {value!r}")
-    return float(value)
+    number = _finite_number(value)
+    if number is None:
+        raise ConfigError(f"target parameter {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _check_params(name: str, params: Mapping[str, object], allowed: frozenset[str]) -> None:
     unknown = set(params) - allowed - {"d", "N"}
     if unknown:
         raise ConfigError(f"unknown parameter(s) for target {name!r}: {sorted(unknown)}")
-
-
-def _shape(params: Mapping[str, object]) -> tuple[int | None, int | None]:
-    d = params.get("d")
-    N = params.get("N")
-    return (int(d) if d is not None else None, int(N) if N is not None else None)
+    for key in ("d", "N"):  # optional shape keys
+        value = params.get(key)
+        if value is not None and (type(value) is not int or value < 1):
+            raise ConfigError(f"target parameter {key!r} must be a positive integer, got {value!r}")
 
 
 def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
     _check_params("sum-coords", params, frozenset())
-    d, N = _shape(params)
+    d, N = params.get("d"), params.get("N")
 
     def ev(X: Configuration) -> float:
         total = 0.0
@@ -214,9 +223,13 @@ def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
 def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
     _check_params("gaussian-pair-sym", params, frozenset({"width"}))
     width = _param(params, "width", 1.0)
-    if width <= 0.0:
-        raise ConfigError("gaussian-pair-sym width must be positive")
-    inv_w2 = 1.0 / (width * width)
+    w2 = width * width
+    if not (width > 0.0 and w2 > 0.0 and 0.0 < 1.0 / w2 < math.inf):
+        raise ConfigError(
+            "gaussian-pair-sym width must be positive with 1/width^2 finite and nonzero, "
+            f"got {width!r}"
+        )
+    inv_w2 = 1.0 / w2
 
     def ev(X: Configuration) -> float:
         pts = X.points

@@ -26,7 +26,6 @@ from .core import (
     parity,
     permute,
 )
-from .errors import DomainError
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
 from .approx_sym import SymmetricTabulator, build_sym, error_budget, eval_sym
 from .approx_antisym import (

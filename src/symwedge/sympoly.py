@@ -9,7 +9,7 @@ Two independent routes are kept for everything that admits one:
   the monomial-evaluation matrix F[i][j] = prod_a x[j][a]^gamma[i][a].
 
 The permanent route requires strictly positive coordinates because it runs
-in the log domain.
+in the log domain; so does the feature form, on the transposed matrix.
 """
 
 from __future__ import annotations
@@ -282,11 +282,11 @@ class SymPolyApprox:
 def feature_form_eval(P: SymPolyApprox, X: Configuration) -> float:
     """Evaluate a symmetrized-monomial combination through its feature expansion.
 
-    Features are g_S(x) = log sum_{j in S} F_j(x) per term, pooled additively
-    over slots, then recombined as
-    (-1)^N * sum_l c_l * sum_S (-1)^|S| exp(sum_i g_S(x_i)).
-    Empty subset sums hit the exp(-inf) = 0 sentinel. Subsets are walked in
-    bitmask order per term, terms in declaration order.
+    Term l is c_l * perm(F), F[i][j] = prod_a x[i][a]^gamma_l[j][a] (rows are
+    points, columns are slots), by ``permanent_ryser_logdomain``: features
+    g_S(x) = log sum_{j in S} F_j(x) are pooled over points and recombined as
+    (-1)^N * sum_S (-1)^|S| exp(sum_i g_S(x_i)), walking the slot subsets S
+    in Gray-code order. A monomial product that overflows to inf raises ValueError.
     """
     if P.N != X.N or P.d != X.d:
         raise ValueError(f"approximation is {P.N}x{P.d} but configuration is {X.N}x{X.d}")
@@ -296,26 +296,8 @@ def feature_form_eval(P: SymPolyApprox, X: Configuration) -> float:
     coords = X.rows()
     if any(c <= 0.0 for row in coords for c in row):
         raise DomainError("feature form requires strictly positive coordinates")
-    neg_inf = float("-inf")
     total = 0.0
     for c_l, gamma in P.terms:
-        exps = gamma.rows
-        # F[j][i] = value of slot-j monomial at point i
-        F = [[_monomial_value(coords[i], exps[j]) for i in range(N)] for j in range(N)]
-        acc = 0.0
-        for mask in range(1, 1 << N):
-            y = 0.0
-            for i in range(N):
-                s = 0.0
-                for j in range(N):
-                    if mask >> j & 1:
-                        s += F[j][i]
-                if s > 0.0:
-                    y += math.log(s)
-                else:
-                    y = neg_inf
-                    break
-            term = math.exp(y) if y != neg_inf else 0.0
-            acc += -term if mask.bit_count() & 1 else term
-        total += c_l * acc
-    return -total if N & 1 else total
+        F = [[_monomial_value(x, g) for g in gamma.rows] for x in coords]
+        total += c_l * permanent_ryser_logdomain(F)
+    return total

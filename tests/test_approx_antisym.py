@@ -116,6 +116,20 @@ def test_choose_direction_validation():
         choose_direction(((0,), (0,)), tau=1e-3, seed=1)
 
 
+def test_nan_tau_is_rejected():
+    # NaN compares false against every bound, so a "tau <= 0" guard let it through
+    nan = float("nan")
+    with pytest.raises(ValueError, match="tau must be positive"):
+        choose_direction(((0,), (1,)), tau=nan, seed=1)
+    keys = [((0, 0), (1, 1))]
+    with pytest.raises(ValueError, match="tau must be positive"):
+        _choose_directions(keys, _key_array(keys, 2, 2), nan)
+    # three slots over two cells: no distinct-cell entry reaches the direction search
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    with pytest.raises(ValueError, match="tau must be positive"):
+        build_antisym(f, SPEC_HALF, 3, mode=MODE_PROJECTED, tau=nan)
+
+
 # ---------------------------------------------------------------- batched search
 
 

@@ -236,6 +236,34 @@ def test_eval_sym_domain_and_shape_errors():
 # ---------------------------------------------------------------- feature form
 
 
+# (N, d, delta, cell patterns) at N >= 4: one site per slot, in lattice-index units
+DISTINCT_CELLS = {
+    (4, 1, 0.125): [(0,), (3,), (5,), (7,)],
+    (5, 1, 0.125): [(0,), (2,), (3,), (5,), (7,)],
+    (4, 2, 0.25): [(0, 0), (1, 3), (2, 1), (3, 3)],
+    (5, 2, 0.25): [(0, 0), (0, 1), (1, 3), (2, 1), (3, 3)],
+}
+SHARED_CELLS = {
+    (4, 1, 0.125): [[(2,)] * 4, [(1,), (1,), (6,), (6,)], [(0,), (4,), (4,), (4,)]],
+    (5, 1, 0.125): [[(6,)] * 5, [(1,), (1,), (1,), (4,), (4,)], [(0,), (2,), (2,), (5,), (7,)]],
+    (4, 2, 0.25): [[(1, 2)] * 4, [(0, 3), (0, 3), (3, 0), (3, 0)],
+                   [(0, 0), (2, 2), (2, 2), (3, 1)]],
+    (5, 2, 0.25): [[(3, 3)] * 5, [(1, 1), (1, 1), (1, 1), (2, 0), (2, 0)],
+                   [(0, 2), (1, 1), (1, 1), (3, 0), (3, 3)]],
+}
+
+
+def gaussian_table(N, d, delta):
+    return build_sym(
+        builtin_target("gaussian-pair-sym"), LatticeSpec.from_domain(unit_domain(d, N), delta), N
+    )
+
+
+def in_cells(sites, delta, rng):
+    """A configuration whose point i lies strictly inside the cell at sites[i]."""
+    return cfg(*[((np.array(z) + rng.uniform(0.05, 0.95, len(z))) * delta).tolist() for z in sites])
+
+
 def test_feature_form_matches_eval_sym():
     tab = build_sym(SUM_12, SPEC_HALF, 2)
     rng = np.random.Generator(np.random.Philox(53))
@@ -243,6 +271,14 @@ def test_feature_form_matches_eval_sym():
         X = cfg(*rng.random((2, 1)).tolist())
         direct = eval_sym(tab, X)
         assert abs(eval_sym_feature_form(tab, X) - direct) <= FEATURE_TOL
+    # N >= 4: points in distinct cells, then uniform draws (distinct and shared cells)
+    for (N, d, delta), sites in DISTINCT_CELLS.items():
+        assert len(set(sites)) == N
+        tab = gaussian_table(N, d, delta)
+        draws = [in_cells(sites, delta, rng) for _ in range(5)]
+        draws += [cfg(*rng.random((N, d)).tolist()) for _ in range(10)]
+        for X in draws:
+            assert abs(eval_sym_feature_form(tab, X) - eval_sym(tab, X)) <= FEATURE_TOL
 
 
 def test_feature_form_constant():
@@ -254,10 +290,18 @@ def test_feature_form_constant():
 
 
 def test_feature_form_repeated_cell_entry():
-    # both points in one cell exercises the count = 2 branch
+    # both points in one cell: a row of A_Z with two ones
     tab = build_sym(SUM_12, SPEC_HALF, 2)
     X = cfg([0.1], [0.2])
     assert abs(eval_sym_feature_form(tab, X) - eval_sym(tab, X)) <= FEATURE_TOL
+    # N >= 4: all points in one cell, and cells shared by two or three points
+    rng = np.random.Generator(np.random.Philox(55))
+    for (N, d, delta), patterns in SHARED_CELLS.items():
+        tab = gaussian_table(N, d, delta)
+        for sites in patterns:
+            assert len(set(sites)) < N
+            X = in_cells(sites, delta, rng)
+            assert abs(eval_sym_feature_form(tab, X) - eval_sym(tab, X)) <= FEATURE_TOL
 
 
 def test_feature_form_guard_and_mode():

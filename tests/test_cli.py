@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -608,3 +609,74 @@ def test_timings_flag_writes_nonzero_wall(tmp_path, capsys):
     assert code == 0
     build = json.loads((tmp_path / "out" / "build.json").read_text())
     assert build["wall_time_s"]["dec"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("build", {"kind": "antisym-c2", "target": "vandermonde-gauss-antisym", "tau": math.nan}),
+        ("verify", {"kind": "antisym-c2", "target": "vandermonde-gauss-antisym", "tau": math.nan}),
+        ("build", {"target": {"name": "gaussian-pair-sym", "params": {"width": math.inf}}}),
+        ("build", {"lo": -math.inf}),
+        ("build", {"smooth_width": math.nan}),
+        ("verify", {"min_gap": math.inf}),
+        ("sweep", {"delta": None, "deltas": [0.5, math.nan, 0.125]}),
+    ],
+    ids=["build-tau-nan", "verify-tau-nan", "width-inf", "lo-inf", "smooth-width-nan",
+         "min-gap-inf", "deltas-nan"],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, overrides):
+    config = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, command, "--config", config)
+    assert_one_line_config_error(code, out, err)
+    assert "finite number" in err  # rejected at the config key, before any work
+    assert not (tmp_path / "out").exists()
+
+
+DEEP_JSON = "[" * 50000
+
+
+def test_deeply_nested_x_exits_2(tmp_path, capsys):
+    model_path, _ = build_model(tmp_path, capsys)
+    code, out, err = run(capsys, "eval", model_path, "--x", DEEP_JSON)
+    assert_one_line_config_error(code, out, err)
+    assert "nested too deeply" in err
+    x_path = tmp_path / "x.json"
+    x_path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "eval", model_path, "--x-file", str(x_path))
+    assert_one_line_config_error(code, out, err)
+    assert "nested too deeply" in err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "build", "--config", str(path))
+    assert_one_line_config_error(code, out, err)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_gaussian_width_whose_square_underflows_exits_2(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path, target={"name": "gaussian-pair-sym", "params": {"width": 1e-200}}
+    )
+    code, out, err = run(capsys, command, "--config", config)
+    assert_one_line_config_error(code, out, err)
+    assert "width" in err
+
+
+@pytest.mark.parametrize("value", [[1], math.inf], ids=["list", "inf"])
+def test_target_shape_params_must_be_positive_integers(tmp_path, capsys, value):
+    config = write_config(tmp_path, target={"name": "sum-coords", "params": {"d": value}})
+    code, out, err = run(capsys, "build", "--config", config)
+    assert_one_line_config_error(code, out, err)
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_flag_below_one_exits_2(tmp_path, capsys, cap):
+    config = write_config(tmp_path)
+    code, out, err = run(capsys, "build", "--config", config, "--cap", cap)
+    assert_one_line_config_error(code, out, err)
+    assert err == f"error: --cap must be >= 1, got {cap}\n"

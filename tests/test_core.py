@@ -184,6 +184,23 @@ def test_builtin_param_validation():
         builtin_target("gaussian-pair-sym", {"width": 0.0})
     with pytest.raises(ConfigError):
         builtin_target("product-smooth-sym", {"amplitude": 1.0})
+    # numbers must be finite, and a width's 1/width^2 a positive finite float;
+    # the optional shape keys d and N must be positive integers
+    for name, params in [
+        ("gaussian-pair-sym", {"width": math.inf}),  # a constant target
+        ("gaussian-pair-sym", {"width": math.nan}),
+        ("gaussian-pair-sym", {"width": 1e-200}),  # width^2 underflows to 0
+        ("gaussian-pair-sym", {"width": 1e-160}),  # 1/width^2 overflows to inf
+        ("gaussian-pair-sym", {"width": 1e200}),  # 1/width^2 is 0: a constant target
+        ("gaussian-pair-sym", {"width": 10**400}),  # beyond the float range
+        ("sum-coords", {"d": [1]}),
+        ("sum-coords", {"d": math.inf}),
+        ("sum-coords", {"N": 2.5}),
+        ("sum-coords", {"N": 0}),
+        ("gaussian-pair-sym", {"d": True}),
+    ]:
+        with pytest.raises(ConfigError):
+            builtin_target(name, params)
 
 
 def test_symmetric_builtins_are_symmetric():

@@ -261,6 +261,21 @@ def test_feature_form_matches_direct_oracle():
         direct = sum(c * symmetrized_monomial(g, X) for c, g in terms)
         got = feature_form_eval(P, X)
         assert abs(got - direct) <= ORACLE_REL_TOL * (1.0 + abs(direct))
+    # n in {5, 6} at d = 2
+    rng = np.random.Generator(np.random.Philox(216))
+    for n in (5, 6):
+        for _ in range(10):
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                gamma = MonomialExponents(
+                    tuple(tuple(int(e) for e in row) for row in rng.integers(0, 3, size=(n, 2)))
+                )
+                terms.append((float(rng.random() * 2.0 - 1.0), gamma))
+            P = SymPolyApprox(terms=tuple(terms))
+            X = cfg(*(rng.random((n, 2)) + 1.0).tolist())
+            direct = sum(c * symmetrized_monomial(g, X) for c, g in terms)
+            got = feature_form_eval(P, X)
+            assert abs(got - direct) <= ORACLE_REL_TOL * (1.0 + abs(direct))
 
 
 def test_feature_form_rejects_non_positive_coordinate():
