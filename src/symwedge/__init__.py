@@ -9,7 +9,6 @@ from .approx_antisym import (
     build_antisym,
     choose_direction,
     eval_antisym,
-    slot_rank_product,
     vandermonde_product,
 )
 from .approx_sym import (
@@ -122,8 +121,7 @@ __all__ = [
     "delta_for_epsilon", "epsilon_density_limit", "feature_budget_bound",
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
-    "eval_antisym", "vandermonde_product", "slot_rank_product",
-    "choose_direction",
+    "eval_antisym", "vandermonde_product", "choose_direction",
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",

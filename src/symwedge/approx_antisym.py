@@ -21,10 +21,12 @@ The projected build searches directions in batches of distinct-cell
 entries: FNV-1a seeds over a uint64 index array, each entry's first draw
 from one Philox generator reset to the entry's key, and normalization, the
 validity test and the corner pair product as array operations that keep the
-scalar code's order of operations. An entry whose first draw is degenerate
-or rejected goes through the scalar ``choose_direction``, which redraws the
-same stream. Directions and stored quotients are bit for bit those of the
-entry-by-entry search.
+order of operations of ``np.sum`` and of the evaluator's scalar pair
+product. An entry whose first draw is degenerate or rejected redraws its
+stream from the start, MAX_DIRECTION_DRAWS draws in two blocks, and keeps
+the first usable row. Directions and stored quotients are bit for bit those
+of a draw-by-draw search with a fresh generator per entry;
+``choose_direction`` is the same search on one key.
 
 Projected mode additionally supports a smooth variant that blends
 neighboring entries with the same normalized cutoff weights as the
@@ -62,7 +64,6 @@ __all__ = [
     "MODE_PROJECTED",
     "AntisymTabulator",
     "vandermonde_product",
-    "slot_rank_product",
     "build_antisym",
     "eval_antisym",
     "choose_direction",
@@ -77,6 +78,11 @@ MODE_PROJECTED = "projected"
 MAX_DIRECTION_DRAWS = 1000
 # Entries per batched direction search; bounds the search's scratch arrays.
 _DIRECTION_CHUNK = 4096
+# An entry whose first draw fails draws its budget in these consecutive
+# blocks. The first is short: most such entries are served within a few
+# draws, and rows of 8 or more components have their norms summed one row
+# at a time.
+_FALLBACK_BLOCKS = (16, MAX_DIRECTION_DRAWS - 16)
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -93,15 +99,6 @@ def vandermonde_product(ys: Sequence[float]) -> float:
         for j in range(i + 1, n):
             prod *= vi - vals[j]
     return prod
-
-
-def slot_rank_product(N: int) -> float:
-    """vandermonde_product of the slot ranks (1, ..., N), computed exactly."""
-    prod = 1
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            prod *= i - j
-    return float(prod)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -196,43 +193,14 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     return valid
 
 
-def _choose_direction_with_attempts(
-    zs: WedgeKey, tau: float, seed: int
-) -> tuple[tuple[float, ...], int]:
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    n = len(zs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if zs[i] == zs[j]:
-                raise ValueError("direction choice needs distinct cells")
-    d = len(zs[0])
-    idx = np.array([zs], dtype=np.int64)
-    if d == 1:
-        if directions_valid(np.ones((1, 1)), idx, tau)[0]:
-            return (1.0,), 0
-        raise DirectionSearchError(
-            f"no unit direction satisfies tau = {tau} for Z = {zs} (tau > 1 is unsatisfiable)"
-        )
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for attempt in range(1, MAX_DIRECTION_DRAWS + 1):
-        v = rng.standard_normal(d)
-        norm = float(np.sqrt(np.sum(v * v)))
-        if norm < 1e-12:
-            continue
-        a = tuple(float(c) / norm for c in v)
-        if directions_valid(np.array([a]), idx, tau)[0]:
-            return a, attempt
-    raise DirectionSearchError(
-        f"no direction found for Z = {zs} within {MAX_DIRECTION_DRAWS} draws at tau = {tau}; "
-        "lower tau"
-    )
-
-
 def choose_direction(zs: WedgeKey, tau: float, seed: int) -> tuple[float, ...]:
     """Unit direction separating all pair differences of zs by at least tau
-    (relative). Deterministic in (zs, tau, seed); d = 1 short-circuits to (1,)."""
-    return _choose_direction_with_attempts(zs, tau, seed)[0]
+    (relative), drawn from the Philox stream keyed by seed in [0, 2**128).
+    Deterministic in (zs, tau, seed); d = 1 short-circuits to (1,) and reads
+    no seed."""
+    if len(set(zs)) < len(zs):
+        raise ValueError("direction choice needs distinct cells")
+    return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau, [seed])[0].tolist())
 
 
 def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ...]]) -> float:
@@ -250,29 +218,56 @@ def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ..
     return prod
 
 
-def _choose_directions(keys: Sequence[WedgeKey], idx: np.ndarray, tau: float) -> np.ndarray:
-    """choose_direction(zs, tau, entry_seed(zs)) for every key, as a (K, d) array.
+def _normalized_and_accepted(
+    V: np.ndarray, idx: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws V (K, d) scaled to unit length, and whether each is usable for its
+    key in idx (K, N, d): not degenerate and passing ``directions_valid``."""
+    norm = np.sqrt(_row_sums(V * V))
+    A = V / norm[:, None]
+    return A, ~(norm < 1e-12) & directions_valid(A, idx, tau)
 
-    Every entry's first draw is taken and tested in bulk; an entry whose
-    first draw is degenerate or rejected falls back to the scalar search.
-    """
+
+def _choose_directions(idx: np.ndarray, tau: float, seeds: Sequence[int]) -> np.ndarray:
+    """The direction of every key of a (K, N, d) index array, as a (K, d) array:
+    the first draw from the Philox stream keyed by seeds[k] that is not
+    degenerate and passes the validity test at tau. First draws are taken in
+    bulk; an entry whose first draw fails redraws its stream in the blocks of
+    ``_FALLBACK_BLOCKS``, which hold the same numbers as single draws."""
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    K, _, d = idx.shape
+    K, N, d = idx.shape
     if d == 1:
         A = np.ones((K, 1))
-        accepted = directions_valid(A, idx, tau)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=0))
-        V = np.empty((K, d))
-        for row, seed in zip(V, _entry_seeds(idx).tolist()):
-            reset_philox(rng.bit_generator, seed)
-            rng.standard_normal(out=row)
-        norm = np.sqrt(_row_sums(V * V))
-        A = V / norm[:, None]
-        accepted = ~(norm < 1e-12) & directions_valid(A, idx, tau)
+        rejected = np.flatnonzero(~directions_valid(A, idx, tau))
+        if len(rejected):
+            zs = tuple(map(tuple, idx[rejected[0]].tolist()))
+            raise DirectionSearchError(
+                f"no unit direction satisfies tau = {tau} for Z = {zs} (tau > 1 is unsatisfiable)"
+            )
+        return A
+    rng = np.random.Generator(np.random.Philox(key=0))
+    V = np.empty((K, d))
+    for row, seed in zip(V, seeds):
+        reset_philox(rng.bit_generator, seed)
+        rng.standard_normal(out=row)
+    A, accepted = _normalized_and_accepted(V, idx, tau)
     for k in np.flatnonzero(~accepted).tolist():
-        A[k] = choose_direction(keys[k], tau, entry_seed(keys[k]))
+        reset_philox(rng.bit_generator, seeds[k])
+        for size in _FALLBACK_BLOCKS:
+            B, ok = _normalized_and_accepted(
+                rng.standard_normal((size, d)), np.broadcast_to(idx[k], (size, N, d)), tau
+            )
+            hits = np.flatnonzero(ok)
+            if len(hits):
+                A[k] = B[hits[0]]
+                break
+        else:
+            zs = tuple(map(tuple, idx[k].tolist()))
+            raise DirectionSearchError(
+                f"no direction found for Z = {zs} within {MAX_DIRECTION_DRAWS} draws at "
+                f"tau = {tau}; lower tau"
+            )
     return A
 
 
@@ -348,9 +343,8 @@ def build_antisym(
     entries = list(corner_values(f, spec, distinct))
     for start in range(0, len(entries), _DIRECTION_CHUNK):
         chunk = entries[start : start + _DIRECTION_CHUNK]
-        keys = [zs for zs, _ in chunk]
-        idx = _key_array(keys, N, spec.d)
-        A = _choose_directions(keys, idx, tau)
+        idx = _key_array([zs for zs, _ in chunk], N, spec.d)
+        A = _choose_directions(idx, tau, _entry_seeds(idx).tolist())
         psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
         for (zs, value), a, p in zip(chunk, A.tolist(), psi.tolist()):
             directions[zs] = tuple(a)

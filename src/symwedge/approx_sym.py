@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
 from .core import Configuration, Point, Symmetry, TargetFunction
@@ -33,6 +33,7 @@ from .lattice import (
     cell_of,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,
+    lattice_sites,
     locate,
     repetition_constant,
     site_weight_support,
@@ -207,8 +208,12 @@ def eval_sym_feature_form(
     are points, columns are slots), by ``permanent_ryser_logdomain``: for each
     slot subset S, in Gray-code order, the feature
     y = sum_i log(#{j in S : x_i lies in cell Z_j}) is pooled over the points,
-    and the terms recombine as (-1)^N * sum_S (-1)^|S| exp(y). Entries for
-    which some point lies in none of Z's cells are exact zeros and skipped.
+    and the terms recombine as (-1)^N * sum_S (-1)^|S| exp(y). Only entries
+    that hold every point's cell contribute (for the others every subset term
+    is an exact zero). They are the points' distinct cells plus any multiset
+    of sites in the remaining slots, so they are enumerated directly.
+    Adding fixed cells to each filling keeps the fillings' lexicographic
+    order, so the sum runs in table order.
     """
     _check_eval_input(T, X)
     if T.smooth_width is not None:
@@ -220,13 +225,12 @@ def eval_sym_feature_form(
             f"rerun with feature_cap >= {m}"
         )
     cells = [cell_of(T.spec, p) for p in X.points]
+    held = sorted(set(cells))
+    fills = combinations_with_replacement(lattice_sites(T.spec), T.N - len(held))
     total = 0.0
-    for zs, coeff in T.table.items():
-        site_set = set(zs)
-        if any(c not in site_set for c in cells):
-            continue  # every subset term is an exact zero for this entry
+    for zs in (tuple(sorted(held + list(fill))) for fill in fills):
         A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
-        total += coeff * permanent_ryser_logdomain(A)
+        total += T.table[zs] * permanent_ryser_logdomain(A)
     return total
 
 

@@ -133,6 +133,13 @@ def _require_int(raw: Mapping[str, Any], key: str, default: int, minimum: int) -
     return value
 
 
+def _check_seed(seed: int, name: str) -> int:
+    """Seeds key Philox generators, which take keys in [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise ConfigError(f"{name} must be >= 0 and < 2**128, got {seed}")
+    return seed
+
+
 def _optional_number(raw: Mapping[str, Any], key: str) -> float | None:
     if key not in raw:
         return None
@@ -238,7 +245,7 @@ def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
         deltas=deltas,
         smooth_width=smooth_width,
         tau=tau,
-        seed=_require_int(raw, "seed", 0, 0),
+        seed=_check_seed(_require_int(raw, "seed", 0, 0), "config key 'seed'"),
         samples=_require_int(raw, "samples", 10000, 1),
         n_perms=_require_int(raw, "n_perms", 8, 1),
         min_gap=min_gap,
@@ -267,7 +274,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict[str, Any]:
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     updates: dict[str, Any] = {}
     if args.seed is not None:
-        updates["seed"] = args.seed
+        updates["seed"] = _check_seed(args.seed, "--seed")
     if args.out is not None:
         updates["out"] = args.out
     if args.cap is not None:

@@ -169,7 +169,8 @@ def invariance_suite(
     worst = 0.0
     for k, X in enumerate(S.configurations):
         base = evaluator(X)
-        for images in _random_permutations(rng, N, n_perms, seed + k):
+        # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
+        for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
             if images not in signed:
                 sigma = Permutation(images)
                 signed[images] = sigma, parity(sigma)

@@ -27,13 +27,9 @@ antisym-c2 file stores a finite positive tau, and each record's direction
 is a finite unit vector (within 1e-12) that passes the build's validity
 test (``approx_antisym.directions_valid``) at that tau; the other kinds
 store ``tau -``. The loader raises ConfigError, naming the line or record,
-for anything else: a malformed header field, a header that describes no
+for anything else: a first line other than ``SYMWEDGE-MODEL 2`` (version-1
+files no longer load), a malformed header field, a header that describes no
 lattice, a non-numeric record field or a violated rule above.
-
-Version 1 files still load: their antisym-c1 coefficients were stored as
-f(Z)/slot_rank_product(N) and are multiplied back on load, which reproduces
-the version-1 evaluator's sign * coefficient * slot_rank_product(N) bit for
-bit (multiplying by the sign is exact).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .approx_antisym import (
     KIND_RANK,
     AntisymTabulator,
     directions_valid,
-    slot_rank_product,
 )
 from .approx_sym import KIND_SYM, MODE_INDICATOR, MODE_SMOOTH, SymmetricTabulator
 from .errors import CapacityError, ConfigError
@@ -174,11 +169,8 @@ def _check_directions(
 def load_model(path: str) -> Tabulator:
     with open(path, "r") as handle:
         lines = [line.rstrip("\n") for line in handle]
-    version = {f"{MAGIC} 1": 1, f"{MAGIC} {FORMAT_VERSION}": FORMAT_VERSION}.get(
-        lines[0] if lines else None
-    )
-    if version is None:
-        raise ConfigError(f"{path}: not a {MAGIC} version-1 or version-{FORMAT_VERSION} file")
+    if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
+        raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -257,10 +249,6 @@ def load_model(path: str) -> Tabulator:
         table[zs] = coeff
     if want_direction:
         _check_directions(spec, N, records, directions, tau)
-    if kind == KIND_RANK and version == 1:
-        # Version 1 stored f(Z)/slot_rank_product(N) and multiplied back at eval.
-        denom = slot_rank_product(N)
-        table = {zs: coeff * denom for zs, coeff in table.items()}
     if kind == KIND_SYM:
         return SymmetricTabulator(spec, N, smooth, table)
     return AntisymTabulator(spec, N, tau, smooth, table, directions if want_direction else None)

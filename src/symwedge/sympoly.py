@@ -191,10 +191,13 @@ class MonomialExponents:
 
 
 def _monomial_value(coords: tuple[float, ...], exps: tuple[int, ...]) -> float:
-    prod = 1.0
-    for a, g in enumerate(exps):
-        if g:
-            prod *= coords[a] ** g
+    """prod_a coords[a]^exps[a]; a power or a product that overflows raises ValueError."""
+    try:
+        prod = math.prod((coords[a] ** g for a, g in enumerate(exps) if g), start=1.0)
+    except OverflowError:
+        prod = math.inf
+    if not math.isfinite(prod):
+        raise ValueError(f"monomial with exponents {exps} overflows at x = {coords}")
     return prod
 
 
@@ -286,7 +289,7 @@ def feature_form_eval(P: SymPolyApprox, X: Configuration) -> float:
     points, columns are slots), by ``permanent_ryser_logdomain``: features
     g_S(x) = log sum_{j in S} F_j(x) are pooled over points and recombined as
     (-1)^N * sum_S (-1)^|S| exp(sum_i g_S(x_i)), walking the slot subsets S
-    in Gray-code order. A monomial product that overflows to inf raises ValueError.
+    in Gray-code order. A monomial that overflows raises ValueError.
     """
     if P.N != X.N or P.d != X.d:
         raise ValueError(f"approximation is {P.N}x{P.d} but configuration is {X.N}x{X.d}")

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from symwedge import approx_antisym
 from symwedge import (
     MODE_PROJECTED,
     MODE_RANK,
@@ -23,10 +22,11 @@ from symwedge import (
     eval_antisym,
     parity,
     permute,
-    slot_rank_product,
     vandermonde_product,
 )
 from symwedge.approx_antisym import (
+    _FALLBACK_BLOCKS,
+    MAX_DIRECTION_DRAWS,
     _choose_directions,
     _entry_seeds,
     _key_array,
@@ -62,12 +62,6 @@ def test_vandermonde_product_examples():
     assert vandermonde_product((1.0, 2.0)) == -1.0
     assert vandermonde_product((3.0, 1.0, 2.0)) == -2.0  # (3-1)(3-2)(1-2)
     assert vandermonde_product((0.4, 0.7, 0.4)) == 0.0
-
-
-def test_slot_rank_product_matches_vandermonde_of_ranks():
-    for N in range(1, 7):
-        ranks = tuple(float(i) for i in range(1, N + 1))
-        assert slot_rank_product(N) == vandermonde_product(ranks)
 
 
 # ---------------------------------------------------------------- directions
@@ -116,6 +110,17 @@ def test_choose_direction_validation():
         choose_direction(((0,), (0,)), tau=1e-3, seed=1)
 
 
+def test_choose_direction_takes_every_philox_key():
+    zs = ((0, 0), (1, 2))
+    top = 2**128 - 1
+    assert bits(choose_direction(zs, 1e-3, top)) == bits(draw_by_draw(zs, 1e-3, top)[0])
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            choose_direction(zs, 1e-3, seed)
+    # d = 1 has one direction and draws nothing, so no seed is read
+    assert choose_direction(((0,), (3,)), 1e-3, -1) == (1.0,)
+
+
 def test_nan_tau_is_rejected():
     # NaN compares false against every bound, so a "tau <= 0" guard let it through
     nan = float("nan")
@@ -123,7 +128,7 @@ def test_nan_tau_is_rejected():
         choose_direction(((0,), (1,)), tau=nan, seed=1)
     keys = [((0, 0), (1, 1))]
     with pytest.raises(ValueError, match="tau must be positive"):
-        _choose_directions(keys, _key_array(keys, 2, 2), nan)
+        _choose_directions(_key_array(keys, 2, 2), nan, [0])
     # three slots over two cells: no distinct-cell entry reaches the direction search
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(ValueError, match="tau must be positive"):
@@ -137,38 +142,98 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def assert_batch_matches_scalar(spec, keys, tau):
-    """Batched seeds, directions and corner products equal the scalar ones bit for bit."""
-    idx = _key_array(keys, len(keys[0]), spec.d)
-    assert _entry_seeds(idx).tolist() == [entry_seed(zs) for zs in keys]
-    A = _choose_directions(keys, idx, tau)
-    scalar = [choose_direction(zs, tau, entry_seed(zs)) for zs in keys]
-    assert [bits(row) for row in A.tolist()] == [bits(a) for a in scalar]
-    psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
-    want = [
-        _projected_pair_product(a, [spec.position(z) for z in zs]) for zs, a in zip(keys, scalar)
-    ]
-    assert bits(psi.tolist()) == bits(want)
+def draw_is_valid(a, zs, tau):
+    """The validity rule for one direction, component by component."""
+    for i, j in itertools.combinations(range(len(zs)), 2):
+        dot = norm2 = 0.0
+        for ac, ci, cj in zip(a, zs[i], zs[j]):
+            dot += ac * (ci - cj)
+            norm2 += (ci - cj) * (ci - cj)
+        if abs(dot) < tau * math.sqrt(norm2):
+            return False
+    return True
+
+
+def draw_by_draw(zs, tau, seed):
+    """The oracle search: a fresh generator per key, one draw at a time.
+
+    Returns the first draw that is not degenerate and is valid, scaled to unit
+    length, and the number of draws taken; (None, draws) when the budget runs
+    out or, at d = 1, when the one direction is invalid.
+    """
+    d = len(zs[0])
+    if d == 1:
+        return ((1.0,) if draw_is_valid((1.0,), zs, tau) else None), 0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for draws in range(1, MAX_DIRECTION_DRAWS + 1):
+        v = rng.standard_normal(d)
+        norm = float(np.sqrt(np.sum(v * v)))
+        if norm < 1e-12:
+            continue
+        a = tuple(float(c) / norm for c in v)
+        if draw_is_valid(a, zs, tau):
+            return a, draws
+    return None, MAX_DIRECTION_DRAWS
+
+
+def assert_batch_matches_oracle(spec, keys, tau):
+    """Batched seeds, directions and corner products equal the oracle's bit for
+    bit; a key the oracle cannot serve makes the batch raise for that key.
+    Returns the oracle's draw count per key."""
+    N = len(keys[0])
+    found = [(zs, *draw_by_draw(zs, tau, entry_seed(zs))) for zs in keys]
+    for zs, a, _ in found:
+        if a is None:
+            with pytest.raises(DirectionSearchError) as exhausted:
+                _choose_directions(_key_array([zs], N, spec.d), tau, [entry_seed(zs)])
+            assert str(exhausted.value) == (
+                f"no direction found for Z = {zs} within {MAX_DIRECTION_DRAWS} draws at "
+                f"tau = {tau}; lower tau"
+            )
+    served = [(zs, a) for zs, a, _ in found if a is not None]
+    if served:
+        keys = [zs for zs, _ in served]
+        idx = _key_array(keys, N, spec.d)
+        seeds = _entry_seeds(idx).tolist()
+        assert seeds == [entry_seed(zs) for zs in keys]
+        A = _choose_directions(idx, tau, seeds)
+        assert [bits(row) for row in A.tolist()] == [bits(a) for _, a in served]
+        psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
+        want = [_projected_pair_product(a, [spec.position(z) for z in zs]) for zs, a in served]
+        assert bits(psi.tolist()) == bits(want)
+    return [draws for _, _, draws in found]
 
 
 def distinct_keys(spec, N):
     return list(itertools.combinations(lattice_sites(spec), N))
 
 
+def some_keys(keys, count, seed):
+    """A seeded sample of ``count`` keys, in order; all of them if there are no more."""
+    if len(keys) <= count:
+        return keys
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [keys[i] for i in sorted(rng.choice(len(keys), size=count, replace=False))]
+
+
 @pytest.mark.parametrize("d, cells", [(1, 12), (2, 4), (3, 2)])
 @pytest.mark.parametrize("N", [2, 4, 5])
 def test_batched_search_matches_scalar_on_every_key(N, d, cells):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
-    assert_batch_matches_scalar(spec, distinct_keys(spec, N), 1e-3)
+    keys = distinct_keys(spec, N)
+    assert_batch_matches_oracle(spec, keys, 1e-3)
+    # At tau = 0.5 many entries need several draws, and at N >= 4 many cannot
+    # be served at all; the oracle spends its whole budget on each of those,
+    # so shapes with more than 150 keys are checked on a seeded sample.
+    assert_batch_matches_oracle(spec, some_keys(keys, 150, 70), 0.5)
 
 
 def test_batched_search_matches_scalar_at_d9():
     # nine components: numpy sums a row in pairwise blocks rather than in order
     spec = LatticeSpec.from_counts(2, 9, -1.0, 1.0)
-    keys = distinct_keys(spec, 2)
-    rng = np.random.Generator(np.random.Philox(66))
-    subset = [keys[i] for i in sorted(rng.choice(len(keys), size=300, replace=False))]
-    assert_batch_matches_scalar(spec, subset, 1e-3)
+    keys = some_keys(distinct_keys(spec, 2), 300, 66)
+    assert_batch_matches_oracle(spec, keys, 1e-3)
+    assert max(assert_batch_matches_oracle(spec, keys, 0.5)) > 1
 
 
 def test_row_sums_match_numpy_sum_per_row():
@@ -189,46 +254,50 @@ def test_batched_search_matches_scalar_on_multibyte_indices(top, floor):
         if len(sites) == 3:
             keys.append(tuple(sorted(sites)))
     assert max(i for zs in keys for site in zs for i in site) >= floor
-    assert_batch_matches_scalar(spec, keys, 1e-3)
+    assert_batch_matches_oracle(spec, keys, 1e-3)
+    assert_batch_matches_oracle(spec, keys, 0.5)
 
 
-def test_batched_search_falls_back_when_first_draws_are_rejected(monkeypatch):
+def test_batched_search_falls_back_when_first_draws_are_rejected():
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
     keys = distinct_keys(spec, 3)
-    calls = []
-    scalar = approx_antisym.choose_direction
-
-    def counting(zs, tau, seed):
-        calls.append(zs)
-        return scalar(zs, tau, seed)
-
-    monkeypatch.setattr(approx_antisym, "choose_direction", counting)
-    assert_batch_matches_scalar(spec, keys, 0.5)
-    assert 0 < len(calls) < len(keys)  # only the batched search sees the patch
+    draws = assert_batch_matches_oracle(spec, keys, 0.5)
+    assert 0 < sum(n > 1 for n in draws) < len(keys)
+    assert _FALLBACK_BLOCKS[0] < max(draws) < MAX_DIRECTION_DRAWS  # past the first block
 
 
 def test_batched_search_d1_tau_above_one_raises_like_scalar():
     spec = LatticeSpec.from_counts(4, 1, 0.0, 1.0)
     keys = distinct_keys(spec, 2)
+    message = (
+        "no unit direction satisfies tau = 1.5 for Z = ((0,), (1,)) (tau > 1 is unsatisfiable)"
+    )
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 1.5, entry_seed(keys[0]))
+    assert str(scalar.value) == message
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(keys, _key_array(keys, 2, 1), 1.5)
-    assert str(batched.value) == str(scalar.value)
+        _choose_directions(_key_array(keys, 2, 1), 1.5, [])
+    assert str(batched.value) == message
     f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
     with pytest.raises(DirectionSearchError) as built:
         build_antisym(f, spec, 2, mode=MODE_PROJECTED, tau=1.5)
-    assert str(built.value) == str(scalar.value)
+    assert str(built.value) == message
 
 
 def test_batched_search_exhausted_budget_raises_like_scalar():
     spec = LatticeSpec.from_counts(2, 2, 0.0, 1.0)
     keys = distinct_keys(spec, 3)
+    message = (
+        "no direction found for Z = ((0, 0), (0, 1), (1, 0)) within 1000 draws at tau = 0.9; "
+        "lower tau"
+    )
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 0.9, entry_seed(keys[0]))
+    assert str(scalar.value) == message
+    idx = _key_array(keys, 3, 2)
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(keys, _key_array(keys, 3, 2), 0.9)
-    assert str(batched.value) == str(scalar.value)
+        _choose_directions(idx, 0.9, _entry_seeds(idx).tolist())
+    assert str(batched.value) == message
 
 
 @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])

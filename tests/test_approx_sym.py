@@ -21,6 +21,7 @@ from symwedge import (
     build_antisym,
     build_sym,
     builtin_target,
+    cell_of,
     corner_configuration,
     delta_for_epsilon,
     enumerate_wedge,
@@ -30,6 +31,7 @@ from symwedge import (
     eval_sym_feature_form,
     feature_budget_bound,
     feature_count,
+    permanent_ryser_logdomain,
     permute,
     sample_configurations,
 )
@@ -302,6 +304,29 @@ def test_feature_form_repeated_cell_entry():
             assert len(set(sites)) < N
             X = in_cells(sites, delta, rng)
             assert abs(eval_sym_feature_form(tab, X) - eval_sym(tab, X)) <= FEATURE_TOL
+
+
+def feature_form_by_table_scan(tab, X):
+    """The feature form summed over the whole table, skipping entries that do
+    not hold every point's cell."""
+    cells = [cell_of(tab.spec, p) for p in X.points]
+    total = 0.0
+    for zs, coeff in tab.table.items():
+        if all(c in zs for c in cells):
+            A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
+            total += coeff * permanent_ryser_logdomain(A)
+    return total
+
+
+def test_feature_form_sums_the_contributing_entries_in_table_order():
+    rng = np.random.Generator(np.random.Philox(56))
+    for (N, d, delta), sites in DISTINCT_CELLS.items():
+        tab = gaussian_table(N, d, delta)
+        draws = [in_cells(sites, delta, rng)]
+        draws += [in_cells(pattern, delta, rng) for pattern in SHARED_CELLS[(N, d, delta)]]
+        draws += [cfg(*rng.random((N, d)).tolist()) for _ in range(5)]
+        for X in draws:
+            assert eval_sym_feature_form(tab, X).hex() == feature_form_by_table_scan(tab, X).hex()
 
 
 def test_feature_form_guard_and_mode():

@@ -268,6 +268,16 @@ def test_eval_zeroed_projected_direction_exits_2(tmp_path, capsys):
     assert "0 0 1 1" in err and "unit vector" in err
 
 
+def test_eval_version_1_model_exits_2(tmp_path, capsys):
+    model_path, _ = build_model(
+        tmp_path, capsys, kind="antisym-c1", target="vandermonde-gauss-antisym"
+    )
+    edit_model(model_path, "SYMWEDGE-MODEL 2\n", "SYMWEDGE-MODEL 1\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2], [0.7]]")
+    assert_one_line_config_error(code, out, err)
+    assert "not a SYMWEDGE-MODEL version-2 file" in err
+
+
 def test_eval_model_with_oversized_cells_exits_2(tmp_path, capsys):
     model_path = projected_model(tmp_path, capsys)
     edit_model(model_path, "\ncells 2\n", "\ncells 4000000000\n")
@@ -680,3 +690,36 @@ def test_cap_flag_below_one_exits_2(tmp_path, capsys, cap):
     code, out, err = run(capsys, "build", "--config", config, "--cap", cap)
     assert_one_line_config_error(code, out, err)
     assert err == f"error: --cap must be >= 1, got {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "command, seed",
+    [("verify", -1), ("verify", 2**128), ("build", -1)],
+    ids=["verify-minus-1", "verify-2**128", "build-minus-1"],
+)
+def test_seed_flag_outside_philox_keys_exits_2(tmp_path, capsys, command, seed):
+    config = write_config(tmp_path)
+    code, out, err = run(capsys, command, "--config", config, "--seed", str(seed))
+    assert_one_line_config_error(code, out, err)
+    assert err == f"error: --seed must be >= 0 and < 2**128, got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "seed", [2**128 - 1, (2**128 - 1) ^ 0x9E3779B97F4A7C15], ids=["top", "top-permutation-key"]
+)
+def test_verify_takes_seeds_up_to_the_top_of_the_range(tmp_path, capsys, seed):
+    # the second seed puts the permutation key of sample 0 at 2**128 - 1
+    config = write_config(tmp_path, samples=50)
+    code, _, err = run(capsys, "verify", "--config", config, "--seed", str(seed))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("seed", [2**128, 2**200], ids=["2**128", "2**200"])
+def test_seed_key_outside_philox_keys_exits_2(tmp_path, capsys, command, seed):
+    config = write_config(tmp_path, seed=seed)
+    code, out, err = run(capsys, command, "--config", config)
+    assert_one_line_config_error(code, out, err)
+    assert err == f"error: config key 'seed' must be >= 0 and < 2**128, got {seed}\n"
+    assert not (tmp_path / "out").exists()

@@ -26,7 +26,7 @@ from symwedge import (
     vandermonde_product,
 )
 import symwedge.harness as harness
-from symwedge.harness import VerificationReport, _random_permutations
+from symwedge.harness import _random_permutations
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)

@@ -1,6 +1,6 @@
 import math
 import time
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 import pytest

@@ -1,5 +1,4 @@
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -21,9 +20,7 @@ from symwedge import (
     eval_antisym,
     eval_sym,
     load_model,
-    locate,
     save_model,
-    slot_rank_product,
 )
 from symwedge.persistence import write_text_atomic
 
@@ -200,31 +197,16 @@ def test_model_file_is_text_with_hex_floats(tmp_path):
     assert "0x1.0000000000000p-1" in text  # 0.5 as a hex literal
 
 
-def test_version_1_rank_model_evaluates_as_before(tmp_path):
-    # version 1 stored f(Z)/slot_rank_product(N); at N = 4 that is f(Z)/12
+def test_version_1_model_is_rejected(tmp_path):
+    # version 1 stored rank-mode coefficients as f(Z)/slot ranks' product; no
+    # reader for it is kept
     f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 4})
-    spec = LatticeSpec.from_domain(unit_domain(1, 4), 0.125)
-    tab = build_antisym(f, spec, 4, mode=MODE_RANK)
-    denom = slot_rank_product(4)
-    old = {zs: value / denom for zs, value in tab.table.items()}
+    tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(1, 4), 0.125), 4, mode=MODE_RANK)
     path = tmp_path / "v1.swm"
     save_model(str(path), tab)
-    lines = path.read_text().splitlines()
-    lines[0] = "SYMWEDGE-MODEL 1"
-    for k, zs in enumerate(tab.table, start=12):
-        fields = lines[k].split(" ")
-        fields[-1] = old[zs].hex()
-        lines[k] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-
-    loaded = load_model(str(path))
-    rng = np.random.Generator(np.random.Philox(85))
-    for _ in range(200):
-        X = cfg(*random_rows(rng, 4, 1))
-        asg = locate(spec, X)
-        # the version-1 evaluator: sign * stored * slot_rank_product(N)
-        want = 0.0 if asg.repetition > 1 else asg.sign * old[asg.wedge] * denom
-        assert eval_antisym(loaded, X) == want
+    path.write_text(path.read_text().replace("SYMWEDGE-MODEL 2\n", "SYMWEDGE-MODEL 1\n", 1))
+    with pytest.raises(ConfigError, match=r"^.*v1\.swm: not a SYMWEDGE-MODEL version-2 file$"):
+        load_model(str(path))
 
 
 def _saved_lines(tmp_path, kind):

@@ -1,4 +1,4 @@
-import math
+import re
 
 import numpy as np
 import pytest
@@ -288,3 +288,25 @@ def test_feature_form_rejects_non_positive_coordinate():
 def test_sympoly_approx_needs_terms():
     with pytest.raises(ValueError):
         SymPolyApprox(terms=())
+
+
+@pytest.mark.parametrize(
+    "exponents, rows, monomial",
+    [
+        (((2,), (0,)), ((1e200,), (2.0,)), "(2,)"),  # the power overflows
+        (((1, 1), (0, 0)), ((1e200, 1e200), (2.0, 2.0)), "(1, 1)"),  # the product overflows
+    ],
+    ids=["power", "product"],
+)
+def test_monomial_overflow_raises_one_value_error(exponents, rows, monomial):
+    gamma = MonomialExponents.from_rows(exponents)
+    X = Configuration.from_rows(rows)
+    routes = [
+        lambda: symmetrized_monomial(gamma, X),
+        lambda: symmetrized_monomial_ryser(gamma, X),
+        lambda: feature_form_eval(SymPolyApprox(terms=((1.0, gamma),)), X),
+    ]
+    message = f"^monomial with exponents {re.escape(monomial)} overflows"
+    for route in routes:
+        with pytest.raises(ValueError, match=message):
+            route()

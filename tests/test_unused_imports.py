@@ -1,9 +1,10 @@
-"""Every name a package module imports is used there.
+"""Every name a module imports is used there.
 
-No linter runs over the package, so this test is the check: it parses each
-module with ``ast`` and fails on an imported name that the module never
-reads. Names listed in ``__all__`` are re-exports, and an import marked
-``# noqa: F401`` is kept on purpose (the benchmark's tracer wraps it).
+No linter runs over the repository, so this test is the check: it parses
+each module of the package, the tests and the scripts with ``ast`` and fails
+on an imported name that the module never reads. Names listed in ``__all__``
+are re-exports, and an import marked ``# noqa: F401`` is kept on purpose (the
+benchmark's tracer wraps it). The benchmark's own files are not scanned.
 """
 
 import ast
@@ -12,12 +13,17 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "symwedge")
-MODULES = sorted(
-    path
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "symwedge")
+# Package modules are named by file name, tests and scripts by their path.
+MODULES = {
+    os.path.basename(path): path
     for path in glob.glob(os.path.join(PACKAGE, "*.py"))
     if os.path.basename(path) != "__init__.py"
-)
+}
+for folder in ("tests", "scripts"):
+    for path in glob.glob(os.path.join(ROOT, folder, "*.py")):
+        MODULES[f"{folder}/{os.path.basename(path)}"] = path
 
 
 def unused_imports(source):
@@ -50,7 +56,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
-def test_module_has_no_unused_imports(path):
-    with open(path) as handle:
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_has_no_unused_imports(name):
+    with open(MODULES[name]) as handle:
         assert unused_imports(handle.read()) == []
