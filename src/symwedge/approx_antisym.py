@@ -3,30 +3,35 @@
 Entries with coincident cells are dropped outright: an anti-symmetric
 function vanishes there, and the evaluator returns an exact zero for any
 input whose points share a cell. Each surviving wedge entry Z stores
-f(Z)/psi(Z) for a reference anti-symmetric factor psi, and evaluation
-returns sign(sigma) * stored * psi(Z), where sigma is the permutation that
-sorts the input onto the wedge.
+f(Z)/psi_Z(Z) for a reference anti-symmetric factor psi_Z, and evaluation
+returns sign(sigma) * stored * psi_Z(X), where sigma is the permutation
+that sorts the input onto the wedge.
 
 Two reference factors are implemented:
 
 * rank mode: psi is the pair product of slot ranks, so psi(X)/psi(Z)
   collapses to the sort sign; the table stores f(Z) itself and indicator
   evaluation is sign * f(Z) exactly;
-* projected mode: psi is the pair product of projections onto a per-entry
-  unit direction chosen (deterministically, by rejection sampling seeded
-  from the entry's index hash) to keep all pair projections away from zero.
-  Indicator evaluation is sign * f(Z) up to rounding of the stored quotient.
+* projected mode: psi_Z(X) = prod_{i<j} a_Z . (x_i - x_j) for a per-entry
+  unit direction a_Z. Indicator evaluation is sign * f(Z) up to rounding of
+  the stored quotient.
 
-The projected build searches directions in batches of distinct-cell
-entries: FNV-1a seeds over a uint64 index array, each entry's first draw
-from one Philox generator reset to the entry's key, and normalization, the
-validity test and the corner pair product as array operations that keep the
-order of operations of ``np.sum`` and of the evaluator's scalar pair
-product. An entry whose first draw is degenerate or rejected redraws its
-stream from the start, MAX_DIRECTION_DRAWS draws in two blocks, and keeps
-the first usable row. Directions and stored quotients are bit for bit those
-of a draw-by-draw search with a fresh generator per entry;
-``choose_direction`` is the same search on one key.
+In projected mode an entry's error over its support is carried by the ratio
+psi_Z(X)/psi_Z(Z), a product of factors a_Z . (x_i - x_j) / a_Z . (z_i - z_j).
+Over the support each difference x_i - x_j moves from z_i - z_j by some e of
+a few cell diagonals, which changes its factor by at most
+|e| / (s |z_i - z_j|), where s, the entry's score, is its smallest relative
+pair projection |a_Z . (z_i - z_j)| / |z_i - z_j|. A direction with a small
+score lets the ratio, and with it the error, blow up, so each entry takes
+the direction of largest score from one fixed table per d >= 2: the
+_CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
+scaled to unit length, the lowest index winning a tie. Scores are taken on
+the integer index differences (they are scale-free) and, like the norms,
+accumulate one component at a time, so the choice does not depend on the
+BLAS build. ``tau`` is a floor: every chosen direction must pass
+``directions_valid`` at tau, the rule the loader applies, and an entry whose
+best candidate fails raises DirectionSearchError. At d = 1 the one direction
+is (1,).
 
 Projected mode additionally supports a smooth variant that blends
 neighboring entries with the same normalized cutoff weights as the
@@ -75,14 +80,12 @@ KIND_RANK = "antisym-c1"
 KIND_PROJECTED = "antisym-c2"
 MODE_RANK = "rank"
 MODE_PROJECTED = "projected"
-MAX_DIRECTION_DRAWS = 1000
-# Entries per batched direction search; bounds the search's scratch arrays.
-_DIRECTION_CHUNK = 4096
-# An entry whose first draw fails draws its budget in these consecutive
-# blocks. The first is short: most such entries are served within a few
-# draws, and rows of 8 or more components have their norms summed one row
-# at a time.
-_FALLBACK_BLOCKS = (16, MAX_DIRECTION_DRAWS - 16)
+# Unit candidates per d >= 2 in the projected direction search.
+_CANDIDATES = 64
+# Entries per batched direction search. It sizes the search's three
+# (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised the
+# build's peak RSS and saved little time.
+_DIRECTION_CHUNK = 256
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -110,6 +113,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+# The build does not use it; benches/tracing.py wraps this binding.
 def entry_seed(zs: WedgeKey) -> int:
     """Deterministic per-entry seed: FNV-1a over the little-endian index bytes."""
     return fnv1a64(b"".join(i.to_bytes(8, "little") for site in zs for i in site))
@@ -119,55 +123,6 @@ def _key_array(keys: Sequence[WedgeKey], N: int, d: int) -> np.ndarray:
     """The site indices of each key as a (K, N, d) int64 array."""
     flat = chain.from_iterable(chain.from_iterable(keys))
     return np.fromiter(flat, dtype=np.int64, count=len(keys) * N * d).reshape(len(keys), N, d)
-
-
-def _entry_seeds(idx: np.ndarray) -> np.ndarray:
-    """entry_seed of every key of a (K, N, d) index array, as uint64.
-
-    FNV-1a runs over each index's 8 little-endian bytes; uint64 arithmetic
-    wraps modulo 2^64 like the scalar hash's reduction.
-    """
-    h = np.full(len(idx), _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    low_byte = np.uint64(0xFF)
-    for column in idx.reshape(len(idx), -1).astype(np.uint64).T:
-        for shift in range(0, 64, 8):
-            h ^= (column >> np.uint64(shift)) & low_byte
-            h *= prime
-    return h
-
-
-def reset_philox(bit_generator: np.random.Philox, key: int) -> None:
-    """Put a Philox bit generator in the state ``Philox(key=key)`` starts in.
-
-    Philox is counter based: its stream is a pure function of (key, counter),
-    so the draws that follow equal a freshly built generator's, without the
-    OS-entropy seeding that every construction pays for.
-    """
-    if not 0 <= key < _UINT64 * _UINT64:
-        raise ValueError("key must be positive and less than 2**128.")
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key % _UINT64, key // _UINT64)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """np.sum of each row of a (K, d) array, bit for bit.
-
-    numpy adds fewer than eight terms left to right, which a column loop
-    replays; longer rows are summed in pairwise blocks, so they go one by one.
-    """
-    if x.shape[1] >= 8:
-        return np.array([np.sum(row) for row in x])
-    total = np.zeros(len(x))
-    for column in x.T:
-        total += column
-    return total
 
 
 def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
@@ -193,14 +148,24 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     return valid
 
 
-def choose_direction(zs: WedgeKey, tau: float, seed: int) -> tuple[float, ...]:
-    """Unit direction separating all pair differences of zs by at least tau
-    (relative), drawn from the Philox stream keyed by seed in [0, 2**128).
-    Deterministic in (zs, tau, seed); d = 1 short-circuits to (1,) and reads
-    no seed."""
+def _candidate_table(d: int) -> np.ndarray:
+    """The fixed (_CANDIDATES, d) table of unit candidate directions: rows of
+    Generator(Philox(key=0)).standard_normal, each divided by its norm, whose
+    squares are summed one component at a time."""
+    V = np.random.Generator(np.random.Philox(key=0)).standard_normal((_CANDIDATES, d))
+    norm2 = np.zeros(_CANDIDATES)
+    for c in range(d):
+        norm2 += V[:, c] * V[:, c]
+    return V / np.sqrt(norm2)[:, None]
+
+
+def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
+    """The direction of entry zs: the candidate that maximizes the smallest
+    relative pair projection, if it clears tau. Deterministic in (zs, tau);
+    d = 1 short-circuits to (1,)."""
     if len(set(zs)) < len(zs):
         raise ValueError("direction choice needs distinct cells")
-    return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau, [seed])[0].tolist())
+    return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau)[0].tolist())
 
 
 def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ...]]) -> float:
@@ -218,22 +183,14 @@ def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ..
     return prod
 
 
-def _normalized_and_accepted(
-    V: np.ndarray, idx: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draws V (K, d) scaled to unit length, and whether each is usable for its
-    key in idx (K, N, d): not degenerate and passing ``directions_valid``."""
-    norm = np.sqrt(_row_sums(V * V))
-    A = V / norm[:, None]
-    return A, ~(norm < 1e-12) & directions_valid(A, idx, tau)
+def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
+    """The direction of every key of a (K, N, d) index array, as a (K, d) array.
 
-
-def _choose_directions(idx: np.ndarray, tau: float, seeds: Sequence[int]) -> np.ndarray:
-    """The direction of every key of a (K, N, d) index array, as a (K, d) array:
-    the first draw from the Philox stream keyed by seeds[k] that is not
-    degenerate and passes the validity test at tau. First draws are taken in
-    bulk; an entry whose first draw fails redraws its stream in the blocks of
-    ``_FALLBACK_BLOCKS``, which hold the same numbers as single draws."""
+    Each key takes the candidate of ``_candidate_table(d)`` that maximizes
+    min over pairs of |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a
+    tie. The first key whose choice fails ``directions_valid`` at tau raises
+    DirectionSearchError.
+    """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     K, N, d = idx.shape
@@ -246,28 +203,34 @@ def _choose_directions(idx: np.ndarray, tau: float, seeds: Sequence[int]) -> np.
                 f"no unit direction satisfies tau = {tau} for Z = {zs} (tau > 1 is unsatisfiable)"
             )
         return A
-    rng = np.random.Generator(np.random.Philox(key=0))
-    V = np.empty((K, d))
-    for row, seed in zip(V, seeds):
-        reset_philox(rng.bit_generator, seed)
-        rng.standard_normal(out=row)
-    A, accepted = _normalized_and_accepted(V, idx, tau)
-    for k in np.flatnonzero(~accepted).tolist():
-        reset_philox(rng.bit_generator, seeds[k])
-        for size in _FALLBACK_BLOCKS:
-            B, ok = _normalized_and_accepted(
-                rng.standard_normal((size, d)), np.broadcast_to(idx[k], (size, N, d)), tau
-            )
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                A[k] = B[hits[0]]
-                break
-        else:
-            zs = tuple(map(tuple, idx[k].tolist()))
-            raise DirectionSearchError(
-                f"no direction found for Z = {zs} within {MAX_DIRECTION_DRAWS} draws at "
-                f"tau = {tau}; lower tau"
-            )
+    C = _candidate_table(d)
+    # Scores are laid out (candidate, key) and updated in place: one chunk's
+    # worth of scratch, no temporaries per component.
+    score = np.full((_CANDIDATES, K), np.inf)
+    dot = np.empty_like(score)
+    term = np.empty_like(score)
+    for i in range(N):
+        for j in range(i + 1, N):
+            diff = idx[:, i] - idx[:, j]
+            dot.fill(0.0)
+            norm2 = np.zeros(K)
+            for c in range(d):
+                np.multiply(C[:, c, None], diff[:, c], out=term)
+                dot += term
+                norm2 += diff[:, c] * diff[:, c]
+            np.abs(dot, out=dot)
+            np.divide(dot, np.sqrt(norm2), out=dot)
+            np.minimum(score, dot, out=score)
+    best = np.argmax(score, axis=0)
+    A = C[best]
+    rejected = np.flatnonzero(~directions_valid(A, idx, tau))
+    if len(rejected):
+        k = rejected[0]
+        zs = tuple(map(tuple, idx[k].tolist()))
+        raise DirectionSearchError(
+            f"no candidate direction clears tau = {tau} for Z = {zs}: its best smallest "
+            f"relative pair projection is {float(score[best[k], k])!r}; lower tau"
+        )
     return A
 
 
@@ -344,7 +307,7 @@ def build_antisym(
     for start in range(0, len(entries), _DIRECTION_CHUNK):
         chunk = entries[start : start + _DIRECTION_CHUNK]
         idx = _key_array([zs for zs, _ in chunk], N, spec.d)
-        A = _choose_directions(idx, tau, _entry_seeds(idx).tolist())
+        A = _choose_directions(idx, tau)
         psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
         for (zs, value), a, p in zip(chunk, A.tolist(), psi.tolist()):
             directions[zs] = tuple(a)

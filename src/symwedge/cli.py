@@ -1,8 +1,8 @@
 """Command-line front end: build, eval, verify, sweep.
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure,
-2 usage or configuration error, 3 capacity error (enumeration caps,
-direction-search budgets, memory).
+2 usage or configuration error, 3 capacity error (enumeration caps, no
+candidate direction clearing tau, memory).
 
 Outputs are deterministic for a fixed seed: JSON/CSV files are written with
 stable key order and shortest-round-trip float formatting, and wall-clock

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-capacity problems (enumeration caps, direction-search budgets) with 3.
+capacity problems (enumeration caps, an entry where no candidate direction
+clears tau) with 3.
 """
 
 
@@ -26,7 +27,7 @@ class BuildError(SymwedgeError):
 
 
 class DirectionSearchError(BuildError):
-    """No admissible projection direction was found within the draw budget."""
+    """No candidate projection direction clears tau for some wedge entry."""
 
 
 class InversionError(SymwedgeError):

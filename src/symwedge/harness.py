@@ -33,7 +33,6 @@ from .approx_antisym import (
     AntisymTabulator,
     build_antisym,
     eval_antisym,
-    reset_philox,
     vandermonde_product,
 )
 
@@ -134,6 +133,25 @@ def sup_error(
             best = err
             arg = X
     return best, arg
+
+
+def reset_philox(bit_generator: np.random.Philox, key: int) -> None:
+    """Put a Philox bit generator in the state ``Philox(key=key)`` starts in.
+
+    Philox is counter based: its stream is a pure function of (key, counter),
+    so the draws that follow equal a freshly built generator's, without the
+    OS-entropy seeding that every construction pays for.
+    """
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key % (1 << 64), key // (1 << 64))},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _random_permutations(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -190,15 +190,24 @@ class MonomialExponents:
         return len(self.rows[0])
 
 
+def _overflow_checked(value: Callable[[], float], exps, coords) -> float:
+    """value(), or ValueError when it overflows, raised or returned as non-finite."""
+    try:
+        result = value()
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"monomial with exponents {exps} overflows at x = {coords}")
+    return result
+
+
 def _monomial_value(coords: tuple[float, ...], exps: tuple[int, ...]) -> float:
     """prod_a coords[a]^exps[a]; a power or a product that overflows raises ValueError."""
-    try:
-        prod = math.prod((coords[a] ** g for a, g in enumerate(exps) if g), start=1.0)
-    except OverflowError:
-        prod = math.inf
-    if not math.isfinite(prod):
-        raise ValueError(f"monomial with exponents {exps} overflows at x = {coords}")
-    return prod
+    return _overflow_checked(
+        lambda: math.prod((coords[a] ** g for a, g in enumerate(exps) if g), start=1.0),
+        exps,
+        coords,
+    )
 
 
 def _check_shapes(gamma: MonomialExponents, X: Configuration) -> None:
@@ -209,7 +218,10 @@ def _check_shapes(gamma: MonomialExponents, X: Configuration) -> None:
 
 
 def symmetrized_monomial(gamma: MonomialExponents, X: Configuration) -> float:
-    """sum over sigma of prod_i prod_a x[sigma(i)][a]^gamma[i][a], by enumeration."""
+    """sum over sigma of prod_i prod_a x[sigma(i)][a]^gamma[i][a], by enumeration.
+
+    A monomial, or the sum's product across slots, that overflows raises
+    ValueError, as on the permanent route."""
     _check_shapes(gamma, X)
     N = X.N
     if N > SYMMETRIZE_BRUTE_MAX_N:
@@ -224,7 +236,7 @@ def symmetrized_monomial(gamma: MonomialExponents, X: Configuration) -> float:
         for i in range(N):
             prod *= _monomial_value(coords[sigma[i]], exps[i])
         total += prod
-    return total
+    return _overflow_checked(lambda: total, exps, coords)
 
 
 def symmetrized_monomial_ryser(gamma: MonomialExponents, X: Configuration) -> float:
@@ -246,7 +258,7 @@ def symmetrized_monomial_ryser(gamma: MonomialExponents, X: Configuration) -> fl
     F = tuple(
         tuple(_monomial_value(coords[j], exps[i]) for j in range(N)) for i in range(N)
     )
-    return permanent_ryser_logdomain(SquareMatrix(F))
+    return _overflow_checked(lambda: permanent_ryser_logdomain(SquareMatrix(F)), exps, coords)
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,8 @@ def feature_form_eval(P: SymPolyApprox, X: Configuration) -> float:
     points, columns are slots), by ``permanent_ryser_logdomain``: features
     g_S(x) = log sum_{j in S} F_j(x) are pooled over points and recombined as
     (-1)^N * sum_S (-1)^|S| exp(sum_i g_S(x_i)), walking the slot subsets S
-    in Gray-code order. A monomial that overflows raises ValueError.
+    in Gray-code order. A monomial, or a term's product across slots, that
+    overflows raises ValueError.
     """
     if P.N != X.N or P.d != X.d:
         raise ValueError(f"approximation is {P.N}x{P.d} but configuration is {X.N}x{X.d}")
@@ -302,5 +315,5 @@ def feature_form_eval(P: SymPolyApprox, X: Configuration) -> float:
     total = 0.0
     for c_l, gamma in P.terms:
         F = [[_monomial_value(x, g) for g in gamma.rows] for x in coords]
-        total += c_l * permanent_ryser_logdomain(F)
+        total += _overflow_checked(lambda: c_l * permanent_ryser_logdomain(F), gamma.rows, coords)
     return total

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -25,19 +26,17 @@ from symwedge import (
     vandermonde_product,
 )
 from symwedge.approx_antisym import (
-    _FALLBACK_BLOCKS,
-    MAX_DIRECTION_DRAWS,
+    _CANDIDATES,
+    _candidate_table,
     _choose_directions,
-    _entry_seeds,
     _key_array,
     _projected_pair_product,
     _projected_pair_products,
-    _row_sums,
     directions_valid,
     entry_seed,
     fnv1a64,
-    reset_philox,
 )
+from symwedge.harness import reset_philox
 from symwedge.lattice import lattice_sites
 
 MODE_AGREEMENT_TOL = 1e-10
@@ -77,13 +76,13 @@ def test_entry_seed_is_order_sensitive():
 
 
 def test_choose_direction_d1_is_constant():
-    assert choose_direction(((0,), (3,)), tau=1e-3, seed=entry_seed(((0,), (3,)))) == (1.0,)
+    assert choose_direction(((0,), (3,)), tau=1e-3) == (1.0,)
 
 
 def test_choose_direction_deterministic_and_valid():
     zs = ((0, 0), (1, 2), (3, 1))
-    a1 = choose_direction(zs, tau=1e-3, seed=entry_seed(zs))
-    a2 = choose_direction(zs, tau=1e-3, seed=entry_seed(zs))
+    a1 = choose_direction(zs, tau=1e-3)
+    a2 = choose_direction(zs, tau=1e-3)
     assert a1 == a2
     assert len(a1) == 2
     assert math.hypot(*a1) == pytest.approx(1.0, abs=1e-12)
@@ -97,38 +96,28 @@ def test_direction_is_valid_rejects_orthogonal():
 
 
 def test_choose_direction_exhausts_budget_on_impossible_tau():
-    # needs |a . (0,1)| >= 0.9 and |a . (1,0)| >= 0.9 from a unit vector
+    # needs |a . (0,1)| >= 0.9 and |a . (1,0)| >= 0.9 from a unit vector, so
+    # no candidate of the table clears tau
     zs = ((0, 0), (0, 1), (1, 0))
     with pytest.raises(DirectionSearchError):
-        choose_direction(zs, tau=0.9, seed=entry_seed(zs))
+        choose_direction(zs, tau=0.9)
 
 
 def test_choose_direction_validation():
     with pytest.raises(ValueError):
-        choose_direction(((0,), (1,)), tau=0.0, seed=1)
+        choose_direction(((0,), (1,)), tau=0.0)
     with pytest.raises(ValueError):
-        choose_direction(((0,), (0,)), tau=1e-3, seed=1)
-
-
-def test_choose_direction_takes_every_philox_key():
-    zs = ((0, 0), (1, 2))
-    top = 2**128 - 1
-    assert bits(choose_direction(zs, 1e-3, top)) == bits(draw_by_draw(zs, 1e-3, top)[0])
-    for seed in (-1, 2**128):
-        with pytest.raises(ValueError):
-            choose_direction(zs, 1e-3, seed)
-    # d = 1 has one direction and draws nothing, so no seed is read
-    assert choose_direction(((0,), (3,)), 1e-3, -1) == (1.0,)
+        choose_direction(((0,), (0,)), tau=1e-3)
 
 
 def test_nan_tau_is_rejected():
     # NaN compares false against every bound, so a "tau <= 0" guard let it through
     nan = float("nan")
     with pytest.raises(ValueError, match="tau must be positive"):
-        choose_direction(((0,), (1,)), tau=nan, seed=1)
+        choose_direction(((0,), (1,)), tau=nan)
     keys = [((0, 0), (1, 1))]
     with pytest.raises(ValueError, match="tau must be positive"):
-        _choose_directions(_key_array(keys, 2, 2), nan, [0])
+        _choose_directions(_key_array(keys, 2, 2), nan)
     # three slots over two cells: no distinct-cell entry reaches the direction search
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(ValueError, match="tau must be positive"):
@@ -154,54 +143,74 @@ def draw_is_valid(a, zs, tau):
     return True
 
 
-def draw_by_draw(zs, tau, seed):
-    """The oracle search: a fresh generator per key, one draw at a time.
+@functools.cache
+def candidate_table(d):
+    """The candidates written out: Philox(key=0) normals, each row divided by
+    the root of its squares summed left to right."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    table = []
+    for row in rng.standard_normal((_CANDIDATES, d)).tolist():
+        norm2 = 0.0
+        for x in row:
+            norm2 += x * x
+        table.append(tuple(x / math.sqrt(norm2) for x in row))
+    return tuple(table)
 
-    Returns the first draw that is not degenerate and is valid, scaled to unit
-    length, and the number of draws taken; (None, draws) when the budget runs
-    out or, at d = 1, when the one direction is invalid.
-    """
+
+def maximin_direction(zs):
+    """The oracle search: a plain loop over the candidates, keeping the first
+    of largest smallest relative pair projection. Returns the direction and
+    its score; (1,) and None at d = 1."""
     d = len(zs[0])
     if d == 1:
-        return ((1.0,) if draw_is_valid((1.0,), zs, tau) else None), 0
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for draws in range(1, MAX_DIRECTION_DRAWS + 1):
-        v = rng.standard_normal(d)
-        norm = float(np.sqrt(np.sum(v * v)))
-        if norm < 1e-12:
-            continue
-        a = tuple(float(c) / norm for c in v)
-        if draw_is_valid(a, zs, tau):
-            return a, draws
-    return None, MAX_DIRECTION_DRAWS
+        return (1.0,), None
+    best, best_score = None, -1.0
+    for a in candidate_table(d):
+        score = math.inf
+        for i, j in itertools.combinations(range(len(zs)), 2):
+            dot = norm2 = 0.0
+            for ac, ci, cj in zip(a, zs[i], zs[j]):
+                dot += ac * (ci - cj)
+                norm2 += (ci - cj) * (ci - cj)
+            score = min(score, abs(dot) / math.sqrt(norm2))
+        if score > best_score:
+            best, best_score = a, score
+    return best, best_score
 
 
-def assert_batch_matches_oracle(spec, keys, tau):
-    """Batched seeds, directions and corner products equal the oracle's bit for
-    bit; a key the oracle cannot serve makes the batch raise for that key.
-    Returns the oracle's draw count per key."""
+def rejection_message(zs, tau, score):
+    return (
+        f"no candidate direction clears tau = {tau} for Z = {zs}: its best smallest "
+        f"relative pair projection is {score!r}; lower tau"
+    )
+
+
+def assert_batch_matches_oracle(spec, keys, taus=(1e-3, 0.5)):
+    """At each tau, batched directions, scalar directions and corner products
+    equal the oracle's bit for bit; a key whose oracle direction fails tau
+    makes the batch raise the message naming its score. Returns the number
+    of such keys per tau."""
     N = len(keys[0])
-    found = [(zs, *draw_by_draw(zs, tau, entry_seed(zs))) for zs in keys]
-    for zs, a, _ in found:
-        if a is None:
-            with pytest.raises(DirectionSearchError) as exhausted:
-                _choose_directions(_key_array([zs], N, spec.d), tau, [entry_seed(zs)])
-            assert str(exhausted.value) == (
-                f"no direction found for Z = {zs} within {MAX_DIRECTION_DRAWS} draws at "
-                f"tau = {tau}; lower tau"
-            )
-    served = [(zs, a) for zs, a, _ in found if a is not None]
-    if served:
-        keys = [zs for zs, _ in served]
-        idx = _key_array(keys, N, spec.d)
-        seeds = _entry_seeds(idx).tolist()
-        assert seeds == [entry_seed(zs) for zs in keys]
-        A = _choose_directions(idx, tau, seeds)
+    found = [(zs, *maximin_direction(zs)) for zs in keys]
+    rejected = []
+    for tau in taus:
+        served = [(zs, a) for zs, a, _ in found if draw_is_valid(a, zs, tau)]
+        for zs, a, score in found:
+            if not draw_is_valid(a, zs, tau):
+                with pytest.raises(DirectionSearchError) as raised:
+                    choose_direction(zs, tau)
+                assert str(raised.value) == rejection_message(zs, tau, score)
+        rejected.append(len(found) - len(served))
+        if not served:
+            continue
+        idx = _key_array([zs for zs, _ in served], N, spec.d)
+        A = _choose_directions(idx, tau)
         assert [bits(row) for row in A.tolist()] == [bits(a) for _, a in served]
+        assert [bits(choose_direction(zs, tau)) for zs, _ in served] == [bits(a) for _, a in served]
         psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
         want = [_projected_pair_product(a, [spec.position(z) for z in zs]) for zs, a in served]
         assert bits(psi.tolist()) == bits(want)
-    return [draws for _, _, draws in found]
+    return rejected
 
 
 def distinct_keys(spec, N):
@@ -220,32 +229,18 @@ def some_keys(keys, count, seed):
 @pytest.mark.parametrize("N", [2, 4, 5])
 def test_batched_search_matches_scalar_on_every_key(N, d, cells):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
-    keys = distinct_keys(spec, N)
-    assert_batch_matches_oracle(spec, keys, 1e-3)
-    # At tau = 0.5 many entries need several draws, and at N >= 4 many cannot
-    # be served at all; the oracle spends its whole budget on each of those,
-    # so shapes with more than 150 keys are checked on a seeded sample.
-    assert_batch_matches_oracle(spec, some_keys(keys, 150, 70), 0.5)
+    assert_batch_matches_oracle(spec, distinct_keys(spec, N))
 
 
 def test_batched_search_matches_scalar_at_d9():
-    # nine components: numpy sums a row in pairwise blocks rather than in order
+    # nine components, on a seeded sample of the 130,816 keys
     spec = LatticeSpec.from_counts(2, 9, -1.0, 1.0)
-    keys = some_keys(distinct_keys(spec, 2), 300, 66)
-    assert_batch_matches_oracle(spec, keys, 1e-3)
-    assert max(assert_batch_matches_oracle(spec, keys, 0.5)) > 1
-
-
-def test_row_sums_match_numpy_sum_per_row():
-    rng = np.random.Generator(np.random.Philox(67))
-    for d in range(1, 20):
-        x = rng.standard_normal((50, d)) ** 2
-        assert bits(_row_sums(x).tolist()) == bits(np.sum(row) for row in x)
+    assert_batch_matches_oracle(spec, some_keys(distinct_keys(spec, 2), 300, 66))
 
 
 @pytest.mark.parametrize("top, floor", [(1000, 256), (200_000, 65_536)])
 def test_batched_search_matches_scalar_on_multibyte_indices(top, floor):
-    # indices past 255 and past 65,535 feed more than one nonzero byte to FNV-1a
+    # index differences in the hundreds of thousands, whose squares run past 2**32
     spec = LatticeSpec.from_counts(top, 2, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(68))
     keys = []
@@ -254,16 +249,19 @@ def test_batched_search_matches_scalar_on_multibyte_indices(top, floor):
         if len(sites) == 3:
             keys.append(tuple(sorted(sites)))
     assert max(i for zs in keys for site in zs for i in site) >= floor
-    assert_batch_matches_oracle(spec, keys, 1e-3)
-    assert_batch_matches_oracle(spec, keys, 0.5)
+    assert_batch_matches_oracle(spec, keys)
 
 
-def test_batched_search_falls_back_when_first_draws_are_rejected():
+def test_batched_search_breaks_ties_to_the_lowest_candidate(monkeypatch):
+    # a and -a score alike on every key, so with each candidate's mirror in
+    # the second half of the table every choice is a tie
+    half = _candidate_table(2)[: _CANDIDATES // 2]
+    monkeypatch.setattr(
+        "symwedge.approx_antisym._candidate_table", lambda d: np.concatenate([half, -half])
+    )
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
-    keys = distinct_keys(spec, 3)
-    draws = assert_batch_matches_oracle(spec, keys, 0.5)
-    assert 0 < sum(n > 1 for n in draws) < len(keys)
-    assert _FALLBACK_BLOCKS[0] < max(draws) < MAX_DIRECTION_DRAWS  # past the first block
+    A = _choose_directions(_key_array(distinct_keys(spec, 3), 3, 2), 1e-3)
+    assert all((half == row).all(axis=1).any() for row in A)
 
 
 def test_batched_search_d1_tau_above_one_raises_like_scalar():
@@ -273,10 +271,10 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
         "no unit direction satisfies tau = 1.5 for Z = ((0,), (1,)) (tau > 1 is unsatisfiable)"
     )
     with pytest.raises(DirectionSearchError) as scalar:
-        choose_direction(keys[0], 1.5, entry_seed(keys[0]))
+        choose_direction(keys[0], 1.5)
     assert str(scalar.value) == message
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(_key_array(keys, 2, 1), 1.5, [])
+        _choose_directions(_key_array(keys, 2, 1), 1.5)
     assert str(batched.value) == message
     f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
     with pytest.raises(DirectionSearchError) as built:
@@ -285,19 +283,28 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
 
 
 def test_batched_search_exhausted_budget_raises_like_scalar():
+    # no candidate clears tau = 0.9 for the first key; the batch names it and
+    # the best score the table offers it
     spec = LatticeSpec.from_counts(2, 2, 0.0, 1.0)
     keys = distinct_keys(spec, 3)
-    message = (
-        "no direction found for Z = ((0, 0), (0, 1), (1, 0)) within 1000 draws at tau = 0.9; "
-        "lower tau"
+    _, score = maximin_direction(keys[0])
+    message = rejection_message(keys[0], 0.9, score)
+    assert message.startswith(
+        "no candidate direction clears tau = 0.9 for Z = ((0, 0), (0, 1), (1, 0)): "
     )
     with pytest.raises(DirectionSearchError) as scalar:
-        choose_direction(keys[0], 0.9, entry_seed(keys[0]))
+        choose_direction(keys[0], 0.9)
     assert str(scalar.value) == message
-    idx = _key_array(keys, 3, 2)
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(idx, 0.9, _entry_seeds(idx).tolist())
+        _choose_directions(_key_array(keys, 3, 2), 0.9)
     assert str(batched.value) == message
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    with pytest.raises(DirectionSearchError) as built:
+        build_antisym(f, spec, 3, mode=MODE_PROJECTED, tau=0.9)
+    assert str(built.value) == message
+
+
+# ---------------------------------------------------------------- harness.reset_philox
 
 
 @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
@@ -453,31 +460,45 @@ def test_eval_antisym_domain_and_shape_errors():
 
 
 def test_smooth_projected_vanishes_on_diagonal():
-    tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_PROJECTED, smooth_width=0.1)
-    assert eval_antisym(tab, cfg([0.37], [0.37])) == 0.0
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    for d, delta, rows in [
+        (1, 0.5, [[0.37], [0.37]]),
+        (2, 0.25, [[0.37, 0.61], [0.12, 0.9], [0.37, 0.61], [0.8, 0.3]]),
+    ]:
+        spec = LatticeSpec.from_domain(unit_domain(d, len(rows)), delta)
+        tab = build_antisym(f, spec, len(rows), mode=MODE_PROJECTED, smooth_width=0.1)
+        assert eval_antisym(tab, cfg(*rows)) == 0.0
 
 
 def test_smooth_projected_sign_equivariance():
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 3})
-    spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
-    tab = build_antisym(f, spec, 3, mode=MODE_PROJECTED, smooth_width=0.06)
-    rng = np.random.Generator(np.random.Philox(65))
-    for _ in range(200):
-        X = cfg(*rng.random((3, 1)).tolist())
-        sigma = Permutation(tuple(int(i) for i in rng.permutation(3)))
-        expected = parity(sigma) * eval_antisym(tab, X)
-        assert eval_antisym(tab, permute(X, sigma)) == expected
+    f = builtin_target("vandermonde-gauss-antisym", {})
+    for N, d in [(3, 1), (4, 2)]:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        tab = build_antisym(f, spec, N, mode=MODE_PROJECTED, smooth_width=0.06)
+        rng = np.random.Generator(np.random.Philox(65))
+        for _ in range(200):
+            X = cfg(*rng.random((N, d)).tolist())
+            sigma = Permutation(tuple(int(i) for i in rng.permutation(N)))
+            expected = parity(sigma) * eval_antisym(tab, X)
+            assert eval_antisym(tab, permute(X, sigma)) == expected
 
 
 def test_smooth_projected_no_jump_across_face():
-    spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.25)
-    tab = build_antisym(VG_12, spec, 2, mode=MODE_PROJECTED, smooth_width=0.0625)
+    f = builtin_target("vandermonde-gauss-antisym", {})
     h = 1e-4
-    xs = np.arange(0.45, 0.55, h)  # crosses the face at 0.5
-    vals = [eval_antisym(tab, cfg([float(x)], [0.9])) for x in xs]
-    jumps = np.abs(np.diff(vals))
-    value_range = 2.0 * max(abs(v) for v in vals)
-    assert jumps.max() <= 1e-2 * max(value_range, 0.1)
+    xs = np.arange(0.45, 0.55, h)  # the first coordinate crosses the face at 0.5
+    for others, floor in [
+        ([[0.9]], 0.1),
+        # values near 3e-4, where the indicator jumps by 5e-4, so no floor
+        ([[0.1, 0.8], [0.7, 0.55], [0.95, 0.15]], 0.0),
+    ]:
+        d, N = len(others[0]), len(others) + 1
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        tab = build_antisym(f, spec, N, mode=MODE_PROJECTED, smooth_width=0.0625)
+        vals = [eval_antisym(tab, cfg([float(x)] + [0.3] * (d - 1), *others)) for x in xs]
+        jumps = np.abs(np.diff(vals))
+        value_range = 2.0 * max(abs(v) for v in vals)
+        assert jumps.max() <= 1e-2 * max(value_range, floor)
 
 
 def test_smooth_projected_continuous_where_sort_flips():

@@ -444,6 +444,21 @@ def test_run_verification_antisym_includes_cauchy():
     assert report.passed
 
 
+@pytest.mark.parametrize("name", ["vandermonde-gauss-antisym", "vandermonde-sum-antisym"])
+@pytest.mark.parametrize("N, delta", [(3, 1 / 4), (3, 1 / 8), (4, 1 / 4)])
+def test_smooth_projected_meets_its_budget(name, N, delta):
+    # the paper's construction: a partition of unity times the projected pair
+    # product, whose error over an entry's support grows as the entry's
+    # smallest pair projection shrinks
+    domain = DomainSpec(d=2, N=N, lo=0.0, hi=1.0)
+    f = builtin_target(name, {})
+    report = verify(
+        f, domain, delta, 2000, 3, build=build_antisym, mode=MODE_PROJECTED,
+        smooth_width=delta / 4,
+    )
+    assert report.passed, report.checks
+
+
 def test_run_verification_rejects_a_tabulator_of_the_other_symmetry():
     antisym = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
     S = sample_configurations(UNIT_12, 10, 1)

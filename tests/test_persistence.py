@@ -1,4 +1,6 @@
 import hashlib
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,13 +249,14 @@ def test_load_rejects_malformed_records(tmp_path, kind, edit):
         load_model(str(path))
 
 
-# Digests of N=3, d=2, delta=1/4 models: the antisym-c2 ones written before
-# the batched direction search, the others before the build shared corner
-# Points across entries. Any drift in the direction stream, the seeds, the
-# corner values or the stored quotients changes the bytes.
+# Digests of N=3, d=2, delta=1/4 models: the antisym-c2 ones written when
+# directions became the maximin choice over the fixed candidate table, the
+# others before the build shared corner Points across entries. Any drift in
+# the candidates, the choice, the corner values or the stored quotients
+# changes the bytes.
 PINNED_MODEL_SHA256 = {
-    (MODE_PROJECTED, None): "ddcbd9f7c654362b03f922ecb99a9cf29d723913144eab414dc6f314971493f5",
-    (MODE_PROJECTED, 0.125): "dc48ebd888ca9dfa8d8182ca88d47abf1fdd38369e5b7c7a6aa0d73d569a6824",
+    (MODE_PROJECTED, None): "d00981707afaea0ec2ee35c95ffb27defe424368802c51418f715b06e496995b",
+    (MODE_PROJECTED, 0.125): "907141a4567e1c42059531a554751a0c8004393fcf8422a71babae65b0f02f31",
     ("sym", None): "ae6b91daffdad3eef4f70f98dedc2095d252b8d6198b6c5eb33bc3d36724139e",
     ("sym", 0.125): "fdde5e09c6e863df59b5950329f1f0c3d85e96f1600f9a2ddc798beeb1b402f6",
     (MODE_RANK, None): "bb984bf5ee82c75720404e827df1f4fa947ee85d4fccec468c96d8ea953923bc",
@@ -281,8 +284,10 @@ def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width):
 
 
 # Digests of eval outputs on seeded streams, recorded before locate stopped
-# building the permutation. The streams mix uniform points with points on
-# cell faces (hi included) and configurations whose points share a cell.
+# building the permutation; the projected d = 2 ones were recorded again when
+# directions became the maximin choice. The streams mix uniform points with
+# points on cell faces (hi included) and configurations whose points share a
+# cell.
 PINNED_EVAL_SHA256 = {
     ("sym", 3, 1): "f6899f84737cb0928b3bcf51cf60c54f3df0015e5a5818a6bb0ddc51004de907",
     ("sym", 3, 2): "7bf745adbde389c1051c7a4ec8ed47b45724248a7eb2010b29ffdfebc9ef764d",
@@ -293,9 +298,9 @@ PINNED_EVAL_SHA256 = {
     (MODE_RANK, 4, 1): "a75878984d73c53d4acd42b539d6c61678b5ce8a67c7e9c0c3a0ecffe1cb31b2",
     (MODE_RANK, 4, 2): "eb639ddcce83e7efb968a7c3688fdee9a6161a569b640c773037b700f470f40f",
     (MODE_PROJECTED, 3, 1): "27b71005d5a78870a2c3276c2312b0a3d8ea2689529ffcfa66f2115a2323f590",
-    (MODE_PROJECTED, 3, 2): "69a221406d51794b1d884e4ca64eb5ef12f0e5ec9d71c2b21c4a239b763ede0d",
+    (MODE_PROJECTED, 3, 2): "69be85d4b8ff77ef4f878cab1d46a8d0bdc2e36d617a470279417598e906a132",
     (MODE_PROJECTED, 4, 1): "a75878984d73c53d4acd42b539d6c61678b5ce8a67c7e9c0c3a0ecffe1cb31b2",
-    (MODE_PROJECTED, 4, 2): "983ad8ff6a563ca790ed039017285b85d55ba3173123eaf53aa0a2019073843d",
+    (MODE_PROJECTED, 4, 2): "49d8dfc95a52b282cd2e2d0db6aff948ba020e04facb50de11e68915ff815ebf",
 }
 
 
@@ -330,6 +335,26 @@ def test_eval_outputs_are_pinned(kind, N, d):
     values = [evaluate(tab, X) for X in _pinned_stream(N, d, n, 1000, 1000 * N + d)]
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
     assert digest == PINNED_EVAL_SHA256[kind, N, d]
+
+
+# A smooth antisym-c2 model (N=3, d=2, delta=1/3, w=1/12) written before
+# directions became the maximin choice, and the digests of its smooth and
+# indicator eval outputs then. The loader's rule and the evaluator are the
+# same for old and new directions, so old files evaluate as they did.
+EARLIER_MODEL = os.path.join(os.path.dirname(__file__), "data", "antisym_c2_v2.swm")
+EARLIER_EVAL_SHA256 = {
+    1 / 12: "d171e8b697e58ee6e27b0c7475d6ab4884b96ff45ec42d4090635a11c3af1906",
+    None: "725ac204dc52aef34c80d3ed878a255f671e1a235e94991359fbaee57ca10b33",
+}
+
+
+def test_models_with_earlier_directions_still_evaluate():
+    tab = load_model(EARLIER_MODEL)
+    assert (tab.kind, tab.N, tab.spec.d, tab.spec.cells_per_dim) == ("antisym-c2", 3, 2, 3)
+    for width, digest in EARLIER_EVAL_SHA256.items():
+        tab = replace(tab, smooth_width=width)
+        values = [eval_antisym(tab, X) for X in _pinned_stream(3, 2, 3, 1000, 32)]
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == digest
 
 
 def _projected_lines(tmp_path):

@@ -295,8 +295,10 @@ def test_sympoly_approx_needs_terms():
     [
         (((2,), (0,)), ((1e200,), (2.0,)), "(2,)"),  # the power overflows
         (((1, 1), (0, 0)), ((1e200, 1e200), (2.0, 2.0)), "(1, 1)"),  # the product overflows
+        # every monomial is 1e200, their product across the slots overflows
+        (((1,), (1,)), ((1e200,), (1e200,)), "((1,), (1,))"),
     ],
-    ids=["power", "product"],
+    ids=["power", "product", "slots"],
 )
 def test_monomial_overflow_raises_one_value_error(exponents, rows, monomial):
     gamma = MonomialExponents.from_rows(exponents)
