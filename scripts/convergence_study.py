@@ -11,6 +11,8 @@ import os
 
 from symwedge import (
     DomainSpec,
+    LatticeSpec,
+    build_sym,
     builtin_target,
     convergence_sweep,
     sample_configurations,
@@ -54,7 +56,11 @@ def main():
         domain = DomainSpec(d=d, N=N, lo=0.0, hi=1.0)
         S = sample_configurations(domain, args.samples, args.seed)
         for name in SYM_TARGETS:
-            result = convergence_sweep(builtin_target(name), domain, args.deltas, S)
+            f = builtin_target(name)
+            result = convergence_sweep(
+                f, args.deltas, S,
+                lambda delta: build_sym(f, LatticeSpec.from_domain(domain, delta), N),
+            )
             rows = [CSV_HEADER]
             for row in result.rows:
                 rows.append(

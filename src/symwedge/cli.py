@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -518,17 +519,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, _ = _load_config(args)
     if cfg.deltas is None:
         raise ConfigError("sweep needs a 'deltas' list in the config")
-    if cfg.kind != KIND_SYM and cfg.kind != KIND_RANK:
-        raise ConfigError("sweep supports kinds 'sym' and 'antisym-c1'")
-    if cfg.smooth_width is not None:
-        raise ConfigError("sweep builds indicator tables only; remove 'smooth_width'")
     f = cfg.target()
     for key in ("delta", "epsilon"):
         if getattr(cfg, key) is not None:
             raise ConfigError(f"sweep takes its spacings from 'deltas'; remove {key!r}")
+    w, finest = cfg.smooth_width, cfg.deltas[-1]
+    if w is not None and w > finest / 2.0:
+        raise ConfigError(f"'smooth_width' = {w} exceeds half the finest spacing {finest}")
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
-    result = convergence_sweep(f, cfg.domain(), cfg.deltas, S, cap=cfg.cap)
+    result = convergence_sweep(f, cfg.deltas, S, functools.partial(_build_tabulator, cfg, f))
     elapsed = time.perf_counter() - start
     lines = [SWEEP_COLUMNS]
     for row in result.rows:

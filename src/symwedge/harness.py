@@ -1,6 +1,9 @@
 """Empirical verification: seeded sampling, measured gradient bounds,
 sup-error scans, invariance suites, convergence sweeps.
 
+The harness builds nothing: it measures tabulators a caller builds, taking N,
+d and the spacing from them. A non-finite value is a ValueError (``max`` drops NaN).
+
 Everything here is deterministic given (seed, inputs). Sampling uses a
 counter-based bit generator (Philox) keyed directly by the seed, so sample
 sets regenerate bit-identically across runs and machines.
@@ -26,15 +29,11 @@ from .core import (
     parity,
     permute,
 )
-from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
-from .approx_sym import SymmetricTabulator, build_sym, error_budget, eval_sym
-from .approx_antisym import (
-    MODE_RANK,
-    AntisymTabulator,
-    build_antisym,
-    eval_antisym,
-    vandermonde_product,
-)
+from .approx_sym import SymmetricTabulator, error_budget, eval_sym
+from .approx_sym import build_sym  # noqa: F401  (benches/tracing.py wraps this binding)
+from .approx_antisym import eval_antisym, vandermonde_product
+from .approx_antisym import build_antisym  # noqa: F401  (benches/tracing.py wraps this binding)
+from .persistence import Tabulator
 
 __all__ = [
     "SampleSet",
@@ -56,6 +55,12 @@ DEFAULT_FD_STEP_FRACTION = 1e-4
 BOUND_SLACK = 1e-12
 CONSTANT_ERROR_FLOOR = 1e-12
 _PERM_SEED_SALT = 0x9E3779B97F4A7C15  # decorrelates permutation draws from sample draws
+
+
+def _finite(value: float, what: str, k: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {value} at sample {k}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,8 @@ def sup_error(
     """Largest sampled |f - approx| and the configuration attaining it."""
     best = -1.0
     arg = S.configurations[0]
-    for X in S.configurations:
-        err = abs(f(X) - approx(X))
+    for k, X in enumerate(S.configurations):
+        err = abs(_finite(f(X), "target value", k) - _finite(approx(X), "approximation", k))
         if err > best:
             best = err
             arg = X
@@ -186,14 +191,14 @@ def invariance_suite(
     signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
     worst = 0.0
     for k, X in enumerate(S.configurations):
-        base = evaluator(X)
+        base = _finite(evaluator(X), "value", k)
         # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
         for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
             if images not in signed:
                 sigma = Permutation(images)
                 signed[images] = sigma, parity(sigma)
             sigma, sign = signed[images]
-            permuted = evaluator(permute(X, sigma))
+            permuted = _finite(evaluator(permute(X, sigma)), "permuted value", k)
             if symmetry is Symmetry.SYMMETRIC:
                 residual = abs(permuted - base)
             else:
@@ -221,12 +226,12 @@ class SweepResult:
 
 def convergence_sweep(
     f: TargetFunction,
-    domain: DomainSpec,
     deltas: Sequence[float],
     S: SampleSet,
-    cap: int = DEFAULT_WEDGE_CAP,
+    build: Callable[[float], Tabulator],
 ) -> SweepResult:
-    """Build one indicator tabulator per spacing and fit the log-log slope
+    """Measure the tabulator ``build(delta)`` returns at each spacing (the
+    builder chooses the construction and lattice) and fit the log-log slope
     of the sampled sup error against the spacing.
 
     Spacings must be given in strictly descending order (at least three).
@@ -242,24 +247,16 @@ def convergence_sweep(
     rows = []
     for delta in deltas:
         start = time.perf_counter()
-        spec = LatticeSpec.from_domain(domain, delta)
-        if f.declared_symmetry is Symmetry.SYMMETRIC:
-            tab = build_sym(f, spec, domain.N, cap=cap)
-            approx = lambda X, tab=tab: eval_sym(tab, X)
-        elif f.declared_symmetry is Symmetry.ANTISYMMETRIC:
-            tab = build_antisym(f, spec, domain.N, mode=MODE_RANK, cap=cap)
-            approx = lambda X, tab=tab: eval_antisym(tab, X)
-        else:
-            raise ValueError("sweep needs a target with a declared symmetry")
-        err, _ = sup_error(f, approx, S)
+        tab = build(delta)
+        err, _ = sup_error(f, _evaluator(tab)[1], S)
         elapsed = time.perf_counter() - start
         rows.append(
             SweepRow(
                 delta=delta,
                 sup_error=err,
-                bound=error_budget(delta, domain.N, domain.d, L_hat),
+                bound=error_budget(delta, tab.N, tab.spec.d, L_hat),
                 wedge_count=tab.stats.wedge_count,
-                M=tab.stats.wedge_count * (1 << domain.N),
+                M=tab.stats.wedge_count * (1 << tab.N),
                 wall_time_s=elapsed,
             )
         )
@@ -284,25 +281,25 @@ def cauchy_factor_check(
     if min_gap <= 0.0:
         raise ValueError("min_gap must be positive")
     kept = []
-    for X in S.configurations:
+    for k, X in enumerate(S.configurations):
         xs = [p.coords[0] for p in X.points]
         gap = min(
             (abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]),
             default=math.inf,
         )
         if gap >= min_gap:
-            kept.append((X, xs))
+            kept.append((k, X, xs))
     if not kept:
         raise ValueError(f"no sample is diagonal-free at min_gap = {min_gap}")
     N = S.domain.N
     perms = [Permutation(p) for p in _all_permutations(range(N))]
     worst = 0.0
-    for X, xs in kept:
+    for k, X, xs in kept:
         base = f(X) / vandermonde_product(xs)
         for sigma in perms:
             Y = permute(X, sigma)
             quotient = f(Y) / vandermonde_product([p.coords[0] for p in Y.points])
-            worst = max(worst, abs(quotient - base))
+            worst = max(worst, _finite(abs(quotient - base), "quotient residual", k))
     return worst
 
 
@@ -345,9 +342,16 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
+def _evaluator(tab: Tabulator) -> tuple[Symmetry, Callable[[Configuration], float]]:
+    """The law ``tab`` obeys, and its evaluator through this module's bindings."""
+    if isinstance(tab, SymmetricTabulator):
+        return Symmetry.SYMMETRIC, lambda X: eval_sym(tab, X)
+    return Symmetry.ANTISYMMETRIC, lambda X: eval_antisym(tab, X)
+
+
 def run_verification(
     f: TargetFunction,
-    tab: SymmetricTabulator | AntisymTabulator,
+    tab: Tabulator,
     S: SampleSet,
     gradient_bound: float,
     n_perms: int = 8,
@@ -361,10 +365,7 @@ def run_verification(
     check runs for anti-symmetric tabulators in d = 1. Raises ValueError
     when the tabulator's symmetry differs from ``f.declared_symmetry``.
     """
-    if isinstance(tab, SymmetricTabulator):
-        symmetry, evaluate = Symmetry.SYMMETRIC, eval_sym
-    else:
-        symmetry, evaluate = Symmetry.ANTISYMMETRIC, eval_antisym
+    symmetry, approx = _evaluator(tab)
     if f.declared_symmetry is not symmetry:
         raise ValueError(
             f"cannot verify a {tab.kind} tabulator against target {f.name!r}, "
@@ -373,11 +374,10 @@ def run_verification(
     N, d, delta = tab.N, tab.spec.d, tab.spec.delta
 
     scale = 1.0
-    for X in S.configurations:
-        scale = max(scale, abs(f(X)))
+    for k, X in enumerate(S.configurations):
+        scale = max(scale, abs(_finite(f(X), "target value", k)))
     target_residual = invariance_suite(f, S, n_perms, symmetry) / scale
 
-    approx = lambda X: evaluate(tab, X)
     sup, arg = sup_error(f, approx, S)
     budget = error_budget(delta, N, d, gradient_bound)
     invariance = invariance_suite(approx, S, n_perms, symmetry)

@@ -137,7 +137,9 @@ def test_criterion_04_sym_error_bound():
         domain = unit_domain(d, N)
         S = sample_configurations(domain, 10_000, seed=2000 + 10 * N + d)
         for name in SYM_TARGETS:
-            result = convergence_sweep(builtin_target(name), domain, deltas, S)
+            f = builtin_target(name)
+            build = lambda delta: build_sym(f, LatticeSpec.from_domain(domain, delta), N)
+            result = convergence_sweep(f, deltas, S, build)
             for row in result.rows:
                 assert row.sup_error <= row.bound + BOUND_SLACK, (name, N, d, row)
             assert result.slope is not None

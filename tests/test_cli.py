@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -563,23 +564,56 @@ def test_sweep_requires_deltas_list(tmp_path, capsys):
     assert "deltas" in err
 
 
-def test_sweep_rejects_projected_kind(tmp_path, capsys):
-    config = write_config(
-        tmp_path, kind="antisym-c2", target="vandermonde-gauss-antisym",
-        delta=None, deltas=[0.5, 0.25, 0.125],
-    )
-    code, _, err = run(capsys, "sweep", "--config", config)
-    assert code == 2
-    assert "sweep supports kinds" in err
+def test_sweep_smooth_width_above_half_the_finest_spacing_exits_2(tmp_path, capsys, monkeypatch):
+    def no_sampling(*_args):
+        raise AssertionError("sampled before the config was checked")
 
-
-def test_sweep_rejects_smooth_width(tmp_path, capsys):
+    monkeypatch.setattr(cli, "sample_configurations", no_sampling)
     config = write_config(
-        tmp_path, delta=None, deltas=[0.5, 0.25, 0.125], smooth_width=0.05
+        tmp_path, delta=None, deltas=[0.25, 0.125, 0.0625], smooth_width=0.05
     )
     code, out, err = run(capsys, "sweep", "--config", config)
     assert (code, out) == (2, "")
-    assert err == "error: sweep builds indicator tables only; remove 'smooth_width'\n"
+    assert err == "error: 'smooth_width' = 0.05 exceeds half the finest spacing 0.0625\n"
+    assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of sweep.csv over deltas (1/2, 1/4, 1/8), 2,000 samples, seed 7.
+PINNED_SWEEP_CSV_SHA256 = {
+    ("sym", "product-smooth-sym", 4):
+        "0b7a0eb9ea1bece7b4cd5f1896a95907f6b5b39414fec01577bc7de6f8a10580",
+    ("antisym-c1", "vandermonde-gauss-antisym", 3):
+        "0a908b6ac7fe0a7435f4e6fe532a1880793d590ddaaf6c84e2c18704179b12a8",
+}
+
+
+@pytest.mark.parametrize("kind, target, N", sorted(PINNED_SWEEP_CSV_SHA256))
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys, kind, target, N):
+    config = write_config(
+        tmp_path, kind=kind, target=target, N=N, delta=None, deltas=[0.5, 0.25, 0.125],
+        samples=2000, seed=7,
+    )
+    assert run(capsys, "sweep", "--config", config)[0] == 0
+    digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SWEEP_CSV_SHA256[(kind, target, N)]
+
+
+@pytest.mark.parametrize("smooth_width", [None, 1 / 64], ids=["indicator", "smooth"])
+@pytest.mark.parametrize("target", ["vandermonde-gauss-antisym", "vandermonde-sum-antisym"])
+def test_sweep_projected_construction_converges_first_order(
+    tmp_path, capsys, target, smooth_width
+):
+    config = write_config(
+        tmp_path, kind="antisym-c2", target=target, d=2, N=2, delta=None,
+        deltas=[0.25, 0.125, 0.0625], smooth_width=smooth_width, samples=2000, seed=4,
+    )
+    code, _, err = run(capsys, "sweep", "--config", config)
+    assert code == 0, err
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    for line in lines[1:-1]:
+        _, sup, bound, *_ = line.split(",")
+        assert float(sup) <= float(bound)
+    assert 0.8 <= float(lines[-1].removeprefix("# slope=")) <= 1.2
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,16 @@ def cfg(*rows):
     return Configuration.from_rows(rows)
 
 
+def sweep(f, domain, deltas, S):
+    """A convergence sweep of ``f``'s indicator tables (rank mode when anti-symmetric)."""
+    build = build_sym if f.declared_symmetry is Symmetry.SYMMETRIC else build_antisym
+
+    def build_at(delta):
+        return build(f, LatticeSpec.from_domain(domain, delta), domain.N)
+
+    return convergence_sweep(f, deltas, S, build_at)
+
+
 def constant_target(value):
     return TargetFunction(
         evaluator=lambda X: value,
@@ -235,6 +245,50 @@ def test_invariance_suite_validation():
         invariance_suite(SUM_12, S, 4, Symmetry.NONE)
 
 
+def test_non_finite_values_are_errors_naming_the_sample():
+    # NaN where x1 + x2 > 1.5: no corner of the delta = 1/4 lattice lies
+    # there, so the table is finite while the target is NaN on 34 of 200
+    # samples; a fold with > or max would drop every NaN
+    def value(X, law):
+        x1, x2 = (p.coords[0] for p in X.points)
+        return math.nan if x1 + x2 > 1.5 else law(x1, x2)
+
+    probe = TargetFunction(
+        evaluator=lambda X: value(X, lambda a, b: a + b),
+        declared_symmetry=Symmetry.SYMMETRIC,
+        name="nan-probe",
+    )
+    S = sample_configurations(UNIT_12, 200, 3)
+    sums = [sum(p.coords[0] for p in X.points) for X in S.configurations]
+    assert sum(v > 1.5 for v in sums) == 34
+    first = next(k for k, v in enumerate(sums) if v > 1.5)
+    tab = build_sym(probe, LatticeSpec.from_domain(UNIT_12, 0.25), 2)
+    approx = lambda X: eval_sym(tab, X)
+    at_first = f"nan at sample {first}$"
+    with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
+        sup_error(probe, approx, S)
+    with pytest.raises(ValueError, match=f"non-finite approximation {at_first}"):
+        sup_error(approx, probe, S)
+    with pytest.raises(ValueError, match=f"non-finite value {at_first}"):
+        invariance_suite(probe, S, 8, Symmetry.SYMMETRIC)
+    with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
+        run_verification(probe, tab, S, 1.0)
+
+    antisym_probe = TargetFunction(
+        evaluator=lambda X: value(X, lambda a, b: a - b),
+        declared_symmetry=Symmetry.ANTISYMMETRIC,
+        name="nan-probe-antisym",
+    )
+    kept = [
+        k for k, X in enumerate(S.configurations)
+        if abs(X.points[0].coords[0] - X.points[1].coords[0]) >= 0.05
+    ]
+    first_kept = next(k for k in kept if sums[k] > 1.5)
+    message = f"non-finite quotient residual nan at sample {first_kept}$"
+    with pytest.raises(ValueError, match=message):
+        cauchy_factor_check(antisym_probe, S, min_gap=0.05)
+
+
 def test_invariance_suite_is_seed_deterministic():
     S = sample_configurations(UNIT_13, 50, 44)
     f = builtin_target("product-smooth-sym", {"d": 1, "N": 3})
@@ -316,7 +370,7 @@ PINNED_SWEEP_HEX = {
 @pytest.mark.parametrize("name", sorted(PINNED_SWEEP_HEX))
 def test_convergence_sweep_rows_are_pinned(name):
     S = sample_configurations(UNIT_13, 200, 5)
-    res = convergence_sweep(builtin_target(name, {}), UNIT_13, [0.5, 0.25, 0.125], S)
+    res = sweep(builtin_target(name, {}), UNIT_13, [0.5, 0.25, 0.125], S)
     rows = [
         (r.delta.hex(), r.sup_error.hex(), r.bound.hex(), r.wedge_count, r.M) for r in res.rows
     ]
@@ -325,7 +379,7 @@ def test_convergence_sweep_rows_are_pinned(name):
 
 def test_sweep_slope_first_order():
     S = sample_configurations(UNIT_12, 3000, 51)
-    res = convergence_sweep(SUM_12, UNIT_12, (0.5, 0.25, 0.125), S)
+    res = sweep(SUM_12, UNIT_12, (0.5, 0.25, 0.125), S)
     assert res.slope is not None
     assert 0.8 <= res.slope <= 1.2
 
@@ -333,21 +387,21 @@ def test_sweep_slope_first_order():
 def test_sweep_antisym_target_slope():
     f = builtin_target("vandermonde-sum-antisym", {"d": 1, "N": 2})
     S = sample_configurations(UNIT_12, 3000, 52)
-    res = convergence_sweep(f, UNIT_12, (0.5, 0.25, 0.125), S)
+    res = sweep(f, UNIT_12, (0.5, 0.25, 0.125), S)
     assert res.slope is not None
     assert 0.8 <= res.slope <= 1.2
 
 
 def test_sweep_constant_target_has_no_slope():
     S = sample_configurations(UNIT_12, 500, 53)
-    res = convergence_sweep(constant_target(2.0), UNIT_12, (0.5, 0.25, 0.125), S)
+    res = sweep(constant_target(2.0), UNIT_12, (0.5, 0.25, 0.125), S)
     assert res.slope is None
     assert all(row.sup_error <= 1e-12 for row in res.rows)
 
 
 def test_sweep_errors_monotone_and_rows_consistent():
     S = sample_configurations(UNIT_12, 3000, 54)
-    res = convergence_sweep(SUM_12, UNIT_12, (0.5, 0.25, 0.125, 0.0625), S)
+    res = sweep(SUM_12, UNIT_12, (0.5, 0.25, 0.125, 0.0625), S)
     errs = [row.sup_error for row in res.rows]
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     for row in res.rows:
@@ -360,9 +414,9 @@ def test_sweep_errors_monotone_and_rows_consistent():
 def test_sweep_validation():
     S = sample_configurations(UNIT_12, 10, 55)
     with pytest.raises(ValueError):
-        convergence_sweep(SUM_12, UNIT_12, (0.5, 0.25), S)
+        sweep(SUM_12, UNIT_12, (0.5, 0.25), S)
     with pytest.raises(ValueError):
-        convergence_sweep(SUM_12, UNIT_12, (0.25, 0.5, 0.125), S)
+        sweep(SUM_12, UNIT_12, (0.25, 0.5, 0.125), S)
 
 
 # ---------------------------------------------------------------- cauchy
