@@ -23,15 +23,16 @@ a few cell diagonals, which changes its factor by at most
 |e| / (s |z_i - z_j|), where s, the entry's score, is its smallest relative
 pair projection |a_Z . (z_i - z_j)| / |z_i - z_j|. A direction with a small
 score lets the ratio, and with it the error, blow up, so each entry takes
-the direction of largest score from one fixed table per d >= 2: the
+the direction of largest score from one fixed table per d: the
 _CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
 scaled to unit length, the lowest index winning a tie. Scores are taken on
 the integer index differences (they are scale-free) and, like the norms,
 accumulate one component at a time, so the choice does not depend on the
 BLAS build. ``tau`` is a floor: every chosen direction must pass
 ``directions_valid`` at tau, the rule the loader applies, and an entry whose
-best candidate fails raises DirectionSearchError. At d = 1 the one direction
-is (1,).
+best candidate fails raises DirectionSearchError. At d = 1 every candidate
+is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every entry
+takes (1,).
 
 Projected mode additionally supports a smooth variant that blends
 neighboring entries with the same normalized cutoff weights as the
@@ -80,7 +81,7 @@ KIND_RANK = "antisym-c1"
 KIND_PROJECTED = "antisym-c2"
 MODE_RANK = "rank"
 MODE_PROJECTED = "projected"
-# Unit candidates per d >= 2 in the projected direction search.
+# Unit candidates per d in the projected direction search.
 _CANDIDATES = 64
 # Entries per batched direction search. It sizes the search's three
 # (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised the
@@ -162,7 +163,7 @@ def _candidate_table(d: int) -> np.ndarray:
 def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     """The direction of entry zs: the candidate that maximizes the smallest
     relative pair projection, if it clears tau. Deterministic in (zs, tau);
-    d = 1 short-circuits to (1,)."""
+    (1,) at d = 1."""
     if len(set(zs)) < len(zs):
         raise ValueError("direction choice needs distinct cells")
     return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau)[0].tolist())
@@ -194,15 +195,6 @@ def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     K, N, d = idx.shape
-    if d == 1:
-        A = np.ones((K, 1))
-        rejected = np.flatnonzero(~directions_valid(A, idx, tau))
-        if len(rejected):
-            zs = tuple(map(tuple, idx[rejected[0]].tolist()))
-            raise DirectionSearchError(
-                f"no unit direction satisfies tau = {tau} for Z = {zs} (tau > 1 is unsatisfiable)"
-            )
-        return A
     C = _candidate_table(d)
     # Scores are laid out (candidate, key) and updated in place: one chunk's
     # worth of scratch, no temporaries per component.

@@ -199,9 +199,7 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     return total
 
 
-def eval_sym_feature_form(
-    T: SymmetricTabulator, X: Configuration, feature_cap: int = DEFAULT_FEATURE_CAP
-) -> float:
+def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
     """Evaluate through the explicit feature expansion (indicator mode only).
 
     This is sum_Z (f(Z)/C_Z) * perm(A_Z), A_Z[i][j] = 1[x_i in cell Z_j] (rows
@@ -219,10 +217,9 @@ def eval_sym_feature_form(
     if T.smooth_width is not None:
         raise ValueError("feature-form evaluation is defined for indicator mode only")
     m = len(T.table) * (1 << T.N)
-    if m > feature_cap:
+    if m > DEFAULT_FEATURE_CAP:
         raise CapacityError(
-            f"feature expansion has {m} features, above the cap of {feature_cap}; "
-            f"rerun with feature_cap >= {m}"
+            f"feature expansion has {m} features, above the cap of {DEFAULT_FEATURE_CAP}"
         )
     cells = [cell_of(T.spec, p) for p in X.points]
     held = sorted(set(cells))

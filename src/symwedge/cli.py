@@ -104,10 +104,7 @@ class ExperimentConfig:
 
     def target(self) -> TargetFunction:
         """The named target; its declared symmetry must be the one ``kind`` tabulates."""
-        params = dict(self.target_params)
-        params.setdefault("d", self.d)
-        params.setdefault("N", self.N)
-        f = builtin_target(self.target_name, params)
+        f = builtin_target(self.target_name, self.target_params)
         want = Symmetry.SYMMETRIC if self.kind == KIND_SYM else Symmetry.ANTISYMMETRIC
         if f.declared_symmetry is not want:
             raise ConfigError(
@@ -307,12 +304,22 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
     return _apply_overrides(_config_from(raw), args), frozenset(raw)
 
 
+def _check_width_fits(cfg: ExperimentConfig, delta: float, spacing: str) -> None:
+    """A 'smooth_width' must not exceed half the ``spacing`` ``delta``;
+    checked as soon as the spacing is known, before the work it sizes."""
+    w = cfg.smooth_width
+    if w is not None and w > delta / 2.0:
+        raise ConfigError(f"'smooth_width' = {w} exceeds half the {spacing} {delta}")
+
+
 def _check_single_lattice(cfg: ExperimentConfig) -> None:
     """A single-lattice command (build, verify) takes 'delta', or an accuracy
-    'epsilon' below the density limit, and no 'deltas'."""
+    'epsilon' below the density limit, and no 'deltas'. An explicit 'delta'
+    must fit the smoothing width."""
     if cfg.deltas is not None:
         raise ConfigError("'deltas' is for sweep; this command takes 'delta' or 'epsilon'")
     if cfg.delta is not None:
+        _check_width_fits(cfg, cfg.delta, "spacing")
         return
     if cfg.epsilon is None:
         raise ConfigError("config needs 'delta' or 'epsilon' for this command")
@@ -331,7 +338,8 @@ def _resolve_delta(
     gradient bound measured to get it (None for an explicit delta).
 
     An accuracy target is converted through the gradient bound measured on
-    ``S``, or on the config's samples when ``S`` is not given.
+    ``S``, or on the config's samples when ``S`` is not given, and the
+    spacing it gives must fit the smoothing width.
     """
     if cfg.delta is not None:
         return cfg.delta, None
@@ -340,7 +348,9 @@ def _resolve_delta(
     L_hat = gradient_bound_estimate(f, S)
     if L_hat <= 0.0:
         raise ConfigError("measured gradient bound is zero; give 'delta' explicitly")
-    return delta_for_epsilon(cfg.epsilon, cfg.N, cfg.d, L_hat), L_hat
+    delta = delta_for_epsilon(cfg.epsilon, cfg.N, cfg.d, L_hat)
+    _check_width_fits(cfg, delta, "spacing")
+    return delta, L_hat
 
 
 def _build_tabulator(cfg: ExperimentConfig, f: TargetFunction, delta: float):
@@ -523,9 +533,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for key in ("delta", "epsilon"):
         if getattr(cfg, key) is not None:
             raise ConfigError(f"sweep takes its spacings from 'deltas'; remove {key!r}")
-    w, finest = cfg.smooth_width, cfg.deltas[-1]
-    if w is not None and w > finest / 2.0:
-        raise ConfigError(f"'smooth_width' = {w} exceeds half the finest spacing {finest}")
+    _check_width_fits(cfg, cfg.deltas[-1], "finest spacing")
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
     result = convergence_sweep(f, cfg.deltas, S, functools.partial(_build_tabulator, cfg, f))

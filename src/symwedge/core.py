@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -162,16 +162,11 @@ def parity(sigma: Permutation) -> int:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """A scalar function of a configuration together with its declared symmetry.
-
-    ``gradient_bound_hint`` is optional analytic knowledge; the harness
-    always measures its own bound and never trusts the hint blindly.
-    """
+    """A scalar function of a configuration together with its declared symmetry."""
 
     evaluator: Callable[[Configuration], float]
     declared_symmetry: Symmetry
-    gradient_bound_hint: float | None = None
-    name: str = "custom"
+    name: str = field(default="custom", kw_only=True)
 
     def __call__(self, X: Configuration) -> float:
         return float(self.evaluator(X))
@@ -196,18 +191,13 @@ def _param(params: Mapping[str, object], key: str, default: float) -> float:
 
 
 def _check_params(name: str, params: Mapping[str, object], allowed: frozenset[str]) -> None:
-    unknown = set(params) - allowed - {"d", "N"}
+    unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown parameter(s) for target {name!r}: {sorted(unknown)}")
-    for key in ("d", "N"):  # optional shape keys
-        value = params.get(key)
-        if value is not None and (type(value) is not int or value < 1):
-            raise ConfigError(f"target parameter {key!r} must be a positive integer, got {value!r}")
 
 
 def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
     _check_params("sum-coords", params, frozenset())
-    d, N = params.get("d"), params.get("N")
 
     def ev(X: Configuration) -> float:
         total = 0.0
@@ -216,8 +206,7 @@ def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
                 total += c
         return total
 
-    hint = math.sqrt(N * d) if (d is not None and N is not None) else None
-    return TargetFunction(ev, Symmetry.SYMMETRIC, hint, "sum-coords")
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="sum-coords")
 
 
 def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
@@ -246,7 +235,7 @@ def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
                 total += math.exp(-r2 * inv_w2)
         return total
 
-    return TargetFunction(ev, Symmetry.SYMMETRIC, None, "gaussian-pair-sym")
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="gaussian-pair-sym")
 
 
 def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
@@ -265,7 +254,7 @@ def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
             prod *= 1.0 + amplitude * math.sin(0.5 * math.pi * mean)
         return prod
 
-    return TargetFunction(ev, Symmetry.SYMMETRIC, None, "product-smooth-sym")
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="product-smooth-sym")
 
 
 def _first_coord_vandermonde(X: Configuration) -> float:
@@ -289,7 +278,7 @@ def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
                 r2 += c * c
         return _first_coord_vandermonde(X) * math.exp(-r2)
 
-    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, None, "vandermonde-gauss-antisym")
+    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-gauss-antisym")
 
 
 def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
@@ -302,7 +291,7 @@ def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
                 total += c
         return _first_coord_vandermonde(X) * total
 
-    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, None, "vandermonde-sum-antisym")
+    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-sum-antisym")
 
 
 _BUILTIN_FACTORIES: dict[str, Callable[[Mapping[str, object]], TargetFunction]] = {
@@ -317,11 +306,8 @@ BUILTIN_TARGET_NAMES: tuple[str, ...] = tuple(sorted(_BUILTIN_FACTORIES))
 
 
 def builtin_target(name: str, params: Mapping[str, object] | None = None) -> TargetFunction:
-    """Look up a named builtin target; unknown names raise ConfigError.
-
-    ``params`` may carry target-specific knobs plus optional ``d``/``N``
-    used to precompute analytic gradient hints where available.
-    """
+    """Look up a named builtin target and build it from its own ``params``;
+    an unknown name or parameter raises ConfigError."""
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:

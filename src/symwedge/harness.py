@@ -69,8 +69,11 @@ class SampleSet:
 
     domain: DomainSpec
     seed: int
-    count: int
     configurations: tuple[Configuration, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.configurations)
 
 
 def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSet:
@@ -80,24 +83,19 @@ def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSe
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = domain.lo + domain.span * rng.random((count, domain.N, domain.d))
     configurations = tuple(Configuration.from_rows(rows) for rows in raw.tolist())
-    return SampleSet(domain=domain, seed=seed, count=count, configurations=configurations)
+    return SampleSet(domain=domain, seed=seed, configurations=configurations)
 
 
-def gradient_bound_estimate(
-    f: Callable[[Configuration], float], S: SampleSet, h: float | None = None
-) -> float:
+def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -> float:
     """Max over samples of the Euclidean norm of the central-difference
-    gradient (all N*d slots), with samples clipped to the interior so the
-    stencil stays inside the domain.
+    gradient (all N*d slots), with step h = DEFAULT_FD_STEP_FRACTION * span
+    and samples clipped to the interior so the stencil stays inside the domain.
 
     Each sample's N clipped Points are built once; a stencil evaluation
     swaps in a new Point for the one perturbed row only.
     """
     domain = S.domain
-    if h is None:
-        h = DEFAULT_FD_STEP_FRACTION * domain.span
-    if not 0.0 < h < domain.span / 2.0:
-        raise ValueError(f"step {h} incompatible with span {domain.span}")
+    h = DEFAULT_FD_STEP_FRACTION * domain.span
     lo, hi = domain.lo + h, domain.hi - h
     two_h = 2.0 * h
     best = 0.0

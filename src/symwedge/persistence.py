@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Callable, TypeVar, Union
 
@@ -76,10 +75,13 @@ _T = TypeVar("_T")
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file and a crashed writer leaves the old content intact."""
+    partial file and a crashed writer leaves the old content intact. The
+    temp file is created with mode 0o666, which the umask reduces as for a
+    plain ``open``; O_EXCL keeps a clashing name from being shared."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -260,7 +260,7 @@ def test_criterion_10_smooth():
     spec = LatticeSpec.from_domain(domain, 0.25)
     width = spec.delta / 4.0
 
-    const = TargetFunction(lambda X: 3.0, Symmetry.SYMMETRIC, 0.0, "const")
+    const = TargetFunction(lambda X: 3.0, Symmetry.SYMMETRIC, name="const")
     tab_c = build_sym(const, spec, 2, mode=MODE_SMOOTH, smooth_width=width)
     S = sample_configurations(domain, 500, seed=1010)
     for X in S.configurations:

@@ -50,7 +50,7 @@ def unit_domain(d, N):
     return DomainSpec(d=d, N=N, lo=0.0, hi=1.0)
 
 
-VG_12 = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+VG_12 = builtin_target("vandermonde-gauss-antisym")
 SPEC_HALF = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
 
 
@@ -268,7 +268,8 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
     spec = LatticeSpec.from_counts(4, 1, 0.0, 1.0)
     keys = distinct_keys(spec, 2)
     message = (
-        "no unit direction satisfies tau = 1.5 for Z = ((0,), (1,)) (tau > 1 is unsatisfiable)"
+        "no candidate direction clears tau = 1.5 for Z = ((0,), (1,)): its best smallest "
+        "relative pair projection is 1.0; lower tau"
     )
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 1.5)
@@ -276,7 +277,7 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as batched:
         _choose_directions(_key_array(keys, 2, 1), 1.5)
     assert str(batched.value) == message
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(DirectionSearchError) as built:
         build_antisym(f, spec, 2, mode=MODE_PROJECTED, tau=1.5)
     assert str(built.value) == message
@@ -351,7 +352,7 @@ def test_build_rank_coefficient_example():
 @pytest.mark.parametrize("N", [4, 5])
 def test_rank_mode_is_exact_at_every_corner(N):
     # sign * f(Z) exactly, also where slot_rank_product(N) is not a power of 2
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": N})
+    f = builtin_target("vandermonde-gauss-antisym")
     spec = LatticeSpec.from_domain(unit_domain(1, N), 1 / 16)
     tab = build_antisym(f, spec, N, mode=MODE_RANK)
     assert len(tab.table) == math.comb(16, N)
@@ -385,7 +386,7 @@ def test_build_zero_target_evaluates_to_zero():
 
 
 def test_build_guards():
-    sym = builtin_target("sum-coords", {"d": 1, "N": 2})
+    sym = builtin_target("sum-coords")
     with pytest.raises(ValueError):
         build_antisym(sym, SPEC_HALF, 2, mode=MODE_RANK)
     with pytest.raises(ValueError):
@@ -413,7 +414,7 @@ def test_eval_antisym_swap_flips_sign_bit_exactly():
 
 
 def test_eval_antisym_sign_equivariance_property():
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 3})
+    f = builtin_target("vandermonde-gauss-antisym")
     spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
     rng = np.random.Generator(np.random.Philox(63))
     for mode in (MODE_RANK, MODE_PROJECTED):
@@ -426,7 +427,7 @@ def test_eval_antisym_sign_equivariance_property():
 
 
 def test_mode_agreement_within_tolerance():
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     spec = LatticeSpec.from_domain(unit_domain(2, 2), 0.25)
     rank = build_antisym(f, spec, 2, mode=MODE_RANK)
     proj = build_antisym(f, spec, 2, mode=MODE_PROJECTED)

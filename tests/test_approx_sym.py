@@ -49,16 +49,15 @@ def unit_domain(d, N):
     return DomainSpec(d=d, N=N, lo=0.0, hi=1.0)
 
 
-def constant_target(value, d, N):
+def constant_target(value):
     return TargetFunction(
         evaluator=lambda X: value,
         declared_symmetry=Symmetry.SYMMETRIC,
-        gradient_bound_hint=0.0,
         name="constant",
     )
 
 
-SUM_12 = builtin_target("sum-coords", {"d": 1, "N": 2})
+SUM_12 = builtin_target("sum-coords")
 SPEC_HALF = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
 
 
@@ -78,7 +77,7 @@ def test_build_sym_table_example():
 
 
 def test_build_sym_constant_entries():
-    tab = build_sym(constant_target(2.5, 1, 3), SPEC_HALF, 3)
+    tab = build_sym(constant_target(2.5), SPEC_HALF, 3)
     for zs, stored in tab.table.items():
         from symwedge import repetition_constant
 
@@ -86,7 +85,7 @@ def test_build_sym_constant_entries():
 
 
 def test_build_sym_rejects_antisymmetric_target():
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(ValueError):
         build_sym(f, SPEC_HALF, 2)
 
@@ -193,14 +192,14 @@ def test_build_sym_coarse_flag():
 
 
 def test_eval_sym_constant_everywhere():
-    tab = build_sym(constant_target(2.5, 1, 3), SPEC_HALF, 3)
+    tab = build_sym(constant_target(2.5), SPEC_HALF, 3)
     rng = np.random.Generator(np.random.Philox(51))
     for _ in range(100):
         assert eval_sym(tab, cfg(*rng.random((3, 1)).tolist())) == 2.5
 
 
 def test_eval_sym_exact_at_distinct_corner():
-    f = builtin_target("gaussian-pair-sym", {"d": 1, "N": 2})
+    f = builtin_target("gaussian-pair-sym")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.25)
     tab = build_sym(f, spec, 2)
     Z = ((0,), (2,))
@@ -209,7 +208,7 @@ def test_eval_sym_exact_at_distinct_corner():
 
 
 def test_eval_sym_bit_exact_invariance():
-    f = builtin_target("gaussian-pair-sym", {"d": 2, "N": 3})
+    f = builtin_target("gaussian-pair-sym")
     spec = LatticeSpec.from_domain(unit_domain(2, 3), 0.5)
     tab = build_sym(f, spec, 3)
     rng = np.random.Generator(np.random.Philox(52))
@@ -284,7 +283,7 @@ def test_feature_form_matches_eval_sym():
 
 
 def test_feature_form_constant():
-    tab = build_sym(constant_target(1.75, 1, 2), SPEC_HALF, 2)
+    tab = build_sym(constant_target(1.75), SPEC_HALF, 2)
     rng = np.random.Generator(np.random.Philox(54))
     for _ in range(50):
         X = cfg(*rng.random((2, 1)).tolist())
@@ -330,9 +329,12 @@ def test_feature_form_sums_the_contributing_entries_in_table_order():
 
 
 def test_feature_form_guard_and_mode():
-    tab = build_sym(SUM_12, SPEC_HALF, 2)
-    with pytest.raises(CapacityError):
-        eval_sym_feature_form(tab, cfg([0.1], [0.7]), feature_cap=4)
+    # C(24, 5) = 42,504 entries at N = 5, d = 1, delta = 1/20: 1,360,128 features
+    spec = LatticeSpec.from_domain(unit_domain(1, 5), 0.05)
+    tab = build_sym(SUM_12, spec, 5)
+    message = "feature expansion has 1360128 features, above the cap of 1000000"
+    with pytest.raises(CapacityError, match=f"^{message}$"):
+        eval_sym_feature_form(tab, cfg([0.1], [0.7], [0.3], [0.3], [0.9]))
     smooth = build_sym(SUM_12, SPEC_HALF, 2, mode=MODE_SMOOTH, smooth_width=0.1)
     with pytest.raises(ValueError):
         eval_sym_feature_form(smooth, cfg([0.1], [0.7]))
@@ -356,7 +358,7 @@ def test_feature_count_example():
 def test_feature_count_single_point():
     dom = unit_domain(2, 1)
     spec = LatticeSpec.from_domain(dom, 0.5)
-    f = builtin_target("sum-coords", {"d": 2, "N": 1})
+    f = builtin_target("sum-coords")
     report = feature_count(build_sym(f, spec, 1), epsilon=0.2, L=1.0)
     assert report.M == spec.site_count * 2
 
@@ -414,7 +416,7 @@ def test_smooth_weights_partition_of_unity():
 
 def test_smooth_mode_reproduces_constants():
     spec = LatticeSpec.from_domain(unit_domain(2, 2), 0.25)
-    tab = build_sym(constant_target(3.25, 2, 2), spec, 2, mode=MODE_SMOOTH, smooth_width=0.06)
+    tab = build_sym(constant_target(3.25), spec, 2, mode=MODE_SMOOTH, smooth_width=0.06)
     rng = np.random.Generator(np.random.Philox(56))
     for _ in range(100):
         X = cfg(*rng.random((2, 2)).tolist())
@@ -422,7 +424,7 @@ def test_smooth_mode_reproduces_constants():
 
 
 def test_smooth_mode_bit_exact_invariance():
-    f = builtin_target("gaussian-pair-sym", {"d": 1, "N": 3})
+    f = builtin_target("gaussian-pair-sym")
     spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
     tab = build_sym(f, spec, 3, mode=MODE_SMOOTH, smooth_width=0.06)
     rng = np.random.Generator(np.random.Philox(57))

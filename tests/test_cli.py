@@ -578,6 +578,38 @@ def test_sweep_smooth_width_above_half_the_finest_spacing_exits_2(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_smooth_width_above_half_the_spacing_exits_2_before_sampling(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_sampling(*_args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "sample_configurations", no_sampling)
+    config = write_config(
+        tmp_path, target="gaussian-pair-sym", N=3, delta=0.125, smooth_width=0.1, samples=20000
+    )
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out) == (2, "")
+    assert err == "error: 'smooth_width' = 0.1 exceeds half the spacing 0.125\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_smooth_width_above_half_the_epsilon_spacing_exits_2_before_building(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built before the width was checked")
+
+    monkeypatch.setattr(cli, "build_sym", no_build)
+    config = write_config(tmp_path, delta=None, epsilon=0.3, smooth_width=0.4)
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'smooth_width' = 0.4 exceeds half the spacing ")
+    assert not (tmp_path / "out").exists()
+
+
 # SHA-256 of sweep.csv over deltas (1/2, 1/4, 1/8), 2,000 samples, seed 7.
 PINNED_SWEEP_CSV_SHA256 = {
     ("sym", "product-smooth-sym", 4):
@@ -710,12 +742,13 @@ def test_gaussian_width_whose_square_underflows_exits_2(tmp_path, capsys, comman
     assert "width" in err
 
 
-@pytest.mark.parametrize("value", [[1], math.inf], ids=["list", "inf"])
-def test_target_shape_params_must_be_positive_integers(tmp_path, capsys, value):
-    config = write_config(tmp_path, target={"name": "sum-coords", "params": {"d": value}})
+@pytest.mark.parametrize("key", ["d", "N"])
+def test_target_shape_params_are_unknown_parameters(tmp_path, capsys, key):
+    # a target takes only its own parameters; the shape is the config's
+    config = write_config(tmp_path, target={"name": "sum-coords", "params": {key: 2}})
     code, out, err = run(capsys, "build", "--config", config)
     assert_one_line_config_error(code, out, err)
-    assert "positive integer" in err
+    assert err == f"error: unknown parameter(s) for target 'sum-coords': ['{key}']\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -30,7 +30,7 @@ from symwedge.harness import _random_permutations
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)
-SUM_12 = builtin_target("sum-coords", {"d": 1, "N": 2})
+SUM_12 = builtin_target("sum-coords")
 
 
 def cfg(*rows):
@@ -51,7 +51,6 @@ def constant_target(value):
     return TargetFunction(
         evaluator=lambda X: value,
         declared_symmetry=Symmetry.SYMMETRIC,
-        gradient_bound_hint=0.0,
         name="constant",
     )
 
@@ -108,20 +107,13 @@ def test_gradient_bound_of_constant_target():
     assert gradient_bound_estimate(constant_target(4.0), S) <= 1e-8
 
 
-def test_gradient_bound_step_stability():
-    f = builtin_target("gaussian-pair-sym", {"d": 1, "N": 2})
+def test_gradient_bound_step_stability(monkeypatch):
+    f = builtin_target("gaussian-pair-sym")
     S = sample_configurations(UNIT_12, 2000, 23)
-    coarse = gradient_bound_estimate(f, S, h=1e-4)
-    fine = gradient_bound_estimate(f, S, h=5e-5)
+    coarse = gradient_bound_estimate(f, S)
+    monkeypatch.setattr(harness, "DEFAULT_FD_STEP_FRACTION", 5e-5)
+    fine = gradient_bound_estimate(f, S)
     assert abs(coarse - fine) < 1e-6
-
-
-def test_gradient_bound_step_validation():
-    S = sample_configurations(UNIT_12, 10, 24)
-    with pytest.raises(ValueError):
-        gradient_bound_estimate(SUM_12, S, h=0.0)
-    with pytest.raises(ValueError):
-        gradient_bound_estimate(SUM_12, S, h=0.6)
 
 
 def test_gradient_bound_rejects_non_finite_target():
@@ -168,7 +160,7 @@ def slot_weighted(X):
 
 @pytest.mark.parametrize("N", [1, 3, 4])
 @pytest.mark.parametrize("d", [1, 2])
-def test_gradient_bound_matches_reference_stencil(N, d):
+def test_gradient_bound_matches_reference_stencil(N, d, monkeypatch):
     domain = DomainSpec(d=d, N=N, lo=-0.5, hi=1.5)
     S = sample_configurations(domain, 60, 100 + 10 * N + d)
     targets = [
@@ -176,14 +168,12 @@ def test_gradient_bound_matches_reference_stencil(N, d):
         builtin_target("gaussian-pair-sym", {}),
         builtin_target("vandermonde-gauss-antisym", {}),
     ]
-    # the default step, and one wide enough that many samples get clipped
-    for h in (1e-4 * domain.span, 0.2):
+    # the default step, and one (h = 0.2) wide enough that many samples get clipped
+    for fraction in (harness.DEFAULT_FD_STEP_FRACTION, 0.1):
+        monkeypatch.setattr(harness, "DEFAULT_FD_STEP_FRACTION", fraction)
         for f in targets:
-            got = gradient_bound_estimate(f, S, h=h)
-            assert got.hex() == reference_gradient_bound(f, S, h).hex()
-    assert gradient_bound_estimate(slot_weighted, S) == gradient_bound_estimate(
-        slot_weighted, S, h=1e-4 * domain.span
-    )
+            got = gradient_bound_estimate(f, S)
+            assert got.hex() == reference_gradient_bound(f, S, fraction * domain.span).hex()
 
 
 # ---------------------------------------------------------------- sup error
@@ -218,10 +208,10 @@ def test_sup_error_band_for_sum_coords():
 def test_invariance_residual_zero_for_tabulators():
     spec = LatticeSpec.from_domain(UNIT_13, 0.25)
     S = sample_configurations(UNIT_13, 200, 41)
-    f_sym = builtin_target("gaussian-pair-sym", {"d": 1, "N": 3})
+    f_sym = builtin_target("gaussian-pair-sym")
     tab = build_sym(f_sym, spec, 3)
     assert invariance_suite(lambda X: eval_sym(tab, X), S, 8, Symmetry.SYMMETRIC) == 0.0
-    f_anti = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 3})
+    f_anti = builtin_target("vandermonde-gauss-antisym")
     anti = build_antisym(f_anti, spec, 3)
     assert (
         invariance_suite(lambda X: eval_antisym(anti, X), S, 8, Symmetry.ANTISYMMETRIC)
@@ -291,7 +281,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
 
 def test_invariance_suite_is_seed_deterministic():
     S = sample_configurations(UNIT_13, 50, 44)
-    f = builtin_target("product-smooth-sym", {"d": 1, "N": 3})
+    f = builtin_target("product-smooth-sym")
     r1 = invariance_suite(f, S, 6, Symmetry.SYMMETRIC)
     r2 = invariance_suite(f, S, 6, Symmetry.SYMMETRIC)
     assert r1 == r2
@@ -385,7 +375,7 @@ def test_sweep_slope_first_order():
 
 
 def test_sweep_antisym_target_slope():
-    f = builtin_target("vandermonde-sum-antisym", {"d": 1, "N": 2})
+    f = builtin_target("vandermonde-sum-antisym")
     S = sample_configurations(UNIT_12, 3000, 52)
     res = sweep(f, UNIT_12, (0.5, 0.25, 0.125), S)
     assert res.slope is not None
@@ -436,7 +426,7 @@ def test_cauchy_pure_vandermonde_is_exactly_factored():
 
 
 def test_cauchy_vandermonde_times_sum():
-    f = builtin_target("vandermonde-sum-antisym", {"d": 1, "N": 3})
+    f = builtin_target("vandermonde-sum-antisym")
     S = sample_configurations(UNIT_13, 500, 62)
     assert cauchy_factor_check(f, S, min_gap=0.05) <= 1e-9
 
@@ -460,7 +450,7 @@ def test_cauchy_validation():
         cauchy_factor_check(pure_vandermonde(3), S, min_gap=2.0)  # filters everything
     dom2 = DomainSpec(d=2, N=2, lo=0.0, hi=1.0)
     S2 = sample_configurations(dom2, 10, 65)
-    f2 = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
+    f2 = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(ValueError):
         cauchy_factor_check(f2, S2, min_gap=0.05)
 
@@ -491,7 +481,7 @@ def test_run_verification_sym_passes():
 
 
 def test_run_verification_antisym_includes_cauchy():
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     report = verify(f, UNIT_12, 0.25, 2000, 72, build=build_antisym, mode=MODE_PROJECTED)
     assert report.kind == "antisym-c2"
     assert report.cauchy_residual is not None
@@ -514,7 +504,7 @@ def test_smooth_projected_meets_its_budget(name, N, delta):
 
 
 def test_run_verification_rejects_a_tabulator_of_the_other_symmetry():
-    antisym = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+    antisym = builtin_target("vandermonde-gauss-antisym")
     S = sample_configurations(UNIT_12, 10, 1)
     spec = LatticeSpec.from_domain(UNIT_12, 0.5)
     message = "antisym-c1 tabulator against target 'sum-coords', which is symmetric"
@@ -539,7 +529,7 @@ def test_verification_report_consistency_enforced():
 
 
 def test_run_verification_smooth_mode():
-    f = builtin_target("gaussian-pair-sym", {"d": 1, "N": 2})
+    f = builtin_target("gaussian-pair-sym")
     report = verify(f, UNIT_12, 0.25, 1000, 75, mode=MODE_SMOOTH, smooth_width=0.06)
     assert report.passed
     smooth_check = {c.name: c for c in report.checks}["invariance_residual"]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def random_rows(rng, N, d):
 
 
 def test_round_trip_sym_indicator(tmp_path):
-    f = builtin_target("gaussian-pair-sym", {"d": 2, "N": 2})
+    f = builtin_target("gaussian-pair-sym")
     spec = LatticeSpec.from_domain(unit_domain(2, 2), 0.25)
     tab = build_sym(f, spec, 2)
     path = str(tmp_path / "sym.swm")
@@ -58,7 +59,7 @@ def test_round_trip_sym_indicator(tmp_path):
 
 
 def test_round_trip_sym_smooth(tmp_path):
-    f = builtin_target("product-smooth-sym", {"d": 1, "N": 2})
+    f = builtin_target("product-smooth-sym")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.25)
     tab = build_sym(f, spec, 2, mode=MODE_SMOOTH, smooth_width=0.0625)
     path = str(tmp_path / "smooth.swm")
@@ -73,7 +74,7 @@ def test_round_trip_sym_smooth(tmp_path):
 
 
 def test_round_trip_antisym_rank(tmp_path):
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 3})
+    f = builtin_target("vandermonde-gauss-antisym")
     spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
     tab = build_antisym(f, spec, 3, mode=MODE_RANK)
     path = str(tmp_path / "rank.swm")
@@ -91,7 +92,7 @@ def test_round_trip_antisym_rank(tmp_path):
 
 
 def test_round_trip_antisym_projected_keeps_directions(tmp_path):
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     spec = LatticeSpec.from_domain(unit_domain(2, 2), 0.5)
     tab = build_antisym(f, spec, 2, mode=MODE_PROJECTED, tau=1e-3)
     path = str(tmp_path / "proj.swm")
@@ -135,7 +136,7 @@ def test_load_returns_the_saved_tabulator(tmp_path, kind, smooth_width):
 def test_loaded_lattice_keeps_cell_count(tmp_path):
     # 0.2499999999998887 snaps to 4 cells at build; the file stores the count
     # itself so the loaded spec cannot re-derive a different one
-    f = builtin_target("sum-coords", {"d": 1, "N": 2})
+    f = builtin_target("sum-coords")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.2499999999998887)
     tab = build_sym(f, spec, 2)
     path = str(tmp_path / "snap.swm")
@@ -144,11 +145,27 @@ def test_loaded_lattice_keeps_cell_count(tmp_path):
 
 
 def test_save_does_not_leave_temp_files(tmp_path):
-    f = builtin_target("sum-coords", {"d": 1, "N": 2})
+    f = builtin_target("sum-coords")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
     tab = build_sym(f, spec, 2)
     save_model(str(tmp_path / "m.swm"), tab)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.swm"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_take_the_mode_a_plain_open_gives(tmp_path, umask):
+    spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
+    tab = build_sym(builtin_target("sum-coords"), spec, 2)
+    previous = os.umask(umask)
+    try:
+        write_text_atomic(str(tmp_path / "report.csv"), "payload\n")
+        save_model(str(tmp_path / "m.swm"), tab)
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["report.csv", "m.swm", "plain.txt"], 0o666 & ~umask)
 
 
 def test_write_text_atomic_creates_directories(tmp_path):
@@ -165,7 +182,7 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_unknown_kind(tmp_path):
-    f = builtin_target("sum-coords", {"d": 1, "N": 2})
+    f = builtin_target("sum-coords")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
     tab = build_sym(f, spec, 2)
     path = tmp_path / "m.swm"
@@ -177,7 +194,7 @@ def test_load_rejects_unknown_kind(tmp_path):
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    f = builtin_target("sum-coords", {"d": 1, "N": 2})
+    f = builtin_target("sum-coords")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
     tab = build_sym(f, spec, 2)
     path = tmp_path / "m.swm"
@@ -189,7 +206,7 @@ def test_load_rejects_truncated_file(tmp_path):
 
 
 def test_model_file_is_text_with_hex_floats(tmp_path):
-    f = builtin_target("sum-coords", {"d": 1, "N": 2})
+    f = builtin_target("sum-coords")
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
     tab = build_sym(f, spec, 2)
     path = tmp_path / "m.swm"
@@ -202,7 +219,7 @@ def test_model_file_is_text_with_hex_floats(tmp_path):
 def test_version_1_model_is_rejected(tmp_path):
     # version 1 stored rank-mode coefficients as f(Z)/slot ranks' product; no
     # reader for it is kept
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 4})
+    f = builtin_target("vandermonde-gauss-antisym")
     tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(1, 4), 0.125), 4, mode=MODE_RANK)
     path = tmp_path / "v1.swm"
     save_model(str(path), tab)
@@ -213,10 +230,10 @@ def test_version_1_model_is_rejected(tmp_path):
 
 def _saved_lines(tmp_path, kind):
     if kind == "sym":
-        f = builtin_target("sum-coords", {"d": 1, "N": 2})
+        f = builtin_target("sum-coords")
         tab = build_sym(f, LatticeSpec.from_domain(unit_domain(1, 2), 0.25), 2)
     else:
-        f = builtin_target("vandermonde-gauss-antisym", {"d": 1, "N": 2})
+        f = builtin_target("vandermonde-gauss-antisym")
         tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(1, 2), 0.25), 2)
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
@@ -249,27 +266,35 @@ def test_load_rejects_malformed_records(tmp_path, kind, edit):
         load_model(str(path))
 
 
-# Digests of N=3, d=2, delta=1/4 models: the antisym-c2 ones written when
-# directions became the maximin choice over the fixed candidate table, the
-# others before the build shared corner Points across entries. Any drift in
-# the candidates, the choice, the corner values or the stored quotients
-# changes the bytes.
+# Digests of N=3 models, keyed by (kind, smooth width, d, delta): the d = 2
+# antisym-c2 ones written when directions became the maximin choice over the
+# fixed candidate table, the d = 1 one before that search replaced the d = 1
+# shortcut to (1,), the others before the build shared corner Points across
+# entries. Any drift in the candidates, the choice, the corner values or the
+# stored quotients changes the bytes.
 PINNED_MODEL_SHA256 = {
-    (MODE_PROJECTED, None): "d00981707afaea0ec2ee35c95ffb27defe424368802c51418f715b06e496995b",
-    (MODE_PROJECTED, 0.125): "907141a4567e1c42059531a554751a0c8004393fcf8422a71babae65b0f02f31",
-    ("sym", None): "ae6b91daffdad3eef4f70f98dedc2095d252b8d6198b6c5eb33bc3d36724139e",
-    ("sym", 0.125): "fdde5e09c6e863df59b5950329f1f0c3d85e96f1600f9a2ddc798beeb1b402f6",
-    (MODE_RANK, None): "bb984bf5ee82c75720404e827df1f4fa947ee85d4fccec468c96d8ea953923bc",
+    (MODE_PROJECTED, None, 2, 0.25):
+        "d00981707afaea0ec2ee35c95ffb27defe424368802c51418f715b06e496995b",
+    (MODE_PROJECTED, 0.125, 2, 0.25):
+        "907141a4567e1c42059531a554751a0c8004393fcf8422a71babae65b0f02f31",
+    ("sym", None, 2, 0.25):
+        "ae6b91daffdad3eef4f70f98dedc2095d252b8d6198b6c5eb33bc3d36724139e",
+    ("sym", 0.125, 2, 0.25):
+        "fdde5e09c6e863df59b5950329f1f0c3d85e96f1600f9a2ddc798beeb1b402f6",
+    (MODE_RANK, None, 2, 0.25):
+        "bb984bf5ee82c75720404e827df1f4fa947ee85d4fccec468c96d8ea953923bc",
+    (MODE_PROJECTED, None, 1, 0.125):
+        "ad9d0e7d02db04d074f269b233b9d3ef9d592071f084042d0dadd5373d1e864a",
 }
 
 
 @pytest.mark.parametrize(
-    "kind, smooth_width",
+    "kind, smooth_width, d, delta",
     list(PINNED_MODEL_SHA256),
-    ids=["None", "0.125", "sym-None", "sym-0.125", "antisym-c1-None"],
+    ids=["None", "0.125", "sym-None", "sym-0.125", "antisym-c1-None", "d1-None"],
 )
-def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width):
-    spec = LatticeSpec.from_domain(unit_domain(2, 3), 0.25)
+def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width, d, delta):
+    spec = LatticeSpec.from_domain(unit_domain(d, 3), delta)
     if kind == "sym":
         f = builtin_target("gaussian-pair-sym", {})
         mode = MODE_SMOOTH if smooth_width is not None else MODE_INDICATOR
@@ -280,7 +305,7 @@ def test_projected_model_bytes_are_pinned(tmp_path, kind, smooth_width):
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == PINNED_MODEL_SHA256[kind, smooth_width]
+    assert digest == PINNED_MODEL_SHA256[kind, smooth_width, d, delta]
 
 
 # Digests of eval outputs on seeded streams, recorded before locate stopped
@@ -358,7 +383,7 @@ def test_models_with_earlier_directions_still_evaluate():
 
 
 def _projected_lines(tmp_path):
-    f = builtin_target("vandermonde-gauss-antisym", {"d": 2, "N": 2})
+    f = builtin_target("vandermonde-gauss-antisym")
     tab = build_antisym(f, LatticeSpec.from_domain(unit_domain(2, 2), 0.5), 2, mode=MODE_PROJECTED)
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
