@@ -64,6 +64,7 @@ from .lattice import (
 from .approx_sym import BuildStats, _check_eval_input, _wedge_stats, corner_values, smooth_weights
 
 __all__ = [
+    "DEFAULT_TAU",
     "KIND_RANK",
     "KIND_PROJECTED",
     "MODE_RANK",
@@ -81,6 +82,8 @@ KIND_RANK = "antisym-c1"
 KIND_PROJECTED = "antisym-c2"
 MODE_RANK = "rank"
 MODE_PROJECTED = "projected"
+# The projected construction's floor on every entry's smallest relative pair projection.
+DEFAULT_TAU = 1e-3
 # Unit candidates per d in the projected direction search.
 _CANDIDATES = 64
 # Entries per batched direction search. It sizes the search's three
@@ -162,8 +165,8 @@ def _candidate_table(d: int) -> np.ndarray:
 
 def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     """The direction of entry zs: the candidate that maximizes the smallest
-    relative pair projection, if it clears tau. Deterministic in (zs, tau);
-    (1,) at d = 1."""
+    relative pair projection, if it clears tau. The choice depends on zs
+    alone; tau only decides whether it passes. (1,) at d = 1."""
     if len(set(zs)) < len(zs):
         raise ValueError("direction choice needs distinct cells")
     return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau)[0].tolist())
@@ -270,7 +273,7 @@ def build_antisym(
     spec: LatticeSpec,
     N: int,
     mode: str = MODE_RANK,
-    tau: float = 1e-3,
+    tau: float = DEFAULT_TAU,
     smooth_width: float | None = None,
     cap: int = DEFAULT_WEDGE_CAP,
 ) -> AntisymTabulator:

@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Any, Mapping, Sequence
 
-from .approx_antisym import MODE_PROJECTED, MODE_RANK, build_antisym, eval_antisym
+from .approx_antisym import DEFAULT_TAU, MODE_PROJECTED, MODE_RANK, build_antisym, eval_antisym
 from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
@@ -54,7 +54,7 @@ from .harness import (
     run_verification,
     sample_configurations,
 )
-from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec
+from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec, _check_wedge_cap
 from .persistence import (
     KIND_PROJECTED,
     KIND_RANK,
@@ -216,7 +216,7 @@ def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
     tau = _optional_number(raw, "tau")
     if tau is not None and kind != KIND_PROJECTED:
         raise ConfigError(f"'tau' is for kind {KIND_PROJECTED}; remove it")
-    tau = 1e-3 if tau is None else tau
+    tau = DEFAULT_TAU if tau is None else tau
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
 
@@ -304,22 +304,24 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
     return _apply_overrides(_config_from(raw), args), frozenset(raw)
 
 
-def _check_width_fits(cfg: ExperimentConfig, delta: float, spacing: str) -> None:
-    """A 'smooth_width' must not exceed half the ``spacing`` ``delta``;
-    checked as soon as the spacing is known, before the work it sizes."""
+def _check_spacing(cfg: ExperimentConfig, delta: float, spacing: str) -> None:
+    """A 'smooth_width' must not exceed half the ``spacing`` ``delta``, and
+    the wedge at ``delta`` must fit 'cap'; checked as soon as the spacing is
+    known, before the work it sizes."""
     w = cfg.smooth_width
     if w is not None and w > delta / 2.0:
         raise ConfigError(f"'smooth_width' = {w} exceeds half the {spacing} {delta}")
+    _check_wedge_cap(LatticeSpec.from_domain(cfg.domain(), delta), cfg.N, cfg.cap)
 
 
 def _check_single_lattice(cfg: ExperimentConfig) -> None:
     """A single-lattice command (build, verify) takes 'delta', or an accuracy
     'epsilon' below the density limit, and no 'deltas'. An explicit 'delta'
-    must fit the smoothing width."""
+    must fit the smoothing width and the cap."""
     if cfg.deltas is not None:
         raise ConfigError("'deltas' is for sweep; this command takes 'delta' or 'epsilon'")
     if cfg.delta is not None:
-        _check_width_fits(cfg, cfg.delta, "spacing")
+        _check_spacing(cfg, cfg.delta, "spacing")
         return
     if cfg.epsilon is None:
         raise ConfigError("config needs 'delta' or 'epsilon' for this command")
@@ -349,7 +351,7 @@ def _resolve_delta(
     if L_hat <= 0.0:
         raise ConfigError("measured gradient bound is zero; give 'delta' explicitly")
     delta = delta_for_epsilon(cfg.epsilon, cfg.N, cfg.d, L_hat)
-    _check_width_fits(cfg, delta, "spacing")
+    _check_spacing(cfg, delta, "spacing")
     return delta, L_hat
 
 
@@ -370,10 +372,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg, given = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
-    _check_single_lattice(cfg)
     for key in ("n_perms", "min_gap"):
         if key in given:
             raise ConfigError(f"{key!r} is for verify; remove it from a build config")
+    _check_single_lattice(cfg)
     delta, L_hat = _resolve_delta(cfg, f)
     tab = _build_tabulator(cfg, f, delta)
     os.makedirs(cfg.out, exist_ok=True)
@@ -436,9 +438,9 @@ def _parse_configuration(text: str) -> Configuration:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    tab = load_model(args.model)
     if (args.x is None) == (args.x_file is None):
         raise ConfigError("give exactly one of --x and --x-file")
+    tab = load_model(args.model)
     if args.x is not None:
         X = _parse_configuration(args.x)
     else:
@@ -507,7 +509,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if L_hat is None:
         L_hat = gradient_bound_estimate(f, S)
     tab = _build_tabulator(cfg, f, delta)
-    report = run_verification(f, tab, S, L_hat, n_perms=cfg.n_perms, min_gap=cfg.min_gap)
+    report = run_verification(f, tab, S, L_hat, cfg.n_perms, cfg.min_gap)
     elapsed = time.perf_counter() - start
     os.makedirs(cfg.out, exist_ok=True)
     write_text_atomic(
@@ -533,7 +535,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for key in ("delta", "epsilon"):
         if getattr(cfg, key) is not None:
             raise ConfigError(f"sweep takes its spacings from 'deltas'; remove {key!r}")
-    _check_width_fits(cfg, cfg.deltas[-1], "finest spacing")
+    _check_spacing(cfg, cfg.deltas[-1], "finest spacing")
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     start = time.perf_counter()
     result = convergence_sweep(f, cfg.deltas, S, functools.partial(_build_tabulator, cfg, f))

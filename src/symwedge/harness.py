@@ -352,16 +352,18 @@ def run_verification(
     tab: Tabulator,
     S: SampleSet,
     gradient_bound: float,
-    n_perms: int = 8,
-    min_gap: float = 0.05,
+    n_perms: int,
+    min_gap: float,
 ) -> VerificationReport:
     """Run the full measurement suite on a built tabulator of ``f`` over ``S``.
 
     ``gradient_bound`` is the bound measured on ``S``; the error budget is
     tab.spec.delta * sqrt(N d) * gradient_bound. The invariance threshold is
-    0 for an indicator tabulator and 1e-12 for a smooth one. The Cauchy
-    check runs for anti-symmetric tabulators in d = 1. Raises ValueError
-    when the tabulator's symmetry differs from ``f.declared_symmetry``.
+    0 for an indicator tabulator and 1e-12 for a smooth one; both invariance
+    checks draw ``n_perms`` permutations per sample. The Cauchy check runs
+    for anti-symmetric tabulators in d = 1, over the samples whose points are
+    at least ``min_gap`` apart. Raises ValueError when the tabulator's
+    symmetry differs from ``f.declared_symmetry``.
     """
     symmetry, approx = _evaluator(tab)
     if f.declared_symmetry is not symmetry:

@@ -196,17 +196,22 @@ def wedge_size(spec: LatticeSpec, N: int) -> int:
     return size
 
 
+def _check_wedge_cap(spec: LatticeSpec, N: int, cap: int) -> None:
+    """Raise CapacityError, naming the cap it would need, for a wedge above ``cap``."""
+    size = wedge_size(spec, N)
+    if size > cap:
+        raise CapacityError(
+            f"wedge has {size} entries, above the cap of {cap}; rerun with cap >= {size}"
+        )
+
+
 def enumerate_wedge(spec: LatticeSpec, N: int, cap: int = DEFAULT_WEDGE_CAP) -> Iterator[WedgeKey]:
     """Non-decreasing N-tuples of sites in lexicographic order.
 
     Checks the total count against ``cap`` before yielding anything so a
     too-fine lattice fails fast with the cap it would need.
     """
-    size = wedge_size(spec, N)
-    if size > cap:
-        raise CapacityError(
-            f"wedge has {size} entries, above the cap of {cap}; rerun with cap >= {size}"
-        )
+    _check_wedge_cap(spec, N, cap)
     return combinations_with_replacement(lattice_sites(spec), N)
 
 

@@ -22,7 +22,8 @@ The header's ``cells`` is the count that covers [lo, hi] at ``delta``
 stores a finite w in (0, delta/2] and is not an antisym-c1 mode.
 
 Records hold every wedge entry (sym) or every distinct-cell entry (antisym)
-exactly once, in lexicographic key order, with finite coefficients. An
+exactly once, in lexicographic key order, with finite coefficients; a key
+must read as ``save_model`` writes it, each index in canonical decimal. An
 antisym-c2 file stores a finite positive tau, and each record's direction
 is a finite unit vector (within 1e-12) that passes the build's validity
 test (``approx_antisym.directions_valid``) at that tau; the other kinds
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .approx_antisym import (
     KIND_PROJECTED,
     KIND_RANK,
     AntisymTabulator,
+    _key_array,
     directions_valid,
 )
 from .approx_sym import KIND_SYM, MODE_INDICATOR, MODE_SMOOTH, SymmetricTabulator
@@ -92,6 +94,15 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _records(spec: LatticeSpec, N: int, kind: str) -> Iterator[tuple[WedgeKey, str]]:
+    """Each record's wedge entry and key text (its indices in decimal), in file
+    order. Lazy: nothing is built before the first record is asked for."""
+    text = {site: " ".join(map(str, site)) for site in lattice_sites(spec)}
+    choose = combinations_with_replacement if kind == KIND_SYM else combinations
+    for zs in choose(text, N):
+        yield zs, " ".join([text[z] for z in zs])
+
+
 def save_model(path: str, tab: Tabulator) -> None:
     spec = tab.spec
     smooth = tab.smooth_width
@@ -111,9 +122,8 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"entries {len(tab.table)}",
     ]
     directions = getattr(tab, "directions", None)
-    for zs, coeff in tab.table.items():
-        fields = [str(i) for site in zs for i in site]
-        fields.append(coeff.hex())
+    for zs, key in _records(spec, tab.N, tab.kind):
+        fields = [key, tab.table[zs].hex()]
         if directions is not None:
             fields.extend(c.hex() for c in directions[zs])
         lines.append(" ".join(fields))
@@ -137,21 +147,12 @@ def _optional_hex(value: str) -> float | None:
 
 
 def _check_directions(
-    spec: LatticeSpec,
-    N: int,
-    records: list[str],
-    directions: dict[WedgeKey, tuple[float, ...]],
-    tau: float,
+    N: int, d: int, records: list[str], directions: dict[WedgeKey, tuple[float, ...]], tau: float
 ) -> None:
     """Each direction is a finite unit vector passing the build's validity test at tau."""
-    K, d = len(directions), spec.d
-    A = np.fromiter(chain.from_iterable(directions.values()), dtype=float, count=K * d)
-    A = A.reshape(K, d)
-    # The keys are combinations(lattice_sites(spec), N), in order; building
-    # their index array from site numbers is cheaper than from the tuples.
-    sites = np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(-1, d)
-    linear = chain.from_iterable(combinations(range(spec.site_count), N))
-    idx = sites[np.fromiter(linear, dtype=np.int64, count=K * N)].reshape(K, N, d)
+    K = len(directions)
+    A = np.fromiter(chain.from_iterable(directions.values()), float, K * d).reshape(K, d)
+    idx = _key_array(list(directions), N, d)
     with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
         finite = np.isfinite(A).all(axis=1)
         unit = np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
@@ -217,40 +218,38 @@ def load_model(path: str) -> Tabulator:
         full_size = wedge_size(spec, N)
     except (ValueError, CapacityError) as exc:
         raise ConfigError(f"lines 3-5 (d, N, cells) describe no wedge: {exc}") from None
-    # The records must hold exactly these keys, in this (lexicographic) order.
-    if kind == KIND_SYM:
-        keys = combinations_with_replacement(lattice_sites(spec), N)
-        want_size = full_size
-    else:
-        keys = combinations(lattice_sites(spec), N)
-        want_size = math.comb(spec.site_count, N)
+    want_size = full_size if kind == KIND_SYM else math.comb(spec.site_count, N)
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
     table: dict[WedgeKey, float] = {}
     directions: dict[WedgeKey, tuple[float, ...]] = {}
-    n_index = N * d
-    expected = n_index + 1 + (d if want_direction else 0)
-    for line, zs in zip(records, keys):
-        fields = line.split(" ")
-        if len(fields) != expected:
-            raise ConfigError(f"bad record ({len(fields)} fields, expected {expected}): {line!r}")
-        try:
-            key = tuple(zip(*[map(int, fields[:n_index])] * d))
-            coeff = float.fromhex(fields[n_index])
-            if want_direction:
-                directions[zs] = tuple(map(float.fromhex, fields[n_index + 1 :]))
-        except (ValueError, OverflowError):
-            raise ConfigError(f"record {line!r} has a field that is not a number") from None
-        if key != zs:
+    expected = N * d + 1 + (d if want_direction else 0)
+    keys = _records(spec, N, kind)
+    for line in records:
+        found = line.count(" ") + 1  # before the key is made: N or d may be huge
+        if found != expected:
+            raise ConfigError(f"bad record ({found} fields, expected {expected}): {line!r}")
+        zs, key = next(keys)
+        if not line.startswith(key + " "):
+            try:
+                [int(field) for field in line.split(" ")[: N * d]]  # raises on a non-integer
+            except ValueError:
+                raise ConfigError(f"record {line!r} has a field that is not a number") from None
             raise ConfigError(
                 f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
-                f"entry once, in lexicographic order, with indices in [0, {cells})"
+                f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
             )
-        if not math.isfinite(coeff):
+        try:
+            values = [float.fromhex(field) for field in line[len(key) + 1 :].split(" ")]
+        except (ValueError, OverflowError):
+            raise ConfigError(f"record {line!r} has a field that is not a number") from None
+        if not math.isfinite(values[0]):
             raise ConfigError(f"non-finite coefficient in record {line!r}")
-        table[zs] = coeff
+        table[zs] = values[0]
+        if want_direction:
+            directions[zs] = tuple(values[1:])
     if want_direction:
-        _check_directions(spec, N, records, directions, tau)
+        _check_directions(N, d, records, directions, tau)
     if kind == KIND_SYM:
         return SymmetricTabulator(spec, N, smooth, table)
     return AntisymTabulator(spec, N, tau, smooth, table, directions if want_direction else None)

@@ -202,6 +202,12 @@ def test_eval_requires_exactly_one_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_checks_its_flags_before_reading_the_model(tmp_path, capsys):
+    code, out, err = run(capsys, "eval", str(tmp_path / "absent.swm"))
+    assert (code, out) == (2, "")
+    assert err == "error: give exactly one of --x and --x-file\n"
+
+
 def test_eval_out_of_domain_exits_2(tmp_path, capsys):
     model_path, _ = build_model(tmp_path, capsys)
     code, _, err = run(capsys, "eval", model_path, "--x", "[[0.2], [1.5]]")
@@ -575,6 +581,29 @@ def test_sweep_smooth_width_above_half_the_finest_spacing_exits_2(tmp_path, caps
     code, out, err = run(capsys, "sweep", "--config", config)
     assert (code, out) == (2, "")
     assert err == "error: 'smooth_width' = 0.05 exceeds half the finest spacing 0.0625\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("build", {}),
+        ("verify", {}),
+        ("sweep", {"delta": None, "deltas": [0.5, 0.25, 0.125]}),  # the finest one is over
+    ],
+    ids=["build", "verify", "sweep"],
+)
+def test_wedge_above_the_cap_exits_3_before_sampling(
+    tmp_path, capsys, monkeypatch, command, overrides
+):
+    def no_sampling(*_args):
+        raise AssertionError("sampled before the cap was checked")
+
+    monkeypatch.setattr(cli, "sample_configurations", no_sampling)
+    config = write_config(tmp_path, **{"delta": 0.125, **overrides})  # 36 entries
+    code, out, err = run(capsys, command, "--config", config, "--cap", "35")
+    assert (code, out) == (3, "")
+    assert err == "error: wedge has 36 entries, above the cap of 35; rerun with cap >= 36\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -262,7 +262,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
     with pytest.raises(ValueError, match=f"non-finite value {at_first}"):
         invariance_suite(probe, S, 8, Symmetry.SYMMETRIC)
     with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
-        run_verification(probe, tab, S, 1.0)
+        run_verification(probe, tab, S, 1.0, 8, 0.05)
 
     antisym_probe = TargetFunction(
         evaluator=lambda X: value(X, lambda a, b: a - b),
@@ -461,7 +461,7 @@ def test_cauchy_validation():
 def verify(f, domain, delta, samples, seed, build=build_sym, **build_options):
     S = sample_configurations(domain, samples, seed)
     tab = build(f, LatticeSpec.from_domain(domain, delta), domain.N, **build_options)
-    return run_verification(f, tab, S, gradient_bound_estimate(f, S))
+    return run_verification(f, tab, S, gradient_bound_estimate(f, S), 8, 0.05)
 
 
 def test_run_verification_sym_passes():
@@ -509,9 +509,9 @@ def test_run_verification_rejects_a_tabulator_of_the_other_symmetry():
     spec = LatticeSpec.from_domain(UNIT_12, 0.5)
     message = "antisym-c1 tabulator against target 'sum-coords', which is symmetric"
     with pytest.raises(ValueError, match=message):
-        run_verification(SUM_12, build_antisym(antisym, spec, 2), S, 1.0)
+        run_verification(SUM_12, build_antisym(antisym, spec, 2), S, 1.0, 8, 0.05)
     with pytest.raises(ValueError, match="a sym tabulator .* which is antisymmetric"):
-        run_verification(antisym, build_sym(SUM_12, spec, 2), S, 1.0)
+        run_verification(antisym, build_sym(SUM_12, spec, 2), S, 1.0, 8, 0.05)
 
 
 def test_verification_report_consistency_enforced():

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import stat
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from symwedge import (
     load_model,
     save_model,
 )
+from symwedge.cli import main
 from symwedge.persistence import write_text_atomic
 
 
@@ -511,3 +513,48 @@ def test_load_accepts_smooth_width_up_to_half_delta(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tab = load_model(str(path))
     assert (tab.kind, tab.smooth_width) == ("sym", 0.125)
+
+
+def test_load_rejects_a_key_that_only_begins_with_the_expected_one(tmp_path):
+    path, lines = _saved_lines(tmp_path, "sym")
+    assert lines[14].startswith("0 2 ")
+    lines[14] = "0 20 " + lines[14][4:]
+    path.write_text("\n".join(lines) + "\n")
+    message = r"'0 20 .*' is not the sym wedge entry \(\(0,\), \(2,\)\)"
+    with pytest.raises(ConfigError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("spelling", ["00", "+0", "0_0", "٠"])
+def test_load_takes_only_the_decimal_keys_save_model_writes(tmp_path, capsys, spelling):
+    # int() reads each of these as 0; only save_model's own spelling loads
+    path, lines = _saved_lines(tmp_path, "sym")
+    assert lines[12].startswith("0 0 ")
+    lines[12] = spelling + lines[12][1:]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", str(path), "--x", "[[0.1], [0.2]]"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: record {lines[12]!r} is not the sym wedge entry ((0,), (0,))")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("huge", ["N", "d"])
+def test_huge_declared_shape_is_rejected_without_allocating(tmp_path, huge):
+    # one cell per axis leaves one site and one wedge entry however large N
+    # or d is; the record's field count rejects the file before its key is made
+    shape = {"N": 1, "d": 1, huge: 10**6}
+    lines = [
+        "SYMWEDGE-MODEL 2", "kind sym", f"d {shape['d']}", f"N {shape['N']}", "cells 1",
+        "delta 0x1.0p+0", "lo 0x0.0p+0", "hi 0x1.0p+0", "mode indicator", "w -", "tau -",
+        "entries 1", "0 0x0.0p+0",
+    ]
+    path = tmp_path / "huge.swm"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^bad record \(2 fields, expected 1000001\)"):
+            load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
