@@ -9,7 +9,6 @@ from .approx_antisym import (
     build_antisym,
     choose_direction,
     eval_antisym,
-    vandermonde_product,
 )
 from .approx_sym import (
     MODE_INDICATOR,
@@ -37,6 +36,7 @@ from .core import (
     builtin_target,
     parity,
     permute,
+    vandermonde_product,
 )
 from .errors import (
     BuildError,
@@ -100,7 +100,7 @@ __all__ = [
     # core
     "Symmetry", "Point", "Configuration", "DomainSpec", "Permutation",
     "TargetFunction", "builtin_target", "BUILTIN_TARGET_NAMES",
-    "permute", "parity",
+    "permute", "parity", "vandermonde_product",
     # errors
     "SymwedgeError", "DomainError", "SizeLimitError", "CapacityError",
     "BuildError", "DirectionSearchError", "InversionError", "ConfigError",
@@ -121,7 +121,7 @@ __all__ = [
     "delta_for_epsilon", "epsilon_density_limit", "feature_budget_bound",
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
-    "eval_antisym", "vandermonde_product", "choose_direction",
+    "eval_antisym", "choose_direction",
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",

@@ -1,11 +1,11 @@
 """Tabulated approximation of totally anti-symmetric functions.
 
-Entries with coincident cells are dropped outright: an anti-symmetric
+Entries with coincident cells are never tabulated: an anti-symmetric
 function vanishes there, and the evaluator returns an exact zero for any
-input whose points share a cell. Each surviving wedge entry Z stores
-f(Z)/psi_Z(Z) for a reference anti-symmetric factor psi_Z, and evaluation
-returns sign(sigma) * stored * psi_Z(X), where sigma is the permutation
-that sorts the input onto the wedge.
+input whose points share a cell. Each entry Z of the strict wedge (N
+distinct sites) stores f(Z)/psi_Z(Z) for a reference anti-symmetric factor
+psi_Z, and evaluation returns sign(sigma) * stored * psi_Z(X), where sigma
+is the permutation that sorts the input onto the wedge.
 
 Two reference factors are implemented:
 
@@ -25,14 +25,15 @@ pair projection |a_Z . (z_i - z_j)| / |z_i - z_j|. A direction with a small
 score lets the ratio, and with it the error, blow up, so each entry takes
 the direction of largest score from one fixed table per d: the
 _CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
-scaled to unit length, the lowest index winning a tie. Scores are taken on
-the integer index differences (they are scale-free) and, like the norms,
-accumulate one component at a time, so the choice does not depend on the
-BLAS build. ``tau`` is a floor: every chosen direction must pass
-``directions_valid`` at tau, the rule the loader applies, and an entry whose
-best candidate fails raises DirectionSearchError. At d = 1 every candidate
-is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every entry
-takes (1,).
+scaled to unit length, the lowest index winning a tie, with scores taken on
+the (scale-free) integer index differences. One kernel, ``_pair_terms``,
+forms every pair sum of the search, the validity test and the batched
+corner products one component at a time, so none depends on the BLAS
+build. ``tau`` is a floor: every chosen direction must pass
+``directions_valid`` at tau, the rule the loader applies, and an entry
+whose best candidate fails raises DirectionSearchError. At d = 1 every
+candidate is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every
+entry takes (1,).
 
 Projected mode additionally supports a smooth variant that blends
 neighboring entries with the same normalized cutoff weights as the
@@ -44,8 +45,8 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +57,9 @@ from .lattice import (
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
-    enumerate_wedge,
+    _check_wedge_cap,
+    enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
+    lattice_sites,
     locate,
     repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
@@ -70,7 +73,6 @@ __all__ = [
     "MODE_RANK",
     "MODE_PROJECTED",
     "AntisymTabulator",
-    "vandermonde_product",
     "build_antisym",
     "eval_antisym",
     "choose_direction",
@@ -96,18 +98,6 @@ _FNV_PRIME = 1099511628211
 _UINT64 = 1 << 64
 
 
-def vandermonde_product(ys: Sequence[float]) -> float:
-    """prod_{i<j} (ys[i] - ys[j]) in fixed (i, j) order; 0 on any repeat."""
-    vals = tuple(float(v) for v in ys)
-    n = len(vals)
-    prod = 1.0
-    for i in range(n):
-        vi = vals[i]
-        for j in range(i + 1, n):
-            prod *= vi - vals[j]
-    return prod
-
-
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash."""
     h = _FNV_OFFSET
@@ -129,26 +119,39 @@ def _key_array(keys: Sequence[WedgeKey], N: int, d: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=len(keys) * N * d).reshape(len(keys), N, d)
 
 
+def _pair_terms(A: np.ndarray, P: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each pair i < j of the rows of P (K, N, d), in order, yield
+    A . (P_i - P_j) and |P_i - P_j|^2, each summed one component at a time so
+    no BLAS reduction decides a bit. Directions A (K, d) give (K,) dots,
+    candidates (C, 1, d) give (C, K). Both arrays are reused for the next pair.
+    """
+    K, N, d = P.shape
+    dot = np.empty(np.broadcast_shapes(A.shape[:-1], (K,)))
+    term = np.empty_like(dot)
+    norm2 = np.empty(K)
+    for i in range(N):
+        for j in range(i + 1, N):
+            diff = P[:, i] - P[:, j]
+            dot.fill(0.0)
+            norm2.fill(0.0)
+            for c in range(d):
+                np.multiply(A[..., c], diff[:, c], out=term)
+                dot += term
+                norm2 += diff[:, c] * diff[:, c]
+            yield dot, norm2
+
+
 def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     """Whether each row of directions A (K, d) is valid for its key in idx
     (K, N, d): every pair difference of the key projects onto the direction
     with relative magnitude >= tau.
 
     The criterion is scale-free, so integer index differences stand in for
-    the real corner differences. Each pair's dot product and squared length
-    accumulate component by component, as the scalar rule always has.
+    the real corner differences.
     """
-    K, N, d = idx.shape
-    valid = np.ones(K, dtype=bool)
-    for i in range(N):
-        for j in range(i + 1, N):
-            diff = idx[:, i] - idx[:, j]
-            dot = np.zeros(K)
-            norm2 = np.zeros(K)
-            for c in range(d):
-                dot += A[:, c] * diff[:, c]
-                norm2 += diff[:, c] * diff[:, c]
-            valid &= ~(np.abs(dot) < tau * np.sqrt(norm2))
+    valid = np.ones(len(idx), dtype=bool)
+    for dot, norm2 in _pair_terms(A, idx):
+        valid &= ~(np.abs(dot) < tau * np.sqrt(norm2))
     return valid
 
 
@@ -197,25 +200,10 @@ def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    K, N, d = idx.shape
-    C = _candidate_table(d)
-    # Scores are laid out (candidate, key) and updated in place: one chunk's
-    # worth of scratch, no temporaries per component.
-    score = np.full((_CANDIDATES, K), np.inf)
-    dot = np.empty_like(score)
-    term = np.empty_like(score)
-    for i in range(N):
-        for j in range(i + 1, N):
-            diff = idx[:, i] - idx[:, j]
-            dot.fill(0.0)
-            norm2 = np.zeros(K)
-            for c in range(d):
-                np.multiply(C[:, c, None], diff[:, c], out=term)
-                dot += term
-                norm2 += diff[:, c] * diff[:, c]
-            np.abs(dot, out=dot)
-            np.divide(dot, np.sqrt(norm2), out=dot)
-            np.minimum(score, dot, out=score)
+    C = _candidate_table(idx.shape[2])
+    score = np.full((_CANDIDATES, len(idx)), np.inf)  # (candidate, key)
+    for dot, norm2 in _pair_terms(C[:, None, :], idx):
+        np.minimum(score, np.abs(dot, out=dot) / np.sqrt(norm2), out=score)
     best = np.argmax(score, axis=0)
     A = C[best]
     rejected = np.flatnonzero(~directions_valid(A, idx, tau))
@@ -231,14 +219,9 @@ def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     """_projected_pair_product of each row of directions A (K, d) and corners P (K, N, d)."""
-    K, N, d = P.shape
-    prod = np.ones(K)
-    for i in range(N):
-        for j in range(i + 1, N):
-            dot = np.zeros(K)
-            for c in range(d):
-                dot += A[:, c] * (P[:, i, c] - P[:, j, c])
-            prod *= dot
+    prod = np.ones(len(P))
+    for dot, _ in _pair_terms(A, P):
+        prod *= dot
     return prod
 
 
@@ -290,7 +273,10 @@ def build_antisym(
         if mode != MODE_PROJECTED:
             raise ValueError("smoothing is only available in projected mode")
         _check_smooth_width(spec, smooth_width)
-    distinct = [zs for zs in enumerate_wedge(spec, N, cap=cap) if repetition_constant(zs) == 1]
+    # The cap bounds the full wedge. Keys are listed up front: made between
+    # target calls, they raised the build's peak RSS by 2 MB.
+    _check_wedge_cap(spec, N, cap)
+    distinct = list(combinations(lattice_sites(spec), N))
     if mode == MODE_RANK:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
         return AntisymTabulator(spec, N, None, None, dict(corner_values(f, spec, distinct)), None)

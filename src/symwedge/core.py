@@ -26,6 +26,7 @@ __all__ = [
     "TargetFunction",
     "permute",
     "parity",
+    "vandermonde_product",
     "builtin_target",
     "BUILTIN_TARGET_NAMES",
 ]
@@ -36,7 +37,6 @@ class Symmetry(enum.Enum):
 
     SYMMETRIC = "symmetric"
     ANTISYMMETRIC = "antisymmetric"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,17 @@ def parity(sigma: Permutation) -> int:
     return _inversion_sign(sigma.images)
 
 
+def vandermonde_product(ys: Sequence[float]) -> float:
+    """prod_{i<j} (ys[i] - ys[j]) in fixed (i, j) order; 0 on any repeat."""
+    n = len(ys)
+    prod = 1.0
+    for i in range(n):
+        yi = ys[i]
+        for j in range(i + 1, n):
+            prod *= yi - ys[j]
+    return prod
+
+
 @dataclass(frozen=True)
 class TargetFunction:
     """A scalar function of a configuration together with its declared symmetry."""
@@ -257,17 +268,6 @@ def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
     return TargetFunction(ev, Symmetry.SYMMETRIC, name="product-smooth-sym")
 
 
-def _first_coord_vandermonde(X: Configuration) -> float:
-    pts = X.points
-    n = len(pts)
-    prod = 1.0
-    for i in range(n):
-        xi = pts[i].coords[0]
-        for j in range(i + 1, n):
-            prod *= xi - pts[j].coords[0]
-    return prod
-
-
 def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
     _check_params("vandermonde-gauss-antisym", params, frozenset())
 
@@ -276,7 +276,7 @@ def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
         for p in X.points:
             for c in p.coords:
                 r2 += c * c
-        return _first_coord_vandermonde(X) * math.exp(-r2)
+        return vandermonde_product([p.coords[0] for p in X.points]) * math.exp(-r2)
 
     return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-gauss-antisym")
 
@@ -289,7 +289,7 @@ def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
         for p in X.points:
             for c in p.coords:
                 total += c
-        return _first_coord_vandermonde(X) * total
+        return vandermonde_product([p.coords[0] for p in X.points]) * total
 
     return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-sum-antisym")
 

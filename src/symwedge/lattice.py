@@ -159,7 +159,10 @@ def lattice_sites(spec: LatticeSpec) -> Iterator[LatticeIndex]:
 
 
 def cell_of(spec: LatticeSpec, x: Point | Sequence[float]) -> LatticeIndex:
-    """Multi-index of the cell containing x; the top cell is closed at hi."""
+    """Multi-index of x's cell; the top cell is closed at hi. The quotient
+    (c - lo)/delta is rounded twice, to within 2^-51 of itself, so near a
+    face c may land one cell off the exact floor, either way, lying at most
+    2^-51 (c - lo)/delta cells outside it (< 1e-12 * delta to 2,000 cells)."""
     coords = x.coords if isinstance(x, Point) else tuple(x)
     if len(coords) != spec.d:
         raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")
@@ -253,9 +256,9 @@ class CellAssignment:
 def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
     """Canonicalize a configuration onto the wedge.
 
-    Each point's cell is ``cell_of``'s, computed inline with the same floor,
-    top-cell clamp and DomainError messages. Ties (repeated cells) are broken
-    stably by input slot, so ``order`` is deterministic.
+    Each point's cell is ``cell_of``'s, face rule included, computed inline
+    with the same floor, clamp and DomainError messages. Ties (repeated
+    cells) are broken stably by input slot, so ``order`` is deterministic.
     """
     origin = spec.origin
     top = spec.top

@@ -9,12 +9,12 @@ Layout (text, one field per line, records after the ``entries`` line):
 
     SYMWEDGE-MODEL 2
     kind sym|antisym-c1|antisym-c2
-    d / N / cells          integers
+    d / N / cells          integers, as str(n) writes them
     delta / lo / hi        hex floats
     mode indicator|smooth
     w hex float or -
     tau hex float or -
-    entries K
+    entries K              an integer, as str(n) writes it
     <N*d site indices> <coefficient hex> [<d direction components hex>]
 
 The header's ``cells`` is the count that covers [lo, hi] at ``delta``
@@ -142,6 +142,14 @@ def _field(lines: list[str], idx: int, key: str, parse: Callable[[str], _T] = st
         raise ConfigError(f"bad {key!r} value {value!r} on line {idx + 1}") from None
 
 
+def _decimal(value: str) -> int:
+    """An integer in the one spelling ``save_model`` writes, str(n)."""
+    n = int(value)
+    if str(n) != value:
+        raise ValueError(f"{value!r} is not canonical decimal")
+    return n
+
+
 def _optional_hex(value: str) -> float | None:
     return None if value == "-" else float.fromhex(value)
 
@@ -177,9 +185,9 @@ def load_model(path: str) -> Tabulator:
     kind = _field(lines, 1, "kind")
     if kind not in KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    d = _field(lines, 2, "d", int)
-    N = _field(lines, 3, "N", int)
-    cells = _field(lines, 4, "cells", int)
+    d = _field(lines, 2, "d", _decimal)
+    N = _field(lines, 3, "N", _decimal)
+    cells = _field(lines, 4, "cells", _decimal)
     delta = _field(lines, 5, "delta", float.fromhex)
     lo = _field(lines, 6, "lo", float.fromhex)
     hi = _field(lines, 7, "hi", float.fromhex)
@@ -193,7 +201,7 @@ def load_model(path: str) -> Tabulator:
         raise ConfigError(f"an {kind} model needs a finite positive 'tau' on line 11, not {tau}")
     if not want_direction and tau is not None:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
-    entries = _field(lines, 11, "entries", int)
+    entries = _field(lines, 11, "entries", _decimal)
     records = [line for line in lines[12:] if line]
     if len(records) != entries:
         raise ConfigError(f"expected {entries} records, found {len(records)}")

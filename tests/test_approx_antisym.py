@@ -37,7 +37,7 @@ from symwedge.approx_antisym import (
     fnv1a64,
 )
 from symwedge.harness import reset_philox
-from symwedge.lattice import lattice_sites
+from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -305,6 +305,41 @@ def test_batched_search_exhausted_budget_raises_like_scalar():
     assert str(built.value) == message
 
 
+def unit_rows(rng, count, d):
+    """``count`` seeded directions of unit length, as tuples."""
+    V = rng.standard_normal((count, d))
+    return [tuple(row) for row in (V / np.linalg.norm(V, axis=1)[:, None]).tolist()]
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_batched_pair_products_match_scalar_at_d3(N):
+    # arbitrary unit directions, not only chosen ones, on an off-unit box
+    spec = LatticeSpec.from_counts(3, 3, -1.25, 0.5)
+    rng = np.random.Generator(np.random.Philox(70 + N))
+    keys = some_keys(distinct_keys(spec, N), 200, 72)
+    directions = unit_rows(rng, len(keys), 3)
+    idx = _key_array(keys, N, 3)
+    psi = _projected_pair_products(np.array(directions), spec.origin + idx * spec.delta)
+    want = [
+        _projected_pair_product(a, [spec.position(z) for z in zs])
+        for zs, a in zip(keys, directions)
+    ]
+    assert bits(psi.tolist()) == bits(want)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_directions_valid_matches_the_rule_at_d3(N):
+    spec = LatticeSpec.from_counts(3, 3, 0.0, 1.0)
+    rng = np.random.Generator(np.random.Philox(73 + N))
+    keys = some_keys(distinct_keys(spec, N), 300, 75)
+    directions = unit_rows(rng, len(keys), 3)
+    idx = _key_array(keys, N, 3)
+    for tau in (1e-3, 0.05, 0.2):
+        want = [draw_is_valid(a, zs, tau) for zs, a in zip(keys, directions)]
+        assert 0 < sum(want) < len(want)  # both outcomes occur
+        assert directions_valid(np.array(directions), idx, tau).tolist() == want
+
+
 # ---------------------------------------------------------------- harness.reset_philox
 
 
@@ -340,6 +375,18 @@ def test_build_drops_repeated_cell_entries():
     assert set(tab.table) == {((0,), (1,))}
     assert tab.stats.wedge_count == 3  # full wedge size, for M accounting
     assert tab.kind == "antisym-c1"
+
+
+@pytest.mark.parametrize("d, cells", [(1, 8), (2, 3), (3, 2)])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_table_keys_are_the_distinct_cell_wedge_entries_in_order(N, d, cells):
+    # the multiset wedge with every repeated-cell entry filtered out
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    want = [zs for zs in enumerate_wedge(spec, N) if repetition_constant(zs) == 1]
+    f = builtin_target("vandermonde-gauss-antisym")
+    assert list(build_antisym(f, spec, N, mode=MODE_RANK).table) == want
+    projected = build_antisym(f, spec, N, mode=MODE_PROJECTED)
+    assert list(projected.table) == list(projected.directions) == want
 
 
 def test_build_rank_coefficient_example():

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -173,6 +174,61 @@ def test_cell_of_rejects_out_of_domain():
         cell_of(spec, Point((1.0000001,)))
     with pytest.raises(DomainError):
         cell_of(spec, Point((-0.1,)))
+
+
+FACE_BOXES = [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.7), (-2.5, 3.75), (1 / 3, 2 / 3)]
+FACE_COUNTS = [1, 2, 3, 5, 7, 8, 10, 13, 31, 100]
+
+
+def near_faces(spec):
+    """Each cell face of one axis and the three floats to either side of it,
+    where they lie in [lo, hi]."""
+    coords = []
+    for k in range(spec.cells_per_dim + 1):
+        below = above = spec.axis_position(k)
+        coords.append(below)
+        for _ in range(3):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            coords += [below, above]
+    return [c for c in coords if spec.origin <= c <= spec.top]
+
+
+def face_rule_miss(spec, c, i):
+    """In exact rational arithmetic: how many cells index i lies from
+    min(floor(q), n - 1) for q = (c - lo)/delta, how far c lies outside cell
+    i in units of delta, and q."""
+    lo, delta, x = Fraction(spec.origin), Fraction(spec.delta), Fraction(c)
+    last = spec.cells_per_dim - 1
+    q = (x - lo) / delta
+    left = lo + i * delta
+    right = Fraction(spec.top) if i == last else left + delta
+    return abs(i - min(math.floor(q), last)), max(left - x, x - right, 0) / delta, q
+
+
+@pytest.mark.parametrize("lo, hi", FACE_BOXES)
+def test_cell_of_and_locate_keep_the_face_rule(lo, hi):
+    # the float quotient may put a coordinate next to a face one cell off,
+    # but never further, and never more than 2^-51 q cells (here below
+    # 1e-12 * delta) outside its cell
+    off_by_one = 0
+    for n in FACE_COUNTS:
+        spec = LatticeSpec.from_counts(n, 2, lo, hi)
+        coords = near_faces(spec)
+        points = list(zip(coords, reversed(coords)))
+        asg = locate(spec, cfg(*points))
+        located = [None] * len(points)
+        for slot, cell in zip(asg.order, asg.wedge):
+            located[slot] = cell
+        for point, cell in zip(points, located):
+            assert cell_of(spec, point) == cell
+            for c, i in zip(point, cell):
+                shift, outside, q = face_rule_miss(spec, c, i)
+                assert shift <= 1
+                assert outside <= Fraction(2**-51) * q
+                assert outside <= Fraction(1, 10**12)
+                off_by_one += shift
+    assert off_by_one > 0  # the rule is met, not vacuous
 
 
 # ---------------------------------------------------------------- wedge

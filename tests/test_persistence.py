@@ -538,6 +538,21 @@ def test_load_takes_only_the_decimal_keys_save_model_writes(tmp_path, capsys, sp
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "line, spelling", [(2, "d 01"), (3, "N +2"), (3, "N ٢"), (4, "cells 0_4"), (11, "entries  10")]
+)
+def test_load_takes_only_the_header_integers_save_model_writes(tmp_path, capsys, line, spelling):
+    # int() reads each of these as the saved number; only str(n) loads
+    path, lines = _saved_lines(tmp_path, "sym")
+    name, _, value = spelling.partition(" ")
+    assert lines[line] == f"{name} {int(value)}"
+    lines[line] = spelling
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", str(path), "--x", "[[0.1], [0.2]]"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad {name!r} value {value!r} on line {line + 1}\n"
+
+
 @pytest.mark.parametrize("huge", ["N", "d"])
 def test_huge_declared_shape_is_rejected_without_allocating(tmp_path, huge):
     # one cell per axis leaves one site and one wedge entry however large N

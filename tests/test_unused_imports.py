@@ -5,8 +5,9 @@ No linter runs over the repository, so this test is the check: it parses
 each module of the package, the tests and the scripts with ``ast`` and fails
 on an imported name that the module never reads. Names listed in ``__all__``
 are re-exports, and an import marked ``# noqa: F401`` is kept on purpose (the
-benchmark's tracer wraps it). The benchmark's own files are not scanned for
-imports.
+benchmark's tracer wraps it). A marked import must be unused, so a stale
+marker cannot hide a live import. The benchmark's own files are not scanned
+for imports.
 
 A module-level function, class or constant of the package whose name starts
 with an underscore is dead when no file of the package, the tests, the
@@ -39,8 +40,10 @@ SCANNED = [
 ]
 
 
-def unused_imports(source):
-    """Names bound by imports in ``source`` that it neither reads nor exports."""
+def imports(source):
+    """Each name ``source`` binds by an import, as (lineno, name, marked,
+    used): marked means a ``# noqa: F401`` on its line, used that the module
+    reads or exports it."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = {}
@@ -49,19 +52,27 @@ def unused_imports(source):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" in lines[alias.lineno - 1]:
-                    continue
                 imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            used |= set(ast.literal_eval(node.value))
     return sorted(
-        (lineno, name) for name, lineno in imported.items() if name not in used | exported
+        (lineno, name, "# noqa: F401" in lines[lineno - 1], name in used)
+        for name, lineno in imported.items()
     )
+
+
+def unused_imports(source):
+    """Names bound by unmarked imports in ``source`` that it neither reads nor exports."""
+    return [(line, name) for line, name, marked, used in imports(source) if not (marked or used)]
+
+
+def used_marked_imports(source):
+    """Names bound by ``# noqa: F401`` imports in ``source`` that it reads or exports."""
+    return [(line, name) for line, name, marked, used in imports(source) if marked and used]
 
 
 def test_unused_imports_are_found():
@@ -69,10 +80,22 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
+def test_used_marked_imports_are_found():
+    source = "import os  # noqa: F401\nfrom math import pi  # noqa: F401\nprint(pi)\n"
+    assert used_marked_imports(source) == [(2, "pi")]
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_module_has_no_unused_imports(name):
     with open(MODULES[name]) as handle:
         assert unused_imports(handle.read()) == []
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_marks_no_import_it_uses(name):
+    # a marker on a live import would hide it turning unused later
+    with open(MODULES[name]) as handle:
+        assert used_marked_imports(handle.read()) == []
 
 
 def private_definitions(source):
