@@ -45,6 +45,7 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
@@ -155,15 +156,19 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     return valid
 
 
+@cache
 def _candidate_table(d: int) -> np.ndarray:
     """The fixed (_CANDIDATES, d) table of unit candidate directions: rows of
     Generator(Philox(key=0)).standard_normal, each divided by its norm, whose
-    squares are summed one component at a time."""
+    squares are summed one component at a time. Made once per d and shared,
+    so it is read-only."""
     V = np.random.Generator(np.random.Philox(key=0)).standard_normal((_CANDIDATES, d))
     norm2 = np.zeros(_CANDIDATES)
     for c in range(d):
         norm2 += V[:, c] * V[:, c]
-    return V / np.sqrt(norm2)[:, None]
+    C = V / np.sqrt(norm2)[:, None]
+    C.setflags(write=False)
+    return C
 
 
 def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:

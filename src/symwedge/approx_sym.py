@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator
 
-from .core import Configuration, Point, Symmetry, TargetFunction
+from .core import Configuration, Point, Symmetry, TargetFunction, _configuration, _point
 from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
@@ -112,7 +112,8 @@ def corner_values(
 
     Each configuration equals ``corner_configuration(spec, zs)``, but its
     Points are built once per lattice site and shared across entries: the
-    wedge has C(n^d + N - 1, N) entries over only n^d sites. The target is
+    wedge has C(n^d + N - 1, N) entries over only n^d sites. Corners of a
+    valid LatticeSpec are finite, so neither is re-validated. The target is
     still called once per entry.
     """
     corners: dict[LatticeIndex, Point] = {}
@@ -121,9 +122,9 @@ def corner_values(
         for z in zs:
             p = corners.get(z)
             if p is None:
-                p = corners[z] = Point(spec.position(z))
+                p = corners[z] = _point(spec.position(z))
             points.append(p)
-        value = f(Configuration(tuple(points)))
+        value = f(_configuration(tuple(points)))
         if not math.isfinite(value):
             raise BuildError(f"target returned non-finite value {value!r} at Z = {zs}")
         yield zs, value

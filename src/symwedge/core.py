@@ -93,6 +93,27 @@ class Configuration:
         return tuple(p.coords for p in self.points)
 
 
+# Unchecked constructors for values the package assembles from parts it has
+# already validated or generated finite; everything from outside goes through
+# Point(...) and Configuration(...), which validate.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _point(coords: tuple[float, ...]) -> Point:
+    """A Point of a non-empty tuple of finite floats, without the checks."""
+    p = _new(Point)
+    _set(p, "coords", coords)
+    return p
+
+
+def _configuration(points: tuple[Point, ...]) -> Configuration:
+    """A Configuration of a non-empty tuple of Points of one dimension, without the checks."""
+    X = _new(Configuration)
+    _set(X, "points", points)
+    return X
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Per-particle box domain [lo, hi]^d with N particles."""
@@ -136,7 +157,7 @@ def permute(X: Configuration, sigma: Permutation) -> Configuration:
     """Reorder a configuration: result.points[i] = X.points[sigma.images[i]]."""
     if sigma.size != X.N:
         raise ValueError(f"permutation size {sigma.size} != configuration size {X.N}")
-    return Configuration(tuple(X.points[j] for j in sigma.images))
+    return _configuration(tuple([X.points[j] for j in sigma.images]))
 
 
 def _inversion_sign(seq: Sequence[int]) -> int:

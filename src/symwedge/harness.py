@@ -4,6 +4,12 @@ sup-error scans, invariance suites, convergence sweeps.
 The harness builds nothing: it measures tabulators a caller builds, taking N,
 d and the spacing from them. A non-finite value is a ValueError (``max`` drops NaN).
 
+One invariance pass checks every evaluator it is given (``run_verification``
+passes the target and the tabulator) against one set of permuted
+configurations. Configurations the harness makes itself (samples, stencil
+rows, permuted copies) are built without re-validation: their coordinates are
+finite Philox draws or clipped copies of them.
+
 Everything here is deterministic given (seed, inputs). Sampling uses a
 counter-based bit generator (Philox) keyed directly by the seed, so sample
 sets regenerate bit-identically across runs and machines.
@@ -23,9 +29,10 @@ from .core import (
     Configuration,
     DomainSpec,
     Permutation,
-    Point,
     Symmetry,
     TargetFunction,
+    _configuration,
+    _point,
     parity,
     permute,
     vandermonde_product,
@@ -81,9 +88,13 @@ def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSe
     """Draw ``count`` configurations, deterministic in ``seed``."""
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
+    if not math.isfinite(domain.span):
+        raise ValueError(f"domain [{domain.lo}, {domain.hi}] is too wide to sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = domain.lo + domain.span * rng.random((count, domain.N, domain.d))
-    configurations = tuple(Configuration.from_rows(rows) for rows in raw.tolist())
+    configurations = tuple(
+        _configuration(tuple([_point(tuple(row)) for row in rows])) for rows in raw.tolist()
+    )
     return SampleSet(domain=domain, seed=seed, configurations=configurations)
 
 
@@ -93,7 +104,9 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     and samples clipped to the interior so the stencil stays inside the domain.
 
     Each sample's N clipped Points are built once; a stencil evaluation
-    swaps in a new Point for the one perturbed row only.
+    swaps in a new Point for the one perturbed row only. Stencil rows are
+    finite coordinates +- h, so their Points and Configurations are built
+    unchecked.
     """
     domain = S.domain
     h = DEFAULT_FD_STEP_FRACTION * domain.span
@@ -102,17 +115,17 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     best = 0.0
     for X in S.configurations:
         rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
-        points = [Point(tuple(row)) for row in rows]
+        points = [_point(tuple(row)) for row in rows]
         norm2 = 0.0
         for i, row in enumerate(rows):
             clipped = points[i]
             for a, c in enumerate(row):
                 row[a] = c + h
-                points[i] = Point(tuple(row))
-                up = f(Configuration(tuple(points)))
+                points[i] = _point(tuple(row))
+                up = f(_configuration(tuple(points)))
                 row[a] = c - h
-                points[i] = Point(tuple(row))
-                down = f(Configuration(tuple(points)))
+                points[i] = _point(tuple(row))
+                down = f(_configuration(tuple(points)))
                 row[a] = c
                 g = (up - down) / two_h
                 if not math.isfinite(g):
@@ -169,16 +182,20 @@ def _random_permutations(
 
 
 def invariance_suite(
-    evaluator: Callable[[Configuration], float],
+    evaluators: Sequence[Callable[[Configuration], float]],
     S: SampleSet,
     n_perms: int,
     symmetry: Symmetry,
-) -> float:
-    """Max residual of the declared permutation law over random permutations
-    seeded from ``S.seed``: |e(sigma X) - e(X)| for symmetric evaluators,
-    |e(sigma X) - sign(sigma) e(X)| for anti-symmetric ones.
+) -> list[float]:
+    """Max residual of the declared permutation law for each evaluator e, over
+    random permutations seeded from ``S.seed``: |e(sigma X) - e(X)| for
+    symmetric evaluators, |e(sigma X) - sign(sigma) e(X)| for anti-symmetric
+    ones. Returns one residual per evaluator, in order.
 
-    One Permutation and its sign are built per distinct draw (at most N!).
+    The permutations of a sample are drawn once and each permuted
+    configuration is built once, through this module's ``permute`` binding,
+    for all evaluators; the evaluators are called in order on it. One
+    Permutation and its sign are built per distinct draw (at most N!).
     """
     if n_perms < 1:
         raise ValueError("need at least one permutation per sample")
@@ -186,21 +203,20 @@ def invariance_suite(
     N = S.domain.N
     rng = np.random.Generator(np.random.Philox(key=0))
     signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
-    worst = 0.0
+    worst = [0.0] * len(evaluators)
     for k, X in enumerate(S.configurations):
-        base = _finite(evaluator(X), "value", k)
+        bases = [_finite(e(X), "value", k) for e in evaluators]
         # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
         for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
             if images not in signed:
                 sigma = Permutation(images)
                 signed[images] = sigma, parity(sigma)
             sigma, sign = signed[images]
-            permuted = _finite(evaluator(permute(X, sigma)), "permuted value", k)
-            if symmetry is Symmetry.SYMMETRIC:
-                residual = abs(permuted - base)
-            else:
-                residual = abs(permuted - sign * base)
-            worst = max(worst, residual)
+            law = 1 if symmetry is Symmetry.SYMMETRIC else sign
+            Y = permute(X, sigma)
+            for i, e in enumerate(evaluators):
+                permuted = _finite(e(Y), "permuted value", k)
+                worst[i] = max(worst[i], abs(permuted - law * bases[i]))
     return worst
 
 
@@ -375,11 +391,10 @@ def run_verification(
     scale = 1.0
     for k, X in enumerate(S.configurations):
         scale = max(scale, abs(_finite(f(X), "target value", k)))
-    target_residual = invariance_suite(f, S, n_perms, symmetry) / scale
-
     sup, arg = sup_error(f, approx, S)
     budget = error_budget(delta, N, d, gradient_bound)
-    invariance = invariance_suite(approx, S, n_perms, symmetry)
+    target_residual, invariance = invariance_suite((f, approx), S, n_perms, symmetry)
+    target_residual /= scale
     cauchy = None
     if symmetry is Symmetry.ANTISYMMETRIC and d == 1:
         cauchy = cauchy_factor_check(f, S, min_gap)

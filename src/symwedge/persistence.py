@@ -28,9 +28,10 @@ antisym-c2 file stores a finite positive tau, and each record's direction
 is a finite unit vector (within 1e-12) that passes the build's validity
 test (``approx_antisym.directions_valid``) at that tau; the other kinds
 store ``tau -``. The loader raises ConfigError, naming the line or record,
-for anything else: a first line other than ``SYMWEDGE-MODEL 2`` (version-1
-files no longer load), a malformed header field, a header that describes no
-lattice, a non-numeric record field or a violated rule above.
+for anything else: a byte that is not UTF-8, a first line other than
+``SYMWEDGE-MODEL 2`` (version-1 files no longer load), a malformed header
+field, a header that describes no lattice, a non-numeric record field or a
+violated rule above.
 """
 
 from __future__ import annotations
@@ -177,9 +178,28 @@ def _check_directions(
         raise ConfigError(f"record {records[k]!r}: direction {A[k].tolist()} {problem}")
 
 
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, read as UTF-8 text with universal newlines; a byte
+    that is not UTF-8 raises ConfigError naming the file and its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return [line.rstrip("\n") for line in handle]
+    except UnicodeDecodeError:
+        pass
+    # Read again keeping each bad byte as a lone surrogate, to find its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+            if bad is not None:
+                raise ConfigError(
+                    f"{path}: line {number} holds byte 0x{ord(bad) - 0xDC00:02x}, "
+                    "which is not UTF-8"
+                )
+    raise ConfigError(f"{path} changed while it was read")
+
+
 def load_model(path: str) -> Tabulator:
-    with open(path, "r") as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    lines = _read_lines(path)
     if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")

@@ -264,6 +264,16 @@ def test_batched_search_breaks_ties_to_the_lowest_candidate(monkeypatch):
     assert all((half == row).all(axis=1).any() for row in A)
 
 
+def test_candidate_table_is_made_once_per_d_and_shared_read_only():
+    C = _candidate_table(3)
+    assert _candidate_table(3) is C and _candidate_table(2) is not C
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.0
+    V = np.random.Generator(np.random.Philox(key=0)).standard_normal((_CANDIDATES, 3))
+    norm2 = V[:, 0] * V[:, 0] + V[:, 1] * V[:, 1] + V[:, 2] * V[:, 2]
+    assert (C == V / np.sqrt(norm2)[:, None]).all()
+
+
 def test_batched_search_d1_tau_above_one_raises_like_scalar():
     spec = LatticeSpec.from_counts(4, 1, 0.0, 1.0)
     keys = distinct_keys(spec, 2)

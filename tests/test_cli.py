@@ -338,6 +338,24 @@ def test_eval_coordinates_must_be_json_numbers(tmp_path, capsys, literal):
     assert "configuration" in err
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("[[NaN], [0.7]]", "non-finite coordinate"),
+        ("[[0.2], [Infinity]]", "non-finite coordinate"),
+        ("[[0.2], [0.3, 0.4]]", "share one dimension"),
+        ("[[], []]", "at least one coordinate"),
+        ("[]", "at least one point"),
+    ],
+    ids=["nan", "inf", "mixed-dimensions", "empty-rows", "no-rows"],
+)
+def test_eval_validates_parsed_coordinates(tmp_path, capsys, literal, message):
+    model_path, _ = build_model(tmp_path, capsys)
+    code, out, err = run(capsys, "eval", model_path, "--x", literal)
+    assert_one_line_config_error(code, out, err)
+    assert err.startswith("error: bad configuration: ") and message in err
+
+
 def test_eval_accepts_integer_coordinates(tmp_path, capsys):
     model_path, _ = build_model(tmp_path, capsys)
     _, as_float, _ = run(capsys, "eval", model_path, "--x", "[[0.0], [1.0]]")

@@ -37,11 +37,15 @@ def test_point_rejects_non_finite():
         Point((0.1, float("nan")))
     with pytest.raises(ValueError):
         Point((float("inf"),))
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        Configuration.from_rows([[0.1], [float("nan")]])
 
 
 def test_configuration_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         Configuration((Point((0.1,)), Point((0.1, 0.2))))
+    with pytest.raises(ValueError, match="share one dimension"):
+        Configuration.from_rows([[0.1], [0.1, 0.2]])
 
 
 def test_configuration_shape_accessors():

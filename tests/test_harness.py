@@ -1,4 +1,5 @@
 import math
+from itertools import permutations as _all_permutations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from symwedge import (
     Configuration,
     DomainSpec,
     LatticeSpec,
+    Permutation,
     Symmetry,
     TargetFunction,
     build_antisym,
@@ -26,7 +28,9 @@ from symwedge import (
     vandermonde_product,
 )
 import symwedge.harness as harness
+from symwedge.approx_sym import corner_values
 from symwedge.harness import _random_permutations
+from symwedge.lattice import corner_configuration, enumerate_wedge
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)
@@ -210,12 +214,12 @@ def test_invariance_residual_zero_for_tabulators():
     S = sample_configurations(UNIT_13, 200, 41)
     f_sym = builtin_target("gaussian-pair-sym")
     tab = build_sym(f_sym, spec, 3)
-    assert invariance_suite(lambda X: eval_sym(tab, X), S, 8, Symmetry.SYMMETRIC) == 0.0
+    assert invariance_suite([lambda X: eval_sym(tab, X)], S, 8, Symmetry.SYMMETRIC) == [0.0]
     f_anti = builtin_target("vandermonde-gauss-antisym")
     anti = build_antisym(f_anti, spec, 3)
     assert (
-        invariance_suite(lambda X: eval_antisym(anti, X), S, 8, Symmetry.ANTISYMMETRIC)
-        == 0.0
+        invariance_suite([lambda X: eval_antisym(anti, X)], S, 8, Symmetry.ANTISYMMETRIC)
+        == [0.0]
     )
 
 
@@ -224,13 +228,13 @@ def test_invariance_detects_broken_evaluator():
     tab = build_sym(SUM_12, spec, 2)
     S = sample_configurations(UNIT_12, 100, 42)
     broken = lambda X: eval_sym(tab, X) + X.points[0].coords[0]
-    assert invariance_suite(broken, S, 8, Symmetry.SYMMETRIC) > 1e-3
+    assert invariance_suite([broken], S, 8, Symmetry.SYMMETRIC)[0] > 1e-3
 
 
 def test_invariance_suite_validation():
     S = sample_configurations(UNIT_12, 10, 43)
     with pytest.raises(ValueError):
-        invariance_suite(SUM_12, S, 0, Symmetry.SYMMETRIC)
+        invariance_suite([SUM_12], S, 0, Symmetry.SYMMETRIC)
 
 
 def test_non_finite_values_are_errors_naming_the_sample():
@@ -258,7 +262,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
     with pytest.raises(ValueError, match=f"non-finite approximation {at_first}"):
         sup_error(approx, probe, S)
     with pytest.raises(ValueError, match=f"non-finite value {at_first}"):
-        invariance_suite(probe, S, 8, Symmetry.SYMMETRIC)
+        invariance_suite([probe], S, 8, Symmetry.SYMMETRIC)
     with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
         run_verification(probe, tab, S, 1.0, 8, 0.05)
 
@@ -280,8 +284,8 @@ def test_non_finite_values_are_errors_naming_the_sample():
 def test_invariance_suite_is_seed_deterministic():
     S = sample_configurations(UNIT_13, 50, 44)
     f = builtin_target("product-smooth-sym")
-    r1 = invariance_suite(f, S, 6, Symmetry.SYMMETRIC)
-    r2 = invariance_suite(f, S, 6, Symmetry.SYMMETRIC)
+    r1 = invariance_suite([f], S, 6, Symmetry.SYMMETRIC)
+    r2 = invariance_suite([f], S, 6, Symmetry.SYMMETRIC)
     assert r1 == r2
 
 
@@ -302,9 +306,101 @@ def test_invariance_suite_builds_one_sign_per_distinct_draw(monkeypatch):
     monkeypatch.setattr(harness, "permute", lambda X, s: permuted.append(s) or permute(X, s))
     S = sample_configurations(UNIT_13, 300, 45)
     f = builtin_target("vandermonde-gauss-antisym", {})
-    assert invariance_suite(f, S, 8, Symmetry.ANTISYMMETRIC) <= 1e-15
+    assert invariance_suite([f], S, 8, Symmetry.ANTISYMMETRIC)[0] <= 1e-15
     assert len(signs) == len(set(signs)) == 6
     assert len(permuted) == 300 * 8  # one permute per draw, as before
+
+
+# Every tabulator kind, indicator and smooth: its builder and build options.
+KINDS = {
+    "sym": (build_sym, {}),
+    "sym-smooth": (build_sym, {"mode": MODE_SMOOTH}),
+    "antisym-c1": (build_antisym, {}),
+    "antisym-c2": (build_antisym, {"mode": MODE_PROJECTED}),
+    "antisym-c2-smooth": (build_antisym, {"mode": MODE_PROJECTED}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_pass_over_two_evaluators_equals_two_passes(kind, N, d):
+    build, options = KINDS[kind]
+    spec = LatticeSpec.from_counts(6 if d == 1 else 3, d, 0.0, 1.0)
+    if kind.endswith("smooth"):
+        options = dict(options, smooth_width=spec.delta / 4)
+    if build is build_sym:
+        f, evaluate, symmetry = builtin_target("gaussian-pair-sym"), eval_sym, Symmetry.SYMMETRIC
+    else:
+        f = builtin_target("vandermonde-gauss-antisym")
+        evaluate, symmetry = eval_antisym, Symmetry.ANTISYMMETRIC
+    tab = build(f, spec, N, **options)
+    approx = lambda X: evaluate(tab, X)
+    S = sample_configurations(DomainSpec(d=d, N=N, lo=0.0, hi=1.0), 60, 10 * N + d)
+    both = invariance_suite((f, approx), S, 4, symmetry)
+    apart = invariance_suite([f], S, 4, symmetry) + invariance_suite([approx], S, 4, symmetry)
+    assert [r.hex() for r in both] == [r.hex() for r in apart]
+
+
+@pytest.mark.parametrize(
+    "f, build, n_perms",
+    [
+        (builtin_target("gaussian-pair-sym"), build_sym, 8),
+        (builtin_target("vandermonde-gauss-antisym"), build_antisym, 5),  # runs the Cauchy check
+    ],
+)
+def test_run_verification_permutes_each_draw_once(monkeypatch, f, build, n_perms):
+    calls = []
+    permute = harness.permute
+    monkeypatch.setattr(harness, "permute", lambda X, s: calls.append(s) or permute(X, s))
+    S = sample_configurations(UNIT_13, 150, 46)
+    tab = build(f, LatticeSpec.from_domain(UNIT_13, 0.25), 3)
+    report = run_verification(f, tab, S, 1.0, n_perms, 0.05)
+    kept = 0
+    if report.cauchy_residual is not None:
+        for X in S.configurations:
+            xs = [p.coords[0] for p in X.points]
+            kept += min(abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]) >= 0.05
+        assert kept > 0
+    assert len(calls) == 150 * n_perms + math.factorial(3) * kept
+
+
+def assert_same_as_validated(X):
+    """X equals, and hashes as, the checked construction of its rows, and
+    holds a tuple of Points of float tuples, as that construction does."""
+    checked = Configuration.from_rows(X.rows())
+    assert X == checked and hash(X) == hash(checked)
+    assert type(X.points) is tuple
+    assert all(type(p.coords) is tuple for p in X.points)
+    assert all(type(c) is float for p in X.points for c in p.coords)
+
+
+@pytest.mark.parametrize("N, d", [(1, 1), (3, 2), (4, 1)])
+def test_configurations_built_unchecked_equal_checked_ones(N, d):
+    domain = DomainSpec(d=d, N=N, lo=-0.5, hi=1.5)
+    S = sample_configurations(domain, 20, 47)
+    rng = np.random.Generator(np.random.Philox(key=47))
+    draws = (domain.lo + domain.span * rng.random((20, N, d))).tolist()
+    assert [X.rows() for X in S.configurations] == [
+        tuple(tuple(row) for row in rows) for rows in draws
+    ]
+    seen = []
+    gradient_bound_estimate(lambda X: seen.append(X) or 0.0, S)
+    assert len(seen) == 20 * 2 * N * d
+    for X in S.configurations:
+        for images in _all_permutations(range(N)):
+            seen.append(harness.permute(X, Permutation(images)))
+    spec = LatticeSpec.from_counts(3, d, -0.5, 1.5)
+    corners = []
+    list(corner_values(lambda X: corners.append(X) or 0.0, spec, enumerate_wedge(spec, N)))
+    assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
+    for X in list(S.configurations) + seen + corners:
+        assert_same_as_validated(X)
+
+
+def test_sampling_a_domain_too_wide_for_a_finite_span_is_an_error():
+    with pytest.raises(ValueError, match="too wide to sample"):
+        sample_configurations(DomainSpec(d=1, N=2, lo=-1e308, hi=1e308), 10, 1)
 
 
 # Hex outputs recorded on an earlier commit: a change that moves any bit of
@@ -327,7 +423,7 @@ def test_harness_outputs_are_pinned():
     ):
         f = builtin_target(name, {})
         got[f"gradient {name}"] = gradient_bound_estimate(f, S).hex()
-        got[f"invariance {name}"] = invariance_suite(f, S, 8, symmetry).hex()
+        got[f"invariance {name}"] = invariance_suite([f], S, 8, symmetry)[0].hex()
     assert got == PINNED_HARNESS_HEX
 
 

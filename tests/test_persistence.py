@@ -553,6 +553,18 @@ def test_load_takes_only_the_header_integers_save_model_writes(tmp_path, capsys,
     assert err == f"error: bad {name!r} value {value!r} on line {line + 1}\n"
 
 
+def test_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    path, _ = _saved_lines(tmp_path, "sym")
+    data = bytearray(path.read_bytes())
+    data[200] = 0xFF
+    path.write_bytes(bytes(data))
+    line = data[:200].count(b"\n") + 1
+    assert line > 12  # a record line
+    assert main(["eval", str(path), "--x", "[[0.1], [0.2]]"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line {line} holds byte 0xff, which is not UTF-8\n"
+
+
 @pytest.mark.parametrize("huge", ["N", "d"])
 def test_huge_declared_shape_is_rejected_without_allocating(tmp_path, huge):
     # one cell per axis leaves one site and one wedge entry however large N
