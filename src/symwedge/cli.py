@@ -60,6 +60,7 @@ from .persistence import (
     KIND_RANK,
     KIND_SYM,
     KINDS,
+    _read_text,
     load_model,
     save_model,
     write_text_atomic,
@@ -291,8 +292,7 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
     if not path:
         raise ConfigError("this command needs --config PATH")
     try:
-        with open(path, "r") as handle:
-            raw = json.load(handle)
+        raw = json.loads(_read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -444,8 +444,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.x is not None:
         X = _parse_configuration(args.x)
     else:
-        with open(args.x_file, "r") as handle:
-            X = _parse_configuration(handle.read())
+        X = _parse_configuration(_read_text(args.x_file))
     if isinstance(tab, SymmetricTabulator):
         value = eval_sym(tab, X)
     else:

@@ -32,13 +32,20 @@ for anything else: a byte that is not UTF-8, a first line other than
 ``SYMWEDGE-MODEL 2`` (version-1 files no longer load), a malformed header
 field, a header that describes no lattice, a non-numeric record field or a
 violated rule above.
+
+A file with several faults reports the first in check order: the header,
+line by line; the record count; then, record by record, the field count,
+the key, that every value field is a hex float, and a finite coefficient;
+and last the directions, in record order. Keys are made a block of records
+at a time, each the text of its entry's first N - 1 sites plus that of its
+last site; ``save_model`` writes the same key text.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, islice, repeat
 from typing import Callable, Iterator, TypeVar, Union
 
 import numpy as np
@@ -75,6 +82,10 @@ KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 _T = TypeVar("_T")
 
+# Records per block of keys: ``load_model`` checks and parses a block in a few
+# calls that loop in C, and drops its text before the next.
+_BLOCK = 4096
+
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
@@ -95,13 +106,31 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _records(spec: LatticeSpec, N: int, kind: str) -> Iterator[tuple[WedgeKey, str]]:
-    """Each record's wedge entry and key text (its indices in decimal), in file
-    order. Lazy: nothing is built before the first record is asked for."""
-    text = {site: " ".join(map(str, site)) for site in lattice_sites(spec)}
+def _entries(spec: LatticeSpec, N: int, kind: str) -> Iterator[WedgeKey]:
+    """The wedge entries a model's records hold, in file (lexicographic) order.
+    Lazy: nothing is built before the first entry is asked for."""
     choose = combinations_with_replacement if kind == KIND_SYM else combinations
-    for zs in choose(text, N):
-        yield zs, " ".join([text[z] for z in zs])
+    yield from choose(lattice_sites(spec), N)
+
+
+def _key_blocks(spec: LatticeSpec, N: int, kind: str) -> Iterator[list[str]]:
+    """The records' key texts in file order, in blocks of about ``_BLOCK``.
+    A key is the text of its entry's first N - 1 sites plus the text of its
+    last site, each index in decimal followed by one space, so a record
+    starts with its key and a coefficient follows it directly. Lazy: no key
+    is made before the first block is asked for."""
+    texts = ["".join(f"{i} " for i in site) for site in lattice_sites(spec)]
+    step = 0 if kind == KIND_SYM else 1  # a strict wedge repeats no site
+    choose = combinations_with_replacement if step == 0 else combinations
+    block: list[str] = []
+    for prefix in choose(range(len(texts)), N - 1):
+        start = prefix[-1] + step if prefix else 0
+        block += map("".join(map(texts.__getitem__, prefix)).__add__, texts[start:])
+        if len(block) >= _BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 def save_model(path: str, tab: Tabulator) -> None:
@@ -122,12 +151,13 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"tau {tau.hex() if tau is not None else '-'}",
         f"entries {len(tab.table)}",
     ]
+    values = map(float.hex, map(tab.table.__getitem__, _entries(spec, tab.N, tab.kind)))
     directions = getattr(tab, "directions", None)
-    for zs, key in _records(spec, tab.N, tab.kind):
-        fields = [key, tab.table[zs].hex()]
-        if directions is not None:
-            fields.extend(c.hex() for c in directions[zs])
-        lines.append(" ".join(fields))
+    if directions is not None:
+        rows = map(directions.__getitem__, _entries(spec, tab.N, tab.kind))
+        components = map(float.hex, chain.from_iterable(rows))
+        values = map(" ".join, zip(values, *[components] * spec.d))
+    lines += map(str.__add__, chain.from_iterable(_key_blocks(spec, tab.N, tab.kind)), values)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -155,35 +185,84 @@ def _optional_hex(value: str) -> float | None:
     return None if value == "-" else float.fromhex(value)
 
 
-def _check_directions(
-    N: int, d: int, records: list[str], directions: dict[WedgeKey, tuple[float, ...]], tau: float
-) -> None:
-    """Each direction is a finite unit vector passing the build's validity test at tau."""
-    K = len(directions)
-    A = np.fromiter(chain.from_iterable(directions.values()), float, K * d).reshape(K, d)
-    idx = _key_array(list(directions), N, d)
+def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
+    """The fault of the first direction, a row of A (K, d) keyed by the site
+    indices idx (K, N, d), that is not a finite unit vector passing the
+    build's validity test at tau, or None."""
     with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
         finite = np.isfinite(A).all(axis=1)
         unit = np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
         valid = directions_valid(A, idx, tau)
     bad = np.flatnonzero(~(finite & unit & valid))
-    if len(bad):
-        k = int(bad[0])
-        if not finite[k]:
-            problem = "is not finite"
-        elif not unit[k]:
-            problem = "is not a unit vector"
-        else:
-            problem = f"fails the projection test at tau = {tau!r}"
-        raise ConfigError(f"record {records[k]!r}: direction {A[k].tolist()} {problem}")
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if not finite[k]:
+        problem = "is not finite"
+    elif not unit[k]:
+        problem = "is not a unit vector"
+    else:
+        problem = f"fails the projection test at tau = {tau!r}"
+    return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines, read as UTF-8 text with universal newlines; a byte
-    that is not UTF-8 raises ConfigError naming the file and its line."""
+def _block_values(lines: list[str], keys: list[str], per: int) -> list[float] | None:
+    """The value fields of records with the right field count, flat, or None
+    if a record does not start with its key, holds a field that is not a
+    hex float, or has a non-finite coefficient (every ``per``-th value)."""
+    if not all(map(str.startswith, lines, keys)):
+        return None
+    try:
+        values = list(map(float.fromhex, " ".join(map(str.removeprefix, lines, keys)).split(" ")))
+    except (ValueError, OverflowError):
+        return None
+    return values if all(map(math.isfinite, values[::per])) else None
+
+
+def _check_records(
+    lines: list[str],
+    keys: Iterator[str],
+    entries: Iterator[WedgeKey],
+    fields: tuple[int, int],
+    kind: str,
+    cells: int,
+) -> list[float]:
+    """``_block_values`` one record at a time, raising ConfigError on the first
+    fault. ``fields`` is (index fields, value fields) per record. A record's
+    field count is checked before its key is made (N or d may be huge), then
+    its key, then its numbers, then that its coefficient is finite."""
+    n_index, per = fields
+    values: list[float] = []
+    for line in lines:
+        found = line.count(" ") + 1
+        if found != n_index + per:
+            raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
+        key, zs = next(keys), next(entries)
+        if not line.startswith(key):
+            try:
+                [int(field) for field in line.split(" ")[:n_index]]  # raises on a non-integer
+            except ValueError:
+                raise ConfigError(f"record {line!r} has a field that is not a number") from None
+            raise ConfigError(
+                f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
+                f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
+            )
+        try:
+            parsed = [float.fromhex(field) for field in line[len(key) :].split(" ")]
+        except (ValueError, OverflowError):
+            raise ConfigError(f"record {line!r} has a field that is not a number") from None
+        if not math.isfinite(parsed[0]):
+            raise ConfigError(f"non-finite coefficient in record {line!r}")
+        values += parsed
+    return values
+
+
+def _read_text(path: str) -> str:
+    """The file's text, read as UTF-8 with universal newlines; a byte that is
+    not UTF-8 raises ConfigError naming the file and its line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
+            return handle.read()
     except UnicodeDecodeError:
         pass
     # Read again keeping each bad byte as a lone surrogate, to find its line.
@@ -199,7 +278,9 @@ def _read_lines(path: str) -> list[str]:
 
 
 def load_model(path: str) -> Tabulator:
-    lines = _read_lines(path)
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
     if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")
@@ -223,6 +304,7 @@ def load_model(path: str) -> Tabulator:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
     entries = _field(lines, 11, "entries", _decimal)
     records = [line for line in lines[12:] if line]
+    del lines  # records now holds the only reference to each record's text
     if len(records) != entries:
         raise ConfigError(f"expected {entries} records, found {len(records)}")
 
@@ -249,35 +331,33 @@ def load_model(path: str) -> Tabulator:
     want_size = full_size if kind == KIND_SYM else math.comb(spec.site_count, N)
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
+    n_index, per = N * d, 1 + (d if want_direction else 0)
+    if not set(map(str.count, records, repeat(" "))) <= {n_index + per - 1}:
+        # a field count is checked before any key is made: N or d may be huge
+        keys = chain.from_iterable(_key_blocks(spec, N, kind))
+        _check_records(records, keys, _entries(spec, N, kind), (n_index, per), kind, cells)
     table: dict[WedgeKey, float] = {}
     directions: dict[WedgeKey, tuple[float, ...]] = {}
-    expected = N * d + 1 + (d if want_direction else 0)
-    keys = _records(spec, N, kind)
-    for line in records:
-        found = line.count(" ") + 1  # before the key is made: N or d may be huge
-        if found != expected:
-            raise ConfigError(f"bad record ({found} fields, expected {expected}): {line!r}")
-        zs, key = next(keys)
-        if not line.startswith(key + " "):
-            try:
-                [int(field) for field in line.split(" ")[: N * d]]  # raises on a non-integer
-            except ValueError:
-                raise ConfigError(f"record {line!r} has a field that is not a number") from None
-            raise ConfigError(
-                f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
-                f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
-            )
-        try:
-            values = [float.fromhex(field) for field in line[len(key) + 1 :].split(" ")]
-        except (ValueError, OverflowError):
-            raise ConfigError(f"record {line!r} has a field that is not a number") from None
-        if not math.isfinite(values[0]):
-            raise ConfigError(f"non-finite coefficient in record {line!r}")
-        table[zs] = values[0]
+    fault = None  # the first bad direction, reported once every record has passed
+    entry_iter = _entries(spec, N, kind)
+    start = 0
+    for keys in _key_blocks(spec, N, kind):
+        n = len(keys)
+        block, zs = records[start : start + n], list(islice(entry_iter, n))
+        records[start : start + n] = [""] * n  # a parsed record's text is not kept
+        start += n
+        values = _block_values(block, keys, per)
+        if values is None:
+            values = _check_records(block, iter(keys), iter(zs), (n_index, per), kind, cells)
+        table.update(zip(zs, values[::per]))
         if want_direction:
-            directions[zs] = tuple(values[1:])
-    if want_direction:
-        _check_directions(N, d, records, directions, tau)
+            del values[::per]
+            A = np.array(values, dtype=float).reshape(n, d)
+            if fault is None:
+                fault = _direction_fault(block, A, _key_array(zs, N, d), tau)
+            directions.update(zip(zs, zip(*[iter(values)] * d)))
+    if fault is not None:
+        raise ConfigError(fault)
     if kind == KIND_SYM:
         return SymmetricTabulator(spec, N, smooth, table)
     return AntisymTabulator(spec, N, tau, smooth, table, directions if want_direction else None)

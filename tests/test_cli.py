@@ -779,6 +779,23 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def test_config_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{\n  "kind": "sym",\n  "target": "\xff"\n}\n')
+    code, out, err = run(capsys, "build", "--config", str(path))
+    assert_one_line_config_error(code, out, err)
+    assert err == f"error: {path}: line 3 holds byte 0xff, which is not UTF-8\n"
+
+
+def test_x_file_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    model_path, _ = build_model(tmp_path, capsys)
+    x_path = tmp_path / "x.json"
+    x_path.write_bytes(b"[[0.25],\n [0.75]] \xff\n")
+    code, out, err = run(capsys, "eval", model_path, "--x-file", str(x_path))
+    assert_one_line_config_error(code, out, err)
+    assert err == f"error: {x_path}: line 2 holds byte 0xff, which is not UTF-8\n"
+
+
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_gaussian_width_whose_square_underflows_exits_2(tmp_path, capsys, command):
     config = write_config(
