@@ -60,8 +60,8 @@ from .persistence import (
     KIND_RANK,
     KIND_SYM,
     KINDS,
-    _read_text,
     load_model,
+    read_text,
     save_model,
     write_text_atomic,
 )
@@ -292,7 +292,7 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
     if not path:
         raise ConfigError("this command needs --config PATH")
     try:
-        raw = json.loads(_read_text(path))
+        raw = json.loads(read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -444,7 +444,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.x is not None:
         X = _parse_configuration(args.x)
     else:
-        X = _parse_configuration(_read_text(args.x_file))
+        X = _parse_configuration(read_text(args.x_file))
     if isinstance(tab, SymmetricTabulator):
         value = eval_sym(tab, X)
     else:

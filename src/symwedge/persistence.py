@@ -71,6 +71,7 @@ __all__ = [
     "save_model",
     "load_model",
     "write_text_atomic",
+    "read_text",
 ]
 
 MAGIC = "SYMWEDGE-MODEL"
@@ -106,31 +107,30 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _entries(spec: LatticeSpec, N: int, kind: str) -> Iterator[WedgeKey]:
-    """The wedge entries a model's records hold, in file (lexicographic) order.
-    Lazy: nothing is built before the first entry is asked for."""
-    choose = combinations_with_replacement if kind == KIND_SYM else combinations
-    yield from choose(lattice_sites(spec), N)
-
-
-def _key_blocks(spec: LatticeSpec, N: int, kind: str) -> Iterator[list[str]]:
-    """The records' key texts in file order, in blocks of about ``_BLOCK``.
-    A key is the text of its entry's first N - 1 sites plus the text of its
-    last site, each index in decimal followed by one space, so a record
-    starts with its key and a coefficient follows it directly. Lazy: no key
-    is made before the first block is asked for."""
-    texts = ["".join(f"{i} " for i in site) for site in lattice_sites(spec)]
+def _key_blocks(spec: LatticeSpec, N: int, kind: str) -> Iterator[tuple[list[WedgeKey], list[str]]]:
+    """The records' wedge entries and key texts in file (lexicographic) order,
+    in blocks of about ``_BLOCK``. A key is the text of its entry's first
+    N - 1 sites plus the text of its last site, each index in decimal followed
+    by one space, so a record starts with its key and a coefficient follows it
+    directly. Lazy: nothing is made before the first block is asked for, and
+    nothing at all for a strict wedge with more points than sites, whose
+    declared N or d may be huge."""
     step = 0 if kind == KIND_SYM else 1  # a strict wedge repeats no site
+    if step and N > spec.site_count:
+        return
+    sites = list(lattice_sites(spec))
+    texts = ["".join(f"{i} " for i in site) for site in sites]
     choose = combinations_with_replacement if step == 0 else combinations
-    block: list[str] = []
-    for prefix in choose(range(len(texts)), N - 1):
+    entries = choose(sites, N)  # in the keys' order, as tuples made in C
+    keys: list[str] = []
+    for prefix in choose(range(len(sites)), N - 1):
         start = prefix[-1] + step if prefix else 0
-        block += map("".join(map(texts.__getitem__, prefix)).__add__, texts[start:])
-        if len(block) >= _BLOCK:
-            yield block
-            block = []
-    if block:
-        yield block
+        keys += map("".join(map(texts.__getitem__, prefix)).__add__, texts[start:])
+        if len(keys) >= _BLOCK:
+            yield list(islice(entries, len(keys))), keys
+            keys = []
+    if keys:
+        yield list(islice(entries, len(keys))), keys
 
 
 def save_model(path: str, tab: Tabulator) -> None:
@@ -151,13 +151,13 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"tau {tau.hex() if tau is not None else '-'}",
         f"entries {len(tab.table)}",
     ]
-    values = map(float.hex, map(tab.table.__getitem__, _entries(spec, tab.N, tab.kind)))
     directions = getattr(tab, "directions", None)
-    if directions is not None:
-        rows = map(directions.__getitem__, _entries(spec, tab.N, tab.kind))
-        components = map(float.hex, chain.from_iterable(rows))
-        values = map(" ".join, zip(values, *[components] * spec.d))
-    lines += map(str.__add__, chain.from_iterable(_key_blocks(spec, tab.N, tab.kind)), values)
+    for zs, keys in _key_blocks(spec, tab.N, tab.kind):
+        values = map(float.hex, map(tab.table.__getitem__, zs))
+        if directions is not None:
+            components = map(float.hex, chain.from_iterable(map(directions.__getitem__, zs)))
+            values = map(" ".join, zip(values, *[components] * spec.d))
+        lines += map(str.__add__, keys, values)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -221,14 +221,14 @@ def _block_values(lines: list[str], keys: list[str], per: int) -> list[float] | 
 
 def _check_records(
     lines: list[str],
-    keys: Iterator[str],
-    entries: Iterator[WedgeKey],
+    pairs: Iterator[tuple[WedgeKey, str]],
     fields: tuple[int, int],
     kind: str,
     cells: int,
 ) -> list[float]:
     """``_block_values`` one record at a time, raising ConfigError on the first
-    fault. ``fields`` is (index fields, value fields) per record. A record's
+    fault. ``pairs`` gives each record's wedge entry and key text, and
+    ``fields`` is (index fields, value fields) per record. A record's
     field count is checked before its key is made (N or d may be huge), then
     its key, then its numbers, then that its coefficient is finite."""
     n_index, per = fields
@@ -237,7 +237,7 @@ def _check_records(
         found = line.count(" ") + 1
         if found != n_index + per:
             raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
-        key, zs = next(keys), next(entries)
+        zs, key = next(pairs)
         if not line.startswith(key):
             try:
                 [int(field) for field in line.split(" ")[:n_index]]  # raises on a non-integer
@@ -257,7 +257,7 @@ def _check_records(
     return values
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     """The file's text, read as UTF-8 with universal newlines; a byte that is
     not UTF-8 raises ConfigError naming the file and its line."""
     try:
@@ -278,7 +278,7 @@ def _read_text(path: str) -> str:
 
 
 def load_model(path: str) -> Tabulator:
-    lines = _read_text(path).split("\n")
+    lines = read_text(path).split("\n")
     if lines[-1] == "":  # the newline that ends the last line
         lines.pop()
     if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
@@ -334,21 +334,20 @@ def load_model(path: str) -> Tabulator:
     n_index, per = N * d, 1 + (d if want_direction else 0)
     if not set(map(str.count, records, repeat(" "))) <= {n_index + per - 1}:
         # a field count is checked before any key is made: N or d may be huge
-        keys = chain.from_iterable(_key_blocks(spec, N, kind))
-        _check_records(records, keys, _entries(spec, N, kind), (n_index, per), kind, cells)
+        pairs = chain.from_iterable(zip(*block) for block in _key_blocks(spec, N, kind))
+        _check_records(records, pairs, (n_index, per), kind, cells)
     table: dict[WedgeKey, float] = {}
     directions: dict[WedgeKey, tuple[float, ...]] = {}
     fault = None  # the first bad direction, reported once every record has passed
-    entry_iter = _entries(spec, N, kind)
     start = 0
-    for keys in _key_blocks(spec, N, kind):
+    for zs, keys in _key_blocks(spec, N, kind):
         n = len(keys)
-        block, zs = records[start : start + n], list(islice(entry_iter, n))
+        block = records[start : start + n]
         records[start : start + n] = [""] * n  # a parsed record's text is not kept
         start += n
         values = _block_values(block, keys, per)
         if values is None:
-            values = _check_records(block, iter(keys), iter(zs), (n_index, per), kind, cells)
+            values = _check_records(block, zip(zs, keys), (n_index, per), kind, cells)
         table.update(zip(zs, values[::per]))
         if want_direction:
             del values[::per]
@@ -356,6 +355,7 @@ def load_model(path: str) -> Tabulator:
             if fault is None:
                 fault = _direction_fault(block, A, _key_array(zs, N, d), tau)
             directions.update(zip(zs, zip(*[iter(values)] * d)))
+        del block, keys, values  # this block's texts go before the next block's are made
     if fault is not None:
         raise ConfigError(fault)
     if kind == KIND_SYM:
