@@ -65,7 +65,15 @@ from .lattice import (
     repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
 )
-from .approx_sym import BuildStats, _check_eval_input, _wedge_stats, corner_values, smooth_weights
+from .approx_sym import (
+    BuildStats,
+    _check_eval_input,
+    _site_index,
+    _site_numbers,
+    _wedge_stats,
+    corner_values,
+    smooth_weights,
+)
 
 __all__ = [
     "DEFAULT_TAU",
@@ -265,7 +273,15 @@ def build_antisym(
     smooth_width: float | None = None,
     cap: int = DEFAULT_WEDGE_CAP,
 ) -> AntisymTabulator:
-    """Tabulate an anti-symmetric target over the distinct-cell wedge entries."""
+    """Tabulate an anti-symmetric target over the distinct-cell wedge entries.
+
+    Every corner value comes from one ``corner_values`` pass over the strict
+    wedge's site-number rows, so a non-finite target value is reported before
+    any direction failure. Projected mode then searches the directions and
+    forms the quotients f(Z)/psi_Z(Z) as arrays, _DIRECTION_CHUNK entries at a
+    time. The table's keys are the same entries as site tuples, in the same
+    order.
+    """
     if f.declared_symmetry is not Symmetry.ANTISYMMETRIC:
         raise ValueError(
             f"build_antisym needs an anti-symmetric target, got {f.declared_symmetry.value!r}"
@@ -278,26 +294,26 @@ def build_antisym(
         if mode != MODE_PROJECTED:
             raise ValueError("smoothing is only available in projected mode")
         _check_smooth_width(spec, smooth_width)
-    # The cap bounds the full wedge. Keys are listed up front: made between
-    # target calls, they raised the build's peak RSS by 2 MB.
-    _check_wedge_cap(spec, N, cap)
-    distinct = list(combinations(lattice_sites(spec), N))
+    _check_wedge_cap(spec, N, cap)  # the cap bounds the full wedge
+    num = _site_numbers(spec.site_count, N, strict=True)
+    values = corner_values(f, spec, num)
+    entries = combinations(lattice_sites(spec), N)
     if mode == MODE_RANK:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
-        return AntisymTabulator(spec, N, None, None, dict(corner_values(f, spec, distinct)), None)
-    table: dict[WedgeKey, float] = {}
-    directions: dict[WedgeKey, tuple[float, ...]] = {}
-    # All target calls run before the direction search, so a non-finite
-    # target value is reported before any direction failure.
-    entries = list(corner_values(f, spec, distinct))
-    for start in range(0, len(entries), _DIRECTION_CHUNK):
-        chunk = entries[start : start + _DIRECTION_CHUNK]
-        idx = _key_array([zs for zs, _ in chunk], N, spec.d)
-        A = _choose_directions(idx, tau)
-        psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
-        for (zs, value), a, p in zip(chunk, A.tolist(), psi.tolist()):
-            directions[zs] = tuple(a)
-            table[zs] = value / p
+        return AntisymTabulator(spec, N, None, None, dict(zip(entries, values.tolist())), None)
+    index = _site_index(spec)
+    positions = spec.origin + index * spec.delta
+    A = np.empty((len(num), spec.d))
+    for start in range(0, len(num), _DIRECTION_CHUNK):
+        rows = num[start : start + _DIRECTION_CHUNK]
+        chunk = A[start : start + len(rows)]
+        chunk[:] = _choose_directions(index[rows], tau)
+        values[start : start + len(rows)] /= _projected_pair_products(chunk, positions[rows])
+    del num  # freed before the tables are built, which lowers the build's peak memory
+    entries = list(entries)
+    table = dict(zip(entries, values.tolist()))
+    # rows as tuples straight from the columns: a list per row raised the peak
+    directions = dict(zip(entries, zip(*A.T.tolist())))
     return AntisymTabulator(spec, N, tau, smooth_width, table, directions)
 
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Iterator
+from itertools import chain, combinations, combinations_with_replacement, product
 
-from .core import Configuration, Point, Symmetry, TargetFunction, _configuration, _point
+import numpy as np
+
+from .core import Configuration, Symmetry, TargetFunction, _configuration, _point
 from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
-    LatticeIndex,
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
@@ -64,6 +64,9 @@ KIND_SYM = "sym"
 MODE_INDICATOR = "indicator"
 MODE_SMOOTH = "smooth"
 DEFAULT_FEATURE_CAP = 10**6
+# Wedge entries per target batch in corner_values; it sizes the (rows, N, d)
+# corner array a batch is given.
+_CORNER_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,29 +108,79 @@ class SymmetricTabulator:
         return _wedge_stats(self.spec, self.N)
 
 
-def corner_values(
-    f: Callable[[Configuration], float], spec: LatticeSpec, entries: Iterable[WedgeKey]
-) -> Iterator[tuple[WedgeKey, float]]:
-    """Yield (Z, f at Z's cell corners) per entry, in order; a non-finite value raises.
+def _site_index(spec: LatticeSpec) -> np.ndarray:
+    """The sites' multi-indices as a (site_count, d) int64 array in
+    ``lattice_sites`` order, so row s is site number s."""
+    return np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(spec.site_count, spec.d)
 
-    Each configuration equals ``corner_configuration(spec, zs)``, but its
-    Points are built once per lattice site and shared across entries: the
-    wedge has C(n^d + N - 1, N) entries over only n^d sites. Corners of a
-    valid LatticeSpec are finite, so neither is re-validated. The target is
-    still called once per entry.
+
+def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
+    """The (K, N) site numbers of the wedge's entries, or of the strict
+    wedge's (N distinct sites), in lexicographic order. Numbers order as
+    their sites do, so row k is the k-th entry ``combinations`` (strict) or
+    ``combinations_with_replacement`` makes of the site tuples."""
+    if strict:
+        choose, K = combinations, math.comb(site_count, N)
+    else:
+        choose, K = combinations_with_replacement, math.comb(site_count + N - 1, N)
+    flat = chain.from_iterable(choose(range(site_count), N))
+    return np.fromiter(flat, dtype=np.int64, count=K * N).reshape(K, N)
+
+
+def _repetition_constants(num: np.ndarray) -> np.ndarray:
+    """``repetition_constant`` of each sorted row of site numbers ``num``
+    (K, N), from its runs of equal sites, as floats: a float divides by them
+    as by the int. Past N = 20 a constant may leave int64, so those are
+    Python ints."""
+    K, N = num.shape
+    if N > 20:
+        return np.array([float(repetition_constant(row)) for row in num.tolist()])
+    const = np.ones(K, dtype=np.int64)
+    run = np.ones(K, dtype=np.int64)
+    for j in range(1, N):
+        same = num[:, j] == num[:, j - 1]
+        run = np.where(same, run + 1, 1)
+        const *= np.where(same, run, 1)
+    return const.astype(np.float64)
+
+
+def _non_finite(value: float, index: np.ndarray, row: np.ndarray) -> BuildError:
+    zs = tuple(map(tuple, index[row].tolist()))
+    return BuildError(f"target returned non-finite value {float(value)!r} at Z = {zs}")
+
+
+def corner_values(f: TargetFunction, spec: LatticeSpec, num: np.ndarray) -> np.ndarray:
+    """f at the cell corners of each wedge entry, as a (K,) array. Row k of
+    ``num`` (K, N) holds entry k's site numbers (indices in ``lattice_sites``
+    order), and point i of its corner configuration is the lower corner of
+    site num[k, i]: ``corner_configuration`` of the entry. The first entry
+    with a non-finite value raises BuildError.
+
+    A target with a ``batch`` is given the corners of at most _CORNER_CHUNK
+    entries at a time, as a (rows, N, d) array. Any other target is called
+    once per entry, in order, on a Configuration whose Points are built once
+    per lattice site and shared across entries: the wedge has
+    C(n^d + N - 1, N) entries over only n^d sites. Corners of a valid
+    LatticeSpec are finite, so neither is re-validated.
     """
-    corners: dict[LatticeIndex, Point] = {}
-    for zs in entries:
-        points = []
-        for z in zs:
-            p = corners.get(z)
-            if p is None:
-                p = corners[z] = _point(spec.position(z))
-            points.append(p)
-        value = f(_configuration(tuple(points)))
-        if not math.isfinite(value):
-            raise BuildError(f"target returned non-finite value {value!r} at Z = {zs}")
-        yield zs, value
+    index = _site_index(spec)
+    values = np.empty(len(num))
+    if f.batch is None:
+        points = [_point(spec.position(site)) for site in lattice_sites(spec)]
+        for k, row in enumerate(num.tolist()):
+            value = values[k] = f(_configuration(tuple(map(points.__getitem__, row))))
+            if not math.isfinite(value):
+                raise _non_finite(value, index, num[k])
+        return values
+    positions = spec.origin + index * spec.delta
+    for start in range(0, len(num), _CORNER_CHUNK):
+        rows = num[start : start + _CORNER_CHUNK]
+        chunk = values[start : start + len(rows)]
+        chunk[:] = f.batch(positions[rows])
+        bad = np.flatnonzero(~np.isfinite(chunk))
+        if len(bad):
+            raise _non_finite(chunk[bad[0]], index, rows[bad[0]])
+    return values
 
 
 def build_sym(
@@ -138,7 +191,10 @@ def build_sym(
     smooth_width: float | None = None,
     cap: int = DEFAULT_WEDGE_CAP,
 ) -> SymmetricTabulator:
-    """Tabulate a symmetric target over the wedge, sampling each entry at its cell corners."""
+    """Tabulate a symmetric target over the wedge, sampling each entry at its
+    cell corners through ``corner_values`` and storing f(Z)/C_Z. The entries
+    are made as site-number rows, whose runs give each C_Z; the table's keys
+    are the same entries as site tuples, in the same order."""
     if f.declared_symmetry is not Symmetry.SYMMETRIC:
         raise ValueError(
             f"build_sym needs a symmetric target, got {f.declared_symmetry.value!r}"
@@ -149,10 +205,11 @@ def build_sym(
         raise ValueError(f"unknown mode {mode!r}")
     elif smooth_width is not None:
         raise ValueError("smooth_width only applies to smooth mode")
-    table: dict[WedgeKey, float] = {}
-    for zs, value in corner_values(f, spec, enumerate_wedge(spec, N, cap=cap)):
-        table[zs] = value / repetition_constant(zs)
-    return SymmetricTabulator(spec, N, smooth_width, table)
+    entries = enumerate_wedge(spec, N, cap=cap)  # checks the cap before anything is made
+    num = _site_numbers(spec.site_count, N, strict=False)
+    values = corner_values(f, spec, num) / _repetition_constants(num)
+    del num  # freed before the table is built, which lowers the build's peak memory
+    return SymmetricTabulator(spec, N, smooth_width, dict(zip(entries, values.tolist())))
 
 
 def _check_eval_input(T, X: Configuration) -> None:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 
 __all__ = [
@@ -194,14 +196,52 @@ def vandermonde_product(ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """A scalar function of a configuration together with its declared symmetry."""
+    """A scalar function of a configuration together with its declared symmetry.
+
+    ``batch``, when set, evaluates the function on each row of a (K, N, d)
+    coordinate array and returns the (K,) values, each equal bit for bit to
+    ``evaluator`` on that row's configuration. The builders tabulate corner
+    values through it; a target without one is called once per wedge entry.
+    Every builtin target has one.
+    """
 
     evaluator: Callable[[Configuration], float]
     declared_symmetry: Symmetry
     name: str = field(default="custom", kw_only=True)
+    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
 
     def __call__(self, X: Configuration) -> float:
         return float(self.evaluator(X))
+
+
+# Builtin batches replay their evaluator's arithmetic on (K,) columns of the
+# (K, N, d) input: components in order, pairs in (i, j) order, from 0.0 or
+# 1.0. numpy's exp and sin differ from math's in the last bit, so those are
+# mapped per element.
+
+
+def _each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """fn (a math function) of every element of a 1-D float64 array. The
+    elements are read through a memoryview, which makes no list of them."""
+    return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=len(values))
+
+
+def _coordinate_sums(P: np.ndarray) -> np.ndarray:
+    """Per row of P (K, N, d), the sum of all N*d coordinates, point by point."""
+    total = np.zeros(len(P))
+    for i in range(P.shape[1]):
+        for a in range(P.shape[2]):
+            total += P[:, i, a]
+    return total
+
+
+def _vandermonde_products(Y: np.ndarray) -> np.ndarray:
+    """vandermonde_product of each row of Y (K, N)."""
+    prod = np.ones(len(Y))
+    for i in range(Y.shape[1]):
+        for j in range(i + 1, Y.shape[1]):
+            prod *= Y[:, i] - Y[:, j]
+    return prod
 
 
 def _finite_number(value: object) -> float | None:
@@ -238,7 +278,7 @@ def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
                 total += c
         return total
 
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="sum-coords")
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="sum-coords", batch=_coordinate_sums)
 
 
 def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
@@ -267,7 +307,19 @@ def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
                 total += math.exp(-r2 * inv_w2)
         return total
 
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="gaussian-pair-sym")
+    def batch(P: np.ndarray) -> np.ndarray:
+        K, n, d = P.shape
+        total = np.zeros(K)
+        for i in range(n):
+            for j in range(i + 1, n):
+                r2 = np.zeros(K)
+                for a in range(d):
+                    diff = P[:, i, a] - P[:, j, a]
+                    r2 += diff * diff
+                total += _each(math.exp, -r2 * inv_w2)
+        return total
+
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="gaussian-pair-sym", batch=batch)
 
 
 def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
@@ -278,15 +330,30 @@ def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
 
     # quarter-period sine: monotone per coordinate on the unit box, so a
     # half-box lattice is not already range-saturated and convergence sweeps
-    # starting at delta = 0.5 measure the asymptotic first-order rate
+    # starting at delta = 0.5 measure the asymptotic first-order rate. The
+    # coordinate sum is a plain loop: builtin sum's float summation differs
+    # between Python versions, and the batch replays the loop.
     def ev(X: Configuration) -> float:
         prod = 1.0
         for p in X.points:
-            mean = sum(p.coords) / len(p.coords)
-            prod *= 1.0 + amplitude * math.sin(0.5 * math.pi * mean)
+            total = 0.0
+            for c in p.coords:
+                total += c
+            prod *= 1.0 + amplitude * math.sin(0.5 * math.pi * (total / len(p.coords)))
         return prod
 
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="product-smooth-sym")
+    def batch(P: np.ndarray) -> np.ndarray:
+        K, n, d = P.shape
+        totals = np.zeros((K, n))
+        for a in range(d):
+            totals += P[:, :, a]
+        sines = _each(math.sin, (0.5 * math.pi * (totals / d)).ravel()).reshape(K, n)
+        prod = np.ones(K)
+        for i in range(n):
+            prod *= 1.0 + amplitude * sines[:, i]
+        return prod
+
+    return TargetFunction(ev, Symmetry.SYMMETRIC, name="product-smooth-sym", batch=batch)
 
 
 def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
@@ -299,7 +366,16 @@ def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
                 r2 += c * c
         return vandermonde_product([p.coords[0] for p in X.points]) * math.exp(-r2)
 
-    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-gauss-antisym")
+    def batch(P: np.ndarray) -> np.ndarray:
+        r2 = np.zeros(len(P))
+        for i in range(P.shape[1]):
+            for a in range(P.shape[2]):
+                r2 += P[:, i, a] * P[:, i, a]
+        return _vandermonde_products(P[:, :, 0]) * _each(math.exp, -r2)
+
+    return TargetFunction(
+        ev, Symmetry.ANTISYMMETRIC, name="vandermonde-gauss-antisym", batch=batch
+    )
 
 
 def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
@@ -312,7 +388,12 @@ def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
                 total += c
         return vandermonde_product([p.coords[0] for p in X.points]) * total
 
-    return TargetFunction(ev, Symmetry.ANTISYMMETRIC, name="vandermonde-sum-antisym")
+    def batch(P: np.ndarray) -> np.ndarray:
+        return _vandermonde_products(P[:, :, 0]) * _coordinate_sums(P)
+
+    return TargetFunction(
+        ev, Symmetry.ANTISYMMETRIC, name="vandermonde-sum-antisym", batch=batch
+    )
 
 
 _BUILTIN_FACTORIES: dict[str, Callable[[Mapping[str, object]], TargetFunction]] = {

@@ -136,16 +136,25 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     return best
 
 
+def _values(e: Callable[[Configuration], float], S: SampleSet, what: str) -> list[float]:
+    """e on every sample, in order; the first non-finite value raises,
+    naming ``what`` and the sample."""
+    return [_finite(e(X), what, k) for k, X in enumerate(S.configurations)]
+
+
 def sup_error(
-    f: Callable[[Configuration], float],
-    approx: Callable[[Configuration], float],
-    S: SampleSet,
+    target_values: Sequence[float], approx_values: Sequence[float], S: SampleSet
 ) -> tuple[float, Configuration]:
-    """Largest sampled |f - approx| and the configuration attaining it."""
+    """Largest sampled |f - approx| and the configuration attaining it (the
+    first, on a tie), from the values of the target and of the approximation
+    on each sample of S, in order."""
     best = -1.0
     arg = S.configurations[0]
     for k, X in enumerate(S.configurations):
-        err = abs(_finite(f(X), "target value", k) - _finite(approx(X), "approximation", k))
+        err = abs(
+            _finite(target_values[k], "target value", k)
+            - _finite(approx_values[k], "approximation", k)
+        )
         if err > best:
             best = err
             arg = X
@@ -186,6 +195,7 @@ def invariance_suite(
     S: SampleSet,
     n_perms: int,
     symmetry: Symmetry,
+    bases: Sequence[Sequence[float]] | None = None,
 ) -> list[float]:
     """Max residual of the declared permutation law for each evaluator e, over
     random permutations seeded from ``S.seed``: |e(sigma X) - e(X)| for
@@ -196,6 +206,8 @@ def invariance_suite(
     configuration is built once, through this module's ``permute`` binding,
     for all evaluators; the evaluators are called in order on it. One
     Permutation and its sign are built per distinct draw (at most N!).
+    ``bases``, when given, holds each evaluator's values on the samples,
+    already checked finite; they stand in for the calls e(X).
     """
     if n_perms < 1:
         raise ValueError("need at least one permutation per sample")
@@ -205,7 +217,10 @@ def invariance_suite(
     signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
     worst = [0.0] * len(evaluators)
     for k, X in enumerate(S.configurations):
-        bases = [_finite(e(X), "value", k) for e in evaluators]
+        if bases is None:
+            base = [_finite(e(X), "value", k) for e in evaluators]
+        else:
+            base = [values[k] for values in bases]
         # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
         for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
             if images not in signed:
@@ -216,7 +231,7 @@ def invariance_suite(
             Y = permute(X, sigma)
             for i, e in enumerate(evaluators):
                 permuted = _finite(e(Y), "permuted value", k)
-                worst[i] = max(worst[i], abs(permuted - law * bases[i]))
+                worst[i] = max(worst[i], abs(permuted - law * base[i]))
     return worst
 
 
@@ -245,7 +260,8 @@ def convergence_sweep(
 ) -> SweepResult:
     """Measure the tabulator ``build(delta)`` returns at each spacing (the
     builder chooses the construction and lattice) and fit the log-log slope
-    of the sampled sup error against the spacing.
+    of the sampled sup error against the spacing. The target is evaluated on
+    the samples once, after the first build.
 
     Spacings must be given in strictly descending order (at least three).
     Rows at or below the constant-function floor of 1e-12 are excluded from
@@ -258,10 +274,13 @@ def convergence_sweep(
         raise ValueError("spacings must be strictly descending")
     L_hat = gradient_bound_estimate(f, S)
     rows = []
+    values = None
     for delta in deltas:
         start = time.perf_counter()
         tab = build(delta)
-        err, _ = sup_error(f, _evaluator(tab)[1], S)
+        if values is None:
+            values = _values(f, S, "target value")
+        err, _ = sup_error(values, _values(_evaluator(tab)[1], S, "approximation"), S)
         elapsed = time.perf_counter() - start
         rows.append(
             SweepRow(
@@ -388,12 +407,15 @@ def run_verification(
         )
     N, d, delta = tab.N, tab.spec.d, tab.spec.delta
 
-    scale = 1.0
-    for k, X in enumerate(S.configurations):
-        scale = max(scale, abs(_finite(f(X), "target value", k)))
-    sup, arg = sup_error(f, approx, S)
+    # The target and the approximation are each evaluated once on each sample.
+    values = _values(f, S, "target value")
+    approx_values = _values(approx, S, "approximation")
+    scale = max(1.0, *map(abs, values))
+    sup, arg = sup_error(values, approx_values, S)
     budget = error_budget(delta, N, d, gradient_bound)
-    target_residual, invariance = invariance_suite((f, approx), S, n_perms, symmetry)
+    target_residual, invariance = invariance_suite(
+        (f, approx), S, n_perms, symmetry, bases=(values, approx_values)
+    )
     target_residual /= scale
     cauchy = None
     if symmetry is Symmetry.ANTISYMMETRIC and d == 1:

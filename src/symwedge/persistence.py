@@ -3,7 +3,10 @@
 Every float is serialized as a hexadecimal float literal (float.hex), so a
 write/read round trip is bit-exact; the lattice geometry is stored the same
 way, which keeps cell assignment, and therefore evaluation, bit-identical
-after reload. Files are written atomically (temp file + rename).
+after reload. A float loads only in that spelling: "0x" after an optional
+"-" (or inf, -inf, nan), with no "+", "0X" or whitespace, so an edited
+"0.5" is an error rather than the hex digits 0x0.5. Files are written
+atomically (temp file + rename).
 
 Layout (text, one field per line, records after the ``entries`` line):
 
@@ -35,7 +38,7 @@ violated rule above.
 
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
-the key, that every value field is a hex float, and a finite coefficient;
+the key, that every value field is a float.hex number, and a finite coefficient;
 and last the directions, in record order. Keys are made a block of records
 at a time, each the text of its entry's first N - 1 sites plus that of its
 last site; ``save_model`` writes the same key text.
@@ -181,8 +184,24 @@ def _decimal(value: str) -> int:
     return n
 
 
+# float.hex writes a finite float as "0x..." after an optional "-", and the
+# others as these.
+_NON_FINITE_HEX = frozenset({"inf", "-inf", "nan"})
+
+
+def _hex(value: str) -> float:
+    """A float in the spelling float.hex writes, without padding. float.fromhex
+    alone would also take "0.5" (as 0x0.5 = 0.3125), "+0x", "0X" and
+    surrounding whitespace."""
+    if value.strip() != value or not (
+        value.removeprefix("-").startswith("0x") or value in _NON_FINITE_HEX
+    ):
+        raise ValueError(f"{value!r} is not spelled as float.hex writes it")
+    return float.fromhex(value)
+
+
 def _optional_hex(value: str) -> float | None:
-    return None if value == "-" else float.fromhex(value)
+    return None if value == "-" else _hex(value)
 
 
 def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
@@ -209,11 +228,23 @@ def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: fl
 def _block_values(lines: list[str], keys: list[str], per: int) -> list[float] | None:
     """The value fields of records with the right field count, flat, or None
     if a record does not start with its key, holds a field that is not a
-    hex float, or has a non-finite coefficient (every ``per``-th value)."""
+    finite float in ``_hex``'s spelling, or has a non-finite coefficient
+    (every ``per``-th value).
+
+    The spelling is checked by a few C-level scans of the block's value text.
+    A field float.fromhex reads holds at most one "x", in its "0x" or "0X"
+    after an optional sign, and may be padded with the whitespace it strips.
+    So one "x" per field, no "+0x" and no tab, vertical tab or form feed
+    (spaces separate fields, and lines were split) leave "0x" or "-0x"
+    first in every field."""
     if not all(map(str.startswith, lines, keys)):
         return None
+    text = " ".join(map(str.removeprefix, lines, keys))
+    spelled = text.count("x") == len(lines) * per and "+0x" not in text
+    if not spelled or "\t" in text or "\v" in text or "\f" in text:
+        return None
     try:
-        values = list(map(float.fromhex, " ".join(map(str.removeprefix, lines, keys)).split(" ")))
+        values = list(map(float.fromhex, text.split(" ")))
     except (ValueError, OverflowError):
         return None
     return values if all(map(math.isfinite, values[::per])) else None
@@ -248,9 +279,11 @@ def _check_records(
                 f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
             )
         try:
-            parsed = [float.fromhex(field) for field in line[len(key) :].split(" ")]
+            parsed = [_hex(field) for field in line[len(key) :].split(" ")]
         except (ValueError, OverflowError):
-            raise ConfigError(f"record {line!r} has a field that is not a number") from None
+            raise ConfigError(
+                f"record {line!r} has a field that is not a number in float.hex spelling"
+            ) from None
         if not math.isfinite(parsed[0]):
             raise ConfigError(f"non-finite coefficient in record {line!r}")
         values += parsed
@@ -289,9 +322,9 @@ def load_model(path: str) -> Tabulator:
     d = _field(lines, 2, "d", _decimal)
     N = _field(lines, 3, "N", _decimal)
     cells = _field(lines, 4, "cells", _decimal)
-    delta = _field(lines, 5, "delta", float.fromhex)
-    lo = _field(lines, 6, "lo", float.fromhex)
-    hi = _field(lines, 7, "hi", float.fromhex)
+    delta = _field(lines, 5, "delta", _hex)
+    lo = _field(lines, 6, "lo", _hex)
+    hi = _field(lines, 7, "hi", _hex)
     mode = _field(lines, 8, "mode")
     if mode not in (MODE_INDICATOR, MODE_SMOOTH):
         raise ConfigError(f"unknown mode {mode!r}")

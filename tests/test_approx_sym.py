@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,10 +32,13 @@ from symwedge import (
     eval_sym_feature_form,
     feature_budget_bound,
     feature_count,
+    lattice_sites,
     permanent_ryser_logdomain,
     permute,
+    repetition_constant,
     sample_configurations,
 )
+import symwedge.approx_sym as approx_sym
 from symwedge.approx_sym import corner_values, smooth_weights
 
 FEATURE_TOL = 1e-9
@@ -116,6 +120,13 @@ def ordered_probe(X):
     return total
 
 
+def site_numbers(spec, entries, N):
+    """The (K, N) site numbers of wedge entries: each site's position in
+    ``lattice_sites`` order."""
+    number = {site: i for i, site in enumerate(lattice_sites(spec))}
+    return np.array([[number[z] for z in zs] for zs in entries], dtype=np.int64).reshape(-1, N)
+
+
 @pytest.mark.parametrize("N, d, n", CORNER_SHAPES)
 def test_corner_values_match_one_off_corner_configurations(N, d, n):
     spec = LatticeSpec.from_counts(n, d, -0.3, 1.1)
@@ -126,13 +137,22 @@ def test_corner_values_match_one_off_corner_configurations(N, d, n):
         return ordered_probe(X)
 
     entries = list(enumerate_wedge(spec, N))
-    got = list(corner_values(f, spec, entries))
+    got = corner_values(TargetFunction(f, Symmetry.SYMMETRIC), spec, site_numbers(spec, entries, N))
     assert len(seen) == len(entries)  # one target call per entry
-    want = [(zs, ordered_probe(corner_configuration(spec, zs))) for zs in entries]
-    assert got == want
+    want = [ordered_probe(corner_configuration(spec, zs)) for zs in entries]
+    assert got.tolist() == want
     assert seen == [corner_configuration(spec, zs) for zs in entries]
     # every corner Point is built once per lattice site and then shared
     assert len({id(p) for X in seen for p in X.points}) == spec.site_count
+
+
+@pytest.mark.parametrize("n, N", [(3, 4), (2, 20), (2, 21), (1, 25)])
+def test_repetition_constants_of_site_numbers_are_the_entries(n, N):
+    # past N = 20 a constant leaves int64 (21! > 2^63)
+    spec = LatticeSpec.from_counts(n, 1, 0.0, 1.0)
+    entries = list(enumerate_wedge(spec, N))
+    got = approx_sym._repetition_constants(site_numbers(spec, entries, N))
+    assert got.tolist() == [float(repetition_constant(zs)) for zs in entries]
 
 
 @pytest.mark.parametrize("N, d, n", CORNER_SHAPES)
@@ -160,20 +180,88 @@ def test_builders_call_the_target_once_per_entry(N, d, n):
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
-def test_corner_values_non_finite_message_is_unchanged(bad_value):
+def test_corner_values_non_finite_message_is_unchanged(monkeypatch, bad_value):
     spec = LatticeSpec.from_counts(4, 2, -0.3, 1.1)
     entries = list(enumerate_wedge(spec, 2))
+    num = site_numbers(spec, entries, 2)
     bad_entry = entries[37]
     bad_point = corner_configuration(spec, bad_entry)
+    calls = []
 
     def f(X):
+        calls.append(X)
         return bad_value if X == bad_point else ordered_probe(X)
 
     message = f"target returned non-finite value {bad_value!r} at Z = {bad_entry}"
-    values = corner_values(f, spec, entries)
-    assert [zs for zs, _ in zip(entries[:37], values)] == entries[:37]
     with pytest.raises(BuildError, match=re.escape(message)):
-        next(values)
+        corner_values(TargetFunction(f, Symmetry.SYMMETRIC), spec, num)
+    assert calls == [corner_configuration(spec, zs) for zs in entries[:38]]  # none after it
+
+    # a batch that returns the bad value mid-chunk, and another later in the
+    # same chunk: the first names the entry
+    def batch(P):
+        values = np.array([f(Configuration.from_rows(rows)) for rows in P.tolist()])
+        at = np.flatnonzero((P == bad_point.rows()).all(axis=(1, 2)))
+        if len(at):
+            values[at[0] + 3 :] = -bad_value
+        return values
+
+    monkeypatch.setattr(approx_sym, "_CORNER_CHUNK", 16)
+    batched = TargetFunction(f, Symmetry.SYMMETRIC, batch=batch)
+    with pytest.raises(BuildError, match=re.escape(message)):
+        corner_values(batched, spec, num)
+
+
+# Every kind and mode: (builder, builtin target, build options).
+BUILD_KINDS = {
+    "sym": (build_sym, "gaussian-pair-sym", {}),
+    "sym-smooth": (build_sym, "product-smooth-sym", {"mode": MODE_SMOOTH}),
+    "antisym-c1": (build_antisym, "vandermonde-sum-antisym", {"mode": MODE_RANK}),
+    "antisym-c2": (build_antisym, "vandermonde-gauss-antisym", {"mode": MODE_PROJECTED}),
+    "antisym-c2-smooth": (build_antisym, "vandermonde-gauss-antisym", {"mode": MODE_PROJECTED}),
+}
+
+
+def table_bits(tab):
+    """A tabulator's keys, stored values and directions, floats as hex."""
+    directions = getattr(tab, "directions", None) or {}
+    return (
+        [(zs, v.hex()) for zs, v in tab.table.items()],
+        [(zs, [c.hex() for c in a]) for zs, a in directions.items()],
+    )
+
+
+def build_with_and_without_batch(kind, spec, N):
+    build, name, options = BUILD_KINDS[kind]
+    if kind.endswith("smooth"):
+        options = dict(options, smooth_width=spec.delta / 4)
+    f = builtin_target(name)
+    batched = build(f, spec, N, **options)
+    scalar = build(replace(f, batch=None), spec, N, **options)
+    return batched, scalar
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_KINDS))
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_builds_through_the_batch_equal_builds_entry_by_entry(monkeypatch, kind, N, d):
+    # 7-entry chunks leave a short last chunk; at d = 1 the strict wedge of
+    # N = 4 over 3 sites is empty
+    monkeypatch.setattr(approx_sym, "_CORNER_CHUNK", 7)
+    spec = LatticeSpec.from_counts(3 if d < 3 else 2, d, -0.3, 1.1)
+    batched, scalar = build_with_and_without_batch(kind, spec, N)
+    assert table_bits(batched) == table_bits(scalar)
+    assert batched == scalar
+    if kind.startswith("antisym") and N > spec.site_count:
+        assert batched.table == {}
+
+
+@pytest.mark.parametrize("kind", ["sym", "antisym-c2"])
+def test_builds_through_the_batch_equal_builds_entry_by_entry_at_the_tabulate_shape(kind):
+    # 45,760 wedge entries: eleven full chunks of 4,096 and one of 640
+    spec = LatticeSpec.from_counts(8, 2, 0.0, 1.0)
+    batched, scalar = build_with_and_without_batch(kind, spec, 3)
+    assert table_bits(batched) == table_bits(scalar)
 
 
 def test_build_sym_cap():

@@ -319,6 +319,18 @@ def test_eval_model_with_edited_delta_exits_2(tmp_path, capsys):
     assert "2 cells per axis" in err
 
 
+def test_eval_model_with_a_decimal_coefficient_exits_2(tmp_path, capsys):
+    # float.fromhex reads "0.5" as 0x0.5 = 0.3125, and the edited model
+    # evaluated to 0.625 with exit 0 where the saved one gives 0
+    model_path, _ = build_model(tmp_path, capsys)
+    code, out, _ = run(capsys, "eval", model_path, "--x", "[[0.1], [0.2]]")
+    assert code == 0 and float(out) == 0.0
+    edit_model(model_path, "\n0 0 0x0.0p+0\n", "\n0 0 0.5\n")
+    code, out, err = run(capsys, "eval", model_path, "--x", "[[0.1], [0.2]]")
+    assert_one_line_config_error(code, out, err)
+    assert "record '0 0 0.5'" in err and "float.hex" in err
+
+
 @pytest.mark.parametrize(
     "literal",
     [

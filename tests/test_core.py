@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symwedge import (
@@ -10,10 +10,12 @@ from symwedge import (
     Configuration,
     ConfigError,
     DomainSpec,
+    LatticeSpec,
     Permutation,
     Point,
     Symmetry,
     builtin_target,
+    enumerate_wedge,
     parity,
     permute,
 )
@@ -225,3 +227,59 @@ def test_antisymmetric_builtins_flip_sign():
             sigma = Permutation(tuple(int(i) for i in rng.permutation(3)))
             scale = max(1.0, abs(f(X)))
             assert abs(f(permute(X, sigma)) - parity(sigma) * f(X)) <= REL_TOL * scale
+
+
+# ---------------------------------------------------------------- batches
+
+# Each builtin with its default parameters, and with a non-default one.
+BATCHED_TARGETS = [(name, {}) for name in BUILTIN_TARGET_NAMES] + [
+    ("gaussian-pair-sym", {"width": 0.7361}),
+    ("product-smooth-sym", {"amplitude": 0.9}),
+]
+
+
+def test_every_builtin_target_has_a_batch():
+    for name in BUILTIN_TARGET_NAMES:
+        assert callable(builtin_target(name).batch), name
+
+
+def assert_batch_is_the_evaluator(P):
+    configurations = [Configuration.from_rows(rows) for rows in P.tolist()]
+    for name, params in BATCHED_TARGETS:
+        f = builtin_target(name, params)
+        got = f.batch(P)
+        assert got.dtype == np.float64 and got.shape == (len(P),)
+        want = np.array([f(X) for X in configurations], dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "N, d, n",
+    [(3, 2, 8), (3, 1, 32), (4, 1, 16)],
+    ids=["tabulate", "certify-verify", "certify-sweep"],
+)
+def test_batches_equal_the_evaluators_on_every_wedge_corner(N, d, n):
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    P = np.array([[spec.position(z) for z in zs] for zs in enumerate_wedge(spec, N)])
+    assert_batch_is_the_evaluator(P)
+
+
+# Coordinates with both zeros, subnormals and the smallest normal, on a box
+# with a negative lo; points drawn from a small pool, so some coincide.
+SPECIAL_COORDINATES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -0.3, 1.1]
+coordinate = st.one_of(
+    st.sampled_from(SPECIAL_COORDINATES),
+    st.floats(-0.3, 1.1, allow_subnormal=True),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batches_equal_the_evaluators_on_drawn_arrays(data):
+    N = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=N))
+    rows = st.lists(st.sampled_from(pool), min_size=N, max_size=N)
+    P = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)), dtype=np.float64)
+    assert_batch_is_the_evaluator(P.reshape(-1, N, d))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import permutations as _all_permutations
 
 import numpy as np
@@ -28,7 +29,7 @@ from symwedge import (
     vandermonde_product,
 )
 import symwedge.harness as harness
-from symwedge.approx_sym import corner_values
+from symwedge.approx_sym import _site_numbers, corner_values
 from symwedge.harness import _random_permutations
 from symwedge.lattice import corner_configuration, enumerate_wedge
 
@@ -49,6 +50,10 @@ def sweep(f, domain, deltas, S):
         return build(f, LatticeSpec.from_domain(domain, delta), domain.N)
 
     return convergence_sweep(f, deltas, S, build_at)
+
+
+def values_on(e, S):
+    return [e(X) for X in S.configurations]
 
 
 def constant_target(value):
@@ -185,7 +190,8 @@ def test_gradient_bound_matches_reference_stencil(N, d, monkeypatch):
 
 def test_sup_error_of_exact_approximation():
     S = sample_configurations(UNIT_12, 200, 31)
-    err, _ = sup_error(SUM_12, SUM_12, S)
+    values = values_on(SUM_12, S)
+    err, _ = sup_error(values, values, S)
     assert err == 0.0
 
 
@@ -193,7 +199,8 @@ def test_sup_error_of_constant_tabulator():
     spec = LatticeSpec.from_domain(UNIT_12, 0.25)
     tab = build_sym(constant_target(1.5), spec, 2)
     S = sample_configurations(UNIT_12, 200, 32)
-    err, _ = sup_error(constant_target(1.5), lambda X: eval_sym(tab, X), S)
+    approx = values_on(lambda X: eval_sym(tab, X), S)
+    err, _ = sup_error(values_on(constant_target(1.5), S), approx, S)
     assert err <= 1e-12
 
 
@@ -201,7 +208,7 @@ def test_sup_error_band_for_sum_coords():
     spec = LatticeSpec.from_domain(UNIT_12, 0.25)
     tab = build_sym(SUM_12, spec, 2)
     S = sample_configurations(UNIT_12, 10_000, 33)
-    err, arg = sup_error(SUM_12, lambda X: eval_sym(tab, X), S)
+    err, arg = sup_error(values_on(SUM_12, S), values_on(lambda X: eval_sym(tab, X), S), S)
     assert 0.2 <= err <= 0.5
     assert abs(SUM_12(arg) - eval_sym(tab, arg)) == err
 
@@ -258,9 +265,9 @@ def test_non_finite_values_are_errors_naming_the_sample():
     approx = lambda X: eval_sym(tab, X)
     at_first = f"nan at sample {first}$"
     with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
-        sup_error(probe, approx, S)
+        sup_error(values_on(probe, S), values_on(approx, S), S)
     with pytest.raises(ValueError, match=f"non-finite approximation {at_first}"):
-        sup_error(approx, probe, S)
+        sup_error(values_on(approx, S), values_on(probe, S), S)
     with pytest.raises(ValueError, match=f"non-finite value {at_first}"):
         invariance_suite([probe], S, 8, Symmetry.SYMMETRIC)
     with pytest.raises(ValueError, match=f"non-finite target value {at_first}"):
@@ -309,6 +316,26 @@ def test_invariance_suite_builds_one_sign_per_distinct_draw(monkeypatch):
     assert invariance_suite([f], S, 8, Symmetry.ANTISYMMETRIC)[0] <= 1e-15
     assert len(signs) == len(set(signs)) == 6
     assert len(permuted) == 300 * 8  # one permute per draw, as before
+
+
+def test_the_target_is_evaluated_once_on_each_sample():
+    domain = DomainSpec(d=2, N=3, lo=0.0, hi=1.0)
+    S = sample_configurations(domain, 40, 9)
+    gaussian = builtin_target("gaussian-pair-sym")
+    seen = []
+    f = replace(gaussian, evaluator=lambda X: seen.append(X) or gaussian.evaluator(X))
+    samples = {id(X) for X in S.configurations}
+
+    def build_at(delta):
+        return build_sym(f, LatticeSpec.from_domain(domain, delta), 3)
+
+    tab = build_at(0.25)
+    seen.clear()
+    run_verification(f, tab, S, 1.0, 4, 0.05)
+    assert [X for X in seen if id(X) in samples] == list(S.configurations)
+    seen.clear()
+    convergence_sweep(f, [0.5, 0.25, 0.125], S, build_at)
+    assert [X for X in seen if id(X) in samples] == list(S.configurations)
 
 
 # Every tabulator kind, indicator and smooth: its builder and build options.
@@ -392,7 +419,8 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
             seen.append(harness.permute(X, Permutation(images)))
     spec = LatticeSpec.from_counts(3, d, -0.5, 1.5)
     corners = []
-    list(corner_values(lambda X: corners.append(X) or 0.0, spec, enumerate_wedge(spec, N)))
+    record = TargetFunction(lambda X: corners.append(X) or 0.0, Symmetry.SYMMETRIC)
+    corner_values(record, spec, _site_numbers(spec.site_count, N, strict=False))
     assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
     for X in list(S.configurations) + seen + corners:
         assert_same_as_validated(X)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -517,6 +518,54 @@ def test_load_rejects_non_numeric_record_fields(tmp_path, position, field):
     lines[12] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="not a number"):
+        load_model(str(path))
+
+
+# Spellings float.fromhex reads but float.hex never writes. "0.5" and "1"
+# read as the hex digits 0x0.5 = 0.3125 and 0x1 = 1.0.
+NOT_FLOAT_HEX = [
+    "0.5", "1", "+0x1.0p-1", "0X1.0P-1", "-+0x1.0p-1", "\t0x1.0p-1", "0x1.0p-1\t",
+    "\v0x1.0p-1", "0x1.0p-1\f", "infinity", "+inf", "NaN",
+]
+
+
+@pytest.mark.parametrize("block", [3, persistence._BLOCK])
+@pytest.mark.parametrize("position", [4, 5, 6], ids=["coefficient", "direction", "last"])
+@pytest.mark.parametrize("spelling", NOT_FLOAT_HEX)
+def test_record_values_load_only_in_float_hex_spelling(
+    tmp_path, monkeypatch, block, position, spelling
+):
+    monkeypatch.setattr(persistence, "_BLOCK", block)
+    path, lines = _projected_lines(tmp_path)
+    fields = lines[16].split(" ")  # the fifth of six records: the second block at size 3
+    fields[position] = spelling
+    lines[16] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"record {lines[16]!r} has a field that is not a number in float.hex spelling"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_model(str(path))
+
+
+def test_a_coefficient_in_float_hex_spelling_loads_as_written(tmp_path):
+    path, lines = _projected_lines(tmp_path)
+    fields = lines[16].split(" ")
+    fields[4] = "0x1.0p-1"
+    lines[16] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert load_model(str(path)).table[((0, 1), (1, 1))] == 0.5
+
+
+@pytest.mark.parametrize("line", [5, 6, 7, 9, 10], ids=["delta", "lo", "hi", "w", "tau"])
+@pytest.mark.parametrize("spelling", ["0.5", "+0x1.0p-1", "0X1.0P-1", "0x1.0p-1 ", "\t0x1.0p-1"])
+def test_header_floats_load_only_in_float_hex_spelling(tmp_path, line, spelling):
+    path, lines = _projected_lines(tmp_path)
+    if line == 9:
+        lines[8] = "mode smooth"
+    name = lines[line].split(" ")[0]
+    lines[line] = f"{name} {spelling}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"bad {name!r} value {spelling!r} on line {line + 1}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_model(str(path))
 
 
