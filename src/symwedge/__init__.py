@@ -9,6 +9,7 @@ from .approx_antisym import (
     build_antisym,
     choose_direction,
     eval_antisym,
+    eval_antisym_batch,
 )
 from .approx_sym import (
     MODE_INDICATOR,
@@ -21,6 +22,7 @@ from .approx_sym import (
     epsilon_density_limit,
     error_budget,
     eval_sym,
+    eval_sym_batch,
     eval_sym_feature_form,
     feature_budget_bound,
     feature_count,
@@ -116,12 +118,12 @@ __all__ = [
     "repetition_constant", "CellAssignment", "locate", "corner_configuration",
     # symmetric tabulator
     "MODE_INDICATOR", "MODE_SMOOTH", "BuildStats", "SymmetricTabulator",
-    "build_sym", "eval_sym", "eval_sym_feature_form", "feature_count",
+    "build_sym", "eval_sym", "eval_sym_batch", "eval_sym_feature_form", "feature_count",
     "FeatureCountReport", "error_budget",
     "delta_for_epsilon", "epsilon_density_limit", "feature_budget_bound",
     # anti-symmetric tabulator
     "MODE_RANK", "MODE_PROJECTED", "AntisymTabulator", "build_antisym",
-    "eval_antisym", "choose_direction",
+    "eval_antisym", "eval_antisym_batch", "choose_direction",
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, product
+from typing import Callable
 
 import numpy as np
 
 from .core import Configuration, Symmetry, TargetFunction, _configuration, _point
-from .errors import BuildError, CapacityError
+from .errors import BuildError, CapacityError, DomainError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
@@ -50,6 +51,7 @@ __all__ = [
     "FeatureCountReport",
     "build_sym",
     "eval_sym",
+    "eval_sym_batch",
     "eval_sym_feature_form",
     "smooth_weights",
     "corner_values",
@@ -255,6 +257,80 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
         total += weight * (T.table[zs] * repetition_constant(zs))
     return total
+
+
+def _check_batch_input(T, P: np.ndarray) -> None:
+    """The batch evals take an indicator tabulator and a (B, N, d) array."""
+    if T.smooth_width is not None:
+        raise ValueError("batch evaluation is defined for indicator tabulators only")
+    if P.ndim != 3 or P.shape[1:] != (T.N, T.spec.d):
+        raise ValueError(
+            f"tabulator expects (B, N, d) = (B, {T.N}, {T.spec.d}) arrays; got shape {P.shape}"
+        )
+
+
+def _located(spec: LatticeSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``locate`` on each row of P (B, N, d), as arrays: the site numbers
+    (indices in ``lattice_sites`` order) of the row's cells, sorted stably,
+    and the sort order. A cell is ``cell_of``'s: the same floor and top-cell
+    clamp, and its DomainError for the first coordinate outside the box, in
+    row order."""
+    inside = (P >= spec.origin) & (P <= spec.top)
+    if not inside.all():
+        c = float(P.reshape(-1)[np.argmin(inside.reshape(-1))])
+        raise DomainError(f"coordinate {c!r} outside [{spec.origin}, {spec.top}]")
+    n = spec.cells_per_dim
+    cells = np.minimum(((P - spec.origin) / spec.delta).astype(np.int64), n - 1)
+    num = cells[..., 0]
+    for a in range(1, spec.d):
+        num = num * n + cells[..., a]
+    order = np.argsort(num, axis=1, kind="stable")
+    return np.take_along_axis(num, order, axis=1), order
+
+
+def _lex_ranks(t: np.ndarray, m: int) -> np.ndarray:
+    """The position of each strictly increasing row of t (B, N) among the
+    N-subsets of range(m) in lexicographic order: C(m, N) - 1 minus the colex
+    rank sum_j C(m - 1 - t[N - j], j) of the reflected rows. A multiset row s
+    of n sites maps to the strict row s + (0, 1, ..., N - 1) over
+    m = n + N - 1. C(x, j) comes from C(x, j - 1) by a running sum over x;
+    int64 sums wrap modulo 2^64, which leaves exact every term the ranks
+    read (each is below C(m, N))."""
+    N = t.shape[1]
+    total = (m - 1) - t[:, N - 1]  # C(x, 1) = x
+    if N > 1:
+        binom = np.arange(m, dtype=np.int64)
+        for j in range(2, N + 1):
+            binom[1:] = np.cumsum(binom[:-1])
+            binom[0] = 0
+            total += binom[(m - 1) - t[:, N - j]]
+    return (math.comb(m, N) - 1) - total
+
+
+def _sym_batch(T: SymmetricTabulator) -> Callable[[np.ndarray], np.ndarray]:
+    """``eval_sym_batch`` of T as a function of P, with the table read into
+    an array once. The dict is in lexicographic key order (as built and as
+    loaded), so a key's rank is its position in the array."""
+    values = np.fromiter(T.table.values(), dtype=np.float64, count=len(T.table))
+    m = T.spec.site_count + T.N - 1
+    shift = np.arange(T.N)
+
+    def batch(P: np.ndarray) -> np.ndarray:
+        _check_batch_input(T, P)
+        num, _ = _located(T.spec, P)
+        return values[_lex_ranks(num + shift, m)] * _repetition_constants(num)
+
+    return batch
+
+
+def eval_sym_batch(T: SymmetricTabulator, P: np.ndarray) -> np.ndarray:
+    """``eval_sym`` of an indicator tabulator on each row of P (B, N, d), as
+    a (B,) array equal to it bit for bit: each row's cells are found by the
+    same rule, and its entry's stored value is gathered by the entry's
+    lexicographic rank and multiplied by the same repetition constant. The
+    first row with a coordinate outside the box raises ``locate``'s
+    DomainError."""
+    return _sym_batch(T)(P)
 
 
 def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:

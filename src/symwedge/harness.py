@@ -2,13 +2,21 @@
 sup-error scans, invariance suites, convergence sweeps.
 
 The harness builds nothing: it measures tabulators a caller builds, taking N,
-d and the spacing from them. A non-finite value is a ValueError (``max`` drops NaN).
+d and the spacing from them. A non-finite value is a ValueError (``max`` drops
+NaN) that names the same sample, slot and value a one-at-a-time scan would.
 
-One invariance pass checks every evaluator it is given (``run_verification``
-passes the target and the tabulator) against one set of permuted
-configurations. Configurations the harness makes itself (samples, stencil
-rows, permuted copies) are built without re-validation: their coordinates are
-finite Philox draws or clipped copies of them.
+Samples stay one (count, N, d) array. The harness evaluates an evaluator on
+arrays of rows: the samples, the gradient stencil's 2*N*d shifted copies of
+each sample, and the permuted copies P[rows, images] of the invariance pass
+and the Cauchy check. An evaluator with a ``batch`` (every builtin target,
+and the indicator tabulators through ``eval_sym_batch`` and
+``eval_antisym_batch``) takes each array in one call; any other is called
+once per row, on a Configuration built from the row without re-validation
+(its coordinates are finite Philox draws, or clipped or permuted copies of
+them). Every array holds at most about _BLOCK rows, so memory stays bounded
+however many samples there are. One invariance pass checks every evaluator
+it is given (``run_verification`` passes the target and the tabulator)
+against one set of permuted copies.
 
 Everything here is deterministic given (seed, inputs). Sampling uses a
 counter-based bit generator (Philox) keyed directly by the seed, so sample
@@ -20,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as _all_permutations
 from typing import Callable, Sequence
 
@@ -33,13 +42,13 @@ from .core import (
     TargetFunction,
     _configuration,
     _point,
+    _vandermonde_products,
     parity,
-    permute,
-    vandermonde_product,
 )
-from .approx_sym import SymmetricTabulator, error_budget, eval_sym
+from .core import permute  # noqa: F401  (benches/tracing.py wraps this binding)
+from .approx_sym import SymmetricTabulator, _sym_batch, error_budget, eval_sym
 from .approx_sym import build_sym  # noqa: F401  (benches/tracing.py wraps this binding)
-from .approx_antisym import eval_antisym
+from .approx_antisym import _antisym_batch, eval_antisym
 from .approx_antisym import build_antisym  # noqa: F401  (benches/tracing.py wraps this binding)
 from .persistence import Tabulator
 
@@ -63,25 +72,57 @@ DEFAULT_FD_STEP_FRACTION = 1e-4
 BOUND_SLACK = 1e-12
 CONSTANT_ERROR_FLOOR = 1e-12
 _PERM_SEED_SALT = 0x9E3779B97F4A7C15  # decorrelates permutation draws from sample draws
+# Rows per evaluation array: it sizes every block of samples, stencil rows or
+# permuted copies the harness makes.
+_BLOCK = 4096
 
 
-def _finite(value: float, what: str, k: int) -> float:
-    if not math.isfinite(value):
+def _raise_first_non_finite(values: np.ndarray, what: str, samples: Sequence[int]) -> None:
+    """Raise ValueError for the first non-finite element of ``values`` (in C
+    order), naming ``what`` and its row's sample: row r (axis 0) holds
+    values of sample ``samples[r]``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        value = float(values.reshape(-1)[bad[0]])
+        k = samples[int(bad[0]) // (values.size // len(values))]
         raise ValueError(f"non-finite {what} {value} at sample {k}")
-    return value
 
 
-@dataclass(frozen=True)
+def _configurations(rows: np.ndarray) -> tuple[Configuration, ...]:
+    """One Configuration per row of a (B, N, d) array of finite coordinates,
+    built without the checks."""
+    return tuple(
+        _configuration(tuple([_point(tuple(point)) for point in points]))
+        for points in rows.tolist()
+    )
+
+
+def _evaluate(e: Callable[[Configuration], float], P: np.ndarray) -> np.ndarray:
+    """e on each row of P (B, N, d), in order: one call of ``e.batch`` when
+    e has one, else one call of e per row."""
+    batch = getattr(e, "batch", None)
+    if batch is not None:
+        return batch(P)
+    return np.fromiter(map(e, _configurations(P)), dtype=np.float64, count=len(P))
+
+
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Configurations drawn i.i.d. uniformly from the domain box."""
+    """Configurations drawn i.i.d. uniformly from the domain box, as the
+    read-only (count, N, d) array ``points``."""
 
     domain: DomainSpec
     seed: int
-    configurations: tuple[Configuration, ...]
+    points: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.configurations)
+        return len(self.points)
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        """The samples as Configurations, built on first read."""
+        return _configurations(self.points)
 
 
 def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSet:
@@ -91,11 +132,9 @@ def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSe
     if not math.isfinite(domain.span):
         raise ValueError(f"domain [{domain.lo}, {domain.hi}] is too wide to sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    raw = domain.lo + domain.span * rng.random((count, domain.N, domain.d))
-    configurations = tuple(
-        _configuration(tuple([_point(tuple(row)) for row in rows])) for rows in raw.tolist()
-    )
-    return SampleSet(domain=domain, seed=seed, configurations=configurations)
+    points = domain.lo + domain.span * rng.random((count, domain.N, domain.d))
+    points.setflags(write=False)
+    return SampleSet(domain=domain, seed=seed, points=points)
 
 
 def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -> float:
@@ -103,43 +142,48 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     gradient (all N*d slots), with step h = DEFAULT_FD_STEP_FRACTION * span
     and samples clipped to the interior so the stencil stays inside the domain.
 
-    Each sample's N clipped Points are built once; a stencil evaluation
-    swaps in a new Point for the one perturbed row only. Stencil rows are
-    finite coordinates +- h, so their Points and Configurations are built
-    unchecked.
+    Each block of samples is clipped once, and f is evaluated on its stencil:
+    per sample and slot (i, a) in order, the clipped sample with coordinate
+    (i, a) moved up by h, then down by h. The first non-finite derivative,
+    in sample and then slot order, raises ValueError naming its slot.
     """
     domain = S.domain
+    N, d = domain.N, domain.d
     h = DEFAULT_FD_STEP_FRACTION * domain.span
     lo, hi = domain.lo + h, domain.hi - h
     two_h = 2.0 * h
+    slots = N * d
+    per = max(1, _BLOCK // (2 * slots))
     best = 0.0
-    for X in S.configurations:
-        rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
-        points = [_point(tuple(row)) for row in rows]
-        norm2 = 0.0
-        for i, row in enumerate(rows):
-            clipped = points[i]
-            for a, c in enumerate(row):
-                row[a] = c + h
-                points[i] = _point(tuple(row))
-                up = f(_configuration(tuple(points)))
-                row[a] = c - h
-                points[i] = _point(tuple(row))
-                down = f(_configuration(tuple(points)))
-                row[a] = c
-                g = (up - down) / two_h
-                if not math.isfinite(g):
-                    raise ValueError(f"non-finite derivative at slot ({i}, {a})")
-                norm2 += g * g
-            points[i] = clipped
-        best = max(best, math.sqrt(norm2))
+    for start in range(0, S.count, per):
+        X = np.minimum(np.maximum(S.points[start : start + per], lo), hi)
+        B = len(X)
+        stencil = np.repeat(X[:, None], 2 * slots, axis=1)  # (B, slot and side, N, d)
+        for s in range(slots):
+            i, a = divmod(s, d)
+            stencil[:, 2 * s, i, a] = X[:, i, a] + h
+            stencil[:, 2 * s + 1, i, a] = X[:, i, a] - h
+        values = _evaluate(f, stencil.reshape(-1, N, d)).reshape(B, slots, 2)
+        g = (values[:, :, 0] - values[:, :, 1]) / two_h
+        bad = np.flatnonzero(~np.isfinite(g))
+        if len(bad):
+            i, a = divmod(int(bad[0]) % slots, d)
+            raise ValueError(f"non-finite derivative at slot ({i}, {a})")
+        norm2 = np.zeros(B)
+        for s in range(slots):
+            norm2 += g[:, s] * g[:, s]
+        best = max(best, float(np.sqrt(norm2).max()))
     return best
 
 
-def _values(e: Callable[[Configuration], float], S: SampleSet, what: str) -> list[float]:
-    """e on every sample, in order; the first non-finite value raises,
-    naming ``what`` and the sample."""
-    return [_finite(e(X), what, k) for k, X in enumerate(S.configurations)]
+def _values(e: Callable[[Configuration], float], S: SampleSet, what: str) -> np.ndarray:
+    """e on every sample, in order, as a (count,) array; the first
+    non-finite value raises, naming ``what`` and the sample."""
+    values = np.concatenate(
+        [_evaluate(e, S.points[start : start + _BLOCK]) for start in range(0, S.count, _BLOCK)]
+    )
+    _raise_first_non_finite(values, what, range(S.count))
+    return values
 
 
 def sup_error(
@@ -147,18 +191,18 @@ def sup_error(
 ) -> tuple[float, Configuration]:
     """Largest sampled |f - approx| and the configuration attaining it (the
     first, on a tie), from the values of the target and of the approximation
-    on each sample of S, in order."""
-    best = -1.0
-    arg = S.configurations[0]
-    for k, X in enumerate(S.configurations):
-        err = abs(
-            _finite(target_values[k], "target value", k)
-            - _finite(approx_values[k], "approximation", k)
-        )
-        if err > best:
-            best = err
-            arg = X
-    return best, arg
+    on each sample of S, in order. The first sample with a non-finite value
+    raises, naming the target's value before the approximation's."""
+    target = np.asarray(target_values, dtype=np.float64)
+    approx = np.asarray(approx_values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(target) & np.isfinite(approx)))
+    if len(bad):
+        k = bad[:1]
+        _raise_first_non_finite(target[k], "target value", k)
+        _raise_first_non_finite(approx[k], "approximation", k)
+    err = np.abs(target - approx)
+    k = int(np.argmax(err))
+    return float(err[k]), _configurations(S.points[k : k + 1])[0]
 
 
 def reset_philox(bit_generator: np.random.Philox, key: int) -> None:
@@ -202,36 +246,55 @@ def invariance_suite(
     symmetric evaluators, |e(sigma X) - sign(sigma) e(X)| for anti-symmetric
     ones. Returns one residual per evaluator, in order.
 
-    The permutations of a sample are drawn once and each permuted
-    configuration is built once, through this module's ``permute`` binding,
-    for all evaluators; the evaluators are called in order on it. One
-    Permutation and its sign are built per distinct draw (at most N!).
-    ``bases``, when given, holds each evaluator's values on the samples,
-    already checked finite; they stand in for the calls e(X).
+    The permutations of a sample are drawn once, and a block of samples'
+    permuted copies P[rows, images] are stacked into one array that each
+    evaluator takes in one evaluation. One Permutation and its sign are built
+    per distinct draw (at most N!). ``bases``, when given, holds each
+    evaluator's values on the samples, already checked finite; they stand in
+    for evaluating e on the samples. The first sample with a non-finite value
+    raises ValueError: its values, evaluator by evaluator, before its permuted
+    values, draw by draw.
     """
     if n_perms < 1:
         raise ValueError("need at least one permutation per sample")
     seed = S.seed ^ _PERM_SEED_SALT
     N = S.domain.N
     rng = np.random.Generator(np.random.Philox(key=0))
-    signed: dict[tuple[int, ...], tuple[Permutation, int]] = {}
+    antisymmetric = symmetry is Symmetry.ANTISYMMETRIC
+    signs: dict[tuple[int, ...], int] = {}
     worst = [0.0] * len(evaluators)
-    for k, X in enumerate(S.configurations):
+    per = max(1, _BLOCK // n_perms)
+    for start in range(0, S.count, per):
+        X = S.points[start : start + per]
+        B = len(X)
+        samples = range(start, start + B)
+        flat: list[int] = []
+        draw_signs: list[int] = []
+        for k in samples:
+            # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
+            for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
+                flat.extend(images)
+                if antisymmetric:
+                    if images not in signs:
+                        signs[images] = parity(Permutation(images))
+                    draw_signs.append(signs[images])
+        images = np.array(flat, dtype=np.intp).reshape(B * n_perms, N)
+        Y = X[np.repeat(np.arange(B), n_perms)[:, None], images]
+        law = np.array(draw_signs, dtype=np.float64).reshape(B, n_perms) if antisymmetric else 1.0
         if bases is None:
-            base = [_finite(e(X), "value", k) for e in evaluators]
+            base = np.stack([_evaluate(e, X) for e in evaluators], axis=1)
         else:
-            base = [values[k] for values in bases]
-        # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
-        for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
-            if images not in signed:
-                sigma = Permutation(images)
-                signed[images] = sigma, parity(sigma)
-            sigma, sign = signed[images]
-            law = 1 if symmetry is Symmetry.SYMMETRIC else sign
-            Y = permute(X, sigma)
-            for i, e in enumerate(evaluators):
-                permuted = _finite(e(Y), "permuted value", k)
-                worst[i] = max(worst[i], abs(permuted - law * base[i]))
+            base = np.stack([np.asarray(v[start : start + B]) for v in bases], axis=1)
+        permuted = np.stack([_evaluate(e, Y) for e in evaluators], axis=1)
+        permuted = permuted.reshape(B, n_perms, len(evaluators))
+        bad = ~(np.isfinite(base).all(axis=1) & np.isfinite(permuted).all(axis=(1, 2)))
+        if bad.any():
+            k = int(np.argmax(bad))
+            _raise_first_non_finite(base[k : k + 1], "value", samples[k:])
+            _raise_first_non_finite(permuted[k : k + 1], "permuted value", samples[k:])
+        for i in range(len(evaluators)):
+            residual = np.abs(permuted[:, :, i] - law * base[:, i : i + 1])
+            worst[i] = max(worst[i], float(residual.max()))
     return worst
 
 
@@ -307,31 +370,44 @@ def cauchy_factor_check(
 ) -> float:
     """For d = 1 anti-symmetric targets: divide out the pair-difference
     product and measure how far the quotient is from permutation invariance,
-    over samples whose points are pairwise at least min_gap apart."""
+    over samples whose points are pairwise at least min_gap apart.
+
+    Each kept sample's quotient f(X)/V(X) is evaluated once, and then on its
+    N! - 1 other permutations, a block of samples stacked at a time. The
+    identity's residual |base - base| is formed without evaluating f: it is
+    0, or NaN for a non-finite base. The first non-finite residual, in sample
+    and then ``itertools.permutations`` order, raises ValueError.
+    """
     if S.domain.d != 1:
         raise ValueError("the factor check is defined for d = 1 only")
     if min_gap <= 0.0:
         raise ValueError("min_gap must be positive")
-    kept = []
-    for k, X in enumerate(S.configurations):
-        xs = [p.coords[0] for p in X.points]
-        gap = min(
-            (abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]),
-            default=math.inf,
-        )
-        if gap >= min_gap:
-            kept.append((k, X, xs))
-    if not kept:
-        raise ValueError(f"no sample is diagonal-free at min_gap = {min_gap}")
     N = S.domain.N
-    perms = [Permutation(p) for p in _all_permutations(range(N))]
+    xs = S.points[:, :, 0]
+    gap = np.full(S.count, math.inf)
+    for i in range(N):
+        for j in range(i + 1, N):
+            gap = np.minimum(gap, np.abs(xs[:, i] - xs[:, j]))
+    kept = np.flatnonzero(gap >= min_gap)
+    if not len(kept):
+        raise ValueError(f"no sample is diagonal-free at min_gap = {min_gap}")
+    # itertools.permutations lists the identity first.
+    others = np.array(list(_all_permutations(range(N)))[1:], dtype=np.intp).reshape(-1, N)
+    per = max(1, _BLOCK // (len(others) + 1))
     worst = 0.0
-    for k, X, xs in kept:
-        base = f(X) / vandermonde_product(xs)
-        for sigma in perms:
-            Y = permute(X, sigma)
-            quotient = f(Y) / vandermonde_product([p.coords[0] for p in Y.points])
-            worst = max(worst, _finite(abs(quotient - base), "quotient residual", k))
+    for start in range(0, len(kept), per):
+        rows = kept[start : start + per]
+        X = S.points[rows]
+        B = len(X)
+        base = _evaluate(f, X) / _vandermonde_products(X[:, :, 0])
+        residual = np.empty((B, len(others) + 1))
+        residual[:, 0] = np.abs(base - base)
+        if len(others):
+            Y = X[np.repeat(np.arange(B), len(others))[:, None], np.tile(others, (B, 1))]
+            quotient = _evaluate(f, Y) / _vandermonde_products(Y[:, :, 0])
+            residual[:, 1:] = np.abs(quotient.reshape(B, len(others)) - base[:, None])
+        _raise_first_non_finite(residual, "quotient residual", rows)
+        worst = max(worst, float(residual.max()))
     return worst
 
 
@@ -374,11 +450,18 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _evaluator(tab: Tabulator) -> tuple[Symmetry, Callable[[Configuration], float]]:
-    """The law ``tab`` obeys, and its evaluator through this module's bindings."""
+def _evaluator(tab: Tabulator) -> tuple[Symmetry, TargetFunction]:
+    """The law ``tab`` obeys, and its evaluator through this module's
+    bindings: an indicator tabulator's batch is ``eval_sym_batch``'s or
+    ``eval_antisym_batch``'s, and a smooth one is evaluated once per row."""
+    indicator = tab.smooth_width is None
     if isinstance(tab, SymmetricTabulator):
-        return Symmetry.SYMMETRIC, lambda X: eval_sym(tab, X)
-    return Symmetry.ANTISYMMETRIC, lambda X: eval_antisym(tab, X)
+        symmetry, scalar = Symmetry.SYMMETRIC, lambda X: eval_sym(tab, X)
+        batch = _sym_batch(tab) if indicator else None
+    else:
+        symmetry, scalar = Symmetry.ANTISYMMETRIC, lambda X: eval_antisym(tab, X)
+        batch = _antisym_batch(tab) if indicator else None
+    return symmetry, TargetFunction(scalar, symmetry, name=tab.kind, batch=batch)
 
 
 def run_verification(
@@ -410,7 +493,7 @@ def run_verification(
     # The target and the approximation are each evaluated once on each sample.
     values = _values(f, S, "target value")
     approx_values = _values(approx, S, "approximation")
-    scale = max(1.0, *map(abs, values))
+    scale = max(1.0, float(np.abs(values).max()))
     sup, arg = sup_error(values, approx_values, S)
     budget = error_budget(delta, N, d, gradient_bound)
     target_residual, invariance = invariance_suite(

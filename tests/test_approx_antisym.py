@@ -1,9 +1,13 @@
 import functools
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symwedge import (
     MODE_PROJECTED,
@@ -21,8 +25,11 @@ from symwedge import (
     choose_direction,
     corner_configuration,
     eval_antisym,
+    eval_antisym_batch,
+    load_model,
     parity,
     permute,
+    save_model,
     vandermonde_product,
 )
 from symwedge.approx_antisym import (
@@ -569,3 +576,77 @@ def test_smooth_projected_continuous_where_sort_flips():
     vals = [eval_antisym(tab, cfg([float(x)], [0.6])) for x in xs]
     jumps = np.abs(np.diff(vals))
     assert jumps.max() <= 1e-3
+
+
+# ---------------------------------------------------------------- batch eval
+
+BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
+
+
+def draw_rows(data, spec, N, B):
+    """B rows of N points in spec's box: uniform draws, cell faces moved by
+    up to 3 ulps either way, hi exactly, and points repeating an earlier
+    point of their row."""
+
+    def coordinate():
+        where = data.draw(st.sampled_from(["uniform", "face", "hi"]))
+        if where == "uniform":
+            return data.draw(st.floats(spec.origin, spec.top))
+        if where == "hi":
+            return spec.top
+        c = spec.origin + data.draw(st.integers(0, spec.cells_per_dim)) * spec.delta
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            c = math.nextafter(c, math.copysign(math.inf, steps))
+        return min(max(c, spec.origin), spec.top)
+
+    rows = []
+    for _ in range(B):
+        points = []
+        for i in range(N):
+            if i and data.draw(st.booleans()):
+                points.append(points[data.draw(st.integers(0, i - 1))])
+            else:
+                points.append([coordinate() for _ in range(spec.d)])
+        rows.append(points)
+    return np.array(rows, dtype=np.float64).reshape(B, N, spec.d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_eval_antisym_batch_equals_eval_antisym_bit_for_bit(data):
+    N, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    lo, hi = data.draw(st.sampled_from(BOXES))
+    # at most 1,500 strict wedge entries
+    cells = max(n for n in range(1, 9) if math.comb(n**d, N) <= 1500)
+    spec = LatticeSpec.from_counts(data.draw(st.integers(1, cells)), d, lo, hi)
+    mode = data.draw(st.sampled_from([MODE_RANK, MODE_PROJECTED]))
+    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N, mode=mode)
+    if data.draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.swm")
+            save_model(path, T)
+            T = load_model(path)
+    P = draw_rows(data, spec, N, data.draw(st.integers(0, 6)))
+    scalar = [eval_antisym(T, Configuration.from_rows(rows)) for rows in P.tolist()]
+    bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+    assert bits(eval_antisym_batch(T, P)) == bits(scalar)
+    if len(P):
+        # one or two rows with a coordinate just or well outside the box
+        bad = P.copy()
+        for _ in range(data.draw(st.integers(1, 2))):
+            k, i, a = (data.draw(st.integers(0, n - 1)) for n in P.shape)
+            bad[k, i, a] = data.draw(st.sampled_from([
+                math.nextafter(spec.top, math.inf), math.nextafter(spec.origin, -math.inf),
+                spec.top + 1.0, spec.origin - 1.0,
+            ]))
+        with pytest.raises(DomainError) as err:
+            eval_antisym_batch(T, bad)
+        for rows in bad.tolist():  # the scalar eval's error on the first bad row
+            try:
+                eval_antisym(T, Configuration.from_rows(rows))
+            except DomainError as exc:
+                assert str(err.value) == str(exc)
+                break
+        else:
+            raise AssertionError("no row is outside the box")

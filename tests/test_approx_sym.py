@@ -1,9 +1,13 @@
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symwedge import (
     MODE_INDICATOR,
@@ -29,14 +33,17 @@ from symwedge import (
     epsilon_density_limit,
     error_budget,
     eval_sym,
+    eval_sym_batch,
     eval_sym_feature_form,
     feature_budget_bound,
     feature_count,
     lattice_sites,
+    load_model,
     permanent_ryser_logdomain,
     permute,
     repetition_constant,
     sample_configurations,
+    save_model,
 )
 import symwedge.approx_sym as approx_sym
 from symwedge.approx_sym import corner_values, smooth_weights
@@ -320,6 +327,85 @@ def test_eval_sym_domain_and_shape_errors():
         eval_sym(tab, cfg([0.2], [1.4]))
     with pytest.raises(ValueError):
         eval_sym(tab, cfg([0.2], [0.4], [0.6]))
+
+
+BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
+
+
+def draw_rows(data, spec, N, B):
+    """B rows of N points in spec's box: uniform draws, cell faces moved by
+    up to 3 ulps either way, hi exactly, and points repeating an earlier
+    point of their row."""
+
+    def coordinate():
+        where = data.draw(st.sampled_from(["uniform", "face", "hi"]))
+        if where == "uniform":
+            return data.draw(st.floats(spec.origin, spec.top))
+        if where == "hi":
+            return spec.top
+        c = spec.origin + data.draw(st.integers(0, spec.cells_per_dim)) * spec.delta
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            c = math.nextafter(c, math.copysign(math.inf, steps))
+        return min(max(c, spec.origin), spec.top)
+
+    rows = []
+    for _ in range(B):
+        points = []
+        for i in range(N):
+            if i and data.draw(st.booleans()):
+                points.append(points[data.draw(st.integers(0, i - 1))])
+            else:
+                points.append([coordinate() for _ in range(spec.d)])
+        rows.append(points)
+    return np.array(rows, dtype=np.float64).reshape(B, N, spec.d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_eval_sym_batch_equals_eval_sym_bit_for_bit(data):
+    N, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    lo, hi = data.draw(st.sampled_from(BOXES))
+    # at most 1,500 wedge entries
+    cells = max(n for n in range(1, 9) if math.comb(n**d + N - 1, N) <= 1500)
+    spec = LatticeSpec.from_counts(data.draw(st.integers(1, cells)), d, lo, hi)
+    T = build_sym(builtin_target("gaussian-pair-sym"), spec, N)
+    if data.draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.swm")
+            save_model(path, T)
+            T = load_model(path)
+    P = draw_rows(data, spec, N, data.draw(st.integers(0, 6)))
+    scalar = [eval_sym(T, Configuration.from_rows(rows)) for rows in P.tolist()]
+    bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+    assert bits(eval_sym_batch(T, P)) == bits(scalar)
+    if len(P):
+        # one or two rows with a coordinate just or well outside the box
+        bad = P.copy()
+        for _ in range(data.draw(st.integers(1, 2))):
+            k, i, a = (data.draw(st.integers(0, n - 1)) for n in P.shape)
+            bad[k, i, a] = data.draw(st.sampled_from([
+                math.nextafter(spec.top, math.inf), math.nextafter(spec.origin, -math.inf),
+                spec.top + 1.0, spec.origin - 1.0,
+            ]))
+        with pytest.raises(DomainError) as err:
+            eval_sym_batch(T, bad)
+        for rows in bad.tolist():  # the scalar eval's error on the first bad row
+            try:
+                eval_sym(T, Configuration.from_rows(rows))
+            except DomainError as exc:
+                assert str(err.value) == str(exc)
+                break
+        else:
+            raise AssertionError("no row is outside the box")
+
+
+def test_eval_sym_batch_takes_indicator_tables_and_their_shape():
+    with pytest.raises(ValueError, match="indicator tabulators only"):
+        eval_sym_batch(build_sym(SUM_12, SPEC_HALF, 2, mode=MODE_SMOOTH, smooth_width=0.1),
+                       np.zeros((1, 2, 1)))
+    with pytest.raises(ValueError, match=r"\(B, N, d\) = \(B, 2, 1\)"):
+        eval_sym_batch(build_sym(SUM_12, SPEC_HALF, 2), np.zeros((1, 3, 1)))
 
 
 # ---------------------------------------------------------------- feature form

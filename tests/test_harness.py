@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations as _all_permutations
 
@@ -306,36 +307,58 @@ def test_random_permutations_are_fresh_philox_draws(N):
         assert all(type(i) is int for images in got for i in images)
 
 
+def recorded(f, batch):
+    """f, recording the rows it is evaluated on (as row tuples) in a list,
+    through its batch when ``batch`` is set and once per configuration
+    (``batch`` None) otherwise."""
+    seen = []
+    if batch:
+        traced = replace(
+            f, batch=lambda P: seen.extend(tuple(map(tuple, r)) for r in P.tolist()) or f.batch(P)
+        )
+    else:
+        traced = replace(f, evaluator=lambda X: seen.append(X.rows()) or f.evaluator(X), batch=None)
+    return traced, seen
+
+
+def sample_rows(S):
+    return [tuple(map(tuple, r)) for r in S.points.tolist()]
+
+
 def test_invariance_suite_builds_one_sign_per_distinct_draw(monkeypatch):
-    signs, permuted = [], []
-    parity, permute = harness.parity, harness.permute
+    signs = []
+    parity = harness.parity
     monkeypatch.setattr(harness, "parity", lambda s: signs.append(s) or parity(s))
-    monkeypatch.setattr(harness, "permute", lambda X, s: permuted.append(s) or permute(X, s))
     S = sample_configurations(UNIT_13, 300, 45)
-    f = builtin_target("vandermonde-gauss-antisym", {})
+    f, seen = recorded(builtin_target("vandermonde-gauss-antisym", {}), batch=True)
     assert invariance_suite([f], S, 8, Symmetry.ANTISYMMETRIC)[0] <= 1e-15
     assert len(signs) == len(set(signs)) == 6
-    assert len(permuted) == 300 * 8  # one permute per draw, as before
+    assert len(seen) == 300 + 300 * 8  # the samples, then each draw once
 
 
 def test_the_target_is_evaluated_once_on_each_sample():
     domain = DomainSpec(d=2, N=3, lo=0.0, hi=1.0)
     S = sample_configurations(domain, 40, 9)
-    gaussian = builtin_target("gaussian-pair-sym")
-    seen = []
-    f = replace(gaussian, evaluator=lambda X: seen.append(X) or gaussian.evaluator(X))
-    samples = {id(X) for X in S.configurations}
+    samples = sample_rows(S)
+    distinct = set(samples)
+    for batch in (True, False):
+        f, seen = recorded(builtin_target("gaussian-pair-sym"), batch)
 
-    def build_at(delta):
-        return build_sym(f, LatticeSpec.from_domain(domain, delta), 3)
+        def build_at(delta):
+            return build_sym(f, LatticeSpec.from_domain(domain, delta), 3)
 
-    tab = build_at(0.25)
-    seen.clear()
-    run_verification(f, tab, S, 1.0, 4, 0.05)
-    assert [X for X in seen if id(X) in samples] == list(S.configurations)
-    seen.clear()
-    convergence_sweep(f, [0.5, 0.25, 0.125], S, build_at)
-    assert [X for X in seen if id(X) in samples] == list(S.configurations)
+        tab = build_at(0.25)
+        seen.clear()
+        run_verification(f, tab, S, 1.0, 4, 0.05)
+        # the samples, then their 4 permuted copies each (an identity draw
+        # repeats a sample's rows, so the copies are told apart by position)
+        assert seen[:40] == samples and len(seen) == 40 + 40 * 4
+        copies = np.sort(np.array(seen[40:]).reshape(40, 4, 3, 2), axis=2)
+        assert (copies == np.sort(S.points, axis=1)[:, None]).all()
+        seen.clear()
+        # stencil rows and corners never equal a sample's rows
+        convergence_sweep(f, [0.5, 0.25, 0.125], S, build_at)
+        assert [rows for rows in seen if rows in distinct] == samples
 
 
 # Every tabulator kind, indicator and smooth: its builder and build options.
@@ -376,20 +399,20 @@ def test_one_pass_over_two_evaluators_equals_two_passes(kind, N, d):
         (builtin_target("vandermonde-gauss-antisym"), build_antisym, 5),  # runs the Cauchy check
     ],
 )
-def test_run_verification_permutes_each_draw_once(monkeypatch, f, build, n_perms):
-    calls = []
-    permute = harness.permute
-    monkeypatch.setattr(harness, "permute", lambda X, s: calls.append(s) or permute(X, s))
+def test_run_verification_permutes_each_draw_once(f, build, n_perms):
     S = sample_configurations(UNIT_13, 150, 46)
     tab = build(f, LatticeSpec.from_domain(UNIT_13, 0.25), 3)
-    report = run_verification(f, tab, S, 1.0, n_perms, 0.05)
+    traced, seen = recorded(f, batch=True)
+    report = run_verification(traced, tab, S, 1.0, n_perms, 0.05)
     kept = 0
     if report.cauchy_residual is not None:
         for X in S.configurations:
             xs = [p.coords[0] for p in X.points]
             kept += min(abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]) >= 0.05
         assert kept > 0
-    assert len(calls) == 150 * n_perms + math.factorial(3) * kept
+    # the samples, each draw once, and per kept sample its base and its 3! - 1
+    # other orders (the identity's residual needs no evaluation)
+    assert len(seen) == 150 + 150 * n_perms + math.factorial(3) * kept
 
 
 def assert_same_as_validated(X):
@@ -424,6 +447,53 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
     assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
     for X in list(S.configurations) + seen + corners:
         assert_same_as_validated(X)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_reports_are_equal_through_the_batch_and_one_call_per_row(kind, d):
+    build, options = KINDS[kind]
+    name = "gaussian-pair-sym" if build is build_sym else "vandermonde-gauss-antisym"
+    f = builtin_target(name)
+    unbatched = replace(f, batch=None)
+    domain = DomainSpec(d=d, N=3, lo=0.0, hi=1.0)
+    S = sample_configurations(domain, 150, 48 + d)
+    if kind.endswith("smooth"):
+        options = dict(options, smooth_width=1 / 16)
+
+    def build_at(delta):
+        return build(f, LatticeSpec.from_domain(domain, delta), 3, **options)
+
+    tab = build_at(0.25)
+    reports = [
+        run_verification(g, tab, S, gradient_bound_estimate(g, S), 4, 0.05)
+        for g in (f, unbatched)
+    ]
+    assert repr(reports[0]) == repr(reports[1])
+    sweeps = [
+        convergence_sweep(g, [0.5, 0.25, 0.125], S, build_at) for g in (f, unbatched)
+    ]
+    rows = [[replace(r, wall_time_s=0.0) for r in res.rows] for res in sweeps]
+    assert repr(rows[0]) == repr(rows[1])
+    fits = [repr((res.slope, res.gradient_bound)) for res in sweeps]
+    assert fits[0] == fits[1]
+
+
+def test_run_verification_peak_memory_is_bounded():
+    # The harness works on blocks of samples, so its arrays do not grow with
+    # the sample count; evaluating one configuration at a time it peaked at
+    # 2.12 MB at this shape.
+    domain = DomainSpec(d=2, N=3, lo=0.0, hi=1.0)
+    f = builtin_target("gaussian-pair-sym")
+    tab = build_sym(f, LatticeSpec.from_domain(domain, 0.25), 3)
+    S = sample_configurations(domain, 20_000, 5)
+    tracemalloc.start()
+    try:
+        run_verification(f, tab, S, 1.0, 8, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sampling_a_domain_too_wide_for_a_finite_span_is_an_error():
