@@ -31,7 +31,16 @@ forms every pair sum of the search, the validity test and the batched
 corner products one component at a time, so none depends on the BLAS
 build. ``tau`` is a floor: every chosen direction must pass
 ``directions_valid`` at tau, the rule the loader applies, and an entry
-whose best candidate fails raises DirectionSearchError. At d = 1 every
+whose best candidate fails raises DirectionSearchError.
+
+The score and the validity test read an entry only through its integer
+index differences z_i - z_j, and all of those follow from z_i - z_0. So
+entries that are translates of each other get the same direction, bit for
+bit, and the build searches each difference pattern once, on the key with
+z_0 = 0, and gathers the directions back to the entries; the corner
+products and quotients are still formed per entry. A pattern that fails is
+reported by its first entry in key order, as an entry-by-entry search
+would report it. At d = 1 every
 candidate is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every
 entry takes (1,).
 
@@ -47,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, ValuesView
 
 import numpy as np
 
@@ -67,8 +76,10 @@ from .lattice import (
 )
 from .approx_sym import (
     BuildStats,
+    _CORNER_CHUNK,
     _check_batch_input,
     _check_eval_input,
+    _in_key_order,
     _lex_ranks,
     _located,
     _site_index,
@@ -101,10 +112,13 @@ MODE_PROJECTED = "projected"
 DEFAULT_TAU = 1e-3
 # Unit candidates per d in the projected direction search.
 _CANDIDATES = 64
-# Entries per batched direction search. It sizes the search's three
-# (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised the
-# build's peak RSS and saved little time.
+# Difference patterns per batched direction search. It sizes the search's
+# three (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised
+# the build's peak RSS and saved little time.
 _DIRECTION_CHUNK = 256
+# Difference-pattern codes per key up to which the codes are marked in a
+# dense presence array rather than sorted.
+_DENSE_PATTERNS = 4
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -207,31 +221,85 @@ def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ..
     return prod
 
 
-def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
-    """The direction of every key of a (K, N, d) index array, as a (K, d) array.
-
-    Each key takes the candidate of ``_candidate_table(d)`` that maximizes
-    min over pairs of |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a
-    tie. The first key whose choice fails ``directions_valid`` at tau raises
-    DirectionSearchError.
-    """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+def _search_directions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The direction of every key of a (K, N, d) index array, as a (K, d)
+    array, and its score, as a (K,) array: each key takes the candidate of
+    ``_candidate_table(d)`` that maximizes min over pairs of
+    |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie."""
     C = _candidate_table(idx.shape[2])
     score = np.full((_CANDIDATES, len(idx)), np.inf)  # (candidate, key)
     for dot, norm2 in _pair_terms(C[:, None, :], idx):
         np.minimum(score, np.abs(dot, out=dot) / np.sqrt(norm2), out=score)
     best = np.argmax(score, axis=0)
-    A = C[best]
+    return C[best], score[best, np.arange(len(idx))]
+
+
+def _rejection(key: np.ndarray, tau: float, score: float) -> DirectionSearchError:
+    """The error for key (N, d), whose best candidate has ``score`` and fails tau."""
+    zs = tuple(map(tuple, key.tolist()))
+    return DirectionSearchError(
+        f"no candidate direction clears tau = {tau} for Z = {zs}: its best smallest "
+        f"relative pair projection is {float(score)!r}; lower tau"
+    )
+
+
+def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
+    """``_search_directions`` of a (K, N, d) index array, as a (K, d) array.
+    The first key whose choice fails ``directions_valid`` at tau raises
+    DirectionSearchError."""
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    A, score = _search_directions(idx)
     rejected = np.flatnonzero(~directions_valid(A, idx, tau))
     if len(rejected):
         k = rejected[0]
-        zs = tuple(map(tuple, idx[k].tolist()))
-        raise DirectionSearchError(
-            f"no candidate direction clears tau = {tau} for Z = {zs}: its best smallest "
-            f"relative pair projection is {float(score[best[k], k])!r}; lower tau"
-        )
+        raise _rejection(idx[k], tau, score[k])
     return A
+
+
+def _difference_patterns(
+    index: np.ndarray, num: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct difference patterns of the keys num (K, N), whose sites
+    have the multi-indices ``index`` on a lattice of n cells per axis, and
+    the pattern of each key.
+
+    A key's pattern is z_i - z_0 for i >= 1, coded as one int64 whose digits,
+    in radix 2n - 1, are the components offset by n - 1. The codes are
+    marked in a dense presence array when there are at most
+    _DENSE_PATTERNS per key, and sorted by ``np.unique`` otherwise. Returns
+    the patterns in code order as a (P, N, d) index array whose first site
+    is 0 (so some indices are negative), and each key's row in it, (K,).
+    Where the codes would not fit an int64, every key is its own pattern.
+    """
+    K, N = num.shape
+    d = index.shape[1]
+    radix = 2 * n - 1
+    size = radix ** ((N - 1) * d)
+    if size > np.iinfo(np.int64).max:
+        return index[num], np.arange(K)
+    code = np.zeros(K, dtype=np.int64)
+    first = index[num[:, 0]]
+    for i in range(1, N):
+        site = index[num[:, i]]
+        for c in range(d):
+            code *= radix
+            code += site[:, c] - first[:, c] + (n - 1)
+    if size <= _DENSE_PATTERNS * K:
+        seen = np.zeros(size, dtype=bool)
+        seen[code] = True
+        codes = np.flatnonzero(seen)
+        slot = np.empty(size, dtype=np.int64)
+        slot[codes] = np.arange(len(codes))
+        of_key = slot[code]
+    else:
+        codes, of_key = np.unique(code, return_inverse=True)
+    patterns = np.zeros((len(codes), N, d), dtype=np.int64)
+    for i in reversed(range(1, N)):
+        for c in reversed(range(d)):
+            codes, digit = np.divmod(codes, radix)
+            patterns[:, i, c] = digit - (n - 1)
+    return patterns, of_key
 
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -281,10 +349,10 @@ def build_antisym(
 
     Every corner value comes from one ``corner_values`` pass over the strict
     wedge's site-number rows, so a non-finite target value is reported before
-    any direction failure. Projected mode then searches the directions and
-    forms the quotients f(Z)/psi_Z(Z) as arrays, _DIRECTION_CHUNK entries at a
-    time. The table's keys are the same entries as site tuples, in the same
-    order.
+    any direction failure. Projected mode then searches the directions once
+    per difference pattern, _DIRECTION_CHUNK patterns at a time, and forms
+    the quotients f(Z)/psi_Z(Z) per entry, _CORNER_CHUNK entries at a time.
+    The table's keys are the same entries as site tuples, in the same order.
     """
     if f.declared_symmetry is not Symmetry.ANTISYMMETRIC:
         raise ValueError(
@@ -306,13 +374,26 @@ def build_antisym(
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
         return AntisymTabulator(spec, N, None, None, dict(zip(entries, values.tolist())), None)
     index = _site_index(spec)
+    # The search reads only z_i - z_j, so each difference pattern is searched once.
+    patterns, of_key = _difference_patterns(index, num, spec.cells_per_dim)
+    A = np.empty((len(patterns), spec.d))
+    score = np.empty(len(patterns))
+    valid = np.empty(len(patterns), dtype=bool)
+    for start in range(0, len(patterns), _DIRECTION_CHUNK):
+        part = slice(start, start + _DIRECTION_CHUNK)
+        A[part], score[part] = _search_directions(patterns[part])
+        valid[part] = directions_valid(A[part], patterns[part], tau)
+    if not valid.all():
+        k = int(np.argmin(valid[of_key]))  # the first failing key in key order
+        raise _rejection(index[num[k]], tau, score[of_key[k]])
+    A = A[of_key]
+    del patterns, of_key
     positions = spec.origin + index * spec.delta
-    A = np.empty((len(num), spec.d))
-    for start in range(0, len(num), _DIRECTION_CHUNK):
-        rows = num[start : start + _DIRECTION_CHUNK]
-        chunk = A[start : start + len(rows)]
-        chunk[:] = _choose_directions(index[rows], tau)
-        values[start : start + len(rows)] /= _projected_pair_products(chunk, positions[rows])
+    for start in range(0, len(num), _CORNER_CHUNK):
+        rows = num[start : start + _CORNER_CHUNK]
+        values[start : start + len(rows)] /= _projected_pair_products(
+            A[start : start + len(rows)], positions[rows]
+        )
     del num  # freed before the tables are built, which lowers the build's peak memory
     entries = list(entries)
     table = dict(zip(entries, values.tolist()))
@@ -375,16 +456,25 @@ def _inversion_signs(order: np.ndarray) -> np.ndarray:
     return 1 - 2 * (inversions & 1)
 
 
+def _directions_in_key_order(T: AntisymTabulator) -> ValuesView:
+    """``_in_key_order`` of T's directions. Where they hold the table's keys
+    in the table's order (as built and as loaded), that is the table's check,
+    and the lists compare by identity first, so it is cheap."""
+    if list(T.directions) == list(T.table):
+        return T.directions.values()
+    return _in_key_order(T.directions, T.spec, T.N, strict=True)
+
+
 def _antisym_batch(T: AntisymTabulator) -> Callable[[np.ndarray], np.ndarray]:
     """``eval_antisym_batch`` of T as a function of P, with the table (and
-    the directions) read into arrays once. The dicts are in lexicographic
-    key order (as built and as loaded), so a key's rank is its position."""
+    the directions) read into arrays once, in key order, so a key's rank is
+    its position in them."""
     spec = T.spec
     K = len(T.table)
-    values = np.fromiter(T.table.values(), dtype=np.float64, count=K)
+    values = np.fromiter(_in_key_order(T.table, spec, T.N, strict=True), dtype=np.float64, count=K)
     A = None
     if T.directions is not None:
-        flat = chain.from_iterable(T.directions.values())
+        flat = chain.from_iterable(_directions_in_key_order(T))
         A = np.fromiter(flat, dtype=np.float64, count=K * spec.d).reshape(K, spec.d)
     shape = (spec.cells_per_dim,) * spec.d
 

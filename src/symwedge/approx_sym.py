@@ -18,9 +18,10 @@ points, columns are slots), walked over slot subsets in Gray-code order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Callable
+from itertools import combinations, combinations_with_replacement, product, zip_longest
+from typing import Callable, ValuesView
 
 import numpy as np
 
@@ -120,13 +121,48 @@ def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
     """The (K, N) site numbers of the wedge's entries, or of the strict
     wedge's (N distinct sites), in lexicographic order. Numbers order as
     their sites do, so row k is the k-th entry ``combinations`` (strict) or
-    ``combinations_with_replacement`` makes of the site tuples."""
-    if strict:
-        choose, K = combinations, math.comb(site_count, N)
-    else:
-        choose, K = combinations_with_replacement, math.comb(site_count + N - 1, N)
-    flat = chain.from_iterable(choose(range(site_count), N))
-    return np.fromiter(flat, dtype=np.int64, count=K * N).reshape(K, N)
+    ``combinations_with_replacement`` makes of the site tuples.
+
+    Made a column at a time: each row of the first j columns is followed, in
+    order, by one row per site column j may hold, from the row's last site
+    (plus one if strict) up to the last site that leaves room for the
+    columns after it. So every partial row completes, and no partial array
+    has more rows than the result."""
+    step = 1 if strict else 0
+    num = np.zeros((1, 0), dtype=np.int64)
+    for j in range(N):
+        low = num[:, -1] + step if j else np.zeros(1, dtype=np.int64)
+        counts = np.maximum(site_count - (N - 1 - j) * step - low, 0)
+        starts = np.cumsum(counts) - counts
+        column = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts - low, counts)
+        num = np.column_stack([np.repeat(num, counts, axis=0), column])
+    return num
+
+
+def _in_key_order(table: dict, spec: LatticeSpec, N: int, strict: bool) -> ValuesView:
+    """The values of ``table`` (a tabulator's table or directions), once its
+    keys are checked to be the wedge's entries, or the strict wedge's (N
+    distinct sites), in lexicographic order, as the builders and
+    ``load_model`` make them. The first key that is missing, extra or out of
+    place raises ValueError naming it."""
+    choose = combinations if strict else combinations_with_replacement
+    count = math.comb(spec.site_count + (0 if strict else N - 1), N)
+    if len(table) == count and all(map(operator.eq, table, choose(lattice_sites(spec), N))):
+        return table.values()
+    pairs = zip_longest(choose(lattice_sites(spec), N), table)
+    want, have = next(pair for pair in pairs if pair[0] != pair[1])
+    sites = set(lattice_sites(spec))
+    below = operator.lt if strict else operator.le
+    if have is not None and not (
+        isinstance(have, tuple)
+        and len(have) == N
+        and all(site in sites for site in have)
+        and all(map(below, have, have[1:]))
+    ):
+        raise ValueError(f"table key {have} is not an entry of the wedge")
+    if want not in table:  # the table's keys before it were the entries before it
+        raise ValueError(f"table has no value for wedge entry {want}")
+    raise ValueError(f"table key {have} is out of order: wedge entry {want} comes first")
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
@@ -309,9 +345,9 @@ def _lex_ranks(t: np.ndarray, m: int) -> np.ndarray:
 
 def _sym_batch(T: SymmetricTabulator) -> Callable[[np.ndarray], np.ndarray]:
     """``eval_sym_batch`` of T as a function of P, with the table read into
-    an array once. The dict is in lexicographic key order (as built and as
-    loaded), so a key's rank is its position in the array."""
-    values = np.fromiter(T.table.values(), dtype=np.float64, count=len(T.table))
+    an array once, in key order, so a key's rank is its position in it."""
+    table = _in_key_order(T.table, T.spec, T.N, strict=False)
+    values = np.fromiter(table, dtype=np.float64, count=len(table))
     m = T.spec.site_count + T.N - 1
     shift = np.arange(T.N)
 

@@ -39,17 +39,27 @@ violated rule above.
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
 the key, that every value field is a float.hex number, and a finite coefficient;
-and last the directions, in record order. Keys are made a block of records
-at a time, each the text of its entry's first N - 1 sites plus that of its
-last site; ``save_model`` writes the same key text.
+and last the directions, in record order. The loader makes keys a block of
+records at a time, each the text of its entry's first N - 1 sites plus that
+of its last site.
+
+``save_model`` reads the table (and directions) in key order, which it
+checks first, and writes the records a block of about ``_BLOCK`` at a time
+from arrays: each block is one uint8 array, a NUL-padded row per record,
+from which the NULs are dropped. A key is gathered from each site's text,
+made once per save; a value field is float.hex's text, made from the
+float's bits (sign, "0x1." or "0x0.", 13 hex digits, and an exponent from a
+table made on first use), with zero written "0x0.0p+0". The blocks stream
+to the temp file, so the file's text is never held whole.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, islice, repeat
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 import numpy as np
 
@@ -57,10 +67,19 @@ from .approx_antisym import (
     KIND_PROJECTED,
     KIND_RANK,
     AntisymTabulator,
+    _directions_in_key_order,
     _key_array,
     directions_valid,
 )
-from .approx_sym import KIND_SYM, MODE_INDICATOR, MODE_SMOOTH, SymmetricTabulator
+from .approx_sym import (
+    KIND_SYM,
+    MODE_INDICATOR,
+    MODE_SMOOTH,
+    SymmetricTabulator,
+    _in_key_order,
+    _site_index,
+    _site_numbers,
+)
 from .errors import CapacityError, ConfigError
 from .lattice import LatticeSpec, WedgeKey, _check_smooth_width, lattice_sites, wedge_size
 
@@ -91,18 +110,20 @@ _T = TypeVar("_T")
 _BLOCK = 4096
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file and a crashed writer leaves the old content intact. The
-    temp file is created with mode 0o666, which the umask reduces as for a
-    plain ``open``; O_EXCL keeps a clashing name from being shared."""
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or the str chunks of an iterable, which are
+    written one by one as it yields them, via a sibling temp file and rename,
+    so readers never see a partial file and a crashed writer (or an iterable
+    that raises) leaves the old content intact. The temp file is created with
+    mode 0o666, which the umask reduces as for a plain ``open``; O_EXCL keeps
+    a clashing name from being shared."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,11 +157,98 @@ def _key_blocks(spec: LatticeSpec, N: int, kind: str) -> Iterator[tuple[list[Wed
         yield list(islice(entries, len(keys))), keys
 
 
+# float.hex text, in fixed-width columns padded with NUL bytes: an optional
+# "-", "0x1." or "0x0.", 13 hex digits and an exponent of at most 6 bytes,
+# held in 8 so that one uint64 copies it.
+_HEX_WIDTH = 26
+
+
+@cache
+def _hex_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The two hex digits of each byte value (256,), and the exponent text
+    float.hex writes for each biased exponent (2048,), as ASCII in uint16
+    and NUL-padded uint64 words; a subnormal's (biased 0) is p-1022. Made on
+    first use, not on import."""
+    pairs = np.array([f"{byte:02x}".encode() for byte in range(256)], dtype="S2")
+    exponents = [f"p{max(biased, 1) - 1023:+d}".encode() for biased in range(2048)]
+    return pairs.view(np.uint16), np.array(exponents, dtype="S8").view(np.uint64)
+
+
+def _ascii(text: bytes, width: int) -> np.ndarray:
+    return np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
+
+
+def _hex_columns(x: np.ndarray) -> np.ndarray:
+    """float.hex of each float of x (M,), as (M, _HEX_WIDTH) ASCII bytes
+    padded with NULs: the text is the row with its NULs dropped."""
+    pairs, exponents = _hex_tables()
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    M = len(bits)
+    octets = bits.astype(">u8").view(np.uint8).reshape(M, 8)  # most significant first
+    biased = (bits >> 52).astype(np.intp) & 0x7FF
+    out = np.zeros((M, _HEX_WIDTH), dtype=np.uint8)
+    out[octets[:, 0] >= 0x80, 0] = ord("-")
+    out[:, 1:5] = _ascii(b"0x1.", 4)
+    out[biased == 0, 3] = ord("0")
+    out[:, 5] = pairs[octets[:, 1] & 0xF].view(np.uint8)[1::2]  # the top 4 mantissa bits
+    out[:, 6:18] = pairs[octets[:, 2:]].view(np.uint8)
+    out[:, 18:] = exponents[biased].view(np.uint8).reshape(M, 8)
+    tail = _HEX_WIDTH - 1
+    out[bits << 1 == 0, 1:] = _ascii(b"0x0.0p+0", tail)
+    special = biased == 0x7FF
+    if special.any():
+        out[special & (bits << 12 == 0), 1:] = _ascii(b"inf", tail)
+        out[special & (bits << 12 != 0)] = _ascii(b"nan", _HEX_WIDTH)  # float.hex drops its sign
+    return out
+
+
+def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) -> Iterator[str]:
+    """The text of the records of a model whose value fields are the rows of
+    values (K, per), in blocks of about ``_BLOCK`` records. Each block is
+    laid out as one uint8 array, a row per record padded with NULs, and
+    joined by dropping the NULs. A record's key is the text of its entry's
+    sites, each index in decimal followed by one space, as ``_key_blocks``
+    writes it: each site's text is made once, from ``_site_index``, and
+    gathered by the entries' ``_site_numbers``."""
+    K, per = values.shape
+    if K == 0:
+        return
+    n = spec.cells_per_dim
+    width = len(str(n - 1)) + 1
+    digits = np.array([f"{i} ".encode() for i in range(n)], dtype=f"S{width}")
+    site_text = digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
+    num = _site_numbers(spec.site_count, N, strict)
+    key_width = N * spec.d * width
+    for start in range(0, K, _BLOCK):
+        block = values[start : start + _BLOCK]
+        B = len(block)
+        rows = np.empty((B, key_width + per * (_HEX_WIDTH + 1)), dtype=np.uint8)
+        rows[:, :key_width] = site_text[num[start : start + B]].reshape(B, key_width)
+        fields = rows[:, key_width:].reshape(B, per, _HEX_WIDTH + 1)
+        fields[:, :, :_HEX_WIDTH] = _hex_columns(block.reshape(-1)).reshape(B, per, _HEX_WIDTH)
+        fields[:, :, _HEX_WIDTH] = ord(" ")
+        fields[:, -1, _HEX_WIDTH] = ord("\n")
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def save_model(path: str, tab: Tabulator) -> None:
+    """Write ``tab`` as a model file. Its table (and directions) must hold
+    the wedge's entries in key order, as the builders and ``load_model``
+    make them; the first key that is missing, extra or out of place raises
+    ValueError, and nothing is written."""
     spec = tab.spec
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
-    lines = [
+    directions = getattr(tab, "directions", None)
+    strict = tab.kind != KIND_SYM
+    K = len(tab.table)
+    table = _in_key_order(tab.table, spec, tab.N, strict)
+    values = np.fromiter(table, dtype=np.float64, count=K)[:, None]
+    if directions is not None:
+        flat = chain.from_iterable(_directions_in_key_order(tab))
+        A = np.fromiter(flat, dtype=np.float64, count=K * spec.d).reshape(K, spec.d)
+        values = np.concatenate([values, A], axis=1)
+    header = [
         f"{MAGIC} {FORMAT_VERSION}",
         f"kind {tab.kind}",
         f"d {spec.d}",
@@ -152,16 +260,10 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"mode {MODE_SMOOTH if smooth is not None else MODE_INDICATOR}",
         f"w {smooth.hex() if smooth is not None else '-'}",
         f"tau {tau.hex() if tau is not None else '-'}",
-        f"entries {len(tab.table)}",
+        f"entries {K}",
     ]
-    directions = getattr(tab, "directions", None)
-    for zs, keys in _key_blocks(spec, tab.N, tab.kind):
-        values = map(float.hex, map(tab.table.__getitem__, zs))
-        if directions is not None:
-            components = map(float.hex, chain.from_iterable(map(directions.__getitem__, zs)))
-            values = map(" ".join, zip(values, *[components] * spec.d))
-        lines += map(str.__add__, keys, values)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    blocks = _record_blocks(spec, tab.N, strict, values)
+    write_text_atomic(path, chain(["\n".join(header) + "\n"], blocks))
 
 
 def _field(lines: list[str], idx: int, key: str, parse: Callable[[str], _T] = str) -> _T:

@@ -2,7 +2,9 @@ import functools
 import itertools
 import math
 import os
+import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,10 +34,12 @@ from symwedge import (
     save_model,
     vandermonde_product,
 )
+import symwedge.approx_antisym as approx_antisym
 from symwedge.approx_antisym import (
     _CANDIDATES,
     _candidate_table,
     _choose_directions,
+    _difference_patterns,
     _key_array,
     _projected_pair_product,
     _projected_pair_products,
@@ -43,6 +47,7 @@ from symwedge.approx_antisym import (
     entry_seed,
     fnv1a64,
 )
+from symwedge.approx_sym import _site_index, _site_numbers
 from symwedge.harness import reset_philox
 from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
 
@@ -320,6 +325,83 @@ def test_batched_search_exhausted_budget_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as built:
         build_antisym(f, spec, 3, mode=MODE_PROJECTED, tau=0.9)
     assert str(built.value) == message
+
+
+def pattern_code(zs, n):
+    """The code of zs's difference pattern: the components of z_i - z_0
+    (i >= 1) offset by n - 1, as the digits of one radix 2n - 1 number."""
+    code = 0
+    for site in zs[1:]:
+        for a, b in zip(site, zs[0]):
+            code = code * (2 * n - 1) + (a - b + n - 1)
+    return code
+
+
+def test_a_failed_build_names_the_first_failing_key_in_key_order():
+    # Two difference patterns fail at this tau, and the one with the smaller
+    # code first appears after the first key of the other, so a search in
+    # code order meets the later key's pattern first.
+    spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
+    tau = 0.514
+    failing = []
+    for zs in distinct_keys(spec, 3):
+        a, score = maximin_direction(zs)
+        if not draw_is_valid(a, zs, tau):
+            failing.append((zs, score))
+    codes = [pattern_code(zs, 4) for zs, _ in failing]
+    assert len(set(codes)) == 2 and codes[0] > min(codes)
+    zs, score = failing[0]
+    f = builtin_target("vandermonde-gauss-antisym")
+    with pytest.raises(DirectionSearchError) as built:
+        build_antisym(f, spec, 3, mode=MODE_PROJECTED, tau=tau)
+    assert str(built.value) == rejection_message(zs, tau, score)
+
+
+@pytest.mark.parametrize(
+    "cells, d, N", [(4, 2, 3), (12, 1, 4), (2, 3, 5), (3, 2, 1), (2, 5, 30)],
+    ids=["4x4", "d1", "d3", "N1", "codes-past-int64"],
+)
+@pytest.mark.parametrize("dense", [0, 10**9], ids=["unique", "dense"])
+def test_difference_patterns_give_back_every_key(monkeypatch, cells, d, N, dense):
+    monkeypatch.setattr(approx_antisym, "_DENSE_PATTERNS", dense)
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    index = _site_index(spec)
+    num = _site_numbers(spec.site_count, N, strict=True)
+    keys = index[num]
+    patterns, of_key = _difference_patterns(index, num, cells)
+    if (2 * cells - 1) ** ((N - 1) * d) < 2**63:
+        assert (patterns[:, 0] == 0).all()
+        assert (patterns[of_key] + keys[:, :1] == keys).all()
+    else:  # codes would not fit an int64: every key is its own pattern
+        assert (patterns[of_key] == keys).all()
+    flat = patterns.reshape(len(patterns), -1)
+    assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
+
+
+@pytest.mark.parametrize("dense", [0, 10**9], ids=["unique", "dense"])
+def test_projected_builds_are_the_same_through_either_pattern_path(monkeypatch, dense):
+    spec = LatticeSpec.from_counts(5, 2, 0.0, 1.0)
+    f = builtin_target("vandermonde-gauss-antisym")
+    want = build_antisym(f, spec, 3, mode=MODE_PROJECTED)
+    monkeypatch.setattr(approx_antisym, "_DENSE_PATTERNS", dense)
+    got = build_antisym(f, spec, 3, mode=MODE_PROJECTED)
+    assert list(got.table) == list(want.table)
+    assert bits(list(got.table.values())) == bits(list(want.table.values()))
+    assert [bits(a) for a in got.directions.values()] == [bits(a) for a in want.directions.values()]
+
+
+def test_eval_antisym_batch_reads_tables_only_in_key_order():
+    spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
+    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
+    P = np.array([[[0.1], [0.5]]])
+    assert eval_antisym_batch(T, P).tolist() == [eval_antisym(T, cfg([0.1], [0.5]))]
+    message = "table key ((1,), (2,)) is out of order: wedge entry ((0,), (1,)) comes first"
+    for reordered in (
+        replace(T, table=dict(reversed(T.table.items()))),
+        replace(T, directions=dict(reversed(T.directions.items()))),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eval_antisym_batch(reordered, P)
 
 
 def unit_rows(rng, count, d):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -406,6 +407,44 @@ def test_eval_sym_batch_takes_indicator_tables_and_their_shape():
                        np.zeros((1, 2, 1)))
     with pytest.raises(ValueError, match=r"\(B, N, d\) = \(B, 2, 1\)"):
         eval_sym_batch(build_sym(SUM_12, SPEC_HALF, 2), np.zeros((1, 3, 1)))
+
+
+SITE_NUMBER_SHAPES = [(0, 2), (1, 1), (5, 0), (5, 1), (5, 3), (4, 4), (3, 5), (64, 3)]
+
+
+@pytest.mark.parametrize(
+    "S, N, strict",
+    [(S, N, strict) for S, N in SITE_NUMBER_SHAPES for strict in (True, False)]
+    + [(32, 30, True)],  # 496 entries, though most shorter prefixes have no completion
+)
+def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
+    choose = itertools.combinations if strict else itertools.combinations_with_replacement
+    want = list(choose(range(S), N))
+    got = approx_sym._site_numbers(S, N, strict)
+    assert got.shape == (len(want), N) and got.dtype == np.int64
+    assert list(map(tuple, got.tolist())) == want
+
+
+def test_batch_eval_reads_tables_only_in_key_order():
+    spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
+    T = build_sym(builtin_target("product-smooth-sym"), spec, 2)
+    P = np.array([[[0.1], [0.5]]])
+    assert eval_sym(T, cfg([0.1], [0.5])) == 1.25
+    assert eval_sym_batch(T, P).tolist() == [1.25]
+    keys = list(T.table)  # ((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (1,)), ...
+    for table, message in (
+        (dict(reversed(T.table.items())),
+         "table key ((2,), (2,)) is out of order: wedge entry ((0,), (0,)) comes first"),
+        ({k: T.table[k] for k in keys if k != ((1,), (1,))},
+         "table has no value for wedge entry ((1,), (1,))"),
+        ({**T.table, ((2,), (1,)): 0.0}, "table key ((2,), (1,)) is not an entry of the wedge"),
+        ({((0,), (0,)): 0.0, ((0,), (3,)): 0.0, **T.table},
+         "table key ((0,), (3,)) is not an entry of the wedge"),
+    ):
+        reordered = replace(T, table=table)
+        assert eval_sym(reordered, cfg([0.1], [0.5])) == 1.25  # the scalar path looks keys up
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eval_sym_batch(reordered, P)
 
 
 # ---------------------------------------------------------------- feature form

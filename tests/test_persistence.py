@@ -4,6 +4,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -181,6 +183,107 @@ def test_write_text_atomic_creates_directories(tmp_path):
     path = tmp_path / "a" / "b" / "f.txt"
     write_text_atomic(str(path), "payload\n")
     assert path.read_text() == "payload\n"
+
+
+def test_write_text_atomic_streams_chunks_and_a_raising_iterator_leaves_the_old_file(tmp_path):
+    path = tmp_path / "m.swm"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "x" * 100_000
+        [tmp] = [p for p in tmp_path.iterdir() if p.name != "m.swm"]
+        assert tmp.stat().st_size >= 100_000  # written before the next chunk is made
+        yield "y"
+        raise RuntimeError("midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_text_atomic(str(path), chunks())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.swm"]
+    write_text_atomic(str(path), iter(["new ", "text\n"]))
+    assert path.read_text() == "new text\n"
+
+
+# Floats whose float.hex text has a shape of its own: zeros, subnormals, the
+# smallest and largest normals, exponents of every width, and non-finite ones.
+HEX_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.5,
+    0.5, 1024.0, 1e-100, 1e100, math.inf, -math.inf, math.nan, -math.nan,
+]
+
+
+def hex_texts(x):
+    rows = persistence._hex_columns(np.asarray(x, dtype=np.float64))
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def test_vectorized_hex_is_float_hex_on_edge_values():
+    assert hex_texts(HEX_EDGES) == [value.hex() for value in HEX_EDGES]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_vectorized_hex_is_float_hex_on_any_bit_pattern(patterns):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert hex_texts(x) == [value.hex() for value in x.tolist()]
+
+
+@pytest.mark.parametrize("cells, N, d", [(11, 2, 2), (101, 2, 1)], ids=["11-cells", "101-cells"])
+@pytest.mark.parametrize("kind", ["sym", MODE_RANK, MODE_PROJECTED])
+def test_written_keys_are_the_key_text_load_model_makes(tmp_path, kind, cells, N, d):
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    if kind == "sym":
+        tab = build_sym(builtin_target("sum-coords"), spec, N)
+    else:
+        tab = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N, mode=kind)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    records = path.read_text().splitlines()[12:]
+    keys = [key for _, block in persistence._key_blocks(spec, N, tab.kind) for key in block]
+    assert len(records) == len(keys) == len(tab.table)
+    assert [record[: len(key)] for record, key in zip(records, keys)] == keys
+    per = 1 + (d if kind == MODE_PROJECTED else 0)
+    values = [record[len(key) :].split(" ") for record, key in zip(records, keys)]
+    assert all(len(fields) == per and fields[0].lstrip("-").startswith("0x") for fields in values)
+
+
+def test_save_writes_only_tables_in_key_order(tmp_path):
+    spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
+    f = builtin_target("vandermonde-gauss-antisym")
+    tab = build_antisym(f, spec, 2, mode=MODE_PROJECTED)
+    path = tmp_path / "m.swm"
+    path.write_text("old\n")
+    out_of_order = "table key ((1,), (2,)) is out of order: wedge entry ((0,), (1,)) comes first"
+    for bad, message in (
+        (replace(tab, table={**tab.table, ((2,), (0,)): 1.0}),
+         "table key ((2,), (0,)) is not an entry of the wedge"),
+        (replace(tab, table=dict(reversed(tab.table.items()))), out_of_order),
+        (replace(tab, directions=dict(reversed(tab.directions.items()))), out_of_order),
+        (replace(tab, table=dict(list(tab.table.items())[1:])),
+         "table has no value for wedge entry ((0,), (1,))"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_model(str(path), bad)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.swm"]
+
+
+def test_importing_the_cli_makes_no_hex_tables():
+    # the benchmark times a fresh import of the CLI; the tables are made on first use
+    code = (
+        "import numpy, symwedge.cli, symwedge.persistence as p\n"
+        "print(p._hex_tables.cache_info().currsize)\n"
+        "p._hex_columns(numpy.zeros(1))\n"
+        "print(p._hex_tables.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1"]
 
 
 def test_load_rejects_bad_magic(tmp_path):
