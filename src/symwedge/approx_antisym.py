@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence, ValuesView
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,9 +116,6 @@ _CANDIDATES = 64
 # three (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised
 # the build's peak RSS and saved little time.
 _DIRECTION_CHUNK = 256
-# Difference-pattern codes per key up to which the codes are marked in a
-# dense presence array rather than sorted.
-_DENSE_PATTERNS = 4
 
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
@@ -265,12 +262,11 @@ def _difference_patterns(
     the pattern of each key.
 
     A key's pattern is z_i - z_0 for i >= 1, coded as one int64 whose digits,
-    in radix 2n - 1, are the components offset by n - 1. The codes are
-    marked in a dense presence array when there are at most
-    _DENSE_PATTERNS per key, and sorted by ``np.unique`` otherwise. Returns
-    the patterns in code order as a (P, N, d) index array whose first site
-    is 0 (so some indices are negative), and each key's row in it, (K,).
-    Where the codes would not fit an int64, every key is its own pattern.
+    in radix 2n - 1, are the components offset by n - 1; ``np.unique`` sorts
+    the codes. Returns the patterns in code order as a (P, N, d) index array
+    whose first site is 0 (so some indices are negative), and each key's row
+    in it, (K,). Where the codes would not fit an int64, every key is its own
+    pattern.
     """
     K, N = num.shape
     d = index.shape[1]
@@ -285,15 +281,7 @@ def _difference_patterns(
         for c in range(d):
             code *= radix
             code += site[:, c] - first[:, c] + (n - 1)
-    if size <= _DENSE_PATTERNS * K:
-        seen = np.zeros(size, dtype=bool)
-        seen[code] = True
-        codes = np.flatnonzero(seen)
-        slot = np.empty(size, dtype=np.int64)
-        slot[codes] = np.arange(len(codes))
-        of_key = slot[code]
-    else:
-        codes, of_key = np.unique(code, return_inverse=True)
+    codes, of_key = np.unique(code, return_inverse=True)
     patterns = np.zeros((len(codes), N, d), dtype=np.int64)
     for i in reversed(range(1, N)):
         for c in reversed(range(d)):
@@ -456,26 +444,15 @@ def _inversion_signs(order: np.ndarray) -> np.ndarray:
     return 1 - 2 * (inversions & 1)
 
 
-def _directions_in_key_order(T: AntisymTabulator) -> ValuesView:
-    """``_in_key_order`` of T's directions. Where they hold the table's keys
-    in the table's order (as built and as loaded), that is the table's check,
-    and the lists compare by identity first, so it is cheap."""
-    if list(T.directions) == list(T.table):
-        return T.directions.values()
-    return _in_key_order(T.directions, T.spec, T.N, strict=True)
-
-
 def _antisym_batch(T: AntisymTabulator) -> Callable[[np.ndarray], np.ndarray]:
     """``eval_antisym_batch`` of T as a function of P, with the table (and
     the directions) read into arrays once, in key order, so a key's rank is
     its position in them."""
     spec = T.spec
-    K = len(T.table)
-    values = np.fromiter(_in_key_order(T.table, spec, T.N, strict=True), dtype=np.float64, count=K)
+    values = _in_key_order(T.table, spec, T.N, strict=True)
     A = None
     if T.directions is not None:
-        flat = chain.from_iterable(_directions_in_key_order(T))
-        A = np.fromiter(flat, dtype=np.float64, count=K * spec.d).reshape(K, spec.d)
+        A = _in_key_order(T.directions, spec, T.N, strict=True, d=spec.d)
     shape = (spec.cells_per_dim,) * spec.d
 
     def batch(P: np.ndarray) -> np.ndarray:

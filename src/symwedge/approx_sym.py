@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product, zip_longest
-from typing import Callable, ValuesView
+from itertools import chain, combinations, combinations_with_replacement, product
+from typing import Callable
 
 import numpy as np
 
@@ -139,30 +139,29 @@ def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
     return num
 
 
-def _in_key_order(table: dict, spec: LatticeSpec, N: int, strict: bool) -> ValuesView:
-    """The values of ``table`` (a tabulator's table or directions), once its
-    keys are checked to be the wedge's entries, or the strict wedge's (N
-    distinct sites), in lexicographic order, as the builders and
-    ``load_model`` make them. The first key that is missing, extra or out of
-    place raises ValueError naming it."""
+def _in_key_order(table: dict, spec: LatticeSpec, N: int, strict: bool, d: int = 0) -> np.ndarray:
+    """The values of ``table``, a tabulator's table (K,) or, given d, its
+    directions (K, d), in the lexicographic order of the wedge's entries (the
+    strict wedge's, N distinct sites, if strict), so a key's rank is its
+    row. A table in that order, as the builders and ``load_model`` make
+    them, is read as it is; one in any other order is read by key. A wedge
+    entry the table lacks, or a key that is no entry, raises ValueError
+    naming it."""
     choose = combinations if strict else combinations_with_replacement
-    count = math.comb(spec.site_count + (0 if strict else N - 1), N)
-    if len(table) == count and all(map(operator.eq, table, choose(lattice_sites(spec), N))):
-        return table.values()
-    pairs = zip_longest(choose(lattice_sites(spec), N), table)
-    want, have = next(pair for pair in pairs if pair[0] != pair[1])
-    sites = set(lattice_sites(spec))
-    below = operator.lt if strict else operator.le
-    if have is not None and not (
-        isinstance(have, tuple)
-        and len(have) == N
-        and all(site in sites for site in have)
-        and all(map(below, have, have[1:]))
-    ):
-        raise ValueError(f"table key {have} is not an entry of the wedge")
-    if want not in table:  # the table's keys before it were the entries before it
-        raise ValueError(f"table has no value for wedge entry {want}")
-    raise ValueError(f"table key {have} is out of order: wedge entry {want} comes first")
+    K = math.comb(spec.site_count + (0 if strict else N - 1), N)
+    if len(table) == K and all(map(operator.eq, table, choose(lattice_sites(spec), N))):
+        values = table.values()
+    else:
+        values = map(table.__getitem__, choose(lattice_sites(spec), N))
+    try:
+        flat = np.fromiter(chain.from_iterable(values) if d else values, np.float64, K * max(d, 1))
+    except KeyError as exc:
+        raise ValueError(f"table has no value for wedge entry {exc.args[0]}") from None
+    if len(table) != K:  # every entry has its value, so some key is no entry
+        entries = set(choose(lattice_sites(spec), N))
+        extra = next(key for key in table if key not in entries)
+        raise ValueError(f"table key {extra} is not an entry of the wedge")
+    return flat.reshape(K, d) if d else flat
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
@@ -346,8 +345,7 @@ def _lex_ranks(t: np.ndarray, m: int) -> np.ndarray:
 def _sym_batch(T: SymmetricTabulator) -> Callable[[np.ndarray], np.ndarray]:
     """``eval_sym_batch`` of T as a function of P, with the table read into
     an array once, in key order, so a key's rank is its position in it."""
-    table = _in_key_order(T.table, T.spec, T.N, strict=False)
-    values = np.fromiter(table, dtype=np.float64, count=len(table))
+    values = _in_key_order(T.table, T.spec, T.N, strict=False)
     m = T.spec.site_count + T.N - 1
     shift = np.arange(T.N)
 

@@ -43,14 +43,15 @@ and last the directions, in record order. The loader makes keys a block of
 records at a time, each the text of its entry's first N - 1 sites plus that
 of its last site.
 
-``save_model`` reads the table (and directions) in key order, which it
-checks first, and writes the records a block of about ``_BLOCK`` at a time
-from arrays: each block is one uint8 array, a NUL-padded row per record,
-from which the NULs are dropped. A key is gathered from each site's text,
-made once per save; a value field is float.hex's text, made from the
-float's bits (sign, "0x1." or "0x0.", 13 hex digits, and an exponent from a
-table made on first use), with zero written "0x0.0p+0". The blocks stream
-to the temp file, so the file's text is never held whole.
+``save_model`` reads the table (and directions) into arrays in key order,
+whatever the order of its dicts, and writes the records from them, about
+``_WRITE_BYTES`` of text at a time: each block is one uint8 array, a
+NUL-padded row per record, from which the NULs are dropped. A key is
+gathered from each site's text, made once per save; a value field is
+float.hex's text, made from the float's bits (sign, "0x1." or "0x0.", 13
+hex digits, and an exponent from a table made on first use), with zero
+written "0x0.0p+0". The blocks stream to the temp file as bytes, so the
+file's text is never held whole.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .approx_antisym import (
     KIND_PROJECTED,
     KIND_RANK,
     AntisymTabulator,
-    _directions_in_key_order,
     _key_array,
     directions_valid,
 )
@@ -108,22 +108,28 @@ _T = TypeVar("_T")
 # Records per block of keys: ``load_model`` checks and parses a block in a few
 # calls that loop in C, and drops its text before the next.
 _BLOCK = 4096
+# Bytes per block of record text that ``save_model`` lays out. Its arrays stay
+# under 128 KB, glibc's default mmap threshold, as freeing larger ones raises
+# that threshold and changes how the heap is reused later: the query
+# benchmark, which saves four models before it loads them, peaked 3 MB
+# higher with 380 KB blocks.
+_WRITE_BYTES = 64 * 1024
 
 
-def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, a str or the str chunks of an iterable, which are
-    written one by one as it yields them, via a sibling temp file and rename,
-    so readers never see a partial file and a crashed writer (or an iterable
-    that raises) leaves the old content intact. The temp file is created with
-    mode 0o666, which the umask reduces as for a plain ``open``; O_EXCL keeps
-    a clashing name from being shared."""
+def write_text_atomic(path: str, text: str | Iterable[bytes]) -> None:
+    """Write ``text``, a str (as UTF-8) or the bytes chunks of an iterable,
+    which are written one by one as it yields them, via a sibling temp file
+    and rename, so readers never see a partial file and a crashed writer (or
+    an iterable that raises) leaves the old content intact. The temp file is
+    created with mode 0o666, which the umask reduces as for a plain
+    ``open``; O_EXCL keeps a clashing name from being shared."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines([text.encode()] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -202,11 +208,11 @@ def _hex_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) -> Iterator[str]:
+def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) -> Iterator[bytes]:
     """The text of the records of a model whose value fields are the rows of
-    values (K, per), in blocks of about ``_BLOCK`` records. Each block is
-    laid out as one uint8 array, a row per record padded with NULs, and
-    joined by dropping the NULs. A record's key is the text of its entry's
+    values (K, per), as ASCII bytes in blocks of about ``_WRITE_BYTES``. Each
+    block is laid out as one uint8 array, a row per record padded with NULs,
+    and joined by dropping the NULs. A record's key is the text of its entry's
     sites, each index in decimal followed by one space, as ``_key_blocks``
     writes it: each site's text is made once, from ``_site_index``, and
     gathered by the entries' ``_site_numbers``."""
@@ -219,34 +225,32 @@ def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) 
     site_text = digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
     num = _site_numbers(spec.site_count, N, strict)
     key_width = N * spec.d * width
-    for start in range(0, K, _BLOCK):
-        block = values[start : start + _BLOCK]
+    row_width = key_width + per * (_HEX_WIDTH + 1)
+    step = max(1, _WRITE_BYTES // row_width)
+    for start in range(0, K, step):
+        block = values[start : start + step]
         B = len(block)
-        rows = np.empty((B, key_width + per * (_HEX_WIDTH + 1)), dtype=np.uint8)
+        rows = np.empty((B, row_width), dtype=np.uint8)
         rows[:, :key_width] = site_text[num[start : start + B]].reshape(B, key_width)
         fields = rows[:, key_width:].reshape(B, per, _HEX_WIDTH + 1)
         fields[:, :, :_HEX_WIDTH] = _hex_columns(block.reshape(-1)).reshape(B, per, _HEX_WIDTH)
         fields[:, :, _HEX_WIDTH] = ord(" ")
         fields[:, -1, _HEX_WIDTH] = ord("\n")
-        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def save_model(path: str, tab: Tabulator) -> None:
-    """Write ``tab`` as a model file. Its table (and directions) must hold
-    the wedge's entries in key order, as the builders and ``load_model``
-    make them; the first key that is missing, extra or out of place raises
-    ValueError, and nothing is written."""
+    """Write ``tab`` as a model file, its records in key order whatever the
+    order of its dicts. A wedge entry its table (or directions) lacks, or a
+    key that is no entry, raises ValueError, and nothing is written."""
     spec = tab.spec
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
     directions = getattr(tab, "directions", None)
     strict = tab.kind != KIND_SYM
-    K = len(tab.table)
-    table = _in_key_order(tab.table, spec, tab.N, strict)
-    values = np.fromiter(table, dtype=np.float64, count=K)[:, None]
+    values = _in_key_order(tab.table, spec, tab.N, strict)[:, None]
     if directions is not None:
-        flat = chain.from_iterable(_directions_in_key_order(tab))
-        A = np.fromiter(flat, dtype=np.float64, count=K * spec.d).reshape(K, spec.d)
+        A = _in_key_order(directions, spec, tab.N, strict, d=spec.d)
         values = np.concatenate([values, A], axis=1)
     header = [
         f"{MAGIC} {FORMAT_VERSION}",
@@ -260,10 +264,10 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"mode {MODE_SMOOTH if smooth is not None else MODE_INDICATOR}",
         f"w {smooth.hex() if smooth is not None else '-'}",
         f"tau {tau.hex() if tau is not None else '-'}",
-        f"entries {K}",
+        f"entries {len(values)}",
     ]
     blocks = _record_blocks(spec, tab.N, strict, values)
-    write_text_atomic(path, chain(["\n".join(header) + "\n"], blocks))
+    write_text_atomic(path, chain([("\n".join(header) + "\n").encode()], blocks))
 
 
 def _field(lines: list[str], idx: int, key: str, parse: Callable[[str], _T] = str) -> _T:

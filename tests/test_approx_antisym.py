@@ -34,7 +34,6 @@ from symwedge import (
     save_model,
     vandermonde_product,
 )
-import symwedge.approx_antisym as approx_antisym
 from symwedge.approx_antisym import (
     _CANDIDATES,
     _candidate_table,
@@ -361,9 +360,7 @@ def test_a_failed_build_names_the_first_failing_key_in_key_order():
     "cells, d, N", [(4, 2, 3), (12, 1, 4), (2, 3, 5), (3, 2, 1), (2, 5, 30)],
     ids=["4x4", "d1", "d3", "N1", "codes-past-int64"],
 )
-@pytest.mark.parametrize("dense", [0, 10**9], ids=["unique", "dense"])
-def test_difference_patterns_give_back_every_key(monkeypatch, cells, d, N, dense):
-    monkeypatch.setattr(approx_antisym, "_DENSE_PATTERNS", dense)
+def test_difference_patterns_give_back_every_key(cells, d, N):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
     index = _site_index(spec)
     num = _site_numbers(spec.site_count, N, strict=True)
@@ -378,30 +375,20 @@ def test_difference_patterns_give_back_every_key(monkeypatch, cells, d, N, dense
     assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
 
 
-@pytest.mark.parametrize("dense", [0, 10**9], ids=["unique", "dense"])
-def test_projected_builds_are_the_same_through_either_pattern_path(monkeypatch, dense):
-    spec = LatticeSpec.from_counts(5, 2, 0.0, 1.0)
-    f = builtin_target("vandermonde-gauss-antisym")
-    want = build_antisym(f, spec, 3, mode=MODE_PROJECTED)
-    monkeypatch.setattr(approx_antisym, "_DENSE_PATTERNS", dense)
-    got = build_antisym(f, spec, 3, mode=MODE_PROJECTED)
-    assert list(got.table) == list(want.table)
-    assert bits(list(got.table.values())) == bits(list(want.table.values()))
-    assert [bits(a) for a in got.directions.values()] == [bits(a) for a in want.directions.values()]
-
-
-def test_eval_antisym_batch_reads_tables_only_in_key_order():
+def test_eval_antisym_batch_reads_tables_by_key():
     spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
     T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
-    P = np.array([[[0.1], [0.5]]])
-    assert eval_antisym_batch(T, P).tolist() == [eval_antisym(T, cfg([0.1], [0.5]))]
-    message = "table key ((1,), (2,)) is out of order: wedge entry ((0,), (1,)) comes first"
+    P = np.array([[[0.1], [0.5]], [[0.9], [0.1]]])
+    want = [eval_antisym(T, cfg(*map(list, row))) for row in P.tolist()]
+    assert eval_antisym_batch(T, P).tolist() == want
     for reordered in (
         replace(T, table=dict(reversed(T.table.items()))),
         replace(T, directions=dict(reversed(T.directions.items()))),
     ):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            eval_antisym_batch(reordered, P)
+        assert eval_antisym_batch(reordered, P).tolist() == want
+    short = replace(T, directions=dict(list(T.directions.items())[1:]))
+    with pytest.raises(ValueError, match=re.escape("no value for wedge entry ((0,), (1,))")):
+        eval_antisym_batch(short, P)
 
 
 def unit_rows(rng, count, d):
