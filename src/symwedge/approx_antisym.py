@@ -53,9 +53,9 @@ diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,7 +69,6 @@ from .lattice import (
     _check_smooth_width,
     _check_wedge_cap,
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
-    lattice_sites,
     locate,
     repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
@@ -79,11 +78,13 @@ from .approx_sym import (
     _CORNER_CHUNK,
     _check_batch_input,
     _check_eval_input,
-    _in_key_order,
-    _lex_ranks,
+    _frozen,
     _located,
+    _rank_terms,
+    _ranker,
     _site_index,
     _site_numbers,
+    _tabulator_eq,
     _wedge_stats,
     corner_values,
     smooth_weights,
@@ -135,12 +136,6 @@ def fnv1a64(data: bytes) -> int:
 def entry_seed(zs: WedgeKey) -> int:
     """Deterministic per-entry seed: FNV-1a over the little-endian index bytes."""
     return fnv1a64(b"".join(i.to_bytes(8, "little") for site in zs for i in site))
-
-
-def _key_array(keys: Sequence[WedgeKey], N: int, d: int) -> np.ndarray:
-    """The site indices of each key as a (K, N, d) int64 array."""
-    flat = chain.from_iterable(chain.from_iterable(keys))
-    return np.fromiter(flat, dtype=np.int64, count=len(keys) * N * d).reshape(len(keys), N, d)
 
 
 def _pair_terms(A: np.ndarray, P: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -203,7 +198,7 @@ def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau)[0].tolist())
 
 
-def _projected_pair_product(a: tuple[float, ...], rows: Sequence[tuple[float, ...]]) -> float:
+def _projected_pair_product(a: Sequence[float], rows: Sequence[tuple[float, ...]]) -> float:
     """prod_{i<j} a . (rows[i] - rows[j]) in fixed (i, j) order."""
     n = len(rows)
     prod = 1.0
@@ -302,8 +297,11 @@ def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
 class AntisymTabulator:
     """A built table for one anti-symmetric target on one lattice.
 
-    ``directions`` None is the rank construction (``tau`` None too);
-    otherwise it holds each entry's projected direction, chosen at ``tau``.
+    ``table`` holds each stored value of the strict wedge's entries as a
+    read-only (K,) float64 array in the entries' lexicographic order, so an
+    entry's rank is its row. ``directions`` None is the rank construction
+    (``tau`` None too); otherwise it holds each entry's projected direction,
+    chosen at ``tau``, as the read-only (K, d) rows of a float64 array.
     ``smooth_width`` None selects indicator evaluation; a width (projected
     construction only) selects the smooth blend.
     """
@@ -312,8 +310,20 @@ class AntisymTabulator:
     N: int
     tau: float | None
     smooth_width: float | None
-    table: dict[WedgeKey, float]
-    directions: dict[WedgeKey, tuple[float, ...]] | None
+    table: np.ndarray
+    directions: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        K = math.comb(self.spec.site_count, self.N)
+        _frozen("table", self.table, (K,))
+        if self.directions is not None:
+            _frozen("directions", self.directions, (K, self.spec.d))
+
+    __eq__ = _tabulator_eq
+
+    @cached_property
+    def _site_terms(self) -> Callable[[WedgeKey], Iterator[int]]:  # made on the first scalar eval
+        return _ranker(self.spec, self.N, strict=True)
 
     @property
     def kind(self) -> str:
@@ -340,7 +350,6 @@ def build_antisym(
     any direction failure. Projected mode then searches the directions once
     per difference pattern, _DIRECTION_CHUNK patterns at a time, and forms
     the quotients f(Z)/psi_Z(Z) per entry, _CORNER_CHUNK entries at a time.
-    The table's keys are the same entries as site tuples, in the same order.
     """
     if f.declared_symmetry is not Symmetry.ANTISYMMETRIC:
         raise ValueError(
@@ -357,10 +366,9 @@ def build_antisym(
     _check_wedge_cap(spec, N, cap)  # the cap bounds the full wedge
     num = _site_numbers(spec.site_count, N, strict=True)
     values = corner_values(f, spec, num)
-    entries = combinations(lattice_sites(spec), N)
     if mode == MODE_RANK:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
-        return AntisymTabulator(spec, N, None, None, dict(zip(entries, values.tolist())), None)
+        return AntisymTabulator(spec, N, None, None, values, None)
     index = _site_index(spec)
     # The search reads only z_i - z_j, so each difference pattern is searched once.
     patterns, of_key = _difference_patterns(index, num, spec.cells_per_dim)
@@ -375,19 +383,13 @@ def build_antisym(
         k = int(np.argmin(valid[of_key]))  # the first failing key in key order
         raise _rejection(index[num[k]], tau, score[of_key[k]])
     A = A[of_key]
-    del patterns, of_key
     positions = spec.origin + index * spec.delta
     for start in range(0, len(num), _CORNER_CHUNK):
         rows = num[start : start + _CORNER_CHUNK]
         values[start : start + len(rows)] /= _projected_pair_products(
             A[start : start + len(rows)], positions[rows]
         )
-    del num  # freed before the tables are built, which lowers the build's peak memory
-    entries = list(entries)
-    table = dict(zip(entries, values.tolist()))
-    # rows as tuples straight from the columns: a list per row raised the peak
-    directions = dict(zip(entries, zip(*A.T.tolist())))
-    return AntisymTabulator(spec, N, tau, smooth_width, table, directions)
+    return AntisymTabulator(spec, N, tau, smooth_width, values, A)
 
 
 def _sorted_with_sign(X: Configuration) -> tuple[list[tuple[float, ...]], int]:
@@ -418,19 +420,22 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
             return 0.0
         sign = assignment.sign
         zs = assignment.wedge
+        k = sum(T._site_terms(zs))
         if T.directions is None:
-            return sign * T.table[zs]
-        psi = _projected_pair_product(T.directions[zs], [T.spec.position(z) for z in zs])
-        return sign * T.table[zs] * psi
+            return sign * T.table.item(k)
+        a = T.directions[k].tolist()
+        return sign * T.table.item(k) * _projected_pair_product(a, [T.spec.position(z) for z in zs])
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
     rows, sign = _sorted_with_sign(X)
+    terms = T._site_terms
     total = 0.0
     for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
         if repetition_constant(key) > 1:
             continue  # dropped entries carry no value
-        total += weight * T.table[key] * _projected_pair_product(T.directions[key], rows)
+        k = sum(terms(key))
+        total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
     return sign * total
 
 
@@ -444,34 +449,6 @@ def _inversion_signs(order: np.ndarray) -> np.ndarray:
     return 1 - 2 * (inversions & 1)
 
 
-def _antisym_batch(T: AntisymTabulator) -> Callable[[np.ndarray], np.ndarray]:
-    """``eval_antisym_batch`` of T as a function of P, with the table (and
-    the directions) read into arrays once, in key order, so a key's rank is
-    its position in them."""
-    spec = T.spec
-    values = _in_key_order(T.table, spec, T.N, strict=True)
-    A = None
-    if T.directions is not None:
-        A = _in_key_order(T.directions, spec, T.N, strict=True, d=spec.d)
-    shape = (spec.cells_per_dim,) * spec.d
-
-    def batch(P: np.ndarray) -> np.ndarray:
-        _check_batch_input(T, P)
-        num, order = _located(spec, P)
-        out = np.zeros(len(P))
-        distinct = np.flatnonzero((num[:, 1:] != num[:, :-1]).all(axis=1))
-        num = num[distinct]
-        rank = _lex_ranks(num, spec.site_count)
-        value = _inversion_signs(order[distinct]) * values[rank]
-        if A is not None:
-            corners = spec.origin + np.stack(np.unravel_index(num, shape), axis=-1) * spec.delta
-            value *= _projected_pair_products(A[rank], corners)
-        out[distinct] = value
-        return out
-
-    return batch
-
-
 def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     """``eval_antisym`` of an indicator tabulator on each row of P (B, N, d),
     as a (B,) array equal to it bit for bit: rows whose points share a cell
@@ -480,4 +457,17 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     parity of the row's stable sort, and in projected mode by the entry's
     pair product at its corners. The first row with a coordinate outside the
     box raises ``locate``'s DomainError."""
-    return _antisym_batch(T)(P)
+    spec = T.spec
+    _check_batch_input(T, P)
+    num, order = _located(spec, P)
+    out = np.zeros(len(P))
+    distinct = np.flatnonzero((num[:, 1:] != num[:, :-1]).all(axis=1))
+    num = num[distinct]
+    top, terms = _rank_terms(spec, T.N, strict=True)
+    rank = top - terms[np.arange(T.N), num].sum(axis=1)
+    value = _inversion_signs(order[distinct]) * T.table[rank]
+    if T.directions is not None:
+        cells = np.stack(np.unravel_index(num, (spec.cells_per_dim,) * spec.d), axis=-1)
+        value *= _projected_pair_products(T.directions[rank], spec.origin + cells * spec.delta)
+    out[distinct] = value
+    return out

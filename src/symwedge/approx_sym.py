@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Callable
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,9 +33,10 @@ from .lattice import (
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
+    _check_wedge_cap,
     cell_of,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
-    enumerate_wedge,
+    enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     lattice_sites,
     locate,
     repetition_constant,
@@ -89,18 +91,52 @@ def _wedge_stats(spec: LatticeSpec, N: int) -> BuildStats:
     return BuildStats(wedge_size(spec, N), spec.delta > N ** (-1.0 / spec.d))
 
 
+def _frozen(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Check that a tabulator's ``name`` is a float64 array of ``shape``, and
+    make it read-only."""
+    is_array = isinstance(array, np.ndarray)
+    if not (is_array and array.dtype == np.float64 and array.shape == shape):
+        found = f"{array.dtype} array of shape {array.shape}" if is_array else type(array).__name__
+        raise ValueError(f"{name} must be a float64 array of shape {shape}, found {found}")
+    array.setflags(write=False)
+
+
+def _tabulator_eq(self, other) -> bool:
+    """``==`` of two tabulators of one type, field by field, arrays by their
+    shape and bits: -0.0 and 0.0 differ, and a NaN equals itself."""
+    if type(other) is not type(self):
+        return NotImplemented
+
+    def value(tab, name):
+        v = getattr(tab, name)
+        return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+    return all(value(self, f.name) == value(other, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class SymmetricTabulator:
     """A built table for one symmetric target on one lattice.
 
-    ``smooth_width`` None selects indicator evaluation; a width selects the
-    smooth blend.
+    ``table`` holds f(Z)/C_Z for every wedge entry Z, as a read-only (K,)
+    float64 array in the entries' lexicographic order, so an entry's rank is
+    its row. ``smooth_width`` None selects indicator evaluation; a width
+    selects the smooth blend.
     """
 
     spec: LatticeSpec
     N: int
     smooth_width: float | None
-    table: dict[WedgeKey, float]
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        _frozen("table", self.table, (wedge_size(self.spec, self.N),))
+
+    __eq__ = _tabulator_eq
+
+    @cached_property
+    def _site_terms(self) -> Callable[[WedgeKey], Iterator[int]]:  # made on the first scalar eval
+        return _ranker(self.spec, self.N, strict=False)
 
     @property
     def kind(self) -> str:
@@ -139,29 +175,36 @@ def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
     return num
 
 
-def _in_key_order(table: dict, spec: LatticeSpec, N: int, strict: bool, d: int = 0) -> np.ndarray:
-    """The values of ``table``, a tabulator's table (K,) or, given d, its
-    directions (K, d), in the lexicographic order of the wedge's entries (the
-    strict wedge's, N distinct sites, if strict), so a key's rank is its
-    row. A table in that order, as the builders and ``load_model`` make
-    them, is read as it is; one in any other order is read by key. A wedge
-    entry the table lacks, or a key that is no entry, raises ValueError
-    naming it."""
-    choose = combinations if strict else combinations_with_replacement
-    K = math.comb(spec.site_count + (0 if strict else N - 1), N)
-    if len(table) == K and all(map(operator.eq, table, choose(lattice_sites(spec), N))):
-        values = table.values()
-    else:
-        values = map(table.__getitem__, choose(lattice_sites(spec), N))
-    try:
-        flat = np.fromiter(chain.from_iterable(values) if d else values, np.float64, K * max(d, 1))
-    except KeyError as exc:
-        raise ValueError(f"table has no value for wedge entry {exc.args[0]}") from None
-    if len(table) != K:  # every entry has its value, so some key is no entry
-        entries = set(choose(lattice_sites(spec), N))
-        extra = next(key for key in table if key not in entries)
-        raise ValueError(f"table key {extra} is not an entry of the wedge")
-    return flat.reshape(K, d) if d else flat
+def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarray]:
+    """The lexicographic rank of a wedge entry (of the strict wedge if
+    strict), which is its row in a tabulator's arrays, as top minus
+    sum_i terms[i, s_i] over its sorted site numbers s. That is C(m, N) - 1
+    minus the colex rank sum_i C(m - 1 - t_i, N - i) of the reflected row,
+    with t_i = s_i (plus i unless strict) among m = site_count (plus N - 1
+    unless strict). Returns top and the (N, site_count) int64 terms.
+    C(x, j) comes from C(x, j - 1) by a running sum over x; int64 sums wrap
+    modulo 2^64, which leaves exact every term read (each is at most top)."""
+    shift = 0 if strict else 1
+    S = spec.site_count
+    m = S + (N - 1) * shift
+    binom = np.ones(m, dtype=np.int64)  # C(x, 0)
+    terms = np.empty((N, S), dtype=np.int64)
+    for i in reversed(range(N)):
+        binom[1:] = np.cumsum(binom[:-1])  # C(x, N - i)
+        binom[0] = 0
+        terms[i] = binom[m - 1 - i * shift - np.arange(S)]
+    return math.comb(m, N) - 1, terms
+
+
+def _ranker(spec: LatticeSpec, N: int, strict: bool) -> Callable[[WedgeKey], Iterator[int]]:
+    """For the scalar evals, in pure Python: the terms of a wedge key's rank
+    (``_rank_terms``), one per site, looked up by site, with top folded into
+    the first column's and the others negated, so the rank is their sum."""
+    top, terms = _rank_terms(spec, N, strict)
+    signed = [[top - t for t in column] if i == 0 else [-t for t in column]
+              for i, column in enumerate(terms.tolist())]
+    sites = list(lattice_sites(spec))
+    return partial(map, operator.getitem, [dict(zip(sites, column)) for column in signed])
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
@@ -230,8 +273,7 @@ def build_sym(
 ) -> SymmetricTabulator:
     """Tabulate a symmetric target over the wedge, sampling each entry at its
     cell corners through ``corner_values`` and storing f(Z)/C_Z. The entries
-    are made as site-number rows, whose runs give each C_Z; the table's keys
-    are the same entries as site tuples, in the same order."""
+    are made as site-number rows in key order, whose runs give each C_Z."""
     if f.declared_symmetry is not Symmetry.SYMMETRIC:
         raise ValueError(
             f"build_sym needs a symmetric target, got {f.declared_symmetry.value!r}"
@@ -242,11 +284,11 @@ def build_sym(
         raise ValueError(f"unknown mode {mode!r}")
     elif smooth_width is not None:
         raise ValueError("smooth_width only applies to smooth mode")
-    entries = enumerate_wedge(spec, N, cap=cap)  # checks the cap before anything is made
+    _check_wedge_cap(spec, N, cap)
     num = _site_numbers(spec.site_count, N, strict=False)
-    values = corner_values(f, spec, num) / _repetition_constants(num)
-    del num  # freed before the table is built, which lowers the build's peak memory
-    return SymmetricTabulator(spec, N, smooth_width, dict(zip(entries, values.tolist())))
+    return SymmetricTabulator(
+        spec, N, smooth_width, corner_values(f, spec, num) / _repetition_constants(num)
+    )
 
 
 def _check_eval_input(T, X: Configuration) -> None:
@@ -287,10 +329,11 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
-        return T.table[assignment.wedge] * assignment.repetition
+        return T.table.item(sum(T._site_terms(assignment.wedge))) * assignment.repetition
+    terms = T._site_terms
     total = 0.0
     for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
-        total += weight * (T.table[zs] * repetition_constant(zs))
+        total += weight * (T.table.item(sum(terms(zs))) * repetition_constant(zs))
     return total
 
 
@@ -323,40 +366,6 @@ def _located(spec: LatticeSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(num, order, axis=1), order
 
 
-def _lex_ranks(t: np.ndarray, m: int) -> np.ndarray:
-    """The position of each strictly increasing row of t (B, N) among the
-    N-subsets of range(m) in lexicographic order: C(m, N) - 1 minus the colex
-    rank sum_j C(m - 1 - t[N - j], j) of the reflected rows. A multiset row s
-    of n sites maps to the strict row s + (0, 1, ..., N - 1) over
-    m = n + N - 1. C(x, j) comes from C(x, j - 1) by a running sum over x;
-    int64 sums wrap modulo 2^64, which leaves exact every term the ranks
-    read (each is below C(m, N))."""
-    N = t.shape[1]
-    total = (m - 1) - t[:, N - 1]  # C(x, 1) = x
-    if N > 1:
-        binom = np.arange(m, dtype=np.int64)
-        for j in range(2, N + 1):
-            binom[1:] = np.cumsum(binom[:-1])
-            binom[0] = 0
-            total += binom[(m - 1) - t[:, N - j]]
-    return (math.comb(m, N) - 1) - total
-
-
-def _sym_batch(T: SymmetricTabulator) -> Callable[[np.ndarray], np.ndarray]:
-    """``eval_sym_batch`` of T as a function of P, with the table read into
-    an array once, in key order, so a key's rank is its position in it."""
-    values = _in_key_order(T.table, T.spec, T.N, strict=False)
-    m = T.spec.site_count + T.N - 1
-    shift = np.arange(T.N)
-
-    def batch(P: np.ndarray) -> np.ndarray:
-        _check_batch_input(T, P)
-        num, _ = _located(T.spec, P)
-        return values[_lex_ranks(num + shift, m)] * _repetition_constants(num)
-
-    return batch
-
-
 def eval_sym_batch(T: SymmetricTabulator, P: np.ndarray) -> np.ndarray:
     """``eval_sym`` of an indicator tabulator on each row of P (B, N, d), as
     a (B,) array equal to it bit for bit: each row's cells are found by the
@@ -364,7 +373,10 @@ def eval_sym_batch(T: SymmetricTabulator, P: np.ndarray) -> np.ndarray:
     lexicographic rank and multiplied by the same repetition constant. The
     first row with a coordinate outside the box raises ``locate``'s
     DomainError."""
-    return _sym_batch(T)(P)
+    _check_batch_input(T, P)
+    num, _ = _located(T.spec, P)
+    top, terms = _rank_terms(T.spec, T.N, strict=False)
+    return T.table[top - terms[np.arange(T.N), num].sum(axis=1)] * _repetition_constants(num)
 
 
 def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
@@ -395,7 +407,7 @@ def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
     total = 0.0
     for zs in (tuple(sorted(held + list(fill))) for fill in fills):
         A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
-        total += T.table[zs] * permanent_ryser_logdomain(A)
+        total += T.table.item(sum(T._site_terms(zs))) * permanent_ryser_logdomain(A)
     return total
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations as _all_permutations
 from typing import Callable, Sequence
 
@@ -46,9 +46,9 @@ from .core import (
     parity,
 )
 from .core import permute  # noqa: F401  (benches/tracing.py wraps this binding)
-from .approx_sym import SymmetricTabulator, _sym_batch, error_budget, eval_sym
+from .approx_sym import SymmetricTabulator, error_budget, eval_sym, eval_sym_batch
 from .approx_sym import build_sym  # noqa: F401  (benches/tracing.py wraps this binding)
-from .approx_antisym import _antisym_batch, eval_antisym
+from .approx_antisym import eval_antisym, eval_antisym_batch
 from .approx_antisym import build_antisym  # noqa: F401  (benches/tracing.py wraps this binding)
 from .persistence import Tabulator
 
@@ -457,10 +457,10 @@ def _evaluator(tab: Tabulator) -> tuple[Symmetry, TargetFunction]:
     indicator = tab.smooth_width is None
     if isinstance(tab, SymmetricTabulator):
         symmetry, scalar = Symmetry.SYMMETRIC, lambda X: eval_sym(tab, X)
-        batch = _sym_batch(tab) if indicator else None
+        batch = partial(eval_sym_batch, tab) if indicator else None
     else:
         symmetry, scalar = Symmetry.ANTISYMMETRIC, lambda X: eval_antisym(tab, X)
-        batch = _antisym_batch(tab) if indicator else None
+        batch = partial(eval_antisym_batch, tab) if indicator else None
     return symmetry, TargetFunction(scalar, symmetry, name=tab.kind, batch=batch)
 
 

@@ -208,18 +208,20 @@ def _check_wedge_cap(spec: LatticeSpec, N: int, cap: int) -> None:
         )
 
 
-def enumerate_wedge(spec: LatticeSpec, N: int, cap: int = DEFAULT_WEDGE_CAP) -> Iterator[WedgeKey]:
+def enumerate_wedge(spec: LatticeSpec, N: int) -> Iterator[WedgeKey]:
     """Non-decreasing N-tuples of sites in lexicographic order.
 
-    Checks the total count against ``cap`` before yielding anything so a
-    too-fine lattice fails fast with the cap it would need.
+    Checks the total count against ``DEFAULT_WEDGE_CAP`` before yielding
+    anything so a too-fine lattice fails fast with the cap it would need.
     """
-    _check_wedge_cap(spec, N, cap)
+    _check_wedge_cap(spec, N, DEFAULT_WEDGE_CAP)
     return combinations_with_replacement(lattice_sites(spec), N)
 
 
 def repetition_constant(zs: WedgeKey) -> int:
     """Product of factorials of site multiplicities within one wedge entry."""
+    if len(set(zs)) == len(zs):
+        return 1  # no site repeats: the common case, found in C
     const = 1
     run = 1
     for prev, cur in zip(zs, zs[1:]):

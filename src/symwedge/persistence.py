@@ -39,15 +39,13 @@ violated rule above.
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
 the key, that every value field is a float.hex number, and a finite coefficient;
-and last the directions, in record order. The loader makes keys a block of
-records at a time, each the text of its entry's first N - 1 sites plus that
-of its last site.
+and last the directions, in record order. The loader makes keys, and fills
+the tabulator's arrays, a block of records at a time.
 
-``save_model`` reads the table (and directions) into arrays in key order,
-whatever the order of its dicts, and writes the records from them, about
+``save_model`` writes a record per row of the table (and directions), about
 ``_WRITE_BYTES`` of text at a time: each block is one uint8 array, a
-NUL-padded row per record, from which the NULs are dropped. A key is
-gathered from each site's text, made once per save; a value field is
+NUL-padded row per record, from which the NULs are dropped. Save and load
+gather a key from each site's text, made once; a value field is
 float.hex's text, made from the float's bits (sign, "0x1." or "0x0.", 13
 hex digits, and an exponent from a table made on first use), with zero
 written "0x0.0p+0". The blocks stream to the temp file as bytes, so the
@@ -59,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement, islice, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 import numpy as np
@@ -68,7 +66,6 @@ from .approx_antisym import (
     KIND_PROJECTED,
     KIND_RANK,
     AntisymTabulator,
-    _key_array,
     directions_valid,
 )
 from .approx_sym import (
@@ -76,12 +73,11 @@ from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
     SymmetricTabulator,
-    _in_key_order,
     _site_index,
     _site_numbers,
 )
 from .errors import CapacityError, ConfigError
-from .lattice import LatticeSpec, WedgeKey, _check_smooth_width, lattice_sites, wedge_size
+from .lattice import LatticeSpec, _check_smooth_width, wedge_size
 
 __all__ = [
     "MAGIC",
@@ -137,30 +133,32 @@ def write_text_atomic(path: str, text: str | Iterable[bytes]) -> None:
         raise
 
 
-def _key_blocks(spec: LatticeSpec, N: int, kind: str) -> Iterator[tuple[list[WedgeKey], list[str]]]:
-    """The records' wedge entries and key texts in file (lexicographic) order,
-    in blocks of about ``_BLOCK``. A key is the text of its entry's first
-    N - 1 sites plus the text of its last site, each index in decimal followed
-    by one space, so a record starts with its key and a coefficient follows it
-    directly. Lazy: nothing is made before the first block is asked for, and
-    nothing at all for a strict wedge with more points than sites, whose
-    declared N or d may be huge."""
-    step = 0 if kind == KIND_SYM else 1  # a strict wedge repeats no site
-    if step and N > spec.site_count:
+def _site_texts(spec: LatticeSpec) -> np.ndarray:
+    """Each site's key text, each index in decimal followed by one space, as
+    a (site_count, d, width) uint8 array padded with NULs: each index's text
+    is made once and gathered by ``_site_index``."""
+    n = spec.cells_per_dim
+    width = len(str(n - 1)) + 1
+    digits = np.array([f"{i} ".encode() for i in range(n)], dtype=f"S{width}")
+    return digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
+
+
+def _key_blocks(spec: LatticeSpec, N: int, strict: bool) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """The records' site numbers (rows of ``_site_numbers``) and key texts in
+    file order, ``_BLOCK`` records at a time. A key is the text of its
+    entry's sites, as ``save_model`` writes it, so a record starts with its
+    key and a coefficient follows it directly. Lazy: nothing is made before
+    the first block is asked for, and nothing at all for a strict wedge with
+    more points than sites, whose declared N or d may be huge."""
+    if strict and N > spec.site_count:
         return
-    sites = list(lattice_sites(spec))
-    texts = ["".join(f"{i} " for i in site) for site in sites]
-    choose = combinations_with_replacement if step == 0 else combinations
-    entries = choose(sites, N)  # in the keys' order, as tuples made in C
-    keys: list[str] = []
-    for prefix in choose(range(len(sites)), N - 1):
-        start = prefix[-1] + step if prefix else 0
-        keys += map("".join(map(texts.__getitem__, prefix)).__add__, texts[start:])
-        if len(keys) >= _BLOCK:
-            yield list(islice(entries, len(keys))), keys
-            keys = []
-    if keys:
-        yield list(islice(entries, len(keys))), keys
+    site_text = _site_texts(spec)
+    num = _site_numbers(spec.site_count, N, strict)
+    for start in range(0, len(num), _BLOCK):
+        rows = num[start : start + _BLOCK]
+        keys = site_text[rows].reshape(len(rows), -1)
+        text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
+        yield rows, text.translate(None, b"\0").decode().split("\n")[:-1]
 
 
 # float.hex text, in fixed-width columns padded with NUL bytes: an optional
@@ -213,18 +211,13 @@ def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) 
     values (K, per), as ASCII bytes in blocks of about ``_WRITE_BYTES``. Each
     block is laid out as one uint8 array, a row per record padded with NULs,
     and joined by dropping the NULs. A record's key is the text of its entry's
-    sites, each index in decimal followed by one space, as ``_key_blocks``
-    writes it: each site's text is made once, from ``_site_index``, and
-    gathered by the entries' ``_site_numbers``."""
+    sites' texts (``_site_texts``), gathered by the entries' ``_site_numbers``."""
     K, per = values.shape
     if K == 0:
         return
-    n = spec.cells_per_dim
-    width = len(str(n - 1)) + 1
-    digits = np.array([f"{i} ".encode() for i in range(n)], dtype=f"S{width}")
-    site_text = digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
+    site_text = _site_texts(spec)
     num = _site_numbers(spec.site_count, N, strict)
-    key_width = N * spec.d * width
+    key_width = N * site_text[0].size
     row_width = key_width + per * (_HEX_WIDTH + 1)
     step = max(1, _WRITE_BYTES // row_width)
     for start in range(0, K, step):
@@ -240,18 +233,16 @@ def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) 
 
 
 def save_model(path: str, tab: Tabulator) -> None:
-    """Write ``tab`` as a model file, its records in key order whatever the
-    order of its dicts. A wedge entry its table (or directions) lacks, or a
-    key that is no entry, raises ValueError, and nothing is written."""
+    """Write ``tab`` as a model file, a record per row of its table (and
+    directions), in key order."""
     spec = tab.spec
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
     directions = getattr(tab, "directions", None)
     strict = tab.kind != KIND_SYM
-    values = _in_key_order(tab.table, spec, tab.N, strict)[:, None]
+    values = tab.table[:, None]
     if directions is not None:
-        A = _in_key_order(directions, spec, tab.N, strict, d=spec.d)
-        values = np.concatenate([values, A], axis=1)
+        values = np.concatenate([values, directions], axis=1)
     header = [
         f"{MAGIC} {FORMAT_VERSION}",
         f"kind {tab.kind}",
@@ -331,7 +322,7 @@ def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: fl
     return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
 
 
-def _block_values(lines: list[str], keys: list[str], per: int) -> list[float] | None:
+def _block_values(lines: list[str], keys: list[str], per: int) -> np.ndarray | None:
     """The value fields of records with the right field count, flat, or None
     if a record does not start with its key, holds a field that is not a
     finite float in ``_hex``'s spelling, or has a non-finite coefficient
@@ -350,36 +341,38 @@ def _block_values(lines: list[str], keys: list[str], per: int) -> list[float] | 
     if not spelled or "\t" in text or "\v" in text or "\f" in text:
         return None
     try:
-        values = list(map(float.fromhex, text.split(" ")))
+        values = np.fromiter(map(float.fromhex, text.split(" ")), np.float64, len(lines) * per)
     except (ValueError, OverflowError):
         return None
-    return values if all(map(math.isfinite, values[::per])) else None
+    return values if np.isfinite(values[::per]).all() else None
 
 
 def _check_records(
     lines: list[str],
-    pairs: Iterator[tuple[WedgeKey, str]],
-    fields: tuple[int, int],
+    keys: Iterator[str],
+    fields: tuple[int, int, int],
     kind: str,
     cells: int,
 ) -> list[float]:
     """``_block_values`` one record at a time, raising ConfigError on the first
-    fault. ``pairs`` gives each record's wedge entry and key text, and
-    ``fields`` is (index fields, value fields) per record. A record's
-    field count is checked before its key is made (N or d may be huge), then
-    its key, then its numbers, then that its coefficient is finite."""
-    n_index, per = fields
+    fault. ``keys`` gives each record's key text, and ``fields`` is (N, d,
+    value fields per record). A record's field count is checked before its
+    key is made (N or d may be huge), then its key, then its numbers, then
+    that its coefficient is finite."""
+    N, d, per = fields
+    n_index = N * d
     values: list[float] = []
     for line in lines:
         found = line.count(" ") + 1
         if found != n_index + per:
             raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
-        zs, key = next(pairs)
+        key = next(keys)
         if not line.startswith(key):
             try:
                 [int(field) for field in line.split(" ")[:n_index]]  # raises on a non-integer
             except ValueError:
                 raise ConfigError(f"record {line!r} has a field that is not a number") from None
+            zs = tuple(zip(*[map(int, key.split())] * d))
             raise ConfigError(
                 f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
                 f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
@@ -437,6 +430,7 @@ def load_model(path: str) -> Tabulator:
     smooth = _field(lines, 9, "w", _optional_hex)
     tau = _field(lines, 10, "tau", _optional_hex)
     want_direction = kind == KIND_PROJECTED
+    strict = kind != KIND_SYM
     if want_direction and not (tau is not None and math.isfinite(tau) and tau > 0.0):
         raise ConfigError(f"an {kind} model needs a finite positive 'tau' on line 11, not {tau}")
     if not want_direction and tau is not None:
@@ -470,33 +464,33 @@ def load_model(path: str) -> Tabulator:
     want_size = full_size if kind == KIND_SYM else math.comb(spec.site_count, N)
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
-    n_index, per = N * d, 1 + (d if want_direction else 0)
-    if not set(map(str.count, records, repeat(" "))) <= {n_index + per - 1}:
+    per = 1 + (d if want_direction else 0)
+    fields = (N, d, per)
+    if not set(map(str.count, records, repeat(" "))) <= {N * d + per - 1}:
         # a field count is checked before any key is made: N or d may be huge
-        pairs = chain.from_iterable(zip(*block) for block in _key_blocks(spec, N, kind))
-        _check_records(records, pairs, (n_index, per), kind, cells)
-    table: dict[WedgeKey, float] = {}
-    directions: dict[WedgeKey, tuple[float, ...]] = {}
+        keys = chain.from_iterable(keys for _, keys in _key_blocks(spec, N, strict))
+        _check_records(records, keys, fields, kind, cells)
+    table = np.empty(entries)
+    directions = np.empty((entries, d)) if want_direction else None
     fault = None  # the first bad direction, reported once every record has passed
     start = 0
-    for zs, keys in _key_blocks(spec, N, kind):
+    for rows, keys in _key_blocks(spec, N, strict):
         n = len(keys)
-        block = records[start : start + n]
-        records[start : start + n] = [""] * n  # a parsed record's text is not kept
-        start += n
+        part = slice(start, start + n)
+        block = records[part]
         values = _block_values(block, keys, per)
         if values is None:
-            values = _check_records(block, zip(zs, keys), (n_index, per), kind, cells)
-        table.update(zip(zs, values[::per]))
+            values = _check_records(block, iter(keys), fields, kind, cells)
+        values = np.reshape(values, (n, per))
+        table[part] = values[:, 0]
         if want_direction:
-            del values[::per]
-            A = np.array(values, dtype=float).reshape(n, d)
+            directions[part] = values[:, 1:]
             if fault is None:
-                fault = _direction_fault(block, A, _key_array(zs, N, d), tau)
-            directions.update(zip(zs, zip(*[iter(values)] * d)))
-        del block, keys, values  # this block's texts go before the next block's are made
+                fault = _direction_fault(block, directions[part], _site_index(spec)[rows], tau)
+        start += n
+        del block, keys, values  # this block's keys and values go before the next block's
     if fault is not None:
         raise ConfigError(fault)
     if kind == KIND_SYM:
         return SymmetricTabulator(spec, N, smooth, table)
-    return AntisymTabulator(spec, N, tau, smooth, table, directions if want_direction else None)
+    return AntisymTabulator(spec, N, tau, smooth, table, directions)

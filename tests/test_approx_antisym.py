@@ -2,9 +2,7 @@ import functools
 import itertools
 import math
 import os
-import re
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +37,6 @@ from symwedge.approx_antisym import (
     _candidate_table,
     _choose_directions,
     _difference_patterns,
-    _key_array,
     _projected_pair_product,
     _projected_pair_products,
     directions_valid,
@@ -55,6 +52,11 @@ MODE_AGREEMENT_TOL = 1e-10
 
 def cfg(*rows):
     return Configuration.from_rows(rows)
+
+
+def key_array(keys):
+    """The site indices of each wedge key as a (K, N, d) int64 array."""
+    return np.array(keys, dtype=np.int64)
 
 
 def unit_domain(d, N):
@@ -128,7 +130,7 @@ def test_nan_tau_is_rejected():
         choose_direction(((0,), (1,)), tau=nan)
     keys = [((0, 0), (1, 1))]
     with pytest.raises(ValueError, match="tau must be positive"):
-        _choose_directions(_key_array(keys, 2, 2), nan)
+        _choose_directions(key_array(keys), nan)
     # three slots over two cells: no distinct-cell entry reaches the direction search
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(ValueError, match="tau must be positive"):
@@ -214,7 +216,7 @@ def assert_batch_matches_oracle(spec, keys, taus=(1e-3, 0.5)):
         rejected.append(len(found) - len(served))
         if not served:
             continue
-        idx = _key_array([zs for zs, _ in served], N, spec.d)
+        idx = key_array([zs for zs, _ in served])
         A = _choose_directions(idx, tau)
         assert [bits(row) for row in A.tolist()] == [bits(a) for _, a in served]
         assert [bits(choose_direction(zs, tau)) for zs, _ in served] == [bits(a) for _, a in served]
@@ -271,7 +273,7 @@ def test_batched_search_breaks_ties_to_the_lowest_candidate(monkeypatch):
         "symwedge.approx_antisym._candidate_table", lambda d: np.concatenate([half, -half])
     )
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
-    A = _choose_directions(_key_array(distinct_keys(spec, 3), 3, 2), 1e-3)
+    A = _choose_directions(key_array(distinct_keys(spec, 3)), 1e-3)
     assert all((half == row).all(axis=1).any() for row in A)
 
 
@@ -296,7 +298,7 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
         choose_direction(keys[0], 1.5)
     assert str(scalar.value) == message
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(_key_array(keys, 2, 1), 1.5)
+        _choose_directions(key_array(keys), 1.5)
     assert str(batched.value) == message
     f = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(DirectionSearchError) as built:
@@ -318,7 +320,7 @@ def test_batched_search_exhausted_budget_raises_like_scalar():
         choose_direction(keys[0], 0.9)
     assert str(scalar.value) == message
     with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(_key_array(keys, 3, 2), 0.9)
+        _choose_directions(key_array(keys), 0.9)
     assert str(batched.value) == message
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(DirectionSearchError) as built:
@@ -375,22 +377,6 @@ def test_difference_patterns_give_back_every_key(cells, d, N):
     assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
 
 
-def test_eval_antisym_batch_reads_tables_by_key():
-    spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
-    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
-    P = np.array([[[0.1], [0.5]], [[0.9], [0.1]]])
-    want = [eval_antisym(T, cfg(*map(list, row))) for row in P.tolist()]
-    assert eval_antisym_batch(T, P).tolist() == want
-    for reordered in (
-        replace(T, table=dict(reversed(T.table.items()))),
-        replace(T, directions=dict(reversed(T.directions.items()))),
-    ):
-        assert eval_antisym_batch(reordered, P).tolist() == want
-    short = replace(T, directions=dict(list(T.directions.items())[1:]))
-    with pytest.raises(ValueError, match=re.escape("no value for wedge entry ((0,), (1,))")):
-        eval_antisym_batch(short, P)
-
-
 def unit_rows(rng, count, d):
     """``count`` seeded directions of unit length, as tuples."""
     V = rng.standard_normal((count, d))
@@ -404,7 +390,7 @@ def test_batched_pair_products_match_scalar_at_d3(N):
     rng = np.random.Generator(np.random.Philox(70 + N))
     keys = some_keys(distinct_keys(spec, N), 200, 72)
     directions = unit_rows(rng, len(keys), 3)
-    idx = _key_array(keys, N, 3)
+    idx = key_array(keys)
     psi = _projected_pair_products(np.array(directions), spec.origin + idx * spec.delta)
     want = [
         _projected_pair_product(a, [spec.position(z) for z in zs])
@@ -419,7 +405,7 @@ def test_directions_valid_matches_the_rule_at_d3(N):
     rng = np.random.Generator(np.random.Philox(73 + N))
     keys = some_keys(distinct_keys(spec, N), 300, 75)
     directions = unit_rows(rng, len(keys), 3)
-    idx = _key_array(keys, N, 3)
+    idx = key_array(keys)
     for tau in (1e-3, 0.05, 0.2):
         want = [draw_is_valid(a, zs, tau) for zs, a in zip(keys, directions)]
         assert 0 < sum(want) < len(want)  # both outcomes occur
@@ -458,7 +444,7 @@ def test_reset_philox_rejects_what_philox_rejects(key):
 
 def test_build_drops_repeated_cell_entries():
     tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_RANK)
-    assert set(tab.table) == {((0,), (1,))}
+    assert len(tab.table) == 1  # ((0,), (1,)) alone: ((0,), (0,)) and ((1,), (1,)) repeat a cell
     assert tab.stats.wedge_count == 3  # full wedge size, for M accounting
     assert tab.kind == "antisym-c1"
 
@@ -470,16 +456,17 @@ def test_table_keys_are_the_distinct_cell_wedge_entries_in_order(N, d, cells):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
     want = [zs for zs in enumerate_wedge(spec, N) if repetition_constant(zs) == 1]
     f = builtin_target("vandermonde-gauss-antisym")
-    assert list(build_antisym(f, spec, N, mode=MODE_RANK).table) == want
+    values = [f(corner_configuration(spec, zs)) for zs in want]
+    assert bits(build_antisym(f, spec, N, mode=MODE_RANK).table.tolist()) == bits(values)
     projected = build_antisym(f, spec, N, mode=MODE_PROJECTED)
-    assert list(projected.table) == list(projected.directions) == want
+    assert len(projected.table) == len(projected.directions) == len(want)
 
 
 def test_build_rank_coefficient_example():
     # rank mode stores f(Z) itself: psi(X)/psi(Z) is just the sort sign
     tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_RANK)
     Z = ((0,), (1,))
-    assert tab.table[Z] == VG_12(corner_configuration(SPEC_HALF, Z))
+    assert tab.table.tolist() == [VG_12(corner_configuration(SPEC_HALF, Z))]
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -490,7 +477,7 @@ def test_rank_mode_is_exact_at_every_corner(N):
     tab = build_antisym(f, spec, N, mode=MODE_RANK)
     assert len(tab.table) == math.comb(16, N)
     sigma = Permutation(tuple(range(1, N)) + (0,))
-    for Z in tab.table:
+    for Z in distinct_keys(spec, N):
         X = corner_configuration(spec, Z)
         assert eval_antisym(tab, X) == f(X)
         assert eval_antisym(tab, permute(X, sigma)) == parity(sigma) * f(X)
@@ -498,12 +485,11 @@ def test_rank_mode_is_exact_at_every_corner(N):
 
 def test_build_projected_divides_by_corner_product():
     tab = build_antisym(VG_12, SPEC_HALF, 2, mode=MODE_PROJECTED)
-    Z = ((0,), (1,))
-    a = tab.directions[Z]
-    assert a == (1.0,)
+    Z = ((0,), (1,))  # the only distinct-cell entry
+    assert tab.directions.tolist() == [[1.0]]
     # corner positions 0.0 and 0.5: pair product is (0.0 - 0.5) = -0.5
     f_Z = VG_12(corner_configuration(SPEC_HALF, Z))
-    assert tab.table[Z] == f_Z / -0.5
+    assert tab.table.tolist() == [f_Z / -0.5]
 
 
 def test_build_zero_target_evaluates_to_zero():

@@ -46,6 +46,7 @@ from symwedge import (
     sample_configurations,
     save_model,
 )
+import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
 from symwedge.approx_sym import corner_values, smooth_weights
 
@@ -78,7 +79,7 @@ SPEC_HALF = LatticeSpec.from_domain(unit_domain(1, 2), 0.5)
 
 def test_build_sym_table_example():
     tab = build_sym(SUM_12, SPEC_HALF, 2)
-    assert tab.table == {
+    assert dict(zip(enumerate_wedge(SPEC_HALF, 2), tab.table.tolist())) == {
         ((0,), (0,)): 0.0,  # f = 0.0 at the doubled corner, over C_Z = 2
         ((0,), (1,)): 0.5,
         ((1,), (1,)): 0.5,  # f = 1.0 over C_Z = 2
@@ -90,9 +91,7 @@ def test_build_sym_table_example():
 
 def test_build_sym_constant_entries():
     tab = build_sym(constant_target(2.5), SPEC_HALF, 3)
-    for zs, stored in tab.table.items():
-        from symwedge import repetition_constant
-
+    for zs, stored in zip(enumerate_wedge(SPEC_HALF, 3), tab.table.tolist()):
         assert stored == 2.5 / repetition_constant(zs)
 
 
@@ -231,11 +230,11 @@ BUILD_KINDS = {
 
 
 def table_bits(tab):
-    """A tabulator's keys, stored values and directions, floats as hex."""
-    directions = getattr(tab, "directions", None) or {}
+    """A tabulator's stored values and directions in key order, floats as hex."""
+    directions = getattr(tab, "directions", None)
     return (
-        [(zs, v.hex()) for zs, v in tab.table.items()],
-        [(zs, [c.hex() for c in a]) for zs, a in directions.items()],
+        [v.hex() for v in tab.table.tolist()],
+        None if directions is None else [[c.hex() for c in a] for a in directions.tolist()],
     )
 
 
@@ -261,7 +260,7 @@ def test_builds_through_the_batch_equal_builds_entry_by_entry(monkeypatch, kind,
     assert table_bits(batched) == table_bits(scalar)
     assert batched == scalar
     if kind.startswith("antisym") and N > spec.site_count:
-        assert batched.table == {}
+        assert len(batched.table) == 0
 
 
 @pytest.mark.parametrize("kind", ["sym", "antisym-c2"])
@@ -425,26 +424,74 @@ def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
     assert list(map(tuple, got.tolist())) == want
 
 
-def test_batch_eval_reads_tables_by_key():
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_scalar_rank_is_the_row_in_site_number_order(N, strict):
+    spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
+    sites = list(lattice_sites(spec))
+    terms = approx_sym._ranker(spec, N, strict)
+    num = approx_sym._site_numbers(spec.site_count, N, strict)
+    rows = list(range(len(num)))
+    assert len(rows) == math.comb(spec.site_count + (0 if strict else N - 1), N)
+    assert [sum(terms(tuple(map(sites.__getitem__, row)))) for row in num.tolist()] == rows
+    top, terms = approx_sym._rank_terms(spec, N, strict)  # the batch evals' ranks
+    assert (top - terms[np.arange(N), num].sum(axis=1)).tolist() == rows
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_KINDS))
+def test_scalar_evals_return_python_floats(kind):
+    spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
+    tab, _ = build_with_and_without_batch(kind, spec, 3)
+    evaluate = eval_sym if kind.startswith("sym") else approx_antisym.eval_antisym
+    shared = cfg([0.1, 0.1], [0.15, 0.12], [0.6, 0.9])  # two points in one cell
+    for X in (cfg([0.1, 0.1], [0.35, 0.6], [0.6, 0.9]), shared):
+        assert type(evaluate(tab, X)) is float
+    if kind.startswith("antisym") and tab.smooth_width is None:
+        assert evaluate(tab, shared) == 0.0
+
+
+def test_tabulator_arrays_are_checked_once_and_made_read_only():
     spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
-    T = build_sym(builtin_target("product-smooth-sym"), spec, 2)
-    P = np.array([[[0.1], [0.5]]])
-    assert eval_sym(T, cfg([0.1], [0.5])) == 1.25
-    assert eval_sym_batch(T, P).tolist() == [1.25]
-    reversed_table = replace(T, table=dict(reversed(T.table.items())))
-    assert eval_sym_batch(reversed_table, P).tolist() == [1.25]  # any dict order reads right
-    keys = list(T.table)  # ((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (1,)), ...
-    for table, message in (
-        ({k: T.table[k] for k in keys if k != ((1,), (1,))},
-         "table has no value for wedge entry ((1,), (1,))"),
-        ({**T.table, ((2,), (1,)): 0.0}, "table key ((2,), (1,)) is not an entry of the wedge"),
-        ({((0,), (0,)): 0.0, ((0,), (3,)): 0.0, **T.table},
-         "table key ((0,), (3,)) is not an entry of the wedge"),
+    sym = build_sym(SUM_12, spec, 2)
+    anti = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
+    assert not sym.table.flags.writeable
+    assert not anti.table.flags.writeable and not anti.directions.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sym.table[0] = 1.0
+    for tab, field, bad, message in (
+        # a wedge of 3 sites and 2 slots has 6 entries, its strict wedge 3
+        (sym, "table", np.zeros(5), "table must be a float64 array of shape (6,), "
+         "found float64 array of shape (5,)"),
+        (sym, "table", np.zeros(6, dtype=np.float32), "table must be a float64 array of "
+         "shape (6,), found float32 array of shape (6,)"),
+        (sym, "table", [0.0] * 6, "table must be a float64 array of shape (6,), found list"),
+        (anti, "table", np.zeros(6), "table must be a float64 array of shape (3,), "
+         "found float64 array of shape (6,)"),
+        (anti, "directions", np.ones((3, 2)), "directions must be a float64 array of "
+         "shape (3, 1), found float64 array of shape (3, 2)"),
+        (anti, "directions", np.ones(3), "directions must be a float64 array of "
+         "shape (3, 1), found float64 array of shape (3,)"),
     ):
-        bad = replace(T, table=table)
-        assert eval_sym(bad, cfg([0.1], [0.5])) == 1.25  # the scalar path looks keys up
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            eval_sym_batch(bad, P)
+            replace(tab, **{field: bad})
+
+
+def test_tabulators_compare_by_the_bits_of_their_arrays():
+    spec = LatticeSpec.from_counts(2, 1, 0.0, 1.0)
+    tab = build_sym(SUM_12, spec, 2)  # stores 0.0 at ((0,), (0,))
+    assert tab.table[0] == 0.0 and not math.copysign(1.0, tab.table[0]) < 0
+    assert replace(tab, table=tab.table.copy()) == tab
+    negative_zero = tab.table.copy()
+    negative_zero[0] = -0.0
+    assert replace(tab, table=negative_zero) != tab  # though -0.0 == 0.0
+    nan = tab.table.copy()
+    nan[1] = math.nan
+    assert replace(tab, table=nan) == replace(tab, table=nan.copy())  # though nan != nan
+    assert replace(tab, smooth_width=0.25) != tab
+    anti = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
+    assert replace(anti, directions=-anti.directions) != anti
+    assert replace(anti, directions=None, tau=None) != anti
+    assert tab != anti
 
 
 # ---------------------------------------------------------------- feature form
@@ -523,7 +570,7 @@ def feature_form_by_table_scan(tab, X):
     not hold every point's cell."""
     cells = [cell_of(tab.spec, p) for p in X.points]
     total = 0.0
-    for zs, coeff in tab.table.items():
+    for zs, coeff in zip(enumerate_wedge(tab.spec, tab.N), tab.table.tolist()):
         if all(c in zs for c in cells):
             A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
             total += coeff * permanent_ryser_logdomain(A)

@@ -25,6 +25,7 @@ from symwedge import (
     repetition_constant,
     wedge_size,
 )
+import symwedge.lattice as lattice
 from symwedge.lattice import (
     _axis_profile,
     axis_weight_support,
@@ -265,10 +266,11 @@ def test_wedge_size_matches_enumeration_small_grid():
         assert all(all(z1 <= z2 for z1, z2 in zip(e, e[1:])) for e in entries)
 
 
-def test_enumerate_wedge_cap_names_required_size():
+def test_enumerate_wedge_cap_names_required_size(monkeypatch):
+    monkeypatch.setattr(lattice, "DEFAULT_WEDGE_CAP", 2)
     spec = spec_1d(0.5)
     with pytest.raises(CapacityError, match="cap >= 3"):
-        list(enumerate_wedge(spec, 2, cap=2))
+        list(enumerate_wedge(spec, 2))
 
 
 def test_wedge_size_overflow_guard():
