@@ -56,7 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator, Sequence
+from operator import getitem
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .core import Configuration, Symmetry, TargetFunction, _inversion_sign
 from .errors import DirectionSearchError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
+    LatticeIndex,
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
@@ -81,7 +83,7 @@ from .approx_sym import (
     _frozen,
     _located,
     _rank_terms,
-    _ranker,
+    _rank_columns,
     _site_index,
     _site_numbers,
     _tabulator_eq,
@@ -303,7 +305,8 @@ class AntisymTabulator:
     (``tau`` None too); otherwise it holds each entry's projected direction,
     chosen at ``tau``, as the read-only (K, d) rows of a float64 array.
     ``smooth_width`` None selects indicator evaluation; a width (projected
-    construction only) selects the smooth blend.
+    construction only) selects the smooth blend. The constructor makes the
+    arrays it is given read-only, without copying them.
     """
 
     spec: LatticeSpec
@@ -322,8 +325,8 @@ class AntisymTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _site_terms(self) -> Callable[[WedgeKey], Iterator[int]]:  # made on the first scalar eval
-        return _ranker(self.spec, self.N, strict=True)
+    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first scalar eval
+        return _rank_columns(self.spec, self.N, strict=True)
 
     @property
     def kind(self) -> str:
@@ -420,7 +423,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
             return 0.0
         sign = assignment.sign
         zs = assignment.wedge
-        k = sum(T._site_terms(zs))
+        k = sum(map(getitem, T._rank_cols, zs))
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
@@ -429,12 +432,12 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
     rows, sign = _sorted_with_sign(X)
-    terms = T._site_terms
+    columns = T._rank_cols
     total = 0.0
     for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
         if repetition_constant(key) > 1:
             continue  # dropped entries carry no value
-        k = sum(terms(key))
+        k = sum(map(getitem, columns, key))
         total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
     return sign * total
 

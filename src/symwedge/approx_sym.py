@@ -18,11 +18,10 @@ points, columns are slots), walked over slot subsets in Gray-code order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterator
+from operator import getitem
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .core import Configuration, Symmetry, TargetFunction, _configuration, _poin
 from .errors import BuildError, CapacityError, DomainError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
+    LatticeIndex,
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
@@ -93,7 +93,7 @@ def _wedge_stats(spec: LatticeSpec, N: int) -> BuildStats:
 
 def _frozen(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
     """Check that a tabulator's ``name`` is a float64 array of ``shape``, and
-    make it read-only."""
+    make it read-only in place (no copy)."""
     is_array = isinstance(array, np.ndarray)
     if not (is_array and array.dtype == np.float64 and array.shape == shape):
         found = f"{array.dtype} array of shape {array.shape}" if is_array else type(array).__name__
@@ -121,7 +121,8 @@ class SymmetricTabulator:
     ``table`` holds f(Z)/C_Z for every wedge entry Z, as a read-only (K,)
     float64 array in the entries' lexicographic order, so an entry's rank is
     its row. ``smooth_width`` None selects indicator evaluation; a width
-    selects the smooth blend.
+    selects the smooth blend. The constructor makes the array it is given
+    read-only, without copying it.
     """
 
     spec: LatticeSpec
@@ -135,8 +136,8 @@ class SymmetricTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _site_terms(self) -> Callable[[WedgeKey], Iterator[int]]:  # made on the first scalar eval
-        return _ranker(self.spec, self.N, strict=False)
+    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first scalar eval
+        return _rank_columns(self.spec, self.N, strict=False)
 
     @property
     def kind(self) -> str:
@@ -196,15 +197,13 @@ def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarra
     return math.comb(m, N) - 1, terms
 
 
-def _ranker(spec: LatticeSpec, N: int, strict: bool) -> Callable[[WedgeKey], Iterator[int]]:
-    """For the scalar evals, in pure Python: the terms of a wedge key's rank
-    (``_rank_terms``), one per site, looked up by site, with top folded into
-    the first column's and the others negated, so the rank is their sum."""
+def _rank_columns(spec: LatticeSpec, N: int, strict: bool) -> list[dict[LatticeIndex, int]]:
+    """``_rank_terms`` for the scalar evals: a dict per column keyed by site, top
+    folded into the first and the rest negated, so a key's rank is their sum."""
     top, terms = _rank_terms(spec, N, strict)
-    signed = [[top - t for t in column] if i == 0 else [-t for t in column]
-              for i, column in enumerate(terms.tolist())]
-    sites = list(lattice_sites(spec))
-    return partial(map, operator.getitem, [dict(zip(sites, column)) for column in signed])
+    signed = (-terms).tolist()
+    signed[0] = [top + t for t in signed[0]]
+    return [dict(zip(lattice_sites(spec), column)) for column in signed]
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
@@ -329,11 +328,12 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
-        return T.table.item(sum(T._site_terms(assignment.wedge))) * assignment.repetition
-    terms = T._site_terms
+        k = sum(map(getitem, T._rank_cols, assignment.wedge))
+        return T.table.item(k) * assignment.repetition
+    columns = T._rank_cols
     total = 0.0
     for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
-        total += weight * (T.table.item(sum(terms(zs))) * repetition_constant(zs))
+        total += weight * (T.table.item(sum(map(getitem, columns, zs))) * repetition_constant(zs))
     return total
 
 
@@ -407,7 +407,7 @@ def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
     total = 0.0
     for zs in (tuple(sorted(held + list(fill))) for fill in fills):
         A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
-        total += T.table.item(sum(T._site_terms(zs))) * permanent_ryser_logdomain(A)
+        total += T.table.item(sum(map(getitem, T._rank_cols, zs))) * permanent_ryser_logdomain(A)
     return total
 
 

@@ -220,8 +220,6 @@ def enumerate_wedge(spec: LatticeSpec, N: int) -> Iterator[WedgeKey]:
 
 def repetition_constant(zs: WedgeKey) -> int:
     """Product of factorials of site multiplicities within one wedge entry."""
-    if len(set(zs)) == len(zs):
-        return 1  # no site repeats: the common case, found in C
     const = 1
     run = 1
     for prev, cur in zip(zs, zs[1:]):

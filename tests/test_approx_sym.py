@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import os
 import re
 import tempfile
@@ -429,11 +430,12 @@ def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
 def test_scalar_rank_is_the_row_in_site_number_order(N, strict):
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
     sites = list(lattice_sites(spec))
-    terms = approx_sym._ranker(spec, N, strict)
+    columns = approx_sym._rank_columns(spec, N, strict)
     num = approx_sym._site_numbers(spec.site_count, N, strict)
     rows = list(range(len(num)))
     assert len(rows) == math.comb(spec.site_count + (0 if strict else N - 1), N)
-    assert [sum(terms(tuple(map(sites.__getitem__, row)))) for row in num.tolist()] == rows
+    keys = [tuple(map(sites.__getitem__, row)) for row in num.tolist()]
+    assert [sum(map(operator.getitem, columns, key)) for key in keys] == rows
     top, terms = approx_sym._rank_terms(spec, N, strict)  # the batch evals' ranks
     assert (top - terms[np.arange(N), num].sum(axis=1)).tolist() == rows
 
