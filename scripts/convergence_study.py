@@ -16,10 +16,10 @@ from symwedge import (
     builtin_target,
     convergence_sweep,
     sample_configurations,
+    sweep_csv_text,
 )
 
 SYM_TARGETS = ("sum-coords", "gaussian-pair-sym", "product-smooth-sym")
-CSV_HEADER = "delta,sup_error,bound,wedge_count,M,wall_time_s"
 
 
 def parse_args():
@@ -61,17 +61,9 @@ def main():
                 f, args.deltas, S,
                 lambda delta: build_sym(f, LatticeSpec.from_domain(domain, delta), N),
             )
-            rows = [CSV_HEADER]
-            for row in result.rows:
-                rows.append(
-                    f"{row.delta!r},{row.sup_error!r},{row.bound!r},"
-                    f"{row.wedge_count},{row.M},{row.wall_time_s!r}"
-                )
-            slope_text = "undefined" if result.slope is None else repr(result.slope)
-            rows.append(f"# slope={slope_text}")
             path = os.path.join(args.out, f"{name}_N{N}_d{d}.csv")
             with open(path, "w") as handle:
-                handle.write("\n".join(rows) + "\n")
+                handle.write(sweep_csv_text(result, True))  # measured wall times
             shown = "undefined" if result.slope is None else f"{result.slope:8.4f}"
             print(f"{name:<22} {N:>2} {d:>2} {result.gradient_bound:10.4f} {shown:>8}")
     print(f"CSV files in {args.out}/")

@@ -63,6 +63,7 @@ from .harness import (
     run_verification,
     sample_configurations,
     sup_error,
+    sweep_csv_text,
 )
 from .lattice import (
     CellAssignment,
@@ -127,8 +128,8 @@ __all__ = [
     # harness
     "SampleSet", "sample_configurations", "gradient_bound_estimate",
     "sup_error", "invariance_suite", "convergence_sweep", "SweepRow",
-    "SweepResult", "cauchy_factor_check", "CheckResult", "VerificationReport",
-    "run_verification",
+    "SweepResult", "sweep_csv_text", "cauchy_factor_check", "CheckResult",
+    "VerificationReport", "run_verification",
     # persistence
     "save_model", "load_model",
 ]

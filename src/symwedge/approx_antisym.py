@@ -61,7 +61,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Configuration, Symmetry, TargetFunction, _inversion_sign
+from .core import Configuration, Symmetry, TargetFunction, _inversion_sign, _inversion_signs
 from .errors import DirectionSearchError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
@@ -303,10 +303,11 @@ class AntisymTabulator:
     read-only (K,) float64 array in the entries' lexicographic order, so an
     entry's rank is its row. ``directions`` None is the rank construction
     (``tau`` None too); otherwise it holds each entry's projected direction,
-    chosen at ``tau``, as the read-only (K, d) rows of a float64 array.
-    ``smooth_width`` None selects indicator evaluation; a width (projected
-    construction only) selects the smooth blend. The constructor makes the
-    arrays it is given read-only, without copying them.
+    chosen at a finite ``tau`` > 0, as the read-only (K, d) rows of a float64
+    array. ``smooth_width`` None selects indicator evaluation; a width
+    (projected construction only, 0 < w <= delta/2) selects the smooth
+    blend. The constructor makes the arrays it is given read-only, without
+    copying them.
     """
 
     spec: LatticeSpec
@@ -317,6 +318,14 @@ class AntisymTabulator:
     directions: np.ndarray | None
 
     def __post_init__(self) -> None:
+        if (self.tau is None) != (self.directions is None):
+            raise ValueError("tau and directions must be both None (rank) or both set (projected)")
+        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        if self.smooth_width is not None:
+            if self.directions is None:
+                raise ValueError("smoothing is only available in projected mode")
+            _check_smooth_width(self.spec, self.smooth_width)
         K = math.comb(self.spec.site_count, self.N)
         _frozen("table", self.table, (K,))
         if self.directions is not None:
@@ -440,16 +449,6 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         k = sum(map(getitem, columns, key))
         total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
     return sign * total
-
-
-def _inversion_signs(order: np.ndarray) -> np.ndarray:
-    """``_inversion_sign`` of each row of order (K, N), as int64 +-1."""
-    N = order.shape[1]
-    inversions = np.zeros(len(order), dtype=np.int64)
-    for i in range(N):
-        for j in range(i + 1, N):
-            inversions += order[:, i] > order[:, j]
-    return 1 - 2 * (inversions & 1)
 
 
 def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:

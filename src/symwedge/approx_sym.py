@@ -121,8 +121,8 @@ class SymmetricTabulator:
     ``table`` holds f(Z)/C_Z for every wedge entry Z, as a read-only (K,)
     float64 array in the entries' lexicographic order, so an entry's rank is
     its row. ``smooth_width`` None selects indicator evaluation; a width
-    selects the smooth blend. The constructor makes the array it is given
-    read-only, without copying it.
+    (0 < w <= delta/2) selects the smooth blend. The constructor makes the
+    array it is given read-only, without copying it.
     """
 
     spec: LatticeSpec
@@ -131,6 +131,8 @@ class SymmetricTabulator:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.smooth_width is not None:
+            _check_smooth_width(self.spec, self.smooth_width)
         _frozen("table", self.table, (wedge_size(self.spec, self.N),))
 
     __eq__ = _tabulator_eq

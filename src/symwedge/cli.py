@@ -53,6 +53,7 @@ from .harness import (
     gradient_bound_estimate,
     run_verification,
     sample_configurations,
+    sweep_csv_text,
 )
 from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec, _check_wedge_cap
 from .persistence import (
@@ -72,8 +73,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
-
-SWEEP_COLUMNS = "delta,sup_error,bound,wedge_count,M,wall_time_s"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -280,8 +279,6 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         if args.cap < 1:
             raise ConfigError(f"--cap must be >= 1, got {args.cap}")
         updates["cap"] = args.cap
-    if not updates:
-        return cfg
     return dataclasses.replace(cfg, **updates)
 
 
@@ -384,12 +381,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
 
     M = tab.stats.wedge_count * (1 << cfg.N)
-    if cfg.epsilon is not None:
-        budget = feature_budget_bound(cfg.N, cfg.d, cfg.epsilon)
-        budget_text = repr(budget)
-    else:
-        budget = None
-        budget_text = "n/a (no accuracy target given)"
+    budget = None if cfg.epsilon is None else feature_budget_bound(cfg.N, cfg.d, cfg.epsilon)
+    budget_text = "n/a (no accuracy target given)" if budget is None else repr(budget)
     summary = {
         "schema": "symwedge-build/1",
         "config": _config_echo(cfg),
@@ -527,10 +520,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, _ = _load_config(args)
+    cfg, given = _load_config(args)
     if cfg.deltas is None:
         raise ConfigError("sweep needs a 'deltas' list in the config")
     f = cfg.target()
+    for key, command in (("min_gap", "verify"), ("model", "build")):
+        if key in given:
+            raise ConfigError(f"{key!r} is for {command}; remove it from a sweep config")
     for key in ("delta", "epsilon"):
         if getattr(cfg, key) is not None:
             raise ConfigError(f"sweep takes its spacings from 'deltas'; remove {key!r}")
@@ -539,16 +535,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     result = convergence_sweep(f, cfg.deltas, S, functools.partial(_build_tabulator, cfg, f))
     elapsed = time.perf_counter() - start
-    lines = [SWEEP_COLUMNS]
-    for row in result.rows:
-        wall = row.wall_time_s if args.timings else 0.0
-        lines.append(
-            f"{row.delta!r},{row.sup_error!r},{row.bound!r},{row.wedge_count},{row.M},{wall!r}"
-        )
-    lines.append(f"# slope={'undefined' if result.slope is None else repr(result.slope)}")
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "sweep.csv")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, sweep_csv_text(result, args.timings))
     print(f"swept {len(result.rows)} spacings; slope="
           f"{'undefined' if result.slope is None else repr(result.slope)}")
     print(f"gradient_bound={result.gradient_bound!r}")

@@ -178,6 +178,16 @@ def _inversion_sign(seq: Sequence[int]) -> int:
     return -1 if inv & 1 else 1
 
 
+def _inversion_signs(order: np.ndarray) -> np.ndarray:
+    """``_inversion_sign`` of each row of order (K, N), as int64 +-1."""
+    N = order.shape[1]
+    inversions = np.zeros(len(order), dtype=np.int64)
+    for i in range(N):
+        for j in range(i + 1, N):
+            inversions += order[:, i] > order[:, j]
+    return 1 - 2 * (inversions & 1)
+
+
 def parity(sigma: Permutation) -> int:
     """Sign (-1)^inversions of a permutation; +1 for even, -1 for odd."""
     return _inversion_sign(sigma.images)

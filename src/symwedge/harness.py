@@ -5,7 +5,9 @@ The harness builds nothing: it measures tabulators a caller builds, taking N,
 d and the spacing from them. A non-finite value is a ValueError (``max`` drops
 NaN) that names the same sample, slot and value a one-at-a-time scan would.
 
-Samples stay one (count, N, d) array. The harness evaluates an evaluator on
+Samples stay one (count, N, d) array, and the invariance pass's permutation
+draws are rows of (rows, N) index arrays, signed all at once by
+``core._inversion_signs``. The harness evaluates an evaluator on
 arrays of rows: the samples, the gradient stencil's 2*N*d shifted copies of
 each sample, and the permuted copies P[rows, images] of the invariance pass
 and the Cauchy check. An evaluator with a ``batch`` (every builtin target,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import permutations as _all_permutations
 from typing import Callable, Sequence
 
@@ -37,13 +39,12 @@ import numpy as np
 from .core import (
     Configuration,
     DomainSpec,
-    Permutation,
     Symmetry,
     TargetFunction,
     _configuration,
+    _inversion_signs,
     _point,
     _vandermonde_products,
-    parity,
 )
 from .core import permute  # noqa: F401  (benches/tracing.py wraps this binding)
 from .approx_sym import SymmetricTabulator, error_budget, eval_sym, eval_sym_batch
@@ -61,6 +62,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "convergence_sweep",
+    "sweep_csv_text",
     "cauchy_factor_check",
     "CheckResult",
     "VerificationReport",
@@ -118,11 +120,6 @@ class SampleSet:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def configurations(self) -> tuple[Configuration, ...]:
-        """The samples as Configurations, built on first read."""
-        return _configurations(self.points)
 
 
 def sample_configurations(domain: DomainSpec, count: int, seed: int) -> SampleSet:
@@ -224,14 +221,12 @@ def reset_philox(bit_generator: np.random.Philox, key: int) -> None:
     }
 
 
-def _random_permutations(
-    rng: np.random.Generator, N: int, count: int, seed: int
-) -> list[tuple[int, ...]]:
-    """Image tuples of ``count`` permutations drawn as from
-    ``Generator(Philox(key=seed))``, reusing ``rng`` (a Philox generator)
-    instead of building one."""
+def _random_permutations(rng: np.random.Generator, N: int, count: int, seed: int) -> np.ndarray:
+    """The images of ``count`` permutations drawn as from
+    ``Generator(Philox(key=seed))``, as the rows of a (count, N) intp array,
+    reusing ``rng`` (a Philox generator) instead of building one."""
     reset_philox(rng.bit_generator, seed)
-    return [tuple(rng.permutation(N).tolist()) for _ in range(count)]
+    return np.array([rng.permutation(N) for _ in range(count)], dtype=np.intp).reshape(count, N)
 
 
 def invariance_suite(
@@ -246,12 +241,13 @@ def invariance_suite(
     symmetric evaluators, |e(sigma X) - sign(sigma) e(X)| for anti-symmetric
     ones. Returns one residual per evaluator, in order.
 
-    The permutations of a sample are drawn once, and a block of samples'
-    permuted copies P[rows, images] are stacked into one array that each
-    evaluator takes in one evaluation. One Permutation and its sign are built
-    per distinct draw (at most N!). ``bases``, when given, holds each
-    evaluator's values on the samples, already checked finite; they stand in
-    for evaluating e on the samples. The first sample with a non-finite value
+    The permutations of a sample are drawn once. A block of samples' draws
+    form one (rows, N) index array: it gathers their permuted copies
+    P[rows, images] into one array that each evaluator takes in one
+    evaluation, and ``_inversion_signs`` of it gives every draw's sign by
+    ``parity``'s rule. ``bases``, when given, holds each evaluator's values
+    on the samples, already checked finite; they stand in for evaluating e
+    on the samples. The first sample with a non-finite value
     raises ValueError: its values, evaluator by evaluator, before its permuted
     values, draw by draw.
     """
@@ -261,26 +257,18 @@ def invariance_suite(
     N = S.domain.N
     rng = np.random.Generator(np.random.Philox(key=0))
     antisymmetric = symmetry is Symmetry.ANTISYMMETRIC
-    signs: dict[tuple[int, ...], int] = {}
     worst = [0.0] * len(evaluators)
     per = max(1, _BLOCK // n_perms)
     for start in range(0, S.count, per):
         X = S.points[start : start + per]
         B = len(X)
         samples = range(start, start + B)
-        flat: list[int] = []
-        draw_signs: list[int] = []
-        for k in samples:
-            # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
-            for images in _random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)):
-                flat.extend(images)
-                if antisymmetric:
-                    if images not in signs:
-                        signs[images] = parity(Permutation(images))
-                    draw_signs.append(signs[images])
-        images = np.array(flat, dtype=np.intp).reshape(B * n_perms, N)
+        # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
+        images = np.concatenate(
+            [_random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)) for k in samples]
+        )
         Y = X[np.repeat(np.arange(B), n_perms)[:, None], images]
-        law = np.array(draw_signs, dtype=np.float64).reshape(B, n_perms) if antisymmetric else 1.0
+        law = _inversion_signs(images).reshape(B, n_perms) if antisymmetric else 1.0
         if bases is None:
             base = np.stack([_evaluate(e, X) for e in evaluators], axis=1)
         else:
@@ -356,13 +344,21 @@ def convergence_sweep(
             )
         )
     fit = [(r.delta, r.sup_error) for r in rows if r.sup_error > CONSTANT_ERROR_FLOOR]
-    if len(fit) >= 2:
-        xs = np.log([p[0] for p in fit])
-        ys = np.log([p[1] for p in fit])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = None
+    xs, ys = np.log(np.reshape(fit, (-1, 2))).T
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(fit) >= 2 else None
     return SweepResult(rows=tuple(rows), slope=slope, gradient_bound=L_hat)
+
+
+def sweep_csv_text(result: SweepResult, wall_times: bool) -> str:
+    """``result`` as plot-ready CSV text: a header, a row per spacing (its
+    wall time 0.0 unless ``wall_times``, so reruns are byte-identical) and a
+    last ``# slope=`` line, each float as its repr."""
+    lines = ["delta,sup_error,bound,wedge_count,M,wall_time_s"]
+    for r in result.rows:
+        wall = r.wall_time_s if wall_times else 0.0
+        lines.append(f"{r.delta!r},{r.sup_error!r},{r.bound!r},{r.wedge_count},{r.M},{wall!r}")
+    lines.append(f"# slope={'undefined' if result.slope is None else repr(result.slope)}")
+    return "\n".join(lines) + "\n"
 
 
 def cauchy_factor_check(

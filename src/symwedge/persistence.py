@@ -472,6 +472,8 @@ def load_model(path: str) -> Tabulator:
         _check_records(records, keys, fields, kind, cells)
     table = np.empty(entries)
     directions = np.empty((entries, d)) if want_direction else None
+    # made only when a record needs it: a file without records may declare a huge lattice
+    index = _site_index(spec) if want_direction and entries else None
     fault = None  # the first bad direction, reported once every record has passed
     start = 0
     for rows, keys in _key_blocks(spec, N, strict):
@@ -486,7 +488,7 @@ def load_model(path: str) -> Tabulator:
         if want_direction:
             directions[part] = values[:, 1:]
             if fault is None:
-                fault = _direction_fault(block, directions[part], _site_index(spec)[rows], tau)
+                fault = _direction_fault(block, directions[part], index[rows], tau)
         start += n
         del block, keys, values  # this block's keys and values go before the next block's
     if fault is not None:

@@ -48,6 +48,7 @@ from symwedge import (
     sample_configurations,
     wedge_size,
 )
+from helpers import configurations
 
 BOUND_SLACK = 1e-12
 
@@ -153,7 +154,7 @@ def test_criterion_05_feature_form():
         spec = LatticeSpec.from_domain(domain, 0.25)
         tab = build_sym(builtin_target("gaussian-pair-sym"), spec, N)
         S = sample_configurations(domain, 1000, seed=3000 + 10 * N + d)
-        for X in S.configurations:
+        for X in configurations(S):
             assert abs(eval_sym_feature_form(tab, X) - eval_sym(tab, X)) <= 1e-9
 
 
@@ -185,7 +186,7 @@ def test_criterion_07_antisym():
         proj = build_antisym(f, spec, N, mode=MODE_PROJECTED)
         S = sample_configurations(domain, 1000, seed=4000 + 10 * N + d)
         rng = np.random.Generator(np.random.Philox(4100 + 10 * N + d))
-        for X in S.configurations:
+        for X in configurations(S):
             sigma = Permutation(tuple(int(i) for i in rng.permutation(N)))
             sign = float(parity(sigma))
             for tab in (rank, proj):
@@ -197,7 +198,8 @@ def test_criterion_07_antisym():
         for N, d in BOX_CONFIGS:
             domain = unit_domain(d, N)
             S = sample_configurations(domain, 10_000, seed=4200 + 10 * N + d)
-            fvals = [f(X) for X in S.configurations]
+            Xs = configurations(S)
+            fvals = [f(X) for X in Xs]
             L = gradient_bound_estimate(f, S)
             for delta in (0.25, 0.125):
                 spec = LatticeSpec.from_domain(domain, delta)
@@ -206,7 +208,7 @@ def test_criterion_07_antisym():
                     tab = build_antisym(f, spec, N, mode=mode)
                     worst = max(
                         abs(v - eval_antisym(tab, X))
-                        for v, X in zip(fvals, S.configurations)
+                        for v, X in zip(fvals, Xs)
                     )
                     assert worst <= bound, (name, N, d, delta, mode, worst, bound)
 
@@ -250,7 +252,7 @@ def test_criterion_09_determinism(tmp_path):
     tab = load_model(str(out / "model.swm"))
     loaded = load_model(str(out / "model.swm"))
     S = sample_configurations(unit_domain(1, 2), 100, seed=12)
-    for X in S.configurations:
+    for X in configurations(S):
         assert eval_antisym(loaded, X) == eval_antisym(tab, X)
 
 
@@ -263,12 +265,13 @@ def test_criterion_10_smooth():
     const = TargetFunction(lambda X: 3.0, Symmetry.SYMMETRIC, name="const")
     tab_c = build_sym(const, spec, 2, mode=MODE_SMOOTH, smooth_width=width)
     S = sample_configurations(domain, 500, seed=1010)
-    for X in S.configurations:
+    Xs = configurations(S)
+    for X in Xs:
         assert abs(eval_sym(tab_c, X) - 3.0) <= 1e-12
 
     f = builtin_target("gaussian-pair-sym")
     tab = build_sym(f, spec, 2, mode=MODE_SMOOTH, smooth_width=width)
-    values = [eval_sym(tab, X) for X in S.configurations]
+    values = [eval_sym(tab, X) for X in Xs]
     value_range = max(values) - min(values)
     assert value_range > 0.0
 

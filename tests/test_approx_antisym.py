@@ -46,6 +46,7 @@ from symwedge.approx_antisym import (
 from symwedge.approx_sym import _site_index, _site_numbers
 from symwedge.harness import reset_philox
 from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
+from helpers import configurations
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -564,7 +565,7 @@ def test_eval_antisym_error_band():
 
     S = sample_configurations(unit_domain(1, 2), 5000, 99)
     L_hat = gradient_bound_estimate(VG_12, S)
-    worst = max(abs(VG_12(X) - eval_antisym(tab, X)) for X in S.configurations)
+    worst = max(abs(VG_12(X) - eval_antisym(tab, X)) for X in configurations(S))
     assert worst <= 0.125 * math.sqrt(2.0) * L_hat + 1e-12
 
 

@@ -4,7 +4,7 @@ import operator
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from symwedge import (
     MODE_SMOOTH,
     BuildError,
     CapacityError,
+    ConfigError,
     Configuration,
     DomainError,
     DomainSpec,
@@ -50,6 +51,7 @@ from symwedge import (
 import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
 from symwedge.approx_sym import corner_values, smooth_weights
+from helpers import configurations
 
 FEATURE_TOL = 1e-9
 PARTITION_TOL = 1e-12
@@ -318,7 +320,7 @@ def test_eval_sym_error_band_spot_check():
     spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.25)
     tab = build_sym(SUM_12, spec, 2)
     S = sample_configurations(unit_domain(1, 2), 10_000, 4242)
-    worst = max(abs(SUM_12(X) - eval_sym(tab, X)) for X in S.configurations)
+    worst = max(abs(SUM_12(X) - eval_sym(tab, X)) for X in configurations(S))
     assert 0.2 <= worst <= 0.5  # analytic bound N*delta, nondegenerate floor
 
 
@@ -476,6 +478,50 @@ def test_tabulator_arrays_are_checked_once_and_made_read_only():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(tab, **{field: bad})
+
+
+PAIRED = "tau and directions must be both None (rank) or both set (projected)"
+WIDTH = "need 0 < smooth width w <= delta/2 = 0.125, got w = "
+# Tabulator states no model file holds: (tabulator, changed fields, the
+# constructor's message).
+REJECTED_STATES = {
+    "rank with a tau": ("antisym-c1", {"tau": 0.5}, PAIRED),
+    "rank with directions": ("antisym-c1", {"directions": np.ones((6, 1))}, PAIRED),
+    "projected without a tau": ("antisym-c2", {"tau": None}, PAIRED),
+    "projected without directions": ("antisym-c2", {"directions": None}, PAIRED),
+    "zero tau": ("antisym-c2", {"tau": 0.0}, "tau must be finite and positive, got 0.0"),
+    "negative tau": ("antisym-c2", {"tau": -0.5}, "tau must be finite and positive, got -0.5"),
+    "infinite tau": ("antisym-c2", {"tau": math.inf}, "tau must be finite and positive, got inf"),
+    "NaN tau": ("antisym-c2", {"tau": math.nan}, "tau must be finite and positive, got nan"),
+    "smooth rank": ("antisym-c1", {"smooth_width": 0.1},
+                    "smoothing is only available in projected mode"),
+    "projected width above delta/2": ("antisym-c2", {"smooth_width": 0.2}, WIDTH + "0.2"),
+    "projected zero width": ("antisym-c2", {"smooth_width": 0.0}, WIDTH + "0.0"),
+    "sym width above delta/2": ("sym", {"smooth_width": 0.2}, WIDTH + "0.2"),
+    "sym negative width": ("sym", {"smooth_width": -0.1}, WIDTH + "-0.1"),
+    "sym NaN width": ("sym", {"smooth_width": math.nan}, WIDTH + "nan"),
+}
+
+
+@pytest.mark.parametrize("state", sorted(REJECTED_STATES))
+def test_tabulators_reject_states_their_model_file_cannot_hold(tmp_path, state):
+    kind, changes, message = REJECTED_STATES[state]
+    spec = LatticeSpec.from_counts(4, 1, 0.0, 1.0)  # delta = 1/4; 6 strict entries at N = 2
+    f = builtin_target("vandermonde-gauss-antisym")
+    tab = {
+        "sym": build_sym(SUM_12, spec, 2),
+        "antisym-c1": build_antisym(f, spec, 2),
+        "antisym-c2": build_antisym(f, spec, 2, mode=MODE_PROJECTED),
+    }[kind]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(tab, **changes)
+    # the state, made without the checks, saves a file the loader refuses
+    unchecked = object.__new__(type(tab))
+    for field in fields(tab):
+        object.__setattr__(unchecked, field.name, changes.get(field.name, getattr(tab, field.name)))
+    save_model(str(tmp_path / "m.swm"), unchecked)
+    with pytest.raises(ConfigError):
+        load_model(str(tmp_path / "m.swm"))
 
 
 def test_tabulators_compare_by_the_bits_of_their_arrays():

@@ -533,9 +533,14 @@ DELTAS = [0.5, 0.25, 0.125]
         ("build", dict(n_perms=5), "'n_perms' is for verify; remove it from a build config"),
         ("build", dict(kind="antisym-c2", target="vandermonde-gauss-antisym", min_gap=0.05),
          "'min_gap' is for verify; remove it from a build config"),
+        ("sweep", dict(delta=None, deltas=DELTAS, min_gap=0.05),
+         "'min_gap' is for verify; remove it from a sweep config"),
+        ("sweep", dict(delta=None, deltas=DELTAS, model="m.swm"),
+         "'model' is for build; remove it from a sweep config"),
     ],
     ids=["build-deltas", "verify-deltas", "sweep-delta", "sweep-epsilon", "build-sym-tau",
-         "verify-c1-tau", "sweep-c1-tau", "build-n_perms", "build-min_gap"],
+         "verify-c1-tau", "sweep-c1-tau", "build-n_perms", "build-min_gap", "sweep-min_gap",
+         "sweep-model"],
 )
 def test_keys_a_command_ignores_are_config_errors(tmp_path, capsys, command, overrides, message):
     config = write_config(tmp_path, **overrides)
@@ -581,6 +586,12 @@ def test_sweep_csv_shape(tmp_path, capsys):
         assert int(M) == int(wedge) * 4  # 2^N with N = 2
         assert float(sup) <= float(bound) + 1e-12
         assert float(wall) == 0.0
+
+
+def test_sweep_takes_n_perms(tmp_path, capsys):
+    # the benchmark's sweep config gives it, so sweep accepts it unread
+    config = write_config(tmp_path, delta=None, deltas=DELTAS, samples=50, n_perms=3)
+    assert run(capsys, "sweep", "--config", config)[0] == 0
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):

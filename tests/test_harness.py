@@ -5,6 +5,8 @@ from itertools import permutations as _all_permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symwedge import (
     MODE_PROJECTED,
@@ -24,6 +26,8 @@ from symwedge import (
     eval_sym,
     gradient_bound_estimate,
     invariance_suite,
+    parity,
+    permute,
     run_verification,
     sample_configurations,
     sup_error,
@@ -33,6 +37,7 @@ import symwedge.harness as harness
 from symwedge.approx_sym import _site_numbers, corner_values
 from symwedge.harness import _random_permutations
 from symwedge.lattice import corner_configuration, enumerate_wedge
+from helpers import configurations
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)
@@ -54,7 +59,7 @@ def sweep(f, domain, deltas, S):
 
 
 def values_on(e, S):
-    return [e(X) for X in S.configurations]
+    return [e(X) for X in configurations(S)]
 
 
 def constant_target(value):
@@ -71,14 +76,14 @@ def constant_target(value):
 def test_sampling_is_deterministic():
     a = sample_configurations(UNIT_12, 100, 7)
     b = sample_configurations(UNIT_12, 100, 7)
-    assert a.configurations == b.configurations
+    assert configurations(a) == configurations(b)
     assert a.seed == 7 and a.count == 100
 
 
 def test_sampling_different_seeds_differ():
     a = sample_configurations(UNIT_12, 10, 7)
     b = sample_configurations(UNIT_12, 10, 8)
-    assert a.configurations != b.configurations
+    assert configurations(a) != configurations(b)
 
 
 def test_sampling_count_validation():
@@ -89,8 +94,8 @@ def test_sampling_count_validation():
 def test_sampling_marginal_means():
     dom = DomainSpec(d=2, N=2, lo=0.0, hi=1.0)
     S = sample_configurations(dom, 100_000, 12345)
-    arr = np.array([X.rows() for X in S.configurations])
-    se = 1.0 / math.sqrt(12.0 * len(S.configurations))
+    arr = np.array([X.rows() for X in configurations(S)])
+    se = 1.0 / math.sqrt(12.0 * S.count)
     for i in range(2):
         for a in range(2):
             assert abs(arr[:, i, a].mean() - 0.5) <= 3.0 * se
@@ -99,7 +104,7 @@ def test_sampling_marginal_means():
 def test_samples_stay_in_domain():
     dom = DomainSpec(d=1, N=3, lo=-2.0, hi=3.0)
     S = sample_configurations(dom, 500, 9)
-    for X in S.configurations:
+    for X in configurations(S):
         assert (X.N, X.d) == (3, 1)
         assert all(dom.lo <= p.coords[0] <= dom.hi for p in X.points)
 
@@ -142,7 +147,7 @@ def reference_gradient_bound(f, S, h):
     # Configuration.from_rows.
     lo, hi = S.domain.lo + h, S.domain.hi - h
     best = 0.0
-    for X in S.configurations:
+    for X in configurations(S):
         rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
         norm2 = 0.0
         for i in range(len(rows)):
@@ -259,7 +264,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
         name="nan-probe",
     )
     S = sample_configurations(UNIT_12, 200, 3)
-    sums = [sum(p.coords[0] for p in X.points) for X in S.configurations]
+    sums = [sum(p.coords[0] for p in X.points) for X in configurations(S)]
     assert sum(v > 1.5 for v in sums) == 34
     first = next(k for k, v in enumerate(sums) if v > 1.5)
     tab = build_sym(probe, LatticeSpec.from_domain(UNIT_12, 0.25), 2)
@@ -280,7 +285,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
         name="nan-probe-antisym",
     )
     kept = [
-        k for k, X in enumerate(S.configurations)
+        k for k, X in enumerate(configurations(S))
         if abs(X.points[0].coords[0] - X.points[1].coords[0]) >= 0.05
     ]
     first_kept = next(k for k in kept if sums[k] > 1.5)
@@ -303,8 +308,8 @@ def test_random_permutations_are_fresh_philox_draws(N):
     for seed in (0, 7, 2**64 + 3):
         got = _random_permutations(rng, N, 5, seed)
         fresh = np.random.Generator(np.random.Philox(key=seed))
-        assert got == [tuple(fresh.permutation(N).tolist()) for _ in range(5)]
-        assert all(type(i) is int for images in got for i in images)
+        assert got.tolist() == [fresh.permutation(N).tolist() for _ in range(5)]
+        assert got.dtype == np.intp and got.shape == (5, N)
 
 
 def recorded(f, batch):
@@ -325,15 +330,56 @@ def sample_rows(S):
     return [tuple(map(tuple, r)) for r in S.points.tolist()]
 
 
-def test_invariance_suite_builds_one_sign_per_distinct_draw(monkeypatch):
-    signs = []
-    parity = harness.parity
-    monkeypatch.setattr(harness, "parity", lambda s: signs.append(s) or parity(s))
+def test_invariance_suite_evaluates_each_draw_once():
     S = sample_configurations(UNIT_13, 300, 45)
     f, seen = recorded(builtin_target("vandermonde-gauss-antisym", {}), batch=True)
     assert invariance_suite([f], S, 8, Symmetry.ANTISYMMETRIC)[0] <= 1e-15
-    assert len(signs) == len(set(signs)) == 6
     assert len(seen) == 300 + 300 * 8  # the samples, then each draw once
+
+
+def reference_invariance(evaluators, S, n_perms, symmetry):
+    """invariance_suite's residuals, one draw at a time: per sample a fresh
+    Philox generator keyed as the suite keys it, and per draw a Permutation,
+    its permuted Configuration and its parity."""
+    worst = [0.0] * len(evaluators)
+    for k, X in enumerate(configurations(S)):
+        key = ((S.seed ^ harness._PERM_SEED_SALT) + k) % (1 << 128)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(n_perms):
+            sigma = Permutation(tuple(rng.permutation(S.domain.N).tolist()))
+            sign = parity(sigma) if symmetry is Symmetry.ANTISYMMETRIC else 1
+            Y = permute(X, sigma)
+            for i, e in enumerate(evaluators):
+                worst[i] = max(worst[i], abs(e(Y) - sign * e(X)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invariance_suite_equals_a_per_draw_reference_bit_for_bit(data):
+    N, d = data.draw(st.integers(1, 5)), data.draw(st.sampled_from([1, 2]))
+    symmetry = data.draw(st.sampled_from(list(Symmetry)))
+    n_perms = data.draw(st.sampled_from([1, 3, 8]))
+    domain = DomainSpec(d=d, N=N, lo=-0.5, hi=1.5)
+    count, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, (1 << 128) - 1))
+    S = sample_configurations(domain, count, seed)
+    spec = LatticeSpec.from_counts(6 if d == 1 else 3, d, -0.5, 1.5)
+    if symmetry is Symmetry.SYMMETRIC:
+        f = builtin_target("gaussian-pair-sym")
+        tab = build_sym(f, spec, N)
+        approx = lambda X: eval_sym(tab, X)
+    else:
+        f = builtin_target("vandermonde-gauss-antisym")
+        tab = build_antisym(f, spec, N)
+        approx = lambda X: eval_antisym(tab, X)
+    # slot_weighted obeys neither law, so a wrong draw or sign shows in its residual
+    evaluators = (f, approx, slot_weighted)
+    with pytest.MonkeyPatch.context() as patch:
+        # blocks of a few samples, or of one sample's draws
+        patch.setattr(harness, "_BLOCK", data.draw(st.integers(1, 3 * n_perms)))
+        got = invariance_suite(evaluators, S, n_perms, symmetry)
+    want = reference_invariance(evaluators, S, n_perms, symmetry)
+    assert [r.hex() for r in got] == [r.hex() for r in want]
 
 
 def test_the_target_is_evaluated_once_on_each_sample():
@@ -406,7 +452,7 @@ def test_run_verification_permutes_each_draw_once(f, build, n_perms):
     report = run_verification(traced, tab, S, 1.0, n_perms, 0.05)
     kept = 0
     if report.cauchy_residual is not None:
-        for X in S.configurations:
+        for X in configurations(S):
             xs = [p.coords[0] for p in X.points]
             kept += min(abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]) >= 0.05
         assert kept > 0
@@ -431,13 +477,12 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
     S = sample_configurations(domain, 20, 47)
     rng = np.random.Generator(np.random.Philox(key=47))
     draws = (domain.lo + domain.span * rng.random((20, N, d))).tolist()
-    assert [X.rows() for X in S.configurations] == [
-        tuple(tuple(row) for row in rows) for rows in draws
-    ]
+    unchecked = harness._configurations(S.points)
+    assert [X.rows() for X in unchecked] == [tuple(tuple(row) for row in rows) for rows in draws]
     seen = []
     gradient_bound_estimate(lambda X: seen.append(X) or 0.0, S)
     assert len(seen) == 20 * 2 * N * d
-    for X in S.configurations:
+    for X in unchecked:
         for images in _all_permutations(range(N)):
             seen.append(harness.permute(X, Permutation(images)))
     spec = LatticeSpec.from_counts(3, d, -0.5, 1.5)
@@ -445,7 +490,7 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
     record = TargetFunction(lambda X: corners.append(X) or 0.0, Symmetry.SYMMETRIC)
     corner_values(record, spec, _site_numbers(spec.site_count, N, strict=False))
     assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
-    for X in list(S.configurations) + seen + corners:
+    for X in list(unchecked) + seen + corners:
         assert_same_as_validated(X)
 
 

@@ -903,3 +903,19 @@ def test_a_file_with_several_faults_reports_the_first_in_check_order(
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
         load_model(str(path))
+
+
+def test_load_builds_the_site_index_once_however_many_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(persistence, "_BLOCK", 3)
+    f = builtin_target("vandermonde-gauss-antisym")
+    tab = build_antisym(f, LatticeSpec.from_counts(3, 2, 0.0, 1.0), 2, mode=MODE_PROJECTED)
+    path = str(tmp_path / "m.swm")
+    save_model(path, tab)
+    calls = []
+    site_index = persistence._site_index
+    monkeypatch.setattr(
+        persistence, "_site_index", lambda spec: calls.append(spec) or site_index(spec)
+    )
+    assert load_model(path) == tab
+    # 36 records in 12 blocks: one index for the key texts, one for the directions
+    assert len(calls) == 2
