@@ -162,6 +162,13 @@ def _pair_terms(A: np.ndarray, P: np.ndarray) -> Iterator[tuple[np.ndarray, np.n
             yield dot, norm2
 
 
+def _unit_rows(A: np.ndarray) -> np.ndarray:
+    """Whether each row of A (K, d) is a unit vector within 1e-12; a row with
+    a non-finite or overflowing component is not."""
+    with np.errstate(all="ignore"):
+        return np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
+
+
 def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     """Whether each row of directions A (K, d) is valid for its key in idx
     (K, N, d): every pair difference of the key projects onto the direction
@@ -330,6 +337,12 @@ class AntisymTabulator:
         _frozen("table", self.table, (K,))
         if self.directions is not None:
             _frozen("directions", self.directions, (K, self.spec.d))
+            unit = _unit_rows(self.directions)
+            if not unit.all():
+                k = int(np.argmin(unit))
+                raise ValueError(
+                    f"directions row {k} is not a unit vector: {self.directions[k].tolist()}"
+                )
 
     __eq__ = _tabulator_eq
 

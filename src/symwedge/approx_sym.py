@@ -92,18 +92,22 @@ def _wedge_stats(spec: LatticeSpec, N: int) -> BuildStats:
 
 
 def _frozen(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Check that a tabulator's ``name`` is a float64 array of ``shape``, and
-    make it read-only in place (no copy)."""
+    """Check that a tabulator's ``name`` is a float64 array of ``shape`` with
+    finite values, and make it read-only in place (no copy)."""
     is_array = isinstance(array, np.ndarray)
     if not (is_array and array.dtype == np.float64 and array.shape == shape):
         found = f"{array.dtype} array of shape {array.shape}" if is_array else type(array).__name__
         raise ValueError(f"{name} must be a float64 array of shape {shape}, found {found}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        k = int(np.argmin(finite)) // (array.size // len(array))
+        raise ValueError(f"{name} row {k} is not finite: {array[k].tolist()}")
     array.setflags(write=False)
 
 
 def _tabulator_eq(self, other) -> bool:
     """``==`` of two tabulators of one type, field by field, arrays by their
-    shape and bits: -0.0 and 0.0 differ, and a NaN equals itself."""
+    shape and bits: -0.0 and 0.0 differ."""
     if type(other) is not type(self):
         return NotImplemented
 

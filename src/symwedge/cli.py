@@ -492,9 +492,11 @@ def _report_csv_text(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg, _ = _load_config(args)
+    cfg, given = _load_config(args)
     start = time.perf_counter()
     f = cfg.target()
+    if "model" in given:
+        raise ConfigError("'model' is for build; remove it from a verify config")
     _check_single_lattice(cfg)
     S = sample_configurations(cfg.domain(), cfg.samples, cfg.seed)
     delta, L_hat = _resolve_delta(cfg, f, S)

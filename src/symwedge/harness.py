@@ -6,23 +6,25 @@ d and the spacing from them. A non-finite value is a ValueError (``max`` drops
 NaN) that names the same sample, slot and value a one-at-a-time scan would.
 
 Samples stay one (count, N, d) array, and the invariance pass's permutation
-draws are rows of (rows, N) index arrays, signed all at once by
-``core._inversion_signs``. The harness evaluates an evaluator on
-arrays of rows: the samples, the gradient stencil's 2*N*d shifted copies of
-each sample, and the permuted copies P[rows, images] of the invariance pass
-and the Cauchy check. An evaluator with a ``batch`` (every builtin target,
-and the indicator tabulators through ``eval_sym_batch`` and
-``eval_antisym_batch``) takes each array in one call; any other is called
-once per row, on a Configuration built from the row without re-validation
-(its coordinates are finite Philox draws, or clipped or permuted copies of
-them). Every array holds at most about _BLOCK rows, so memory stays bounded
-however many samples there are. One invariance pass checks every evaluator
-it is given (``run_verification`` passes the target and the tabulator)
-against one set of permuted copies.
+draws are rows of (rows, N) index arrays, taken from one seeded stream per
+pass and signed all at once by ``core._inversion_signs``. The harness
+evaluates an evaluator on arrays of rows: the samples, the gradient
+stencil's 2*N*d shifted copies of each sample, and the permuted copies
+P[rows, images] of the invariance pass and the Cauchy check. An evaluator
+with a ``batch`` (every builtin target, and the indicator tabulators through
+``eval_sym_batch`` and ``eval_antisym_batch``) takes each array in one call;
+any other is called once per row, on a Configuration built from the row
+without re-validation (its coordinates are finite Philox draws, or clipped
+or permuted copies of them). Every array holds at most about _BLOCK rows, so
+memory stays bounded however many samples there are. One invariance pass
+checks every evaluator it is given (``run_verification`` passes the target
+and the tabulator) against one set of permuted copies.
 
 Everything here is deterministic given (seed, inputs). Sampling uses a
-counter-based bit generator (Philox) keyed directly by the seed, so sample
-sets regenerate bit-identically across runs and machines.
+counter-based bit generator (Philox) keyed directly by the seed, and an
+invariance pass one Philox stream keyed by the seed XOR _PERM_SEED_SALT, so
+sample sets and permutation draws regenerate bit-identically across runs and
+machines.
 """
 
 from __future__ import annotations
@@ -202,33 +204,6 @@ def sup_error(
     return float(err[k]), _configurations(S.points[k : k + 1])[0]
 
 
-def reset_philox(bit_generator: np.random.Philox, key: int) -> None:
-    """Put a Philox bit generator in the state ``Philox(key=key)`` starts in.
-
-    Philox is counter based: its stream is a pure function of (key, counter),
-    so the draws that follow equal a freshly built generator's, without the
-    OS-entropy seeding that every construction pays for.
-    """
-    if not 0 <= key < 1 << 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key % (1 << 64), key // (1 << 64))},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _random_permutations(rng: np.random.Generator, N: int, count: int, seed: int) -> np.ndarray:
-    """The images of ``count`` permutations drawn as from
-    ``Generator(Philox(key=seed))``, as the rows of a (count, N) intp array,
-    reusing ``rng`` (a Philox generator) instead of building one."""
-    reset_philox(rng.bit_generator, seed)
-    return np.array([rng.permutation(N) for _ in range(count)], dtype=np.intp).reshape(count, N)
-
-
 def invariance_suite(
     evaluators: Sequence[Callable[[Configuration], float]],
     S: SampleSet,
@@ -241,21 +216,22 @@ def invariance_suite(
     symmetric evaluators, |e(sigma X) - sign(sigma) e(X)| for anti-symmetric
     ones. Returns one residual per evaluator, in order.
 
-    The permutations of a sample are drawn once. A block of samples' draws
-    form one (rows, N) index array: it gathers their permuted copies
-    P[rows, images] into one array that each evaluator takes in one
-    evaluation, and ``_inversion_signs`` of it gives every draw's sign by
-    ``parity``'s rule. ``bases``, when given, holds each evaluator's values
-    on the samples, already checked finite; they stand in for evaluating e
-    on the samples. The first sample with a non-finite value
-    raises ValueError: its values, evaluator by evaluator, before its permuted
-    values, draw by draw.
+    The pass draws from one Philox stream keyed by ``S.seed ^
+    _PERM_SEED_SALT``, in sample order: each draw is the stable argsort of
+    the stream's next N doubles, so the draws do not depend on how samples
+    are blocked. A block of samples' draws form one (rows, N) index array:
+    it gathers their permuted copies P[rows, images] into one array that
+    each evaluator takes in one evaluation, and ``_inversion_signs`` of it
+    gives every draw's sign by ``parity``'s rule. ``bases``, when given,
+    holds each evaluator's values on the samples, already checked finite;
+    they stand in for evaluating e on the samples. The first sample with a
+    non-finite value raises ValueError: its values, evaluator by evaluator,
+    before its permuted values, draw by draw.
     """
     if n_perms < 1:
         raise ValueError("need at least one permutation per sample")
-    seed = S.seed ^ _PERM_SEED_SALT
     N = S.domain.N
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = np.random.Generator(np.random.Philox(key=S.seed ^ _PERM_SEED_SALT))
     antisymmetric = symmetry is Symmetry.ANTISYMMETRIC
     worst = [0.0] * len(evaluators)
     per = max(1, _BLOCK // n_perms)
@@ -263,10 +239,7 @@ def invariance_suite(
         X = S.points[start : start + per]
         B = len(X)
         samples = range(start, start + B)
-        # Philox keys lie in [0, 2**128), so the per-sample keys wrap there.
-        images = np.concatenate(
-            [_random_permutations(rng, N, n_perms, (seed + k) % (1 << 128)) for k in samples]
-        )
+        images = np.argsort(rng.random((B * n_perms, N)), axis=1, kind="stable")
         Y = X[np.repeat(np.arange(B), n_perms)[:, None], images]
         law = _inversion_signs(images).reshape(B, n_perms) if antisymmetric else 1.0
         if bases is None:

@@ -66,6 +66,7 @@ from .approx_antisym import (
     KIND_PROJECTED,
     KIND_RANK,
     AntisymTabulator,
+    _unit_rows,
     directions_valid,
 )
 from .approx_sym import (
@@ -307,7 +308,7 @@ def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: fl
     build's validity test at tau, or None."""
     with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
         finite = np.isfinite(A).all(axis=1)
-        unit = np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
+        unit = _unit_rows(A)
         valid = directions_valid(A, idx, tau)
     bad = np.flatnonzero(~(finite & unit & valid))
     if not len(bad):

@@ -44,7 +44,6 @@ from symwedge.approx_antisym import (
     fnv1a64,
 )
 from symwedge.approx_sym import _site_index, _site_numbers
-from symwedge.harness import reset_philox
 from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
 from helpers import configurations
 
@@ -411,33 +410,6 @@ def test_directions_valid_matches_the_rule_at_d3(N):
         want = [draw_is_valid(a, zs, tau) for zs, a in zip(keys, directions)]
         assert 0 < sum(want) < len(want)  # both outcomes occur
         assert directions_valid(np.array(directions), idx, tau).tolist() == want
-
-
-# ---------------------------------------------------------------- harness.reset_philox
-
-
-@pytest.mark.parametrize("key", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
-def test_reset_philox_equals_a_fresh_generator(key):
-    fresh = np.random.Philox(key=key)
-    rng = np.random.Generator(np.random.Philox(key=12345))
-    rng.standard_normal(7)  # leave the generator mid-buffer
-    reset_philox(rng.bit_generator, key)
-    got, want = rng.bit_generator.state, fresh.state
-    assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
-    assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
-    assert got["buffer"].tolist() == want["buffer"].tolist()
-    assert {k: got[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")} == {
-        k: want[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")
-    }
-    assert bits(rng.standard_normal(16)) == bits(np.random.Generator(fresh).standard_normal(16))
-
-
-@pytest.mark.parametrize("key", [-1, 2**128])
-def test_reset_philox_rejects_what_philox_rejects(key):
-    with pytest.raises(ValueError):
-        np.random.Philox(key=key)
-    with pytest.raises(ValueError):
-        reset_philox(np.random.Philox(key=0), key)
 
 
 # ---------------------------------------------------------------- build

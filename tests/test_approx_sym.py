@@ -482,6 +482,15 @@ def test_tabulator_arrays_are_checked_once_and_made_read_only():
 
 PAIRED = "tau and directions must be both None (rank) or both set (projected)"
 WIDTH = "need 0 < smooth width w <= delta/2 = 0.125, got w = "
+
+
+def with_row(shape, k, value, fill=1.0):
+    """An array of ``shape`` full of ``fill`` but for ``value`` in row k."""
+    array = np.full(shape, fill)
+    array[k] = value
+    return array
+
+
 # Tabulator states no model file holds: (tabulator, changed fields, the
 # constructor's message).
 REJECTED_STATES = {
@@ -500,6 +509,13 @@ REJECTED_STATES = {
     "sym width above delta/2": ("sym", {"smooth_width": 0.2}, WIDTH + "0.2"),
     "sym negative width": ("sym", {"smooth_width": -0.1}, WIDTH + "-0.1"),
     "sym NaN width": ("sym", {"smooth_width": math.nan}, WIDTH + "nan"),
+    # the wedge of 4 sites and 2 slots has 10 entries, the strict one 6
+    "NaN table": ("sym", {"table": with_row(10, 3, math.nan, 0.0)},
+                  "table row 3 is not finite: nan"),
+    "infinite direction": ("antisym-c2", {"directions": with_row((6, 1), 1, math.inf)},
+                           "directions row 1 is not finite: [inf]"),
+    "zero direction": ("antisym-c2", {"directions": with_row((6, 1), 4, 0.0)},
+                       "directions row 4 is not a unit vector: [0.0]"),
 }
 
 
@@ -532,9 +548,6 @@ def test_tabulators_compare_by_the_bits_of_their_arrays():
     negative_zero = tab.table.copy()
     negative_zero[0] = -0.0
     assert replace(tab, table=negative_zero) != tab  # though -0.0 == 0.0
-    nan = tab.table.copy()
-    nan[1] = math.nan
-    assert replace(tab, table=nan) == replace(tab, table=nan.copy())  # though nan != nan
     assert replace(tab, smooth_width=0.25) != tab
     anti = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
     assert replace(anti, directions=-anti.directions) != anti

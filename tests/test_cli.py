@@ -537,10 +537,11 @@ DELTAS = [0.5, 0.25, 0.125]
          "'min_gap' is for verify; remove it from a sweep config"),
         ("sweep", dict(delta=None, deltas=DELTAS, model="m.swm"),
          "'model' is for build; remove it from a sweep config"),
+        ("verify", dict(model="x.swm"), "'model' is for build; remove it from a verify config"),
     ],
     ids=["build-deltas", "verify-deltas", "sweep-delta", "sweep-epsilon", "build-sym-tau",
          "verify-c1-tau", "sweep-c1-tau", "build-n_perms", "build-min_gap", "sweep-min_gap",
-         "sweep-model"],
+         "sweep-model", "verify-model"],
 )
 def test_keys_a_command_ignores_are_config_errors(tmp_path, capsys, command, overrides, message):
     config = write_config(tmp_path, **overrides)
@@ -863,7 +864,7 @@ def test_seed_flag_outside_philox_keys_exits_2(tmp_path, capsys, command, seed):
     "seed", [2**128 - 1, (2**128 - 1) ^ 0x9E3779B97F4A7C15], ids=["top", "top-permutation-key"]
 )
 def test_verify_takes_seeds_up_to_the_top_of_the_range(tmp_path, capsys, seed):
-    # the second seed puts the permutation key of sample 0 at 2**128 - 1
+    # the second seed puts the invariance pass's permutation key at 2**128 - 1
     config = write_config(tmp_path, samples=50)
     code, _, err = run(capsys, "verify", "--config", config, "--seed", str(seed))
     assert (code, err) == (0, "")

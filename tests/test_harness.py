@@ -35,7 +35,6 @@ from symwedge import (
 )
 import symwedge.harness as harness
 from symwedge.approx_sym import _site_numbers, corner_values
-from symwedge.harness import _random_permutations
 from symwedge.lattice import corner_configuration, enumerate_wedge
 from helpers import configurations
 
@@ -302,16 +301,6 @@ def test_invariance_suite_is_seed_deterministic():
     assert r1 == r2
 
 
-@pytest.mark.parametrize("N", [1, 3, 5])
-def test_random_permutations_are_fresh_philox_draws(N):
-    rng = np.random.Generator(np.random.Philox(key=0))
-    for seed in (0, 7, 2**64 + 3):
-        got = _random_permutations(rng, N, 5, seed)
-        fresh = np.random.Generator(np.random.Philox(key=seed))
-        assert got.tolist() == [fresh.permutation(N).tolist() for _ in range(5)]
-        assert got.dtype == np.intp and got.shape == (5, N)
-
-
 def recorded(f, batch):
     """f, recording the rows it is evaluated on (as row tuples) in a list,
     through its batch when ``batch`` is set and once per configuration
@@ -338,15 +327,16 @@ def test_invariance_suite_evaluates_each_draw_once():
 
 
 def reference_invariance(evaluators, S, n_perms, symmetry):
-    """invariance_suite's residuals, one draw at a time: per sample a fresh
-    Philox generator keyed as the suite keys it, and per draw a Permutation,
-    its permuted Configuration and its parity."""
+    """invariance_suite's residuals, one draw at a time: one Philox generator
+    keyed as the suite keys it, and per draw, in sample order, the stable
+    argsort of its next N doubles as a Permutation, its permuted
+    Configuration and its parity."""
     worst = [0.0] * len(evaluators)
-    for k, X in enumerate(configurations(S)):
-        key = ((S.seed ^ harness._PERM_SEED_SALT) + k) % (1 << 128)
-        rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=S.seed ^ harness._PERM_SEED_SALT))
+    for X in configurations(S):
         for _ in range(n_perms):
-            sigma = Permutation(tuple(rng.permutation(S.domain.N).tolist()))
+            images = np.argsort(rng.random(S.domain.N), kind="stable")
+            sigma = Permutation(tuple(images.tolist()))
             sign = parity(sigma) if symmetry is Symmetry.ANTISYMMETRIC else 1
             Y = permute(X, sigma)
             for i, e in enumerate(evaluators):
@@ -380,6 +370,22 @@ def test_invariance_suite_equals_a_per_draw_reference_bit_for_bit(data):
         got = invariance_suite(evaluators, S, n_perms, symmetry)
     want = reference_invariance(evaluators, S, n_perms, symmetry)
     assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_invariance_draws_are_uniform_over_the_permutations():
+    # 6 permutations at N = 3, so each is hit 10,000 times in expectation,
+    # with sigma = sqrt(60,000 * 1/6 * 5/6) ~ 91
+    S = sample_configurations(UNIT_13, 7_500, 46)
+    f, seen = recorded(builtin_target("product-smooth-sym"), batch=True)
+    bases = [f.batch(S.points)]
+    del seen[:]  # given the bases, the suite evaluates f on the permuted copies only
+    invariance_suite([f], S, 8, Symmetry.SYMMETRIC, bases=bases)
+    copies = np.array(seen)[:, :, 0].reshape(S.count, 8, 3)
+    # the position of each sample point in its copy gives the draw's images
+    images = np.argmax(copies[:, :, :, None] == S.points[:, None, None, :, 0], axis=3)
+    draws, hits = np.unique(images.reshape(-1, 3), axis=0, return_counts=True)
+    assert len(draws) == 6 and hits.sum() == 60_000
+    assert (np.abs(hits - 10_000) <= 5 * math.sqrt(60_000 / 6 * 5 / 6)).all()
 
 
 def test_the_target_is_evaluated_once_on_each_sample():
@@ -553,7 +559,7 @@ PINNED_HARNESS_HEX = {
     "gradient gaussian-pair-sym": "0x1.44ec3adb91c1dp+1",
     "gradient vandermonde-gauss-antisym": "0x1.f23986c2ddb70p-3",
     "invariance gaussian-pair-sym": "0x1.0000000000000p-51",
-    "invariance vandermonde-gauss-antisym": "0x1.0000000000000p-56",
+    "invariance vandermonde-gauss-antisym": "0x1.8000000000000p-57",
 }
 
 

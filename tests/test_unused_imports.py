@@ -13,6 +13,11 @@ A module-level function, class or constant of the package whose name starts
 with an underscore is dead when no file of the package, the tests, the
 scripts or the benchmark names it: not as a read name, an attribute, an
 import or a string (which ``setattr`` and ``getattr`` take).
+
+A public module-level function or class of the package is dead when
+``symwedge/__init__.py`` does not export it and no file of the package, the
+scripts or the benchmark names it; its own definition and ``__all__`` entries
+do not count, and neither do the tests, so a name only tests call is dead.
 """
 
 import ast
@@ -151,4 +156,84 @@ def used_names():
 @pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
 def test_module_has_no_dead_private_definitions(name):
     dead = [n for n in private_definitions(read(MODULES[name])) if n not in used_names()]
+    assert dead == []
+
+
+def assigns_all(node):
+    """Whether the statement ``node`` assigns ``__all__``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def without_all(source):
+    """``source`` with its module-level ``__all__`` assignments left out."""
+    tree = ast.parse(source)
+    tree.body = [node for node in tree.body if not assigns_all(node)]
+    return ast.unparse(tree)
+
+
+def exported_names(source):
+    """The names ``source`` lists in its ``__all__``."""
+    for node in ast.parse(source).body:
+        if assigns_all(node):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def public_definitions(source):
+    """Module-level functions and classes of ``source`` named without a
+    leading underscore, in order."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def dead_public_definitions(source, exported, used):
+    """Public definitions of ``source`` that are not among the ``exported``
+    names and not among the ``used`` ones."""
+    return [n for n in public_definitions(source) if n not in exported and n not in used]
+
+
+def test_dead_public_definitions_are_found():
+    module = (
+        "__all__ = ['Box', 'helper', 'orphan', 'reset']\n"
+        "class Box:\n    pass\n"
+        "def helper():\n    return 1\n"
+        "def orphan():\n    return 2\n"
+        "def reset():\n    return 3\n"
+        "def _draw():\n    return reset()\n"
+    )
+    exported = exported_names("from .m import Box\n__all__ = ['Box']\n")
+    script = "from pkg.m import helper\nhelper()\n"
+
+    def dead(module):
+        used = referenced_names(without_all(module)) | referenced_names(script)
+        return dead_public_definitions(module, exported, used)
+
+    assert dead(module) == ["orphan"]
+    # with its only caller gone, ``reset`` is dead too
+    assert dead(module.replace("return reset()", "return 0")) == ["orphan", "reset"]
+
+
+@functools.cache
+def names_outside_tests():
+    """Every name the package modules, scripts and benchmark files name
+    outside their ``__all__``."""
+    paths = [
+        path
+        for folder in (os.path.join("src", "symwedge"), "scripts", "benches")
+        for path in glob.glob(os.path.join(ROOT, folder, "*.py"))
+        if os.path.basename(path) != "__init__.py"
+    ]
+    return set().union(*(referenced_names(without_all(read(path))) for path in paths))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
+def test_module_has_no_dead_public_definitions(name):
+    exported = exported_names(read(os.path.join(PACKAGE, "__init__.py")))
+    dead = dead_public_definitions(read(MODULES[name]), exported, names_outside_tests())
     assert dead == []
