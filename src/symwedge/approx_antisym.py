@@ -45,8 +45,8 @@ candidate is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every
 entry takes (1,).
 
 Projected mode additionally supports a smooth variant that blends
-neighboring entries with the same normalized cutoff weights as the
-symmetric tabulator, times the projected pair product of the actual
+neighboring distinct entries with ``smooth_weights``, the symmetric
+tabulator's blend, times the projected pair product of the actual sorted
 coordinates; it is continuous across cell faces and vanishes on the
 diagonal.
 """
@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import getitem
+from operator import getitem, sub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -72,7 +72,6 @@ from .lattice import (
     _check_wedge_cap,
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     locate,
-    repetition_constant,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
 )
 from .approx_sym import (
@@ -417,12 +416,6 @@ def build_antisym(
     return AntisymTabulator(spec, N, tau, smooth_width, values, A)
 
 
-def _sorted_with_sign(X: Configuration) -> tuple[list[tuple[float, ...]], int]:
-    rows = [p.coords for p in X.points]
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    return [rows[i] for i in order], _inversion_sign(order)
-
-
 def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     """Evaluate the tabulator.
 
@@ -434,9 +427,9 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     parity of its sort order, so no permutation is built.
 
     Smooth path (projected mode): blend stored quotients over neighboring
-    distinct entries with the symmetric tabulator's normalized weights
-    times the projected pair product of the actual (canonically sorted)
-    coordinates.
+    distinct entries with ``smooth_weights`` times the projected pair
+    product of the actual (canonically sorted) coordinates, whose pair
+    differences are formed once per call.
     """
     _check_eval_input(T, X)
     if T.smooth_width is None:
@@ -453,15 +446,27 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
-    rows, sign = _sorted_with_sign(X)
+    rows = [p.coords for p in X.points]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    rows = [rows[i] for i in order]
+    # The sorted rows' pair differences, in the (i, j) order of the pair product.
+    diffs = [tuple(map(sub, ri, rj)) for i, ri in enumerate(rows) for rj in rows[i + 1 :]]
     columns = T._rank_cols
+    stored = T.table.item
     total = 0.0
     for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
-        if repetition_constant(key) > 1:
+        if len(set(key)) < T.N:
             continue  # dropped entries carry no value
         k = sum(map(getitem, columns, key))
-        total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
-    return sign * total
+        a = T.directions[k].tolist()
+        prod = 1.0
+        for diff in diffs:
+            dot = 0.0
+            for ac, dc in zip(a, diff):
+                dot += ac * dc
+            prod *= dot
+        total += weight * stored(k) * prod
+    return _inversion_sign(order) * total
 
 
 def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:

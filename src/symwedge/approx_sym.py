@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from operator import getitem
 
 import numpy as np
@@ -312,12 +312,16 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[WedgeK
     the result carries no trace of the input ordering.
     """
     pts = sorted(X.points, key=lambda p: p.coords)
-    supports = [site_weight_support(spec, p, w) for p in pts]
+    *first, last = [site_weight_support(spec, p, w) for p in pts]
+    # Combinations in itertools.product order, each mass a left-to-right product.
+    combos = [((), 1.0)]
+    for support in first:
+        combos = [(sites + (site,), mass * m) for sites, mass in combos for site, m in support]
     weights: dict[WedgeKey, float] = {}
-    for combo in product(*supports):
-        sites, masses = zip(*combo)
-        key = tuple(sorted(sites))
-        weights[key] = weights.get(key, 0.0) + math.prod(masses)
+    for sites, mass in combos:
+        for site, m in last:
+            key = tuple(sorted(sites + (site,)))
+            weights[key] = weights.get(key, 0.0) + mass * m
     return weights
 
 
@@ -337,9 +341,10 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
         k = sum(map(getitem, T._rank_cols, assignment.wedge))
         return T.table.item(k) * assignment.repetition
     columns = T._rank_cols
+    stored = T.table.item
     total = 0.0
     for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
-        total += weight * (T.table.item(sum(map(getitem, columns, zs))) * repetition_constant(zs))
+        total += weight * (stored(sum(map(getitem, columns, zs))) * repetition_constant(zs))
     return total
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "repetition_constant",
     "locate",
     "corner_configuration",
-    "axis_weight_support",
     "site_weight_support",
 ]
 
@@ -296,72 +295,62 @@ def _smoothstep(t: float) -> float:
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
-def _axis_profile(spec: LatticeSpec, index: int, c: float, w: float) -> float:
-    """Raw quintic cutoff of cell ``index`` at coordinate c: 1 on the plateau
-    [corner + w, corner + delta - w], 0 outside [corner - w, corner + delta + w],
-    and exactly 1/2 on a cell face."""
-    a = spec.axis_position(index)
-    rise_from = a - w
-    rise_to = a + w
-    fall_from = a + spec.delta - w
-    fall_to = a + spec.delta + w
-    if c <= rise_from or c >= fall_to:
-        return 0.0
-    if c < rise_to:
-        return _smoothstep((c - rise_from) / (2.0 * w))
-    if c <= fall_from:
-        return 1.0
-    return _smoothstep((fall_to - c) / (2.0 * w))
-
-
 def _check_smooth_width(spec: LatticeSpec, w: float | None) -> None:
     """Smoothing needs a width 0 < w <= delta/2, so only adjacent cells overlap."""
     if w is None or not 0.0 < w <= spec.delta / 2.0:
         raise ValueError(f"need 0 < smooth width w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
 
 
-def axis_weight_support(spec: LatticeSpec, c: float, w: float) -> tuple[tuple[int, float], ...]:
-    """Cells with a nonzero cutoff at coordinate c along one axis, with the
-    profiles normalized to sum to one.
-
-    Away from the domain boundary the raw profiles of adjacent cells already
-    sum to one (the quintic satisfies s(t) + s(1-t) = 1); normalizing also
-    repairs the deficit of the half-bands at lo and hi. With w <= delta/2 at
-    most two cells are active, and the containing cell's profile is >= 1/2,
-    so the divisor never degenerates.
-    """
-    if not spec.origin <= c <= spec.top:
-        raise DomainError(f"coordinate {c!r} outside [{spec.origin}, {spec.top}]")
-    n = spec.cells_per_dim
-    k = int((c - spec.origin) / spec.delta)
-    if k >= n:
-        k = n - 1
-    entries = []
-    for index in (k - 1, k, k + 1):
-        if 0 <= index < n:
-            p = _axis_profile(spec, index, c, w)
-            if p > 0.0:
-                entries.append((index, p))
-    total = 0.0
-    for _, p in entries:
-        total += p
-    return tuple((index, p / total) for index, p in entries)
-
-
 def site_weight_support(
     spec: LatticeSpec, x: Point | Sequence[float], w: float
 ) -> tuple[tuple[LatticeIndex, float], ...]:
-    """Tensor product of the per-axis supports: the sites a single point
-    spreads its unit mass over. Weights sum to one."""
+    """The sites a single point spreads its unit mass over and their
+    weights, sites in lexicographic order; the weights sum to one.
+
+    Along an axis the cell with corner a has the quintic cutoff rising over
+    [a - w, a + w] as s((c - (a - w)) / (2w)), 1 up to a + delta - w and
+    falling to 0 at a + delta + w; with w <= delta/2 only the containing
+    cell and its neighbours can be nonzero. Dividing by their sum repairs
+    the half-bands at lo and hi (elsewhere s(t) + s(1-t) = 1 already), and
+    the containing cell's profile is >= 1/2. A site's weight is the product
+    of its axes' weights, in axis order. On an interior face the two cells
+    meeting there weigh exactly 1/2 when the band ends and quotients are
+    exact (a dyadic delta and w on a box with dyadic ends), and otherwise
+    within 2^-51 * max(|lo|, |hi|) / w of 1/2.
+    """
     _check_smooth_width(spec, w)
     coords = x.coords if isinstance(x, Point) else tuple(x)
     if len(coords) != spec.d:
         raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")
-    axis_supports = [axis_weight_support(spec, c, w) for c in coords]
-    out = []
-    for combo in product(*axis_supports):
-        weight = 1.0
-        for _, p in combo:
-            weight *= p
-        out.append((tuple(index for index, _ in combo), weight))
+    origin = spec.origin
+    top = spec.top
+    delta = spec.delta
+    n = spec.cells_per_dim
+    out: list[tuple[LatticeIndex, float]] = [((), 1.0)]
+    for c in coords:
+        if not origin <= c <= top:
+            raise DomainError(f"coordinate {c!r} outside [{origin}, {top}]")
+        k = int((c - origin) / delta)
+        if k >= n:
+            k = n - 1
+        axis = []
+        total = 0.0
+        for index in (k - 1, k, k + 1):
+            if 0 <= index < n:
+                a = origin + index * delta
+                rise_from = a - w
+                fall_to = a + delta + w
+                if c <= rise_from or c >= fall_to:
+                    continue
+                if c < a + w:
+                    p = _smoothstep((c - rise_from) / (2.0 * w))
+                elif c <= a + delta - w:
+                    p = 1.0
+                else:
+                    p = _smoothstep((fall_to - c) / (2.0 * w))
+                if p > 0.0:
+                    axis.append((index, p))
+                    total += p
+        axis = [(index, p / total) for index, p in axis]
+        out = [(site + (index,), weight * p) for site, weight in out for index, p in axis]
     return tuple(out)

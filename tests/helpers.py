@@ -1,8 +1,170 @@
 """Helpers shared by the test modules."""
 
-from symwedge import Configuration
+import math
+from itertools import product
+
+import numpy as np
+from hypothesis import strategies as st
+
+from symwedge import Configuration, Point
+from symwedge.core import _inversion_sign
+from symwedge.lattice import repetition_constant
 
 
 def configurations(S):
     """The samples of S as Configurations, built with the checks from ``S.points``."""
     return [Configuration.from_rows(rows) for rows in S.points.tolist()]
+
+
+BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
+
+
+def draw_rows(data, spec, N, B):
+    """B rows of N points in spec's box: uniform draws, cell faces moved by
+    up to 3 ulps either way, lo and hi exactly, and points repeating an
+    earlier point of their row."""
+
+    def coordinate():
+        where = data.draw(st.sampled_from(["uniform", "face", "lo", "hi"]))
+        if where == "uniform":
+            return data.draw(st.floats(spec.origin, spec.top))
+        if where == "lo":
+            return spec.origin
+        if where == "hi":
+            return spec.top
+        c = spec.origin + data.draw(st.integers(0, spec.cells_per_dim)) * spec.delta
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            c = math.nextafter(c, math.copysign(math.inf, steps))
+        return min(max(c, spec.origin), spec.top)
+
+    rows = []
+    for _ in range(B):
+        points = []
+        for i in range(N):
+            if i and data.draw(st.booleans()):
+                points.append(points[data.draw(st.integers(0, i - 1))])
+            else:
+                points.append([coordinate() for _ in range(spec.d)])
+        rows.append(points)
+    return np.array(rows, dtype=np.float64).reshape(B, N, spec.d)
+
+
+def face_rows(rng, spec, N):
+    """N points in spec's box whose coordinates each lie, with probability
+    1/2, on a cell face (lo and hi included), and are uniform otherwise."""
+    shape = (N, spec.d)
+    faces = spec.origin + rng.integers(0, spec.cells_per_dim + 1, shape) * spec.delta
+    uniform = spec.origin + (spec.top - spec.origin) * rng.random(shape)
+    rows = np.where(rng.random(shape) < 0.5, faces, uniform)
+    return np.clip(rows, spec.origin, spec.top).tolist()
+
+
+# ------------------------------------------------------------------------
+# A frozen copy of the scalar smooth path as it stood before the cutoffs
+# were inlined into site_weight_support: the reference the smooth evals
+# must equal bit for bit. Inputs are assumed valid (in the box, 0 < w <=
+# delta/2), as the package checks them before blending.
+
+
+def _smoothstep(t):
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    return t * t * t * (10.0 + t * (6.0 * t - 15.0))
+
+
+def _axis_profile(spec, index, c, w):
+    a = spec.origin + index * spec.delta
+    rise_from = a - w
+    rise_to = a + w
+    fall_from = a + spec.delta - w
+    fall_to = a + spec.delta + w
+    if c <= rise_from or c >= fall_to:
+        return 0.0
+    if c < rise_to:
+        return _smoothstep((c - rise_from) / (2.0 * w))
+    if c <= fall_from:
+        return 1.0
+    return _smoothstep((fall_to - c) / (2.0 * w))
+
+
+def axis_weight_support(spec, c, w):
+    n = spec.cells_per_dim
+    k = int((c - spec.origin) / spec.delta)
+    if k >= n:
+        k = n - 1
+    entries = []
+    for index in (k - 1, k, k + 1):
+        if 0 <= index < n:
+            p = _axis_profile(spec, index, c, w)
+            if p > 0.0:
+                entries.append((index, p))
+    total = 0.0
+    for _, p in entries:
+        total += p
+    return tuple((index, p / total) for index, p in entries)
+
+
+def site_weight_support(spec, x, w):
+    coords = x.coords if isinstance(x, Point) else tuple(x)
+    axis_supports = [axis_weight_support(spec, c, w) for c in coords]
+    out = []
+    for combo in product(*axis_supports):
+        weight = 1.0
+        for _, p in combo:
+            weight *= p
+        out.append((tuple(index for index, _ in combo), weight))
+    return tuple(out)
+
+
+def smooth_weights(spec, X, w):
+    pts = sorted(X.points, key=lambda p: p.coords)
+    supports = [site_weight_support(spec, p, w) for p in pts]
+    weights = {}
+    for combo in product(*supports):
+        sites, masses = zip(*combo)
+        key = tuple(sorted(sites))
+        weights[key] = weights.get(key, 0.0) + math.prod(masses)
+    return weights
+
+
+def _rank(T, key):
+    return sum(column[site] for column, site in zip(T._rank_cols, key))
+
+
+def eval_sym_smooth(T, X):
+    """The smooth branch of ``eval_sym``."""
+    total = 0.0
+    for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
+        total += weight * (T.table.item(_rank(T, zs)) * repetition_constant(zs))
+    return total
+
+
+def _projected_pair_product(a, rows):
+    n = len(rows)
+    prod = 1.0
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            rj = rows[j]
+            dot = 0.0
+            for av, ci, cj in zip(a, ri, rj):
+                dot += av * (ci - cj)
+            prod *= dot
+    return prod
+
+
+def eval_antisym_smooth(T, X):
+    """The smooth branch of ``eval_antisym`` (projected construction)."""
+    rows = [p.coords for p in X.points]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    rows, sign = [rows[i] for i in order], _inversion_sign(order)
+    total = 0.0
+    for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
+        if repetition_constant(key) > 1:
+            continue
+        k = _rank(T, key)
+        total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
+    return sign * total

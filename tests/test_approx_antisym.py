@@ -45,7 +45,7 @@ from symwedge.approx_antisym import (
 )
 from symwedge.approx_sym import _site_index, _site_numbers
 from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
-from helpers import configurations
+from helpers import BOXES, configurations, draw_rows, face_rows
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -569,8 +569,8 @@ def test_smooth_projected_sign_equivariance():
         spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
         tab = build_antisym(f, spec, N, mode=MODE_PROJECTED, smooth_width=0.06)
         rng = np.random.Generator(np.random.Philox(65))
-        for _ in range(200):
-            X = cfg(*rng.random((N, d)).tolist())
+        for k in range(300):
+            X = cfg(*(rng.random((N, d)).tolist() if k < 200 else face_rows(rng, spec, N)))
             sigma = Permutation(tuple(int(i) for i in rng.permutation(N)))
             expected = parity(sigma) * eval_antisym(tab, X)
             assert eval_antisym(tab, permute(X, sigma)) == expected
@@ -607,37 +607,6 @@ def test_smooth_projected_continuous_where_sort_flips():
 
 
 # ---------------------------------------------------------------- batch eval
-
-BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
-
-
-def draw_rows(data, spec, N, B):
-    """B rows of N points in spec's box: uniform draws, cell faces moved by
-    up to 3 ulps either way, hi exactly, and points repeating an earlier
-    point of their row."""
-
-    def coordinate():
-        where = data.draw(st.sampled_from(["uniform", "face", "hi"]))
-        if where == "uniform":
-            return data.draw(st.floats(spec.origin, spec.top))
-        if where == "hi":
-            return spec.top
-        c = spec.origin + data.draw(st.integers(0, spec.cells_per_dim)) * spec.delta
-        steps = data.draw(st.integers(-3, 3))
-        for _ in range(abs(steps)):
-            c = math.nextafter(c, math.copysign(math.inf, steps))
-        return min(max(c, spec.origin), spec.top)
-
-    rows = []
-    for _ in range(B):
-        points = []
-        for i in range(N):
-            if i and data.draw(st.booleans()):
-                points.append(points[data.draw(st.integers(0, i - 1))])
-            else:
-                points.append([coordinate() for _ in range(spec.d)])
-        rows.append(points)
-    return np.array(rows, dtype=np.float64).reshape(B, N, spec.d)
 
 
 @settings(max_examples=120, deadline=None)

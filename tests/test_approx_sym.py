@@ -51,7 +51,8 @@ from symwedge import (
 import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
 from symwedge.approx_sym import corner_values, smooth_weights
-from helpers import configurations
+import helpers
+from helpers import BOXES, configurations, draw_rows, face_rows
 
 FEATURE_TOL = 1e-9
 PARTITION_TOL = 1e-12
@@ -330,38 +331,6 @@ def test_eval_sym_domain_and_shape_errors():
         eval_sym(tab, cfg([0.2], [1.4]))
     with pytest.raises(ValueError):
         eval_sym(tab, cfg([0.2], [0.4], [0.6]))
-
-
-BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
-
-
-def draw_rows(data, spec, N, B):
-    """B rows of N points in spec's box: uniform draws, cell faces moved by
-    up to 3 ulps either way, hi exactly, and points repeating an earlier
-    point of their row."""
-
-    def coordinate():
-        where = data.draw(st.sampled_from(["uniform", "face", "hi"]))
-        if where == "uniform":
-            return data.draw(st.floats(spec.origin, spec.top))
-        if where == "hi":
-            return spec.top
-        c = spec.origin + data.draw(st.integers(0, spec.cells_per_dim)) * spec.delta
-        steps = data.draw(st.integers(-3, 3))
-        for _ in range(abs(steps)):
-            c = math.nextafter(c, math.copysign(math.inf, steps))
-        return min(max(c, spec.origin), spec.top)
-
-    rows = []
-    for _ in range(B):
-        points = []
-        for i in range(N):
-            if i and data.draw(st.booleans()):
-                points.append(points[data.draw(st.integers(0, i - 1))])
-            else:
-                points.append([coordinate() for _ in range(spec.d)])
-        rows.append(points)
-    return np.array(rows, dtype=np.float64).reshape(B, N, spec.d)
 
 
 @settings(max_examples=120, deadline=None)
@@ -746,13 +715,14 @@ def test_smooth_mode_reproduces_constants():
 
 def test_smooth_mode_bit_exact_invariance():
     f = builtin_target("gaussian-pair-sym")
-    spec = LatticeSpec.from_domain(unit_domain(1, 3), 0.25)
-    tab = build_sym(f, spec, 3, mode=MODE_SMOOTH, smooth_width=0.06)
-    rng = np.random.Generator(np.random.Philox(57))
-    for _ in range(200):
-        X = cfg(*rng.random((3, 1)).tolist())
-        sigma = Permutation(tuple(int(i) for i in rng.permutation(3)))
-        assert eval_sym(tab, permute(X, sigma)) == eval_sym(tab, X)
+    for N, d, uniform in [(3, 1, 200), (4, 2, 100), (5, 1, 100)]:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        tab = build_sym(f, spec, N, mode=MODE_SMOOTH, smooth_width=0.06)
+        rng = np.random.Generator(np.random.Philox(57))
+        for k in range(uniform + 100):
+            X = cfg(*(rng.random((N, d)).tolist() if k < uniform else face_rows(rng, spec, N)))
+            sigma = Permutation(tuple(int(i) for i in rng.permutation(N)))
+            assert eval_sym(tab, permute(X, sigma)) == eval_sym(tab, X)
 
 
 def test_smooth_mode_no_jump_across_face():
@@ -774,3 +744,67 @@ def test_smooth_width_guards():
         build_sym(SUM_12, SPEC_HALF, 2, mode=MODE_INDICATOR, smooth_width=0.1)
     with pytest.raises(ValueError):
         build_sym(SUM_12, SPEC_HALF, 2, mode="nearest")
+
+
+def bits(value):
+    return float(value).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_smooth_evals_equal_the_reference_bit_for_bit(data):
+    N, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    lo, hi = data.draw(st.sampled_from(BOXES))
+    # dyadic and non-dyadic cell counts, at most 2,000 wedge entries
+    counts = [n for n in (1, 2, 3, 4, 7, 8, 13) if math.comb(n**d + N - 1, N) <= 2000]
+    spec = LatticeSpec.from_counts(data.draw(st.sampled_from(counts)), d, lo, hi)
+    half = spec.delta / 2
+    w = data.draw(st.one_of(
+        st.sampled_from([half, half / 2, half / 3, half / 7]),
+        st.floats(0.0, half, exclude_min=True),
+    ))
+    S = build_sym(builtin_target("gaussian-pair-sym"), spec, N, mode=MODE_SMOOTH, smooth_width=w)
+    A = build_antisym(
+        builtin_target("vandermonde-gauss-antisym"), spec, N, mode=MODE_PROJECTED, smooth_width=w
+    )
+    # faces, lo, hi and coincident points, and two rows of generic coordinates
+    P = draw_rows(data, spec, N, data.draw(st.integers(1, 4)))
+    rng = np.random.Generator(np.random.Philox(data.draw(st.integers(0, 2**32 - 1))))
+    generic = np.clip(lo + (hi - lo) * rng.random((2, N, d)), lo, hi)
+    for rows in np.concatenate([P, generic]).tolist():
+        X = cfg(*rows)
+        for p in X.points:
+            got = approx_sym.site_weight_support(spec, p, w)
+            want = helpers.site_weight_support(spec, p, w)
+            assert [(site, bits(m)) for site, m in got] == [(site, bits(m)) for site, m in want]
+        got = smooth_weights(spec, X, w)
+        want = helpers.smooth_weights(spec, X, w)
+        assert [(key, bits(m)) for key, m in got.items()] == [
+            (key, bits(m)) for key, m in want.items()
+        ]
+        assert bits(eval_sym(S, X)) == bits(helpers.eval_sym_smooth(S, X))
+        assert bits(approx_antisym.eval_antisym(A, X)) == bits(helpers.eval_antisym_smooth(A, X))
+
+
+def test_smooth_evals_call_site_weight_support_once_per_point(monkeypatch):
+    # benches/tracing.py times lattice.site_weight_support through this binding
+    calls = []
+    original = approx_sym.site_weight_support
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(approx_sym, "site_weight_support", counting)
+    rng = np.random.Generator(np.random.Philox(58))
+    for N, d in [(1, 1), (2, 2), (3, 2), (4, 1)]:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        sym = build_sym(builtin_target("gaussian-pair-sym"), spec, N,
+                        mode=MODE_SMOOTH, smooth_width=0.0625)
+        antisym = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N,
+                                mode=MODE_PROJECTED, smooth_width=0.0625)
+        for T, evaluate in [(sym, eval_sym), (antisym, approx_antisym.eval_antisym)]:
+            for rows in rng.random((20, N, d)).tolist():
+                calls.clear()
+                evaluate(T, cfg(*rows))
+                assert len(calls) == N

@@ -26,11 +26,7 @@ from symwedge import (
     wedge_size,
 )
 import symwedge.lattice as lattice
-from symwedge.lattice import (
-    _axis_profile,
-    axis_weight_support,
-    site_weight_support,
-)
+from symwedge.lattice import _smoothstep, site_weight_support
 
 UNIT_1D = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 
@@ -478,20 +474,50 @@ def test_smooth_cutoff_width_range():
 
 
 def test_adjacent_cutoffs_sum_to_one_on_transition_band():
-    # the raw profiles, before axis_weight_support normalizes them
+    # across the band of the face at 0.5 the raw profiles of cells 0 and 1
+    # are s(1 - t) and s(t), before site_weight_support normalizes them
     spec = spec_1d(0.5)
     w = 0.125
     for x in np.linspace(0.5 - w, 0.5 + w, 33):
-        total = _axis_profile(spec, 0, float(x), w) + _axis_profile(spec, 1, float(x), w)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        t = (float(x) - (0.5 - w)) / (2.0 * w)
+        assert _smoothstep(t) + _smoothstep(1.0 - t) == pytest.approx(1.0, abs=1e-12)
+        weights = dict(site_weight_support(spec, (float(x),), w))
+        assert weights.get((0,), 0.0) == pytest.approx(_smoothstep(1.0 - t), abs=1e-12)
+        assert weights.get((1,), 0.0) == pytest.approx(_smoothstep(t), abs=1e-12)
 
 
-def test_axis_weight_support_normalized():
+def test_site_weight_support_normalized_1d():
     spec = spec_1d(0.25)
     for x in (0.0, 0.13, 0.25, 0.26, 0.5, 0.999, 1.0):
-        support = axis_weight_support(spec, x, 0.06)
+        support = site_weight_support(spec, (x,), 0.06)
         assert sum(p for _, p in support) == pytest.approx(1.0, abs=1e-15)
         assert all(p > 0.0 for _, p in support)
+
+
+def test_face_weights_are_exactly_half_at_dyadic_spacing_and_width():
+    for lo, hi in [(0.0, 1.0), (-1.0, 1.0), (-0.5, 1.5)]:
+        for n in (2, 4, 8, 16, 64):
+            spec = LatticeSpec.from_counts(n, 1, lo, hi)
+            for w in (spec.delta / 2, spec.delta / 4, spec.delta / 16):
+                for k in range(1, n):
+                    support = site_weight_support(spec, (spec.axis_position(k),), w)
+                    assert support == (((k - 1,), 0.5), ((k,), 0.5))
+
+
+def test_face_weights_are_half_up_to_rounding_otherwise():
+    off = 0
+    for lo, hi in [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]:
+        for n in range(2, 60):
+            spec = LatticeSpec.from_counts(n, 1, lo, hi)
+            for w in (spec.delta / 2, spec.delta / 3, spec.delta / 7, spec.delta / 100):
+                bound = 2.0**-51 * max(abs(lo), abs(hi)) / w
+                for k in range(1, n):
+                    support = site_weight_support(spec, (spec.axis_position(k),), w)
+                    assert [site for site, _ in support] == [(k - 1,), (k,)]
+                    for _, p in support:
+                        assert abs(p - 0.5) <= bound
+                        off += p != 0.5
+    assert off > 0  # so the dyadic exactness is not a general rule
 
 
 def test_site_weight_support_normalized_2d():
