@@ -701,6 +701,35 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, capsys, kind, target, N):
     assert digest == PINNED_SWEEP_CSV_SHA256[(kind, target, N)]
 
 
+# SHA-256 of report.json and report.csv of a verify at N=3, d=1, delta=1/32,
+# 2,000 samples, seed 7 (antisym-c1 includes the Cauchy check). The config
+# echo holds ``out``, so it is relative.
+PINNED_REPORT_SHA256 = {
+    ("sym", "gaussian-pair-sym"): (
+        "11be652cc6781479a9518576082171d2e5e09cd1a790d514527f1e4cbf7dd956",
+        "6fbf697686cf8006d1450f7c3cb7cb6549bc7d0ced31e7444dd40a4ff02107a9",
+    ),
+    ("antisym-c1", "vandermonde-gauss-antisym"): (
+        "7ba6308780618c5231de6d5dc3a46ca2f9050d4dbb556ef75044970b9cc00553",
+        "4f3ede6612ce7e0dc011cb83794942adc8191b888e9bcacf1847938697ed84a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, target", sorted(PINNED_REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, kind, target):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(
+        tmp_path, kind=kind, target=target, N=3, delta=1 / 32, samples=2000, seed=7, out="out"
+    )
+    assert run(capsys, "verify", "--config", config)[0] == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("report.json", "report.csv")
+    )
+    assert digests == PINNED_REPORT_SHA256[(kind, target)]
+
+
 @pytest.mark.parametrize("smooth_width", [None, 1 / 64], ids=["indicator", "smooth"])
 @pytest.mark.parametrize("target", ["vandermonde-gauss-antisym", "vandermonde-sum-antisym"])
 def test_sweep_projected_construction_converges_first_order(
