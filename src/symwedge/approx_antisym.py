@@ -27,9 +27,9 @@ the direction of largest score from one fixed table per d: the
 _CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
 scaled to unit length, the lowest index winning a tie, with scores taken on
 the (scale-free) integer index differences. One kernel, ``_pair_terms``,
-forms every pair sum of the search, the validity test and the batched
-corner products one component at a time, so none depends on the BLAS
-build. ``tau`` is a floor: every chosen direction must pass
+forms every pair sum of the search and the validity test one component at
+a time, and the batched corner products run ``_projected_pair_product``'s
+own text on columns, so none depends on the BLAS build. ``tau`` is a floor: every chosen direction must pass
 ``directions_valid`` at tau, the rule the loader applies, and an entry
 whose best candidate fails raises DirectionSearchError.
 
@@ -203,11 +203,19 @@ def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     alone; tau only decides whether it passes. (1,) at d = 1."""
     if len(set(zs)) < len(zs):
         raise ValueError("direction choice needs distinct cells")
-    return tuple(_choose_directions(np.array([zs], dtype=np.int64), tau)[0].tolist())
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    idx = np.array([zs], dtype=np.int64)
+    A, score, valid = _search_directions(idx, tau)
+    if not valid[0]:
+        raise _rejection(idx[0], tau, score[0])
+    return tuple(A[0].tolist())
 
 
-def _projected_pair_product(a: Sequence[float], rows: Sequence[tuple[float, ...]]) -> float:
-    """prod_{i<j} a . (rows[i] - rows[j]) in fixed (i, j) order."""
+def _projected_pair_product(a: Sequence[float], rows: Sequence[Sequence[float]]) -> float:
+    """prod_{i<j} a . (rows[i] - rows[j]) in fixed (i, j) order. The
+    components a[c] and rows[i][c] may also be (K,) float64 columns, which
+    gives K products as a (K,) array (1.0 when there is no pair)."""
     n = len(rows)
     prod = 1.0
     for i in range(n):
@@ -221,17 +229,27 @@ def _projected_pair_product(a: Sequence[float], rows: Sequence[tuple[float, ...]
     return prod
 
 
-def _search_directions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _search_directions(
+    idx: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The direction of every key of a (K, N, d) index array, as a (K, d)
-    array, and its score, as a (K,) array: each key takes the candidate of
-    ``_candidate_table(d)`` that maximizes min over pairs of
-    |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie."""
+    array, its score, as a (K,) array, and whether it passes
+    ``directions_valid`` at tau, as a (K,) bool array. Each key takes the
+    candidate of ``_candidate_table(d)`` that maximizes min over pairs of
+    |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie; the keys are
+    searched _DIRECTION_CHUNK at a time."""
     C = _candidate_table(idx.shape[2])
-    score = np.full((_CANDIDATES, len(idx)), np.inf)  # (candidate, key)
-    for dot, norm2 in _pair_terms(C[:, None, :], idx):
-        np.minimum(score, np.abs(dot, out=dot) / np.sqrt(norm2), out=score)
-    best = np.argmax(score, axis=0)
-    return C[best], score[best, np.arange(len(idx))]
+    A = np.empty((len(idx), idx.shape[2]))
+    score = np.empty(len(idx))
+    for start in range(0, len(idx), _DIRECTION_CHUNK):
+        part = idx[start : start + _DIRECTION_CHUNK]
+        scores = np.full((_CANDIDATES, len(part)), np.inf)  # (candidate, key)
+        for dot, norm2 in _pair_terms(C[:, None, :], part):
+            np.minimum(scores, np.abs(dot, out=dot) / np.sqrt(norm2), out=scores)
+        best = np.argmax(scores, axis=0)
+        A[start : start + len(part)] = C[best]
+        score[start : start + len(part)] = scores[best, np.arange(len(part))]
+    return A, score, directions_valid(A, idx, tau)
 
 
 def _rejection(key: np.ndarray, tau: float, score: float) -> DirectionSearchError:
@@ -241,20 +259,6 @@ def _rejection(key: np.ndarray, tau: float, score: float) -> DirectionSearchErro
         f"no candidate direction clears tau = {tau} for Z = {zs}: its best smallest "
         f"relative pair projection is {float(score)!r}; lower tau"
     )
-
-
-def _choose_directions(idx: np.ndarray, tau: float) -> np.ndarray:
-    """``_search_directions`` of a (K, N, d) index array, as a (K, d) array.
-    The first key whose choice fails ``directions_valid`` at tau raises
-    DirectionSearchError."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    A, score = _search_directions(idx)
-    rejected = np.flatnonzero(~directions_valid(A, idx, tau))
-    if len(rejected):
-        k = rejected[0]
-        raise _rejection(idx[k], tau, score[k])
-    return A
 
 
 def _difference_patterns(
@@ -294,11 +298,9 @@ def _difference_patterns(
 
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """_projected_pair_product of each row of directions A (K, d) and corners P (K, N, d)."""
-    prod = np.ones(len(P))
-    for dot, _ in _pair_terms(A, P):
-        prod *= dot
-    return prod
+    """_projected_pair_product of each row of directions A (K, d) and corners
+    P (K, N, d), as a (K,) array: the one text run on their columns."""
+    return np.full(len(P), _projected_pair_product(A.T, P.transpose(1, 2, 0)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -396,13 +398,7 @@ def build_antisym(
     index = _site_index(spec)
     # The search reads only z_i - z_j, so each difference pattern is searched once.
     patterns, of_key = _difference_patterns(index, num, spec.cells_per_dim)
-    A = np.empty((len(patterns), spec.d))
-    score = np.empty(len(patterns))
-    valid = np.empty(len(patterns), dtype=bool)
-    for start in range(0, len(patterns), _DIRECTION_CHUNK):
-        part = slice(start, start + _DIRECTION_CHUNK)
-        A[part], score[part] = _search_directions(patterns[part])
-        valid[part] = directions_valid(A[part], patterns[part], tau)
+    A, score, valid = _search_directions(patterns, tau)
     if not valid.all():
         k = int(np.argmin(valid[of_key]))  # the first failing key in key order
         raise _rejection(index[num[k]], tau, score[of_key[k]])

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -194,7 +196,9 @@ def parity(sigma: Permutation) -> int:
 
 
 def vandermonde_product(ys: Sequence[float]) -> float:
-    """prod_{i<j} (ys[i] - ys[j]) in fixed (i, j) order; 0 on any repeat."""
+    """prod_{i<j} (ys[i] - ys[j]) in fixed (i, j) order; 0 on any repeat.
+    The ys may also be (K,) float64 columns, which gives the K products as
+    a (K,) array (1.0 when there is no pair)."""
     n = len(ys)
     prod = 1.0
     for i in range(n):
@@ -212,7 +216,8 @@ class TargetFunction:
     coordinate array and returns the (K,) values, each equal bit for bit to
     ``evaluator`` on that row's configuration. The builders tabulate corner
     values through it; a target without one is called once per wedge entry.
-    Every builtin target has one.
+    Every builtin target has one, which runs the evaluator's own text on the
+    array's (K,) columns.
     """
 
     evaluator: Callable[[Configuration], float]
@@ -224,34 +229,39 @@ class TargetFunction:
         return float(self.evaluator(X))
 
 
-# Builtin batches replay their evaluator's arithmetic on (K,) columns of the
-# (K, N, d) input: components in order, pairs in (i, j) order, from 0.0 or
-# 1.0. numpy's exp and sin differ from math's in the last bit, so those are
-# mapped per element.
-
-
 def _each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     """fn (a math function) of every element of a 1-D float64 array. The
     elements are read through a memoryview, which makes no list of them."""
     return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=len(values))
 
 
-def _coordinate_sums(P: np.ndarray) -> np.ndarray:
-    """Per row of P (K, N, d), the sum of all N*d coordinates, point by point."""
-    total = np.zeros(len(P))
-    for i in range(P.shape[1]):
-        for a in range(P.shape[2]):
-            total += P[:, i, a]
+# The math namespace of a builtin text run on (K,) columns. numpy's exp and
+# sin differ from math's in the last bit, so math's are mapped per element;
+# every other step is one IEEE operation per element, as on floats.
+_COLUMN_MATH = SimpleNamespace(exp=partial(_each, math.exp), sin=partial(_each, math.sin))
+
+
+def _builtin(name: str, symmetry: Symmetry, value: Callable[..., float]) -> TargetFunction:
+    """The target whose value at points pts is value(pts, m), for m a math
+    namespace. The evaluator runs value on a configuration's rows with m =
+    math; the batch runs it on the (K,) columns of a (K, N, d) array, pts[i][a]
+    being P[:, i, a], with m = _COLUMN_MATH. Both run one text, so they agree
+    bit for bit."""
+
+    def batch(P: np.ndarray) -> np.ndarray:
+        return np.full(len(P), value(P.transpose(1, 2, 0), _COLUMN_MATH), dtype=np.float64)
+
+    return TargetFunction(lambda X: value(X.rows(), math), symmetry, name=name, batch=batch)
+
+
+def _coordinate_sum(pts: Sequence[Sequence[float]]) -> float:
+    """The sum of every coordinate of pts, point by point, from 0.0: a plain
+    loop, since builtin sum's float summation differs between Python versions."""
+    total = 0.0
+    for p in pts:
+        for c in p:
+            total += c
     return total
-
-
-def _vandermonde_products(Y: np.ndarray) -> np.ndarray:
-    """vandermonde_product of each row of Y (K, N)."""
-    prod = np.ones(len(Y))
-    for i in range(Y.shape[1]):
-        for j in range(i + 1, Y.shape[1]):
-            prod *= Y[:, i] - Y[:, j]
-    return prod
 
 
 def _finite_number(value: object) -> float | None:
@@ -280,15 +290,7 @@ def _check_params(name: str, params: Mapping[str, object], allowed: frozenset[st
 
 def _make_sum_coords(params: Mapping[str, object]) -> TargetFunction:
     _check_params("sum-coords", params, frozenset())
-
-    def ev(X: Configuration) -> float:
-        total = 0.0
-        for p in X.points:
-            for c in p.coords:
-                total += c
-        return total
-
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="sum-coords", batch=_coordinate_sums)
+    return _builtin("sum-coords", Symmetry.SYMMETRIC, lambda pts, m: _coordinate_sum(pts))
 
 
 def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
@@ -302,34 +304,21 @@ def _make_gaussian_pair(params: Mapping[str, object]) -> TargetFunction:
         )
     inv_w2 = 1.0 / w2
 
-    def ev(X: Configuration) -> float:
-        pts = X.points
+    def value(pts, m):
         n = len(pts)
         total = 0.0
         for i in range(n):
-            ci = pts[i].coords
+            ci = pts[i]
             for j in range(i + 1, n):
-                cj = pts[j].coords
+                cj = pts[j]
                 r2 = 0.0
                 for a in range(len(ci)):
                     diff = ci[a] - cj[a]
                     r2 += diff * diff
-                total += math.exp(-r2 * inv_w2)
+                total += m.exp(-r2 * inv_w2)
         return total
 
-    def batch(P: np.ndarray) -> np.ndarray:
-        K, n, d = P.shape
-        total = np.zeros(K)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r2 = np.zeros(K)
-                for a in range(d):
-                    diff = P[:, i, a] - P[:, j, a]
-                    r2 += diff * diff
-                total += _each(math.exp, -r2 * inv_w2)
-        return total
-
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="gaussian-pair-sym", batch=batch)
+    return _builtin("gaussian-pair-sym", Symmetry.SYMMETRIC, value)
 
 
 def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
@@ -340,70 +329,36 @@ def _make_product_smooth(params: Mapping[str, object]) -> TargetFunction:
 
     # quarter-period sine: monotone per coordinate on the unit box, so a
     # half-box lattice is not already range-saturated and convergence sweeps
-    # starting at delta = 0.5 measure the asymptotic first-order rate. The
-    # coordinate sum is a plain loop: builtin sum's float summation differs
-    # between Python versions, and the batch replays the loop.
-    def ev(X: Configuration) -> float:
+    # starting at delta = 0.5 measure the asymptotic first-order rate.
+    def value(pts, m):
         prod = 1.0
-        for p in X.points:
-            total = 0.0
-            for c in p.coords:
-                total += c
-            prod *= 1.0 + amplitude * math.sin(0.5 * math.pi * (total / len(p.coords)))
+        for p in pts:
+            prod *= 1.0 + amplitude * m.sin(0.5 * math.pi * (_coordinate_sum((p,)) / len(p)))
         return prod
 
-    def batch(P: np.ndarray) -> np.ndarray:
-        K, n, d = P.shape
-        totals = np.zeros((K, n))
-        for a in range(d):
-            totals += P[:, :, a]
-        sines = _each(math.sin, (0.5 * math.pi * (totals / d)).ravel()).reshape(K, n)
-        prod = np.ones(K)
-        for i in range(n):
-            prod *= 1.0 + amplitude * sines[:, i]
-        return prod
-
-    return TargetFunction(ev, Symmetry.SYMMETRIC, name="product-smooth-sym", batch=batch)
+    return _builtin("product-smooth-sym", Symmetry.SYMMETRIC, value)
 
 
 def _make_vandermonde_gauss(params: Mapping[str, object]) -> TargetFunction:
     _check_params("vandermonde-gauss-antisym", params, frozenset())
 
-    def ev(X: Configuration) -> float:
+    def value(pts, m):
         r2 = 0.0
-        for p in X.points:
-            for c in p.coords:
+        for p in pts:
+            for c in p:
                 r2 += c * c
-        return vandermonde_product([p.coords[0] for p in X.points]) * math.exp(-r2)
+        return vandermonde_product([p[0] for p in pts]) * m.exp(-r2)
 
-    def batch(P: np.ndarray) -> np.ndarray:
-        r2 = np.zeros(len(P))
-        for i in range(P.shape[1]):
-            for a in range(P.shape[2]):
-                r2 += P[:, i, a] * P[:, i, a]
-        return _vandermonde_products(P[:, :, 0]) * _each(math.exp, -r2)
-
-    return TargetFunction(
-        ev, Symmetry.ANTISYMMETRIC, name="vandermonde-gauss-antisym", batch=batch
-    )
+    return _builtin("vandermonde-gauss-antisym", Symmetry.ANTISYMMETRIC, value)
 
 
 def _make_vandermonde_sum(params: Mapping[str, object]) -> TargetFunction:
     _check_params("vandermonde-sum-antisym", params, frozenset())
 
-    def ev(X: Configuration) -> float:
-        total = 0.0
-        for p in X.points:
-            for c in p.coords:
-                total += c
-        return vandermonde_product([p.coords[0] for p in X.points]) * total
+    def value(pts, m):
+        return vandermonde_product([p[0] for p in pts]) * _coordinate_sum(pts)
 
-    def batch(P: np.ndarray) -> np.ndarray:
-        return _vandermonde_products(P[:, :, 0]) * _coordinate_sums(P)
-
-    return TargetFunction(
-        ev, Symmetry.ANTISYMMETRIC, name="vandermonde-sum-antisym", batch=batch
-    )
+    return _builtin("vandermonde-sum-antisym", Symmetry.ANTISYMMETRIC, value)
 
 
 _BUILTIN_FACTORIES: dict[str, Callable[[Mapping[str, object]], TargetFunction]] = {

@@ -15,8 +15,10 @@ with a ``batch`` (every builtin target, and the indicator tabulators through
 ``eval_sym_batch`` and ``eval_antisym_batch``) takes each array in one call;
 any other is called once per row, on a Configuration built from the row
 without re-validation (its coordinates are finite Philox draws, or clipped
-or permuted copies of them). Every array holds at most about _BLOCK rows, so
-memory stays bounded however many samples there are. One invariance pass
+or permuted copies of them). No evaluated array holds more than _BLOCK rows:
+a sample whose stencil, draws or Cauchy orders need more is split across
+arrays, in the same order, so memory stays bounded however many samples,
+points or draws there are. One invariance pass
 checks every evaluator it is given (``run_verification`` passes the target
 and the tabulator) against one set of permuted copies.
 
@@ -33,8 +35,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations as _all_permutations
-from typing import Callable, Sequence
+from itertools import islice, permutations as _all_permutations
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .core import (
     _configuration,
     _inversion_signs,
     _point,
-    _vandermonde_products,
+    vandermonde_product,
 )
 from .core import permute  # noqa: F401  (benches/tracing.py wraps this binding)
 from .approx_sym import SymmetricTabulator, error_budget, eval_sym, eval_sym_batch
@@ -153,17 +155,21 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     two_h = 2.0 * h
     slots = N * d
     per = max(1, _BLOCK // (2 * slots))
+    step = min(slots, max(1, _BLOCK // 2))  # slots per stencil array
     best = 0.0
     for start in range(0, S.count, per):
         X = np.minimum(np.maximum(S.points[start : start + per], lo), hi)
         B = len(X)
-        stencil = np.repeat(X[:, None], 2 * slots, axis=1)  # (B, slot and side, N, d)
-        for s in range(slots):
-            i, a = divmod(s, d)
-            stencil[:, 2 * s, i, a] = X[:, i, a] + h
-            stencil[:, 2 * s + 1, i, a] = X[:, i, a] - h
-        values = _evaluate(f, stencil.reshape(-1, N, d)).reshape(B, slots, 2)
-        g = (values[:, :, 0] - values[:, :, 1]) / two_h
+        g = np.empty((B, slots))
+        for first in range(0, slots, step):
+            part = range(first, min(first + step, slots))
+            stencil = np.repeat(X[:, None], 2 * len(part), axis=1)  # (B, slot and side, N, d)
+            for r, s in enumerate(part):
+                i, a = divmod(s, d)
+                stencil[:, 2 * r, i, a] = X[:, i, a] + h
+                stencil[:, 2 * r + 1, i, a] = X[:, i, a] - h
+            values = _evaluate(f, stencil.reshape(-1, N, d)).reshape(B, len(part), 2)
+            g[:, first : part.stop] = (values[:, :, 0] - values[:, :, 1]) / two_h
         bad = np.flatnonzero(~np.isfinite(g))
         if len(bad):
             i, a = divmod(int(bad[0]) % slots, d)
@@ -235,27 +241,30 @@ def invariance_suite(
     antisymmetric = symmetry is Symmetry.ANTISYMMETRIC
     worst = [0.0] * len(evaluators)
     per = max(1, _BLOCK // n_perms)
+    step = min(n_perms, _BLOCK)  # draws per sample and evaluation
     for start in range(0, S.count, per):
         X = S.points[start : start + per]
         B = len(X)
         samples = range(start, start + B)
-        images = np.argsort(rng.random((B * n_perms, N)), axis=1, kind="stable")
-        Y = X[np.repeat(np.arange(B), n_perms)[:, None], images]
-        law = _inversion_signs(images).reshape(B, n_perms) if antisymmetric else 1.0
         if bases is None:
             base = np.stack([_evaluate(e, X) for e in evaluators], axis=1)
         else:
             base = np.stack([np.asarray(v[start : start + B]) for v in bases], axis=1)
-        permuted = np.stack([_evaluate(e, Y) for e in evaluators], axis=1)
-        permuted = permuted.reshape(B, n_perms, len(evaluators))
-        bad = ~(np.isfinite(base).all(axis=1) & np.isfinite(permuted).all(axis=(1, 2)))
-        if bad.any():
-            k = int(np.argmax(bad))
-            _raise_first_non_finite(base[k : k + 1], "value", samples[k:])
-            _raise_first_non_finite(permuted[k : k + 1], "permuted value", samples[k:])
-        for i in range(len(evaluators)):
-            residual = np.abs(permuted[:, :, i] - law * base[:, i : i + 1])
-            worst[i] = max(worst[i], float(residual.max()))
+        for first in range(0, n_perms, step):
+            draws = min(step, n_perms - first)
+            images = np.argsort(rng.random((B * draws, N)), axis=1, kind="stable")
+            Y = X[np.repeat(np.arange(B), draws)[:, None], images]
+            law = _inversion_signs(images).reshape(B, draws) if antisymmetric else 1.0
+            permuted = np.stack([_evaluate(e, Y) for e in evaluators], axis=1)
+            permuted = permuted.reshape(B, draws, len(evaluators))
+            bad = ~(np.isfinite(base).all(axis=1) & np.isfinite(permuted).all(axis=(1, 2)))
+            if bad.any():
+                k = int(np.argmax(bad))
+                _raise_first_non_finite(base[k : k + 1], "value", samples[k:])
+                _raise_first_non_finite(permuted[k : k + 1], "permuted value", samples[k:])
+            for i in range(len(evaluators)):
+                residual = np.abs(permuted[:, :, i] - law * base[:, i : i + 1])
+                worst[i] = max(worst[i], float(residual.max()))
     return worst
 
 
@@ -342,7 +351,8 @@ def cauchy_factor_check(
     over samples whose points are pairwise at least min_gap apart.
 
     Each kept sample's quotient f(X)/V(X) is evaluated once, and then on its
-    N! - 1 other permutations, a block of samples stacked at a time. The
+    N! - 1 other permutations, a block of samples stacked at a time (or a
+    block of permutations of one sample, when N! exceeds _BLOCK). The
     identity's residual |base - base| is formed without evaluating f: it is
     0, or NaN for a non-finite base. The first non-finite residual, in sample
     and then ``itertools.permutations`` order, raises ValueError.
@@ -360,24 +370,44 @@ def cauchy_factor_check(
     kept = np.flatnonzero(gap >= min_gap)
     if not len(kept):
         raise ValueError(f"no sample is diagonal-free at min_gap = {min_gap}")
-    # itertools.permutations lists the identity first.
-    others = np.array(list(_all_permutations(range(N)))[1:], dtype=np.intp).reshape(-1, N)
-    per = max(1, _BLOCK // (len(others) + 1))
+    per = max(1, _BLOCK // math.factorial(N))
     worst = 0.0
     for start in range(0, len(kept), per):
         rows = kept[start : start + per]
         X = S.points[rows]
         B = len(X)
-        base = _evaluate(f, X) / _vandermonde_products(X[:, :, 0])
-        residual = np.empty((B, len(others) + 1))
-        residual[:, 0] = np.abs(base - base)
-        if len(others):
-            Y = X[np.repeat(np.arange(B), len(others))[:, None], np.tile(others, (B, 1))]
-            quotient = _evaluate(f, Y) / _vandermonde_products(Y[:, :, 0])
-            residual[:, 1:] = np.abs(quotient.reshape(B, len(others)) - base[:, None])
-        _raise_first_non_finite(residual, "quotient residual", rows)
-        worst = max(worst, float(residual.max()))
+        base = _evaluate(f, X) / vandermonde_product(X[:, :, 0].T)
+        for b, images in enumerate(_other_permutations(N)):
+            Y = X[np.repeat(np.arange(B), len(images))[:, None], np.tile(images, (B, 1))]
+            quotient = _evaluate(f, Y) / vandermonde_product(Y[:, :, 0].T)
+            residual = np.abs(quotient.reshape(B, len(images)) - base[:, None])
+            if b == 0:  # the identity's residual, formed without evaluating f
+                residual = np.concatenate([np.abs(base - base)[:, None], residual], axis=1)
+            _raise_first_non_finite(residual, "quotient residual", rows)
+            worst = max(worst, float(residual.max()))
     return worst
+
+
+def _other_permutations(N: int) -> Iterator[np.ndarray]:
+    """The permutations of range(N) but the identity, in
+    ``itertools.permutations`` order, as (rows, N) index arrays of at most
+    _BLOCK rows: one array when N! fits in _BLOCK, and otherwise runs of
+    prefixes. That order lists a permutation's prefix of N - t slots, then the
+    remaining slots, ascending, in the order of the same table of t!
+    permutations, t the largest with t! <= _BLOCK."""
+    tail = N
+    while math.factorial(tail) > _BLOCK:
+        tail -= 1
+    table = np.array(list(_all_permutations(range(tail))), dtype=np.intp).reshape(-1, tail)
+    prefixes = _all_permutations(range(N), N - tail)
+    first = 1  # itertools.permutations lists the identity first
+    while run := list(islice(prefixes, _BLOCK // len(table))):
+        block = np.empty((len(run), len(table), N), dtype=np.intp)
+        for r, prefix in enumerate(run):
+            block[r, :, : N - tail] = prefix
+            block[r, :, N - tail :] = np.array(sorted(set(range(N)).difference(prefix)))[table]
+        yield block.reshape(-1, N)[first:]
+        first = 0
 
 
 @dataclass(frozen=True)

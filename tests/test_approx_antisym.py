@@ -35,17 +35,16 @@ from symwedge import (
 from symwedge.approx_antisym import (
     _CANDIDATES,
     _candidate_table,
-    _choose_directions,
     _difference_patterns,
-    _projected_pair_product,
     _projected_pair_products,
+    _search_directions,
     directions_valid,
     entry_seed,
     fnv1a64,
 )
 from symwedge.approx_sym import _site_index, _site_numbers
 from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
-from helpers import BOXES, configurations, draw_rows, face_rows
+from helpers import BOXES, _projected_pair_product, configurations, draw_rows, face_rows
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -128,9 +127,6 @@ def test_nan_tau_is_rejected():
     nan = float("nan")
     with pytest.raises(ValueError, match="tau must be positive"):
         choose_direction(((0,), (1,)), tau=nan)
-    keys = [((0, 0), (1, 1))]
-    with pytest.raises(ValueError, match="tau must be positive"):
-        _choose_directions(key_array(keys), nan)
     # three slots over two cells: no distinct-cell entry reaches the direction search
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(ValueError, match="tau must be positive"):
@@ -217,7 +213,8 @@ def assert_batch_matches_oracle(spec, keys, taus=(1e-3, 0.5)):
         if not served:
             continue
         idx = key_array([zs for zs, _ in served])
-        A = _choose_directions(idx, tau)
+        A, _, valid = _search_directions(idx, tau)
+        assert valid.all()
         assert [bits(row) for row in A.tolist()] == [bits(a) for _, a in served]
         assert [bits(choose_direction(zs, tau)) for zs, _ in served] == [bits(a) for _, a in served]
         psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
@@ -273,7 +270,7 @@ def test_batched_search_breaks_ties_to_the_lowest_candidate(monkeypatch):
         "symwedge.approx_antisym._candidate_table", lambda d: np.concatenate([half, -half])
     )
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
-    A = _choose_directions(key_array(distinct_keys(spec, 3)), 1e-3)
+    A, _, _ = _search_directions(key_array(distinct_keys(spec, 3)), 1e-3)
     assert all((half == row).all(axis=1).any() for row in A)
 
 
@@ -297,9 +294,8 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 1.5)
     assert str(scalar.value) == message
-    with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(key_array(keys), 1.5)
-    assert str(batched.value) == message
+    _, score, valid = _search_directions(key_array(keys), 1.5)
+    assert not valid.any() and score.tolist() == [1.0] * len(keys)
     f = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(DirectionSearchError) as built:
         build_antisym(f, spec, 2, mode=MODE_PROJECTED, tau=1.5)
@@ -319,9 +315,8 @@ def test_batched_search_exhausted_budget_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 0.9)
     assert str(scalar.value) == message
-    with pytest.raises(DirectionSearchError) as batched:
-        _choose_directions(key_array(keys), 0.9)
-    assert str(batched.value) == message
+    _, batched, valid = _search_directions(key_array(keys), 0.9)
+    assert not valid[0] and batched[0].hex() == score.hex()
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(DirectionSearchError) as built:
         build_antisym(f, spec, 3, mode=MODE_PROJECTED, tau=0.9)
@@ -396,6 +391,19 @@ def test_batched_pair_products_match_scalar_at_d3(N):
         _projected_pair_product(a, [spec.position(z) for z in zs])
         for zs, a in zip(keys, directions)
     ]
+    assert bits(psi.tolist()) == bits(want)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_batched_pair_products_are_rows_of_the_scalar_product(N, d):
+    # arbitrary unit directions on arbitrary corners; no pair at N = 1
+    rng = np.random.Generator(np.random.Philox(76 + N * d))
+    P = -1.25 + 1.75 * rng.random((40, N, d))
+    directions = unit_rows(rng, len(P), d)
+    psi = _projected_pair_products(np.array(directions), P)
+    assert psi.dtype == np.float64 and psi.shape == (len(P),)
+    want = [_projected_pair_product(a, rows) for a, rows in zip(directions, P.tolist())]
     assert bits(psi.tolist()) == bits(want)
 
 

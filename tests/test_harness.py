@@ -547,6 +547,40 @@ def test_run_verification_peak_memory_is_bounded():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("block", [8, 64])
+@pytest.mark.parametrize("kind", ["sym", "antisym-c1"])
+def test_no_evaluation_exceeds_the_block_and_reports_are_unchanged(monkeypatch, kind, block):
+    # At N = 5 the stencil has 10 rows per sample, the Cauchy check 5! - 1
+    # other orders and the invariance pass 50 draws per sample: each is split
+    # across calls when the block is smaller, in the same draw order.
+    build, name = (build_sym, "gaussian-pair-sym") if kind == "sym" else (
+        build_antisym, "vandermonde-gauss-antisym"
+    )
+    f = builtin_target(name)
+    domain = DomainSpec(d=1, N=5, lo=0.0, hi=1.0)
+    tab = build(f, LatticeSpec.from_domain(domain, 0.25), 5)
+    S = sample_configurations(domain, 40, 49)
+
+    def verify(g):
+        return run_verification(g, tab, S, gradient_bound_estimate(g, S), 50, 0.01)
+
+    unpatched = verify(f)
+    sizes = []
+
+    def sized(batch):
+        return lambda *args: sizes.append(len(args[-1])) or batch(*args)
+
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    monkeypatch.setattr(harness, "eval_sym_batch", sized(harness.eval_sym_batch))
+    monkeypatch.setattr(harness, "eval_antisym_batch", sized(harness.eval_antisym_batch))
+    patched = verify(replace(f, batch=sized(f.batch)))
+    assert repr(patched) == repr(unpatched)
+    if kind == "antisym-c1":
+        assert patched.cauchy_residual is not None
+    assert max(sizes) <= block
+    assert len(sizes) > 40 * 50 // block  # the permuted copies alone need this many calls
+
+
 def test_sampling_a_domain_too_wide_for_a_finite_span_is_an_error():
     with pytest.raises(ValueError, match="too wide to sample"):
         sample_configurations(DomainSpec(d=1, N=2, lo=-1e308, hi=1e308), 10, 1)
