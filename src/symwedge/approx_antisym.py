@@ -29,9 +29,10 @@ scaled to unit length, the lowest index winning a tie, with scores taken on
 the (scale-free) integer index differences. One kernel, ``_pair_terms``,
 forms every pair sum of the search and the validity test one component at
 a time, and the batched corner products run ``_projected_pair_product``'s
-own text on columns, so none depends on the BLAS build. ``tau`` is a floor: every chosen direction must pass
-``directions_valid`` at tau, the rule the loader applies, and an entry
-whose best candidate fails raises DirectionSearchError.
+own text on columns, so none depends on the BLAS build. ``tau`` is a
+floor: every chosen direction must pass ``directions_valid`` at tau, the
+rule the loader applies, and an entry whose best candidate fails raises
+DirectionSearchError.
 
 The score and the validity test read an entry only through its integer
 index differences z_i - z_j, and all of those follow from z_i - z_0. So

@@ -18,9 +18,9 @@ without re-validation (its coordinates are finite Philox draws, or clipped
 or permuted copies of them). No evaluated array holds more than _BLOCK rows:
 a sample whose stencil, draws or Cauchy orders need more is split across
 arrays, in the same order, so memory stays bounded however many samples,
-points or draws there are. One invariance pass
-checks every evaluator it is given (``run_verification`` passes the target
-and the tabulator) against one set of permuted copies.
+points or draws there are. One invariance pass checks every evaluator it is
+given (``run_verification`` passes the target and the tabulator) against
+one set of permuted copies.
 
 Everything here is deterministic given (seed, inputs). Sampling uses a
 counter-based bit generator (Philox) keyed directly by the seed, and an
@@ -143,9 +143,10 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     gradient (all N*d slots), with step h = DEFAULT_FD_STEP_FRACTION * span
     and samples clipped to the interior so the stencil stays inside the domain.
 
-    Each block of samples is clipped once, and f is evaluated on its stencil:
-    per sample and slot (i, a) in order, the clipped sample with coordinate
-    (i, a) moved up by h, then down by h. The first non-finite derivative,
+    Each block of samples is clipped once, and f is evaluated on its stencil,
+    split by slots where a sample's 2*N*d rows exceed _BLOCK: per sample and
+    slot (i, a) in order, the clipped sample with coordinate (i, a) moved up
+    by h, then down by h. The first non-finite derivative,
     in sample and then slot order, raises ValueError naming its slot.
     """
     domain = S.domain
@@ -225,9 +226,10 @@ def invariance_suite(
     The pass draws from one Philox stream keyed by ``S.seed ^
     _PERM_SEED_SALT``, in sample order: each draw is the stable argsort of
     the stream's next N doubles, so the draws do not depend on how samples
-    are blocked. A block of samples' draws form one (rows, N) index array:
-    it gathers their permuted copies P[rows, images] into one array that
-    each evaluator takes in one evaluation, and ``_inversion_signs`` of it
+    are blocked. A block of samples' draws (or, past _BLOCK draws a sample,
+    a block of one sample's draws) form one (rows, N) index array: it
+    gathers their permuted copies P[rows, images] into one array that each
+    evaluator takes in one evaluation, and ``_inversion_signs`` of it
     gives every draw's sign by ``parity``'s rule. ``bases``, when given,
     holds each evaluator's values on the samples, already checked finite;
     they stand in for evaluating e on the samples. The first sample with a
@@ -351,11 +353,13 @@ def cauchy_factor_check(
     over samples whose points are pairwise at least min_gap apart.
 
     Each kept sample's quotient f(X)/V(X) is evaluated once, and then on its
-    N! - 1 other permutations, a block of samples stacked at a time (or a
-    block of permutations of one sample, when N! exceeds _BLOCK). The
-    identity's residual |base - base| is formed without evaluating f: it is
-    0, or NaN for a non-finite base. The first non-finite residual, in sample
-    and then ``itertools.permutations`` order, raises ValueError.
+    N! - 1 other permutations, a block of samples stacked at a time. Past
+    _BLOCK orders, the orders are listed _BLOCK at a time, once, and each
+    such block is applied to every sample in turn. The identity's residual
+    |base - base| is formed without evaluating f: it is 0, or NaN for a
+    non-finite base. The first non-finite residual, in sample and then
+    ``itertools.permutations`` order, raises ValueError once every block is
+    done.
     """
     if S.domain.d != 1:
         raise ValueError("the factor check is defined for d = 1 only")
@@ -371,43 +375,44 @@ def cauchy_factor_check(
     if not len(kept):
         raise ValueError(f"no sample is diagonal-free at min_gap = {min_gap}")
     per = max(1, _BLOCK // math.factorial(N))
+    starts = range(0, len(kept), per)
+    base = np.concatenate([_quotients(f, S.points[kept[start : start + per]]) for start in starts])
+    failed = None  # the earliest sample with a non-finite residual, and its residuals
     worst = 0.0
-    for start in range(0, len(kept), per):
-        rows = kept[start : start + per]
-        X = S.points[rows]
-        B = len(X)
-        base = _evaluate(f, X) / vandermonde_product(X[:, :, 0].T)
-        for b, images in enumerate(_other_permutations(N)):
+    for b, images in enumerate(_other_permutations(N)):
+        for start in starts:
+            X = S.points[kept[start : start + per]]
+            B = len(X)
+            q = base[start : start + B]
             Y = X[np.repeat(np.arange(B), len(images))[:, None], np.tile(images, (B, 1))]
-            quotient = _evaluate(f, Y) / vandermonde_product(Y[:, :, 0].T)
-            residual = np.abs(quotient.reshape(B, len(images)) - base[:, None])
+            residual = np.abs(_quotients(f, Y).reshape(B, len(images)) - q[:, None])
             if b == 0:  # the identity's residual, formed without evaluating f
-                residual = np.concatenate([np.abs(base - base)[:, None], residual], axis=1)
-            _raise_first_non_finite(residual, "quotient residual", rows)
+                residual = np.concatenate([np.abs(q - q)[:, None], residual], axis=1)
+            bad = np.flatnonzero(~np.isfinite(residual).all(axis=1))
+            if len(bad) and (failed is None or start + bad[0] < failed[0]):
+                failed = (start + bad[0], residual[bad[0] : bad[0] + 1])
             worst = max(worst, float(residual.max()))
+    if failed is not None:
+        _raise_first_non_finite(failed[1], "quotient residual", kept[failed[0] :])
     return worst
+
+
+def _quotients(f: Callable[[Configuration], float], X: np.ndarray) -> np.ndarray:
+    """f(X)/V(X) on each row of X (B, N, 1), V the pair-difference product."""
+    return _evaluate(f, X) / vandermonde_product(X[:, :, 0].T)
 
 
 def _other_permutations(N: int) -> Iterator[np.ndarray]:
     """The permutations of range(N) but the identity, in
-    ``itertools.permutations`` order, as (rows, N) index arrays of at most
-    _BLOCK rows: one array when N! fits in _BLOCK, and otherwise runs of
-    prefixes. That order lists a permutation's prefix of N - t slots, then the
-    remaining slots, ascending, in the order of the same table of t!
-    permutations, t the largest with t! <= _BLOCK."""
-    tail = N
-    while math.factorial(tail) > _BLOCK:
-        tail -= 1
-    table = np.array(list(_all_permutations(range(tail))), dtype=np.intp).reshape(-1, tail)
-    prefixes = _all_permutations(range(N), N - tail)
-    first = 1  # itertools.permutations lists the identity first
-    while run := list(islice(prefixes, _BLOCK // len(table))):
-        block = np.empty((len(run), len(table), N), dtype=np.intp)
-        for r, prefix in enumerate(run):
-            block[r, :, : N - tail] = prefix
-            block[r, :, N - tail :] = np.array(sorted(set(range(N)).difference(prefix)))[table]
-        yield block.reshape(-1, N)[first:]
-        first = 0
+    ``itertools.permutations`` order, as (rows, N) index arrays of _BLOCK
+    rows, the last one shorter (empty at N = 1)."""
+    orders = _all_permutations(range(N))
+    next(orders)  # the identity comes first
+    while True:
+        block = np.array(list(islice(orders, _BLOCK)), dtype=np.intp).reshape(-1, N)
+        yield block
+        if len(block) < _BLOCK:
+            return
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,38 @@ def test_no_evaluation_exceeds_the_block_and_reports_are_unchanged(monkeypatch, 
     assert len(sizes) > 40 * 50 // block  # the permuted copies alone need this many calls
 
 
+@pytest.mark.parametrize("block", [1, 8, 64, 4096])
+def test_cauchy_orders_come_in_blocks_in_permutations_order(monkeypatch, block):
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    for N in range(1, 8):
+        blocks = list(harness._other_permutations(N))
+        assert max(map(len, blocks)) <= block
+        orders = [tuple(row) for images in blocks for row in images.tolist()]
+        assert orders == list(_all_permutations(range(N)))[1:]
+
+
+@pytest.mark.parametrize("block", [8, 4096])
+def test_cauchy_names_the_first_sample_with_a_non_finite_residual(monkeypatch, block):
+    # Sample 2's quotient is non-finite only at an order late in the list, and
+    # sample 5's at every order: with blocks of 8 orders, sample 5 fails in
+    # an earlier block than sample 2, and sample 2 is still the one named.
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    domain = DomainSpec(d=1, N=4, lo=0.0, hi=1.0)
+    S = sample_configurations(domain, 8, 50)
+    late = S.points[2, ::-1, 0].tolist()  # sample 2 reversed: the last order
+    poisoned = S.points[5, :, 0].tolist()
+
+    def value(X):
+        xs = [p.coords[0] for p in X.points]
+        if xs == late or sorted(xs) == sorted(poisoned) and xs != poisoned:
+            return math.inf
+        return vandermonde_product(xs)
+
+    f = TargetFunction(value, Symmetry.ANTISYMMETRIC)
+    with pytest.raises(ValueError, match="^non-finite quotient residual inf at sample 2$"):
+        cauchy_factor_check(f, S, 1e-6)
+
+
 def test_sampling_a_domain_too_wide_for_a_finite_span_is_an_error():
     with pytest.raises(ValueError, match="too wide to sample"):
         sample_configurations(DomainSpec(d=1, N=2, lo=-1e308, hi=1e308), 10, 1)
