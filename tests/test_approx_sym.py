@@ -695,22 +695,41 @@ def test_delta_for_epsilon_validation():
 # ---------------------------------------------------------------- smooth mode
 
 
-def test_smooth_weights_partition_of_unity():
-    spec = LatticeSpec.from_domain(unit_domain(1, 2), 0.25)
+# (N, d, delta) for the exactness claims: the first two shapes are the
+# original cases, the rest reach N = 4 and 5 at d <= 3 on lattices whose
+# wedge stays below 30,000 entries. Every width is 0.24 delta.
+SMOOTH_EXACTNESS_SHAPES = [
+    (2, 1, 0.25), (2, 2, 0.25),
+    (4, 1, 0.25), (4, 2, 0.25), (4, 3, 1 / 3),
+    (5, 1, 0.25), (5, 2, 0.25), (5, 3, 0.5),
+]
+
+
+def smooth_exactness_rows(rng, spec, N, count):
+    """``count`` rows of N points: uniform ones, then a quarter with face coordinates."""
+    uniform = count - count // 4
+    return [
+        rng.random((N, spec.d)).tolist() if k < uniform else face_rows(rng, spec, N)
+        for k in range(count)
+    ]
+
+
+@pytest.mark.parametrize("N, d, delta", SMOOTH_EXACTNESS_SHAPES)
+def test_smooth_weights_partition_of_unity(N, d, delta):
+    spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
     rng = np.random.Generator(np.random.Philox(55))
-    for _ in range(200):
-        X = cfg(*rng.random((2, 1)).tolist())
-        weights = smooth_weights(spec, X, 0.06)
+    for rows in smooth_exactness_rows(rng, spec, N, 200):
+        weights = smooth_weights(spec, cfg(*rows), 0.24 * delta)
         assert sum(weights.values()) == pytest.approx(1.0, abs=PARTITION_TOL)
 
 
-def test_smooth_mode_reproduces_constants():
-    spec = LatticeSpec.from_domain(unit_domain(2, 2), 0.25)
-    tab = build_sym(constant_target(3.25), spec, 2, mode=MODE_SMOOTH, smooth_width=0.06)
+@pytest.mark.parametrize("N, d, delta", SMOOTH_EXACTNESS_SHAPES)
+def test_smooth_mode_reproduces_constants(N, d, delta):
+    spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
+    tab = build_sym(constant_target(3.25), spec, N, mode=MODE_SMOOTH, smooth_width=0.24 * delta)
     rng = np.random.Generator(np.random.Philox(56))
-    for _ in range(100):
-        X = cfg(*rng.random((2, 2)).tolist())
-        assert eval_sym(tab, X) == pytest.approx(3.25, abs=3.25 * PARTITION_TOL)
+    for rows in smooth_exactness_rows(rng, spec, N, 100):
+        assert eval_sym(tab, cfg(*rows)) == pytest.approx(3.25, abs=3.25 * PARTITION_TOL)
 
 
 def test_smooth_mode_bit_exact_invariance():
@@ -784,6 +803,32 @@ def test_smooth_evals_equal_the_reference_bit_for_bit(data):
         ]
         assert bits(eval_sym(S, X)) == bits(helpers.eval_sym_smooth(S, X))
         assert bits(approx_antisym.eval_antisym(A, X)) == bits(helpers.eval_antisym_smooth(A, X))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_smooth_evals_raise_the_first_bad_coordinate_in_sorted_order(N):
+    # the smooth evals check coordinates point by point in sorted order, axis
+    # by axis, and name the first coordinate outside the box
+    d = 2
+    rng = np.random.Generator(np.random.Philox(59 + N))
+    for lo, hi in BOXES:
+        spec = LatticeSpec.from_counts(4, d, lo, hi)
+        w = spec.delta / 4
+        sym = build_sym(builtin_target("gaussian-pair-sym"), spec, N, mode=MODE_SMOOTH,
+                        smooth_width=w)
+        antisym = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N,
+                                mode=MODE_PROJECTED, smooth_width=w)
+        outside = [math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf), hi + 1.0, lo - 1.0]
+        for _ in range(30):
+            rows = (lo + (hi - lo) * rng.random((N, d))).tolist()
+            for _ in range(int(rng.integers(1, 3))):
+                rows[rng.integers(N)][rng.integers(d)] = outside[rng.integers(len(outside))]
+            first = next(c for row in sorted(rows) for c in row if not lo <= c <= hi)
+            message = f"coordinate {first!r} outside [{lo}, {hi}]"
+            for T, evaluate in [(sym, eval_sym), (antisym, approx_antisym.eval_antisym)]:
+                with pytest.raises(DomainError) as err:
+                    evaluate(T, cfg(*rows))
+                assert str(err.value) == message
 
 
 def test_smooth_evals_call_site_weight_support_once_per_point(monkeypatch):

@@ -483,6 +483,41 @@ def test_eval_outputs_are_pinned(kind, N, d):
     assert digest == PINNED_EVAL_SHA256[kind, N, d]
 
 
+# Digests of smooth eval outputs (sym and antisym-c2) on the same streams,
+# keyed by (kind, N, d, cells per axis, delta/w): w = delta/4 on the dyadic
+# lattices above, and w = delta/3 on 7 cells, where band ends and face
+# weights are not exact.
+PINNED_SMOOTH_EVAL_SHA256 = {
+    ("sym", 3, 1, 16, 4): "66d339c3763b5d59e46ff6e1ef2add02e7c26049fdd9d664554f033bd27af478",
+    ("sym", 3, 2, 4, 4): "d6f30d0d0a4f91a5ac69cf4fef1fbfa56c59672629c31515ed391a396d4a8060",
+    ("sym", 4, 1, 16, 4): "73bc1203249e7a072e1db45248ca9d11b5ce5fa82b733a90b106567776b73a39",
+    ("sym", 4, 2, 4, 4): "8d5d14132f758f6c2e9d813e62d218742479f292785cfcee1e2df066962ed79e",
+    ("sym", 3, 2, 7, 3): "9de00a1d97104f896dc541c09aef9e3bbf67882045743b71499e2e8f0d430c1b",
+    (MODE_PROJECTED, 3, 1, 16, 4): "d1af93e4a4a29e9f49b10ac4ec6a99550f0472e9f3dd56c792d9046f83055201",
+    (MODE_PROJECTED, 3, 2, 4, 4): "e9e36fa9ebdbc66e8294a46e9bd45124de47ad1b8bdce5ae636f7cb701752d67",
+    (MODE_PROJECTED, 4, 1, 16, 4): "c58035fd13ce4e56936678cf1e42e94dca4d270e72957d910d0c5f6f0a484ce3",
+    (MODE_PROJECTED, 4, 2, 4, 4): "e19cba0249bfec166b3b2d6f6dc329906c8c33da05e9952c26477d3f5d22100c",
+    (MODE_PROJECTED, 3, 2, 7, 3): "27dad72d372bbc6bc7da098b38276852b344adfc52d07a07f555741364be24ea",
+}
+
+
+@pytest.mark.parametrize("kind, N, d, n, per_w", list(PINNED_SMOOTH_EVAL_SHA256))
+def test_smooth_eval_outputs_are_pinned(kind, N, d, n, per_w):
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    w = spec.delta / per_w
+    if kind == "sym":
+        tab = build_sym(builtin_target("gaussian-pair-sym", {}), spec, N, mode=MODE_SMOOTH,
+                        smooth_width=w)
+        evaluate = eval_sym
+    else:
+        tab = build_antisym(builtin_target("vandermonde-gauss-antisym", {}), spec, N, mode=kind,
+                            smooth_width=w)
+        evaluate = eval_antisym
+    values = [evaluate(tab, X) for X in _pinned_stream(N, d, n, 1000, 1000 * N + d)]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == PINNED_SMOOTH_EVAL_SHA256[kind, N, d, n, per_w]
+
+
 # A smooth antisym-c2 model (N=3, d=2, delta=1/3, w=1/12) written before
 # directions became the maximin choice, and the digests of its smooth and
 # indicator eval outputs then. The loader's rule and the evaluator are the
