@@ -82,6 +82,7 @@ from .approx_sym import (
     _check_eval_input,
     _frozen,
     _located,
+    _rank_lists,
     _rank_terms,
     _rank_columns,
     _site_index,
@@ -89,8 +90,8 @@ from .approx_sym import (
     _tabulator_eq,
     _wedge_stats,
     corner_values,
-    smooth_weights,
 )
+from . import approx_sym
 
 __all__ = [
     "DEFAULT_TAU",
@@ -349,8 +350,12 @@ class AntisymTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first scalar eval
+    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first indicator eval
         return _rank_columns(self.spec, self.N, strict=True)
+
+    @cached_property
+    def _rank_lists(self) -> list[list[int]]:  # made on the first smooth eval
+        return _rank_lists(self.spec, self.N, strict=True)
 
     @property
     def kind(self) -> str:
@@ -424,9 +429,10 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     parity of its sort order, so no permutation is built.
 
     Smooth path (projected mode): blend stored quotients over neighboring
-    distinct entries with ``smooth_weights`` times the projected pair
-    product of the actual (canonically sorted) coordinates, whose pair
-    differences are formed once per call.
+    distinct entries with ``approx_sym.smooth_weights`` times the projected
+    pair product of the actual (canonically sorted) coordinates, whose pair
+    differences are formed once per call. Entries come keyed by site
+    numbers, which index the rank lists directly.
     """
     _check_eval_input(T, X)
     if T.smooth_width is None:
@@ -448,10 +454,11 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     rows = [rows[i] for i in order]
     # The sorted rows' pair differences, in the (i, j) order of the pair product.
     diffs = [tuple(map(sub, ri, rj)) for i, ri in enumerate(rows) for rj in rows[i + 1 :]]
-    columns = T._rank_cols
+    columns = T._rank_lists
     stored = T.table.item
     total = 0.0
-    for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
+    # Through the module, so a wrapper bound there sees this blend too.
+    for key, weight in approx_sym.smooth_weights(T.spec, X, T.smooth_width).items():
         if len(set(key)) < T.N:
             continue  # dropped entries carry no value
         k = sum(map(getitem, columns, key))

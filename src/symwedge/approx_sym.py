@@ -31,7 +31,6 @@ from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeIndex,
     LatticeSpec,
-    WedgeKey,
     _check_smooth_width,
     _check_wedge_cap,
     cell_of,
@@ -142,8 +141,12 @@ class SymmetricTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first scalar eval
+    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first indicator eval
         return _rank_columns(self.spec, self.N, strict=False)
+
+    @cached_property
+    def _rank_lists(self) -> list[list[int]]:  # made on the first smooth eval
+        return _rank_lists(self.spec, self.N, strict=False)
 
     @property
     def kind(self) -> str:
@@ -203,13 +206,20 @@ def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarra
     return math.comb(m, N) - 1, terms
 
 
-def _rank_columns(spec: LatticeSpec, N: int, strict: bool) -> list[dict[LatticeIndex, int]]:
-    """``_rank_terms`` for the scalar evals: a dict per column keyed by site, top
-    folded into the first and the rest negated, so a key's rank is their sum."""
+def _rank_lists(spec: LatticeSpec, N: int, strict: bool) -> list[list[int]]:
+    """``_rank_terms`` for the scalar smooth evals: a list per column indexed
+    by site number, top folded into the first and the rest negated, so a
+    sorted row of site numbers has their sum as its rank."""
     top, terms = _rank_terms(spec, N, strict)
     signed = (-terms).tolist()
     signed[0] = [top + t for t in signed[0]]
-    return [dict(zip(lattice_sites(spec), column)) for column in signed]
+    return signed
+
+
+def _rank_columns(spec: LatticeSpec, N: int, strict: bool) -> list[dict[LatticeIndex, int]]:
+    """``_rank_lists`` for the scalar indicator evals, which locate sites as
+    multi-indices: a dict per column keyed by site."""
+    return [dict(zip(lattice_sites(spec), column)) for column in _rank_lists(spec, N, strict)]
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
@@ -303,13 +313,16 @@ def _check_eval_input(T, X: Configuration) -> None:
         )
 
 
-def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[WedgeKey, float]:
+def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[tuple[int, ...], float]:
     """Normalized box weights at X: each point spreads unit mass over its
-    nearby cells, and products are aggregated per wedge entry. Values sum
-    to one, making constants exact under smooth evaluation.
+    nearby cells (``site_weight_support``), and products are aggregated per
+    wedge entry, keyed by the entry's non-decreasing tuple of site numbers
+    (positions in ``lattice_sites`` order). Values sum to one to rounding,
+    so smooth evaluation reproduces constants to rounding.
 
     Points are canonicalized (sorted by coordinates) before aggregation, so
-    the result carries no trace of the input ordering.
+    the result carries no trace of the input ordering. Keys are inserted in
+    the order ``itertools.product`` makes the sorted points' combinations.
     """
     pts = sorted(X.points, key=lambda p: p.coords)
     *first, last = [site_weight_support(spec, p, w) for p in pts]
@@ -317,7 +330,7 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[WedgeK
     combos = [((), 1.0)]
     for support in first:
         combos = [(sites + (site,), mass * m) for sites, mass in combos for site, m in support]
-    weights: dict[WedgeKey, float] = {}
+    weights: dict[tuple[int, ...], float] = {}
     for sites, mass in combos:
         for site, m in last:
             key = tuple(sorted(sites + (site,)))
@@ -333,18 +346,23 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     function of the wedge entry alone and permutation invariance holds
     bit-for-bit. Smooth mode blends the corner values of nearby entries
     with normalized cutoff weights; the blend is computed on the canonically
-    sorted configuration, so it is equally order-blind.
+    sorted configuration, so it is equally order-blind. Its entries come
+    keyed by site numbers, which index the rank lists directly.
     """
     _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
         k = sum(map(getitem, T._rank_cols, assignment.wedge))
         return T.table.item(k) * assignment.repetition
-    columns = T._rank_cols
+    columns = T._rank_lists
     stored = T.table.item
+    N = T.N
     total = 0.0
-    for zs, weight in smooth_weights(T.spec, X, T.smooth_width).items():
-        total += weight * (stored(sum(map(getitem, columns, zs))) * repetition_constant(zs))
+    for key, weight in smooth_weights(T.spec, X, T.smooth_width).items():
+        value = stored(sum(map(getitem, columns, key)))
+        if len(set(key)) < N:  # a key of distinct sites has C_Z = 1
+            value *= repetition_constant(key)
+        total += weight * value
     return total
 
 

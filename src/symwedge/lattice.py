@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
@@ -301,16 +302,35 @@ def _check_smooth_width(spec: LatticeSpec, w: float | None) -> None:
         raise ValueError(f"need 0 < smooth width w <= delta/2 = {spec.delta / 2.0}, got w = {w}")
 
 
+@lru_cache(maxsize=8)
+def _axis_bands(spec: LatticeSpec, w: float) -> tuple[tuple[float, float, float, float], ...]:
+    """The cutoff band ends of each cell index along an axis at width w, as
+    (a - w, a + delta + w, a + w, a + delta - w) with a = origin + index*delta:
+    where the cell's cutoff leaves 0, returns to 0, reaches 1 and leaves 1.
+    Made, and w checked, once per (spec, w); the tuples are shared."""
+    _check_smooth_width(spec, w)
+    origin = spec.origin
+    delta = spec.delta
+    bands = []
+    for index in range(spec.cells_per_dim):
+        a = origin + index * delta
+        bands.append((a - w, a + delta + w, a + w, a + delta - w))
+    return tuple(bands)
+
+
 def site_weight_support(
     spec: LatticeSpec, x: Point | Sequence[float], w: float
-) -> tuple[tuple[LatticeIndex, float], ...]:
+) -> tuple[tuple[int, float], ...]:
     """The sites a single point spreads its unit mass over and their
-    weights, sites in lexicographic order; the weights sum to one.
+    weights, as (site number, weight) pairs in increasing number order; the
+    weights sum to one. A site's number is its position in ``lattice_sites``
+    order (row-major), so number order is the sites' lexicographic order.
 
     Along an axis the cell with corner a has the quintic cutoff rising over
     [a - w, a + w] as s((c - (a - w)) / (2w)), 1 up to a + delta - w and
     falling to 0 at a + delta + w; with w <= delta/2 only the containing
-    cell and its neighbours can be nonzero. Dividing by their sum repairs
+    cell and its neighbours can be nonzero. The band ends come from a table
+    made once per (spec, w). Dividing by their sum repairs
     the half-bands at lo and hi (elsewhere s(t) + s(1-t) = 1 already), and
     the containing cell's profile is >= 1/2. A site's weight is the product
     of its axes' weights, in axis order. On an interior face the two cells
@@ -318,7 +338,7 @@ def site_weight_support(
     exact (a dyadic delta and w on a box with dyadic ends), and otherwise
     within 2^-51 * max(|lo|, |hi|) / w of 1/2.
     """
-    _check_smooth_width(spec, w)
+    bands = _axis_bands(spec, w)
     coords = x.coords if isinstance(x, Point) else tuple(x)
     if len(coords) != spec.d:
         raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")
@@ -326,7 +346,8 @@ def site_weight_support(
     top = spec.top
     delta = spec.delta
     n = spec.cells_per_dim
-    out: list[tuple[LatticeIndex, float]] = [((), 1.0)]
+    width = 2.0 * w
+    out: list[tuple[int, float]] | None = None
     for c in coords:
         if not origin <= c <= top:
             raise DomainError(f"coordinate {c!r} outside [{origin}, {top}]")
@@ -335,22 +356,25 @@ def site_weight_support(
             k = n - 1
         axis = []
         total = 0.0
-        for index in (k - 1, k, k + 1):
-            if 0 <= index < n:
-                a = origin + index * delta
-                rise_from = a - w
-                fall_to = a + delta + w
-                if c <= rise_from or c >= fall_to:
-                    continue
-                if c < a + w:
-                    p = _smoothstep((c - rise_from) / (2.0 * w))
-                elif c <= a + delta - w:
-                    p = 1.0
-                else:
-                    p = _smoothstep((fall_to - c) / (2.0 * w))
-                if p > 0.0:
-                    axis.append((index, p))
-                    total += p
-        axis = [(index, p / total) for index, p in axis]
-        out = [(site + (index,), weight * p) for site, weight in out for index, p in axis]
+        for index in range(k - 1 if k else 0, k + 2 if k + 2 < n else n):
+            rise_from, fall_to, rise_to, fall_from = bands[index]
+            if c <= rise_from or c >= fall_to:
+                continue
+            if c < rise_to:
+                p = _smoothstep((c - rise_from) / width)
+            elif c <= fall_from:
+                p = 1.0
+            else:
+                p = _smoothstep((fall_to - c) / width)
+            if p > 0.0:
+                axis.append((index, p))
+                total += p
+        if total != 1.0:  # p / 1.0 is p
+            axis = [(index, p / total) for index, p in axis]
+        # The first axis' weights are its sites' (1.0 * p is p); each further
+        # axis multiplies them in, one site number digit at a time.
+        if out is None:
+            out = axis
+        else:
+            out = [(site * n + index, weight * p) for site, weight in out for index, p in axis]
     return tuple(out)

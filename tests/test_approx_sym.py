@@ -407,6 +407,8 @@ def test_scalar_rank_is_the_row_in_site_number_order(N, strict):
     assert len(rows) == math.comb(spec.site_count + (0 if strict else N - 1), N)
     keys = [tuple(map(sites.__getitem__, row)) for row in num.tolist()]
     assert [sum(map(operator.getitem, columns, key)) for key in keys] == rows
+    lists = approx_sym._rank_lists(spec, N, strict)  # the smooth evals' ranks
+    assert [sum(map(operator.getitem, lists, row)) for row in num.tolist()] == rows
     top, terms = approx_sym._rank_terms(spec, N, strict)  # the batch evals' ranks
     assert (top - terms[np.arange(N), num].sum(axis=1)).tolist() == rows
 
@@ -714,22 +716,23 @@ def smooth_exactness_rows(rng, spec, N, count):
     ]
 
 
-@pytest.mark.parametrize("N, d, delta", SMOOTH_EXACTNESS_SHAPES)
-def test_smooth_weights_partition_of_unity(N, d, delta):
-    spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
-    rng = np.random.Generator(np.random.Philox(55))
-    for rows in smooth_exactness_rows(rng, spec, N, 200):
-        weights = smooth_weights(spec, cfg(*rows), 0.24 * delta)
-        assert sum(weights.values()) == pytest.approx(1.0, abs=PARTITION_TOL)
+def test_smooth_weights_partition_of_unity():
+    for N, d, delta in SMOOTH_EXACTNESS_SHAPES:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
+        rng = np.random.Generator(np.random.Philox(55))
+        for rows in smooth_exactness_rows(rng, spec, N, 200):
+            weights = smooth_weights(spec, cfg(*rows), 0.24 * delta)
+            assert sum(weights.values()) == pytest.approx(1.0, abs=PARTITION_TOL)
 
 
-@pytest.mark.parametrize("N, d, delta", SMOOTH_EXACTNESS_SHAPES)
-def test_smooth_mode_reproduces_constants(N, d, delta):
-    spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
-    tab = build_sym(constant_target(3.25), spec, N, mode=MODE_SMOOTH, smooth_width=0.24 * delta)
-    rng = np.random.Generator(np.random.Philox(56))
-    for rows in smooth_exactness_rows(rng, spec, N, 100):
-        assert eval_sym(tab, cfg(*rows)) == pytest.approx(3.25, abs=3.25 * PARTITION_TOL)
+def test_smooth_mode_reproduces_constants():
+    for N, d, delta in SMOOTH_EXACTNESS_SHAPES:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), delta)
+        tab = build_sym(constant_target(3.25), spec, N, mode=MODE_SMOOTH,
+                        smooth_width=0.24 * delta)
+        rng = np.random.Generator(np.random.Philox(56))
+        for rows in smooth_exactness_rows(rng, spec, N, 100):
+            assert eval_sym(tab, cfg(*rows)) == pytest.approx(3.25, abs=3.25 * PARTITION_TOL)
 
 
 def test_smooth_mode_bit_exact_invariance():
@@ -790,15 +793,16 @@ def test_smooth_evals_equal_the_reference_bit_for_bit(data):
     P = draw_rows(data, spec, N, data.draw(st.integers(1, 4)))
     rng = np.random.Generator(np.random.Philox(data.draw(st.integers(0, 2**32 - 1))))
     generic = np.clip(lo + (hi - lo) * rng.random((2, N, d)), lo, hi)
+    sites = list(lattice_sites(spec))  # site number -> multi-index
     for rows in np.concatenate([P, generic]).tolist():
         X = cfg(*rows)
         for p in X.points:
             got = approx_sym.site_weight_support(spec, p, w)
             want = helpers.site_weight_support(spec, p, w)
-            assert [(site, bits(m)) for site, m in got] == [(site, bits(m)) for site, m in want]
+            assert [(sites[s], bits(m)) for s, m in got] == [(site, bits(m)) for site, m in want]
         got = smooth_weights(spec, X, w)
         want = helpers.smooth_weights(spec, X, w)
-        assert [(key, bits(m)) for key, m in got.items()] == [
+        assert [(tuple(map(sites.__getitem__, key)), bits(m)) for key, m in got.items()] == [
             (key, bits(m)) for key, m in want.items()
         ]
         assert bits(eval_sym(S, X)) == bits(helpers.eval_sym_smooth(S, X))
@@ -853,3 +857,27 @@ def test_smooth_evals_call_site_weight_support_once_per_point(monkeypatch):
                 calls.clear()
                 evaluate(T, cfg(*rows))
                 assert len(calls) == N
+
+
+def test_smooth_evals_call_smooth_weights_once_through_approx_sym(monkeypatch):
+    # benches/tracing.py times both symmetries' blends through this binding
+    calls = []
+    original = approx_sym.smooth_weights
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(approx_sym, "smooth_weights", counting)
+    rng = np.random.Generator(np.random.Philox(60))
+    for N, d in [(1, 1), (2, 2), (3, 2), (4, 1)]:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        sym = build_sym(builtin_target("gaussian-pair-sym"), spec, N,
+                        mode=MODE_SMOOTH, smooth_width=0.0625)
+        antisym = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N,
+                                mode=MODE_PROJECTED, smooth_width=0.0625)
+        for T, evaluate in [(sym, eval_sym), (antisym, approx_antisym.eval_antisym)]:
+            for rows in rng.random((10, N, d)).tolist():
+                calls.clear()
+                evaluate(T, cfg(*rows))
+                assert len(calls) == 1

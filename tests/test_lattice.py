@@ -26,7 +26,7 @@ from symwedge import (
     wedge_size,
 )
 import symwedge.lattice as lattice
-from symwedge.lattice import _smoothstep, site_weight_support
+from symwedge.lattice import _axis_bands, _smoothstep, site_weight_support
 
 UNIT_1D = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 
@@ -453,16 +453,16 @@ def test_corner_configuration_positions():
 def test_smooth_cutoff_plateau_face_outside():
     spec = spec_1d(0.5)
     w = 0.125
-    assert site_weight_support(spec, (0.25,), w) == (((0,), 1.0),)
-    assert site_weight_support(spec, (0.5,), w) == (((0,), 0.5), ((1,), 0.5))
-    assert site_weight_support(spec, (0.7,), w) == (((1,), 1.0),)
+    assert site_weight_support(spec, (0.25,), w) == ((0, 1.0),)
+    assert site_weight_support(spec, (0.5,), w) == ((0, 0.5), (1, 0.5))
+    assert site_weight_support(spec, (0.7,), w) == ((1, 1.0),)
 
 
 def test_smooth_cutoff_2d_is_a_product():
     spec = LatticeSpec.from_counts(2, 2, 0.0, 1.0)
     w = 0.1
     support = dict(site_weight_support(spec, (0.5, 0.25), w))
-    assert support == {(0, 0): 0.5 * 1.0, (1, 0): 0.5 * 1.0}
+    assert support == {0: 0.5 * 1.0, 2: 0.5 * 1.0}  # sites (0, 0) and (1, 0)
 
 
 def test_smooth_cutoff_width_range():
@@ -471,6 +471,21 @@ def test_smooth_cutoff_width_range():
         site_weight_support(spec, (0.25,), 0.0)
     with pytest.raises(ValueError):
         site_weight_support(spec, (0.25,), 0.26)  # above delta/2
+
+
+def test_cutoff_band_ends_are_made_once_per_lattice_and_width():
+    _axis_bands.cache_clear()
+    spec = LatticeSpec.from_counts(7, 2, -0.5, 1.5)
+    w = spec.delta / 3
+    for x in np.linspace(-0.5, 1.5, 20):
+        site_weight_support(spec, (float(x), 0.25), w)
+        site_weight_support(LatticeSpec.from_counts(7, 2, -0.5, 1.5), (0.25, float(x)), w)
+    assert _axis_bands.cache_info().misses == 1
+    for index, ends in enumerate(_axis_bands(spec, w)):
+        a = spec.axis_position(index)
+        assert ends == (a - w, a + spec.delta + w, a + w, a + spec.delta - w)
+    with pytest.raises(ValueError):  # a bad width is checked on every call
+        site_weight_support(spec, (0.25, 0.25), spec.delta)
 
 
 def test_adjacent_cutoffs_sum_to_one_on_transition_band():
@@ -482,8 +497,8 @@ def test_adjacent_cutoffs_sum_to_one_on_transition_band():
         t = (float(x) - (0.5 - w)) / (2.0 * w)
         assert _smoothstep(t) + _smoothstep(1.0 - t) == pytest.approx(1.0, abs=1e-12)
         weights = dict(site_weight_support(spec, (float(x),), w))
-        assert weights.get((0,), 0.0) == pytest.approx(_smoothstep(1.0 - t), abs=1e-12)
-        assert weights.get((1,), 0.0) == pytest.approx(_smoothstep(t), abs=1e-12)
+        assert weights.get(0, 0.0) == pytest.approx(_smoothstep(1.0 - t), abs=1e-12)
+        assert weights.get(1, 0.0) == pytest.approx(_smoothstep(t), abs=1e-12)
 
 
 def test_site_weight_support_normalized_1d():
@@ -501,7 +516,7 @@ def test_face_weights_are_exactly_half_at_dyadic_spacing_and_width():
             for w in (spec.delta / 2, spec.delta / 4, spec.delta / 16):
                 for k in range(1, n):
                     support = site_weight_support(spec, (spec.axis_position(k),), w)
-                    assert support == (((k - 1,), 0.5), ((k,), 0.5))
+                    assert support == ((k - 1, 0.5), (k, 0.5))
 
 
 def test_face_weights_are_half_up_to_rounding_otherwise():
@@ -513,7 +528,7 @@ def test_face_weights_are_half_up_to_rounding_otherwise():
                 bound = 2.0**-51 * max(abs(lo), abs(hi)) / w
                 for k in range(1, n):
                     support = site_weight_support(spec, (spec.axis_position(k),), w)
-                    assert [site for site, _ in support] == [(k - 1,), (k,)]
+                    assert [site for site, _ in support] == [k - 1, k]
                     for _, p in support:
                         assert abs(p - 0.5) <= bound
                         off += p != 0.5
