@@ -329,8 +329,8 @@ def site_weight_support(
     Along an axis the cell with corner a has the quintic cutoff rising over
     [a - w, a + w] as s((c - (a - w)) / (2w)), 1 up to a + delta - w and
     falling to 0 at a + delta + w; with w <= delta/2 only the containing
-    cell and its neighbours can be nonzero. The band ends come from a table
-    made once per (spec, w). Dividing by their sum repairs
+    cell and its neighbours can be nonzero; their band ends are read from
+    ``_axis_bands``, made once per (spec, w). Dividing by their sum repairs
     the half-bands at lo and hi (elsewhere s(t) + s(1-t) = 1 already), and
     the containing cell's profile is >= 1/2. A site's weight is the product
     of its axes' weights, in axis order. On an interior face the two cells
