@@ -881,3 +881,30 @@ def test_smooth_evals_call_smooth_weights_once_through_approx_sym(monkeypatch):
                 calls.clear()
                 evaluate(T, cfg(*rows))
                 assert len(calls) == 1
+
+
+def test_scalar_indicator_evals_call_locate_once_through_their_module(monkeypatch):
+    # benches/tracing.py times lattice.locate through these two bindings
+    calls = []
+    for module in (approx_sym, approx_antisym):
+        original = module.locate
+
+        def counting(*args, module=module, original=original):
+            calls.append(module)
+            return original(*args)
+
+        monkeypatch.setattr(module, "locate", counting)
+    rng = np.random.Generator(np.random.Philox(61))
+    for N, d in [(1, 1), (2, 2), (3, 2), (4, 1)]:
+        spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
+        sym = build_sym(builtin_target("gaussian-pair-sym"), spec, N)
+        cases = [(sym, eval_sym, approx_sym)] + [
+            (build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N, mode=mode),
+             approx_antisym.eval_antisym, approx_antisym)
+            for mode in (MODE_RANK, MODE_PROJECTED)
+        ]
+        for T, evaluate, module in cases:
+            for rows in rng.random((10, N, d)).tolist():
+                calls.clear()
+                evaluate(T, cfg(*rows))
+                assert calls == [module]

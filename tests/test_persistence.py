@@ -31,6 +31,7 @@ from symwedge import (
     builtin_target,
     eval_antisym,
     eval_sym,
+    eval_sym_feature_form,
     load_model,
     save_model,
 )
@@ -516,6 +517,26 @@ def test_smooth_eval_outputs_are_pinned(kind, N, d, n, per_w):
     values = [evaluate(tab, X) for X in _pinned_stream(N, d, n, 1000, 1000 * N + d)]
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
     assert digest == PINNED_SMOOTH_EVAL_SHA256[kind, N, d, n, per_w]
+
+
+# Digests of eval_sym_feature_form outputs on the first 300 configurations of
+# the same streams, keyed by (N, d); the feature form is otherwise checked
+# against eval_sym only to 1e-9.
+PINNED_FEATURE_FORM_SHA256 = {
+    (3, 1): "856348860cbf6e7c336c51b553bbd1f5e1027750b9fe04d1b2db96d0697fc053",
+    (3, 2): "10d31d3961bc7754b4141ab0fa6cc3c27c82dd601900e7ff0ee71a4c76ef2491",
+    (4, 1): "046cfdae40799139918b407523856f69545006f68b2a164c4c80da7cbe5cf5e4",
+}
+
+
+@pytest.mark.parametrize("N, d", list(PINNED_FEATURE_FORM_SHA256))
+def test_feature_form_outputs_are_pinned(N, d):
+    n = 16 if d == 1 else 4
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    tab = build_sym(builtin_target("gaussian-pair-sym", {}), spec, N)
+    values = [eval_sym_feature_form(tab, X) for X in _pinned_stream(N, d, n, 300, 1000 * N + d)]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == PINNED_FEATURE_FORM_SHA256[N, d]
 
 
 # A smooth antisym-c2 model (N=3, d=2, delta=1/3, w=1/12) written before
