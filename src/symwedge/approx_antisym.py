@@ -66,11 +66,15 @@ from .core import Configuration, Symmetry, TargetFunction, _inversion_sign, _inv
 from .errors import DirectionSearchError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
-    LatticeIndex,
     LatticeSpec,
     WedgeKey,
     _check_smooth_width,
     _check_wedge_cap,
+    _located,
+    _rank_lists,
+    _rank_terms,
+    _site_index,
+    _site_numbers,
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     locate,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
@@ -81,12 +85,6 @@ from .approx_sym import (
     _check_batch_input,
     _check_eval_input,
     _frozen,
-    _located,
-    _rank_lists,
-    _rank_terms,
-    _rank_columns,
-    _site_index,
-    _site_numbers,
     _tabulator_eq,
     _wedge_stats,
     corner_values,
@@ -350,11 +348,7 @@ class AntisymTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first indicator eval
-        return _rank_columns(self.spec, self.N, strict=True)
-
-    @cached_property
-    def _rank_lists(self) -> list[list[int]]:  # made on the first smooth eval
+    def _rank_lists(self) -> list[list[int]]:  # made on the first scalar eval
         return _rank_lists(self.spec, self.N, strict=True)
 
     @property
@@ -431,8 +425,8 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     Smooth path (projected mode): blend stored quotients over neighboring
     distinct entries with ``approx_sym.smooth_weights`` times the projected
     pair product of the actual (canonically sorted) coordinates, whose pair
-    differences are formed once per call. Entries come keyed by site
-    numbers, which index the rank lists directly.
+    differences are formed once per call. Both paths key an entry by its
+    sorted site numbers, which index the rank lists directly.
     """
     _check_eval_input(T, X)
     if T.smooth_width is None:
@@ -440,12 +434,12 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if assignment.repetition > 1:
             return 0.0
         sign = assignment.sign
-        zs = assignment.wedge
-        k = sum(map(getitem, T._rank_cols, zs))
+        k = sum(map(getitem, T._rank_lists, assignment.sites))
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
-        return sign * T.table.item(k) * _projected_pair_product(a, [T.spec.position(z) for z in zs])
+        corners = [T.spec.position(z) for z in assignment.wedge]
+        return sign * T.table.item(k) * _projected_pair_product(a, corners)
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
@@ -491,7 +485,7 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     rank = top - terms[np.arange(T.N), num].sum(axis=1)
     value = _inversion_signs(order[distinct]) * T.table[rank]
     if T.directions is not None:
-        cells = np.stack(np.unravel_index(num, (spec.cells_per_dim,) * spec.d), axis=-1)
+        cells = _site_index(spec)[num]
         value *= _projected_pair_products(T.directions[rank], spec.origin + cells * spec.delta)
     out[distinct] = value
     return out

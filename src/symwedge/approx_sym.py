@@ -26,14 +26,18 @@ from operator import getitem
 import numpy as np
 
 from .core import Configuration, Symmetry, TargetFunction, _configuration, _point
-from .errors import BuildError, CapacityError, DomainError
+from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
-    LatticeIndex,
     LatticeSpec,
     _check_smooth_width,
     _check_wedge_cap,
-    cell_of,
+    _located,
+    _rank_lists,
+    _rank_terms,
+    _repetition_constants,
+    _site_index,
+    _site_numbers,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     lattice_sites,
@@ -141,11 +145,7 @@ class SymmetricTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_cols(self) -> list[dict[LatticeIndex, int]]:  # made on the first indicator eval
-        return _rank_columns(self.spec, self.N, strict=False)
-
-    @cached_property
-    def _rank_lists(self) -> list[list[int]]:  # made on the first smooth eval
+    def _rank_lists(self) -> list[list[int]]:  # made on the first scalar eval
         return _rank_lists(self.spec, self.N, strict=False)
 
     @property
@@ -155,88 +155,6 @@ class SymmetricTabulator:
     @property
     def stats(self) -> BuildStats:
         return _wedge_stats(self.spec, self.N)
-
-
-def _site_index(spec: LatticeSpec) -> np.ndarray:
-    """The sites' multi-indices as a (site_count, d) int64 array in
-    ``lattice_sites`` order, so row s is site number s."""
-    return np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(spec.site_count, spec.d)
-
-
-def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
-    """The (K, N) site numbers of the wedge's entries, or of the strict
-    wedge's (N distinct sites), in lexicographic order. Numbers order as
-    their sites do, so row k is the k-th entry ``combinations`` (strict) or
-    ``combinations_with_replacement`` makes of the site tuples.
-
-    Made a column at a time: each row of the first j columns is followed, in
-    order, by one row per site column j may hold, from the row's last site
-    (plus one if strict) up to the last site that leaves room for the
-    columns after it. So every partial row completes, and no partial array
-    has more rows than the result."""
-    step = 1 if strict else 0
-    num = np.zeros((1, 0), dtype=np.int64)
-    for j in range(N):
-        low = num[:, -1] + step if j else np.zeros(1, dtype=np.int64)
-        counts = np.maximum(site_count - (N - 1 - j) * step - low, 0)
-        starts = np.cumsum(counts) - counts
-        column = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts - low, counts)
-        num = np.column_stack([np.repeat(num, counts, axis=0), column])
-    return num
-
-
-def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarray]:
-    """The lexicographic rank of a wedge entry (of the strict wedge if
-    strict), which is its row in a tabulator's arrays, as top minus
-    sum_i terms[i, s_i] over its sorted site numbers s. That is C(m, N) - 1
-    minus the colex rank sum_i C(m - 1 - t_i, N - i) of the reflected row,
-    with t_i = s_i (plus i unless strict) among m = site_count (plus N - 1
-    unless strict). Returns top and the (N, site_count) int64 terms.
-    C(x, j) comes from C(x, j - 1) by a running sum over x; int64 sums wrap
-    modulo 2^64, which leaves exact every term read (each is at most top)."""
-    shift = 0 if strict else 1
-    S = spec.site_count
-    m = S + (N - 1) * shift
-    binom = np.ones(m, dtype=np.int64)  # C(x, 0)
-    terms = np.empty((N, S), dtype=np.int64)
-    for i in reversed(range(N)):
-        binom[1:] = np.cumsum(binom[:-1])  # C(x, N - i)
-        binom[0] = 0
-        terms[i] = binom[m - 1 - i * shift - np.arange(S)]
-    return math.comb(m, N) - 1, terms
-
-
-def _rank_lists(spec: LatticeSpec, N: int, strict: bool) -> list[list[int]]:
-    """``_rank_terms`` for the scalar smooth evals: a list per column indexed
-    by site number, top folded into the first and the rest negated, so a
-    sorted row of site numbers has their sum as its rank."""
-    top, terms = _rank_terms(spec, N, strict)
-    signed = (-terms).tolist()
-    signed[0] = [top + t for t in signed[0]]
-    return signed
-
-
-def _rank_columns(spec: LatticeSpec, N: int, strict: bool) -> list[dict[LatticeIndex, int]]:
-    """``_rank_lists`` for the scalar indicator evals, which locate sites as
-    multi-indices: a dict per column keyed by site."""
-    return [dict(zip(lattice_sites(spec), column)) for column in _rank_lists(spec, N, strict)]
-
-
-def _repetition_constants(num: np.ndarray) -> np.ndarray:
-    """``repetition_constant`` of each sorted row of site numbers ``num``
-    (K, N), from its runs of equal sites, as floats: a float divides by them
-    as by the int. Past N = 20 a constant may leave int64, so those are
-    Python ints."""
-    K, N = num.shape
-    if N > 20:
-        return np.array([float(repetition_constant(row)) for row in num.tolist()])
-    const = np.ones(K, dtype=np.int64)
-    run = np.ones(K, dtype=np.int64)
-    for j in range(1, N):
-        same = num[:, j] == num[:, j - 1]
-        run = np.where(same, run + 1, 1)
-        const *= np.where(same, run, 1)
-    return const.astype(np.float64)
 
 
 def _non_finite(value: float, index: np.ndarray, row: np.ndarray) -> BuildError:
@@ -341,18 +259,18 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[tuple[
 def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     """Evaluate the tabulator.
 
-    Indicator mode locates X and reads only the assignment's ``wedge`` and
+    Indicator mode locates X and reads only the assignment's ``sites`` and
     ``repetition`` (its permutation is never built), so the result is a
     function of the wedge entry alone and permutation invariance holds
     bit-for-bit. Smooth mode blends the corner values of nearby entries
     with normalized cutoff weights; the blend is computed on the canonically
-    sorted configuration, so it is equally order-blind. Its entries come
-    keyed by site numbers, which index the rank lists directly.
+    sorted configuration, so it is equally order-blind. Both paths key an
+    entry by its sorted site numbers, which index the rank lists directly.
     """
     _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
-        k = sum(map(getitem, T._rank_cols, assignment.wedge))
+        k = sum(map(getitem, T._rank_lists, assignment.sites))
         return T.table.item(k) * assignment.repetition
     columns = T._rank_lists
     stored = T.table.item
@@ -374,25 +292,6 @@ def _check_batch_input(T, P: np.ndarray) -> None:
         raise ValueError(
             f"tabulator expects (B, N, d) = (B, {T.N}, {T.spec.d}) arrays; got shape {P.shape}"
         )
-
-
-def _located(spec: LatticeSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``locate`` on each row of P (B, N, d), as arrays: the site numbers
-    (indices in ``lattice_sites`` order) of the row's cells, sorted stably,
-    and the sort order. A cell is ``cell_of``'s: the same floor and top-cell
-    clamp, and its DomainError for the first coordinate outside the box, in
-    row order."""
-    inside = (P >= spec.origin) & (P <= spec.top)
-    if not inside.all():
-        c = float(P.reshape(-1)[np.argmin(inside.reshape(-1))])
-        raise DomainError(f"coordinate {c!r} outside [{spec.origin}, {spec.top}]")
-    n = spec.cells_per_dim
-    cells = np.minimum(((P - spec.origin) / spec.delta).astype(np.int64), n - 1)
-    num = cells[..., 0]
-    for a in range(1, spec.d):
-        num = num * n + cells[..., a]
-    order = np.argsort(num, axis=1, kind="stable")
-    return np.take_along_axis(num, order, axis=1), order
 
 
 def eval_sym_batch(T: SymmetricTabulator, P: np.ndarray) -> np.ndarray:
@@ -418,9 +317,10 @@ def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
     and the terms recombine as (-1)^N * sum_S (-1)^|S| exp(y). Only entries
     that hold every point's cell contribute (for the others every subset term
     is an exact zero). They are the points' distinct cells plus any multiset
-    of sites in the remaining slots, so they are enumerated directly.
-    Adding fixed cells to each filling keeps the fillings' lexicographic
-    order, so the sum runs in table order.
+    of sites in the remaining slots, so they are enumerated directly, as
+    sorted site numbers from one ``locate``. Adding fixed cells to each
+    filling keeps the fillings' lexicographic order, so the sum runs in
+    table order.
     """
     _check_eval_input(T, X)
     if T.smooth_width is not None:
@@ -430,13 +330,16 @@ def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
         raise CapacityError(
             f"feature expansion has {m} features, above the cap of {DEFAULT_FEATURE_CAP}"
         )
-    cells = [cell_of(T.spec, p) for p in X.points]
+    assignment = locate(T.spec, X)
+    # each point's site number, in input order: A's rows are the points'
+    cells = [site for _, site in sorted(zip(assignment.order, assignment.sites))]
     held = sorted(set(cells))
-    fills = combinations_with_replacement(lattice_sites(T.spec), T.N - len(held))
+    fills = combinations_with_replacement(range(T.spec.site_count), T.N - len(held))
+    columns = T._rank_lists
     total = 0.0
     for zs in (tuple(sorted(held + list(fill))) for fill in fills):
         A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]
-        total += T.table.item(sum(map(getitem, T._rank_cols, zs))) * permanent_ryser_logdomain(A)
+        total += T.table.item(sum(map(getitem, columns, zs))) * permanent_ryser_logdomain(A)
     return total
 
 

@@ -5,6 +5,12 @@ top cell closed so the domain boundary hi stays covered; operationally a
 coordinate maps to min(floor((x - lo)/delta), n - 1). The wedge is the set
 of lexicographically non-decreasing N-tuples of lattice sites; it is in
 bijection with multisets of N sites and has C(n^d + N - 1, N) elements.
+
+Below the public API a site is its number, its position in ``lattice_sites``
+order (row-major), so number order is the sites' lexicographic order and a
+wedge entry is a sorted row of numbers. ``locate`` finds an input's numbers;
+``_rank_terms`` and ``_rank_lists`` turn a sorted row into the entry's rank,
+its row in a tabulator's arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .core import Configuration, DomainSpec, Point, _inversion_sign
 from .errors import CapacityError, DomainError
@@ -231,19 +239,111 @@ def repetition_constant(zs: WedgeKey) -> int:
     return const
 
 
+@lru_cache(maxsize=8)
+def _site_tuples(spec: LatticeSpec) -> tuple[LatticeIndex, ...]:
+    """The sites in ``lattice_sites`` order, so item s is site number s.
+    Made once per spec; the tuples are shared."""
+    return tuple(lattice_sites(spec))
+
+
+def _site_index(spec: LatticeSpec) -> np.ndarray:
+    """The sites' multi-indices as a (site_count, d) int64 array in
+    ``lattice_sites`` order, so row s is site number s."""
+    return np.array(_site_tuples(spec), dtype=np.int64).reshape(spec.site_count, spec.d)
+
+
+def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
+    """The (K, N) site numbers of the wedge's entries, or of the strict
+    wedge's (N distinct sites), in lexicographic order. Numbers order as
+    their sites do, so row k is the k-th entry ``combinations`` (strict) or
+    ``combinations_with_replacement`` makes of the site tuples.
+
+    Made a column at a time: each row of the first j columns is followed, in
+    order, by one row per site column j may hold, from the row's last site
+    (plus one if strict) up to the last site that leaves room for the
+    columns after it. So every partial row completes, and no partial array
+    has more rows than the result."""
+    step = 1 if strict else 0
+    num = np.zeros((1, 0), dtype=np.int64)
+    for j in range(N):
+        low = num[:, -1] + step if j else np.zeros(1, dtype=np.int64)
+        counts = np.maximum(site_count - (N - 1 - j) * step - low, 0)
+        starts = np.cumsum(counts) - counts
+        column = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts - low, counts)
+        num = np.column_stack([np.repeat(num, counts, axis=0), column])
+    return num
+
+
+def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarray]:
+    """The lexicographic rank of a wedge entry (of the strict wedge if
+    strict), which is its row in a tabulator's arrays, as top minus
+    sum_i terms[i, s_i] over its sorted site numbers s. That is C(m, N) - 1
+    minus the colex rank sum_i C(m - 1 - t_i, N - i) of the reflected row,
+    with t_i = s_i (plus i unless strict) among m = site_count (plus N - 1
+    unless strict). Returns top and the (N, site_count) int64 terms.
+    C(x, j) comes from C(x, j - 1) by a running sum over x; int64 sums wrap
+    modulo 2^64, which leaves exact every term read (each is at most top)."""
+    shift = 0 if strict else 1
+    S = spec.site_count
+    m = S + (N - 1) * shift
+    binom = np.ones(m, dtype=np.int64)  # C(x, 0)
+    terms = np.empty((N, S), dtype=np.int64)
+    for i in reversed(range(N)):
+        binom[1:] = np.cumsum(binom[:-1])  # C(x, N - i)
+        binom[0] = 0
+        terms[i] = binom[m - 1 - i * shift - np.arange(S)]
+    return math.comb(m, N) - 1, terms
+
+
+def _rank_lists(spec: LatticeSpec, N: int, strict: bool) -> list[list[int]]:
+    """``_rank_terms`` for the scalar evals: a list per column indexed by
+    site number, top folded into the first and the rest negated, so a sorted
+    row of site numbers (``locate``'s ``sites``, a smooth weight key) has
+    their sum as its rank."""
+    top, terms = _rank_terms(spec, N, strict)
+    signed = (-terms).tolist()
+    signed[0] = [top + t for t in signed[0]]
+    return signed
+
+
+def _repetition_constants(num: np.ndarray) -> np.ndarray:
+    """``repetition_constant`` of each sorted row of site numbers ``num``
+    (K, N), from its runs of equal sites, as floats: a float divides by them
+    as by the int. Past N = 20 a constant may leave int64, so those are
+    Python ints."""
+    K, N = num.shape
+    if N > 20:
+        return np.array([float(repetition_constant(row)) for row in num.tolist()])
+    const = np.ones(K, dtype=np.int64)
+    run = np.ones(K, dtype=np.int64)
+    for j in range(1, N):
+        same = num[:, j] == num[:, j - 1]
+        run = np.where(same, run + 1, 1)
+        const *= np.where(same, run, 1)
+    return const.astype(np.float64)
+
+
 @dataclass(frozen=True, slots=True)
 class CellAssignment:
-    """Result of locating a configuration: its wedge entry, the sort order
-    of the input slots, and the entry's repetition constant.
+    """Result of locating a configuration on a lattice: its wedge entry as
+    sorted site numbers, the sort order of the input slots, and the entry's
+    repetition constant.
 
-    ``order`` lists the input slots in wedge order:
-    wedge[k] == cell_of(X.points[order[k]]). Its sign is derived from it
-    when read.
+    ``order`` lists the input slots in wedge order: sites[k] is the number
+    of X.points[order[k]]'s cell. The entry's site tuples (``wedge``) and
+    the order's sign are derived when read.
     """
 
-    wedge: WedgeKey
+    sites: tuple[int, ...]
     order: tuple[int, ...]
     repetition: int
+    spec: LatticeSpec
+
+    @property
+    def wedge(self) -> WedgeKey:
+        """The entry as sites: wedge[k] == cell_of(spec, X.points[order[k]])."""
+        sites = _site_tuples(self.spec)
+        return tuple([sites[s] for s in self.sites])
 
     @property
     def sign(self) -> int:
@@ -257,29 +357,50 @@ def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
     """Canonicalize a configuration onto the wedge.
 
     Each point's cell is ``cell_of``'s, face rule included, computed inline
-    with the same floor, clamp and DomainError messages. Ties (repeated
-    cells) are broken stably by input slot, so ``order`` is deterministic.
+    with the same floor, clamp and DomainError messages, and folded into its
+    site number an axis at a time. Ties (repeated cells) are broken stably
+    by input slot, so ``order`` is deterministic.
     """
     origin = spec.origin
     top = spec.top
     delta = spec.delta
     d = spec.d
-    last = spec.cells_per_dim - 1
-    cells = []
+    n = spec.cells_per_dim
+    last = n - 1
+    numbers = []
     for p in X.points:
         coords = p.coords
         if len(coords) != d:
             cell_of(spec, p)  # raises the dimension error
-        cell = []
+        site = 0
         for c in coords:
             if not origin <= c <= top:
                 cell_of(spec, p)  # raises the coordinate error
             i = int((c - origin) / delta)
-            cell.append(i if i <= last else last)
-        cells.append(tuple(cell))
-    order = sorted(range(len(cells)), key=cells.__getitem__)
-    wedge = tuple([cells[i] for i in order])
-    return CellAssignment(wedge, tuple(order), repetition_constant(wedge))
+            site = site * n + (i if i <= last else last)
+        numbers.append(site)
+    order = sorted(range(len(numbers)), key=numbers.__getitem__)
+    sites = tuple([numbers[i] for i in order])
+    return CellAssignment(sites, tuple(order), repetition_constant(sites), spec)
+
+
+def _located(spec: LatticeSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``locate`` on each row of P (B, N, d), as arrays: the site numbers
+    (indices in ``lattice_sites`` order) of the row's cells, sorted stably,
+    and the sort order. A cell is ``cell_of``'s: the same floor and top-cell
+    clamp, and its DomainError for the first coordinate outside the box, in
+    row order."""
+    inside = (P >= spec.origin) & (P <= spec.top)
+    if not inside.all():
+        c = float(P.reshape(-1)[np.argmin(inside.reshape(-1))])
+        raise DomainError(f"coordinate {c!r} outside [{spec.origin}, {spec.top}]")
+    n = spec.cells_per_dim
+    cells = np.minimum(((P - spec.origin) / spec.delta).astype(np.int64), n - 1)
+    num = cells[..., 0]
+    for a in range(1, spec.d):
+        num = num * n + cells[..., a]
+    order = np.argsort(num, axis=1, kind="stable")
+    return np.take_along_axis(num, order, axis=1), order
 
 
 def corner_configuration(spec: LatticeSpec, zs: WedgeKey) -> Configuration:

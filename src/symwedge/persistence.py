@@ -74,11 +74,9 @@ from .approx_sym import (
     MODE_INDICATOR,
     MODE_SMOOTH,
     SymmetricTabulator,
-    _site_index,
-    _site_numbers,
 )
 from .errors import CapacityError, ConfigError
-from .lattice import LatticeSpec, _check_smooth_width, wedge_size
+from .lattice import LatticeSpec, _check_smooth_width, _site_index, _site_numbers, wedge_size
 
 __all__ = [
     "MAGIC",
@@ -437,7 +435,7 @@ def load_model(path: str) -> Tabulator:
     if not want_direction and tau is not None:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
     entries = _field(lines, 11, "entries", _decimal)
-    records = [line for line in lines[12:] if line]
+    records = lines[12:]
     del lines  # records now holds the only reference to each record's text
     if len(records) != entries:
         raise ConfigError(f"expected {entries} records, found {len(records)}")

@@ -1,14 +1,15 @@
 """Helpers shared by the test modules."""
 
+import functools
 import math
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 from hypothesis import strategies as st
 
 from symwedge import Configuration, Point
 from symwedge.core import _inversion_sign
-from symwedge.lattice import repetition_constant
+from symwedge.lattice import lattice_sites, repetition_constant
 
 
 def configurations(S):
@@ -130,8 +131,15 @@ def smooth_weights(spec, X, w):
     return weights
 
 
+@functools.cache
+def _ranks(spec, N, strict):
+    # each entry's row, from its position in the enumeration of site tuples
+    choose = combinations if strict else combinations_with_replacement
+    return {key: row for row, key in enumerate(choose(lattice_sites(spec), N))}
+
+
 def _rank(T, key):
-    return sum(column[site] for column, site in zip(T._rank_cols, key))
+    return _ranks(T.spec, T.N, T.kind != "sym")[key]
 
 
 def eval_sym_smooth(T, X):

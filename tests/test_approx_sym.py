@@ -400,14 +400,10 @@ def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_scalar_rank_is_the_row_in_site_number_order(N, strict):
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
-    sites = list(lattice_sites(spec))
-    columns = approx_sym._rank_columns(spec, N, strict)
     num = approx_sym._site_numbers(spec.site_count, N, strict)
     rows = list(range(len(num)))
     assert len(rows) == math.comb(spec.site_count + (0 if strict else N - 1), N)
-    keys = [tuple(map(sites.__getitem__, row)) for row in num.tolist()]
-    assert [sum(map(operator.getitem, columns, key)) for key in keys] == rows
-    lists = approx_sym._rank_lists(spec, N, strict)  # the smooth evals' ranks
+    lists = approx_sym._rank_lists(spec, N, strict)  # the scalar evals' ranks
     assert [sum(map(operator.getitem, lists, row)) for row in num.tolist()] == rows
     top, terms = approx_sym._rank_terms(spec, N, strict)  # the batch evals' ranks
     assert (top - terms[np.arange(N), num].sum(axis=1)).tolist() == rows
@@ -898,7 +894,7 @@ def test_scalar_indicator_evals_call_locate_once_through_their_module(monkeypatc
     for N, d in [(1, 1), (2, 2), (3, 2), (4, 1)]:
         spec = LatticeSpec.from_domain(unit_domain(d, N), 0.25)
         sym = build_sym(builtin_target("gaussian-pair-sym"), spec, N)
-        cases = [(sym, eval_sym, approx_sym)] + [
+        cases = [(sym, eval_sym, approx_sym), (sym, eval_sym_feature_form, approx_sym)] + [
             (build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N, mode=mode),
              approx_antisym.eval_antisym, approx_antisym)
             for mode in (MODE_RANK, MODE_PROJECTED)

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symwedge import (
@@ -27,6 +27,7 @@ from symwedge import (
 )
 import symwedge.lattice as lattice
 from symwedge.lattice import _axis_bands, _smoothstep, site_weight_support
+from helpers import BOXES, draw_rows
 
 UNIT_1D = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 
@@ -437,6 +438,24 @@ def test_locate_round_trips_corner(coords, n):
     asg = locate(spec, X)
     assert asg.wedge == tuple(sorted(asg.wedge))
     assert repetition_constant(asg.wedge) == asg.repetition
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_locate_sites_and_order_are_the_batch_rows(data):
+    # faces +- 3 ulps, lo, hi and repeated points, N up to 5 and d up to 3
+    N, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    lo, hi = data.draw(st.sampled_from(BOXES))
+    spec = LatticeSpec.from_counts(data.draw(st.integers(1, 13)), d, lo, hi)
+    P = draw_rows(data, spec, N, data.draw(st.integers(1, 4)))
+    num, order = lattice._located(spec, P)
+    for rows, sites, slots in zip(P.tolist(), num.tolist(), order.tolist()):
+        X = cfg(*rows)
+        asg = locate(spec, X)
+        assert (asg.sites, asg.order) == (tuple(sites), tuple(slots))
+        for k, i in enumerate(asg.order):
+            assert asg.wedge[k] == cell_of(spec, X.points[i])
+        assert asg.repetition == repetition_constant(asg.wedge)
 
 
 # ---------------------------------------------------------------- corners

@@ -748,6 +748,20 @@ def test_load_rejects_a_key_that_only_begins_with_the_expected_one(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("where", [12, 15, 22])
+def test_a_blank_line_among_the_records_is_a_record(tmp_path, capsys, where):
+    # after the entries line, between two records, or after the last one
+    path, lines = _saved_lines(tmp_path, "sym")
+    assert len(lines) == 22 and lines[11] == "entries 10"
+    lines.insert(where, "")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"^expected 10 records, found 11$"):
+        load_model(str(path))
+    assert main(["eval", str(path), "--x", "[[0.1], [0.2]]"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected 10 records, found 11\n"
+
+
 @pytest.mark.parametrize("spelling", ["00", "+0", "0_0", "٠"])
 def test_load_takes_only_the_decimal_keys_save_model_writes(tmp_path, capsys, spelling):
     # int() reads each of these as 0; only save_model's own spelling loads
