@@ -7,10 +7,8 @@ of lexicographically non-decreasing N-tuples of lattice sites; it is in
 bijection with multisets of N sites and has C(n^d + N - 1, N) elements.
 
 Below the public API a site is its number, its position in ``lattice_sites``
-order (row-major), so number order is the sites' lexicographic order and a
-wedge entry is a sorted row of numbers. ``locate`` finds an input's numbers;
-``_rank_terms`` and ``_rank_lists`` turn a sorted row into the entry's rank,
-its row in a tabulator's arrays.
+(row-major) order, and a wedge entry is a sorted row of numbers: ``locate``
+finds them, and ``_rank_terms`` / ``_rank_lists`` give the entry's rank.
 """
 
 from __future__ import annotations
