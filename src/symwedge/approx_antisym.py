@@ -438,7 +438,17 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
-        corners = [T.spec.position(z) for z in assignment.wedge]
+        # Each site's corner, axis by axis from its number's row-major
+        # digits (last axis first), as ``spec.position`` places it.
+        spec = T.spec
+        corners = []
+        for s in assignment.sites:
+            corner = []
+            for _ in range(spec.d):
+                s, i = divmod(s, spec.cells_per_dim)
+                corner.append(spec.origin + i * spec.delta)
+            corner.reverse()
+            corners.append(corner)
         return sign * T.table.item(k) * _projected_pair_product(a, corners)
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
@@ -485,7 +495,7 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     rank = top - terms[np.arange(T.N), num].sum(axis=1)
     value = _inversion_signs(order[distinct]) * T.table[rank]
     if T.directions is not None:
-        cells = _site_index(spec)[num]
+        cells = np.stack(np.unravel_index(num, (spec.cells_per_dim,) * spec.d), axis=-1)
         value *= _projected_pair_products(T.directions[rank], spec.origin + cells * spec.delta)
     out[distinct] = value
     return out

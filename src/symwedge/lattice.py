@@ -237,17 +237,10 @@ def repetition_constant(zs: WedgeKey) -> int:
     return const
 
 
-@lru_cache(maxsize=8)
-def _site_tuples(spec: LatticeSpec) -> tuple[LatticeIndex, ...]:
-    """The sites in ``lattice_sites`` order, so item s is site number s.
-    Made once per spec; the tuples are shared."""
-    return tuple(lattice_sites(spec))
-
-
 def _site_index(spec: LatticeSpec) -> np.ndarray:
     """The sites' multi-indices as a (site_count, d) int64 array in
     ``lattice_sites`` order, so row s is site number s."""
-    return np.array(_site_tuples(spec), dtype=np.int64).reshape(spec.site_count, spec.d)
+    return np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(spec.site_count, spec.d)
 
 
 def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
@@ -339,9 +332,20 @@ class CellAssignment:
 
     @property
     def wedge(self) -> WedgeKey:
-        """The entry as sites: wedge[k] == cell_of(spec, X.points[order[k]])."""
-        sites = _site_tuples(self.spec)
-        return tuple([sites[s] for s in self.sites])
+        """The entry as sites: wedge[k] == cell_of(spec, X.points[order[k]]).
+        A site number's axis indices are its row-major digits in base
+        cells_per_dim, read off the last axis first."""
+        n = self.spec.cells_per_dim
+        axes = range(self.spec.d)
+        wedge = []
+        for s in self.sites:
+            digits = []
+            for _ in axes:
+                s, i = divmod(s, n)
+                digits.append(i)
+            digits.reverse()
+            wedge.append(tuple(digits))
+        return tuple(wedge)
 
     @property
     def sign(self) -> int:

@@ -458,6 +458,20 @@ def test_locate_sites_and_order_are_the_batch_rows(data):
         assert asg.repetition == repetition_constant(asg.wedge)
 
 
+@pytest.mark.parametrize("n, d", [(10**6, 2), (2**20, 3), (2**62, 1)])
+def test_locate_wedge_on_a_lattice_of_huge_site_count(n, d):
+    # 10^12 to 2^62 sites: the entry's cells come from its own numbers, so
+    # reading them costs no work or memory per lattice site
+    spec = LatticeSpec(delta=1.0 / n, d=d, cells_per_dim=n, origin=0.0, top=1.0)
+    rows = np.random.default_rng(3).random((4, d)).tolist() + [[1.0] * d, [0.0] * d]
+    X = cfg(*rows)
+    asg = locate(spec, X)
+    assert len(asg.wedge) == len(rows)
+    for k, i in enumerate(asg.order):
+        assert asg.wedge[k] == cell_of(spec, X.points[i])
+    assert asg.wedge[-1] == (n - 1,) * d
+
+
 # ---------------------------------------------------------------- corners
 
 
