@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +105,9 @@ class LatticeSpec:
     origin: float
     top: float
 
+    def __hash__(self) -> int:
+        return self._hash
+
     def __post_init__(self) -> None:
         if self.delta <= 0.0 or not math.isfinite(self.delta):
             raise ValueError(f"spacing must be positive and finite, got {self.delta}")
@@ -127,6 +130,10 @@ class LatticeSpec:
                 f"{self.cells_per_dim} cells per axis do not match [{self.origin}, {self.top}] "
                 f"at spacing {self.delta}, which takes {cover}"
             )
+        # the hash of the fields, made once: specs key every lru_cache here,
+        # and ``_axis_bands`` is looked up once per point of a smooth eval
+        fields = (self.delta, self.d, self.cells_per_dim, self.origin, self.top)
+        object.__setattr__(self, "_hash", hash(fields))
 
     @classmethod
     def from_domain(cls, domain: DomainSpec, delta: float) -> "LatticeSpec":
@@ -314,15 +321,16 @@ def _repetition_constants(num: np.ndarray) -> np.ndarray:
     return const.astype(np.float64)
 
 
-@dataclass(frozen=True, slots=True)
-class CellAssignment:
+class CellAssignment(NamedTuple):
     """Result of locating a configuration on a lattice: its wedge entry as
     sorted site numbers, the sort order of the input slots, and the entry's
     repetition constant.
 
     ``order`` lists the input slots in wedge order: sites[k] is the number
     of X.points[order[k]]'s cell. The entry's site tuples (``wedge``) and
-    the order's sign are derived when read.
+    the order's sign are derived when read. A named tuple, so its fields are
+    read-only and ``locate`` builds one at tuple cost (every scalar
+    indicator eval makes one).
     """
 
     sites: tuple[int, ...]

@@ -39,17 +39,27 @@ violated rule above.
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
 the key, that every value field is a float.hex number, and a finite coefficient;
-and last the directions, in record order. The loader makes keys, and fills
-the tabulator's arrays, a block of records at a time.
+and last the directions, in record order.
 
 ``save_model`` writes a record per row of the table (and directions), about
 ``_WRITE_BYTES`` of text at a time: each block is one uint8 array, a
-NUL-padded row per record, from which the NULs are dropped. Save and load
-gather a key from each site's text, made once; a value field is
-float.hex's text, made from the float's bits (sign, "0x1." or "0x0.", 13
-hex digits, and an exponent from a table made on first use), with zero
-written "0x0.0p+0". The blocks stream to the temp file as bytes, so the
-file's text is never held whole.
+NUL-padded row per record, from which the NULs are dropped
+(``_record_text``). A key is gathered from each site's text, made once; a
+value field is float.hex's text, made from the float's bits (sign, "0x1."
+or "0x0.", 13 hex digits, and an exponent from a table made on first use),
+with zero written "0x0.0p+0". The blocks stream to the temp file as bytes,
+so the file's text is never held whole.
+
+``load_model`` reads the file's bytes and tries the layout the writer
+makes first (``_load_bytes``): after the header, a block of records at a
+time, it cuts the block at its separators, reads every value field from
+fixed places before the field's end, and lays the block out again with
+``_record_text``. It takes the block only if that gives back the block's
+bytes, the coefficients are finite and the directions pass the checks
+above. A file that fails anywhere is read again as text, record by record
+(``_load_text``), which loads what it loads or raises the first fault in
+check order, so the two paths load the same tabulators and raise the same
+messages.
 """
 
 from __future__ import annotations
@@ -57,8 +67,8 @@ from __future__ import annotations
 import math
 import os
 from functools import cache
-from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, TypeVar, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 import numpy as np
 
@@ -100,8 +110,8 @@ KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 _T = TypeVar("_T")
 
-# Records per block of keys: ``load_model`` checks and parses a block in a few
-# calls that loop in C, and drops its text before the next.
+# Records per block that ``load_model`` parses and checks in a few calls that
+# loop in C, on either path, before it moves to the next.
 _BLOCK = 4096
 # Bytes per block of record text that ``save_model`` lays out. Its arrays stay
 # under 128 KB, glibc's default mmap threshold, as freeing larger ones raises
@@ -134,12 +144,14 @@ def write_text_atomic(path: str, text: str | Iterable[bytes]) -> None:
 
 def _site_texts(spec: LatticeSpec) -> np.ndarray:
     """Each site's key text, each index in decimal followed by one space, as
-    a (site_count, d, width) uint8 array padded with NULs: each index's text
-    is made once and gathered by ``_site_index``."""
+    a (site_count,) array of fixed-width bytes padded with NULs: each index's
+    text is made once and gathered by ``_site_index``, and a key is a gather
+    of its sites' items."""
     n = spec.cells_per_dim
     width = len(str(n - 1)) + 1
     digits = np.array([f"{i} ".encode() for i in range(n)], dtype=f"S{width}")
-    return digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
+    texts = digits.view(np.uint8).reshape(n, width)[_site_index(spec)]
+    return texts.reshape(spec.site_count, -1).view(f"S{spec.d * width}")[:, 0]
 
 
 def _key_blocks(spec: LatticeSpec, N: int, strict: bool) -> Iterator[tuple[np.ndarray, list[str]]]:
@@ -155,80 +167,106 @@ def _key_blocks(spec: LatticeSpec, N: int, strict: bool) -> Iterator[tuple[np.nd
     num = _site_numbers(spec.site_count, N, strict)
     for start in range(0, len(num), _BLOCK):
         rows = num[start : start + _BLOCK]
-        keys = site_text[rows].reshape(len(rows), -1)
+        keys = site_text[rows].view(np.uint8).reshape(len(rows), -1)
         text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
         yield rows, text.translate(None, b"\0").decode().split("\n")[:-1]
 
 
-# float.hex text, in fixed-width columns padded with NUL bytes: an optional
-# "-", "0x1." or "0x0.", 13 hex digits and an exponent of at most 6 bytes,
-# held in 8 so that one uint64 copies it.
-_HEX_WIDTH = 26
+# float.hex text, in fixed-width columns padded with NUL bytes: three
+# little-endian uint64 words holding an optional "-", "0x1." or "0x0.", 13
+# hex digits and an exponent of at most 6 bytes.
+_HEX_WIDTH = 24
 
 
 @cache
-def _hex_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The two hex digits of each byte value (256,), and the exponent text
-    float.hex writes for each biased exponent (2048,), as ASCII in uint16
-    and NUL-padded uint64 words; a subnormal's (biased 0) is p-1022. Made on
-    first use, not on import."""
-    pairs = np.array([f"{byte:02x}".encode() for byte in range(256)], dtype="S2")
+def _hex_tables() -> np.ndarray:
+    """The exponent text float.hex writes for each biased exponent (2048,),
+    as NUL-padded little-endian uint64 words; a subnormal's (biased 0) is
+    p-1022. Made on first use, not on import."""
     exponents = [f"p{max(biased, 1) - 1023:+d}".encode() for biased in range(2048)]
-    return pairs.view(np.uint16), np.array(exponents, dtype="S8").view(np.uint64)
+    return np.array(exponents, dtype="S8").view("<u8")
 
 
-def _ascii(text: bytes, width: int) -> np.ndarray:
-    return np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
+def _word(text: bytes) -> int:
+    """The little-endian uint64 whose bytes are text, padded with NULs."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+_PREFIX = _word(b"\x000x1.")
+_ZERO = (_word(b"\x000x0.0p+"), _word(b"0"))
+_INF = _word(b"\x00inf")
+_NAN = _word(b"nan")
+# Spreading a 32-bit number's 8 nibbles over the bytes of a uint64, least
+# significant first: or each part onto itself shifted, then keep the halves.
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F))
+# Its inverse: gathering 8 nibbles, one per byte and the first on top, into
+# the low 32 bits.
+_GATHER = ((4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF), (16, 0x00000000FFFFFFFF))
 
 
 def _hex_columns(x: np.ndarray) -> np.ndarray:
     """float.hex of each float of x (M,), as (M, _HEX_WIDTH) ASCII bytes
-    padded with NULs: the text is the row with its NULs dropped."""
-    pairs, exponents = _hex_tables()
+    padded with NULs: the text is the row with its NULs dropped.
+
+    Each row is made as three words. The mantissa's first 5 and last 8 hex
+    digits are spread a nibble per byte, turned into ASCII ("0" + n, plus
+    39 for a letter) and byte-swapped, so the first digit comes first."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     M = len(bits)
-    octets = bits.astype(">u8").view(np.uint8).reshape(M, 8)  # most significant first
-    biased = (bits >> 52).astype(np.intp) & 0x7FF
-    out = np.zeros((M, _HEX_WIDTH), dtype=np.uint8)
-    out[octets[:, 0] >= 0x80, 0] = ord("-")
-    out[:, 1:5] = _ascii(b"0x1.", 4)
-    out[biased == 0, 3] = ord("0")
-    out[:, 5] = pairs[octets[:, 1] & 0xF].view(np.uint8)[1::2]  # the top 4 mantissa bits
-    out[:, 6:18] = pairs[octets[:, 2:]].view(np.uint8)
-    out[:, 18:] = exponents[biased].view(np.uint8).reshape(M, 8)
-    tail = _HEX_WIDTH - 1
-    out[bits << 1 == 0, 1:] = _ascii(b"0x0.0p+0", tail)
+    biased = (bits >> 52 & 0x7FF).astype(np.intp)
+    digits = np.empty((M, 2), dtype=np.uint64)
+    digits[:, 0] = bits >> 32 & 0xFFFFF
+    digits[:, 1] = bits & 0xFFFFFFFF
+    for shift, keep in _SPREAD:
+        digits |= digits << shift
+        digits &= keep
+    letters = (digits + 0x0606060606060606) >> 4 & 0x0101010101010101
+    digits += 0x3030303030303030
+    digits += letters * 39
+    first, last = digits.byteswap().T  # "000" and 5 digits; 8 digits
+    zero = bits << 1 == 0
+    out = np.empty((M, 3), dtype="<u8")
+    lead = _PREFIX - ((biased == 0).astype(np.uint64) << 24)  # "0x0." below the normals
+    out[:, 0] = np.where(zero, _ZERO[0], first >> 24 << 40 | lead) | (bits >> 63) * ord("-")
+    out[:, 1] = np.where(zero, _ZERO[1], first >> 48 | last << 16)
+    out[:, 2] = np.where(zero, 0, last >> 48 | _hex_tables()[biased] << 16)
     special = biased == 0x7FF
     if special.any():
-        out[special & (bits << 12 == 0), 1:] = _ascii(b"inf", tail)
-        out[special & (bits << 12 != 0)] = _ascii(b"nan", _HEX_WIDTH)  # float.hex drops its sign
-    return out
+        out[special, 0] = (bits[special] >> 63) * ord("-") | _INF
+        out[special, 1:] = 0
+        out[special & (bits << 12 != 0), 0] = _NAN  # float.hex drops its sign
+    return out.view(np.uint8)
+
+
+def _record_text(site_text: np.ndarray, rows: np.ndarray, values: np.ndarray) -> bytes:
+    """The text of the records whose entries have site numbers rows (B, N)
+    and value fields values (B, per), as ASCII bytes: one uint8 array with a
+    row per record, its key the entry's sites' texts (``site_text``, from
+    ``_site_texts``) and its values ``_hex_columns``' texts, padded with NULs,
+    which are dropped."""
+    B, per = values.shape
+    key_width = rows.shape[1] * site_text.itemsize
+    out = np.empty((B, key_width + per * (_HEX_WIDTH + 1)), dtype=np.uint8)
+    out[:, :key_width] = site_text[rows].view(np.uint8).reshape(B, key_width)
+    fields = out[:, key_width:].reshape(B, per, _HEX_WIDTH + 1)
+    fields[:, :, :_HEX_WIDTH] = _hex_columns(values.reshape(-1)).reshape(B, per, _HEX_WIDTH)
+    fields[:, :, _HEX_WIDTH] = ord(" ")
+    fields[:, -1, _HEX_WIDTH] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) -> Iterator[bytes]:
     """The text of the records of a model whose value fields are the rows of
-    values (K, per), as ASCII bytes in blocks of about ``_WRITE_BYTES``. Each
-    block is laid out as one uint8 array, a row per record padded with NULs,
-    and joined by dropping the NULs. A record's key is the text of its entry's
-    sites' texts (``_site_texts``), gathered by the entries' ``_site_numbers``."""
+    values (K, per), in blocks of about ``_WRITE_BYTES`` (``_record_text``),
+    the entries' keys gathered by their ``_site_numbers``."""
     K, per = values.shape
     if K == 0:
         return
     site_text = _site_texts(spec)
     num = _site_numbers(spec.site_count, N, strict)
-    key_width = N * site_text[0].size
-    row_width = key_width + per * (_HEX_WIDTH + 1)
-    step = max(1, _WRITE_BYTES // row_width)
+    step = max(1, _WRITE_BYTES // (N * site_text.itemsize + per * (_HEX_WIDTH + 1)))
     for start in range(0, K, step):
-        block = values[start : start + step]
-        B = len(block)
-        rows = np.empty((B, row_width), dtype=np.uint8)
-        rows[:, :key_width] = site_text[num[start : start + B]].reshape(B, key_width)
-        fields = rows[:, key_width:].reshape(B, per, _HEX_WIDTH + 1)
-        fields[:, :, :_HEX_WIDTH] = _hex_columns(block.reshape(-1)).reshape(B, per, _HEX_WIDTH)
-        fields[:, :, _HEX_WIDTH] = ord(" ")
-        fields[:, -1, _HEX_WIDTH] = ord("\n")
-        yield rows.tobytes().translate(None, b"\0")
+        yield _record_text(site_text, num[start : start + step], values[start : start + step])
 
 
 def save_model(path: str, tab: Tabulator) -> None:
@@ -300,14 +338,19 @@ def _optional_hex(value: str) -> float | None:
     return None if value == "-" else _hex(value)
 
 
-def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
-    """The fault of the first direction, a row of A (K, d) keyed by the site
-    indices idx (K, N, d), that is not a finite unit vector passing the
-    build's validity test at tau, or None."""
+def _direction_checks(
+    A: np.ndarray, idx: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each direction, a row of A (K, d) keyed by the site indices
+    idx (K, N, d), is finite, is a unit vector, and passes the build's
+    validity test at tau."""
     with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
-        finite = np.isfinite(A).all(axis=1)
-        unit = _unit_rows(A)
-        valid = directions_valid(A, idx, tau)
+        return np.isfinite(A).all(axis=1), _unit_rows(A), directions_valid(A, idx, tau)
+
+
+def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
+    """The fault of the first direction that fails ``_direction_checks``, or None."""
+    finite, unit, valid = _direction_checks(A, idx, tau)
     bad = np.flatnonzero(~(finite & unit & valid))
     if not len(bad):
         return None
@@ -321,31 +364,6 @@ def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: fl
     return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
 
 
-def _block_values(lines: list[str], keys: list[str], per: int) -> np.ndarray | None:
-    """The value fields of records with the right field count, flat, or None
-    if a record does not start with its key, holds a field that is not a
-    finite float in ``_hex``'s spelling, or has a non-finite coefficient
-    (every ``per``-th value).
-
-    The spelling is checked by a few C-level scans of the block's value text.
-    A field float.fromhex reads holds at most one "x", in its "0x" or "0X"
-    after an optional sign, and may be padded with the whitespace it strips.
-    So one "x" per field, no "+0x" and no tab, vertical tab or form feed
-    (spaces separate fields, and lines were split) leave "0x" or "-0x"
-    first in every field."""
-    if not all(map(str.startswith, lines, keys)):
-        return None
-    text = " ".join(map(str.removeprefix, lines, keys))
-    spelled = text.count("x") == len(lines) * per and "+0x" not in text
-    if not spelled or "\t" in text or "\v" in text or "\f" in text:
-        return None
-    try:
-        values = np.fromiter(map(float.fromhex, text.split(" ")), np.float64, len(lines) * per)
-    except (ValueError, OverflowError):
-        return None
-    return values if np.isfinite(values[::per]).all() else None
-
-
 def _check_records(
     lines: list[str],
     keys: Iterator[str],
@@ -353,11 +371,12 @@ def _check_records(
     kind: str,
     cells: int,
 ) -> list[float]:
-    """``_block_values`` one record at a time, raising ConfigError on the first
-    fault. ``keys`` gives each record's key text, and ``fields`` is (N, d,
-    value fields per record). A record's field count is checked before its
-    key is made (N or d may be huge), then its key, then its numbers, then
-    that its coefficient is finite."""
+    """The value fields of records, flat, read one record at a time, raising
+    ConfigError on the first fault. ``keys`` gives each record's key text,
+    and ``fields`` is (N, d, value fields per record). A record's field count
+    is checked before its key is made (N or d may be huge), then its key,
+    then that every value field is a number in ``_hex``'s spelling, then that
+    its coefficient is finite."""
     N, d, per = fields
     n_index = N * d
     values: list[float] = []
@@ -408,10 +427,24 @@ def read_text(path: str) -> str:
     raise ConfigError(f"{path} changed while it was read")
 
 
-def load_model(path: str) -> Tabulator:
-    lines = read_text(path).split("\n")
-    if lines[-1] == "":  # the newline that ends the last line
-        lines.pop()
+class _Header(NamedTuple):
+    """What a checked header declares, and the value fields per record: the
+    coefficient, and an antisym-c2 direction's d components."""
+
+    kind: str
+    spec: LatticeSpec
+    N: int
+    smooth: float | None
+    tau: float | None
+    entries: int
+    per: int
+
+
+def _header(path: str, lines: list[str], found: int | None) -> _Header:
+    """The model the first 12 lines of a file describe, raising ConfigError
+    on the first fault: each header line in order, then the record count
+    (``found`` records, unless None), then the lattice, the smooth width and
+    the wedge size the header implies."""
     if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")
@@ -428,17 +461,13 @@ def load_model(path: str) -> Tabulator:
         raise ConfigError(f"unknown mode {mode!r}")
     smooth = _field(lines, 9, "w", _optional_hex)
     tau = _field(lines, 10, "tau", _optional_hex)
-    want_direction = kind == KIND_PROJECTED
-    strict = kind != KIND_SYM
-    if want_direction and not (tau is not None and math.isfinite(tau) and tau > 0.0):
+    if kind == KIND_PROJECTED and not (tau is not None and math.isfinite(tau) and tau > 0.0):
         raise ConfigError(f"an {kind} model needs a finite positive 'tau' on line 11, not {tau}")
-    if not want_direction and tau is not None:
+    if kind != KIND_PROJECTED and tau is not None:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
     entries = _field(lines, 11, "entries", _decimal)
-    records = lines[12:]
-    del lines  # records now holds the only reference to each record's text
-    if len(records) != entries:
-        raise ConfigError(f"expected {entries} records, found {len(records)}")
+    if found is not None and found != entries:
+        raise ConfigError(f"expected {entries} records, found {found}")
 
     try:
         spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
@@ -463,35 +492,148 @@ def load_model(path: str) -> Tabulator:
     want_size = full_size if kind == KIND_SYM else math.comb(spec.site_count, N)
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
-    per = 1 + (d if want_direction else 0)
-    fields = (N, d, per)
-    if not set(map(str.count, records, repeat(" "))) <= {N * d + per - 1}:
-        # a field count is checked before any key is made: N or d may be huge
-        keys = chain.from_iterable(keys for _, keys in _key_blocks(spec, N, strict))
-        _check_records(records, keys, fields, kind, cells)
-    table = np.empty(entries)
-    directions = np.empty((entries, d)) if want_direction else None
-    # made only when a record needs it: a file without records may declare a huge lattice
-    index = _site_index(spec) if want_direction and entries else None
-    fault = None  # the first bad direction, reported once every record has passed
-    start = 0
-    for rows, keys in _key_blocks(spec, N, strict):
-        n = len(keys)
-        part = slice(start, start + n)
-        block = records[part]
-        values = _block_values(block, keys, per)
-        if values is None:
-            values = _check_records(block, iter(keys), fields, kind, cells)
-        values = np.reshape(values, (n, per))
+    per = 1 + (d if kind == KIND_PROJECTED else 0)
+    return _Header(kind, spec, N, smooth, tau, entries, per)
+
+
+def _tabulator(head: _Header, table: np.ndarray, directions: np.ndarray | None) -> Tabulator:
+    if head.kind == KIND_SYM:
+        return SymmetricTabulator(head.spec, head.N, head.smooth, table)
+    return AntisymTabulator(head.spec, head.N, head.tau, head.smooth, table, directions)
+
+
+def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The floats whose float.hex texts are the fields data[start:end], each
+    given by its offsets (M,); every field ends at offset 24 or later.
+
+    Each part is read where ``_hex_columns`` puts it, counted back from the
+    field's end: the exponent word, and before its "p" the lead digit and
+    13 mantissa digits, each worth its low nibble, plus 9 for a letter. A
+    field of 8 bytes after its sign is a zero. A field spelled any other way
+    reads as some float whose text differs from the field, so the caller
+    lays the values out again to check them."""
+    neg = np.frombuffer(data, dtype=np.uint8)[start] == ord("-")
+    size = end - start - neg
+    exponent_bytes = np.clip(size - 17, 3, 6)  # "p", a sign and 1-4 digits
+    p = end - exponent_bytes
+    # the 8 and the 16 bytes from each offset, gathered as strings
+    word = np.ndarray((len(data) - 7,), "S8", data, 0, (1,))[end - 8].view("<u8")
+    x = np.ndarray((len(data) - 15,), "S16", data, 0, (1,))[p - 16].view("<u8").reshape(-1, 2)
+    # the exponent's digits, one per byte and the last in byte 3 (as 4 digits
+    # d0 d1 d2 d3), then d0 d1 and d2 d3 as two bytes of a 16-bit pair each
+    e = word >> (64 - 8 * exponent_bytes).astype(np.uint64) >> 16
+    e <<= (48 - 8 * exponent_bytes).astype(np.uint64)
+    e &= 0x0F0F0F0F
+    e = (e * 10 + (e >> 8)) & 0x00FF00FF
+    e = (e & 0xFF) * 100 + (e >> 16)
+    minus = (word >> (72 - 8 * exponent_bytes).astype(np.uint64) & 0xFF) == ord("-")
+    biased = np.where(minus, 1023 - e.astype(np.int64), 1023 + e.astype(np.int64))
+    x[:, 0] &= _word(b"\0\xff\0\xff\xff\xff\xff\xff")  # drop the "x" and "." before 5 digits
+    x = (x & 0x0F0F0F0F0F0F0F0F) + (x >> 6 & 0x0101010101010101) * 9
+    x = x.byteswap()
+    for shift, keep in _GATHER:
+        x |= x >> shift
+        x &= keep
+    lead, low = x.T
+    bits = np.where(lead >> 24 == 1, biased, 0).astype(np.uint64) << 52
+    bits |= (lead & 0xFFFFF) << 32 | low
+    bits = np.where(size == 8, 0, bits) | neg.astype(np.uint64) << 63
+    return bits.view(np.float64)
+
+
+def _load_bytes(path: str) -> Tabulator | None:
+    """The model in ``path`` if its records are the bytes ``save_model``
+    writes for the values they hold, with finite coefficients and directions
+    that pass ``_direction_checks``; else None.
+
+    The 12 header lines must pass ``_header``. The file's size then bounds N,
+    d and the entries before any key is made: a record holds at least "0 "
+    per index and "0x0.0p+0 " per value. A block of ``_BLOCK`` records is
+    cut at its first separators (bytes up to " "), which must be as many as
+    its fields; ``_hex_values`` reads its values, and ``_record_text`` lays
+    the block out again, which must give back its bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    pos = 0
+    for _ in range(12):
+        pos = data.find(b"\n", pos) + 1
+        if not pos:
+            return None
+    try:
+        head = _header(path, data[:pos].decode().split("\n")[:12], None)
+    except (UnicodeDecodeError, ConfigError):
+        return None
+    spec, N, K, per = head.spec, head.N, head.entries, head.per
+    n_index = N * spec.d
+    if K * (2 * n_index + 9 * per) > len(data) - pos:
+        return None
+    table = np.empty(K)
+    directions = np.empty((K, spec.d)) if per > 1 else None
+    if not K:  # a strict wedge with more points than sites: make no keys
+        return _tabulator(head, table, directions) if pos == len(data) else None
+    site_text = _site_texts(spec)
+    num = _site_numbers(spec.site_count, N, head.kind != KIND_SYM)
+    index = _site_index(spec) if directions is not None else None
+    width = N * site_text.itemsize + per * (_HEX_WIDTH + 1)  # a record's most bytes
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for first in range(0, K, _BLOCK):
+        B = min(_BLOCK, K - first)
+        cuts = np.flatnonzero(buf[pos : pos + B * width] <= ord(" "))[: B * (n_index + per)]
+        if len(cuts) < B * (n_index + per):
+            return None
+        cuts = cuts.reshape(B, n_index + per)[:, n_index - 1 :] + pos
+        values = _hex_values(data, cuts[:, :-1].reshape(-1) + 1, cuts[:, 1:].reshape(-1))
+        values = values.reshape(B, per)
+        rows = num[first : first + B]
+        size = int(cuts[-1, -1]) + 1 - pos
+        text = _record_text(site_text, rows, values)
+        if len(text) != size or not data.startswith(text, pos):
+            return None
+        if not np.isfinite(values[:, 0]).all():
+            return None
+        table[first : first + B] = values[:, 0]
+        if directions is not None:
+            A = values[:, 1:]
+            if not all(check.all() for check in _direction_checks(A, index[rows], head.tau)):
+                return None
+            directions[first : first + B] = A
+        pos += size
+    return _tabulator(head, table, directions) if pos == len(data) else None
+
+
+def _load_text(path: str) -> Tabulator:
+    """The model in ``path``, read as text record by record: every fault
+    raises ConfigError in the module docstring's check order."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":  # the newline that ends the last line
+        lines.pop()
+    records = lines[12:]
+    head = _header(path, lines[:12], len(records))
+    del lines  # records now holds the only reference to each record's text
+    spec, N, K, per = head.spec, head.N, head.entries, head.per
+    fields = (N, spec.d, per)
+    table = np.empty(K)
+    directions = np.empty((K, spec.d)) if per > 1 else None
+    # lazy: a record's field count is checked before the first key is made
+    keys = chain.from_iterable(block for _, block in _key_blocks(spec, N, head.kind != KIND_SYM))
+    for start in range(0, K, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        values = _check_records(records[part], keys, fields, head.kind, spec.cells_per_dim)
+        values = np.reshape(values, (-1, per))
         table[part] = values[:, 0]
-        if want_direction:
+        if directions is not None:
             directions[part] = values[:, 1:]
-            if fault is None:
-                fault = _direction_fault(block, directions[part], index[rows], tau)
-        start += n
-        del block, keys, values  # this block's keys and values go before the next block's
-    if fault is not None:
-        raise ConfigError(fault)
-    if kind == KIND_SYM:
-        return SymmetricTabulator(spec, N, smooth, table)
-    return AntisymTabulator(spec, N, tau, smooth, table, directions)
+    if directions is not None and K:
+        idx = _site_index(spec)[_site_numbers(spec.site_count, N, True)]
+        fault = _direction_fault(records, directions, idx, head.tau)
+        if fault is not None:
+            raise ConfigError(fault)
+    return _tabulator(head, table, directions)
+
+
+def load_model(path: str) -> Tabulator:
+    """The tabulator a model file holds. A file laid out as ``save_model``
+    writes it loads through ``_load_bytes``; any other goes through
+    ``_load_text``, which loads it or names its first fault."""
+    tab = _load_bytes(path)
+    return _load_text(path) if tab is None else tab

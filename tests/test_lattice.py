@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -575,3 +576,23 @@ def test_site_weight_support_normalized_2d():
     support = site_weight_support(spec, Point((0.26, 0.74)), 0.06)
     assert sum(p for _, p in support) == pytest.approx(1.0, abs=1e-14)
     assert len({site for site, _ in support}) == len(support)
+
+
+def test_cell_assignment_fields_are_read_only():
+    asg = locate(spec_1d(0.5), cfg([0.7], [0.2]))
+    for name, value in [("sites", (0, 0)), ("order", (0, 1)), ("repetition", 2), ("spec", None)]:
+        with pytest.raises(AttributeError):
+            setattr(asg, name, value)
+    assert (asg.sites, asg.order, asg.repetition) == ((0, 1), (1, 0), 1)
+
+
+def test_equal_specs_hash_equal_and_share_one_cached_band_table():
+    a = LatticeSpec.from_counts(5, 2, 0.0, 1.0)
+    b = LatticeSpec(delta=0.2, d=2, cells_per_dim=5, origin=0.0, top=1.0)
+    assert a == b and a is not b and hash(a) == hash(b)
+    _axis_bands.cache_clear()
+    assert _axis_bands(a, 0.05) is _axis_bands(b, 0.05)
+    assert _axis_bands.cache_info()[:2] == (1, 1)  # one hit, one miss
+    c = replace(a, origin=-1.0, top=0.0)
+    assert c != a and hash(c) == hash(LatticeSpec.from_counts(5, 2, -1.0, 0.0))
+    assert repr(b) == "LatticeSpec(delta=0.2, d=2, cells_per_dim=5, origin=0.0, top=1.0)"
