@@ -338,19 +338,14 @@ def _optional_hex(value: str) -> float | None:
     return None if value == "-" else _hex(value)
 
 
-def _direction_checks(
-    A: np.ndarray, idx: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whether each direction, a row of A (K, d) keyed by the site indices
-    idx (K, N, d), is finite, is a unit vector, and passes the build's
-    validity test at tau."""
-    with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
-        return np.isfinite(A).all(axis=1), _unit_rows(A), directions_valid(A, idx, tau)
-
-
 def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
-    """The fault of the first direction that fails ``_direction_checks``, or None."""
-    finite, unit, valid = _direction_checks(A, idx, tau)
+    """The fault of the first direction, a row of A (K, d) keyed by the site
+    indices idx (K, N, d), that is not a finite unit vector passing the
+    build's validity test at tau, or None."""
+    with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
+        finite = np.isfinite(A).all(axis=1)
+        unit = _unit_rows(A)
+        valid = directions_valid(A, idx, tau)
     bad = np.flatnonzero(~(finite & unit & valid))
     if not len(bad):
         return None
@@ -512,22 +507,22 @@ def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     field of 8 bytes after its sign is a zero. A field spelled any other way
     reads as some float whose text differs from the field, so the caller
     lays the values out again to check them."""
-    neg = np.frombuffer(data, dtype=np.uint8)[start] == ord("-")
+    text = np.frombuffer(data, dtype=np.uint8)
+    neg = text[start] == ord("-")
     size = end - start - neg
     exponent_bytes = np.clip(size - 17, 3, 6)  # "p", a sign and 1-4 digits
     p = end - exponent_bytes
     # the 8 and the 16 bytes from each offset, gathered as strings
     word = np.ndarray((len(data) - 7,), "S8", data, 0, (1,))[end - 8].view("<u8")
     x = np.ndarray((len(data) - 15,), "S16", data, 0, (1,))[p - 16].view("<u8").reshape(-1, 2)
-    # the exponent's digits, one per byte and the last in byte 3 (as 4 digits
-    # d0 d1 d2 d3), then d0 d1 and d2 d3 as two bytes of a 16-bit pair each
-    e = word >> (64 - 8 * exponent_bytes).astype(np.uint64) >> 16
-    e <<= (48 - 8 * exponent_bytes).astype(np.uint64)
-    e &= 0x0F0F0F0F
+    # the exponent's digits end the field: keep them in the word's top 4
+    # bytes as d0 d1 d2 d3 (zeros before a shorter exponent), make d0 d1 and
+    # d2 d3 two-digit numbers, then one
+    clear = (8 * (6 - exponent_bytes)).astype(np.uint64)
+    e = word >> 32 >> clear << clear & 0x0F0F0F0F
     e = (e * 10 + (e >> 8)) & 0x00FF00FF
-    e = (e & 0xFF) * 100 + (e >> 16)
-    minus = (word >> (72 - 8 * exponent_bytes).astype(np.uint64) & 0xFF) == ord("-")
-    biased = np.where(minus, 1023 - e.astype(np.int64), 1023 + e.astype(np.int64))
+    e = ((e & 0xFF) * 100 + (e >> 16)).astype(np.int64)
+    biased = 1023 + np.where(text[p + 1] == ord("-"), -e, e)
     x[:, 0] &= _word(b"\0\xff\0\xff\xff\xff\xff\xff")  # drop the "x" and "." before 5 digits
     x = (x & 0x0F0F0F0F0F0F0F0F) + (x >> 6 & 0x0101010101010101) * 9
     x = x.byteswap()
@@ -544,7 +539,7 @@ def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
 def _load_bytes(path: str) -> Tabulator | None:
     """The model in ``path`` if its records are the bytes ``save_model``
     writes for the values they hold, with finite coefficients and directions
-    that pass ``_direction_checks``; else None.
+    that ``_direction_fault`` passes; else None.
 
     The 12 header lines must pass ``_header``. The file's size then bounds N,
     d and the entries before any key is made: a record holds at least "0 "
@@ -573,7 +568,8 @@ def _load_bytes(path: str) -> Tabulator | None:
         return _tabulator(head, table, directions) if pos == len(data) else None
     site_text = _site_texts(spec)
     num = _site_numbers(spec.site_count, N, head.kind != KIND_SYM)
-    index = _site_index(spec) if directions is not None else None
+    # each site's indices as one fixed-width item, so a block's are one gather
+    index = _site_index(spec).view(f"V{8 * spec.d}")[:, 0] if directions is not None else None
     width = N * site_text.itemsize + per * (_HEX_WIDTH + 1)  # a record's most bytes
     buf = np.frombuffer(data, dtype=np.uint8)
     for first in range(0, K, _BLOCK):
@@ -593,8 +589,10 @@ def _load_bytes(path: str) -> Tabulator | None:
             return None
         table[first : first + B] = values[:, 0]
         if directions is not None:
-            A = values[:, 1:]
-            if not all(check.all() for check in _direction_checks(A, index[rows], head.tau)):
+            A = np.ascontiguousarray(values[:, 1:])
+            idx = index[rows].view(np.int64).reshape(B, N, spec.d)
+            # a unit row is finite, so this is ``_direction_fault``'s rule
+            if not (_unit_rows(A).all() and directions_valid(A, idx, head.tau).all()):
                 return None
             directions[first : first + B] = A
         pos += size
