@@ -110,8 +110,8 @@ KINDS = (KIND_SYM, KIND_RANK, KIND_PROJECTED)
 
 _T = TypeVar("_T")
 
-# Records per block that ``load_model`` parses and checks in a few calls that
-# loop in C, on either path, before it moves to the next.
+# Records per block: ``load_model`` parses and checks a block, on the byte
+# path in a few calls that loop in C, before it moves to the next.
 _BLOCK = 4096
 # Bytes per block of record text that ``save_model`` lays out. Its arrays stay
 # under 128 KB, glibc's default mmap threshold, as freeing larger ones raises
