@@ -84,16 +84,11 @@ from .permanent import (
 )
 from .persistence import load_model, save_model
 from .sympoly import (
-    MonomialExponents,
     PowerSums,
-    SymPolyApprox,
     elementary_direct,
     elementary_from_power_sums,
-    feature_form_eval,
     invert_power_sums,
     power_sums,
-    symmetrized_monomial,
-    symmetrized_monomial_ryser,
 )
 
 __version__ = "0.1.0"
@@ -112,8 +107,7 @@ __all__ = [
     "permanent_ryser_logdomain",
     # symmetric polynomials
     "PowerSums", "power_sums", "elementary_direct", "elementary_from_power_sums",
-    "invert_power_sums", "MonomialExponents", "symmetrized_monomial",
-    "symmetrized_monomial_ryser", "SymPolyApprox", "feature_form_eval",
+    "invert_power_sums",
     # lattice
     "LatticeSpec", "lattice_sites", "cell_of", "wedge_size", "enumerate_wedge",
     "repetition_constant", "CellAssignment", "locate", "corner_configuration",

@@ -81,9 +81,9 @@ from .lattice import (
 )
 from .approx_sym import (
     BuildStats,
-    _CORNER_CHUNK,
     _check_batch_input,
     _check_eval_input,
+    _corner_chunks,
     _frozen,
     _tabulator_eq,
     _wedge_stats,
@@ -403,12 +403,8 @@ def build_antisym(
         k = int(np.argmin(valid[of_key]))  # the first failing key in key order
         raise _rejection(index[num[k]], tau, score[of_key[k]])
     A = A[of_key]
-    positions = spec.origin + index * spec.delta
-    for start in range(0, len(num), _CORNER_CHUNK):
-        rows = num[start : start + _CORNER_CHUNK]
-        values[start : start + len(rows)] /= _projected_pair_products(
-            A[start : start + len(rows)], positions[rows]
-        )
+    for part, corners in _corner_chunks(spec, index, num):
+        values[part] /= _projected_pair_products(A[part], corners)
     return AntisymTabulator(spec, N, tau, smooth_width, values, A)
 
 

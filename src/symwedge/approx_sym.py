@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import getitem
+from typing import Iterator
 
 import numpy as np
 
@@ -162,6 +163,21 @@ def _non_finite(value: float, index: np.ndarray, row: np.ndarray) -> BuildError:
     return BuildError(f"target returned non-finite value {float(value)!r} at Z = {zs}")
 
 
+def _corner_chunks(
+    spec: LatticeSpec, index: np.ndarray, num: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows of ``num`` (K, N) in chunks of at most _CORNER_CHUNK, each as
+    (its slice, the (rows, N, d) lower corners of its sites). Each site's
+    corner is one fixed-width item, so a chunk's corners are one gather of
+    rows * N items rather than one fancy index per coordinate."""
+    positions = spec.origin + index * spec.delta
+    items = positions.view(f"V{8 * spec.d}")[:, 0]
+    for start in range(0, len(num), _CORNER_CHUNK):
+        rows = num[start : start + _CORNER_CHUNK]
+        corners = items[rows].view(np.float64).reshape(*rows.shape, spec.d)
+        yield slice(start, start + len(rows)), corners
+
+
 def corner_values(f: TargetFunction, spec: LatticeSpec, num: np.ndarray) -> np.ndarray:
     """f at the cell corners of each wedge entry, as a (K,) array. Row k of
     ``num`` (K, N) holds entry k's site numbers (indices in ``lattice_sites``
@@ -185,14 +201,12 @@ def corner_values(f: TargetFunction, spec: LatticeSpec, num: np.ndarray) -> np.n
             if not math.isfinite(value):
                 raise _non_finite(value, index, num[k])
         return values
-    positions = spec.origin + index * spec.delta
-    for start in range(0, len(num), _CORNER_CHUNK):
-        rows = num[start : start + _CORNER_CHUNK]
-        chunk = values[start : start + len(rows)]
-        chunk[:] = f.batch(positions[rows])
+    for part, corners in _corner_chunks(spec, index, num):
+        chunk = values[part]
+        chunk[:] = f.batch(corners)
         bad = np.flatnonzero(~np.isfinite(chunk))
         if len(bad):
-            raise _non_finite(chunk[bad[0]], index, rows[bad[0]])
+            raise _non_finite(chunk[bad[0]], index, num[part][bad[0]])
     return values
 
 

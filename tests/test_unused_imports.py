@@ -14,10 +14,13 @@ with an underscore is dead when no file of the package, the tests, the
 scripts or the benchmark names it: not as a read name, an attribute, an
 import or a string (which ``setattr`` and ``getattr`` take).
 
-A public module-level function or class of the package is dead when
-``symwedge/__init__.py`` does not export it and no file of the package, the
-scripts or the benchmark names it; its own definition and ``__all__`` entries
-do not count, and neither do the tests, so a name only tests call is dead.
+A public module-level function or class of the package is dead when no
+file of the package, the scripts or the benchmark names it outside its own
+definition and ``__all__``: a class's string annotation of itself in its own
+body does not count, and neither do the tests, so a name only tests call is
+dead. ``symwedge/__init__.py`` does not count either, so exporting a name
+does not keep it. An exported name may also be kept by the acceptance suite,
+``tests/test_acceptance.py``, which is the package's contract.
 """
 
 import ast
@@ -117,10 +120,11 @@ def private_definitions(source):
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def referenced_names(source):
-    """Every name ``source`` reads, takes as an attribute, imports or spells as a string."""
+def referenced_names(tree):
+    """Every name the syntax ``tree`` reads, takes as an attribute, imports or
+    spells as a string."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -139,7 +143,7 @@ def test_dead_private_definitions_are_found():
         "class _Box:\n    pass\n"
         "def public():\n    return _helper()\n"
     )
-    used = referenced_names(source)
+    used = referenced_names(ast.parse(source))
     assert [n for n in private_definitions(source) if n not in used] == ["_BLOCKS", "_Box"]
 
 
@@ -150,7 +154,7 @@ def read(path):
 
 @functools.cache
 def used_names():
-    return set().union(*(referenced_names(read(path)) for path in SCANNED))
+    return set().union(*(referenced_names(ast.parse(read(path))) for path in SCANNED))
 
 
 @pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
@@ -166,11 +170,15 @@ def assigns_all(node):
     )
 
 
-def without_all(source):
-    """``source`` with its module-level ``__all__`` assignments left out."""
-    tree = ast.parse(source)
-    tree.body = [node for node in tree.body if not assigns_all(node)]
-    return ast.unparse(tree)
+def module_body(source):
+    """The module-level statements of ``source`` other than its ``__all__`` assignments."""
+    return [node for node in ast.parse(source).body if not assigns_all(node)]
+
+
+@functools.cache
+def names_outside_all(source):
+    """Every name ``source`` names outside its ``__all__``."""
+    return set().union(*map(referenced_names, module_body(source)))
 
 
 def exported_names(source):
@@ -181,59 +189,83 @@ def exported_names(source):
     return set()
 
 
-def public_definitions(source):
-    """Module-level functions and classes of ``source`` named without a
-    leading underscore, in order."""
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+ACCEPTANCE = "tests/test_acceptance.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def dead_public_definitions(source, exported, used):
-    """Public definitions of ``source`` that are not among the ``exported``
-    names and not among the ``used`` ones."""
-    return [n for n in public_definitions(source) if n not in exported and n not in used]
+def dead_public_definitions(source, exported, others):
+    """Public module-level functions and classes of ``source`` that nothing
+    names outside their own definition and any ``__all__``.
+
+    ``others`` maps paths relative to the repository root to sources. The
+    rest of ``source`` counts, and so do the ``others`` outside ``tests/``.
+    A name among the ``exported`` ones is also live when the acceptance
+    suite names it; no other test counts."""
+    body = module_body(source)
+    names = [referenced_names(node) for node in body]
+    outside = set().union(
+        *(names_outside_all(text) for path, text in others.items() if not path.startswith("tests/"))
+    )
+    contract = names_outside_all(others.get(ACCEPTANCE, ""))
+    dead = []
+    for i, node in enumerate(body):
+        if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+            continue
+        live = outside.union(*names[:i], *names[i + 1 :])
+        if node.name in exported:
+            live |= contract
+        if node.name not in live:
+            dead.append(node.name)
+    return dead
 
 
 def test_dead_public_definitions_are_found():
     module = (
-        "__all__ = ['Box', 'helper', 'orphan', 'reset']\n"
+        "__all__ = ['Box', 'Grid', 'helper', 'orphan', 'reset', 'solve', 'tested']\n"
         "class Box:\n    pass\n"
+        "class Grid:\n    def copy(self) -> 'Grid':\n        return self\n"
         "def helper():\n    return 1\n"
         "def orphan():\n    return 2\n"
         "def reset():\n    return 3\n"
+        "def solve():\n    return 4\n"
+        "def tested():\n    return 5\n"
         "def _draw():\n    return reset()\n"
     )
-    exported = exported_names("from .m import Box\n__all__ = ['Box']\n")
-    script = "from pkg.m import helper\nhelper()\n"
-
-    def dead(module):
-        used = referenced_names(without_all(module)) | referenced_names(script)
-        return dead_public_definitions(module, exported, used)
-
-    assert dead(module) == ["orphan"]
+    init = "from .m import Box, Grid, solve, tested\n__all__ = ['Box', 'Grid', 'solve', 'tested']\n"
+    others = {
+        "src/pkg/other.py": "from .m import Box\nBox()\n",
+        "scripts/run.py": "from pkg.m import helper\nhelper()\n",
+        "tests/test_m.py": "from pkg import tested\ntested()\n",
+        ACCEPTANCE: "from pkg import solve\nsolve()\n",
+    }
+    exported = exported_names(init)
+    # exported ``tested`` has only a test to call it, exported ``Grid`` only
+    # its own string annotation; the acceptance suite keeps exported ``solve``
+    assert dead_public_definitions(module, exported, others) == ["Grid", "orphan", "tested"]
     # with its only caller gone, ``reset`` is dead too
-    assert dead(module.replace("return reset()", "return 0")) == ["orphan", "reset"]
+    dropped = module.replace("return reset()", "return 0")
+    assert dead_public_definitions(dropped, exported, others) == ["Grid", "orphan", "reset", "tested"]
+    # the acceptance suite keeps only exported names
+    assert "solve" in dead_public_definitions(module, set(), others)
 
 
-@functools.cache
-def names_outside_tests():
-    """Every name the package modules, scripts and benchmark files name
-    outside their ``__all__``."""
+def callers_of(path):
+    """The sources that may name a public definition of the package module
+    at ``path``, by path relative to the repository root: the other package
+    modules but ``__init__.py``, the scripts, the benchmark files and the
+    acceptance suite."""
     paths = [
-        path
+        other
         for folder in (os.path.join("src", "symwedge"), "scripts", "benches")
-        for path in glob.glob(os.path.join(ROOT, folder, "*.py"))
-        if os.path.basename(path) != "__init__.py"
+        for other in glob.glob(os.path.join(ROOT, folder, "*.py"))
+        if os.path.basename(other) != "__init__.py" and not os.path.samefile(other, path)
     ]
-    return set().union(*(referenced_names(without_all(read(path))) for path in paths))
+    paths.append(os.path.join(ROOT, ACCEPTANCE))
+    return {os.path.relpath(other, ROOT).replace(os.sep, "/"): read(other) for other in paths}
 
 
 @pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
 def test_module_has_no_dead_public_definitions(name):
     exported = exported_names(read(os.path.join(PACKAGE, "__init__.py")))
-    dead = dead_public_definitions(read(MODULES[name]), exported, names_outside_tests())
+    dead = dead_public_definitions(read(MODULES[name]), exported, callers_of(MODULES[name]))
     assert dead == []
