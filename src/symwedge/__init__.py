@@ -32,7 +32,6 @@ from .core import (
     Configuration,
     DomainSpec,
     Permutation,
-    Point,
     Symmetry,
     TargetFunction,
     builtin_target,
@@ -96,7 +95,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Symmetry", "Point", "Configuration", "DomainSpec", "Permutation",
+    "Symmetry", "Configuration", "DomainSpec", "Permutation",
     "TargetFunction", "builtin_target", "BUILTIN_TARGET_NAMES",
     "permute", "parity", "vandermonde_product",
     # errors

@@ -449,7 +449,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
-    rows = [p.coords for p in X.points]
+    rows = X.rows
     order = sorted(range(len(rows)), key=rows.__getitem__)
     rows = [rows[i] for i in order]
     # The sorted rows' pair differences, in the (i, j) order of the pair product.

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Configuration, Symmetry, TargetFunction, _configuration, _point
+from .core import Configuration, Symmetry, TargetFunction
 from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
@@ -187,17 +187,16 @@ def corner_values(f: TargetFunction, spec: LatticeSpec, num: np.ndarray) -> np.n
 
     A target with a ``batch`` is given the corners of at most _CORNER_CHUNK
     entries at a time, as a (rows, N, d) array. Any other target is called
-    once per entry, in order, on a Configuration whose Points are built once
-    per lattice site and shared across entries: the wedge has
-    C(n^d + N - 1, N) entries over only n^d sites. Corners of a valid
-    LatticeSpec are finite, so neither is re-validated.
+    once per entry, in order, on the Configuration of the entry's corner
+    rows, each read from a list of the sites' corners made once: the wedge
+    has C(n^d + N - 1, N) entries over only n^d sites.
     """
     index = _site_index(spec)
     values = np.empty(len(num))
     if f.batch is None:
-        points = [_point(spec.position(site)) for site in lattice_sites(spec)]
+        positions = [spec.position(site) for site in lattice_sites(spec)]
         for k, row in enumerate(num.tolist()):
-            value = values[k] = f(_configuration(tuple(map(points.__getitem__, row))))
+            value = values[k] = f(Configuration([positions[s] for s in row]))
             if not math.isfinite(value):
                 raise _non_finite(value, index, num[k])
         return values
@@ -256,7 +255,7 @@ def smooth_weights(spec: LatticeSpec, X: Configuration, w: float) -> dict[tuple[
     the result carries no trace of the input ordering. Keys are inserted in
     the order ``itertools.product`` makes the sorted points' combinations.
     """
-    pts = sorted(X.points, key=lambda p: p.coords)
+    pts = sorted(X.rows)
     *first, last = [site_weight_support(spec, p, w) for p in pts]
     # Combinations in itertools.product order, each mass a left-to-right product.
     combos = [((), 1.0)]

@@ -460,7 +460,7 @@ def _report_json_text(report: VerificationReport, cfg: ExperimentConfig, wall_ti
         "gradient_bound": _num(report.gradient_bound),
         "sup_error": _num(report.sup_error),
         "argmax_configuration": [
-            [_num(c) for c in p.coords] for p in report.argmax_configuration.points
+            [_num(c) for c in row] for row in report.argmax_configuration.rows
         ],
         "bound": _num(report.bound),
         "bound_satisfied": report.bound_satisfied,

@@ -1,9 +1,12 @@
-"""Shared domain types: points, configurations, permutations, target functions.
+"""Shared domain types: configurations, permutations, target functions.
 
 Conventions used throughout the package:
 
 * Particle slots and permutation images are 0-indexed.
 * Coordinates are plain 64-bit floats; no extended precision in hot paths.
+* A configuration is its rows: N tuples of d floats, one per point. It has
+  one constructor, which validates, so every Configuration holds finite
+  rows of one width whoever built it.
 * A "gradient bound" always means the Euclidean norm of the full
   N*d-component gradient of a target, viewed as a function on R^(N*d).
 """
@@ -23,7 +26,6 @@ from .errors import ConfigError
 
 __all__ = [
     "Symmetry",
-    "Point",
     "Configuration",
     "DomainSpec",
     "Permutation",
@@ -44,78 +46,47 @@ class Symmetry(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Point:
-    """One element x of R^d."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if not coords:
-            raise ValueError("a point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinate: {coords!r}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class Configuration:
-    """An ordered tuple of N points; the argument of every target function.
+    """An ordered tuple of N points of R^d, as rows of floats; the argument
+    of every target function.
 
     The ordering carries meaning only up to the declared symmetry of the
-    function being evaluated; the type itself is plain ordered data.
+    function being evaluated; the type itself is plain ordered data. Each
+    row is converted with ``float`` and checked as it is read (at least one
+    coordinate, every one finite), then the rows are checked together (at
+    least one, all of one width).
     """
 
-    points: tuple[Point, ...]
+    rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        points = tuple(self.points)
-        if not points:
+        rows = []
+        for row in self.rows:
+            coords = tuple(map(float, row))
+            if not coords:
+                raise ValueError("a point needs at least one coordinate")
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"non-finite coordinate: {coords!r}")
+            rows.append(coords)
+        if not rows:
             raise ValueError("a configuration needs at least one point")
-        d = points[0].d
-        if any(p.d != d for p in points):
-            raise ValueError("all points of a configuration must share one dimension")
-        object.__setattr__(self, "points", points)
+        d = len(rows[0])
+        for coords in rows:
+            if len(coords) != d:
+                raise ValueError("all points of a configuration must share one dimension")
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Configuration":
-        return cls(tuple(Point(tuple(row)) for row in rows))
+        return cls(rows)
 
     @property
     def N(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     @property
     def d(self) -> int:
-        return self.points[0].d
-
-    def rows(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(p.coords for p in self.points)
-
-
-# Unchecked constructors for values the package assembles from parts it has
-# already validated or generated finite; everything from outside goes through
-# Point(...) and Configuration(...), which validate.
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _point(coords: tuple[float, ...]) -> Point:
-    """A Point of a non-empty tuple of finite floats, without the checks."""
-    p = _new(Point)
-    _set(p, "coords", coords)
-    return p
-
-
-def _configuration(points: tuple[Point, ...]) -> Configuration:
-    """A Configuration of a non-empty tuple of Points of one dimension, without the checks."""
-    X = _new(Configuration)
-    _set(X, "points", points)
-    return X
+        return len(self.rows[0])
 
 
 @dataclass(frozen=True)
@@ -158,10 +129,10 @@ class Permutation:
 
 
 def permute(X: Configuration, sigma: Permutation) -> Configuration:
-    """Reorder a configuration: result.points[i] = X.points[sigma.images[i]]."""
+    """Reorder a configuration: result.rows[i] = X.rows[sigma.images[i]]."""
     if sigma.size != X.N:
         raise ValueError(f"permutation size {sigma.size} != configuration size {X.N}")
-    return _configuration(tuple([X.points[j] for j in sigma.images]))
+    return Configuration([X.rows[j] for j in sigma.images])
 
 
 def _inversion_sign(seq: Sequence[int]) -> int:
@@ -251,7 +222,7 @@ def _builtin(name: str, symmetry: Symmetry, value: Callable[..., float]) -> Targ
     def batch(P: np.ndarray) -> np.ndarray:
         return np.full(len(P), value(P.transpose(1, 2, 0), _COLUMN_MATH), dtype=np.float64)
 
-    return TargetFunction(lambda X: value(X.rows(), math), symmetry, name=name, batch=batch)
+    return TargetFunction(lambda X: value(X.rows, math), symmetry, name=name, batch=batch)
 
 
 def _coordinate_sum(pts: Sequence[Sequence[float]]) -> float:

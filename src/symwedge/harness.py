@@ -45,9 +45,7 @@ from .core import (
     DomainSpec,
     Symmetry,
     TargetFunction,
-    _configuration,
     _inversion_signs,
-    _point,
     vandermonde_product,
 )
 from .core import permute  # noqa: F401  (benches/tracing.py wraps this binding)
@@ -94,22 +92,13 @@ def _raise_first_non_finite(values: np.ndarray, what: str, samples: Sequence[int
         raise ValueError(f"non-finite {what} {value} at sample {k}")
 
 
-def _configurations(rows: np.ndarray) -> tuple[Configuration, ...]:
-    """One Configuration per row of a (B, N, d) array of finite coordinates,
-    built without the checks."""
-    return tuple(
-        _configuration(tuple([_point(tuple(point)) for point in points]))
-        for points in rows.tolist()
-    )
-
-
 def _evaluate(e: Callable[[Configuration], float], P: np.ndarray) -> np.ndarray:
     """e on each row of P (B, N, d), in order: one call of ``e.batch`` when
     e has one, else one call of e per row."""
     batch = getattr(e, "batch", None)
     if batch is not None:
         return batch(P)
-    return np.fromiter(map(e, _configurations(P)), dtype=np.float64, count=len(P))
+    return np.fromiter(map(e, map(Configuration, P.tolist())), dtype=np.float64, count=len(P))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +197,7 @@ def sup_error(
         _raise_first_non_finite(approx[k], "approximation", k)
     err = np.abs(target - approx)
     k = int(np.argmax(err))
-    return float(err[k]), _configurations(S.points[k : k + 1])[0]
+    return float(err[k]), Configuration(S.points[k].tolist())
 
 
 def invariance_suite(

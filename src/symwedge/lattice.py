@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainSpec, Point, _inversion_sign
+from .core import Configuration, DomainSpec, _inversion_sign
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -171,17 +171,16 @@ def lattice_sites(spec: LatticeSpec) -> Iterator[LatticeIndex]:
     return product(range(spec.cells_per_dim), repeat=spec.d)
 
 
-def cell_of(spec: LatticeSpec, x: Point | Sequence[float]) -> LatticeIndex:
+def cell_of(spec: LatticeSpec, x: Sequence[float]) -> LatticeIndex:
     """Multi-index of x's cell; the top cell is closed at hi. The quotient
     (c - lo)/delta is rounded twice, to within 2^-51 of itself, so near a
     face c may land one cell off the exact floor, either way, lying at most
     2^-51 (c - lo)/delta cells outside it (< 1e-12 * delta to 2,000 cells)."""
-    coords = x.coords if isinstance(x, Point) else tuple(x)
-    if len(coords) != spec.d:
-        raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")
+    if len(x) != spec.d:
+        raise DomainError(f"point has dimension {len(x)}, lattice is {spec.d}-dimensional")
     n = spec.cells_per_dim
     out = []
-    for c in coords:
+    for c in x:
         if not spec.origin <= c <= spec.top:
             raise DomainError(
                 f"coordinate {c!r} outside [{spec.origin}, {spec.top}]"
@@ -327,7 +326,7 @@ class CellAssignment(NamedTuple):
     repetition constant.
 
     ``order`` lists the input slots in wedge order: sites[k] is the number
-    of X.points[order[k]]'s cell. The entry's site tuples (``wedge``) and
+    of X.rows[order[k]]'s cell. The entry's site tuples (``wedge``) and
     the order's sign are derived when read. A named tuple, so its fields are
     read-only and ``locate`` builds one at tuple cost (every scalar
     indicator eval makes one).
@@ -340,7 +339,7 @@ class CellAssignment(NamedTuple):
 
     @property
     def wedge(self) -> WedgeKey:
-        """The entry as sites: wedge[k] == cell_of(spec, X.points[order[k]]).
+        """The entry as sites: wedge[k] == cell_of(spec, X.rows[order[k]]).
         A site number's axis indices are its row-major digits in base
         cells_per_dim, read off the last axis first."""
         n = self.spec.cells_per_dim
@@ -378,14 +377,13 @@ def locate(spec: LatticeSpec, X: Configuration) -> CellAssignment:
     n = spec.cells_per_dim
     last = n - 1
     numbers = []
-    for p in X.points:
-        coords = p.coords
+    for coords in X.rows:
         if len(coords) != d:
-            cell_of(spec, p)  # raises the dimension error
+            cell_of(spec, coords)  # raises the dimension error
         site = 0
         for c in coords:
             if not origin <= c <= top:
-                cell_of(spec, p)  # raises the coordinate error
+                cell_of(spec, coords)  # raises the coordinate error
             i = int((c - origin) / delta)
             site = site * n + (i if i <= last else last)
         numbers.append(site)
@@ -415,7 +413,7 @@ def _located(spec: LatticeSpec, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def corner_configuration(spec: LatticeSpec, zs: WedgeKey) -> Configuration:
     """The configuration sitting at the cell corners of a wedge entry."""
-    return Configuration(tuple(Point(spec.position(z)) for z in zs))
+    return Configuration(tuple(map(spec.position, zs)))
 
 
 def _smoothstep(t: float) -> float:
@@ -450,7 +448,7 @@ def _axis_bands(spec: LatticeSpec, w: float) -> tuple[tuple[float, float, float,
 
 
 def site_weight_support(
-    spec: LatticeSpec, x: Point | Sequence[float], w: float
+    spec: LatticeSpec, x: Sequence[float], w: float
 ) -> tuple[tuple[int, float], ...]:
     """The sites a single point spreads its unit mass over and their
     weights, as (site number, weight) pairs in increasing number order; the
@@ -470,16 +468,15 @@ def site_weight_support(
     within 2^-51 * max(|lo|, |hi|) / w of 1/2.
     """
     bands = _axis_bands(spec, w)
-    coords = x.coords if isinstance(x, Point) else tuple(x)
-    if len(coords) != spec.d:
-        raise DomainError(f"point has dimension {len(coords)}, lattice is {spec.d}-dimensional")
+    if len(x) != spec.d:
+        raise DomainError(f"point has dimension {len(x)}, lattice is {spec.d}-dimensional")
     origin = spec.origin
     top = spec.top
     delta = spec.delta
     n = spec.cells_per_dim
     width = 2.0 * w
     out: list[tuple[int, float]] | None = None
-    for c in coords:
+    for c in x:
         if not origin <= c <= top:
             raise DomainError(f"coordinate {c!r} outside [{origin}, {top}]")
         k = int((c - origin) / delta)

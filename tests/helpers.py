@@ -2,12 +2,13 @@
 
 import functools
 import math
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from symwedge import Configuration, Point
+from symwedge import Configuration
 from symwedge.core import _inversion_sign
 from symwedge.lattice import lattice_sites, repetition_constant
 
@@ -15,6 +16,42 @@ from symwedge.lattice import lattice_sites, repetition_constant
 def configurations(S):
     """The samples of S as Configurations, built with the checks from ``S.points``."""
     return [Configuration.from_rows(rows) for rows in S.points.tolist()]
+
+
+# The checks a configuration made when it held one validated Point per row,
+# frozen as the reference for the rows constructor's faults and their order.
+@dataclass(frozen=True)
+class ReferencePoint:
+    coords: tuple
+
+    def __post_init__(self):
+        coords = tuple(float(c) for c in self.coords)
+        if not coords:
+            raise ValueError("a point needs at least one coordinate")
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError(f"non-finite coordinate: {coords!r}")
+        object.__setattr__(self, "coords", coords)
+
+
+@dataclass(frozen=True)
+class ReferenceConfiguration:
+    points: tuple
+
+    def __post_init__(self):
+        points = tuple(self.points)
+        if not points:
+            raise ValueError("a configuration needs at least one point")
+        d = len(points[0].coords)
+        if any(len(p.coords) != d for p in points):
+            raise ValueError("all points of a configuration must share one dimension")
+        object.__setattr__(self, "points", points)
+
+    @classmethod
+    def from_rows(cls, rows):
+        return cls(tuple(ReferencePoint(tuple(row)) for row in rows))
+
+    def rows(self):
+        return tuple(p.coords for p in self.points)
 
 
 BOXES = [(0.0, 1.0), (-0.5, 1.5), (-1.0, 0.3)]
@@ -109,8 +146,7 @@ def axis_weight_support(spec, c, w):
 
 
 def site_weight_support(spec, x, w):
-    coords = x.coords if isinstance(x, Point) else tuple(x)
-    axis_supports = [axis_weight_support(spec, c, w) for c in coords]
+    axis_supports = [axis_weight_support(spec, c, w) for c in x]
     out = []
     for combo in product(*axis_supports):
         weight = 1.0
@@ -121,7 +157,7 @@ def site_weight_support(spec, x, w):
 
 
 def smooth_weights(spec, X, w):
-    pts = sorted(X.points, key=lambda p: p.coords)
+    pts = sorted(X.rows)
     supports = [site_weight_support(spec, p, w) for p in pts]
     weights = {}
     for combo in product(*supports):
@@ -166,7 +202,7 @@ def _projected_pair_product(a, rows):
 
 def eval_antisym_smooth(T, X):
     """The smooth branch of ``eval_antisym`` (projected construction)."""
-    rows = [p.coords for p in X.points]
+    rows = X.rows
     order = sorted(range(len(rows)), key=rows.__getitem__)
     rows, sign = [rows[i] for i in order], _inversion_sign(order)
     total = 0.0

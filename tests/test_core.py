@@ -1,9 +1,13 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import ReferenceConfiguration
 
 from symwedge import (
     BUILTIN_TARGET_NAMES,
@@ -12,7 +16,6 @@ from symwedge import (
     DomainSpec,
     LatticeSpec,
     Permutation,
-    Point,
     Symmetry,
     builtin_target,
     enumerate_wedge,
@@ -34,18 +37,81 @@ def perm_strategy(n):
 # ---------------------------------------------------------------- types
 
 
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point((0.1, float("nan")))
-    with pytest.raises(ValueError):
-        Point((float("inf"),))
-    with pytest.raises(ValueError, match="non-finite coordinate"):
-        Configuration.from_rows([[0.1], [float("nan")]])
+NAN, INF = float("nan"), float("inf")
+
+# Rows the constructors must accept or reject as the one-Point-per-row checks
+# did (helpers.ReferenceConfiguration): each row converted with float, then
+# checked for an empty row and a non-finite coordinate before the next row
+# is read; after the last row, an empty configuration, then mixed widths.
+REFERENCE_ROWS = [
+    [],
+    [[]],
+    [[], []],
+    [[0.1, NAN]],
+    [[INF]],
+    [[0.1], [NAN]],
+    [[0.1, 0.2], [0.3, -INF]],
+    [[-INF], [0.2]],
+    [[0.1], [0.1, 0.2]],
+    [[0.1, 0.2], [0.3]],
+    [[NAN], [0.1, 0.2]],
+    [[], [NAN]],
+    [[0.1], [0.2, 0.3], [NAN]],
+    [[0.1], [], [0.2, 0.3]],
+    [["0.5"], [0.25]],
+    [["nan"]],
+    [["abc"]],
+    [[NAN], ["abc"]],
+    [["abc"], [NAN]],
+    [[10**400]],
+    [[True], [0.5]],
+    [[None]],
+    [0.5, 0.25],
+    ["ab"],
+    [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+    np.array([[0.25, 0.5], [0.75, 1.0]]),
+]
+
+COORDINATES = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from(["0.5", "-1e3", "nan", "-inf", "abc", "", True, False, None]),
+)
+
+
+def rows_id(rows):
+    return " ".join(repr(rows).split())[:40]
+
+
+def assert_checks_as_reference(construct, rows):
+    try:
+        want = ReferenceConfiguration.from_rows(rows).rows()
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            construct(rows)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        got = construct(rows).rows
+        assert got == want
+        assert all(type(c) is float for row in got for c in row)
+
+
+@pytest.mark.parametrize("construct", [Configuration, Configuration.from_rows])
+@pytest.mark.parametrize("rows", REFERENCE_ROWS, ids=rows_id)
+def test_configuration_checks_match_the_point_reference(construct, rows):
+    assert_checks_as_reference(construct, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(COORDINATES, max_size=3), max_size=4))
+def test_configuration_checks_match_the_point_reference_on_drawn_rows(rows):
+    assert_checks_as_reference(Configuration, rows)
+    assert_checks_as_reference(Configuration.from_rows, rows)
 
 
 def test_configuration_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
-        Configuration((Point((0.1,)), Point((0.1, 0.2))))
+        Configuration(((0.1,), (0.1, 0.2)))
     with pytest.raises(ValueError, match="share one dimension"):
         Configuration.from_rows([[0.1], [0.1, 0.2]])
 
@@ -54,7 +120,16 @@ def test_configuration_shape_accessors():
     X = cfg([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
     assert X.N == 3
     assert X.d == 2
-    assert X.rows() == ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
+    assert X.rows == ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
+
+
+def test_package_builds_no_instance_past_its_constructor():
+    # object.__new__ makes an instance without running its __init__, so a
+    # validated type such as Configuration could be built unchecked
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "symwedge")
+    for path in glob.glob(os.path.join(package, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            assert "object.__new__" not in fh.read(), path
 
 
 def test_domain_spec_validation():

@@ -93,7 +93,7 @@ def test_sampling_count_validation():
 def test_sampling_marginal_means():
     dom = DomainSpec(d=2, N=2, lo=0.0, hi=1.0)
     S = sample_configurations(dom, 100_000, 12345)
-    arr = np.array([X.rows() for X in configurations(S)])
+    arr = np.array([X.rows for X in configurations(S)])
     se = 1.0 / math.sqrt(12.0 * S.count)
     for i in range(2):
         for a in range(2):
@@ -105,7 +105,7 @@ def test_samples_stay_in_domain():
     S = sample_configurations(dom, 500, 9)
     for X in configurations(S):
         assert (X.N, X.d) == (3, 1)
-        assert all(dom.lo <= p.coords[0] <= dom.hi for p in X.points)
+        assert all(dom.lo <= row[0] <= dom.hi for row in X.rows)
 
 
 # ---------------------------------------------------------------- gradients
@@ -147,7 +147,7 @@ def reference_gradient_bound(f, S, h):
     lo, hi = S.domain.lo + h, S.domain.hi - h
     best = 0.0
     for X in configurations(S):
-        rows = [[min(max(c, lo), hi) for c in p.coords] for p in X.points]
+        rows = [[min(max(c, lo), hi) for c in row] for row in X.rows]
         norm2 = 0.0
         for i in range(len(rows)):
             for a in range(len(rows[i])):
@@ -166,8 +166,8 @@ def reference_gradient_bound(f, S, h):
 def slot_weighted(X):
     # Not symmetric: a perturbation applied to the wrong row or axis shows.
     total = 0.0
-    for i, p in enumerate(X.points):
-        for a, c in enumerate(p.coords):
+    for i, row in enumerate(X.rows):
+        for a, c in enumerate(row):
             total += (i + 1) * (a + 2) * c * c + math.sin(3.0 * c * (i + a + 1))
     return total
 
@@ -239,7 +239,7 @@ def test_invariance_detects_broken_evaluator():
     spec = LatticeSpec.from_domain(UNIT_12, 0.25)
     tab = build_sym(SUM_12, spec, 2)
     S = sample_configurations(UNIT_12, 100, 42)
-    broken = lambda X: eval_sym(tab, X) + X.points[0].coords[0]
+    broken = lambda X: eval_sym(tab, X) + X.rows[0][0]
     assert invariance_suite([broken], S, 8, Symmetry.SYMMETRIC)[0] > 1e-3
 
 
@@ -254,7 +254,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
     # there, so the table is finite while the target is NaN on 34 of 200
     # samples; a fold with > or max would drop every NaN
     def value(X, law):
-        x1, x2 = (p.coords[0] for p in X.points)
+        x1, x2 = (row[0] for row in X.rows)
         return math.nan if x1 + x2 > 1.5 else law(x1, x2)
 
     probe = TargetFunction(
@@ -263,7 +263,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
         name="nan-probe",
     )
     S = sample_configurations(UNIT_12, 200, 3)
-    sums = [sum(p.coords[0] for p in X.points) for X in configurations(S)]
+    sums = [sum(row[0] for row in X.rows) for X in configurations(S)]
     assert sum(v > 1.5 for v in sums) == 34
     first = next(k for k, v in enumerate(sums) if v > 1.5)
     tab = build_sym(probe, LatticeSpec.from_domain(UNIT_12, 0.25), 2)
@@ -285,7 +285,7 @@ def test_non_finite_values_are_errors_naming_the_sample():
     )
     kept = [
         k for k, X in enumerate(configurations(S))
-        if abs(X.points[0].coords[0] - X.points[1].coords[0]) >= 0.05
+        if abs(X.rows[0][0] - X.rows[1][0]) >= 0.05
     ]
     first_kept = next(k for k in kept if sums[k] > 1.5)
     message = f"non-finite quotient residual nan at sample {first_kept}$"
@@ -311,7 +311,7 @@ def recorded(f, batch):
             f, batch=lambda P: seen.extend(tuple(map(tuple, r)) for r in P.tolist()) or f.batch(P)
         )
     else:
-        traced = replace(f, evaluator=lambda X: seen.append(X.rows()) or f.evaluator(X), batch=None)
+        traced = replace(f, evaluator=lambda X: seen.append(X.rows) or f.evaluator(X), batch=None)
     return traced, seen
 
 
@@ -459,7 +459,7 @@ def test_run_verification_permutes_each_draw_once(f, build, n_perms):
     kept = 0
     if report.cauchy_residual is not None:
         for X in configurations(S):
-            xs = [p.coords[0] for p in X.points]
+            xs = [row[0] for row in X.rows]
             kept += min(abs(a - b) for i, a in enumerate(xs) for b in xs[i + 1 :]) >= 0.05
         assert kept > 0
     # the samples, each draw once, and per kept sample its base and its 3! - 1
@@ -469,26 +469,29 @@ def test_run_verification_permutes_each_draw_once(f, build, n_perms):
 
 def assert_same_as_validated(X):
     """X equals, and hashes as, the checked construction of its rows, and
-    holds a tuple of Points of float tuples, as that construction does."""
-    checked = Configuration.from_rows(X.rows())
+    holds its rows as a tuple of float tuples, as that construction does."""
+    checked = Configuration.from_rows(X.rows)
     assert X == checked and hash(X) == hash(checked)
-    assert type(X.points) is tuple
-    assert all(type(p.coords) is tuple for p in X.points)
-    assert all(type(c) is float for p in X.points for c in p.coords)
+    assert type(X.rows) is tuple
+    assert all(type(row) is tuple for row in X.rows)
+    assert all(type(c) is float for row in X.rows for c in row)
 
 
 @pytest.mark.parametrize("N, d", [(1, 1), (3, 2), (4, 1)])
 def test_configurations_built_unchecked_equal_checked_ones(N, d):
+    # every Configuration the package builds (rows evaluated one at a time,
+    # permuted copies, cell corners) is the checked construction of its rows
     domain = DomainSpec(d=d, N=N, lo=-0.5, hi=1.5)
     S = sample_configurations(domain, 20, 47)
     rng = np.random.Generator(np.random.Philox(key=47))
     draws = (domain.lo + domain.span * rng.random((20, N, d))).tolist()
-    unchecked = harness._configurations(S.points)
-    assert [X.rows() for X in unchecked] == [tuple(tuple(row) for row in rows) for rows in draws]
+    evaluated = []
+    harness._evaluate(lambda X: evaluated.append(X) or 0.0, S.points)
+    assert [X.rows for X in evaluated] == [tuple(tuple(row) for row in rows) for rows in draws]
     seen = []
     gradient_bound_estimate(lambda X: seen.append(X) or 0.0, S)
     assert len(seen) == 20 * 2 * N * d
-    for X in unchecked:
+    for X in evaluated:
         for images in _all_permutations(range(N)):
             seen.append(harness.permute(X, Permutation(images)))
     spec = LatticeSpec.from_counts(3, d, -0.5, 1.5)
@@ -496,7 +499,7 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
     record = TargetFunction(lambda X: corners.append(X) or 0.0, Symmetry.SYMMETRIC)
     corner_values(record, spec, _site_numbers(spec.site_count, N, strict=False))
     assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
-    for X in list(unchecked) + seen + corners:
+    for X in evaluated + seen + corners:
         assert_same_as_validated(X)
 
 
@@ -603,7 +606,7 @@ def test_cauchy_names_the_first_sample_with_a_non_finite_residual(monkeypatch, b
     poisoned = S.points[5, :, 0].tolist()
 
     def value(X):
-        xs = [p.coords[0] for p in X.points]
+        xs = [row[0] for row in X.rows]
         if xs == late or sorted(xs) == sorted(poisoned) and xs != poisoned:
             return math.inf
         return vandermonde_product(xs)
@@ -723,7 +726,7 @@ def test_sweep_validation():
 
 def pure_vandermonde(N):
     return TargetFunction(
-        evaluator=lambda X: vandermonde_product(tuple(p.coords[0] for p in X.points)),
+        evaluator=lambda X: vandermonde_product(tuple(row[0] for row in X.rows)),
         declared_symmetry=Symmetry.ANTISYMMETRIC,
         name="pure-vandermonde",
     )
@@ -742,8 +745,8 @@ def test_cauchy_vandermonde_times_sum():
 
 def test_cauchy_detects_non_antisymmetric_mutant():
     mutant = TargetFunction(
-        evaluator=lambda X: vandermonde_product(tuple(p.coords[0] for p in X.points))
-        + X.points[0].coords[0],
+        evaluator=lambda X: vandermonde_product(tuple(row[0] for row in X.rows))
+        + X.rows[0][0],
         declared_symmetry=Symmetry.ANTISYMMETRIC,
         name="mutant",
     )

@@ -157,22 +157,18 @@ def test_lattice_sites_order():
 
 def test_cell_of_half_open_convention():
     spec = spec_1d(0.5)
-    from symwedge import Point
-
-    assert cell_of(spec, Point((0.49,))) == (0,)
-    assert cell_of(spec, Point((0.5,))) == (1,)
-    assert cell_of(spec, Point((1.0,))) == (1,)  # top face belongs to the last cell
-    assert cell_of(spec, Point((0.0,))) == (0,)
+    assert cell_of(spec, (0.49,)) == (0,)
+    assert cell_of(spec, (0.5,)) == (1,)
+    assert cell_of(spec, (1.0,)) == (1,)  # top face belongs to the last cell
+    assert cell_of(spec, (0.0,)) == (0,)
 
 
 def test_cell_of_rejects_out_of_domain():
     spec = spec_1d(0.5)
-    from symwedge import Point
-
     with pytest.raises(DomainError):
-        cell_of(spec, Point((1.0000001,)))
+        cell_of(spec, (1.0000001,))
     with pytest.raises(DomainError):
-        cell_of(spec, Point((-0.1,)))
+        cell_of(spec, (-0.1,))
 
 
 FACE_BOXES = [(0.0, 1.0), (-1.0, 1.0), (0.1, 0.7), (-2.5, 3.75), (1 / 3, 2 / 3)]
@@ -366,13 +362,11 @@ def test_locate_slot_consistency():
     # cell_of(points[order[k]]) must equal wedge[k]
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(31))
-    from symwedge import Point
-
     for _ in range(200):
         X = cfg(*rng.random((3, 2)).tolist())
         asg = locate(spec, X)
         for k, i in enumerate(asg.order):
-            assert cell_of(spec, X.points[i]) == asg.wedge[k]
+            assert cell_of(spec, X.rows[i]) == asg.wedge[k]
 
 
 def test_locate_wedge_is_permutation_invariant():
@@ -389,7 +383,7 @@ def test_locate_wedge_is_permutation_invariant():
 
 def _old_locate(spec, X):
     # reference: cell_of per point, a stable sort, images built from the order
-    cells = [cell_of(spec, p) for p in X.points]
+    cells = [cell_of(spec, p) for p in X.rows]
     order = sorted(range(len(cells)), key=cells.__getitem__)
     images = [0] * len(cells)
     for slot, i in enumerate(order):
@@ -421,11 +415,9 @@ def test_partition_exactly_one_wedge_entry_covers():
     # the sorted cell multiset is the unique covering entry by construction
     spec = LatticeSpec.from_counts(3, 1, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(33))
-    from symwedge import Point
-
     for _ in range(2000):
         X = cfg(*rng.random((2, 1)).tolist())
-        cells = tuple(sorted(cell_of(spec, p) for p in X.points))
+        cells = tuple(sorted(cell_of(spec, p) for p in X.rows))
         assert locate(spec, X).wedge == cells
 
 
@@ -455,7 +447,7 @@ def test_locate_sites_and_order_are_the_batch_rows(data):
         asg = locate(spec, X)
         assert (asg.sites, asg.order) == (tuple(sites), tuple(slots))
         for k, i in enumerate(asg.order):
-            assert asg.wedge[k] == cell_of(spec, X.points[i])
+            assert asg.wedge[k] == cell_of(spec, X.rows[i])
         assert asg.repetition == repetition_constant(asg.wedge)
 
 
@@ -469,7 +461,7 @@ def test_locate_wedge_on_a_lattice_of_huge_site_count(n, d):
     asg = locate(spec, X)
     assert len(asg.wedge) == len(rows)
     for k, i in enumerate(asg.order):
-        assert asg.wedge[k] == cell_of(spec, X.points[i])
+        assert asg.wedge[k] == cell_of(spec, X.rows[i])
     assert asg.wedge[-1] == (n - 1,) * d
 
 
@@ -478,7 +470,7 @@ def test_locate_wedge_on_a_lattice_of_huge_site_count(n, d):
 
 def test_corner_configuration_positions():
     spec = spec_1d(0.5)
-    assert corner_configuration(spec, ((0,), (1,))).rows() == ((0.0,), (0.5,))
+    assert corner_configuration(spec, ((0,), (1,))).rows == ((0.0,), (0.5,))
 
 
 # ---------------------------------------------------------------- cutoffs
@@ -571,9 +563,7 @@ def test_face_weights_are_half_up_to_rounding_otherwise():
 
 def test_site_weight_support_normalized_2d():
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
-    from symwedge import Point
-
-    support = site_weight_support(spec, Point((0.26, 0.74)), 0.06)
+    support = site_weight_support(spec, (0.26, 0.74), 0.06)
     assert sum(p for _, p in support) == pytest.approx(1.0, abs=1e-14)
     assert len({site for site, _ in support}) == len(support)
 

@@ -361,9 +361,9 @@ def test_load_rejects_malformed_records(tmp_path, kind, edit):
 # Digests of N=3 models, keyed by (kind, smooth width, d, delta): the d = 2
 # antisym-c2 ones written when directions became the maximin choice over the
 # fixed candidate table, the d = 1 one before that search replaced the d = 1
-# shortcut to (1,), the others before the build shared corner Points across
-# entries. Any drift in the candidates, the choice, the corner values or the
-# stored quotients changes the bytes.
+# shortcut to (1,), the others before the build read each entry's corners
+# from one list of the sites' corners. Any drift in the candidates, the
+# choice, the corner values or the stored quotients changes the bytes.
 PINNED_MODEL_SHA256 = {
     (MODE_PROJECTED, None, 2, 0.25):
         "d00981707afaea0ec2ee35c95ffb27defe424368802c51418f715b06e496995b",
