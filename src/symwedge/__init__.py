@@ -76,7 +76,6 @@ from .lattice import (
     wedge_size,
 )
 from .permanent import (
-    SquareMatrix,
     permanent_bruteforce,
     permanent_ryser,
     permanent_ryser_logdomain,
@@ -102,8 +101,7 @@ __all__ = [
     "SymwedgeError", "DomainError", "SizeLimitError", "CapacityError",
     "BuildError", "DirectionSearchError", "InversionError", "ConfigError",
     # permanents
-    "SquareMatrix", "permanent_bruteforce", "permanent_ryser",
-    "permanent_ryser_logdomain",
+    "permanent_bruteforce", "permanent_ryser", "permanent_ryser_logdomain",
     # symmetric polynomials
     "PowerSums", "power_sums", "elementary_direct", "elementary_from_power_sums",
     "invert_power_sums",

@@ -1,6 +1,7 @@
 """Matrix permanents: a brute-force oracle and inclusion-exclusion evaluators.
 
-The inclusion-exclusion form used here is
+Each takes an n-by-n matrix as its rows, sequences of finite numbers. The
+inclusion-exclusion form used here is
 
     perm(A) = (-1)^n * sum_{S nonempty subset of columns} (-1)^|S|
               * prod_i sum_{j in S} A[i][j]
@@ -15,14 +16,12 @@ an exp(-inf) = 0 sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
 
 from .errors import DomainError, SizeLimitError
 
 __all__ = [
-    "SquareMatrix",
     "permanent_bruteforce",
     "permanent_ryser",
     "permanent_ryser_logdomain",
@@ -34,45 +33,27 @@ BRUTEFORCE_MAX_N = 10
 INCLUSION_EXCLUSION_MAX_N = 30
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
-    """An n-by-n matrix of finite floats."""
-
-    entries: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in self.entries)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("matrix must have at least one row")
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        if any(not math.isfinite(v) for row in rows for v in row):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "SquareMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+def _rows(A: Sequence[Sequence[float]], cap: int, method: str) -> tuple[tuple[float, ...], ...]:
+    """The rows of A as float tuples. Every entry is converted first; then
+    ValueError if A has no rows, is not square or holds a non-finite entry,
+    and SizeLimitError if it has more than cap rows."""
+    rows = tuple(tuple(float(v) for v in row) for row in A)
+    n = len(rows)
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if any(not math.isfinite(v) for row in rows for v in row):
+        raise ValueError("matrix entries must be finite")
+    if n > cap:
+        raise SizeLimitError(f"{method} permanent capped at n <= {cap}, got {n}")
+    return rows
 
 
-def _coerce(A) -> SquareMatrix:
-    if isinstance(A, SquareMatrix):
-        return A
-    return SquareMatrix.from_rows(A)
-
-
-def permanent_bruteforce(A) -> float:
+def permanent_bruteforce(A: Sequence[Sequence[float]]) -> float:
     """Sum over all n! permutations; the oracle the fast paths are tested against."""
-    m = _coerce(A)
-    n = m.n
-    if n > BRUTEFORCE_MAX_N:
-        raise SizeLimitError(f"brute-force permanent capped at n <= {BRUTEFORCE_MAX_N}, got {n}")
-    rows = m.entries
+    rows = _rows(A, BRUTEFORCE_MAX_N, "brute-force")
+    n = len(rows)
     total = 0.0
     for sigma in permutations(range(n)):
         prod = 1.0
@@ -80,15 +61,6 @@ def permanent_bruteforce(A) -> float:
             prod *= rows[i][sigma[i]]
         total += prod
     return total
-
-
-def _checked(A) -> SquareMatrix:
-    m = _coerce(A)
-    if m.n > INCLUSION_EXCLUSION_MAX_N:
-        raise SizeLimitError(
-            f"inclusion-exclusion permanent capped at n <= {INCLUSION_EXCLUSION_MAX_N}, got {m.n}"
-        )
-    return m
 
 
 def _gray_code_sum(
@@ -124,9 +96,9 @@ def _gray_code_sum(
     return -total if n & 1 else total
 
 
-def permanent_ryser(A) -> float:
+def permanent_ryser(A: Sequence[Sequence[float]]) -> float:
     """Inclusion-exclusion permanent over a Gray-code subset walk, O(2^n * n)."""
-    return _gray_code_sum(_checked(A).entries, math.prod)
+    return _gray_code_sum(_rows(A, INCLUSION_EXCLUSION_MAX_N, "inclusion-exclusion"), math.prod)
 
 
 def _exp_sum_log(row_sums: list[float]) -> float | None:
@@ -138,14 +110,14 @@ def _exp_sum_log(row_sums: list[float]) -> float | None:
     return math.exp(log_prod)
 
 
-def permanent_ryser_logdomain(A) -> float:
+def permanent_ryser_logdomain(A: Sequence[Sequence[float]]) -> float:
     """Like permanent_ryser but with per-subset products computed as exp(sum log).
 
     Requires a nonnegative matrix. Row sums that are zero (or driven to a
     tiny negative by cancellation in the Gray-code updates) contribute an
     exact zero term, the exp(-inf) convention.
     """
-    rows = _checked(A).entries
+    rows = _rows(A, INCLUSION_EXCLUSION_MAX_N, "inclusion-exclusion")
     if any(v < 0.0 for row in rows for v in row):
         raise DomainError("log-domain permanent requires nonnegative entries")
     return _gray_code_sum(rows, _exp_sum_log)

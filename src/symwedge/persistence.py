@@ -50,16 +50,16 @@ or "0x0.", 13 hex digits, and an exponent from a table made on first use),
 with zero written "0x0.0p+0". The blocks stream to the temp file as bytes,
 so the file's text is never held whole.
 
-``load_model`` reads the file's bytes and tries the layout the writer
-makes first (``_load_bytes``): after the header, a block of records at a
-time, it cuts the block at its separators, reads every value field from
-fixed places before the field's end, and lays the block out again with
-``_record_text``. It takes the block only if that gives back the block's
-bytes, the coefficients are finite and the directions pass the checks
-above. A file that fails anywhere is read again as text, record by record
-(``_load_text``), which loads what it loads or raises the first fault in
-check order, so the two paths load the same tabulators and raise the same
-messages.
+``load_model`` reads the file's bytes once (``_read``), then its records a
+block of ``_BLOCK`` at a time. A block laid out as the writer lays it out
+is read in a few array operations (``_writer_block``): cut at its
+separators, its value fields read from fixed places before each field's
+end, it is taken when ``_record_text`` lays the values out again as its
+bytes and its coefficients are finite. Any other block is checked record
+by record (``_check_records``), which loads the same values or raises the
+first fault in check order. Directions are checked a block at a time; the
+first fault among them is raised once every record has passed. Records are
+counted only to name a fault.
 """
 
 from __future__ import annotations
@@ -154,22 +154,13 @@ def _site_texts(spec: LatticeSpec) -> np.ndarray:
     return texts.reshape(spec.site_count, -1).view(f"S{spec.d * width}")[:, 0]
 
 
-def _key_blocks(spec: LatticeSpec, N: int, strict: bool) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """The records' site numbers (rows of ``_site_numbers``) and key texts in
-    file order, ``_BLOCK`` records at a time. A key is the text of its
-    entry's sites, as ``save_model`` writes it, so a record starts with its
-    key and a coefficient follows it directly. Lazy: nothing is made before
-    the first block is asked for, and nothing at all for a strict wedge with
-    more points than sites, whose declared N or d may be huge."""
-    if strict and N > spec.site_count:
-        return
-    site_text = _site_texts(spec)
-    num = _site_numbers(spec.site_count, N, strict)
-    for start in range(0, len(num), _BLOCK):
-        rows = num[start : start + _BLOCK]
-        keys = site_text[rows].view(np.uint8).reshape(len(rows), -1)
-        text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
-        yield rows, text.translate(None, b"\0").decode().split("\n")[:-1]
+def _keys(site_text: np.ndarray, rows: np.ndarray) -> list[str]:
+    """The key texts of the entries whose site numbers are rows (B, N): their
+    sites' texts (``_site_texts``), as ``save_model`` writes them, so a record
+    starts with its key and a coefficient follows it directly."""
+    keys = site_text[rows].view(np.uint8).reshape(len(rows), -1)
+    text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
+    return text.translate(None, b"\0").decode().split("\n")[:-1]
 
 
 # float.hex text, in fixed-width columns padded with NUL bytes: three
@@ -338,48 +329,41 @@ def _optional_hex(value: str) -> float | None:
     return None if value == "-" else _hex(value)
 
 
-def _direction_fault(records: list[str], A: np.ndarray, idx: np.ndarray, tau: float) -> str | None:
-    """The fault of the first direction, a row of A (K, d) keyed by the site
-    indices idx (K, N, d), that is not a finite unit vector passing the
-    build's validity test at tau, or None."""
+def _direction_fault(A: np.ndarray, idx: np.ndarray, tau: float) -> tuple[int, str] | None:
+    """The first direction, a row of A (B, d) keyed by the site indices idx
+    (B, N, d), that is not a finite unit vector passing the build's validity
+    test at tau, as its row and fault; or None. A unit row is finite."""
     with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
-        finite = np.isfinite(A).all(axis=1)
-        unit = _unit_rows(A)
-        valid = directions_valid(A, idx, tau)
-    bad = np.flatnonzero(~(finite & unit & valid))
-    if not len(bad):
+        ok = _unit_rows(A) & directions_valid(A, idx, tau)
+    if ok.all():
         return None
-    k = int(bad[0])
-    if not finite[k]:
+    k = int(np.argmin(ok))
+    if not np.isfinite(A[k]).all():
         problem = "is not finite"
-    elif not unit[k]:
+    elif not _unit_rows(A[k : k + 1])[0]:
         problem = "is not a unit vector"
     else:
         problem = f"fails the projection test at tau = {tau!r}"
-    return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
+    return k, f"direction {A[k].tolist()} {problem}"
 
 
-def _check_records(
-    lines: list[str],
-    keys: Iterator[str],
-    fields: tuple[int, int, int],
-    kind: str,
-    cells: int,
-) -> list[float]:
+def _check_field_count(line: str, fields: int) -> None:
+    found = line.count(" ") + 1
+    if found != fields:
+        raise ConfigError(f"bad record ({found} fields, expected {fields}): {line!r}")
+
+
+def _check_records(lines: list[str], keys: list[str], head: _Header) -> list[float]:
     """The value fields of records, flat, read one record at a time, raising
-    ConfigError on the first fault. ``keys`` gives each record's key text,
-    and ``fields`` is (N, d, value fields per record). A record's field count
-    is checked before its key is made (N or d may be huge), then its key,
-    then that every value field is a number in ``_hex``'s spelling, then that
-    its coefficient is finite."""
-    N, d, per = fields
-    n_index = N * d
+    ConfigError on the first fault. ``keys`` holds each record's key text. A
+    record's field count is checked first, then its key, then that every
+    value field is a number in ``_hex``'s spelling, then that its
+    coefficient is finite."""
+    d, cells = head.spec.d, head.spec.cells_per_dim
+    n_index = head.N * d
     values: list[float] = []
-    for line in lines:
-        found = line.count(" ") + 1
-        if found != n_index + per:
-            raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
-        key = next(keys)
+    for line, key in zip(lines, keys):
+        _check_field_count(line, n_index + head.per)
         if not line.startswith(key):
             try:
                 [int(field) for field in line.split(" ")[:n_index]]  # raises on a non-integer
@@ -387,7 +371,7 @@ def _check_records(
                 raise ConfigError(f"record {line!r} has a field that is not a number") from None
             zs = tuple(zip(*[map(int, key.split())] * d))
             raise ConfigError(
-                f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
+                f"record {line!r} is not the {head.kind} wedge entry {zs}: records list every "
                 f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
             )
         try:
@@ -402,24 +386,33 @@ def _check_records(
     return values
 
 
+def _read(path: str) -> bytes:
+    """The file's bytes, each "\\r\\n" and then each "\\r" made "\\n" as
+    universal newlines make them; a byte that is not UTF-8 raises ConfigError
+    naming the file and its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(
+                f"{path}: line {line} holds byte 0x{data[exc.start]:02x}, which is not UTF-8"
+            ) from None
+    return data
+
+
 def read_text(path: str) -> str:
-    """The file's text, read as UTF-8 with universal newlines; a byte that is
-    not UTF-8 raises ConfigError naming the file and its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        pass
-    # Read again keeping each bad byte as a lone surrogate, to find its line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, 1):
-            bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
-            if bad is not None:
-                raise ConfigError(
-                    f"{path}: line {number} holds byte 0x{ord(bad) - 0xDC00:02x}, "
-                    "which is not UTF-8"
-                )
-    raise ConfigError(f"{path} changed while it was read")
+    """The file's text, read as UTF-8 with universal newlines (``_read``)."""
+    return _read(path).decode()
+
+
+def _check_count(entries: int, found: int) -> None:
+    if found != entries:
+        raise ConfigError(f"expected {entries} records, found {found}")
 
 
 class _Header(NamedTuple):
@@ -461,8 +454,8 @@ def _header(path: str, lines: list[str], found: int | None) -> _Header:
     if kind != KIND_PROJECTED and tau is not None:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
     entries = _field(lines, 11, "entries", _decimal)
-    if found is not None and found != entries:
-        raise ConfigError(f"expected {entries} records, found {found}")
+    if found is not None:
+        _check_count(entries, found)
 
     try:
         spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
@@ -536,102 +529,104 @@ def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def _load_bytes(path: str) -> Tabulator | None:
-    """The model in ``path`` if its records are the bytes ``save_model``
-    writes for the values they hold, with finite coefficients and directions
-    that ``_direction_fault`` passes; else None.
+def _writer_block(
+    data: bytes, pos: int, site_text: np.ndarray, rows: np.ndarray, head: _Header
+) -> tuple[np.ndarray, int] | None:
+    """The value fields (B, per) of the B records at offset pos of data and
+    the offset past them, if the records are the bytes ``save_model`` writes
+    for the entries rows (B, N) and those values, with finite coefficients;
+    else None. The block is cut at its first separators (bytes up to " "),
+    ``_hex_values`` reads its values and ``_record_text`` lays them out again."""
+    B, per, n_index = len(rows), head.per, head.N * head.spec.d
+    width = head.N * site_text.itemsize + per * (_HEX_WIDTH + 1)  # a record's most bytes
+    cuts = np.flatnonzero(np.frombuffer(data, np.uint8)[pos : pos + B * width] <= ord(" "))
+    if len(cuts) < B * (n_index + per):
+        return None
+    cuts = cuts[: B * (n_index + per)].reshape(B, n_index + per)[:, n_index - 1 :] + pos
+    values = _hex_values(data, cuts[:, :-1].ravel() + 1, cuts[:, 1:].ravel()).reshape(B, per)
+    end = int(cuts[-1, -1]) + 1
+    text = _record_text(site_text, rows, values)
+    if len(text) != end - pos or not data.startswith(text, pos):
+        return None
+    return (values, end) if np.isfinite(values[:, 0]).all() else None
 
-    The 12 header lines must pass ``_header``. The file's size then bounds N,
-    d and the entries before any key is made: a record holds at least "0 "
-    per index and "0x0.0p+0 " per value. A block of ``_BLOCK`` records is
-    cut at its first separators (bytes up to " "), which must be as many as
-    its fields; ``_hex_values`` reads its values, and ``_record_text`` lays
-    the block out again, which must give back its bytes."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    pos = 0
-    for _ in range(12):
-        pos = data.find(b"\n", pos) + 1
-        if not pos:
-            return None
-    try:
-        head = _header(path, data[:pos].decode().split("\n")[:12], None)
-    except (UnicodeDecodeError, ConfigError):
-        return None
+
+def _lines(data: bytes, pos: int, n: int) -> tuple[list[str], int]:
+    """The text of the n lines of data from offset pos on (fewer if it ends
+    first), and the offset past them; the last line may lack its newline."""
+    end = pos
+    for _ in range(n):
+        if end >= len(data):
+            break
+        end = data.find(b"\n", end) + 1 or len(data) + 1
+    return (data[pos : end - 1].decode().split("\n") if end > pos else []), end
+
+
+def _found(data: bytes, start: int) -> int:
+    """The number of lines of data from offset start on."""
+    return 0 if start >= len(data) else data.count(b"\n", start) + (not data.endswith(b"\n"))
+
+
+def _records(data: bytes, start: int, head: _Header) -> Tabulator:
+    """The tabulator of the header head whose records are the lines of data
+    from offset start on, read ``_BLOCK`` records at a time. A block that
+    ``_writer_block`` reads is taken as it reads it; any other goes through
+    ``_check_records``. The first direction fault is raised once every
+    record passed."""
     spec, N, K, per = head.spec, head.N, head.entries, head.per
-    n_index = N * spec.d
-    if K * (2 * n_index + 9 * per) > len(data) - pos:
-        return None
     table = np.empty(K)
     directions = np.empty((K, spec.d)) if per > 1 else None
     if not K:  # a strict wedge with more points than sites: make no keys
-        return _tabulator(head, table, directions) if pos == len(data) else None
+        _check_count(K, _found(data, start))
+        return _tabulator(head, table, directions)
+    # No key is made before the records fit the file and the first one's
+    # field count is right: the declared N or d may be huge. A record the
+    # writer lays out holds at least "0 " per index and "0x0.0p+0 " per value.
+    if K * (2 * N * spec.d + 9 * per) > len(data) - start:
+        _check_count(K, _found(data, start))
+    _check_field_count(_lines(data, start, 1)[0][0], N * spec.d + per)
     site_text = _site_texts(spec)
     num = _site_numbers(spec.site_count, N, head.kind != KIND_SYM)
     # each site's indices as one fixed-width item, so a block's are one gather
     index = _site_index(spec).view(f"V{8 * spec.d}")[:, 0] if directions is not None else None
-    width = N * site_text.itemsize + per * (_HEX_WIDTH + 1)  # a record's most bytes
-    buf = np.frombuffer(data, dtype=np.uint8)
+    fault = None
+    pos = start
     for first in range(0, K, _BLOCK):
-        B = min(_BLOCK, K - first)
-        cuts = np.flatnonzero(buf[pos : pos + B * width] <= ord(" "))[: B * (n_index + per)]
-        if len(cuts) < B * (n_index + per):
-            return None
-        cuts = cuts.reshape(B, n_index + per)[:, n_index - 1 :] + pos
-        values = _hex_values(data, cuts[:, :-1].reshape(-1) + 1, cuts[:, 1:].reshape(-1))
-        values = values.reshape(B, per)
-        rows = num[first : first + B]
-        size = int(cuts[-1, -1]) + 1 - pos
-        text = _record_text(site_text, rows, values)
-        if len(text) != size or not data.startswith(text, pos):
-            return None
-        if not np.isfinite(values[:, 0]).all():
-            return None
+        rows = num[first : first + _BLOCK]
+        B = len(rows)
+        block = _writer_block(data, pos, site_text, rows, head)
+        if block is None:
+            lines, end = _lines(data, pos, B)
+            if len(lines) < B:
+                _check_count(K, _found(data, start))
+            values = _check_records(lines, _keys(site_text, rows), head)
+            block = np.reshape(values, (B, per)), end
+        values, end = block
         table[first : first + B] = values[:, 0]
         if directions is not None:
-            A = np.ascontiguousarray(values[:, 1:])
-            idx = index[rows].view(np.int64).reshape(B, N, spec.d)
-            # a unit row is finite, so this is ``_direction_fault``'s rule
-            if not (_unit_rows(A).all() and directions_valid(A, idx, head.tau).all()):
-                return None
-            directions[first : first + B] = A
-        pos += size
-    return _tabulator(head, table, directions) if pos == len(data) else None
-
-
-def _load_text(path: str) -> Tabulator:
-    """The model in ``path``, read as text record by record: every fault
-    raises ConfigError in the module docstring's check order."""
-    lines = read_text(path).split("\n")
-    if lines[-1] == "":  # the newline that ends the last line
-        lines.pop()
-    records = lines[12:]
-    head = _header(path, lines[:12], len(records))
-    del lines  # records now holds the only reference to each record's text
-    spec, N, K, per = head.spec, head.N, head.entries, head.per
-    fields = (N, spec.d, per)
-    table = np.empty(K)
-    directions = np.empty((K, spec.d)) if per > 1 else None
-    # lazy: a record's field count is checked before the first key is made
-    keys = chain.from_iterable(block for _, block in _key_blocks(spec, N, head.kind != KIND_SYM))
-    for start in range(0, K, _BLOCK):
-        part = slice(start, start + _BLOCK)
-        values = _check_records(records[part], keys, fields, head.kind, spec.cells_per_dim)
-        values = np.reshape(values, (-1, per))
-        table[part] = values[:, 0]
-        if directions is not None:
-            directions[part] = values[:, 1:]
-    if directions is not None and K:
-        idx = _site_index(spec)[_site_numbers(spec.site_count, N, True)]
-        fault = _direction_fault(records, directions, idx, head.tau)
-        if fault is not None:
-            raise ConfigError(fault)
+            A = directions[first : first + B]
+            A[:] = values[:, 1:]
+            if not fault:  # the first fault is the one to raise
+                idx = index[rows].view(np.int64).reshape(B, N, spec.d)
+                bad = _direction_fault(A, idx, head.tau)
+                if bad is not None:
+                    fault = f"record {_lines(data, pos, bad[0] + 1)[0][-1]!r}: {bad[1]}"
+        pos = end
+    if pos < len(data):
+        _check_count(K, _found(data, start))
+    if fault:
+        raise ConfigError(fault)
     return _tabulator(head, table, directions)
 
 
 def load_model(path: str) -> Tabulator:
-    """The tabulator a model file holds. A file laid out as ``save_model``
-    writes it loads through ``_load_bytes``; any other goes through
-    ``_load_text``, which loads it or names its first fault."""
-    tab = _load_bytes(path)
-    return _load_text(path) if tab is None else tab
+    """The tabulator a model file holds, or ConfigError naming its first
+    fault in check order. The file is read once, as bytes (``_read``); its
+    12 header lines pass ``_header``, and its records ``_records``."""
+    data = _read(path)
+    lines, start = _lines(data, 0, 12)
+    try:
+        return _records(data, start, _header(path, lines, None))
+    except ConfigError:
+        _header(path, lines, _found(data, start))  # a wrong record count is named first
+        raise

@@ -3,14 +3,16 @@
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from symwedge import Configuration
+from symwedge import ConfigError, Configuration
+from symwedge.approx_antisym import _unit_rows, directions_valid
 from symwedge.core import _inversion_sign
-from symwedge.lattice import lattice_sites, repetition_constant
+from symwedge.lattice import _site_index, _site_numbers, lattice_sites, repetition_constant
+from symwedge.persistence import _header, _hex, _site_texts, _tabulator
 
 
 def configurations(S):
@@ -212,3 +214,121 @@ def eval_antisym_smooth(T, X):
         k = _rank(T, key)
         total += weight * T.table.item(k) * _projected_pair_product(T.directions[k].tolist(), rows)
     return sign * total
+
+
+# ------------------------------------------------------------------------
+# A frozen copy of the model loader's record-by-record text path as it
+# stood when every file the writer does not lay out was read again as text:
+# the reference ``load_model`` must equal on any file, in what it loads and
+# in the message it raises.
+
+_ORACLE_BLOCK = 4096
+
+
+def _oracle_key_blocks(spec, N, strict):
+    if strict and N > spec.site_count:
+        return
+    site_text = _site_texts(spec)
+    num = _site_numbers(spec.site_count, N, strict)
+    for start in range(0, len(num), _ORACLE_BLOCK):
+        rows = num[start : start + _ORACLE_BLOCK]
+        keys = site_text[rows].view(np.uint8).reshape(len(rows), -1)
+        text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
+        yield rows, text.translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _oracle_direction_fault(records, A, idx, tau):
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(A).all(axis=1)
+        unit = _unit_rows(A)
+        valid = directions_valid(A, idx, tau)
+    bad = np.flatnonzero(~(finite & unit & valid))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if not finite[k]:
+        problem = "is not finite"
+    elif not unit[k]:
+        problem = "is not a unit vector"
+    else:
+        problem = f"fails the projection test at tau = {tau!r}"
+    return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
+
+
+def _oracle_check_records(lines, keys, fields, kind, cells):
+    N, d, per = fields
+    n_index = N * d
+    values = []
+    for line in lines:
+        found = line.count(" ") + 1
+        if found != n_index + per:
+            raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
+        key = next(keys)
+        if not line.startswith(key):
+            try:
+                [int(field) for field in line.split(" ")[:n_index]]
+            except ValueError:
+                raise ConfigError(f"record {line!r} has a field that is not a number") from None
+            zs = tuple(zip(*[map(int, key.split())] * d))
+            raise ConfigError(
+                f"record {line!r} is not the {kind} wedge entry {zs}: records list every "
+                f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
+            )
+        try:
+            parsed = [_hex(field) for field in line[len(key) :].split(" ")]
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"record {line!r} has a field that is not a number in float.hex spelling"
+            ) from None
+        if not math.isfinite(parsed[0]):
+            raise ConfigError(f"non-finite coefficient in record {line!r}")
+        values += parsed
+    return values
+
+
+def _oracle_read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        pass
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            bad = next((c for c in line if "\udc80" <= c <= "\udcff"), None)
+            if bad is not None:
+                raise ConfigError(
+                    f"{path}: line {number} holds byte 0x{ord(bad) - 0xDC00:02x}, "
+                    "which is not UTF-8"
+                )
+    raise ConfigError(f"{path} changed while it was read")
+
+
+def load_model_as_text(path):
+    """The model in ``path``, read as text record by record, or the
+    ConfigError of its first fault in check order."""
+    lines = _oracle_read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    records = lines[12:]
+    head = _header(path, lines[:12], len(records))
+    del lines
+    spec, N, K, per = head.spec, head.N, head.entries, head.per
+    fields = (N, spec.d, per)
+    table = np.empty(K)
+    directions = np.empty((K, spec.d)) if per > 1 else None
+    keys = chain.from_iterable(
+        block for _, block in _oracle_key_blocks(spec, N, head.kind != "sym")
+    )
+    for start in range(0, K, _ORACLE_BLOCK):
+        part = slice(start, start + _ORACLE_BLOCK)
+        values = _oracle_check_records(records[part], keys, fields, head.kind, spec.cells_per_dim)
+        values = np.reshape(values, (-1, per))
+        table[part] = values[:, 0]
+        if directions is not None:
+            directions[part] = values[:, 1:]
+    if directions is not None and K:
+        idx = _site_index(spec)[_site_numbers(spec.site_count, N, True)]
+        fault = _oracle_direction_fault(records, directions, idx, head.tau)
+        if fault is not None:
+            raise ConfigError(fault)
+    return _tabulator(head, table, directions)

@@ -1,10 +1,11 @@
-"""``load_model``'s two paths give the same result.
+"""``load_model`` loads what the record-by-record text path loads.
 
-A file laid out exactly as ``save_model`` writes it loads through the byte
-path (``persistence._load_bytes``); any other file goes through the text path
-(``persistence._load_text``), which loads it or names its first fault. These
-tests check that the byte path never changes what a file loads to, or which
-message it fails with, and that it takes every file the writer makes.
+A block of records laid out exactly as ``save_model`` writes it loads
+through the byte path; any other block goes through
+``persistence._check_records``, which checks it record by record. These
+tests check that ``load_model`` loads what the frozen text path
+(``helpers.load_model_as_text``) loads, or fails with its message, and that
+every file the writer makes loads without a record-by-record check.
 """
 
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import load_model_as_text
 from test_model_mutation import BUILDS, mutate
 
 from symwedge import (
@@ -72,24 +74,20 @@ def _saved_bytes(tab):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_an_edited_model_loads_or_fails_as_the_text_path_says(saved, name, data):
-    # the byte path either declines a file, or loads what the text path loads
     edited = mutate(saved[name], data.draw)
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "edited.swm")
         with open(path, "wb") as handle:
             handle.write(edited)
-        expected = _outcome(persistence._load_text, path)
-        assert _outcome(load_model, path) == expected
-        if persistence._load_bytes(path) is not None:
-            assert not isinstance(expected, str)
+        assert _outcome(load_model, path) == _outcome(load_model_as_text, path)
 
 
-def _text_path_only(path):
-    raise AssertionError(f"{path} went through the text path")
+def _text_path_only(*args):
+    raise AssertionError("a block went through the record-by-record check")
 
 
 def test_every_saved_model_loads_through_the_byte_path(saved, monkeypatch, tmp_path):
-    monkeypatch.setattr(persistence, "_load_text", _text_path_only)
+    monkeypatch.setattr(persistence, "_check_records", _text_path_only)
     for name, build in BUILDS.items():
         path = tmp_path / f"{name}.swm"
         path.write_bytes(saved[name])
@@ -128,8 +126,33 @@ IRREGULAR = {
 @pytest.mark.parametrize("edit", sorted(IRREGULAR))
 def test_files_the_writer_never_makes_still_load_through_the_text_path(tmp_path, edit):
     tab, path = _irregular(tmp_path, IRREGULAR[edit])
-    assert persistence._load_bytes(str(path)) is None
     loaded = load_model(str(path))
+    assert loaded == tab
+    assert _state(loaded) == _state(tab)
+
+
+@pytest.mark.parametrize(
+    "edit, checked", [("crlf", []), ("no-final-newline", [11])], ids=["crlf", "no-final-newline"]
+)
+def test_only_a_block_the_writer_never_lays_out_is_checked_record_by_record(
+    tmp_path, monkeypatch, edit, checked
+):
+    # 36 records in 12 blocks of 3: CRLF ends load as LF ends, and a missing
+    # final newline leaves only the last block unlike the writer's layout
+    monkeypatch.setattr(persistence, "_BLOCK", 3)
+    tab, path = _irregular(tmp_path, IRREGULAR[edit])
+    records = path.read_bytes().decode().splitlines()[12:]
+    calls = []
+    check = persistence._check_records
+
+    def spy(lines, *rest):
+        calls.append(records.index(lines[0]) // 3)
+        assert lines == records[3 * calls[-1] : 3 * calls[-1] + 3]
+        return check(lines, *rest)
+
+    monkeypatch.setattr(persistence, "_check_records", spy)
+    loaded = load_model(str(path))
+    assert calls == checked
     assert loaded == tab
     assert _state(loaded) == _state(tab)
 
@@ -179,7 +202,7 @@ def test_any_finite_table_round_trips_through_the_byte_path(base, patterns, data
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "m.swm")
         save_model(path, tab)
-        with mock.patch.object(persistence, "_load_text", _text_path_only):
+        with mock.patch.object(persistence, "_check_records", _text_path_only):
             loaded = load_model(path)
     assert loaded == tab
     assert _state(loaded) == _state(tab)

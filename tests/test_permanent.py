@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from symwedge import (
     DomainError,
     SizeLimitError,
-    SquareMatrix,
     permanent_bruteforce,
     permanent_ryser,
     permanent_ryser_logdomain,
@@ -19,7 +18,7 @@ LOG_TOL = 1e-9
 
 
 def mat(rows):
-    return SquareMatrix.from_rows(rows)
+    return rows
 
 
 # ---------------------------------------------------------------- oracle
@@ -159,13 +158,19 @@ def test_logdomain_matches_bruteforce_on_positive_matrices():
         assert abs(permanent_ryser_logdomain(A) - bf) <= LOG_TOL * (1.0 + abs(bf))
 
 
-# ---------------------------------------------------------------- matrix type
+# ---------------------------------------------------------------- validation
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        SquareMatrix.from_rows([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        SquareMatrix.from_rows([[1.0, float("nan")], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        SquareMatrix.from_rows([])
+    bad = [
+        ([[1.0, 2.0]], "must be square"),
+        ([[1.0, float("nan")], [0.0, 1.0]], "must be finite"),
+        ([], "at least one row"),
+        # every entry is converted first, and the size cap is checked last
+        ([[1.0, "x"]], "could not convert"),
+        ([[math.nan] * 31] * 31, "must be finite"),
+    ]
+    for permanent in (permanent_bruteforce, permanent_ryser, permanent_ryser_logdomain):
+        for rows, message in bad:
+            with pytest.raises(ValueError, match=message):
+                permanent(rows)

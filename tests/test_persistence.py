@@ -29,6 +29,7 @@ from symwedge import (
     build_antisym,
     build_sym,
     builtin_target,
+    enumerate_wedge,
     eval_antisym,
     eval_sym,
     eval_sym_feature_form,
@@ -241,7 +242,9 @@ def test_written_keys_are_the_key_text_load_model_makes(tmp_path, kind, cells, N
     path = tmp_path / "m.swm"
     save_model(str(path), tab)
     records = path.read_text().splitlines()[12:]
-    keys = [key for _, block in persistence._key_blocks(spec, N, kind != "sym") for key in block]
+    # each index in decimal followed by a space; antisym files keep entries of N distinct sites
+    wedge = [zs for zs in enumerate_wedge(spec, N) if kind == "sym" or len(set(zs)) == N]
+    keys = ["".join(f"{i} " for z in zs for i in z) for zs in wedge]
     assert len(records) == len(keys) == len(tab.table)
     assert [record[: len(key)] for record, key in zip(records, keys)] == keys
     per = 1 + (d if kind == MODE_PROJECTED else 0)
@@ -911,11 +914,16 @@ def test_save_load_round_trip_is_bit_exact(shape, pool, data):
 LOAD_PEAK_BOUNDS = {"sym": 3_714_271, MODE_PROJECTED: 6_574_204}
 
 
-@pytest.mark.parametrize("kind", ["sym", MODE_PROJECTED])
-def test_load_peak_memory_stays_near_the_loaded_size(tmp_path, kind):
+@pytest.mark.parametrize(
+    "kind, crlf",
+    [("sym", False), (MODE_PROJECTED, False), ("sym", True), (MODE_PROJECTED, True)],
+    ids=["sym", MODE_PROJECTED, "sym-crlf", f"{MODE_PROJECTED}-crlf"],
+)
+def test_load_peak_memory_stays_near_the_loaded_size(tmp_path, kind, crlf):
     # 20,825 sym or 18,424 smooth antisym-c2 records at N = 3, d = 2, seven
     # cells per axis. The tables take 0.17 MB (sym) and 0.45 MB (antisym-c2);
-    # the peak is the file's text and its lines, then one block's parse.
+    # the peak is the file's bytes (twice while CRLF ends become LF), then
+    # one block's parse.
     spec = LatticeSpec.from_counts(7, 2, 0.0, 1.0)
     if kind == "sym":
         tab = build_sym(builtin_target("gaussian-pair-sym"), spec, 3)
@@ -923,11 +931,13 @@ def test_load_peak_memory_stays_near_the_loaded_size(tmp_path, kind):
         f = builtin_target("vandermonde-gauss-antisym")
         tab = build_antisym(f, spec, 3, mode=kind, smooth_width=spec.delta / 4)
     assert len(tab.table) >= 10_000
-    path = str(tmp_path / "m.swm")
-    save_model(path, tab)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    if crlf:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     tracemalloc.start()
     try:
-        loaded = load_model(path)
+        loaded = load_model(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

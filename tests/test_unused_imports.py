@@ -10,9 +10,11 @@ marker cannot hide a live import. The benchmark's own files are not scanned
 for imports.
 
 A module-level function, class or constant of the package whose name starts
-with an underscore is dead when no file of the package, the tests, the
-scripts or the benchmark names it: not as a read name, an attribute, an
-import or a string (which ``setattr`` and ``getattr`` take).
+with an underscore is dead when no file of the package, the scripts or the
+benchmark names it: not as a read name, an attribute, an import or a string
+(which ``setattr`` and ``getattr`` take). The tests do not count, so a
+private name only tests use is dead: a reference copy a test compares
+against lives in ``tests/helpers.py``.
 
 A public module-level function or class of the package is dead when no
 file of the package, the scripts or the benchmark names it outside its own
@@ -43,7 +45,7 @@ for folder in ("tests", "scripts"):
         MODULES[f"{folder}/{os.path.basename(path)}"] = path
 SCANNED = [
     path
-    for folder in (os.path.join("src", "symwedge"), "tests", "scripts", "benches")
+    for folder in (os.path.join("src", "symwedge"), "scripts", "benches")
     for path in glob.glob(os.path.join(ROOT, folder, "*.py"))
 ]
 
