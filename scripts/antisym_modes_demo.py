@@ -9,7 +9,6 @@ f / pair-difference product away from the diagonal.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from symwedge import (
     build_antisym,
     builtin_target,
     cauchy_factor_check,
+    error_budget,
     eval_antisym_batch,
     gradient_bound_estimate,
     parity,
@@ -57,7 +57,7 @@ def main():
 
     for delta in args.deltas:
         spec = LatticeSpec.from_domain(domain, delta)
-        bound = delta * math.sqrt(args.N * args.d) * L
+        bound = error_budget(delta, args.N, args.d, L)
         tabs = {
             "rank": build_antisym(f, spec, args.N, mode=MODE_RANK),
             "projected": build_antisym(f, spec, args.N, mode=MODE_PROJECTED),

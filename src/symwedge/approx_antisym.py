@@ -91,21 +91,6 @@ from .approx_sym import (
 )
 from . import approx_sym
 
-__all__ = [
-    "DEFAULT_TAU",
-    "KIND_RANK",
-    "KIND_PROJECTED",
-    "MODE_RANK",
-    "MODE_PROJECTED",
-    "AntisymTabulator",
-    "build_antisym",
-    "eval_antisym",
-    "eval_antisym_batch",
-    "choose_direction",
-    "fnv1a64",
-    "entry_seed",
-]
-
 KIND_RANK = "antisym-c1"
 KIND_PROJECTED = "antisym-c2"
 MODE_RANK = "rank"

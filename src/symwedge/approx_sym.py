@@ -49,26 +49,6 @@ from .lattice import (
 )
 from .permanent import permanent_ryser_logdomain
 
-__all__ = [
-    "KIND_SYM",
-    "MODE_INDICATOR",
-    "MODE_SMOOTH",
-    "BuildStats",
-    "SymmetricTabulator",
-    "FeatureCountReport",
-    "build_sym",
-    "eval_sym",
-    "eval_sym_batch",
-    "eval_sym_feature_form",
-    "smooth_weights",
-    "corner_values",
-    "feature_count",
-    "feature_budget_bound",
-    "epsilon_density_limit",
-    "error_budget",
-    "delta_for_epsilon",
-]
-
 KIND_SYM = "sym"
 MODE_INDICATOR = "indicator"
 MODE_SMOOTH = "smooth"
@@ -80,19 +60,26 @@ _CORNER_CHUNK = 4096
 
 @dataclass(frozen=True)
 class BuildStats:
-    """The size and regime of a tabulator's lattice wedge.
+    """The size and regime of a tabulator's N-slot lattice wedge.
 
     ``coarse_lattice`` flags spacings above N^(-1/d), where cells hold more
     than one point on average and the wedge no longer resolves the targets.
     """
 
     wedge_count: int
+    N: int
     coarse_lattice: bool
+
+    @property
+    def M(self) -> int:
+        """The feature count wedge_count * 2^N (2^N corner features per entry),
+        made only when asked for: a one-entry wedge may have any N."""
+        return self.wedge_count << self.N
 
 
 def _wedge_stats(spec: LatticeSpec, N: int) -> BuildStats:
     """BuildStats of the N-slot wedge over ``spec``."""
-    return BuildStats(wedge_size(spec, N), spec.delta > N ** (-1.0 / spec.d))
+    return BuildStats(wedge_size(spec, N), N, spec.delta > N ** (-1.0 / spec.d))
 
 
 def _frozen(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -401,19 +388,17 @@ def feature_count(T: SymmetricTabulator, epsilon: float, L: float) -> FeatureCou
         raise ValueError(
             f"epsilon = {epsilon} is not below the density limit {limit} for N = {N}, d = {d}"
         )
-    wedge_count = T.stats.wedge_count
-    per_entry = 1 << N
-    M = wedge_count * per_entry
+    stats = T.stats
     bound = feature_budget_bound(N, d, epsilon)
     return FeatureCountReport(
-        wedge_count=wedge_count,
-        per_entry_features=per_entry,
-        M=M,
+        wedge_count=stats.wedge_count,
+        per_entry_features=stats.M // stats.wedge_count,
+        M=stats.M,
         epsilon=epsilon,
         L=L,
         budget_bound=bound,
-        exceeds_budget=M > bound,
-        spacing_within_budget=T.spec.delta * math.sqrt(N * d) * L <= epsilon,
+        exceeds_budget=stats.M > bound,
+        spacing_within_budget=error_budget(T.spec.delta, N, d, L) <= epsilon,
     )
 
 

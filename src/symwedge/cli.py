@@ -67,8 +67,6 @@ from .persistence import (
     write_text_atomic,
 )
 
-__all__ = ["main", "ExperimentConfig"]
-
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG = 2
@@ -380,7 +378,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     save_model(model_path, tab)
     elapsed = time.perf_counter() - start
 
-    M = tab.stats.wedge_count * (1 << cfg.N)
+    stats = tab.stats
     budget = None if cfg.epsilon is None else feature_budget_bound(cfg.N, cfg.d, cfg.epsilon)
     budget_text = "n/a (no accuracy target given)" if budget is None else repr(budget)
     summary = {
@@ -388,10 +386,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         "config": _config_echo(cfg),
         "delta": _num(delta),
         "entries": len(tab.table),
-        "wedge_count": tab.stats.wedge_count,
-        "M": M,
+        "wedge_count": stats.wedge_count,
+        "M": stats.M,
         "feature_budget_bound": _num(budget) if budget is not None else None,
-        "coarse_lattice": tab.stats.coarse_lattice,
+        "coarse_lattice": stats.coarse_lattice,
         "model": model_path,
         "wall_time_s": _num(elapsed if args.timings else 0.0),
     }
@@ -400,7 +398,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
     print(f"kind={cfg.kind} target={cfg.target_name} d={cfg.d} N={cfg.N}")
-    print(f"delta={delta!r} wedge={tab.stats.wedge_count} entries={len(tab.table)} M={M}")
+    print(f"delta={delta!r} wedge={stats.wedge_count} entries={len(tab.table)} M={stats.M}")
     if L_hat is not None:
         print(f"gradient_bound={L_hat!r} (measured, used to size the lattice)")
     print(f"feature_budget_bound={budget_text}")

@@ -24,19 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = [
-    "Symmetry",
-    "Configuration",
-    "DomainSpec",
-    "Permutation",
-    "TargetFunction",
-    "permute",
-    "parity",
-    "vandermonde_product",
-    "builtin_target",
-    "BUILTIN_TARGET_NAMES",
-]
-
 
 class Symmetry(enum.Enum):
     """Declared permutation behaviour of a target function."""
@@ -217,10 +204,13 @@ def _builtin(name: str, symmetry: Symmetry, value: Callable[..., float]) -> Targ
     namespace. The evaluator runs value on a configuration's rows with m =
     math; the batch runs it on the (K,) columns of a (K, N, d) array, pts[i][a]
     being P[:, i, a], with m = _COLUMN_MATH. Both run one text, so they agree
-    bit for bit."""
+    bit for bit. Overflow and invalid steps in the columns give inf and nan
+    without a warning, as they do on floats."""
 
     def batch(P: np.ndarray) -> np.ndarray:
-        return np.full(len(P), value(P.transpose(1, 2, 0), _COLUMN_MATH), dtype=np.float64)
+        with np.errstate(all="ignore"):
+            values = value(P.transpose(1, 2, 0), _COLUMN_MATH)
+        return np.full(len(P), values, dtype=np.float64)
 
     return TargetFunction(lambda X: value(X.rows, math), symmetry, name=name, batch=batch)
 

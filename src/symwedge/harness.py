@@ -13,14 +13,13 @@ stencil's 2*N*d shifted copies of each sample, and the permuted copies
 P[rows, images] of the invariance pass and the Cauchy check. An evaluator
 with a ``batch`` (every builtin target, and the indicator tabulators through
 ``eval_sym_batch`` and ``eval_antisym_batch``) takes each array in one call;
-any other is called once per row, on a Configuration built from the row
-without re-validation (its coordinates are finite Philox draws, or clipped
-or permuted copies of them). No evaluated array holds more than _BLOCK rows:
-a sample whose stencil, draws or Cauchy orders need more is split across
-arrays, in the same order, so memory stays bounded however many samples,
-points or draws there are. One invariance pass checks every evaluator it is
-given (``run_verification`` passes the target and the tabulator) against
-one set of permuted copies.
+any other is called once per row, on a Configuration of the row, which
+checks it as every Configuration does. No evaluated array holds more than
+_BLOCK rows: a sample whose stencil, draws or Cauchy orders need more is
+split across arrays, in the same order, so memory stays bounded however
+many samples, points or draws there are. One invariance pass checks every
+evaluator it is given (``run_verification`` passes the target and the
+tabulator) against one set of permuted copies.
 
 Everything here is deterministic given (seed, inputs). Sampling uses a
 counter-based bit generator (Philox) keyed directly by the seed, and an
@@ -54,23 +53,6 @@ from .approx_sym import build_sym  # noqa: F401  (benches/tracing.py wraps this 
 from .approx_antisym import eval_antisym, eval_antisym_batch
 from .approx_antisym import build_antisym  # noqa: F401  (benches/tracing.py wraps this binding)
 from .persistence import Tabulator
-
-__all__ = [
-    "SampleSet",
-    "sample_configurations",
-    "gradient_bound_estimate",
-    "sup_error",
-    "invariance_suite",
-    "SweepRow",
-    "SweepResult",
-    "convergence_sweep",
-    "sweep_csv_text",
-    "cauchy_factor_check",
-    "CheckResult",
-    "VerificationReport",
-    "run_verification",
-    "DEFAULT_FD_STEP_FRACTION",
-]
 
 DEFAULT_FD_STEP_FRACTION = 1e-4
 BOUND_SLACK = 1e-12
@@ -135,12 +117,15 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
     Each block of samples is clipped once, and f is evaluated on its stencil,
     split by slots where a sample's 2*N*d rows exceed _BLOCK: per sample and
     slot (i, a) in order, the clipped sample with coordinate (i, a) moved up
-    by h, then down by h. The first non-finite derivative,
+    by h, then down by h. A step that underflows to 0 raises ValueError
+    before f is evaluated. The first non-finite derivative,
     in sample and then slot order, raises ValueError naming its slot.
     """
     domain = S.domain
     N, d = domain.N, domain.d
     h = DEFAULT_FD_STEP_FRACTION * domain.span
+    if h == 0.0:
+        raise ValueError(f"span {domain.span!r} is too small for a finite-difference step")
     lo, hi = domain.lo + h, domain.hi - h
     two_h = 2.0 * h
     slots = N * d
@@ -159,14 +144,16 @@ def gradient_bound_estimate(f: Callable[[Configuration], float], S: SampleSet) -
                 stencil[:, 2 * r, i, a] = X[:, i, a] + h
                 stencil[:, 2 * r + 1, i, a] = X[:, i, a] - h
             values = _evaluate(f, stencil.reshape(-1, N, d)).reshape(B, len(part), 2)
-            g[:, first : part.stop] = (values[:, :, 0] - values[:, :, 1]) / two_h
+            with np.errstate(all="ignore"):  # a non-finite derivative raises below
+                g[:, first : part.stop] = (values[:, :, 0] - values[:, :, 1]) / two_h
         bad = np.flatnonzero(~np.isfinite(g))
         if len(bad):
             i, a = divmod(int(bad[0]) % slots, d)
             raise ValueError(f"non-finite derivative at slot ({i}, {a})")
         norm2 = np.zeros(B)
-        for s in range(slots):
-            norm2 += g[:, s] * g[:, s]
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            for s in range(slots):
+                norm2 += g[:, s] * g[:, s]
         best = max(best, float(np.sqrt(norm2).max()))
     return best
 
@@ -312,7 +299,7 @@ def convergence_sweep(
                 sup_error=err,
                 bound=error_budget(delta, tab.N, tab.spec.d, L_hat),
                 wedge_count=tab.stats.wedge_count,
-                M=tab.stats.wedge_count * (1 << tab.N),
+                M=tab.stats.M,
                 wall_time_s=elapsed,
             )
         )
@@ -374,9 +361,11 @@ def cauchy_factor_check(
             B = len(X)
             q = base[start : start + B]
             Y = X[np.repeat(np.arange(B), len(images))[:, None], np.tile(images, (B, 1))]
-            residual = np.abs(_quotients(f, Y).reshape(B, len(images)) - q[:, None])
-            if b == 0:  # the identity's residual, formed without evaluating f
-                residual = np.concatenate([np.abs(q - q)[:, None], residual], axis=1)
+            quotients = _quotients(f, Y).reshape(B, len(images))
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN residual, raised below
+                residual = np.abs(quotients - q[:, None])
+                if b == 0:  # the identity's residual, formed without evaluating f
+                    residual = np.concatenate([np.abs(q - q)[:, None], residual], axis=1)
             bad = np.flatnonzero(~np.isfinite(residual).all(axis=1))
             if len(bad) and (failed is None or start + bad[0] < failed[0]):
                 failed = (start + bad[0], residual[bad[0] : bad[0] + 1])
@@ -387,8 +376,11 @@ def cauchy_factor_check(
 
 
 def _quotients(f: Callable[[Configuration], float], X: np.ndarray) -> np.ndarray:
-    """f(X)/V(X) on each row of X (B, N, 1), V the pair-difference product."""
-    return _evaluate(f, X) / vandermonde_product(X[:, :, 0].T)
+    """f(X)/V(X) on each row of X (B, N, 1), V the pair-difference product;
+    a V of 0 or inf gives a non-finite quotient, without a warning."""
+    values = _evaluate(f, X)
+    with np.errstate(all="ignore"):
+        return values / vandermonde_product(X[:, :, 0].T)
 
 
 def _other_permutations(N: int) -> Iterator[np.ndarray]:

@@ -24,22 +24,6 @@ import numpy as np
 from .core import Configuration, DomainSpec, _inversion_sign
 from .errors import CapacityError, DomainError
 
-__all__ = [
-    "LatticeSpec",
-    "LatticeIndex",
-    "WedgeKey",
-    "CellAssignment",
-    "DEFAULT_WEDGE_CAP",
-    "lattice_sites",
-    "cell_of",
-    "wedge_size",
-    "enumerate_wedge",
-    "repetition_constant",
-    "locate",
-    "corner_configuration",
-    "site_weight_support",
-]
-
 # A lattice site is its integer multi-index; a wedge key is a non-decreasing
 # tuple of sites. Plain tuples compare lexicographically and hash cheaply.
 LatticeIndex = tuple[int, ...]
@@ -157,9 +141,6 @@ class LatticeSpec:
     @property
     def site_count(self) -> int:
         return self.cells_per_dim ** self.d
-
-    def axis_position(self, index: int) -> float:
-        return self.origin + index * self.delta
 
     def position(self, site: LatticeIndex) -> tuple[float, ...]:
         """Real coordinates of a site's cell corner (the lower corner)."""

@@ -21,14 +21,6 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, SizeLimitError
 
-__all__ = [
-    "permanent_bruteforce",
-    "permanent_ryser",
-    "permanent_ryser_logdomain",
-    "BRUTEFORCE_MAX_N",
-    "INCLUSION_EXCLUSION_MAX_N",
-]
-
 BRUTEFORCE_MAX_N = 10
 INCLUSION_EXCLUSION_MAX_N = 30
 

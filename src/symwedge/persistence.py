@@ -88,19 +88,6 @@ from .approx_sym import (
 from .errors import CapacityError, ConfigError
 from .lattice import LatticeSpec, _check_smooth_width, _site_index, _site_numbers, wedge_size
 
-__all__ = [
-    "MAGIC",
-    "FORMAT_VERSION",
-    "KIND_SYM",
-    "KIND_RANK",
-    "KIND_PROJECTED",
-    "KINDS",
-    "save_model",
-    "load_model",
-    "write_text_atomic",
-    "read_text",
-]
-
 MAGIC = "SYMWEDGE-MODEL"
 FORMAT_VERSION = 2
 

@@ -18,14 +18,6 @@ import numpy as np
 
 from .errors import InversionError, SizeLimitError
 
-__all__ = [
-    "PowerSums",
-    "power_sums",
-    "elementary_direct",
-    "elementary_from_power_sums",
-    "invert_power_sums",
-]
-
 IMAG_TOLERANCE = 1e-7
 RESIDUAL_TOLERANCE = 1e-7
 DIRECT_ELEMENTARY_MAX_N = 12
@@ -66,7 +58,10 @@ def power_sums(xs: Sequence[float]) -> PowerSums:
     N = len(points)
     values = [float(N)]
     for q in range(1, N + 1):
-        values.append(sum(x**q for x in points))
+        total = 0.0  # left to right: builtin sum's float summation differs between Python versions
+        for x in points:
+            total += x**q
+        values.append(total)
     return PowerSums(tuple(values))
 
 

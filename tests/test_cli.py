@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -807,6 +808,32 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, overrides):
     assert_one_line_config_error(code, out, err)
     assert "finite number" in err  # rejected at the config key, before any work
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # the corner batch's squares and pair products overflow to nan
+        ("build", {"kind": "antisym-c1", "d": 1, "N": 3, "target": "vandermonde-gauss-antisym",
+                   "delta": 5e199, "lo": -1e200, "hi": 1e200}),
+        # 1e-4 * span underflows to a zero finite-difference step
+        ("verify", {"kind": "sym", "d": 1, "N": 2, "target": "sum-coords",
+                    "delta": 0.25, "lo": 0, "hi": 1e-320}),
+        # the pair-difference product underflows to 0 in the Cauchy check
+        ("verify", {"kind": "antisym-c1", "d": 1, "N": 3, "target": "vandermonde-sum-antisym",
+                    "delta": 2.5e-121, "lo": 0, "hi": 1e-120, "min_gap": 1e-123, "samples": 200}),
+    ],
+    ids=["build-overflow", "verify-zero-step", "verify-zero-vandermonde"],
+)
+def test_float_faults_exit_2_with_one_line_and_no_warning(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 DEEP_JSON = "[" * 50000

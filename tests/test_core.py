@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -358,3 +359,13 @@ def test_batches_equal_the_evaluators_on_drawn_arrays(data):
     rows = st.lists(st.sampled_from(pool), min_size=N, max_size=N)
     P = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)), dtype=np.float64)
     assert_batch_is_the_evaluator(P.reshape(-1, N, d))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batches_overflow_to_the_evaluators_values_without_a_warning(d):
+    # squares and pair products of 1e200 overflow: the columns give the inf
+    # and nan the floats give, and numpy does not warn
+    P = np.array([[[-1e200] * d, [0.0] * d, [1e200] * d]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_batch_is_the_evaluator(P)

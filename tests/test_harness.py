@@ -141,6 +141,15 @@ def test_gradient_bound_rejects_non_finite_target():
         gradient_bound_estimate(bad, S)
 
 
+def test_gradient_bound_rejects_a_step_that_underflows_before_evaluating():
+    calls = []
+    f = TargetFunction(lambda X: calls.append(X) or 0.0, Symmetry.SYMMETRIC)
+    S = sample_configurations(DomainSpec(d=1, N=2, lo=0.0, hi=1e-320), 4, seed=0)
+    with pytest.raises(ValueError, match=r"^span 1e-320 is too small for a finite-difference step$"):
+        gradient_bound_estimate(f, S)
+    assert calls == []
+
+
 def reference_gradient_bound(f, S, h):
     # Reference stencil: every evaluation rebuilds all N rows through
     # Configuration.from_rows.

@@ -180,7 +180,7 @@ def near_faces(spec):
     where they lie in [lo, hi]."""
     coords = []
     for k in range(spec.cells_per_dim + 1):
-        below = above = spec.axis_position(k)
+        below = above = spec.position((k,))[0]
         coords.append(below)
         for _ in range(3):
             below = math.nextafter(below, -math.inf)
@@ -508,7 +508,7 @@ def test_cutoff_band_ends_are_made_once_per_lattice_and_width():
         site_weight_support(LatticeSpec.from_counts(7, 2, -0.5, 1.5), (0.25, float(x)), w)
     assert _axis_bands.cache_info().misses == 1
     for index, ends in enumerate(_axis_bands(spec, w)):
-        a = spec.axis_position(index)
+        a = spec.position((index,))[0]
         assert ends == (a - w, a + spec.delta + w, a + w, a + spec.delta - w)
     with pytest.raises(ValueError):  # a bad width is checked on every call
         site_weight_support(spec, (0.25, 0.25), spec.delta)
@@ -541,7 +541,7 @@ def test_face_weights_are_exactly_half_at_dyadic_spacing_and_width():
             spec = LatticeSpec.from_counts(n, 1, lo, hi)
             for w in (spec.delta / 2, spec.delta / 4, spec.delta / 16):
                 for k in range(1, n):
-                    support = site_weight_support(spec, (spec.axis_position(k),), w)
+                    support = site_weight_support(spec, (spec.position((k,))[0],), w)
                     assert support == ((k - 1, 0.5), (k, 0.5))
 
 
@@ -553,7 +553,7 @@ def test_face_weights_are_half_up_to_rounding_otherwise():
             for w in (spec.delta / 2, spec.delta / 3, spec.delta / 7, spec.delta / 100):
                 bound = 2.0**-51 * max(abs(lo), abs(hi)) / w
                 for k in range(1, n):
-                    support = site_weight_support(spec, (spec.axis_position(k),), w)
+                    support = site_weight_support(spec, (spec.position((k,))[0],), w)
                     assert [site for site, _ in support] == [k - 1, k]
                     for _, p in support:
                         assert abs(p - 0.5) <= bound

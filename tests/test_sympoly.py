@@ -35,6 +35,11 @@ def test_power_sums_constant():
         assert ps.values[q] == pytest.approx(4 * c**q, rel=1e-15)
 
 
+def test_power_sums_add_left_to_right():
+    # a compensated sum, as Python 3.12's builtin sum makes, would give 1.0
+    assert power_sums((1e16, 1.0, -1e16)).values[1] == 0.0
+
+
 def test_power_sums_type_enforces_count():
     with pytest.raises(ValueError):
         PowerSums(values=(2.5, 1.0, 1.0))  # values[0] must equal N = 2 exactly

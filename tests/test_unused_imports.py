@@ -22,7 +22,13 @@ definition and ``__all__``: a class's string annotation of itself in its own
 body does not count, and neither do the tests, so a name only tests call is
 dead. ``symwedge/__init__.py`` does not count either, so exporting a name
 does not keep it. An exported name may also be kept by the acceptance suite,
-``tests/test_acceptance.py``, which is the package's contract.
+``tests/test_acceptance.py``, which is the package's contract. A public
+method or property of a public package class is dead by the same rule,
+where its class's own other statements count too.
+
+``symwedge/__init__.py`` is the one list of what the package exports: no
+other package module assigns ``__all__``, and its ``__all__`` names exactly
+the names it imports, and ``__version__``.
 """
 
 import ast
@@ -34,6 +40,7 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "symwedge")
+INIT = os.path.join(PACKAGE, "__init__.py")
 # Package modules are named by file name, tests and scripts by their path.
 MODULES = {
     os.path.basename(path): path
@@ -195,6 +202,25 @@ ACCEPTANCE = "tests/test_acceptance.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def public_definitions(statements, elsewhere):
+    """Each public function or class among ``statements``, with the names
+    that ``elsewhere`` and the other statements give it, as (node, names)."""
+    names = [referenced_names(node) for node in statements]
+    for i, node in enumerate(statements):
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node, elsewhere.union(*names[:i], *names[i + 1 :])
+
+
+def callers(others, exported, node, names):
+    """The names that keep the module-level definition ``node`` live: its
+    ``names`` from the rest of its module, those of the ``others`` outside
+    ``tests/`` and, if it is among the ``exported`` ones, the acceptance suite's."""
+    paths = [path for path in others if not path.startswith("tests/")]
+    if node.name in exported:
+        paths.append(ACCEPTANCE)
+    return names.union(*(names_outside_all(others.get(path, "")) for path in paths))
+
+
 def dead_public_definitions(source, exported, others):
     """Public module-level functions and classes of ``source`` that nothing
     names outside their own definition and any ``__all__``.
@@ -203,21 +229,28 @@ def dead_public_definitions(source, exported, others):
     rest of ``source`` counts, and so do the ``others`` outside ``tests/``.
     A name among the ``exported`` ones is also live when the acceptance
     suite names it; no other test counts."""
-    body = module_body(source)
-    names = [referenced_names(node) for node in body]
-    outside = set().union(
-        *(names_outside_all(text) for path, text in others.items() if not path.startswith("tests/"))
-    )
-    contract = names_outside_all(others.get(ACCEPTANCE, ""))
+    return [
+        node.name
+        for node, names in public_definitions(module_body(source), set())
+        if node.name not in callers(others, exported, node, names)
+    ]
+
+
+def dead_public_methods(source, exported, others):
+    """Public methods and properties of the public module-level classes of
+    ``source`` that nothing names outside their own definition, as
+    ``Class.name``: a method counts as named where its class would, and in
+    the rest of its class. A method of an exported class is also live when
+    the acceptance suite names it."""
     dead = []
-    for i, node in enumerate(body):
-        if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
-            continue
-        live = outside.union(*names[:i], *names[i + 1 :])
-        if node.name in exported:
-            live |= contract
-        if node.name not in live:
-            dead.append(node.name)
+    for cls, names in public_definitions(module_body(source), set()):
+        if isinstance(cls, ast.ClassDef):
+            live = callers(others, exported, cls, names)
+            dead += [
+                f"{cls.name}.{node.name}"
+                for node, method_names in public_definitions(cls.body, live)
+                if not isinstance(node, ast.ClassDef) and node.name not in method_names
+            ]
     return dead
 
 
@@ -251,6 +284,38 @@ def test_dead_public_definitions_are_found():
     assert "solve" in dead_public_definitions(module, set(), others)
 
 
+def test_dead_public_methods_are_found():
+    module = (
+        "class Box:\n"
+        "    def open(self):\n        return self.lid\n"
+        "    @property\n    def lid(self):\n        return 1\n"
+        "    def spin(self):\n        return self.spin()\n"
+        "    def tested(self):\n        return 2\n"
+        "    def checked(self):\n        return 3\n"
+        "    def shipped(self):\n        return 4\n"
+        "    def _seal(self):\n        return self.tested\n"
+        "    def __len__(self):\n        return 0\n"
+        "class Grid:\n    def size(self):\n        return 5\n"
+    )
+    init = "from .m import Box, Grid\n__all__ = ['Box']\n"
+    others = {
+        "src/pkg/other.py": "from .m import Box\nBox().open()\n",
+        "scripts/run.py": "import sys\nprint(sys.argv, 'shipped')\n",
+        "tests/test_m.py": "from pkg import Box, Grid\nBox().tested()\nGrid().size()\n",
+        ACCEPTANCE: "from pkg import Box, Grid\nBox().checked()\nGrid().size()\n",
+    }
+    exported = exported_names(init)
+    # ``lid`` is kept by ``open``, ``tested`` by the private ``_seal``, and a
+    # string is a name; ``spin`` only calls itself. The acceptance suite keeps
+    # the exported class's ``checked``, not the unexported one's ``size``
+    assert dead_public_methods(module, exported, others) == ["Box.spin", "Grid.size"]
+    # with no caller but a test, ``tested`` is dead too
+    sealed = module.replace("return self.tested", "return 0")
+    assert dead_public_methods(sealed, exported, others) == ["Box.spin", "Box.tested", "Grid.size"]
+    # the acceptance suite keeps only methods of exported classes
+    assert "Box.checked" in dead_public_methods(module, set(), others)
+
+
 def callers_of(path):
     """The sources that may name a public definition of the package module
     at ``path``, by path relative to the repository root: the other package
@@ -268,6 +333,38 @@ def callers_of(path):
 
 @pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
 def test_module_has_no_dead_public_definitions(name):
-    exported = exported_names(read(os.path.join(PACKAGE, "__init__.py")))
+    exported = exported_names(read(INIT))
     dead = dead_public_definitions(read(MODULES[name]), exported, callers_of(MODULES[name]))
     assert dead == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
+def test_module_has_no_dead_public_methods(name):
+    exported = exported_names(read(INIT))
+    dead = dead_public_methods(read(MODULES[name]), exported, callers_of(MODULES[name]))
+    assert dead == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MODULES if "/" not in n))
+def test_only_the_package_init_declares_exports(name):
+    # ``symwedge/__init__.py`` is the one export list; a leading ``_`` marks
+    # a private name inside a module
+    tree = ast.parse(read(MODULES[name]))
+    stores = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert stores == []
+
+
+def test_package_exports_exactly_what_its_init_imports():
+    body = ast.parse(read(INIT)).body
+    imported = [
+        alias.asname or alias.name
+        for node in body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    (exported,) = [ast.literal_eval(node.value) for node in body if assigns_all(node)]
+    assert sorted(exported) == sorted(imported + ["__version__"])
