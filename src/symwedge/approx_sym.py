@@ -53,6 +53,9 @@ KIND_SYM = "sym"
 MODE_INDICATOR = "indicator"
 MODE_SMOOTH = "smooth"
 DEFAULT_FEATURE_CAP = 10**6
+# The most points a sym tabulator holds: 171!, the repetition constant of an
+# entry with every point in one site, is past the largest float.
+_MAX_SYM_N = 170
 # Wedge entries per target batch in corner_values; it sizes the (rows, N, d)
 # corner array a batch is given.
 _CORNER_CHUNK = 4096
@@ -217,6 +220,11 @@ def build_sym(
         raise ValueError(f"unknown mode {mode!r}")
     elif smooth_width is not None:
         raise ValueError("smooth_width only applies to smooth mode")
+    if N > _MAX_SYM_N:
+        raise CapacityError(
+            f"a sym tabulator holds at most N = {_MAX_SYM_N} points, not N = {N}: the "
+            "repetition constant N! of its entry with every point in one site is not a float"
+        )
     _check_wedge_cap(spec, N, cap)
     num = _site_numbers(spec.site_count, N, strict=False)
     return SymmetricTabulator(

@@ -39,7 +39,10 @@ violated rule above.
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
 the key, that every value field is a float.hex number, and a finite coefficient;
-and last the directions, in record order.
+and last the directions, in record order. If the bytes after the header
+cannot hold K records of F fields (K * F - 1 bytes at least), the first record
+with another field count comes before any other record fault, and then a
+sym model's N above 170 (``_MAX_SYM_N``).
 
 ``save_model`` writes a record per row of the table (and directions), about
 ``_WRITE_BYTES`` of text at a time: each block is one uint8 array, a
@@ -50,16 +53,15 @@ or "0x0.", 13 hex digits, and an exponent from a table made on first use),
 with zero written "0x0.0p+0". The blocks stream to the temp file as bytes,
 so the file's text is never held whole.
 
-``load_model`` reads the file's bytes once (``_read``), then its records a
-block of ``_BLOCK`` at a time. A block laid out as the writer lays it out
+``load_model`` reads the file's bytes once (``_read``), counts its records'
+lines before it reads any, then reads them a block of ``_BLOCK`` at a time. A block laid out as the writer lays it out
 is read in a few array operations (``_writer_block``): cut at its
 separators, its value fields read from fixed places before each field's
 end, it is taken when ``_record_text`` lays the values out again as its
 bytes and its coefficients are finite. Any other block is checked record
 by record (``_check_records``), which loads the same values or raises the
 first fault in check order. Directions are checked a block at a time; the
-first fault among them is raised once every record has passed. Records are
-counted only to name a fault.
+first fault among them is raised once every record has passed.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .approx_antisym import (
     directions_valid,
 )
 from .approx_sym import (
+    _MAX_SYM_N,
     KIND_SYM,
     MODE_INDICATOR,
     MODE_SMOOTH,
@@ -397,11 +400,6 @@ def read_text(path: str) -> str:
     return _read(path).decode()
 
 
-def _check_count(entries: int, found: int) -> None:
-    if found != entries:
-        raise ConfigError(f"expected {entries} records, found {found}")
-
-
 class _Header(NamedTuple):
     """What a checked header declares, and the value fields per record: the
     coefficient, and an antisym-c2 direction's d components."""
@@ -415,11 +413,11 @@ class _Header(NamedTuple):
     per: int
 
 
-def _header(path: str, lines: list[str], found: int | None) -> _Header:
+def _header(path: str, lines: list[str], found: int) -> _Header:
     """The model the first 12 lines of a file describe, raising ConfigError
     on the first fault: each header line in order, then the record count
-    (``found`` records, unless None), then the lattice, the smooth width and
-    the wedge size the header implies."""
+    against the ``found`` lines after them, then the lattice, the smooth width
+    and the wedge size the header implies."""
     if not lines or lines[0] != f"{MAGIC} {FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a {MAGIC} version-{FORMAT_VERSION} file")
     kind = _field(lines, 1, "kind")
@@ -441,8 +439,8 @@ def _header(path: str, lines: list[str], found: int | None) -> _Header:
     if kind != KIND_PROJECTED and tau is not None:
         raise ConfigError(f"a {kind} model stores 'tau -' on line 11, not {tau}")
     entries = _field(lines, 11, "entries", _decimal)
-    if found is not None:
-        _check_count(entries, found)
+    if found != entries:
+        raise ConfigError(f"expected {entries} records, found {found}")
 
     try:
         spec = LatticeSpec(delta=delta, d=d, cells_per_dim=cells, origin=lo, top=hi)
@@ -555,23 +553,23 @@ def _found(data: bytes, start: int) -> int:
 
 
 def _records(data: bytes, start: int, head: _Header) -> Tabulator:
-    """The tabulator of the header head whose records are the lines of data
+    """The tabulator of the header head whose K records are the lines of data
     from offset start on, read ``_BLOCK`` records at a time. A block that
     ``_writer_block`` reads is taken as it reads it; any other goes through
     ``_check_records``. The first direction fault is raised once every
-    record passed."""
+    record passed. As N or d may be huge, no key is made before the records
+    fit: K lines of F fields hold at least K * F - 1 bytes, and if they do
+    not, the first line with another field count is raised."""
     spec, N, K, per = head.spec, head.N, head.entries, head.per
     table = np.empty(K)
     directions = np.empty((K, spec.d)) if per > 1 else None
     if not K:  # a strict wedge with more points than sites: make no keys
-        _check_count(K, _found(data, start))
         return _tabulator(head, table, directions)
-    # No key is made before the records fit the file and the first one's
-    # field count is right: the declared N or d may be huge. A record the
-    # writer lays out holds at least "0 " per index and "0x0.0p+0 " per value.
-    if K * (2 * N * spec.d + 9 * per) > len(data) - start:
-        _check_count(K, _found(data, start))
-    _check_field_count(_lines(data, start, 1)[0][0], N * spec.d + per)
+    if K * (N * spec.d + per) > len(data) - start + 1:
+        for line in data[start:].decode().split("\n"):
+            _check_field_count(line, N * spec.d + per)
+    if head.kind == KIND_SYM and N > _MAX_SYM_N:
+        raise ConfigError(f"a {KIND_SYM} model's N on line 4 is at most {_MAX_SYM_N}, not {N}")
     site_text = _site_texts(spec)
     num = _site_numbers(spec.site_count, N, head.kind != KIND_SYM)
     # each site's indices as one fixed-width item, so a block's are one gather
@@ -584,8 +582,6 @@ def _records(data: bytes, start: int, head: _Header) -> Tabulator:
         block = _writer_block(data, pos, site_text, rows, head)
         if block is None:
             lines, end = _lines(data, pos, B)
-            if len(lines) < B:
-                _check_count(K, _found(data, start))
             values = _check_records(lines, _keys(site_text, rows), head)
             block = np.reshape(values, (B, per)), end
         values, end = block
@@ -599,8 +595,6 @@ def _records(data: bytes, start: int, head: _Header) -> Tabulator:
                 if bad is not None:
                     fault = f"record {_lines(data, pos, bad[0] + 1)[0][-1]!r}: {bad[1]}"
         pos = end
-    if pos < len(data):
-        _check_count(K, _found(data, start))
     if fault:
         raise ConfigError(fault)
     return _tabulator(head, table, directions)
@@ -609,11 +603,7 @@ def _records(data: bytes, start: int, head: _Header) -> Tabulator:
 def load_model(path: str) -> Tabulator:
     """The tabulator a model file holds, or ConfigError naming its first
     fault in check order. The file is read once, as bytes (``_read``); its
-    12 header lines pass ``_header``, and its records ``_records``."""
+    12 header lines, with its record count, pass ``_header``; its records ``_records``."""
     data = _read(path)
     lines, start = _lines(data, 0, 12)
-    try:
-        return _records(data, start, _header(path, lines, None))
-    except ConfigError:
-        _header(path, lines, _found(data, start))  # a wrong record count is named first
-        raise
+    return _records(data, start, _header(path, lines, _found(data, start)))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import symwedge.approx_sym as approx_sym
 import symwedge.cli as cli
 from symwedge import (
     Configuration,
@@ -113,6 +114,21 @@ def test_build_beyond_64_bits_exits_3_with_a_short_message(tmp_path, capsys, ove
     assert code == 3 and out == ""
     assert err == f"error: {message}\n"
     assert len(err) < 200
+
+
+def test_build_sym_above_170_points_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # 171!, the repetition constant of the one entry here, is past the largest float
+    def no_corners(*_args):
+        raise AssertionError("the target was called before N was checked")
+
+    monkeypatch.setattr(approx_sym, "corner_values", no_corners)
+    config = write_config(tmp_path, N=171, delta=1, lo=0, hi=1)
+    code, out, err = run(capsys, "build", "--config", config)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: a sym tabulator holds at most N = 170 points, not N = 171: the repetition "
+        "constant N! of its entry with every point in one site is not a float\n"
+    )
 
 
 def test_build_unknown_config_key_exits_2(tmp_path, capsys):

@@ -827,6 +827,64 @@ def test_huge_declared_shape_is_rejected_without_allocating(tmp_path, huge):
     assert peak < 1 << 20
 
 
+def _short_sym_file(path, N, first):
+    # a d = 1, 2-cell sym model of N points, so N + 1 records: the first
+    # record is given, and each of the others is the one field "x"
+    lines = [
+        "SYMWEDGE-MODEL 2", "kind sym", "d 1", f"N {N}", "cells 2", f"delta {0.5.hex()}",
+        "lo 0x0.0p+0", f"hi {1.0.hex()}", "mode indicator", "w -", "tau -", f"entries {N + 1}",
+        first, *["x"] * N,
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_records_too_short_for_the_file_are_rejected_before_any_key(tmp_path):
+    # the first record is whole; the site numbers of the 1,501 x 1,500 wedge
+    # are not made before the one-field second record is named
+    first = "0 " * 1500 + "0x0.0p+0"
+    path = _short_sym_file(tmp_path / "short.swm", 1500, first)
+    assert path.stat().st_size == 6155
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^bad record \(1 fields, expected 1501\): 'x'$"):
+            load_model(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_records_too_short_for_the_file_name_a_field_count_before_a_key(tmp_path, capsys):
+    # 21 records of 21 fields need at least 440 bytes; the file holds 89. The
+    # first record's key is wrong, yet the one-field record after it is named.
+    path = _short_sym_file(tmp_path / "short.swm", 20, "1 " * 20 + "0x0.0p+0")
+    assert main(["eval", str(path), "--x", "[[0.1]]"]) == 2
+    assert capsys.readouterr().err == "error: bad record (1 fields, expected 21): 'x'\n"
+    # with room for the records, the key is named first, as in check order
+    _short_sym_file(path, 20, "1 " * 20 + "0x0.0p+0" + "#" * 400)
+    assert main(["eval", str(path), "--x", "[[0.1]]"]) == 2
+    assert "is not the sym wedge entry ((0,), (0,)," in capsys.readouterr().err
+
+
+def test_sym_models_hold_at_most_170_points(tmp_path, capsys):
+    # the entry with every point in one site has repetition constant N!,
+    # a float up to 170! and past the largest float at 171!
+    spec = LatticeSpec.from_counts(1, 1, 1.0, 2.0)
+    tab = build_sym(builtin_target("sum-coords"), spec, 170)
+    path = tmp_path / "m.swm"
+    save_model(str(path), tab)
+    X = cfg(*[[1.5]] * 170)
+    assert eval_sym(load_model(str(path)), X) == pytest.approx(170.0, rel=1e-12)
+    lines = path.read_text().splitlines()
+    lines[3], lines[12] = "N 171", "0 " + lines[12]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"^a sym model's N on line 4 is at most 170, not 171$"):
+        load_model(str(path))
+    assert main(["eval", str(path), "--x", str([[1.5]] * 171)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("N, d", [(10**6, 1), (2**64, 1), (2, 10**6)])
 def test_huge_declared_empty_strict_wedge_loads_without_allocating(tmp_path, N, d):
     # one cell per axis leaves one site, so an antisym wedge of N >= 2 points
