@@ -67,14 +67,13 @@ from .errors import DirectionSearchError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
+    Wedge,
     WedgeKey,
     _check_smooth_width,
     _check_wedge_cap,
     _located,
-    _rank_lists,
-    _rank_terms,
     _site_index,
-    _site_numbers,
+    _wedge_of,
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     locate,
     site_weight_support,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
@@ -319,7 +318,7 @@ class AntisymTabulator:
             if self.directions is None:
                 raise ValueError("smoothing is only available in projected mode")
             _check_smooth_width(self.spec, self.smooth_width)
-        K = math.comb(self.spec.site_count, self.N)
+        K = self._wedge.size
         _frozen("table", self.table, (K,))
         if self.directions is not None:
             _frozen("directions", self.directions, (K, self.spec.d))
@@ -333,8 +332,8 @@ class AntisymTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_lists(self) -> list[list[int]]:  # made on the first scalar eval
-        return _rank_lists(self.spec, self.N, strict=True)
+    def _wedge(self) -> Wedge:  # the strict wedge, whose entries are the table's rows
+        return _wedge_of(self.spec, self.N, True)
 
     @property
     def kind(self) -> str:
@@ -375,7 +374,8 @@ def build_antisym(
             raise ValueError("smoothing is only available in projected mode")
         _check_smooth_width(spec, smooth_width)
     _check_wedge_cap(spec, N, cap)  # the cap bounds the full wedge
-    num = _site_numbers(spec.site_count, N, strict=True)
+    wedge = _wedge_of(spec, N, True)
+    num = wedge.rows(0, wedge.size)
     values = corner_values(f, spec, num)
     if mode == MODE_RANK:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
@@ -415,7 +415,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if assignment.repetition > 1:
             return 0.0
         sign = assignment.sign
-        k = sum(map(getitem, T._rank_lists, assignment.sites))
+        k = sum(map(getitem, T._wedge.lists, assignment.sites))
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
@@ -439,7 +439,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     rows = [rows[i] for i in order]
     # The sorted rows' pair differences, in the (i, j) order of the pair product.
     diffs = [tuple(map(sub, ri, rj)) for i, ri in enumerate(rows) for rj in rows[i + 1 :]]
-    columns = T._rank_lists
+    columns = T._wedge.lists
     stored = T.table.item
     total = 0.0
     # Through the module, so a wrapper bound there sees this blend too.
@@ -472,8 +472,7 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     out = np.zeros(len(P))
     distinct = np.flatnonzero((num[:, 1:] != num[:, :-1]).all(axis=1))
     num = num[distinct]
-    top, terms = _rank_terms(spec, T.N, strict=True)
-    rank = top - terms[np.arange(T.N), num].sum(axis=1)
+    rank = T._wedge.rank(num)
     value = _inversion_signs(order[distinct]) * T.table[rank]
     if T.directions is not None:
         cells = np.stack(np.unravel_index(num, (spec.cells_per_dim,) * spec.d), axis=-1)

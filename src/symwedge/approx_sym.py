@@ -31,14 +31,13 @@ from .errors import BuildError, CapacityError
 from .lattice import (
     DEFAULT_WEDGE_CAP,
     LatticeSpec,
+    Wedge,
     _check_smooth_width,
     _check_wedge_cap,
     _located,
-    _rank_lists,
-    _rank_terms,
     _repetition_constants,
     _site_index,
-    _site_numbers,
+    _wedge_of,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     lattice_sites,
@@ -136,8 +135,8 @@ class SymmetricTabulator:
     __eq__ = _tabulator_eq
 
     @cached_property
-    def _rank_lists(self) -> list[list[int]]:  # made on the first scalar eval
-        return _rank_lists(self.spec, self.N, strict=False)
+    def _wedge(self) -> Wedge:  # whose entries are the table's rows
+        return _wedge_of(self.spec, self.N, False)
 
     @property
     def kind(self) -> str:
@@ -226,7 +225,8 @@ def build_sym(
             "repetition constant N! of its entry with every point in one site is not a float"
         )
     _check_wedge_cap(spec, N, cap)
-    num = _site_numbers(spec.site_count, N, strict=False)
+    wedge = _wedge_of(spec, N, False)
+    num = wedge.rows(0, wedge.size)
     return SymmetricTabulator(
         spec, N, smooth_width, corner_values(f, spec, num) / _repetition_constants(num)
     )
@@ -278,9 +278,9 @@ def eval_sym(T: SymmetricTabulator, X: Configuration) -> float:
     _check_eval_input(T, X)
     if T.smooth_width is None:
         assignment = locate(T.spec, X)
-        k = sum(map(getitem, T._rank_lists, assignment.sites))
+        k = sum(map(getitem, T._wedge.lists, assignment.sites))
         return T.table.item(k) * assignment.repetition
-    columns = T._rank_lists
+    columns = T._wedge.lists
     stored = T.table.item
     N = T.N
     total = 0.0
@@ -311,8 +311,7 @@ def eval_sym_batch(T: SymmetricTabulator, P: np.ndarray) -> np.ndarray:
     DomainError."""
     _check_batch_input(T, P)
     num, _ = _located(T.spec, P)
-    top, terms = _rank_terms(T.spec, T.N, strict=False)
-    return T.table[top - terms[np.arange(T.N), num].sum(axis=1)] * _repetition_constants(num)
+    return T.table[T._wedge.rank(num)] * _repetition_constants(num)
 
 
 def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
@@ -343,7 +342,7 @@ def eval_sym_feature_form(T: SymmetricTabulator, X: Configuration) -> float:
     cells = [site for _, site in sorted(zip(assignment.order, assignment.sites))]
     held = sorted(set(cells))
     fills = combinations_with_replacement(range(T.spec.site_count), T.N - len(held))
-    columns = T._rank_lists
+    columns = T._wedge.lists
     total = 0.0
     for zs in (tuple(sorted(held + list(fill))) for fill in fills):
         A = [[1.0 if c == z else 0.0 for z in zs] for c in cells]

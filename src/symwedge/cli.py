@@ -55,7 +55,7 @@ from .harness import (
     sample_configurations,
     sweep_csv_text,
 )
-from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec, _check_wedge_cap
+from .lattice import DEFAULT_WEDGE_CAP, LatticeSpec, _check_wedge_cap, wedge_size
 from .persistence import (
     KIND_PROJECTED,
     KIND_RANK,
@@ -300,13 +300,18 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, frozenset[
 
 
 def _check_spacing(cfg: ExperimentConfig, delta: float, spacing: str) -> None:
-    """A 'smooth_width' must not exceed half the ``spacing`` ``delta``, and
-    the wedge at ``delta`` must fit 'cap'; checked as soon as the spacing is
-    known, before the work it sizes."""
+    """A 'smooth_width' must not exceed half the ``spacing`` ``delta``, the wedge
+    at ``delta`` must fit 'cap' and M = wedge * 2^N must print; checked as soon
+    as the spacing is known, before the work it sizes."""
     w = cfg.smooth_width
     if w is not None and w > delta / 2.0:
         raise ConfigError(f"'smooth_width' = {w} exceeds half the {spacing} {delta}")
-    _check_wedge_cap(LatticeSpec.from_domain(cfg.domain(), delta), cfg.N, cfg.cap)
+    spec = LatticeSpec.from_domain(cfg.domain(), delta)
+    _check_wedge_cap(spec, cfg.N, cfg.cap)
+    digits = sys.get_int_max_str_digits()
+    if digits and wedge_size(spec, cfg.N) << cfg.N >= 10**digits:
+        raise CapacityError(f"N = {cfg.N} makes the feature count M = wedge * 2^N longer than "
+                            f"{digits} digits, the most Python writes in decimal; use a smaller N")
 
 
 def _check_single_lattice(cfg: ExperimentConfig) -> None:

@@ -7,15 +7,14 @@ of lexicographically non-decreasing N-tuples of lattice sites; it is in
 bijection with multisets of N sites and has C(n^d + N - 1, N) elements.
 
 Below the public API a site is its number, its position in ``lattice_sites``
-(row-major) order, and a wedge entry is a sorted row of numbers: ``locate``
-finds them, and ``_rank_terms`` / ``_rank_lists`` give the entry's rank.
+(row-major) order, and a ``Wedge`` counts, ranks and unranks sorted rows of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -177,19 +176,7 @@ def wedge_size(spec: LatticeSpec, N: int) -> int:
     """C(n^d + N - 1, N); raises CapacityError past the 64-bit range."""
     if N < 1:
         raise ValueError("need at least one slot")
-    sites = spec.site_count
-    # C(sites - 1 + N, N) == C(sites - 1 + N, sites - 1), built up over the
-    # shorter side. Each factor (longer + k)/k is at least 2, so an overflow
-    # shows within 63 steps and the exact (possibly huge) binomial is never formed.
-    shorter, longer = sorted((N, sites - 1))
-    size = 1
-    for k in range(1, shorter + 1):
-        size = size * (longer + k) // k
-        if size > _INT64_MAX:
-            raise CapacityError(
-                f"wedge of {N} slots over {sites} lattice sites exceeds 64-bit range"
-            )
-    return size
+    return _wedge_of(spec, N, False).size
 
 
 def _check_wedge_cap(spec: LatticeSpec, N: int, cap: int) -> None:
@@ -230,58 +217,66 @@ def _site_index(spec: LatticeSpec) -> np.ndarray:
     return np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(spec.site_count, spec.d)
 
 
-def _site_numbers(site_count: int, N: int, strict: bool) -> np.ndarray:
-    """The (K, N) site numbers of the wedge's entries, or of the strict
-    wedge's (N distinct sites), in lexicographic order. Numbers order as
-    their sites do, so row k is the k-th entry ``combinations`` (strict) or
-    ``combinations_with_replacement`` makes of the site tuples.
+class Wedge:
+    """The wedge of N slots over ``sites`` sites: its entries' sorted rows of
+    site numbers (of N distinct sites if ``strict``), ranked in lexicographic
+    order, as ``combinations_with_replacement`` (``combinations``) makes the
+    site tuples. ``_wedge_of`` makes one per (spec, N, strict)."""
 
-    Made a column at a time: each row of the first j columns is followed, in
-    order, by one row per site column j may hold, from the row's last site
-    (plus one if strict) up to the last site that leaves room for the
-    columns after it. So every partial row completes, and no partial array
-    has more rows than the result."""
-    step = 1 if strict else 0
-    num = np.zeros((1, 0), dtype=np.int64)
-    for j in range(N):
-        low = num[:, -1] + step if j else np.zeros(1, dtype=np.int64)
-        counts = np.maximum(site_count - (N - 1 - j) * step - low, 0)
-        starts = np.cumsum(counts) - counts
-        column = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts - low, counts)
-        num = np.column_stack([np.repeat(num, counts, axis=0), column])
-    return num
+    def __init__(self, sites: int, N: int, strict: bool) -> None:
+        self.sites, self.N, self.strict = sites, N, strict
+        # C(m, N) >= 2^k, k the shorter of N and m - N: past k = 63 it is not formed
+        m = sites + (0 if strict else N - 1)
+        self.size = math.comb(m, N) if min(N, m - N) < 64 else _INT64_MAX + 1
+        if self.size > _INT64_MAX:
+            raise CapacityError(f"{'strict ' if strict else ''}wedge of {N} slots over {sites} "
+                                "lattice sites exceeds 64-bit range")
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """The read-only (N, sites) int64 rank terms, rows non-decreasing: sorted
+        site numbers s rank as sum_i terms[i, s_i] = C(m, N) - 1 - sum_i
+        C(m - 1 - t_i, N - i), t_i = s_i (plus i unless strict). As C(x, k) sums
+        C(y, k - 1) over y < x, row i sums row i + 1 from the last site back (from
+        the next on if strict); int64 sums wrap, leaving each C <= C(m, N) - 1 exact."""
+        S, N, step = self.sites, self.N, int(self.strict)
+        terms = np.zeros((N, S), dtype=np.int64)
+        row = np.ones(S, dtype=np.int64)  # C(x, 0); x = -1 at the last site unless strict
+        row[S - 1] = step
+        for i in reversed(range(N)):
+            terms[i, : S - step] = row[::-1].cumsum()[::-1][step:]
+            row = terms[i]
+        np.negative(terms, out=terms)
+        terms[:1] += self.size - 1  # no row at N = 0
+        terms.setflags(write=False)
+        return terms
+
+    @cached_property
+    def lists(self) -> list[list[int]]:
+        """``terms`` as lists, which the scalar evals index by site number."""
+        return self.terms.tolist()
+
+    def rank(self, num: np.ndarray) -> np.ndarray:
+        """The ranks of the sorted rows of site numbers num (B, N), as (B,)."""
+        return self.terms[np.arange(self.N), num].sum(axis=1)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, N) int64 rows of the entries ranked start to stop - 1:
+        column j's site is the first whose term reaches the rank left (later terms are <= 0)."""
+        out = np.empty((stop - start, self.N), dtype=np.int64)
+        if start == stop:
+            return out
+        left = np.arange(start, stop, dtype=np.int64)
+        for j, terms in enumerate(self.terms):
+            out[:, j] = site = terms.searchsorted(left)
+            left -= terms[site]
+        return out
 
 
-def _rank_terms(spec: LatticeSpec, N: int, strict: bool) -> tuple[int, np.ndarray]:
-    """The lexicographic rank of a wedge entry (of the strict wedge if
-    strict), which is its row in a tabulator's arrays, as top minus
-    sum_i terms[i, s_i] over its sorted site numbers s. That is C(m, N) - 1
-    minus the colex rank sum_i C(m - 1 - t_i, N - i) of the reflected row,
-    with t_i = s_i (plus i unless strict) among m = site_count (plus N - 1
-    unless strict). Returns top and the (N, site_count) int64 terms.
-    C(x, j) comes from C(x, j - 1) by a running sum over x; int64 sums wrap
-    modulo 2^64, which leaves exact every term read (each is at most top)."""
-    shift = 0 if strict else 1
-    S = spec.site_count
-    m = S + (N - 1) * shift
-    binom = np.ones(m, dtype=np.int64)  # C(x, 0)
-    terms = np.empty((N, S), dtype=np.int64)
-    for i in reversed(range(N)):
-        binom[1:] = np.cumsum(binom[:-1])  # C(x, N - i)
-        binom[0] = 0
-        terms[i] = binom[m - 1 - i * shift - np.arange(S)]
-    return math.comb(m, N) - 1, terms
-
-
-def _rank_lists(spec: LatticeSpec, N: int, strict: bool) -> list[list[int]]:
-    """``_rank_terms`` for the scalar evals: a list per column indexed by
-    site number, top folded into the first and the rest negated, so a sorted
-    row of site numbers (``locate``'s ``sites``, a smooth weight key) has
-    their sum as its rank."""
-    top, terms = _rank_terms(spec, N, strict)
-    signed = (-terms).tolist()
-    signed[0] = [top + t for t in signed[0]]
-    return signed
+@lru_cache(maxsize=8)
+def _wedge_of(spec: LatticeSpec, N: int, strict: bool) -> Wedge:
+    """The Wedge of N slots over ``spec``'s sites, made once per (spec, N, strict)."""
+    return Wedge(spec.site_count, N, strict)
 
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:

@@ -51,14 +51,16 @@ NUL-padded row per record, from which the NULs are dropped
 value field is float.hex's text, made from the float's bits (sign, "0x1."
 or "0x0.", 13 hex digits, and an exponent from a table made on first use),
 with zero written "0x0.0p+0". The blocks stream to the temp file as bytes,
-so the file's text is never held whole.
+so the file's text is never held whole, and keys come from the wedge's rows
+(``lattice.Wedge.rows``) a block at a time, on save as on load.
 
 ``load_model`` reads the file's bytes once (``_read``), counts its records'
-lines before it reads any, then reads them a block of ``_BLOCK`` at a time. A block laid out as the writer lays it out
-is read in a few array operations (``_writer_block``): cut at its
-separators, its value fields read from fixed places before each field's
-end, it is taken when ``_record_text`` lays the values out again as its
-bytes and its coefficients are finite. Any other block is checked record
+lines before it reads any, then reads them a block of ``_BLOCK`` at a time.
+A block laid out as the writer lays it out is read in a few array
+operations (``_writer_block``): cut at its separators, its value fields
+read from fixed places before each field's end, it is taken when
+``_record_text`` lays the values out again as its bytes and its
+coefficients are finite. Any other block is checked record
 by record (``_check_records``), which loads the same values or raises the
 first fault in check order. Directions are checked a block at a time; the
 first fault among them is raised once every record has passed.
@@ -89,7 +91,7 @@ from .approx_sym import (
     SymmetricTabulator,
 )
 from .errors import CapacityError, ConfigError
-from .lattice import LatticeSpec, _check_smooth_width, _site_index, _site_numbers, wedge_size
+from .lattice import LatticeSpec, _check_smooth_width, _site_index, _wedge_of, wedge_size
 
 MAGIC = "SYMWEDGE-MODEL"
 FORMAT_VERSION = 2
@@ -236,18 +238,18 @@ def _record_text(site_text: np.ndarray, rows: np.ndarray, values: np.ndarray) ->
     return out.tobytes().translate(None, b"\0")
 
 
-def _record_blocks(spec: LatticeSpec, N: int, strict: bool, values: np.ndarray) -> Iterator[bytes]:
-    """The text of the records of a model whose value fields are the rows of
-    values (K, per), in blocks of about ``_WRITE_BYTES`` (``_record_text``),
-    the entries' keys gathered by their ``_site_numbers``."""
+def _record_blocks(tab: Tabulator, values: np.ndarray) -> Iterator[bytes]:
+    """The text of tab's records, value fields the rows of values (K, per), in
+    blocks of at most ``_WRITE_BYTES`` of text and of wedge rows (``_record_text``)."""
     K, per = values.shape
     if K == 0:
         return
-    site_text = _site_texts(spec)
-    num = _site_numbers(spec.site_count, N, strict)
-    step = max(1, _WRITE_BYTES // (N * site_text.itemsize + per * (_HEX_WIDTH + 1)))
+    site_text = _site_texts(tab.spec)
+    width = max(tab.N * site_text.itemsize + per * (_HEX_WIDTH + 1), tab.N * 8)
+    step = max(1, _WRITE_BYTES // width)
     for start in range(0, K, step):
-        yield _record_text(site_text, num[start : start + step], values[start : start + step])
+        stop = min(start + step, K)
+        yield _record_text(site_text, tab._wedge.rows(start, stop), values[start:stop])
 
 
 def save_model(path: str, tab: Tabulator) -> None:
@@ -257,7 +259,6 @@ def save_model(path: str, tab: Tabulator) -> None:
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
     directions = getattr(tab, "directions", None)
-    strict = tab.kind != KIND_SYM
     values = tab.table[:, None]
     if directions is not None:
         values = np.concatenate([values, directions], axis=1)
@@ -275,7 +276,7 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"tau {tau.hex() if tau is not None else '-'}",
         f"entries {len(values)}",
     ]
-    blocks = _record_blocks(spec, tab.N, strict, values)
+    blocks = _record_blocks(tab, values)
     write_text_atomic(path, chain([("\n".join(header) + "\n").encode()], blocks))
 
 
@@ -459,10 +460,10 @@ def _header(path: str, lines: list[str], found: int) -> _Header:
         except ValueError as exc:
             raise ConfigError(f"a smooth-mode model's 'w' on line 10 is invalid: {exc}") from None
     try:
-        full_size = wedge_size(spec, N)
+        wedge_size(spec, N)  # the full wedge holds the strict one
     except (ValueError, CapacityError) as exc:
         raise ConfigError(f"lines 3-5 (d, N, cells) describe no wedge: {exc}") from None
-    want_size = full_size if kind == KIND_SYM else math.comb(spec.site_count, N)
+    want_size = _wedge_of(spec, N, kind != KIND_SYM).size
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
     per = 1 + (d if kind == KIND_PROJECTED else 0)
@@ -571,13 +572,12 @@ def _records(data: bytes, start: int, head: _Header) -> Tabulator:
     if head.kind == KIND_SYM and N > _MAX_SYM_N:
         raise ConfigError(f"a {KIND_SYM} model's N on line 4 is at most {_MAX_SYM_N}, not {N}")
     site_text = _site_texts(spec)
-    num = _site_numbers(spec.site_count, N, head.kind != KIND_SYM)
     # each site's indices as one fixed-width item, so a block's are one gather
     index = _site_index(spec).view(f"V{8 * spec.d}")[:, 0] if directions is not None else None
     fault = None
     pos = start
     for first in range(0, K, _BLOCK):
-        rows = num[first : first + _BLOCK]
+        rows = _wedge_of(spec, N, head.kind != KIND_SYM).rows(first, min(first + _BLOCK, K))
         B = len(rows)
         block = _writer_block(data, pos, site_text, rows, head)
         if block is None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from symwedge import ConfigError, Configuration
 from symwedge.approx_antisym import _unit_rows, directions_valid
 from symwedge.core import _inversion_sign
-from symwedge.lattice import _site_index, _site_numbers, lattice_sites, repetition_constant
+from symwedge.lattice import _site_index, lattice_sites, repetition_constant
 from symwedge.persistence import _header, _hex, _site_texts, _tabulator
 
 
@@ -225,16 +225,24 @@ def eval_antisym_smooth(T, X):
 _ORACLE_BLOCK = 4096
 
 
+def wedge_rows(sites, N, strict):
+    """The (K, N) site numbers of the entries of the wedge of N slots over
+    ``sites`` sites (of the strict wedge, N distinct sites), in lexicographic
+    order, as ``itertools`` makes them."""
+    choose = combinations if strict else combinations_with_replacement
+    return np.array(list(choose(range(sites), N)), dtype=np.int64).reshape(-1, N)
+
+
 def _oracle_key_blocks(spec, N, strict):
     if strict and N > spec.site_count:
         return
     site_text = _site_texts(spec)
-    num = _site_numbers(spec.site_count, N, strict)
+    num = wedge_rows(spec.site_count, N, strict)
     for start in range(0, len(num), _ORACLE_BLOCK):
         rows = num[start : start + _ORACLE_BLOCK]
         keys = site_text[rows].view(np.uint8).reshape(len(rows), -1)
         text = np.column_stack([keys, np.full(len(rows), ord("\n"), np.uint8)]).tobytes()
-        yield rows, text.translate(None, b"\0").decode().split("\n")[:-1]
+        yield text.translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def _oracle_direction_fault(records, A, idx, tau):
@@ -316,9 +324,7 @@ def load_model_as_text(path):
     fields = (N, spec.d, per)
     table = np.empty(K)
     directions = np.empty((K, spec.d)) if per > 1 else None
-    keys = chain.from_iterable(
-        block for _, block in _oracle_key_blocks(spec, N, head.kind != "sym")
-    )
+    keys = chain.from_iterable(_oracle_key_blocks(spec, N, head.kind != "sym"))
     for start in range(0, K, _ORACLE_BLOCK):
         part = slice(start, start + _ORACLE_BLOCK)
         values = _oracle_check_records(records[part], keys, fields, head.kind, spec.cells_per_dim)
@@ -327,7 +333,7 @@ def load_model_as_text(path):
         if directions is not None:
             directions[part] = values[:, 1:]
     if directions is not None and K:
-        idx = _site_index(spec)[_site_numbers(spec.site_count, N, True)]
+        idx = _site_index(spec)[wedge_rows(spec.site_count, N, True)]
         fault = _oracle_direction_fault(records, directions, idx, head.tau)
         if fault is not None:
             raise ConfigError(fault)

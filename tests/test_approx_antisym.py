@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from symwedge import (
     MODE_PROJECTED,
     MODE_RANK,
+    AntisymTabulator,
     Configuration,
     DirectionSearchError,
     DomainError,
@@ -42,9 +43,16 @@ from symwedge.approx_antisym import (
     entry_seed,
     fnv1a64,
 )
-from symwedge.approx_sym import _site_index, _site_numbers
-from symwedge.lattice import enumerate_wedge, lattice_sites, repetition_constant
-from helpers import BOXES, _projected_pair_product, configurations, draw_rows, face_rows
+from symwedge.approx_sym import _site_index
+from symwedge.lattice import cell_of, enumerate_wedge, lattice_sites, repetition_constant
+from helpers import (
+    BOXES,
+    _projected_pair_product,
+    configurations,
+    draw_rows,
+    face_rows,
+    wedge_rows,
+)
 
 MODE_AGREEMENT_TOL = 1e-10
 
@@ -353,6 +361,33 @@ def test_a_failed_build_names_the_first_failing_key_in_key_order():
     assert str(built.value) == rejection_message(zs, tau, score)
 
 
+@pytest.mark.parametrize("N, d, cells", [(3, 1, 6), (4, 1, 6), (3, 2, 3), (4, 2, 3)])
+def test_rank_mode_is_the_slater_sum(N, d, cells):
+    # rank mode is sum_Z f(Z) det A_Z over the strict wedge in key order, with
+    # A_Z[i][j] = 1[x_i in cell Z_j]: one Slater determinant of one-body cell
+    # indicators per entry, expanded here over permutations with their parity
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    entries = list(itertools.combinations(lattice_sites(spec), N))
+    rng = np.random.Generator(np.random.Philox(key=N * 10 + d))
+    table = rng.standard_normal(len(entries))  # f(Z), never exactly 0
+    T = AntisymTabulator(spec, N, None, None, table, None)
+    signs = [
+        (images, (-1) ** sum(a > b for a, b in itertools.combinations(images, 2)))
+        for images in itertools.permutations(range(N))
+    ]
+    shared = 0
+    for rows in rng.uniform(0.0, 1.0, (30, N, d)).tolist():
+        at = [cell_of(spec, x) for x in rows]
+        shared += len(set(at)) < N
+        total = 0.0
+        for value, Z in zip(table.tolist(), entries):
+            A = [[1 if c == z else 0 for z in Z] for c in at]
+            det = sum(sign * math.prod(A[i][images[i]] for i in range(N)) for images, sign in signs)
+            total += value * det
+        assert eval_antisym(T, Configuration.from_rows(rows)).hex() == total.hex()
+    assert 0 < shared < 30  # inputs with and without a shared cell
+
+
 @pytest.mark.parametrize(
     "cells, d, N", [(4, 2, 3), (12, 1, 4), (2, 3, 5), (3, 2, 1), (2, 5, 30)],
     ids=["4x4", "d1", "d3", "N1", "codes-past-int64"],
@@ -360,7 +395,7 @@ def test_a_failed_build_names_the_first_failing_key_in_key_order():
 def test_difference_patterns_give_back_every_key(cells, d, N):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
     index = _site_index(spec)
-    num = _site_numbers(spec.site_count, N, strict=True)
+    num = wedge_rows(spec.site_count, N, True)
     keys = index[num]
     patterns, of_key = _difference_patterns(index, num, cells)
     if (2 * cells - 1) ** ((N - 1) * d) < 2**63:

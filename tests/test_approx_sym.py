@@ -50,6 +50,7 @@ from symwedge import (
 )
 import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
+import symwedge.lattice as lattice
 from symwedge.approx_sym import corner_values, smooth_weights
 import helpers
 from helpers import BOXES, configurations, draw_rows, face_rows
@@ -389,7 +390,9 @@ SITE_NUMBER_SHAPES = [(0, 2), (1, 1), (5, 0), (5, 1), (5, 3), (4, 4), (3, 5), (6
 def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
     choose = itertools.combinations if strict else itertools.combinations_with_replacement
     want = list(choose(range(S), N))
-    got = approx_sym._site_numbers(S, N, strict)
+    wedge = lattice.Wedge(S, N, strict)
+    got = wedge.rows(0, wedge.size)
+    assert wedge.size == len(want)
     assert got.shape == (len(want), N) and got.dtype == np.int64
     assert list(map(tuple, got.tolist())) == want
 
@@ -398,13 +401,15 @@ def test_site_numbers_are_the_entries_in_lexicographic_order(S, N, strict):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
 def test_scalar_rank_is_the_row_in_site_number_order(N, strict):
     spec = LatticeSpec.from_counts(3, 2, 0.0, 1.0)
-    num = approx_sym._site_numbers(spec.site_count, N, strict)
+    choose = itertools.combinations if strict else itertools.combinations_with_replacement
+    num = np.array(list(choose(range(spec.site_count), N)), dtype=np.int64)
     rows = list(range(len(num)))
     assert len(rows) == math.comb(spec.site_count + (0 if strict else N - 1), N)
-    lists = approx_sym._rank_lists(spec, N, strict)  # the scalar evals' ranks
-    assert [sum(map(operator.getitem, lists, row)) for row in num.tolist()] == rows
-    top, terms = approx_sym._rank_terms(spec, N, strict)  # the batch evals' ranks
-    assert (top - terms[np.arange(N), num].sum(axis=1)).tolist() == rows
+    wedge = lattice._wedge_of(spec, N, strict)
+    assert wedge.size == len(rows)
+    # the scalar evals' ranks, then the batch evals'
+    assert [sum(map(operator.getitem, wedge.lists, row)) for row in num.tolist()] == rows
+    assert wedge.rank(num).tolist() == rows
 
 
 @pytest.mark.parametrize("kind", sorted(BUILD_KINDS))

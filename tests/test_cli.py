@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
 import symwedge.cli as cli
 from symwedge import (
@@ -129,6 +130,31 @@ def test_build_sym_above_170_points_exits_3_with_one_line(tmp_path, capsys, monk
         "error: a sym tabulator holds at most N = 170 points, not N = 171: the repetition "
         "constant N! of its entry with every point in one site is not a float\n"
     )
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "sweep"])
+@pytest.mark.parametrize("N", [15_000, 200_000])
+def test_feature_count_past_the_printable_digits_exits_3_with_one_line(
+    tmp_path, capsys, monkeypatch, command, N
+):
+    # one or two cells leave the strict wedge empty, yet M = wedge * 2^N has
+    # more digits than build.json or sweep.csv could write
+    def no_corners(*_args):
+        raise AssertionError("the target was called before M was checked")
+
+    monkeypatch.setattr(approx_antisym, "corner_values", no_corners)
+    spacing = {"delta": None, "deltas": [1.0, 0.9, 0.8]} if command == "sweep" else {"delta": 1}
+    config = write_config(
+        tmp_path, kind="antisym-c1", target="vandermonde-gauss-antisym", N=N, lo=0, hi=1,
+        **spacing,
+    )
+    code, out, err = run(capsys, command, "--config", config)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: N = {N} makes the feature count M = wedge * 2^N longer than 4300 digits, "
+        "the most Python writes in decimal; use a smaller N\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_unknown_config_key_exits_2(tmp_path, capsys):

@@ -34,9 +34,9 @@ from symwedge import (
     vandermonde_product,
 )
 import symwedge.harness as harness
-from symwedge.approx_sym import _site_numbers, corner_values
+from symwedge.approx_sym import corner_values
 from symwedge.lattice import corner_configuration, enumerate_wedge
-from helpers import configurations
+from helpers import configurations, wedge_rows
 
 UNIT_12 = DomainSpec(d=1, N=2, lo=0.0, hi=1.0)
 UNIT_13 = DomainSpec(d=1, N=3, lo=0.0, hi=1.0)
@@ -506,7 +506,7 @@ def test_configurations_built_unchecked_equal_checked_ones(N, d):
     spec = LatticeSpec.from_counts(3, d, -0.5, 1.5)
     corners = []
     record = TargetFunction(lambda X: corners.append(X) or 0.0, Symmetry.SYMMETRIC)
-    corner_values(record, spec, _site_numbers(spec.site_count, N, strict=False))
+    corner_values(record, spec, wedge_rows(spec.site_count, N, False))
     assert corners == [corner_configuration(spec, zs) for zs in enumerate_wedge(spec, N)]
     for X in evaluated + seen + corners:
         assert_same_as_validated(X)

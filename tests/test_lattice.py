@@ -2,7 +2,7 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -296,6 +296,37 @@ def test_wedge_size_equals_the_binomial_up_to_the_64bit_limit():
     # two sites: C(N + 1, N) = N + 1 reaches 2^63 - 1 at N = 2^63 - 2
     assert wedge_size(LatticeSpec.from_counts(2, 1, 0.0, 1.0), 2**63 - 2) == 2**63 - 1
     assert wedge_size(LatticeSpec.from_counts(2, 62, 0.0, 1.0), 1) == 2**62
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "cells, d, N", [(1, 1, 1), (1, 1, 3), (2, 1, 5), (3, 1, 4), (2, 2, 5), (5, 1, 3), (6, 1, 2)]
+)
+def test_wedge_rows_are_every_range_of_the_itertools_rows(cells, d, N, strict):
+    # a strict wedge of more slots than sites (1 or 2 sites, 3 or 5 slots) is empty
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    choose = combinations if strict else combinations_with_replacement
+    want = list(choose(range(spec.site_count), N))
+    wedge = lattice._wedge_of(spec, N, strict)
+    assert wedge.size == len(want)
+    for start in range(len(want) + 1):
+        for stop in range(start, len(want) + 1):
+            got = wedge.rows(start, stop)
+            assert got.shape == (stop - start, N) and got.dtype == np.int64
+            assert list(map(tuple, got.tolist())) == want[start:stop]
+
+
+def test_two_site_wedge_rows_are_the_closed_form():
+    # over two sites, entry k of the wedge holds N - k zeros, then k ones
+    spec = LatticeSpec.from_counts(2, 1, 0.0, 1.0)
+    N = 1000
+    wedge = lattice._wedge_of(spec, N, False)
+    want = [[0] * (N - k) + [1] * k for k in range(N + 1)]
+    assert wedge.rows(0, wedge.size).tolist() == want
+    assert wedge.rows(400, 403).tolist() == want[400:403]
+    # the strict wedge of as many slots is empty, and its rows are made at once
+    empty = lattice._wedge_of(spec, 200_000, True)
+    assert empty.size == 0 and empty.rows(0, 0).shape == (0, 200_000)
 
 
 # ---------------------------------------------------------------- repetition

@@ -38,6 +38,7 @@ from symwedge import (
 )
 from symwedge.cli import main
 from symwedge import persistence
+from symwedge.lattice import Wedge
 from symwedge.persistence import write_text_atomic
 
 
@@ -1057,3 +1058,21 @@ def test_load_builds_the_site_index_once_however_many_blocks(tmp_path, monkeypat
     assert load_model(path) == tab
     # 36 records in 12 blocks: one index for the key texts, one for the directions
     assert len(calls) == 2
+
+
+def test_save_and_load_ask_the_wedge_for_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    # neither holds the site numbers of every entry: save asks for one
+    # record's rows per block of at most _WRITE_BYTES = 1, load for 3
+    monkeypatch.setattr(persistence, "_BLOCK", 3)
+    monkeypatch.setattr(persistence, "_WRITE_BYTES", 1)
+    f = builtin_target("vandermonde-gauss-antisym")
+    tab = build_antisym(f, LatticeSpec.from_counts(3, 2, 0.0, 1.0), 2, mode=MODE_PROJECTED)
+    ranges = []
+    rows = Wedge.rows
+    monkeypatch.setattr(Wedge, "rows", lambda self, a, b: ranges.append((a, b)) or rows(self, a, b))
+    path = str(tmp_path / "m.swm")
+    save_model(path, tab)
+    assert ranges == [(k, k + 1) for k in range(36)]
+    ranges.clear()
+    assert load_model(path) == tab
+    assert ranges == [(k, k + 3) for k in range(0, 36, 3)]
