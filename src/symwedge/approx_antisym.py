@@ -72,6 +72,7 @@ from .lattice import (
     _check_smooth_width,
     _check_wedge_cap,
     _located,
+    _site_digits,
     _site_index,
     _wedge_of,
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
@@ -254,10 +255,10 @@ def _difference_patterns(
 
     A key's pattern is z_i - z_0 for i >= 1, coded as one int64 whose digits,
     in radix 2n - 1, are the components offset by n - 1; ``np.unique`` sorts
-    the codes. Returns the patterns in code order as a (P, N, d) index array
-    whose first site is 0 (so some indices are negative), and each key's row
-    in it, (K,). Where the codes would not fit an int64, every key is its own
-    pattern.
+    the codes. Returns the patterns in code order as a (P, N, d) index array,
+    each its code's first key less that key's first site (so the first site
+    is 0 and some indices are negative), and each key's row in it, (K,).
+    Where the codes would not fit an int64, every key is its own pattern.
     """
     K, N = num.shape
     d = index.shape[1]
@@ -272,13 +273,9 @@ def _difference_patterns(
         for c in range(d):
             code *= radix
             code += site[:, c] - first[:, c] + (n - 1)
-    codes, of_key = np.unique(code, return_inverse=True)
-    patterns = np.zeros((len(codes), N, d), dtype=np.int64)
-    for i in reversed(range(1, N)):
-        for c in reversed(range(d)):
-            codes, digit = np.divmod(codes, radix)
-            patterns[:, i, c] = digit - (n - 1)
-    return patterns, of_key
+    _, first_key, of_key = np.unique(code, return_index=True, return_inverse=True)
+    keys = index[num[first_key]]
+    return keys - keys[:, :1], of_key
 
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -299,7 +296,9 @@ class AntisymTabulator:
     array. ``smooth_width`` None selects indicator evaluation; a width
     (projected construction only, 0 < w <= delta/2) selects the smooth
     blend. The constructor makes the arrays it is given read-only, without
-    copying them.
+    copying them. It checks that each direction is a unit vector, not that
+    it passes ``directions_valid`` at ``tau``: a hand-built tabulator whose
+    directions fail that test saves a file ``load_model`` rejects.
     """
 
     spec: LatticeSpec
@@ -419,17 +418,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
-        # Each site's corner, axis by axis from its number's row-major
-        # digits (last axis first), as ``spec.position`` places it.
-        spec = T.spec
-        corners = []
-        for s in assignment.sites:
-            corner = []
-            for _ in range(spec.d):
-                s, i = divmod(s, spec.cells_per_dim)
-                corner.append(spec.origin + i * spec.delta)
-            corner.reverse()
-            corners.append(corner)
+        corners = [T.spec.position(site) for site in assignment.wedge]
         return sign * T.table.item(k) * _projected_pair_product(a, corners)
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
@@ -475,7 +464,7 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     rank = T._wedge.rank(num)
     value = _inversion_signs(order[distinct]) * T.table[rank]
     if T.directions is not None:
-        cells = np.stack(np.unravel_index(num, (spec.cells_per_dim,) * spec.d), axis=-1)
-        value *= _projected_pair_products(T.directions[rank], spec.origin + cells * spec.delta)
+        corners = spec.origin + _site_digits(spec, num) * spec.delta
+        value *= _projected_pair_products(T.directions[rank], corners)
     out[distinct] = value
     return out

@@ -40,7 +40,6 @@ from .lattice import (
     _wedge_of,
     corner_configuration,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
     enumerate_wedge,  # noqa: F401  (unused here; benches/tracing.py wraps this binding)
-    lattice_sites,
     locate,
     repetition_constant,
     site_weight_support,
@@ -118,8 +117,8 @@ class SymmetricTabulator:
     ``table`` holds f(Z)/C_Z for every wedge entry Z, as a read-only (K,)
     float64 array in the entries' lexicographic order, so an entry's rank is
     its row. ``smooth_width`` None selects indicator evaluation; a width
-    (0 < w <= delta/2) selects the smooth blend. The constructor makes the
-    array it is given read-only, without copying it.
+    (0 < w <= delta/2) selects the smooth blend. N is at most _MAX_SYM_N.
+    The constructor makes the array it is given read-only, without copying it.
     """
 
     spec: LatticeSpec
@@ -128,6 +127,8 @@ class SymmetricTabulator:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.N > _MAX_SYM_N:
+            raise ValueError(f"a sym tabulator holds at most N = {_MAX_SYM_N}, not N = {self.N}")
         if self.smooth_width is not None:
             _check_smooth_width(self.spec, self.smooth_width)
         _frozen("table", self.table, (wedge_size(self.spec, self.N),))
@@ -174,24 +175,22 @@ def corner_values(f: TargetFunction, spec: LatticeSpec, num: np.ndarray) -> np.n
     site num[k, i]: ``corner_configuration`` of the entry. The first entry
     with a non-finite value raises BuildError.
 
-    A target with a ``batch`` is given the corners of at most _CORNER_CHUNK
-    entries at a time, as a (rows, N, d) array. Any other target is called
-    once per entry, in order, on the Configuration of the entry's corner
-    rows, each read from a list of the sites' corners made once: the wedge
-    has C(n^d + N - 1, N) entries over only n^d sites.
+    The corners are gathered for at most _CORNER_CHUNK entries at a time, as
+    a (rows, N, d) array. A target with a ``batch`` is given that array; any
+    other target is called once per entry, in order, on the Configuration of
+    the entry's corner rows, and no further after a non-finite value.
     """
     index = _site_index(spec)
     values = np.empty(len(num))
-    if f.batch is None:
-        positions = [spec.position(site) for site in lattice_sites(spec)]
-        for k, row in enumerate(num.tolist()):
-            value = values[k] = f(Configuration([positions[s] for s in row]))
-            if not math.isfinite(value):
-                raise _non_finite(value, index, num[k])
-        return values
     for part, corners in _corner_chunks(spec, index, num):
         chunk = values[part]
-        chunk[:] = f.batch(corners)
+        if f.batch is not None:
+            chunk[:] = f.batch(corners)
+        else:
+            for k, rows in enumerate(corners.tolist()):
+                value = chunk[k] = f(Configuration(rows))
+                if not math.isfinite(value):
+                    break  # the rows after k are unset; the scan below meets k first
         bad = np.flatnonzero(~np.isfinite(chunk))
         if len(bad):
             raise _non_finite(chunk[bad[0]], index, num[part][bad[0]])

@@ -8,6 +8,8 @@ bijection with multisets of N sites and has C(n^d + N - 1, N) elements.
 
 Below the public API a site is its number, its position in ``lattice_sites``
 (row-major) order, and a ``Wedge`` counts, ranks and unranks sorted rows of them.
+Only this module turns a number back into its multi-index: ``_site_digits``
+for arrays, and a located entry's ``wedge`` for one entry.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class LatticeSpec:
 
     def position(self, site: LatticeIndex) -> tuple[float, ...]:
         """Real coordinates of a site's cell corner (the lower corner)."""
-        return tuple(self.origin + i * self.delta for i in site)
+        return tuple([self.origin + i * self.delta for i in site])
 
 
 def lattice_sites(spec: LatticeSpec) -> Iterator[LatticeIndex]:
@@ -211,10 +213,19 @@ def repetition_constant(zs: WedgeKey) -> int:
     return const
 
 
+def _site_digits(spec: LatticeSpec, num: np.ndarray) -> np.ndarray:
+    """The multi-index of each site number in ``num``, as an int64 array of shape
+    num.shape + (d,): its row-major digits, by integer division, at any d."""
+    out = np.empty((*num.shape, spec.d), dtype=np.int64)
+    for a in reversed(range(spec.d)):
+        num, out[..., a] = np.divmod(num, spec.cells_per_dim)
+    return out
+
+
 def _site_index(spec: LatticeSpec) -> np.ndarray:
     """The sites' multi-indices as a (site_count, d) int64 array in
     ``lattice_sites`` order, so row s is site number s."""
-    return np.array(list(lattice_sites(spec)), dtype=np.int64).reshape(spec.site_count, spec.d)
+    return _site_digits(spec, np.arange(spec.site_count, dtype=np.int64))
 
 
 class Wedge:

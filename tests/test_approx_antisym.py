@@ -407,6 +407,40 @@ def test_difference_patterns_give_back_every_key(cells, d, N):
     assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
 
 
+# Built antisym-c2 shapes (N, d) of at most ~2,000 entries.
+TRANSLATE_SHAPES = [(3, 1), (3, 2), (4, 1), (4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("N, d", TRANSLATE_SHAPES)
+def test_translates_take_one_direction_the_search_chooses(N, d):
+    cells = max(n for n in range(2, 30) if math.comb(n**d, N) <= 2000)
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, N, mode=MODE_PROJECTED)
+    keys = distinct_keys(spec, N)
+    assert len(keys) == len(T.directions)
+    by_pattern = {}
+    for zs, a in zip(keys, T.directions.tolist()):
+        pattern = tuple(tuple(i - j for i, j in zip(z, zs[0])) for z in zs[1:])
+        by_pattern.setdefault(pattern, set()).add(tuple(bits(a)))
+        assert bits(a) == bits(choose_direction(zs, T.tau))
+    assert all(len(held) == 1 for held in by_pattern.values())
+    assert len(by_pattern) < len(keys)  # some entries are translates
+
+
+def test_patterns_at_the_tabulate_shape():
+    # README: 4,648 difference patterns for the 41,664 entries at N=3, d=2, delta=1/8
+    spec = LatticeSpec.from_counts(8, 2, 0.0, 1.0)
+    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 3, mode=MODE_PROJECTED)
+    keys = key_array(distinct_keys(spec, 3))
+    flat = (keys - keys[:, :1]).reshape(len(keys), -1)
+    patterns, of_key = np.unique(flat, axis=0, return_inverse=True)
+    assert (len(keys), len(patterns)) == (41_664, 4_648)
+    # every entry holds the direction of its pattern's first entry
+    first = np.unique(of_key, return_index=True)[1]
+    held = T.directions.view(np.uint64)
+    assert (held == held[first][of_key]).all()
+
+
 def unit_rows(rng, count, d):
     """``count`` seeded directions of unit length, as tuples."""
     V = rng.standard_normal((count, d))
@@ -650,6 +684,19 @@ def test_smooth_projected_continuous_where_sort_flips():
 
 
 # ---------------------------------------------------------------- batch eval
+
+
+@pytest.mark.parametrize("mode", [MODE_RANK, MODE_PROJECTED])
+def test_batch_eval_equals_scalar_past_64_axes(mode):
+    # one cell per axis at d = 70: more axes than a numpy array may have
+    spec = LatticeSpec.from_counts(1, 70, 0.0, 1.0)
+    T = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 1, mode=mode)
+    rng = np.random.Generator(np.random.Philox(key=70))
+    P = np.concatenate([rng.uniform(0.0, 1.0, (6, 1, 70)), np.zeros((1, 1, 70)),
+                        np.ones((1, 1, 70))])
+    scalar = [eval_antisym(T, Configuration.from_rows(rows)) for rows in P.tolist()]
+    assert bits(eval_antisym_batch(T, P)) == bits(scalar)
+    assert all(value != 0.0 for value in scalar)
 
 
 @settings(max_examples=120, deadline=None)

@@ -510,6 +510,22 @@ def test_tabulators_reject_states_their_model_file_cannot_hold(tmp_path, state):
         load_model(str(tmp_path / "m.swm"))
 
 
+def test_sym_tabulator_holds_at_most_170_points(tmp_path):
+    # 171!, the repetition constant of the one entry on one site, is past the largest float
+    spec = LatticeSpec.from_counts(1, 1, 0.0, 1.0)
+    assert approx_sym.SymmetricTabulator(spec, 170, None, np.ones(1)).N == 170
+    message = "a sym tabulator holds at most N = 170, not N = 171"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        approx_sym.SymmetricTabulator(spec, 171, None, np.ones(1))
+    # made without the check, it saves a file the loader refuses
+    unchecked = object.__new__(approx_sym.SymmetricTabulator)
+    for field, value in zip(fields(unchecked), (spec, 171, None, np.ones(1))):
+        object.__setattr__(unchecked, field.name, value)
+    save_model(str(tmp_path / "m.swm"), unchecked)
+    with pytest.raises(ConfigError, match="is at most 170, not 171"):
+        load_model(str(tmp_path / "m.swm"))
+
+
 def test_tabulators_compare_by_the_bits_of_their_arrays():
     spec = LatticeSpec.from_counts(2, 1, 0.0, 1.0)
     tab = build_sym(SUM_12, spec, 2)  # stores 0.0 at ((0,), (0,))

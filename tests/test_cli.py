@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -440,6 +442,17 @@ def test_verify_passes_and_writes_reports(tmp_path, capsys):
     csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert csv_lines[0] == "check,value,threshold,passed"
     assert all(line.endswith(",true") for line in csv_lines[1:])
+
+
+def test_verify_of_antisym_c2_past_64_axes(tmp_path, capsys):
+    # one cell per axis at d = 70: more axes than a numpy array may have
+    config = write_config(
+        tmp_path, kind="antisym-c2", d=70, N=1, target="vandermonde-sum-antisym",
+        delta=1, lo=0, hi=1, samples=20, seed=None,
+    )
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert (code, err) == (0, "")
+    assert "RESULT PASS" in out
 
 
 def test_verify_reruns_are_byte_identical(tmp_path, capsys):
@@ -976,3 +989,35 @@ def test_seed_key_outside_philox_keys_exits_2(tmp_path, capsys, command, seed):
     assert_one_line_config_error(code, out, err)
     assert err == f"error: config key 'seed' must be >= 0 and < 2**128, got {seed}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Run in a fresh interpreter: the modules and the filled functools caches of
+# the package that ``import symwedge.cli`` leaves behind.
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import symwedge.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+caches = {}
+for name, module in list(sys.modules.items()):
+    if name.partition(".")[0] == "symwedge":
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[attr] = max(caches.get(attr, 0), value.cache_info().currsize)
+other = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "symwedge"})
+print(json.dumps({"other": other, "caches": caches}))
+"""
+
+
+def test_importing_the_cli_loads_only_numpy_and_fills_no_cache():
+    # every benchmark workload's setup time includes a fresh import of the CLI
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    found = json.loads(result.stdout)
+    assert found["other"] == []
+    assert {"_hex_tables", "_candidate_table", "_wedge_of", "_axis_bands"} <= found["caches"].keys()
+    assert found["caches"] == dict.fromkeys(found["caches"], 0)

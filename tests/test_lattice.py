@@ -152,6 +152,27 @@ def test_lattice_sites_order():
     assert list(lattice_sites(spec)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 1), (2, 3), (4, 2), (3, 4), (1, 100)])
+def test_site_index_rows_are_the_sites_in_order(n, d):
+    spec = LatticeSpec.from_counts(n, d, 0.0, 1.0)
+    index = lattice._site_index(spec)
+    assert index.dtype == np.int64 and index.shape == (spec.site_count, d)
+    assert list(map(tuple, index.tolist())) == list(lattice_sites(spec))
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (10**6, 2), (2**20, 3), (2**62, 1), (2, 62)])
+def test_site_digits_keep_the_shape_of_their_numbers(n, d):
+    # numbers up to the last of 2^62 sites, in a (2, 3) array
+    spec = LatticeSpec(delta=1.0 / n, d=d, cells_per_dim=n, origin=0.0, top=1.0)
+    last = spec.site_count - 1
+    num = np.array([[0, 1, last // 3], [last // 2, last - 1, last]], dtype=np.int64)
+    digits = lattice._site_digits(spec, num)
+    assert digits.dtype == np.int64 and digits.shape == (2, 3, d)
+    for s, got in zip(num.reshape(-1).tolist(), digits.reshape(-1, d).tolist()):
+        assert sum(i * n ** (d - 1 - a) for a, i in enumerate(got)) == s
+        assert all(0 <= i < n for i in got)
+
+
 # ---------------------------------------------------------------- cell_of
 
 
