@@ -26,10 +26,13 @@ score lets the ratio, and with it the error, blow up, so each entry takes
 the direction of largest score from one fixed table per d: the
 _CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
 scaled to unit length, the lowest index winning a tie, with scores taken on
-the (scale-free) integer index differences. One kernel, ``_pair_terms``,
-forms every pair sum of the search and the validity test one component at
-a time, and the batched corner products run ``_projected_pair_product``'s
-own text on columns, so none depends on the BLAS build. ``tau`` is a
+the (scale-free) integer index differences. One kernel, ``_projections``,
+forms every sum of the search and the validity test one component at a
+time, and the batched corner products run ``_projected_pair_product``'s own
+text on columns, so none depends on the BLAS build. The search scores each
+distinct pair difference of its keys against the candidates once, and a
+key's score for a candidate is the minimum over its pairs' scores, so the
+scores are the ones a key-by-key search forms. ``tau`` is a
 floor: every chosen direction must pass ``directions_valid`` at tau, the
 rule the loader applies, and an entry whose best candidate fails raises
 DirectionSearchError.
@@ -58,7 +61,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import getitem, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,9 +102,9 @@ MODE_PROJECTED = "projected"
 DEFAULT_TAU = 1e-3
 # Unit candidates per d in the projected direction search.
 _CANDIDATES = 64
-# Difference patterns per batched direction search. It sizes the search's
-# three (_CANDIDATES, chunk) float arrays, 128 KB each; larger chunks raised
-# the build's peak RSS and saved little time.
+# Difference patterns whose scores the direction search takes at a time. It
+# sizes the (chunk, _CANDIDATES) float array of their scores and the pair
+# scores gathered into it, 128 KB each.
 _DIRECTION_CHUNK = 256
 
 _FNV_OFFSET = 14695981039346656037
@@ -124,26 +127,16 @@ def entry_seed(zs: WedgeKey) -> int:
     return fnv1a64(b"".join(i.to_bytes(8, "little") for site in zs for i in site))
 
 
-def _pair_terms(A: np.ndarray, P: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each pair i < j of the rows of P (K, N, d), in order, yield
-    A . (P_i - P_j) and |P_i - P_j|^2, each summed one component at a time so
-    no BLAS reduction decides a bit. Directions A (K, d) give (K,) dots,
-    candidates (C, 1, d) give (C, K). Both arrays are reused for the next pair.
-    """
-    K, N, d = P.shape
-    dot = np.empty(np.broadcast_shapes(A.shape[:-1], (K,)))
-    term = np.empty_like(dot)
-    norm2 = np.empty(K)
-    for i in range(N):
-        for j in range(i + 1, N):
-            diff = P[:, i] - P[:, j]
-            dot.fill(0.0)
-            norm2.fill(0.0)
-            for c in range(d):
-                np.multiply(A[..., c], diff[:, c], out=term)
-                dot += term
-                norm2 += diff[:, c] * diff[:, c]
-            yield dot, norm2
+def _projections(A: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A . diff and |diff|^2 for directions A (..., d) and integer differences
+    diff (..., d), whose leading shapes broadcast together, each summed from
+    0.0 one component at a time so no BLAS reduction decides a bit."""
+    dot = np.zeros(np.broadcast_shapes(A.shape[:-1], diff.shape[:-1]))
+    norm2 = np.zeros(diff.shape[:-1])
+    for c in range(diff.shape[-1]):
+        dot += A[..., c] * diff[..., c]
+        norm2 += diff[..., c] * diff[..., c]
+    return dot, norm2
 
 
 def _unit_rows(A: np.ndarray) -> np.ndarray:
@@ -161,9 +154,12 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     The criterion is scale-free, so integer index differences stand in for
     the real corner differences.
     """
+    N = idx.shape[1]
     valid = np.ones(len(idx), dtype=bool)
-    for dot, norm2 in _pair_terms(A, idx):
-        valid &= ~(np.abs(dot) < tau * np.sqrt(norm2))
+    for i in range(N):
+        for j in range(i + 1, N):
+            dot, norm2 = _projections(A, idx[:, i] - idx[:, j])
+            valid &= ~(np.abs(dot) < tau * np.sqrt(norm2))
     return valid
 
 
@@ -221,19 +217,35 @@ def _search_directions(
     array, its score, as a (K,) array, and whether it passes
     ``directions_valid`` at tau, as a (K,) bool array. Each key takes the
     candidate of ``_candidate_table(d)`` that maximizes min over pairs of
-    |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie; the keys are
-    searched _DIRECTION_CHUNK at a time."""
-    C = _candidate_table(idx.shape[2])
-    A = np.empty((len(idx), idx.shape[2]))
-    score = np.empty(len(idx))
-    for start in range(0, len(idx), _DIRECTION_CHUNK):
-        part = idx[start : start + _DIRECTION_CHUNK]
-        scores = np.full((_CANDIDATES, len(part)), np.inf)  # (candidate, key)
-        for dot, norm2 in _pair_terms(C[:, None, :], part):
-            np.minimum(scores, np.abs(dot, out=dot) / np.sqrt(norm2), out=scores)
-        best = np.argmax(scores, axis=0)
-        A[start : start + len(part)] = C[best]
-        score[start : start + len(part)] = scores[best, np.arange(len(part))]
+    |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie.
+
+    The keys' pair differences repeat, so each distinct one is scored
+    against every candidate once, and a key's scores are the minimum of its
+    pairs' rows, taken _DIRECTION_CHUNK keys at a time."""
+    K, N, d = idx.shape
+    C = _candidate_table(d)
+    first, second = np.triu_indices(N, 1)  # the pairs i < j in order
+    diffs = (idx[:, first] - idx[:, second]).reshape(-1, d)
+    # The distinct rows of diffs, and each row's place among them.
+    order = np.lexsort(diffs.T)
+    ordered = diffs[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    of_pair = np.empty(len(order), dtype=np.intp)
+    of_pair[order] = np.cumsum(new) - 1
+    dot, norm2 = _projections(C, ordered[new][:, None, :])
+    pair_scores = np.abs(dot) / np.sqrt(norm2)  # (distinct difference, candidate)
+    of_pair = of_pair.reshape(K, len(first))
+    A = np.empty((K, d))
+    score = np.empty(K)
+    for start in range(0, K, _DIRECTION_CHUNK):
+        pairs = of_pair[start : start + _DIRECTION_CHUNK]
+        scores = np.full((len(pairs), _CANDIDATES), np.inf)  # (key, candidate)
+        for column in pairs.T:
+            np.minimum(scores, pair_scores[column], out=scores)
+        best = np.argmax(scores, axis=1)
+        A[start : start + len(pairs)] = C[best]
+        score[start : start + len(pairs)] = scores[np.arange(len(pairs)), best]
     return A, score, directions_valid(A, idx, tau)
 
 
@@ -255,9 +267,12 @@ def _difference_patterns(
 
     A key's pattern is z_i - z_0 for i >= 1, coded as one int64 whose digits,
     in radix 2n - 1, are the components offset by n - 1; ``np.unique`` sorts
-    the codes. Returns the patterns in code order as a (P, N, d) index array,
-    each its code's first key less that key's first site (so the first site
-    is 0 and some indices are negative), and each key's row in it, (K,).
+    the codes. A key's code is formed from its sites' place values
+    sum_c index_c (2n - 1)^(d - 1 - c), made once per site, so it costs one
+    gather per slot. Returns the patterns in code order as a (P, N, d) index
+    array, each its code's first key less that key's first site (so the
+    first site is 0 and some indices are negative), and each key's row in
+    it, (K,).
     Where the codes would not fit an int64, every key is its own pattern.
     """
     K, N = num.shape
@@ -266,13 +281,18 @@ def _difference_patterns(
     size = radix ** ((N - 1) * d)
     if size > np.iinfo(np.int64).max:
         return index[num], np.arange(K)
+    place = np.zeros(len(index), dtype=np.int64)
+    for c in range(d):
+        place *= radix
+        place += index[:, c]
+    # Slot i's d digits, each offset by n - 1, are worth
+    # place_i - place_0 + (radix**d - 1) // 2.
+    first = place[num[:, 0]] - (radix**d - 1) // 2
     code = np.zeros(K, dtype=np.int64)
-    first = index[num[:, 0]]
     for i in range(1, N):
-        site = index[num[:, i]]
-        for c in range(d):
-            code *= radix
-            code += site[:, c] - first[:, c] + (n - 1)
+        code *= radix**d
+        code += place[num[:, i]]
+        code -= first
     _, first_key, of_key = np.unique(code, return_index=True, return_inverse=True)
     keys = index[num[first_key]]
     return keys - keys[:, :1], of_key

@@ -188,14 +188,19 @@ class TargetFunction:
 
 
 def _each(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """fn (a math function) of every element of a 1-D float64 array. The
-    elements are read through a memoryview, which makes no list of them."""
-    return np.fromiter(map(fn, memoryview(values)), dtype=np.float64, count=len(values))
+    """fn (a math function) of every element of a 1-D float64 array, called
+    once per distinct bit pattern and gathered back, so -0.0 and each NaN
+    payload are an argument of their own. The distinct elements are read
+    through a memoryview, which makes no list of them."""
+    distinct, of_value = np.unique(values.view(np.uint64), return_inverse=True)
+    args = memoryview(distinct.view(np.float64))
+    return np.fromiter(map(fn, args), dtype=np.float64, count=len(distinct))[of_value]
 
 
 # The math namespace of a builtin text run on (K,) columns. numpy's exp and
-# sin differ from math's in the last bit, so math's are mapped per element;
-# every other step is one IEEE operation per element, as on floats.
+# sin differ from math's in the last bit, so math's are called once per
+# distinct argument; every other step is one IEEE operation per element, as
+# on floats.
 _COLUMN_MATH = SimpleNamespace(exp=partial(_each, math.exp), sin=partial(_each, math.sin))
 
 

@@ -407,6 +407,48 @@ def test_difference_patterns_give_back_every_key(cells, d, N):
     assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
 
 
+@pytest.mark.parametrize("cells, d, N", [(4, 2, 3), (12, 1, 4), (2, 3, 5), (8, 2, 3)])
+def test_difference_patterns_come_in_code_order(cells, d, N):
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    patterns, _ = _difference_patterns(_site_index(spec), wedge_rows(spec.site_count, N, True), cells)
+    codes = [pattern_code(zs, cells) for zs in patterns.tolist()]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+@pytest.mark.parametrize("N, d", [(2, 1), (3, 2), (4, 3)])
+def test_search_of_no_keys_is_empty(N, d):
+    A, score, valid = _search_directions(np.empty((0, N, d), dtype=np.int64), 1e-3)
+    assert (A.shape, score.shape, valid.shape) == ((0, d), (0,), (0,))
+    assert valid.dtype == bool
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_single_point_keys_take_candidate_zero_and_pass(d):
+    # no pair to project: every candidate scores inf, and the first wins
+    idx = np.arange(5 * d, dtype=np.int64).reshape(5, 1, d)
+    A, score, valid = _search_directions(idx, 0.5)
+    assert (A == _candidate_table(d)[0]).all()
+    assert score.tolist() == [math.inf] * 5 and valid.all()
+
+
+def test_keys_sharing_a_difference_in_other_pairs_match_the_oracle():
+    # (-1, -2) is z_i - z_j for pair (0, 1) of the first key, (1, 2) of the
+    # second and (0, 2) of the third; its mirror is pair (0, 1) of the fourth
+    keys = [
+        ((0, 0), (1, 2), (3, 1)),
+        ((0, 3), (2, 0), (3, 2)),
+        ((1, 1), (3, 0), (2, 3)),
+        ((2, 2), (1, 0), (0, 3)),
+    ]
+    pairs = [
+        [(i, j) for i, j in itertools.combinations(range(3), 2)
+         if tuple(a - b for a, b in zip(zs[i], zs[j])) in {(-1, -2), (1, 2)}]
+        for zs in keys
+    ]
+    assert pairs == [[(0, 1)], [(1, 2)], [(0, 2)], [(0, 1)]]
+    assert_batch_matches_oracle(LatticeSpec.from_counts(4, 2, 0.0, 1.0), keys)
+
+
 # Built antisym-c2 shapes (N, d) of at most ~2,000 entries.
 TRANSLATE_SHAPES = [(3, 1), (3, 2), (4, 1), (4, 2), (3, 3)]
 

@@ -2,6 +2,7 @@ import glob
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from symwedge import (
     LatticeSpec,
     Permutation,
     Symmetry,
+    build_sym,
     builtin_target,
     enumerate_wedge,
     parity,
     permute,
 )
+from symwedge import core
 
 REL_TOL = 1e-12
 
@@ -359,6 +362,62 @@ def test_batches_equal_the_evaluators_on_drawn_arrays(data):
     rows = st.lists(st.sampled_from(pool), min_size=N, max_size=N)
     P = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)), dtype=np.float64)
     assert_batch_is_the_evaluator(P.reshape(-1, N, d))
+
+
+def column_values():
+    """Seeded float64 columns with heavy repeats of both zeros, two NaN
+    payloads, both infinities, subnormals and plain values; the last is a
+    strided view."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000123], dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, INF, -INF, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+    rng = np.random.Generator(np.random.Philox(key=39))
+    pool = np.concatenate([special, nans, rng.uniform(-3.0, 3.0, 20)])
+    drawn = pool[rng.integers(0, len(pool), 3000)]
+    return [drawn[:1000], pool[:1], np.repeat(pool, 7), drawn[::3]]
+
+
+def per_element(fn, values):
+    return np.array([fn(x) for x in values.tolist()], dtype=np.float64)
+
+
+@pytest.mark.parametrize("name", ["exp", "sin"])
+def test_column_math_is_the_per_element_map_called_once_per_bit_pattern(name):
+    fn = getattr(math, name)
+    for values in column_values():
+        if name == "sin":
+            values = values[np.isfinite(values) | np.isnan(values)]
+        calls = []
+        got = core._each(lambda x: calls.append(x) or fn(x), values)
+        assert got.tobytes() == per_element(fn, values).tobytes()
+        called = np.array(calls, dtype=np.float64).view(np.uint64)
+        assert sorted(called.tolist()) == sorted(set(values.view(np.uint64).tolist()))
+
+
+def test_column_sin_of_an_infinity_raises_the_math_error():
+    with pytest.raises(ValueError) as scalar:
+        math.sin(INF)
+    with pytest.raises(ValueError) as column:
+        core._each(math.sin, np.array([0.5, -INF, 0.5, INF]))
+    assert str(column.value) == str(scalar.value)
+
+
+def test_a_build_calls_exp_once_per_distinct_argument(monkeypatch):
+    # the 45,760 corners of gaussian-pair-sym at N=3, d=2, delta=1/8 have 3
+    # pairs each, and their -r^2 takes 34 values; the per-element map made
+    # 137,280 calls
+    per_call = []
+
+    def exp(values):
+        calls = []
+        out = core._each(lambda x: calls.append(x) or math.exp(x), values)
+        per_call.append(len(calls))
+        return out
+
+    monkeypatch.setattr(core, "_COLUMN_MATH", SimpleNamespace(exp=exp))
+    spec = LatticeSpec.from_counts(8, 2, 0.0, 1.0)
+    T = build_sym(builtin_target("gaussian-pair-sym"), spec, 3)
+    assert len(T.table) == 45_760
+    assert per_call and max(per_call) <= 34
 
 
 @pytest.mark.parametrize("d", [1, 2])
