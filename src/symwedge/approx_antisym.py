@@ -27,9 +27,11 @@ the direction of largest score from one fixed table per d: the
 _CANDIDATES rows of Generator(Philox(key=0)).standard_normal((_CANDIDATES, d))
 scaled to unit length, the lowest index winning a tie, with scores taken on
 the (scale-free) integer index differences. One kernel, ``_projections``,
-forms every sum of the search and the validity test one component at a
-time, and the batched corner products run ``_projected_pair_product``'s own
-text on columns, so none depends on the BLAS build. The search scores each
+forms every sum of the search, the validity test and the candidates'
+norms one component at a time, and one pair-product kernel,
+``_pair_product`` over the pairs' differences, serves the indicator eval,
+the smooth blend and, run on columns, the batched corner products, so none
+depends on the BLAS build. The search scores each
 distinct pair difference of its keys against the candidates once, and a
 key's score for a candidate is the minimum over its pairs' scores, so the
 scores are the ones a key-by-key search forms. ``tau`` is a
@@ -128,8 +130,8 @@ def entry_seed(zs: WedgeKey) -> int:
 
 
 def _projections(A: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A . diff and |diff|^2 for directions A (..., d) and integer differences
-    diff (..., d), whose leading shapes broadcast together, each summed from
+    """A . diff and |diff|^2 for directions A (..., d) and differences diff
+    (..., d), whose leading shapes broadcast together, each summed from
     0.0 one component at a time so no BLAS reduction decides a bit."""
     dot = np.zeros(np.broadcast_shapes(A.shape[:-1], diff.shape[:-1]))
     norm2 = np.zeros(diff.shape[:-1])
@@ -166,14 +168,11 @@ def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
 @cache
 def _candidate_table(d: int) -> np.ndarray:
     """The fixed (_CANDIDATES, d) table of unit candidate directions: rows of
-    Generator(Philox(key=0)).standard_normal, each divided by its norm, whose
-    squares are summed one component at a time. Made once per d and shared,
+    Generator(Philox(key=0)).standard_normal, each divided by its norm, the
+    root of its ``_projections`` squared norm. Made once per d and shared,
     so it is read-only."""
     V = np.random.Generator(np.random.Philox(key=0)).standard_normal((_CANDIDATES, d))
-    norm2 = np.zeros(_CANDIDATES)
-    for c in range(d):
-        norm2 += V[:, c] * V[:, c]
-    C = V / np.sqrt(norm2)[:, None]
+    C = V / np.sqrt(_projections(V, V)[1])[:, None]
     C.setflags(write=False)
     return C
 
@@ -193,20 +192,23 @@ def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     return tuple(A[0].tolist())
 
 
-def _projected_pair_product(a: Sequence[float], rows: Sequence[Sequence[float]]) -> float:
-    """prod_{i<j} a . (rows[i] - rows[j]) in fixed (i, j) order. The
-    components a[c] and rows[i][c] may also be (K,) float64 columns, which
-    gives K products as a (K,) array (1.0 when there is no pair)."""
-    n = len(rows)
+def _pair_differences(rows: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
+    """rows[i] - rows[j], component by component, for each pair i < j in order.
+    The components rows[i][c] may also be (K,) float64 columns."""
+    return [tuple(map(sub, ri, rj)) for i, ri in enumerate(rows) for rj in rows[i + 1 :]]
+
+
+def _pair_product(a: Sequence[float], diffs: Sequence[Sequence[float]]) -> float:
+    """prod over diffs of a . diff, in order, each dot summed from 0.0 one
+    component at a time: psi_Z of the points whose ``_pair_differences`` are
+    diffs. The components a[c] and diff[c] may also be (K,) float64 columns,
+    which gives K products as a (K,) array (1.0 when there is no pair)."""
     prod = 1.0
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            rj = rows[j]
-            dot = 0.0
-            for av, ci, cj in zip(a, ri, rj):
-                dot += av * (ci - cj)
-            prod *= dot
+    for diff in diffs:
+        dot = 0.0
+        for ac, dc in zip(a, diff):
+            dot += ac * dc
+        prod *= dot
     return prod
 
 
@@ -299,9 +301,10 @@ def _difference_patterns(
 
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """_projected_pair_product of each row of directions A (K, d) and corners
-    P (K, N, d), as a (K,) array: the one text run on their columns."""
-    return np.full(len(P), _projected_pair_product(A.T, P.transpose(1, 2, 0)), dtype=np.float64)
+    """The pair product of each row of directions A (K, d) and corners P
+    (K, N, d), as a (K,) array: ``_pair_product`` run on their columns."""
+    products = _pair_product(A.T, _pair_differences(P.transpose(1, 2, 0)))
+    return np.full(len(P), products, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -438,16 +441,15 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if T.directions is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
-        corners = [T.spec.position(site) for site in assignment.wedge]
-        return sign * T.table.item(k) * _projected_pair_product(a, corners)
+        diffs = _pair_differences([T.spec.position(site) for site in assignment.wedge])
+        return sign * T.table.item(k) * _pair_product(a, diffs)
 
     # Smooth blend: weights are order-blind, the pair product is evaluated on
     # the sorted rows, and the sort sign restores equivariance.
     rows = X.rows
     order = sorted(range(len(rows)), key=rows.__getitem__)
     rows = [rows[i] for i in order]
-    # The sorted rows' pair differences, in the (i, j) order of the pair product.
-    diffs = [tuple(map(sub, ri, rj)) for i, ri in enumerate(rows) for rj in rows[i + 1 :]]
+    diffs = _pair_differences(rows)
     columns = T._wedge.lists
     stored = T.table.item
     total = 0.0
@@ -456,14 +458,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
         if len(set(key)) < T.N:
             continue  # dropped entries carry no value
         k = sum(map(getitem, columns, key))
-        a = T.directions[k].tolist()
-        prod = 1.0
-        for diff in diffs:
-            dot = 0.0
-            for ac, dc in zip(a, diff):
-                dot += ac * dc
-            prod *= dot
-        total += weight * stored(k) * prod
+        total += weight * stored(k) * _pair_product(T.directions[k].tolist(), diffs)
     return _inversion_sign(order) * total
 
 

@@ -7,6 +7,9 @@ Conventions used throughout the package:
 * A configuration is its rows: N tuples of d floats, one per point. It has
   one constructor, which validates, so every Configuration holds finite
   rows of one width whoever built it.
+* A rule that both a scalar path and an array path use is one text, run on
+  floats or on (K,) numpy columns: the targets, sort sign, repetition
+  constant, site decoder and pair product.
 * A "gradient bound" always means the Euclidean norm of the full
   N*d-component gradient of a target, viewed as a function on R^(N*d).
 """
@@ -39,9 +42,9 @@ class Configuration:
 
     The ordering carries meaning only up to the declared symmetry of the
     function being evaluated; the type itself is plain ordered data. Each
-    row is converted with ``float`` and checked as it is read (at least one
-    coordinate, every one finite), then the rows are checked together (at
-    least one, all of one width).
+    row is converted with ``float`` and checked as it is read (not a string,
+    at least one coordinate, every one finite), then the rows are checked
+    together (at least one, all of one width).
     """
 
     rows: tuple[tuple[float, ...], ...]
@@ -49,6 +52,8 @@ class Configuration:
     def __post_init__(self) -> None:
         rows = []
         for row in self.rows:
+            if isinstance(row, (str, bytes)):
+                raise ValueError(f"a point is a row of numbers, not the string {row!r}")
             coords = tuple(map(float, row))
             if not coords:
                 raise ValueError("a point needs at least one coordinate")
@@ -126,26 +131,22 @@ def _inversion_sign(seq: Sequence[int]) -> int:
     """(-1)^inversions of a sequence of distinct integers.
 
     A permutation and its inverse have the same sign, so this is the parity
-    of a permutation given by its images or by its sort order alike.
-    """
+    of a permutation given by its images or by its sort order alike. The
+    elements may also be (K,) int columns, which gives the K signs as a
+    (K,) int64 array (1 when there is no pair)."""
     inv = 0
     n = len(seq)
     for i in range(n):
         si = seq[i]
         for j in range(i + 1, n):
-            if si > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+            inv += si > seq[j]
+    return 1 - 2 * (inv & 1)
 
 
 def _inversion_signs(order: np.ndarray) -> np.ndarray:
-    """``_inversion_sign`` of each row of order (K, N), as int64 +-1."""
-    N = order.shape[1]
-    inversions = np.zeros(len(order), dtype=np.int64)
-    for i in range(N):
-        for j in range(i + 1, N):
-            inversions += order[:, i] > order[:, j]
-    return 1 - 2 * (inversions & 1)
+    """``_inversion_sign`` of each row of order (K, N), as int64 +-1: the one
+    text run on its columns."""
+    return np.full(len(order), _inversion_sign(order.T), dtype=np.int64)
 
 
 def parity(sigma: Permutation) -> int:

@@ -8,8 +8,8 @@ bijection with multisets of N sites and has C(n^d + N - 1, N) elements.
 
 Below the public API a site is its number, its position in ``lattice_sites``
 (row-major) order, and a ``Wedge`` counts, ranks and unranks sorted rows of them.
-Only this module turns a number back into its multi-index: ``_site_digits``
-for arrays, and a located entry's ``wedge`` for one entry.
+Only this module turns a number back into its multi-index, and only
+``_site_digits`` does it, for one number or an array of them.
 """
 
 from __future__ import annotations
@@ -201,24 +201,25 @@ def enumerate_wedge(spec: LatticeSpec, N: int) -> Iterator[WedgeKey]:
 
 
 def repetition_constant(zs: WedgeKey) -> int:
-    """Product of factorials of site multiplicities within one wedge entry."""
+    """Product of factorials of site multiplicities within one wedge entry.
+    The sites may also be (K,) int columns of sorted rows, which gives the K
+    constants as a (K,) int64 array (1 when there is no pair), exact up to
+    N = 20."""
     const = 1
     run = 1
     for prev, cur in zip(zs, zs[1:]):
-        if cur == prev:
-            run += 1
-            const *= run
-        else:
-            run = 1
+        run = run * (cur == prev) + 1  # 1 where a new run starts
+        const *= run
     return const
 
 
-def _site_digits(spec: LatticeSpec, num: np.ndarray) -> np.ndarray:
-    """The multi-index of each site number in ``num``, as an int64 array of shape
-    num.shape + (d,): its row-major digits, by integer division, at any d."""
-    out = np.empty((*num.shape, spec.d), dtype=np.int64)
+def _site_digits(spec: LatticeSpec, num: int | np.ndarray) -> np.ndarray:
+    """The multi-index of each site number in ``num`` (an int or an int64
+    array), as an int64 array of shape np.shape(num) + (d,): its row-major
+    digits, read off the last axis first by integer division, at any d."""
+    out = np.empty((*np.shape(num), spec.d), dtype=np.int64)
     for a in reversed(range(spec.d)):
-        num, out[..., a] = np.divmod(num, spec.cells_per_dim)
+        num, out[..., a] = divmod(num, spec.cells_per_dim)
     return out
 
 
@@ -292,19 +293,13 @@ def _wedge_of(spec: LatticeSpec, N: int, strict: bool) -> Wedge:
 
 def _repetition_constants(num: np.ndarray) -> np.ndarray:
     """``repetition_constant`` of each sorted row of site numbers ``num``
-    (K, N), from its runs of equal sites, as floats: a float divides by them
-    as by the int. Past N = 20 a constant may leave int64, so those are
-    Python ints."""
+    (K, N), as floats: a float divides by them as by the int. Up to N = 20
+    it is the one text run on num's columns; past that a constant may leave
+    int64, so those are Python ints."""
     K, N = num.shape
     if N > 20:
         return np.array([float(repetition_constant(row)) for row in num.tolist()])
-    const = np.ones(K, dtype=np.int64)
-    run = np.ones(K, dtype=np.int64)
-    for j in range(1, N):
-        same = num[:, j] == num[:, j - 1]
-        run = np.where(same, run + 1, 1)
-        const *= np.where(same, run, 1)
-    return const.astype(np.float64)
+    return np.full(K, repetition_constant(num.T), dtype=np.float64)
 
 
 class CellAssignment(NamedTuple):
@@ -326,20 +321,9 @@ class CellAssignment(NamedTuple):
 
     @property
     def wedge(self) -> WedgeKey:
-        """The entry as sites: wedge[k] == cell_of(spec, X.rows[order[k]]).
-        A site number's axis indices are its row-major digits in base
-        cells_per_dim, read off the last axis first."""
-        n = self.spec.cells_per_dim
-        axes = range(self.spec.d)
-        wedge = []
-        for s in self.sites:
-            digits = []
-            for _ in axes:
-                s, i = divmod(s, n)
-                digits.append(i)
-            digits.reverse()
-            wedge.append(tuple(digits))
-        return tuple(wedge)
+        """The entry as sites: wedge[k] == cell_of(spec, X.rows[order[k]]),
+        the sites' numbers decoded by ``_site_digits``."""
+        return tuple(map(tuple, _site_digits(self.spec, np.array(self.sites)).tolist()))
 
     @property
     def sign(self) -> int:

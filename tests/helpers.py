@@ -35,6 +35,13 @@ class ReferencePoint:
         object.__setattr__(self, "coords", coords)
 
 
+def _reference_row(row):
+    """A row as a tuple; a string row is rejected, not read as its characters."""
+    if isinstance(row, (str, bytes)):
+        raise ValueError(f"a point is a row of numbers, not the string {row!r}")
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class ReferenceConfiguration:
     points: tuple
@@ -50,7 +57,7 @@ class ReferenceConfiguration:
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(tuple(ReferencePoint(tuple(row)) for row in rows))
+        return cls(tuple(ReferencePoint(_reference_row(row)) for row in rows))
 
     def rows(self):
         return tuple(p.coords for p in self.points)

@@ -37,6 +37,8 @@ from symwedge.approx_antisym import (
     _CANDIDATES,
     _candidate_table,
     _difference_patterns,
+    _pair_differences,
+    _pair_product,
     _projected_pair_products,
     _search_directions,
     directions_valid,
@@ -506,16 +508,26 @@ def test_batched_pair_products_match_scalar_at_d3(N):
 
 
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("N", [1, 2, 4, 5])
 def test_batched_pair_products_are_rows_of_the_scalar_product(N, d):
     # arbitrary unit directions on arbitrary corners; no pair at N = 1
     rng = np.random.Generator(np.random.Philox(76 + N * d))
     P = -1.25 + 1.75 * rng.random((40, N, d))
     directions = unit_rows(rng, len(P), d)
+    # then rows with a repeated point, and rows with signed zeros, whose
+    # products are zeros of either sign
+    special = np.concatenate([P[:4], P[:4]])
+    special[:4, -1] = special[:4, 0]
+    special[4:, ::2] = -0.0
+    special[6:, 1::2] = 0.0
+    P = np.concatenate([P, special])
+    directions += directions[:8]
     psi = _projected_pair_products(np.array(directions), P)
     assert psi.dtype == np.float64 and psi.shape == (len(P),)
     want = [_projected_pair_product(a, rows) for a, rows in zip(directions, P.tolist())]
     assert bits(psi.tolist()) == bits(want)
+    scalar = [_pair_product(a, _pair_differences(rows)) for a, rows in zip(directions, P.tolist())]
+    assert bits(scalar) == bits(want)
 
 
 @pytest.mark.parametrize("N", [4, 5])

@@ -156,7 +156,9 @@ def test_corner_values_match_one_off_corner_configurations(N, d, n):
     assert seen == [corner_configuration(spec, zs) for zs in entries]
 
 
-@pytest.mark.parametrize("n, N", [(3, 4), (2, 20), (2, 21), (1, 25)])
+@pytest.mark.parametrize(
+    "n, N", [(4, 1), (4, 2), (3, 3), (3, 4), (4, 5), (3, 6), (2, 20), (2, 21), (1, 25)]
+)
 def test_repetition_constants_of_site_numbers_are_the_entries(n, N):
     # past N = 20 a constant leaves int64 (21! > 2^63)
     spec = LatticeSpec.from_counts(n, 1, 0.0, 1.0)

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symwedge.approx_antisym as approx_antisym
 import symwedge.approx_sym as approx_sym
 import symwedge.cli as cli
 from symwedge import (
+    BUILTIN_TARGET_NAMES,
     Configuration,
     epsilon_density_limit,
     eval_antisym,
@@ -1021,3 +1026,95 @@ def test_importing_the_cli_loads_only_numpy_and_fills_no_cache():
     assert found["other"] == []
     assert {"_hex_tables", "_candidate_table", "_wedge_of", "_axis_bands"} <= found["caches"].keys()
     assert found["caches"] == dict.fromkeys(found["caches"], 0)
+
+
+# ---------------------------------------------------------------- config fuzz
+
+# Values a config slot may be given besides its own: zeros of both signs, the
+# ends of the float range, an int past int64, and JSON values of other types.
+ODD_VALUES = [0, -0.0, 1e-300, 1e300, 2**63, -1, math.inf, True, False, None, "0.5", [0.5], {}]
+# The slots that size the work (samples, permutations per sample, the wedge
+# cap) take only the odd values that are refused, and 'out' only non-strings,
+# so a run stays small and writes under tmp_path; 'out' is never removed.
+SIZE_KEYS = ("samples", "n_perms", "cap")
+TARGET_PARAMS = {"gaussian-pair-sym": "width", "product-smooth-sym": "amplitude"}
+REMOVE = object()
+
+
+@st.composite
+def fuzz_configs(draw, out):
+    """A command and its config: a valid config at a small shape (N <= 4,
+    d <= 2, at most 4 cells per axis, at most 64 samples), of any kind and
+    target, then up to two slots set to an odd value or removed. An accuracy
+    'epsilon' is drawn only as an odd value, since a valid one sizes the
+    lattice by a measured gradient."""
+    command = draw(st.sampled_from(["build", "verify", "sweep"]))
+    kind = draw(st.sampled_from(cli.KINDS))
+    symmetric = kind == cli.KIND_SYM
+    name = draw(st.sampled_from([n for n in BUILTIN_TARGET_NAMES if n.endswith("antisym") != symmetric]))
+    params = {}
+    if name in TARGET_PARAMS and draw(st.booleans()):
+        value = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.sampled_from(ODD_VALUES)))
+        params[TARGET_PARAMS[name]] = value
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.5)]))
+    spacings = [(hi - lo) / n for n in (1, 2, 4)]
+    config = {
+        "kind": kind,
+        "target": draw(st.sampled_from([name, {"name": name, "params": params}])),
+        "d": draw(st.integers(1, 2)),
+        "N": draw(st.integers(1, 4)),
+        "lo": lo,
+        "hi": hi,
+        "seed": draw(st.integers(0, 2**128 - 1)),
+        "out": out,
+    }
+    if command == "sweep":
+        config["deltas"] = spacings
+    else:
+        config["delta"] = draw(st.sampled_from(spacings))
+    if command == "build":
+        config["model"] = draw(st.sampled_from(["model.swm", "m"]))
+    if command != "build":
+        config["samples"] = draw(st.integers(1, 64))
+    if command == "verify":
+        config["n_perms"] = draw(st.integers(1, 4))
+    if kind != cli.KIND_RANK and draw(st.booleans()):
+        config["smooth_width"] = draw(st.sampled_from([0.0625, 0.125, 0.3]))
+    if kind == cli.KIND_PROJECTED and draw(st.booleans()):
+        config["tau"] = draw(st.sampled_from([1e-3, 0.5]))
+    keys = sorted(cli._CONFIG_KEYS | {"extra"})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        values = ODD_VALUES
+        if key in SIZE_KEYS:
+            values = [v for v in ODD_VALUES if not (isinstance(v, int) and v > 1)]
+        elif key == "out":
+            values = [v for v in ODD_VALUES if not isinstance(v, str)]
+        else:
+            values = values + [REMOVE]
+        value = draw(st.sampled_from(values))
+        if value is REMOVE:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    return command, config
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_drawn_configs_end_in_a_documented_exit(tmp_path, data):
+    command, config = data.draw(fuzz_configs(str(tmp_path / "out")))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if code in (2, 3):
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""

@@ -1,4 +1,5 @@
 import glob
+import itertools
 import math
 import os
 import warnings
@@ -44,9 +45,10 @@ def perm_strategy(n):
 NAN, INF = float("nan"), float("inf")
 
 # Rows the constructors must accept or reject as the one-Point-per-row checks
-# did (helpers.ReferenceConfiguration): each row converted with float, then
-# checked for an empty row and a non-finite coordinate before the next row
-# is read; after the last row, an empty configuration, then mixed widths.
+# did (helpers.ReferenceConfiguration), except that a string row is rejected:
+# each row converted with float, then checked for an empty row and a
+# non-finite coordinate before the next row is read; after the last row, an
+# empty configuration, then mixed widths.
 REFERENCE_ROWS = [
     [],
     [[]],
@@ -104,6 +106,16 @@ def assert_checks_as_reference(construct, rows):
 @pytest.mark.parametrize("rows", REFERENCE_ROWS, ids=rows_id)
 def test_configuration_checks_match_the_point_reference(construct, rows):
     assert_checks_as_reference(construct, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, row", [(["12", "34"], "12"), ([b"12"], b"12"), ([[0.5], "1", [NAN]], "1")]
+)
+def test_configuration_rejects_a_string_row(rows, row):
+    # a string is a sequence of characters, which float would read one by one
+    with pytest.raises(ValueError) as info:
+        Configuration(rows)
+    assert str(info.value) == f"a point is a row of numbers, not the string {row!r}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,6 +230,17 @@ def test_parity_is_homomorphism():
 def test_parity_of_inverse():
     sigma = Permutation((3, 0, 2, 1))
     assert parity(Permutation((1, 3, 2, 0))) == parity(sigma)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_inversion_signs_are_rows_of_the_scalar_sign(N):
+    # every order of N slots, and no order at all (K = 0)
+    orders = np.array(list(itertools.permutations(range(N))), dtype=np.int64)
+    for rows in (orders, orders[:0]):
+        signs = core._inversion_signs(rows)
+        assert signs.dtype == np.int64 and signs.shape == (len(rows),)
+        assert signs.tolist() == [core._inversion_sign(row) for row in rows.tolist()]
+    assert {core._inversion_sign(row) for row in orders.tolist()} == ({1, -1} if N > 1 else {1})
 
 
 # ---------------------------------------------------------------- builtins

@@ -169,6 +169,7 @@ def test_site_digits_keep_the_shape_of_their_numbers(n, d):
     digits = lattice._site_digits(spec, num)
     assert digits.dtype == np.int64 and digits.shape == (2, 3, d)
     for s, got in zip(num.reshape(-1).tolist(), digits.reshape(-1, d).tolist()):
+        assert lattice._site_digits(spec, s).tolist() == got  # an int decodes to its row
         assert sum(i * n ** (d - 1 - a) for a, i in enumerate(got)) == s
         assert all(0 <= i < n for i in got)
 
