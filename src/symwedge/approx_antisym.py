@@ -35,20 +35,25 @@ depends on the BLAS build. The search scores each
 distinct pair difference of its keys against the candidates once, and a
 key's score for a candidate is the minimum over its pairs' scores, so the
 scores are the ones a key-by-key search forms. ``tau`` is a
-floor: every chosen direction must pass ``directions_valid`` at tau, the
-rule the loader applies, and an entry whose best candidate fails raises
-DirectionSearchError.
+floor: every chosen direction must pass ``directions_valid`` at tau, and an
+entry whose best candidate fails raises DirectionSearchError.
 
 The score and the validity test read an entry only through its integer
 index differences z_i - z_j, and all of those follow from z_i - z_0. So
 entries that are translates of each other get the same direction, bit for
-bit, and the build searches each difference pattern once, on the key with
+bit, and the search runs once per difference pattern, on the key with
 z_0 = 0, and gathers the directions back to the entries; the corner
 products and quotients are still formed per entry. A pattern that fails is
 reported by its first entry in key order, as an entry-by-entry search
 would report it. At d = 1 every
 candidate is +1 or -1 and scores exactly 1, and candidate 0 is +1, so every
 entry takes (1,).
+
+The directions are therefore not parameters of a model: they follow from
+the lattice and N alone, and ``_derived`` makes them once per (lattice, N),
+shared by the build, the tabulator's constructor and its evals. A
+projected tabulator stores only its table and tau; its constructor checks
+the derived directions at tau, once per difference pattern.
 
 Projected mode additionally supports a smooth variant that blends
 neighboring distinct entries with ``smooth_weights``, the symmetric
@@ -61,9 +66,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from operator import getitem, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,13 +146,6 @@ def _projections(A: np.ndarray, diff: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return dot, norm2
 
 
-def _unit_rows(A: np.ndarray) -> np.ndarray:
-    """Whether each row of A (K, d) is a unit vector within 1e-12; a row with
-    a non-finite or overflowing component is not."""
-    with np.errstate(all="ignore"):
-        return np.abs(np.sqrt((A * A).sum(axis=1)) - 1.0) <= 1e-12
-
-
 def directions_valid(A: np.ndarray, idx: np.ndarray, tau: float) -> np.ndarray:
     """Whether each row of directions A (K, d) is valid for its key in idx
     (K, N, d): every pair difference of the key projects onto the direction
@@ -186,8 +184,8 @@ def choose_direction(zs: WedgeKey, tau: float) -> tuple[float, ...]:
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     idx = np.array([zs], dtype=np.int64)
-    A, score, valid = _search_directions(idx, tau)
-    if not valid[0]:
+    A, score = _search_directions(idx)
+    if not directions_valid(A, idx, tau)[0]:
         raise _rejection(idx[0], tau, score[0])
     return tuple(A[0].tolist())
 
@@ -212,13 +210,10 @@ def _pair_product(a: Sequence[float], diffs: Sequence[Sequence[float]]) -> float
     return prod
 
 
-def _search_directions(
-    idx: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _search_directions(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The direction of every key of a (K, N, d) index array, as a (K, d)
-    array, its score, as a (K,) array, and whether it passes
-    ``directions_valid`` at tau, as a (K,) bool array. Each key takes the
-    candidate of ``_candidate_table(d)`` that maximizes min over pairs of
+    array, and its score, as a (K,) array. Each key takes the candidate of
+    ``_candidate_table(d)`` that maximizes min over pairs of
     |a . (z_i - z_j)| / |z_i - z_j|, the lowest index on a tie.
 
     The keys' pair differences repeat, so each distinct one is scored
@@ -248,7 +243,7 @@ def _search_directions(
         best = np.argmax(scores, axis=1)
         A[start : start + len(pairs)] = C[best]
         score[start : start + len(pairs)] = scores[np.arange(len(pairs)), best]
-    return A, score, directions_valid(A, idx, tau)
+    return A, score
 
 
 def _rejection(key: np.ndarray, tau: float, score: float) -> DirectionSearchError:
@@ -262,19 +257,20 @@ def _rejection(key: np.ndarray, tau: float, score: float) -> DirectionSearchErro
 
 def _difference_patterns(
     index: np.ndarray, num: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct difference patterns of the keys num (K, N), whose sites
-    have the multi-indices ``index`` on a lattice of n cells per axis, and
-    the pattern of each key.
+    have the multi-indices ``index`` on a lattice of n cells per axis, the
+    first key of each, and the pattern of each key.
 
     A key's pattern is z_i - z_0 for i >= 1, coded as one int64 whose digits,
-    in radix 2n - 1, are the components offset by n - 1; ``np.unique`` sorts
-    the codes. A key's code is formed from its sites' place values
-    sum_c index_c (2n - 1)^(d - 1 - c), made once per site, so it costs one
-    gather per slot. Returns the patterns in code order as a (P, N, d) index
-    array, each its code's first key less that key's first site (so the
-    first site is 0 and some indices are negative), and each key's row in
-    it, (K,).
+    in radix 2n - 1, are the components offset by n - 1; a stable argsort
+    sorts the codes, and each run of equal codes is one pattern, first met
+    at its run's first key. A key's code is formed from its sites' place
+    values sum_c index_c (2n - 1)^(d - 1 - c), made once per site, so it
+    costs one gather per slot. Returns the patterns in code order as a
+    (P, N, d) index array, each its code's first key less that key's first
+    site (so the first site is 0 and some indices are negative), that key's
+    row in num, (P,), and each key's pattern, (K,).
     Where the codes would not fit an int64, every key is its own pattern.
     """
     K, N = num.shape
@@ -282,7 +278,7 @@ def _difference_patterns(
     radix = 2 * n - 1
     size = radix ** ((N - 1) * d)
     if size > np.iinfo(np.int64).max:
-        return index[num], np.arange(K)
+        return index[num], np.arange(K), np.arange(K)
     place = np.zeros(len(index), dtype=np.int64)
     for c in range(d):
         place *= radix
@@ -295,9 +291,15 @@ def _difference_patterns(
         code *= radix**d
         code += place[num[:, i]]
         code -= first
-    _, first_key, of_key = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.ones(K, dtype=bool)  # where a run of equal codes starts
+    starts[1:] = code[1:] != code[:-1]
+    first_key = order[starts]
+    of_key = np.empty(K, dtype=np.intp)
+    of_key[order] = np.cumsum(starts) - 1
     keys = index[num[first_key]]
-    return keys - keys[:, :1], of_key
+    return keys - keys[:, :1], first_key, of_key
 
 
 def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -307,21 +309,61 @@ def _projected_pair_products(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.full(len(P), products, dtype=np.float64)
 
 
+class _Derived(NamedTuple):
+    """The projected directions of the strict wedge of N points on a lattice,
+    as read-only arrays: its difference patterns (P, N, d), each pattern's
+    first entry in key order (P,), its direction (P, d) and score (P,), and
+    each entry's direction, its pattern's, (K, d)."""
+
+    patterns: np.ndarray
+    first: np.ndarray
+    best: np.ndarray
+    score: np.ndarray
+    directions: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _derived(spec: LatticeSpec, N: int) -> _Derived:
+    """The projected directions of (spec, N), made once: the strict wedge's
+    rows, their difference patterns, one search per pattern, and a gather
+    back to the entries."""
+    wedge = _wedge_of(spec, N, True)
+    patterns, first, of_key = _difference_patterns(  # the (K, N) rows are freed on return
+        _site_index(spec), wedge.rows(0, wedge.size), spec.cells_per_dim
+    )
+    best, score = _search_directions(patterns)
+    derived = _Derived(patterns, first, best, score, best[of_key])
+    for array in derived:  # one cached value serves every caller
+        array.setflags(write=False)
+    return derived
+
+
+def _check_directions(spec: LatticeSpec, N: int, tau: float) -> None:
+    """Raise DirectionSearchError unless every derived direction of (spec, N)
+    passes ``directions_valid`` at tau, naming the first failing entry in key
+    order. The test runs once per difference pattern."""
+    derived = _derived(spec, N)
+    failing = np.flatnonzero(~directions_valid(derived.best, derived.patterns, tau))
+    if len(failing):
+        p = failing[np.argmin(derived.first[failing])]
+        k = int(derived.first[p])
+        row = _wedge_of(spec, N, True).rows(k, k + 1)[0]
+        raise _rejection(_site_digits(spec, row), tau, derived.score[p])
+
+
 @dataclass(frozen=True)
 class AntisymTabulator:
     """A built table for one anti-symmetric target on one lattice.
 
     ``table`` holds each stored value of the strict wedge's entries as a
     read-only (K,) float64 array in the entries' lexicographic order, so an
-    entry's rank is its row. ``directions`` None is the rank construction
-    (``tau`` None too); otherwise it holds each entry's projected direction,
-    chosen at a finite ``tau`` > 0, as the read-only (K, d) rows of a float64
-    array. ``smooth_width`` None selects indicator evaluation; a width
-    (projected construction only, 0 < w <= delta/2) selects the smooth
-    blend. The constructor makes the arrays it is given read-only, without
-    copying them. It checks that each direction is a unit vector, not that
-    it passes ``directions_valid`` at ``tau``: a hand-built tabulator whose
-    directions fail that test saves a file ``load_model`` rejects.
+    entry's rank is its row. ``tau`` None is the rank construction; a finite
+    ``tau`` > 0 is the projected one, whose entries' directions are derived
+    from the lattice and N (``directions``), and the constructor checks that
+    each passes ``directions_valid`` at ``tau``. ``smooth_width`` None
+    selects indicator evaluation; a width (projected construction only,
+    0 < w <= delta/2) selects the smooth blend. The constructor makes the
+    table it is given read-only, without copying it.
     """
 
     spec: LatticeSpec
@@ -329,27 +371,17 @@ class AntisymTabulator:
     tau: float | None
     smooth_width: float | None
     table: np.ndarray
-    directions: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if (self.tau is None) != (self.directions is None):
-            raise ValueError("tau and directions must be both None (rank) or both set (projected)")
         if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.smooth_width is not None:
-            if self.directions is None:
+            if self.tau is None:
                 raise ValueError("smoothing is only available in projected mode")
             _check_smooth_width(self.spec, self.smooth_width)
-        K = self._wedge.size
-        _frozen("table", self.table, (K,))
-        if self.directions is not None:
-            _frozen("directions", self.directions, (K, self.spec.d))
-            unit = _unit_rows(self.directions)
-            if not unit.all():
-                k = int(np.argmin(unit))
-                raise ValueError(
-                    f"directions row {k} is not a unit vector: {self.directions[k].tolist()}"
-                )
+        _frozen("table", self.table, (self._wedge.size,))
+        if self.tau is not None and len(self.table):  # an empty wedge's N may fit no array
+            _check_directions(self.spec, self.N, self.tau)
 
     __eq__ = _tabulator_eq
 
@@ -358,8 +390,14 @@ class AntisymTabulator:
         return _wedge_of(self.spec, self.N, True)
 
     @property
+    def directions(self) -> np.ndarray | None:
+        """Each entry's projected direction, derived from the lattice and N,
+        as the read-only rows of a (K, d) float64 array; None in rank mode."""
+        return None if self.tau is None else _derived(self.spec, self.N).directions
+
+    @property
     def kind(self) -> str:
-        return KIND_RANK if self.directions is None else KIND_PROJECTED
+        return KIND_RANK if self.tau is None else KIND_PROJECTED
 
     @property
     def stats(self) -> BuildStats:
@@ -379,9 +417,10 @@ def build_antisym(
 
     Every corner value comes from one ``corner_values`` pass over the strict
     wedge's site-number rows, so a non-finite target value is reported before
-    any direction failure. Projected mode then searches the directions once
-    per difference pattern, _DIRECTION_CHUNK patterns at a time, and forms
-    the quotients f(Z)/psi_Z(Z) per entry, _CORNER_CHUNK entries at a time.
+    any direction failure. Projected mode takes the directions ``_derived``
+    makes, searched once per difference pattern before the build's own rows
+    are made, and forms the quotients f(Z)/psi_Z(Z) per entry,
+    _CORNER_CHUNK entries at a time.
     """
     if f.declared_symmetry is not Symmetry.ANTISYMMETRIC:
         raise ValueError(
@@ -397,22 +436,17 @@ def build_antisym(
         _check_smooth_width(spec, smooth_width)
     _check_wedge_cap(spec, N, cap)  # the cap bounds the full wedge
     wedge = _wedge_of(spec, N, True)
+    # made first, so its rows and the build's are never held together
+    directions = _derived(spec, N).directions if mode == MODE_PROJECTED else None
     num = wedge.rows(0, wedge.size)
     values = corner_values(f, spec, num)
-    if mode == MODE_RANK:
+    if directions is None:
         # psi(X)/psi(Z) is the sort sign, so f(Z) itself is stored.
-        return AntisymTabulator(spec, N, None, None, values, None)
-    index = _site_index(spec)
-    # The search reads only z_i - z_j, so each difference pattern is searched once.
-    patterns, of_key = _difference_patterns(index, num, spec.cells_per_dim)
-    A, score, valid = _search_directions(patterns, tau)
-    if not valid.all():
-        k = int(np.argmin(valid[of_key]))  # the first failing key in key order
-        raise _rejection(index[num[k]], tau, score[of_key[k]])
-    A = A[of_key]
-    for part, corners in _corner_chunks(spec, index, num):
-        values[part] /= _projected_pair_products(A[part], corners)
-    return AntisymTabulator(spec, N, tau, smooth_width, values, A)
+        return AntisymTabulator(spec, N, None, None, values)
+    _check_directions(spec, N, tau)  # before any quotient: a failing corner product may be 0
+    for part, corners in _corner_chunks(spec, _site_index(spec), num):
+        values[part] /= _projected_pair_products(directions[part], corners)
+    return AntisymTabulator(spec, N, tau, smooth_width, values)
 
 
 def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
@@ -438,7 +472,7 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
             return 0.0
         sign = assignment.sign
         k = sum(map(getitem, T._wedge.lists, assignment.sites))
-        if T.directions is None:
+        if T.tau is None:
             return sign * T.table.item(k)
         a = T.directions[k].tolist()
         diffs = _pair_differences([T.spec.position(site) for site in assignment.wedge])
@@ -452,13 +486,14 @@ def eval_antisym(T: AntisymTabulator, X: Configuration) -> float:
     diffs = _pair_differences(rows)
     columns = T._wedge.lists
     stored = T.table.item
+    directions = T.directions
     total = 0.0
     # Through the module, so a wrapper bound there sees this blend too.
     for key, weight in approx_sym.smooth_weights(T.spec, X, T.smooth_width).items():
         if len(set(key)) < T.N:
             continue  # dropped entries carry no value
         k = sum(map(getitem, columns, key))
-        total += weight * stored(k) * _pair_product(T.directions[k].tolist(), diffs)
+        total += weight * stored(k) * _pair_product(directions[k].tolist(), diffs)
     return _inversion_sign(order) * total
 
 
@@ -478,7 +513,7 @@ def eval_antisym_batch(T: AntisymTabulator, P: np.ndarray) -> np.ndarray:
     num = num[distinct]
     rank = T._wedge.rank(num)
     value = _inversion_signs(order[distinct]) * T.table[rank]
-    if T.directions is not None:
+    if T.tau is not None:
         corners = spec.origin + _site_digits(spec, num) * spec.delta
         value *= _projected_pair_products(T.directions[rank], corners)
     out[distinct] = value

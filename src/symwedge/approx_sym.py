@@ -92,7 +92,7 @@ def _frozen(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must be a float64 array of shape {shape}, found {found}")
     finite = np.isfinite(array)
     if not finite.all():
-        k = int(np.argmin(finite)) // (array.size // len(array))
+        k = int(np.argmin(finite))
         raise ValueError(f"{name} row {k} is not finite: {array[k].tolist()}")
     array.setflags(write=False)
 

@@ -157,6 +157,11 @@ def _config_from(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"config key 'kind' must be one of {KINDS}, got {kind!r}")
     d = _require_int(raw, "d", 0, 1) if "d" in raw else _missing("d")
     N = _require_int(raw, "N", 0, 1) if "N" in raw else _missing("N")
+    if N * d * 8 > sys.maxsize:
+        raise ConfigError(
+            f"config keys 'N' = {N} and 'd' = {d} make a configuration of {N * d} floats, "
+            "more than one array holds; lower 'N' or 'd'"
+        )
 
     lo = _optional_number(raw, "lo")
     hi = _optional_number(raw, "hi")

@@ -10,7 +10,7 @@ atomically (temp file + rename).
 
 Layout (text, one field per line, records after the ``entries`` line):
 
-    SYMWEDGE-MODEL 2
+    SYMWEDGE-MODEL 3
     kind sym|antisym-c1|antisym-c2
     d / N / cells          integers, as str(n) writes them
     delta / lo / hi        hex floats
@@ -18,7 +18,7 @@ Layout (text, one field per line, records after the ``entries`` line):
     w hex float or -
     tau hex float or -
     entries K              an integer, as str(n) writes it
-    <N*d site indices> <coefficient hex> [<d direction components hex>]
+    <N*d site indices> <coefficient hex>
 
 The header's ``cells`` is the count that covers [lo, hi] at ``delta``
 (``LatticeSpec``'s rule). ``mode indicator`` stores ``w -``; ``mode smooth``
@@ -27,43 +27,42 @@ stores a finite w in (0, delta/2] and is not an antisym-c1 mode.
 Records hold every wedge entry (sym) or every distinct-cell entry (antisym)
 exactly once, in lexicographic key order, with finite coefficients; a key
 must read as ``save_model`` writes it, each index in canonical decimal. An
-antisym-c2 file stores a finite positive tau, and each record's direction
-is a finite unit vector (within 1e-12) that passes the build's validity
-test (``approx_antisym.directions_valid``) at that tau; the other kinds
-store ``tau -``. The loader raises ConfigError, naming the line or record,
-for anything else: a byte that is not UTF-8, a first line other than
-``SYMWEDGE-MODEL 2`` (version-1 files no longer load), a malformed header
-field, a header that describes no lattice, a non-numeric record field or a
-violated rule above.
+antisym-c2 file stores a finite positive tau and no directions: they follow
+from the lattice and N (``approx_antisym._derived``), and each must pass the
+build's validity test at that tau. The other kinds store ``tau -``. The
+loader raises ConfigError, naming the line or record, for anything else: a
+byte that is not UTF-8, a first line other than ``SYMWEDGE-MODEL 3``
+(version-1 and version-2 files no longer load), a malformed header field, a
+header that describes no lattice, a non-numeric record field or a violated
+rule above.
 
 A file with several faults reports the first in check order: the header,
 line by line; the record count; then, record by record, the field count,
-the key, that every value field is a float.hex number, and a finite coefficient;
-and last the directions, in record order. If the bytes after the header
-cannot hold K records of F fields (K * F - 1 bytes at least), the first record
-with another field count comes before any other record fault, and then a
-sym model's N above 170 (``_MAX_SYM_N``).
+the key, that the coefficient is a float.hex number, and that it is
+finite; and last the derived directions at the file's tau, naming the first
+failing entry. If the bytes after the header cannot hold K records of F
+fields (K * F - 1 bytes at least), the first record with another field
+count comes before any other record fault, and then a sym model's N above
+170 (``_MAX_SYM_N``).
 
-``save_model`` writes a record per row of the table (and directions), about
-``_WRITE_BYTES`` of text at a time: each block is one uint8 array, a
-NUL-padded row per record, from which the NULs are dropped
-(``_record_text``). A key is gathered from each site's text, made once; a
-value field is float.hex's text, made from the float's bits (sign, "0x1."
-or "0x0.", 13 hex digits, and an exponent from a table made on first use),
-with zero written "0x0.0p+0". The blocks stream to the temp file as bytes,
-so the file's text is never held whole, and keys come from the wedge's rows
+``save_model`` writes a record per row of the table, about ``_WRITE_BYTES``
+of text at a time: each block is one uint8 array, a NUL-padded row per
+record, from which the NULs are dropped (``_record_text``). A key is
+gathered from each site's text, made once; a coefficient is float.hex's
+text, made from the float's bits (sign, "0x1." or "0x0.", 13 hex digits,
+and an exponent from a table made on first use), with zero written
+"0x0.0p+0". The blocks stream to the temp file as bytes, so the file's text
+is never held whole, and keys come from the wedge's rows
 (``lattice.Wedge.rows``) a block at a time, on save as on load.
 
 ``load_model`` reads the file's bytes once (``_read``), counts its records'
 lines before it reads any, then reads them a block of ``_BLOCK`` at a time.
 A block laid out as the writer lays it out is read in a few array
-operations (``_writer_block``): cut at its separators, its value fields
+operations (``_writer_block``): cut at its separators, its coefficients
 read from fixed places before each field's end, it is taken when
-``_record_text`` lays the values out again as its bytes and its
-coefficients are finite. Any other block is checked record
-by record (``_check_records``), which loads the same values or raises the
-first fault in check order. Directions are checked a block at a time; the
-first fault among them is raised once every record has passed.
+``_record_text`` lays the coefficients out again as its bytes and they are
+finite. Any other block is checked record by record (``_check_records``),
+which loads the same values or raises the first fault in check order.
 """
 
 from __future__ import annotations
@@ -76,13 +75,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 import numpy as np
 
-from .approx_antisym import (
-    KIND_PROJECTED,
-    KIND_RANK,
-    AntisymTabulator,
-    _unit_rows,
-    directions_valid,
-)
+from .approx_antisym import KIND_PROJECTED, KIND_RANK, AntisymTabulator
 from .approx_sym import (
     _MAX_SYM_N,
     KIND_SYM,
@@ -90,11 +83,11 @@ from .approx_sym import (
     MODE_SMOOTH,
     SymmetricTabulator,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, DirectionSearchError
 from .lattice import LatticeSpec, _check_smooth_width, _site_index, _wedge_of, wedge_size
 
 MAGIC = "SYMWEDGE-MODEL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 Tabulator = Union[SymmetricTabulator, AntisymTabulator]
 
@@ -223,45 +216,38 @@ def _hex_columns(x: np.ndarray) -> np.ndarray:
 
 def _record_text(site_text: np.ndarray, rows: np.ndarray, values: np.ndarray) -> bytes:
     """The text of the records whose entries have site numbers rows (B, N)
-    and value fields values (B, per), as ASCII bytes: one uint8 array with a
-    row per record, its key the entry's sites' texts (``site_text``, from
-    ``_site_texts``) and its values ``_hex_columns``' texts, padded with NULs,
-    which are dropped."""
-    B, per = values.shape
+    and coefficients values (B,), as ASCII bytes: one uint8 array with a row
+    per record, its key the entry's sites' texts (``site_text``, from
+    ``_site_texts``) and its coefficient ``_hex_columns``' text, padded with
+    NULs, which are dropped."""
+    B = len(values)
     key_width = rows.shape[1] * site_text.itemsize
-    out = np.empty((B, key_width + per * (_HEX_WIDTH + 1)), dtype=np.uint8)
+    out = np.empty((B, key_width + _HEX_WIDTH + 1), dtype=np.uint8)
     out[:, :key_width] = site_text[rows].view(np.uint8).reshape(B, key_width)
-    fields = out[:, key_width:].reshape(B, per, _HEX_WIDTH + 1)
-    fields[:, :, :_HEX_WIDTH] = _hex_columns(values.reshape(-1)).reshape(B, per, _HEX_WIDTH)
-    fields[:, :, _HEX_WIDTH] = ord(" ")
-    fields[:, -1, _HEX_WIDTH] = ord("\n")
+    out[:, key_width:-1] = _hex_columns(values)
+    out[:, -1] = ord("\n")
     return out.tobytes().translate(None, b"\0")
 
 
-def _record_blocks(tab: Tabulator, values: np.ndarray) -> Iterator[bytes]:
-    """The text of tab's records, value fields the rows of values (K, per), in
-    blocks of at most ``_WRITE_BYTES`` of text and of wedge rows (``_record_text``)."""
-    K, per = values.shape
+def _record_blocks(tab: Tabulator) -> Iterator[bytes]:
+    """The text of tab's records, in blocks of at most ``_WRITE_BYTES`` of
+    text and of wedge rows (``_record_text``)."""
+    K = len(tab.table)
     if K == 0:
         return
     site_text = _site_texts(tab.spec)
-    width = max(tab.N * site_text.itemsize + per * (_HEX_WIDTH + 1), tab.N * 8)
+    width = max(tab.N * site_text.itemsize + _HEX_WIDTH + 1, tab.N * 8)
     step = max(1, _WRITE_BYTES // width)
     for start in range(0, K, step):
         stop = min(start + step, K)
-        yield _record_text(site_text, tab._wedge.rows(start, stop), values[start:stop])
+        yield _record_text(site_text, tab._wedge.rows(start, stop), tab.table[start:stop])
 
 
 def save_model(path: str, tab: Tabulator) -> None:
-    """Write ``tab`` as a model file, a record per row of its table (and
-    directions), in key order."""
+    """Write ``tab`` as a model file, a record per row of its table, in key order."""
     spec = tab.spec
     smooth = tab.smooth_width
     tau = getattr(tab, "tau", None)
-    directions = getattr(tab, "directions", None)
-    values = tab.table[:, None]
-    if directions is not None:
-        values = np.concatenate([values, directions], axis=1)
     header = [
         f"{MAGIC} {FORMAT_VERSION}",
         f"kind {tab.kind}",
@@ -274,9 +260,9 @@ def save_model(path: str, tab: Tabulator) -> None:
         f"mode {MODE_SMOOTH if smooth is not None else MODE_INDICATOR}",
         f"w {smooth.hex() if smooth is not None else '-'}",
         f"tau {tau.hex() if tau is not None else '-'}",
-        f"entries {len(values)}",
+        f"entries {len(tab.table)}",
     ]
-    blocks = _record_blocks(tab, values)
+    blocks = _record_blocks(tab)
     write_text_atomic(path, chain([("\n".join(header) + "\n").encode()], blocks))
 
 
@@ -320,24 +306,6 @@ def _optional_hex(value: str) -> float | None:
     return None if value == "-" else _hex(value)
 
 
-def _direction_fault(A: np.ndarray, idx: np.ndarray, tau: float) -> tuple[int, str] | None:
-    """The first direction, a row of A (B, d) keyed by the site indices idx
-    (B, N, d), that is not a finite unit vector passing the build's validity
-    test at tau, as its row and fault; or None. A unit row is finite."""
-    with np.errstate(all="ignore"):  # non-finite or huge components fail, not warn
-        ok = _unit_rows(A) & directions_valid(A, idx, tau)
-    if ok.all():
-        return None
-    k = int(np.argmin(ok))
-    if not np.isfinite(A[k]).all():
-        problem = "is not finite"
-    elif not _unit_rows(A[k : k + 1])[0]:
-        problem = "is not a unit vector"
-    else:
-        problem = f"fails the projection test at tau = {tau!r}"
-    return k, f"direction {A[k].tolist()} {problem}"
-
-
 def _check_field_count(line: str, fields: int) -> None:
     found = line.count(" ") + 1
     if found != fields:
@@ -345,16 +313,15 @@ def _check_field_count(line: str, fields: int) -> None:
 
 
 def _check_records(lines: list[str], keys: list[str], head: _Header) -> list[float]:
-    """The value fields of records, flat, read one record at a time, raising
+    """The coefficients of records, read one record at a time, raising
     ConfigError on the first fault. ``keys`` holds each record's key text. A
-    record's field count is checked first, then its key, then that every
-    value field is a number in ``_hex``'s spelling, then that its
-    coefficient is finite."""
+    record's field count is checked first, then its key, then that its
+    coefficient is a number in ``_hex``'s spelling, then that it is finite."""
     d, cells = head.spec.d, head.spec.cells_per_dim
     n_index = head.N * d
     values: list[float] = []
     for line, key in zip(lines, keys):
-        _check_field_count(line, n_index + head.per)
+        _check_field_count(line, n_index + 1)
         if not line.startswith(key):
             try:
                 [int(field) for field in line.split(" ")[:n_index]]  # raises on a non-integer
@@ -366,14 +333,14 @@ def _check_records(lines: list[str], keys: list[str], head: _Header) -> list[flo
                 f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
             )
         try:
-            parsed = [_hex(field) for field in line[len(key) :].split(" ")]
+            value = _hex(line[len(key) :])
         except (ValueError, OverflowError):
             raise ConfigError(
                 f"record {line!r} has a field that is not a number in float.hex spelling"
             ) from None
-        if not math.isfinite(parsed[0]):
+        if not math.isfinite(value):
             raise ConfigError(f"non-finite coefficient in record {line!r}")
-        values += parsed
+        values.append(value)
     return values
 
 
@@ -402,8 +369,7 @@ def read_text(path: str) -> str:
 
 
 class _Header(NamedTuple):
-    """What a checked header declares, and the value fields per record: the
-    coefficient, and an antisym-c2 direction's d components."""
+    """What a checked header declares."""
 
     kind: str
     spec: LatticeSpec
@@ -411,7 +377,6 @@ class _Header(NamedTuple):
     smooth: float | None
     tau: float | None
     entries: int
-    per: int
 
 
 def _header(path: str, lines: list[str], found: int) -> _Header:
@@ -466,14 +431,18 @@ def _header(path: str, lines: list[str], found: int) -> _Header:
     want_size = _wedge_of(spec, N, kind != KIND_SYM).size
     if entries != want_size:
         raise ConfigError(f"a {kind} model with N = {N} has {want_size} records, not {entries}")
-    per = 1 + (d if kind == KIND_PROJECTED else 0)
-    return _Header(kind, spec, N, smooth, tau, entries, per)
+    return _Header(kind, spec, N, smooth, tau, entries)
 
 
-def _tabulator(head: _Header, table: np.ndarray, directions: np.ndarray | None) -> Tabulator:
+def _tabulator(head: _Header, table: np.ndarray) -> Tabulator:
+    """The tabulator of a checked header and its table; an antisym-c2
+    direction that fails the file's tau is a ConfigError naming its entry."""
     if head.kind == KIND_SYM:
         return SymmetricTabulator(head.spec, head.N, head.smooth, table)
-    return AntisymTabulator(head.spec, head.N, head.tau, head.smooth, table, directions)
+    try:
+        return AntisymTabulator(head.spec, head.N, head.tau, head.smooth, table)
+    except DirectionSearchError as exc:
+        raise ConfigError(f"line 11: {exc}") from None
 
 
 def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -518,23 +487,24 @@ def _hex_values(data: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray:
 def _writer_block(
     data: bytes, pos: int, site_text: np.ndarray, rows: np.ndarray, head: _Header
 ) -> tuple[np.ndarray, int] | None:
-    """The value fields (B, per) of the B records at offset pos of data and
-    the offset past them, if the records are the bytes ``save_model`` writes
-    for the entries rows (B, N) and those values, with finite coefficients;
-    else None. The block is cut at its first separators (bytes up to " "),
-    ``_hex_values`` reads its values and ``_record_text`` lays them out again."""
-    B, per, n_index = len(rows), head.per, head.N * head.spec.d
-    width = head.N * site_text.itemsize + per * (_HEX_WIDTH + 1)  # a record's most bytes
+    """The coefficients (B,) of the B records at offset pos of data and the
+    offset past them, if the records are the bytes ``save_model`` writes for
+    the entries rows (B, N) and those coefficients, all finite; else None.
+    The block is cut at its first separators (bytes up to " "),
+    ``_hex_values`` reads its coefficients and ``_record_text`` lays them
+    out again."""
+    B, fields = len(rows), head.N * head.spec.d + 1
+    width = head.N * site_text.itemsize + _HEX_WIDTH + 1  # a record's most bytes
     cuts = np.flatnonzero(np.frombuffer(data, np.uint8)[pos : pos + B * width] <= ord(" "))
-    if len(cuts) < B * (n_index + per):
+    if len(cuts) < B * fields:
         return None
-    cuts = cuts[: B * (n_index + per)].reshape(B, n_index + per)[:, n_index - 1 :] + pos
-    values = _hex_values(data, cuts[:, :-1].ravel() + 1, cuts[:, 1:].ravel()).reshape(B, per)
+    cuts = cuts[: B * fields].reshape(B, fields)[:, -2:] + pos
+    values = _hex_values(data, cuts[:, 0] + 1, cuts[:, 1])
     end = int(cuts[-1, -1]) + 1
     text = _record_text(site_text, rows, values)
     if len(text) != end - pos or not data.startswith(text, pos):
         return None
-    return (values, end) if np.isfinite(values[:, 0]).all() else None
+    return (values, end) if np.isfinite(values).all() else None
 
 
 def _lines(data: bytes, pos: int, n: int) -> tuple[list[str], int]:
@@ -553,57 +523,45 @@ def _found(data: bytes, start: int) -> int:
     return 0 if start >= len(data) else data.count(b"\n", start) + (not data.endswith(b"\n"))
 
 
-def _records(data: bytes, start: int, head: _Header) -> Tabulator:
-    """The tabulator of the header head whose K records are the lines of data
+def _records(data: bytes, start: int, head: _Header) -> np.ndarray:
+    """The table of the header head whose K records are the lines of data
     from offset start on, read ``_BLOCK`` records at a time. A block that
     ``_writer_block`` reads is taken as it reads it; any other goes through
-    ``_check_records``. The first direction fault is raised once every
-    record passed. As N or d may be huge, no key is made before the records
-    fit: K lines of F fields hold at least K * F - 1 bytes, and if they do
-    not, the first line with another field count is raised."""
-    spec, N, K, per = head.spec, head.N, head.entries, head.per
+    ``_check_records``. As N or d may be huge, no key is made before the
+    records fit: K lines of F fields hold at least K * F - 1 bytes, and if
+    they do not, the first line with another field count is raised."""
+    spec, N, K = head.spec, head.N, head.entries
     table = np.empty(K)
-    directions = np.empty((K, spec.d)) if per > 1 else None
     if not K:  # a strict wedge with more points than sites: make no keys
-        return _tabulator(head, table, directions)
-    if K * (N * spec.d + per) > len(data) - start + 1:
+        return table
+    fields = N * spec.d + 1
+    if K * fields > len(data) - start + 1:
         for line in data[start:].decode().split("\n"):
-            _check_field_count(line, N * spec.d + per)
+            _check_field_count(line, fields)
     if head.kind == KIND_SYM and N > _MAX_SYM_N:
         raise ConfigError(f"a {KIND_SYM} model's N on line 4 is at most {_MAX_SYM_N}, not {N}")
     site_text = _site_texts(spec)
-    # each site's indices as one fixed-width item, so a block's are one gather
-    index = _site_index(spec).view(f"V{8 * spec.d}")[:, 0] if directions is not None else None
-    fault = None
+    wedge = _wedge_of(spec, N, head.kind != KIND_SYM)
     pos = start
     for first in range(0, K, _BLOCK):
-        rows = _wedge_of(spec, N, head.kind != KIND_SYM).rows(first, min(first + _BLOCK, K))
-        B = len(rows)
+        rows = wedge.rows(first, min(first + _BLOCK, K))
         block = _writer_block(data, pos, site_text, rows, head)
         if block is None:
-            lines, end = _lines(data, pos, B)
-            values = _check_records(lines, _keys(site_text, rows), head)
-            block = np.reshape(values, (B, per)), end
-        values, end = block
-        table[first : first + B] = values[:, 0]
-        if directions is not None:
-            A = directions[first : first + B]
-            A[:] = values[:, 1:]
-            if not fault:  # the first fault is the one to raise
-                idx = index[rows].view(np.int64).reshape(B, N, spec.d)
-                bad = _direction_fault(A, idx, head.tau)
-                if bad is not None:
-                    fault = f"record {_lines(data, pos, bad[0] + 1)[0][-1]!r}: {bad[1]}"
-        pos = end
-    if fault:
-        raise ConfigError(fault)
-    return _tabulator(head, table, directions)
+            lines, end = _lines(data, pos, len(rows))
+            block = _check_records(lines, _keys(site_text, rows), head), end
+        table[first : first + len(rows)], pos = block
+    return table
 
 
 def load_model(path: str) -> Tabulator:
     """The tabulator a model file holds, or ConfigError naming its first
     fault in check order. The file is read once, as bytes (``_read``); its
-    12 header lines, with its record count, pass ``_header``; its records ``_records``."""
+    12 header lines, with its record count, pass ``_header``; its records
+    ``_records``. The bytes are freed before the tabulator is made, and with
+    it an antisym-c2 model's derived directions."""
     data = _read(path)
     lines, start = _lines(data, 0, 12)
-    return _records(data, start, _header(path, lines, _found(data, start)))
+    head = _header(path, lines, _found(data, start))
+    table = _records(data, start, head)
+    del data
+    return _tabulator(head, table)

@@ -9,9 +9,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from symwedge import ConfigError, Configuration
-from symwedge.approx_antisym import _unit_rows, directions_valid
 from symwedge.core import _inversion_sign
-from symwedge.lattice import _site_index, lattice_sites, repetition_constant
+from symwedge.lattice import lattice_sites, repetition_constant
 from symwedge.persistence import _header, _hex, _site_texts, _tabulator
 
 
@@ -225,9 +224,10 @@ def eval_antisym_smooth(T, X):
 
 # ------------------------------------------------------------------------
 # A frozen copy of the model loader's record-by-record text path as it
-# stood when every file the writer does not lay out was read again as text:
-# the reference ``load_model`` must equal on any file, in what it loads and
-# in the message it raises.
+# stood when every file the writer does not lay out was read again as text,
+# in format 3's layout of one coefficient per record: the reference
+# ``load_model`` must equal on any file, in what it loads and in the message
+# it raises.
 
 _ORACLE_BLOCK = 4096
 
@@ -252,32 +252,14 @@ def _oracle_key_blocks(spec, N, strict):
         yield text.translate(None, b"\0").decode().split("\n")[:-1]
 
 
-def _oracle_direction_fault(records, A, idx, tau):
-    with np.errstate(all="ignore"):
-        finite = np.isfinite(A).all(axis=1)
-        unit = _unit_rows(A)
-        valid = directions_valid(A, idx, tau)
-    bad = np.flatnonzero(~(finite & unit & valid))
-    if not len(bad):
-        return None
-    k = int(bad[0])
-    if not finite[k]:
-        problem = "is not finite"
-    elif not unit[k]:
-        problem = "is not a unit vector"
-    else:
-        problem = f"fails the projection test at tau = {tau!r}"
-    return f"record {records[k]!r}: direction {A[k].tolist()} {problem}"
-
-
 def _oracle_check_records(lines, keys, fields, kind, cells):
-    N, d, per = fields
+    N, d = fields
     n_index = N * d
     values = []
     for line in lines:
         found = line.count(" ") + 1
-        if found != n_index + per:
-            raise ConfigError(f"bad record ({found} fields, expected {n_index + per}): {line!r}")
+        if found != n_index + 1:
+            raise ConfigError(f"bad record ({found} fields, expected {n_index + 1}): {line!r}")
         key = next(keys)
         if not line.startswith(key):
             try:
@@ -290,14 +272,14 @@ def _oracle_check_records(lines, keys, fields, kind, cells):
                 f"entry once, in lexicographic order, with decimal indices in [0, {cells})"
             )
         try:
-            parsed = [_hex(field) for field in line[len(key) :].split(" ")]
+            value = _hex(line[len(key) :])
         except (ValueError, OverflowError):
             raise ConfigError(
                 f"record {line!r} has a field that is not a number in float.hex spelling"
             ) from None
-        if not math.isfinite(parsed[0]):
+        if not math.isfinite(value):
             raise ConfigError(f"non-finite coefficient in record {line!r}")
-        values += parsed
+        values.append(value)
     return values
 
 
@@ -327,21 +309,12 @@ def load_model_as_text(path):
     records = lines[12:]
     head = _header(path, lines[:12], len(records))
     del lines
-    spec, N, K, per = head.spec, head.N, head.entries, head.per
-    fields = (N, spec.d, per)
+    spec, N, K = head.spec, head.N, head.entries
     table = np.empty(K)
-    directions = np.empty((K, spec.d)) if per > 1 else None
     keys = chain.from_iterable(_oracle_key_blocks(spec, N, head.kind != "sym"))
     for start in range(0, K, _ORACLE_BLOCK):
         part = slice(start, start + _ORACLE_BLOCK)
-        values = _oracle_check_records(records[part], keys, fields, head.kind, spec.cells_per_dim)
-        values = np.reshape(values, (-1, per))
-        table[part] = values[:, 0]
-        if directions is not None:
-            directions[part] = values[:, 1:]
-    if directions is not None and K:
-        idx = _site_index(spec)[wedge_rows(spec.site_count, N, True)]
-        fault = _oracle_direction_fault(records, directions, idx, head.tau)
-        if fault is not None:
-            raise ConfigError(fault)
-    return _tabulator(head, table, directions)
+        table[part] = _oracle_check_records(
+            records[part], keys, (N, spec.d), head.kind, spec.cells_per_dim
+        )
+    return _tabulator(head, table)

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from symwedge import (
     save_model,
     vandermonde_product,
 )
+from symwedge import approx_antisym
 from symwedge.approx_antisym import (
     _CANDIDATES,
     _candidate_table,
+    _derived,
     _difference_patterns,
     _pair_differences,
     _pair_product,
@@ -223,8 +226,8 @@ def assert_batch_matches_oracle(spec, keys, taus=(1e-3, 0.5)):
         if not served:
             continue
         idx = key_array([zs for zs, _ in served])
-        A, _, valid = _search_directions(idx, tau)
-        assert valid.all()
+        A, _ = _search_directions(idx)
+        assert directions_valid(A, idx, tau).all()
         assert [bits(row) for row in A.tolist()] == [bits(a) for _, a in served]
         assert [bits(choose_direction(zs, tau)) for zs, _ in served] == [bits(a) for _, a in served]
         psi = _projected_pair_products(A, spec.origin + idx * spec.delta)
@@ -280,7 +283,7 @@ def test_batched_search_breaks_ties_to_the_lowest_candidate(monkeypatch):
         "symwedge.approx_antisym._candidate_table", lambda d: np.concatenate([half, -half])
     )
     spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
-    A, _, _ = _search_directions(key_array(distinct_keys(spec, 3)), 1e-3)
+    A, _ = _search_directions(key_array(distinct_keys(spec, 3)))
     assert all((half == row).all(axis=1).any() for row in A)
 
 
@@ -304,7 +307,8 @@ def test_batched_search_d1_tau_above_one_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 1.5)
     assert str(scalar.value) == message
-    _, score, valid = _search_directions(key_array(keys), 1.5)
+    A, score = _search_directions(key_array(keys))
+    valid = directions_valid(A, key_array(keys), 1.5)
     assert not valid.any() and score.tolist() == [1.0] * len(keys)
     f = builtin_target("vandermonde-gauss-antisym")
     with pytest.raises(DirectionSearchError) as built:
@@ -325,7 +329,8 @@ def test_batched_search_exhausted_budget_raises_like_scalar():
     with pytest.raises(DirectionSearchError) as scalar:
         choose_direction(keys[0], 0.9)
     assert str(scalar.value) == message
-    _, batched, valid = _search_directions(key_array(keys), 0.9)
+    A, batched = _search_directions(key_array(keys))
+    valid = directions_valid(A, key_array(keys), 0.9)
     assert not valid[0] and batched[0].hex() == score.hex()
     f = builtin_target("vandermonde-gauss-antisym", {})
     with pytest.raises(DirectionSearchError) as built:
@@ -372,7 +377,7 @@ def test_rank_mode_is_the_slater_sum(N, d, cells):
     entries = list(itertools.combinations(lattice_sites(spec), N))
     rng = np.random.Generator(np.random.Philox(key=N * 10 + d))
     table = rng.standard_normal(len(entries))  # f(Z), never exactly 0
-    T = AntisymTabulator(spec, N, None, None, table, None)
+    T = AntisymTabulator(spec, N, None, None, table)
     signs = [
         (images, (-1) ** sum(a > b for a, b in itertools.combinations(images, 2)))
         for images in itertools.permutations(range(N))
@@ -399,7 +404,7 @@ def test_difference_patterns_give_back_every_key(cells, d, N):
     index = _site_index(spec)
     num = wedge_rows(spec.site_count, N, True)
     keys = index[num]
-    patterns, of_key = _difference_patterns(index, num, cells)
+    patterns, first, of_key = _difference_patterns(index, num, cells)
     if (2 * cells - 1) ** ((N - 1) * d) < 2**63:
         assert (patterns[:, 0] == 0).all()
         assert (patterns[of_key] + keys[:, :1] == keys).all()
@@ -407,30 +412,33 @@ def test_difference_patterns_give_back_every_key(cells, d, N):
         assert (patterns[of_key] == keys).all()
     flat = patterns.reshape(len(patterns), -1)
     assert len(np.unique(flat, axis=0)) == len(flat)  # each pattern once
+    # each pattern's first key is the first in key order to take it
+    assert first.tolist() == [of_key.tolist().index(p) for p in range(len(patterns))]
 
 
 @pytest.mark.parametrize("cells, d, N", [(4, 2, 3), (12, 1, 4), (2, 3, 5), (8, 2, 3)])
 def test_difference_patterns_come_in_code_order(cells, d, N):
     spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
-    patterns, _ = _difference_patterns(_site_index(spec), wedge_rows(spec.site_count, N, True), cells)
+    patterns, _, _ = _difference_patterns(
+        _site_index(spec), wedge_rows(spec.site_count, N, True), cells
+    )
     codes = [pattern_code(zs, cells) for zs in patterns.tolist()]
     assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 @pytest.mark.parametrize("N, d", [(2, 1), (3, 2), (4, 3)])
 def test_search_of_no_keys_is_empty(N, d):
-    A, score, valid = _search_directions(np.empty((0, N, d), dtype=np.int64), 1e-3)
-    assert (A.shape, score.shape, valid.shape) == ((0, d), (0,), (0,))
-    assert valid.dtype == bool
+    A, score = _search_directions(np.empty((0, N, d), dtype=np.int64))
+    assert (A.shape, score.shape) == ((0, d), (0,))
 
 
 @pytest.mark.parametrize("d", [1, 2, 9])
 def test_single_point_keys_take_candidate_zero_and_pass(d):
     # no pair to project: every candidate scores inf, and the first wins
     idx = np.arange(5 * d, dtype=np.int64).reshape(5, 1, d)
-    A, score, valid = _search_directions(idx, 0.5)
+    A, score = _search_directions(idx)
     assert (A == _candidate_table(d)[0]).all()
-    assert score.tolist() == [math.inf] * 5 and valid.all()
+    assert score.tolist() == [math.inf] * 5 and directions_valid(A, idx, 0.5).all()
 
 
 def test_keys_sharing_a_difference_in_other_pairs_match_the_oracle():
@@ -483,6 +491,68 @@ def test_patterns_at_the_tabulate_shape():
     first = np.unique(of_key, return_index=True)[1]
     held = T.directions.view(np.uint64)
     assert (held == held[first][of_key]).all()
+
+
+# (N, d, cells per axis) of the derived-direction checks: small shapes, one
+# whose codes would pass int64, so that every key is its own pattern, and an
+# empty strict wedge (N above the site count).
+DERIVED_SHAPES = [(2, 1, 8), (3, 2, 4), (4, 2, 3), (3, 3, 2), (30, 5, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "N, d, cells", DERIVED_SHAPES, ids=["d1", "d2", "N4", "d3", "codes-past-int64", "empty"]
+)
+def test_derived_directions_are_the_per_key_search(N, d, cells):
+    spec = LatticeSpec.from_counts(cells, d, 0.0, 1.0)
+    keys = distinct_keys(spec, N)
+    derived = _derived(spec, N)
+    assert derived.directions.shape == (len(keys), d)
+    assert not derived.directions.flags.writeable
+    # a floor that only an exactly orthogonal direction fails
+    want = [bits(choose_direction(zs, math.ulp(0.0))) for zs in keys]
+    assert [bits(a) for a in derived.directions.tolist()] == want
+    # the stable sort's patterns are np.unique's, bit for bit
+    index, num = _site_index(spec), wedge_rows(spec.site_count, N, True)
+    patterns, first, of_key = _difference_patterns(index, num, cells)
+    if (2 * cells - 1) ** ((N - 1) * d) < 2**63:
+        codes = np.array([pattern_code(zs, cells) for zs in keys], dtype=np.int64)
+        _, unique_first, unique_of_key = np.unique(codes, return_index=True, return_inverse=True)
+        keys_first = index[num[unique_first]]
+        assert patterns.tobytes() == (keys_first - keys_first[:, :1]).tobytes()
+        assert first.tobytes() == unique_first.tobytes()
+        assert of_key.dtype == unique_of_key.dtype
+        assert of_key.tobytes() == unique_of_key.tobytes()
+    else:
+        assert len(patterns) == len(keys) and (patterns == index[num]).all()
+
+
+def test_a_tau_its_directions_fail_names_the_builds_first_failing_entry():
+    # the shape and tau of the failed-build test above: the first failing key
+    # in key order is not the first failing pattern in code order
+    spec = LatticeSpec.from_counts(4, 2, 0.0, 1.0)
+    f = builtin_target("vandermonde-gauss-antisym")
+    with pytest.raises(DirectionSearchError) as built:
+        build_antisym(f, spec, 3, mode=MODE_PROJECTED, tau=0.514)
+    T = build_antisym(f, spec, 3, mode=MODE_PROJECTED)
+    with pytest.raises(DirectionSearchError) as made:
+        replace(T, tau=0.514)
+    assert str(made.value) == str(built.value)
+    assert replace(T, tau=0.25).tau == 0.25  # a lower tau passes
+
+
+def test_a_build_and_its_load_search_the_directions_once(tmp_path, monkeypatch):
+    spec = LatticeSpec.from_counts(5, 2, 0.0, 1.0)
+    _derived.cache_clear()
+    calls = []
+    search = approx_antisym._search_directions
+    monkeypatch.setattr(
+        approx_antisym, "_search_directions", lambda idx: calls.append(len(idx)) or search(idx)
+    )
+    T = build_antisym(VG_12, spec, 3, mode=MODE_PROJECTED)
+    path = str(tmp_path / "m.swm")
+    save_model(path, T)
+    assert load_model(path) == T
+    assert len(calls) == 1
 
 
 def unit_rows(rng, count, d):

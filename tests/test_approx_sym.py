@@ -443,16 +443,11 @@ def test_tabulator_arrays_are_checked_once_and_made_read_only():
         (sym, "table", [0.0] * 6, "table must be a float64 array of shape (6,), found list"),
         (anti, "table", np.zeros(6), "table must be a float64 array of shape (3,), "
          "found float64 array of shape (6,)"),
-        (anti, "directions", np.ones((3, 2)), "directions must be a float64 array of "
-         "shape (3, 1), found float64 array of shape (3, 2)"),
-        (anti, "directions", np.ones(3), "directions must be a float64 array of "
-         "shape (3, 1), found float64 array of shape (3,)"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(tab, **{field: bad})
 
 
-PAIRED = "tau and directions must be both None (rank) or both set (projected)"
 WIDTH = "need 0 < smooth width w <= delta/2 = 0.125, got w = "
 
 
@@ -464,12 +459,9 @@ def with_row(shape, k, value, fill=1.0):
 
 
 # Tabulator states no model file holds: (tabulator, changed fields, the
-# constructor's message).
+# constructor's message). A direction that fails tau raises the build's
+# DirectionSearchError, a BuildError; every other state a ValueError.
 REJECTED_STATES = {
-    "rank with a tau": ("antisym-c1", {"tau": 0.5}, PAIRED),
-    "rank with directions": ("antisym-c1", {"directions": np.ones((6, 1))}, PAIRED),
-    "projected without a tau": ("antisym-c2", {"tau": None}, PAIRED),
-    "projected without directions": ("antisym-c2", {"directions": None}, PAIRED),
     "zero tau": ("antisym-c2", {"tau": 0.0}, "tau must be finite and positive, got 0.0"),
     "negative tau": ("antisym-c2", {"tau": -0.5}, "tau must be finite and positive, got -0.5"),
     "infinite tau": ("antisym-c2", {"tau": math.inf}, "tau must be finite and positive, got inf"),
@@ -484,10 +476,10 @@ REJECTED_STATES = {
     # the wedge of 4 sites and 2 slots has 10 entries, the strict one 6
     "NaN table": ("sym", {"table": with_row(10, 3, math.nan, 0.0)},
                   "table row 3 is not finite: nan"),
-    "infinite direction": ("antisym-c2", {"directions": with_row((6, 1), 1, math.inf)},
-                           "directions row 1 is not finite: [inf]"),
-    "zero direction": ("antisym-c2", {"directions": with_row((6, 1), 4, 0.0)},
-                       "directions row 4 is not a unit vector: [0.0]"),
+    # at d = 1 every direction is (1,) and scores exactly 1
+    "projected with a tau its directions fail": (
+        "antisym-c2", {"tau": 1.5}, "no candidate direction clears tau = 1.5 for "
+        "Z = ((0,), (1,)): its best smallest relative pair projection is 1.0; lower tau"),
 }
 
 
@@ -501,7 +493,7 @@ def test_tabulators_reject_states_their_model_file_cannot_hold(tmp_path, state):
         "antisym-c1": build_antisym(f, spec, 2),
         "antisym-c2": build_antisym(f, spec, 2, mode=MODE_PROJECTED),
     }[kind]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises((ValueError, BuildError), match=f"^{re.escape(message)}$"):
         replace(tab, **changes)
     # the state, made without the checks, saves a file the loader refuses
     unchecked = object.__new__(type(tab))
@@ -538,8 +530,8 @@ def test_tabulators_compare_by_the_bits_of_their_arrays():
     assert replace(tab, table=negative_zero) != tab  # though -0.0 == 0.0
     assert replace(tab, smooth_width=0.25) != tab
     anti = build_antisym(builtin_target("vandermonde-gauss-antisym"), spec, 2, mode=MODE_PROJECTED)
-    assert replace(anti, directions=-anti.directions) != anti
-    assert replace(anti, directions=None, tau=None) != anti
+    assert replace(anti, tau=0.5) != anti
+    assert replace(anti, tau=None) != anti  # the rank construction
     assert tab != anti
 
 

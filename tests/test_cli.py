@@ -313,26 +313,42 @@ def projected_model(tmp_path, capsys):
 
 
 def test_eval_zeroed_projected_direction_exits_2(tmp_path, capsys):
+    # a format-2 record's zeroed direction, after the coefficient: format 3
+    # stores no direction, so the record has two fields too many
     model_path = projected_model(tmp_path, capsys)
     code, out, _ = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
     assert code == 0 and float(out) != 0.0
     with open(model_path) as handle:
         (record,) = [line for line in handle if line.startswith("0 0 1 1 ")]
     fields = record.split(" ")
-    edit_model(model_path, record, " ".join(fields[:5] + ["0x0.0p+0", "0x0.0p+0\n"]))
+    assert len(fields) == 5
+    edit_model(model_path, record, " ".join(fields[:4] + [fields[4][:-1], "0x0.0p+0", "0x0.0p+0\n"]))
     code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2, 0.2], [0.7, 0.7]]")
     assert_one_line_config_error(code, out, err)
-    assert "0 0 1 1" in err and "unit vector" in err
+    assert "'0 0 1 1 " in err and "(7 fields, expected 5)" in err
+
+
+@pytest.mark.parametrize(
+    "command, N, d", [("build", 2, 2**63), ("verify", 2**63, 1)], ids=["build-d", "verify-N"]
+)
+def test_a_configuration_no_array_holds_exits_2_naming_N_and_d(tmp_path, capsys, command, N, d):
+    config = write_config(tmp_path, N=N, d=d, delta=1.0)
+    code, out, err = run(capsys, command, "--config", config)
+    assert_one_line_config_error(code, out, err)
+    assert err == (
+        f"error: config keys 'N' = {N} and 'd' = {d} make a configuration of {N * d} floats, "
+        "more than one array holds; lower 'N' or 'd'\n"
+    )
 
 
 def test_eval_version_1_model_exits_2(tmp_path, capsys):
     model_path, _ = build_model(
         tmp_path, capsys, kind="antisym-c1", target="vandermonde-gauss-antisym"
     )
-    edit_model(model_path, "SYMWEDGE-MODEL 2\n", "SYMWEDGE-MODEL 1\n")
+    edit_model(model_path, "SYMWEDGE-MODEL 3\n", "SYMWEDGE-MODEL 1\n")
     code, out, err = run(capsys, "eval", model_path, "--x", "[[0.2], [0.7]]")
     assert_one_line_config_error(code, out, err)
-    assert "not a SYMWEDGE-MODEL version-2 file" in err
+    assert "not a SYMWEDGE-MODEL version-3 file" in err
 
 
 def test_eval_model_with_oversized_cells_exits_2(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """README.md names every config key and command-line option the CLI takes,
-and lists no optional config key the CLI does not."""
+lists no optional config key the CLI does not, and names the model format
+version the package writes."""
 
 import argparse
 import os
 import re
 
 import symwedge.cli as cli
+from symwedge.persistence import FORMAT_VERSION
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -45,3 +47,8 @@ def test_readme_lists_only_config_keys_as_optional():
     listed = re.search(r"Optional keys include (.*?)\.", text).group(1)
     keys = quoted(listed)
     assert keys and sorted(keys - cli._CONFIG_KEYS) == []
+
+
+def test_readme_names_the_model_format_the_package_writes():
+    versions = re.findall(r"format v(\d+)", readme_text())
+    assert versions and set(versions) == {str(FORMAT_VERSION)}
